@@ -33,17 +33,6 @@ test -s "$out/BENCH_scheduler.json" || {
     echo "smoke FAILED: scheduler bench artifact missing" >&2; exit 1;
 }
 
-# --- sharded-engine micro-bench (quick variant) ----------------------------
-# Times the multi-process sharded engine against the single-process
-# incremental core on a small size (and asserts the executions are
-# identical); the full sweep with the n=1000/k=4 speedup threshold runs in
-# CI's sharded job and on demand.
-python benchmarks/bench_sharded.py --quick \
-    --out "$out/BENCH_sharded.json"
-test -s "$out/BENCH_sharded.json" || {
-    echo "smoke FAILED: sharded bench artifact missing" >&2; exit 1;
-}
-
 # --- vectorized-engine micro-bench (quick variant) -------------------------
 # Times the batch-kernel synchronous engine against per-node dispatch on a
 # small size (and asserts the executions are identical); the full sweep with
@@ -55,8 +44,8 @@ test -s "$out/BENCH_vectorized.json" || {
     echo "smoke FAILED: vectorized bench artifact missing" >&2; exit 1;
 }
 history_after="$(wc -l < BENCH_history.jsonl)"
-if [ "$((history_after - history_before))" -ne 3 ]; then
-    echo "smoke FAILED: expected the perf history to grow by 3 lines" \
+if [ "$((history_after - history_before))" -ne 2 ]; then
+    echo "smoke FAILED: expected the perf history to grow by 2 lines" \
          "(was $history_before, now $history_after)" >&2
     exit 1
 fi
@@ -174,8 +163,7 @@ case "$shard_view" in
     *"per-shard status (2 slices)"*) ;;
     *) echo "smoke FAILED: status --shard missing per-shard table" >&2; exit 1 ;;
 esac
-# --- repro-lint: static verifier over every shipped layer, then a quick
-# --- sharded race check (k=2, one substrate) -------------------------------
+# --- repro-lint: static verifier over every shipped layer -----------------
 python -m repro.lint src/repro
 lint_seeded=0
 python -m repro.lint "$(dirname "$0")/../tests/lint/fixtures/guard_mutates.py" >/dev/null || lint_seeded=$?
@@ -183,6 +171,5 @@ if [ "$lint_seeded" -ne 1 ]; then
     echo "smoke FAILED: repro-lint did not flag the seeded violation (exit $lint_seeded)" >&2
     exit 1
 fi
-python -m repro.lint --race dftno --shards 2 --size 8 --seed 1
 
 echo "smoke OK"

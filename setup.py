@@ -19,9 +19,8 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     # The core engines are pure-Python on purpose; numpy only powers the
-    # opt-in vectorized synchronous engine (``scheduler-vectorized``) and the
-    # sharded engine's shared-memory mirrors.  Without it those paths degrade
-    # gracefully (EngineUnavailableError / pickled deltas), so it is an extra:
+    # opt-in vectorized synchronous engine (``scheduler-vectorized``).  Without
+    # it that engine raises EngineUnavailableError, so it is an extra:
     #     pip install .[vectorized]
     extras_require={"vectorized": ["numpy"]},
     entry_points={

@@ -107,10 +107,9 @@ def measure_layered_stabilization(
     finished sample.  ``incremental=False`` forces the scheduler's historical
     full guard scan (the ``scheduler-fullscan`` differential-testing path).
     ``scheduler_factory`` substitutes a whole alternative execution core --
-    the ``scheduler-sharded`` engine passes
-    :class:`~repro.shard.ShardedScheduler` here -- and overrides
-    ``incremental``; a factory-built scheduler exposing ``close()`` is closed
-    when the measurement ends.
+    the ``scheduler-vectorized`` engine passes
+    :class:`~repro.runtime.vectorized.VectorizedScheduler` here -- and
+    overrides ``incremental``.
     """
     rng = random.Random(seed)
     daemon = daemon or DistributedDaemon()
@@ -128,67 +127,62 @@ def measure_layered_stabilization(
         observers=observers,
         instrumentation=instrumentation,
     )
-    try:
-        substrate_step: int | None = None
-        substrate_round: int | None = None
-        full_step: int | None = None
-        full_round: int | None = None
-        # Confirm legitimacy over at least one full token wave (O(n + m)
-        # moves) so that a transiently satisfied specification is not
-        # mistaken for the stabilized one.
-        closure_window = 3 * (network.n + network.num_edges()) + 10
-        held_for = 0
+    substrate_step: int | None = None
+    substrate_round: int | None = None
+    full_step: int | None = None
+    full_round: int | None = None
+    # Confirm legitimacy over at least one full token wave (O(n + m)
+    # moves) so that a transiently satisfied specification is not
+    # mistaken for the stabilized one.
+    closure_window = 3 * (network.n + network.num_edges()) + 10
+    held_for = 0
 
-        def observe() -> None:
-            nonlocal substrate_step, substrate_round, full_step, full_round, held_for
-            config = scheduler.configuration
-            if substrate_predicate(network, config):
-                if substrate_step is None:
-                    substrate_step = scheduler.steps_executed
-                    substrate_round = scheduler.rounds_completed
-            else:
-                substrate_step = None
-                substrate_round = None
-            if full_predicate(network, config):
-                if full_step is None:
-                    full_step = scheduler.steps_executed
-                    full_round = scheduler.rounds_completed
-                held_for += 1
-            else:
-                full_step = None
-                full_round = None
-                held_for = 0
+    def observe() -> None:
+        nonlocal substrate_step, substrate_round, full_step, full_round, held_for
+        config = scheduler.configuration
+        if substrate_predicate(network, config):
+            if substrate_step is None:
+                substrate_step = scheduler.steps_executed
+                substrate_round = scheduler.rounds_completed
+        else:
+            substrate_step = None
+            substrate_round = None
+        if full_predicate(network, config):
+            if full_step is None:
+                full_step = scheduler.steps_executed
+                full_round = scheduler.rounds_completed
+            held_for += 1
+        else:
+            full_step = None
+            full_round = None
+            held_for = 0
 
+    observe()
+    while scheduler.steps_executed < max_steps and held_for < closure_window:
+        if scheduler.step() is None:
+            break
         observe()
-        while scheduler.steps_executed < max_steps and held_for < closure_window:
-            if scheduler.step() is None:
-                break
-            observe()
 
-        converged = full_step is not None
-        sample = StabilizationSample(
-            protocol=label or protocol.name,
-            network=network.name,
-            n=network.n,
-            edges=network.num_edges(),
-            parameter=parameter if parameter is not None else network.n,
-            daemon=daemon.name,
-            seed=seed if seed is not None else -1,
-            converged=converged,
-            total_steps=scheduler.steps_executed,
-            total_rounds=scheduler.rounds_completed,
-            substrate_steps=substrate_step,
-            substrate_rounds=substrate_round,
-            full_steps=full_step,
-            full_rounds=full_round,
-        )
-        if converged:
-            scheduler.notify_converged(sample)
-        return sample
-    finally:
-        closer = getattr(scheduler, "close", None)
-        if closer is not None:
-            closer()
+    converged = full_step is not None
+    sample = StabilizationSample(
+        protocol=label or protocol.name,
+        network=network.name,
+        n=network.n,
+        edges=network.num_edges(),
+        parameter=parameter if parameter is not None else network.n,
+        daemon=daemon.name,
+        seed=seed if seed is not None else -1,
+        converged=converged,
+        total_steps=scheduler.steps_executed,
+        total_rounds=scheduler.rounds_completed,
+        substrate_steps=substrate_step,
+        substrate_rounds=substrate_round,
+        full_steps=full_step,
+        full_rounds=full_round,
+    )
+    if converged:
+        scheduler.notify_converged(sample)
+    return sample
 
 
 def presettled_substrate_configuration(

@@ -38,7 +38,6 @@ from repro.api.engines import (
     MsgpassEngine,
     ScenarioEngine,
     SchedulerEngine,
-    ShardedSchedulerEngine,
     engine_names,
     get_engine,
     register_engine,
@@ -80,7 +79,6 @@ __all__ = [
     "RunSpec",
     "ScenarioEngine",
     "SchedulerEngine",
-    "ShardedSchedulerEngine",
     "StopSpec",
     "engine_names",
     "get_engine",

@@ -15,7 +15,7 @@ underlying execution machinery:
   simulator running a workload (broadcast, traversal or ring election) with
   and without the orientation, producing the message-savings rows.
 
-New engines (an async scheduler, a sharded backend) register with
+New engines (an async scheduler, say) register with
 :func:`register_engine` and become reachable through the same
 ``run(RunSpec(engine="..."))`` entry point without touching any caller.
 """
@@ -380,36 +380,6 @@ class VectorizedSchedulerEngine(SchedulerEngine):
         return {"scheduler_factory": partial(VectorizedScheduler, **kwargs)}
 
 
-class ShardedSchedulerEngine(SchedulerEngine):
-    """The multi-process twin of :class:`SchedulerEngine`.
-
-    Same measurement, executed by :class:`~repro.shard.ShardedScheduler`: the
-    network is partitioned into ``spec.shards`` node blocks, each block's
-    guard evaluation and action execution runs in a forked worker process,
-    and only the dirty frontier crossing shard boundaries is exchanged
-    between rounds.  The cross-shard daemon is the run's own seeded daemon
-    selecting from the globally merged enabled set, so rows are
-    bit-identical to the ``scheduler`` engine's -- the extended equivalence
-    suite holds all three scheduler engines together.
-    """
-
-    name = "scheduler-sharded"
-
-    def _scheduler_kwargs(self, spec: RunSpec) -> dict[str, object]:
-        from functools import partial
-
-        from repro.shard import ShardedScheduler
-
-        kwargs: dict[str, object] = {
-            "shards": spec.shards or 2,
-            "partition": spec.partition or "bfs",
-        }
-        if spec.debug and spec.debug.get("check_guard_locality"):
-            # Reaches the forked shard workers through the worker factory.
-            kwargs["check_guard_locality"] = True
-        return {"scheduler_factory": partial(ShardedScheduler, **kwargs)}
-
-
 # ----------------------------------------------------------------------
 # The fault-injection scenario engine
 # ----------------------------------------------------------------------
@@ -536,7 +506,6 @@ def build_protocol(name: str):
 register_engine(SchedulerEngine())
 register_engine(FullScanSchedulerEngine())
 register_engine(VectorizedSchedulerEngine())
-register_engine(ShardedSchedulerEngine())
 register_engine(ScenarioEngine())
 register_engine(MsgpassEngine())
 
@@ -547,7 +516,6 @@ __all__ = [
     "MsgpassEngine",
     "ScenarioEngine",
     "SchedulerEngine",
-    "ShardedSchedulerEngine",
     "VectorizedSchedulerEngine",
     "build_protocol",
     "engine_names",

@@ -32,34 +32,32 @@ HEIGHT_TREE_FAMILY = "height_tree"
 #: Engines :func:`repro.api.run` can dispatch to.  ``scheduler-fullscan`` is
 #: the differential-testing twin of ``scheduler``: same measurement, but the
 #: scheduler rescans every guard per step instead of maintaining the
-#: incremental enabled-set.  ``scheduler-sharded`` runs the same measurement
-#: on the multi-process sharded engine (:mod:`repro.shard`): ``shards``
-#: worker processes each own one node block, with the dirty frontier
-#: exchanged between rounds -- results are bit-identical to ``scheduler``.
-#: ``scheduler-vectorized`` runs the same measurement on the batch-kernel
-#: engine (:mod:`repro.runtime.vectorized`): under the synchronous daemon,
-#: layers with registered batch kernels evaluate guards and writes as whole
-#: numpy columns; results are again bit-identical, and the spec hash is
-#: unchanged for every existing engine name.
+#: incremental enabled-set.  ``scheduler-vectorized`` runs the same
+#: measurement on the batch-kernel engine (:mod:`repro.runtime.vectorized`):
+#: under the synchronous daemon, layers with registered batch kernels
+#: evaluate guards and writes as whole numpy columns; results are again
+#: bit-identical, and the spec hash is unchanged for every existing engine
+#: name.
 #: ``scheduler-replay`` re-executes a flight-recorder log
 #: (:mod:`repro.replay`) in verified lockstep instead of running anything
 #: new; its log path travels in the hash-excluded ``debug["replay_log"]``.
 ENGINE_NAMES = (
     "scheduler",
     "scheduler-fullscan",
-    "scheduler-sharded",
     "scheduler-vectorized",
     "scheduler-replay",
     "scenario",
     "msgpass",
 )
 
+#: ``RunSpec.to_dict`` keys of the removed sharded engine (see ``from_dict``).
+_REMOVED_SHARD_FIELDS = ("shards", "partition")
+
 #: The engines that run the daemon-step scheduler (and thus understand
 #: scheduler-only spec fields such as ``stop.after_substrate``).
 SCHEDULER_ENGINES = (
     "scheduler",
     "scheduler-fullscan",
-    "scheduler-sharded",
     "scheduler-vectorized",
     "scheduler-replay",
 )
@@ -71,13 +69,10 @@ SCHEDULER_ENGINES = (
 RECORDABLE_ENGINES = (
     "scheduler",
     "scheduler-fullscan",
-    "scheduler-sharded",
     "scheduler-vectorized",
     "scenario",
 )
 
-#: The engine that understands the ``shards`` / ``partition`` spec fields.
-SHARDED_ENGINE = "scheduler-sharded"
 
 #: Message-passing workloads the ``msgpass`` engine implements.
 WORKLOADS = ("broadcast", "traversal", "election")
@@ -192,21 +187,13 @@ class RunSpec:
     parameter:
         The swept quantity this run contributes to in aggregated tables
         (default: the network size; the height for height-controlled trees).
-    shards / partition:
-        Sharded-engine knobs (only legal for ``engine="scheduler-sharded"``):
-        the number of worker processes (default 2) and the partition strategy
-        (default ``"bfs"``; see
-        :data:`repro.shard.partition.PARTITION_STRATEGIES`).  They never
-        change the measured execution -- only how it is computed -- but they
-        are part of the canonical hash like every other syntactic field.
     debug:
         Diagnostic switches, **excluded from the canonical hash**: they may
         change how a run is checked but never what it computes, so a debug
         re-run dedups against (and is comparable to) the original row.
         Currently understood by the scheduler engines:
         ``{"check_guard_locality": True}`` arms the per-guard read tracker
-        (the programmatic form of ``REPRO_DEBUG_GUARDS=1``; reaches forked
-        shard workers too), raising
+        (the programmatic form of ``REPRO_DEBUG_GUARDS=1``), raising
         :class:`~repro.errors.GuardLocalityError` on any out-of-neighborhood
         guard read.  Unknown keys are preserved but ignored.
     record:
@@ -229,8 +216,6 @@ class RunSpec:
     workload: str | None = None
     stop: StopSpec = field(default_factory=StopSpec)
     parameter: int | None = None
-    shards: int | None = None
-    partition: str | None = None
     debug: Mapping[str, object] | None = None
     record: "bool | str | None" = None
 
@@ -296,22 +281,6 @@ class RunSpec:
                 f"workloads only apply to engine='msgpass' (got {self.engine!r})"
             )
 
-        if self.engine == SHARDED_ENGINE:
-            from repro.shard.partition import normalize_strategy
-
-            shards = self.shards if self.shards is not None else 2
-            if int(shards) < 1:
-                raise ValueError(f"shards must be >= 1 (got {shards})")
-            object.__setattr__(self, "shards", int(shards))
-            object.__setattr__(
-                self, "partition", normalize_strategy(self.partition or "bfs")
-            )
-        elif self.shards is not None or self.partition is not None:
-            raise ValueError(
-                f"shards/partition only apply to engine={SHARDED_ENGINE!r} "
-                f"(got {self.engine!r})"
-            )
-
         if self.engine not in SCHEDULER_ENGINES and self.stop.after_substrate:
             # Rejecting beats mislabeling: after_substrate is part of the
             # canonical hash, so silently ignoring it would store two
@@ -332,12 +301,23 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RunSpec":
-        """Rebuild a spec from :meth:`to_dict` output (missing keys -> defaults)."""
+        """Rebuild a spec from :meth:`to_dict` output (missing keys -> defaults).
+
+        Dumps written while the sharded engine existed carry ``"shards"`` and
+        ``"partition"``; ``None`` values (every non-sharded spec) are dropped
+        so those dumps keep loading to the same hash.
+        """
+        kwargs = dict(data)
+        for legacy in _REMOVED_SHARD_FIELDS:
+            if kwargs.pop(legacy, None) is not None:
+                raise ValueError(
+                    f"RunSpec field {legacy!r} belonged to the removed sharded "
+                    f"engine; choose from {sorted(ENGINE_NAMES)}"
+                )
         known = {spec_field.name for spec_field in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(kwargs) - known
         if unknown:
             raise ValueError(f"unknown RunSpec fields: {sorted(unknown)}")
-        kwargs = dict(data)
         if "network" in kwargs and isinstance(kwargs["network"], Mapping):
             kwargs["network"] = NetworkSpec(**dict(kwargs["network"]))
         if "stop" in kwargs and isinstance(kwargs["stop"], Mapping):
@@ -371,11 +351,6 @@ class RunSpec:
             "workload": "broadcast" if self.engine == "msgpass" else None,
             "stop": {},
             "parameter": None,
-            # The sharded engine's resolved defaults hash like the bare spec,
-            # so ``RunSpec(engine="scheduler-sharded")`` and an explicit
-            # ``shards=2, partition="bfs"`` dedup to the same store row.
-            "shards": 2 if self.engine == SHARDED_ENGINE else None,
-            "partition": "bfs" if self.engine == SHARDED_ENGINE else None,
         }
         return _strip_defaults(data, defaults)
 
@@ -406,8 +381,8 @@ class RunResult:
         per-variant outcome mapping.
     perf:
         The run's :meth:`~repro.obs.Instrumentation.summary` -- phase timers,
-        counters, gauges, and (sharded) per-shard worker summaries.  ``None``
-        unless the run was executed with instrumentation attached; when
+        counters and gauges.  ``None`` unless the run was executed with
+        instrumentation attached; when
         present the same dictionary is embedded in ``row["perf"]`` so campaign
         stores persist it.  Uninstrumented rows are byte-identical to what
         they were before the observability layer existed.
@@ -450,7 +425,6 @@ __all__ = [
     "HEIGHT_TREE_FAMILY",
     "RECORDABLE_ENGINES",
     "SCHEDULER_ENGINES",
-    "SHARDED_ENGINE",
     "NetworkSpec",
     "RunResult",
     "RunSpec",

@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--perf",
         action="store_true",
         help="merge the perf summaries persisted by 'run --perf' into a "
-        "phase-time / counter breakdown (per-shard where available)",
+        "phase-time / counter breakdown",
     )
     report.add_argument(
         "--health",
@@ -844,18 +844,6 @@ def _report_perf(rows: list[dict[str, object]]) -> int:
             f"{name}={value:g}" for name, value in sorted(counters.items())
         )
         print(f"counters: {rendered}")
-    shards = merged.get("shards", {})
-    if shards:
-        shard_table = [
-            {
-                "shard": index,
-                "guard_eval_s": f"{phase_seconds(summary, 'guard_eval'):.4f}",
-                "action_exec_s": f"{phase_seconds(summary, 'action_exec'):.4f}",
-                "guards": summary.get("counters", {}).get("guards_evaluated", 0),
-            }
-            for index, summary in sorted(shards.items(), key=lambda item: int(item[0]))
-        ]
-        print(format_table(shard_table, title="per-shard worker time"))
     skipped = len(rows) - len(summaries)
     if skipped:
         print(f"note: {skipped} row(s) without perf summaries were skipped")

@@ -1,13 +1,14 @@
-"""repro-lint: static protocol verifier and shard race detector.
+"""repro-lint: static protocol verifier.
 
-Two halves with one findings vocabulary (:data:`~repro.lint.findings.RULES`):
+One findings vocabulary (:data:`~repro.lint.findings.RULES`) for every mode:
 
 * the **static** pass (:mod:`repro.lint.static`) walks every layer's
   guard/action source through the :class:`~repro.runtime.processor.ProcessorView`
   API and reports locality and purity violations (``RL001``-``RL006``),
   deriving per-action read/write sets (:mod:`repro.lint.summary`) on the way;
-* the **dynamic** sanitizer (:mod:`repro.lint.racecheck`) attaches to the
-  sharded engine and reports frontier-exchange races (``RC101``-``RC103``).
+* the **kernel** cross-check (:mod:`repro.lint.kernels`) holds each batch
+  kernel's declared reads/writes to the per-node action's static sets
+  (``RL007``).
 
 Runtime :class:`~repro.errors.GuardLocalityError` failures route through the
 same formatter via :func:`~repro.lint.findings.finding_from_guard_error`.
@@ -21,7 +22,6 @@ from repro.lint.findings import (
     format_findings,
     severity_of,
 )
-from repro.lint.racecheck import ShardRaceChecker, run_race_check
 from repro.lint.static import (
     ActionSummary,
     analyze_paths,
@@ -35,7 +35,6 @@ __all__ = [
     "ActionSummary",
     "Finding",
     "RULES",
-    "ShardRaceChecker",
     "analyze_paths",
     "build_summary",
     "finding_from_guard_error",

@@ -1,4 +1,4 @@
-"""``repro-lint``: static protocol verifier + shard race detector.
+"""``repro-lint``: static protocol verifier.
 
 Static mode (default) runs the AST pass over the given files/directories and
 prints findings (exit 1 when any are found)::
@@ -13,13 +13,7 @@ sets against the static per-node sets (rule RL007, exit 1 on disagreement)::
 
     repro-lint --kernels
 
-Race mode runs one sharded execution with the variable-level race sanitizer
-attached and reports any frontier-exchange divergence (exit 1 on findings or
-non-convergence)::
-
-    repro-lint --race dftno --shards 2 --size 8 --seed 1
-
-Exit codes: 0 clean, 1 findings (or race-mode non-convergence), 2 usage error.
+Exit codes: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from repro.lint.static import lint_paths, modules_for_protocols
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Static protocol verifier and shard race detector.",
+        description="Static protocol verifier.",
     )
     parser.add_argument(
         "paths",
@@ -65,32 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check registered batch-kernel reads/writes declarations "
         "against the static per-node sets (rule RL007) instead of static lint",
-    )
-    race = parser.add_argument_group("race check (dynamic)")
-    race.add_argument(
-        "--race",
-        metavar="PROTOCOL",
-        help="run the sharded race sanitizer on this protocol instead of static lint",
-    )
-    race.add_argument("--shards", type=int, default=2, help="shard count (default: 2)")
-    race.add_argument("--size", type=int, default=8, help="network size (default: 8)")
-    race.add_argument(
-        "--family",
-        default="random_connected",
-        help="network family (default: random_connected)",
-    )
-    race.add_argument("--seed", type=int, default=1, help="seed (default: 1)")
-    race.add_argument(
-        "--partition", default="bfs", help="partition strategy (default: bfs)"
-    )
-    race.add_argument(
-        "--mode",
-        choices=("inline", "fork"),
-        default="inline",
-        help="shard harness for --race (default: inline)",
-    )
-    race.add_argument(
-        "--steps", type=int, default=None, help="step budget override for --race"
     )
     return parser
 
@@ -132,40 +100,9 @@ def _run_kernels(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def _run_race(args: argparse.Namespace) -> int:
-    from repro.lint.racecheck import run_race_check
-
-    checker, converged = run_race_check(
-        protocol=args.race,
-        family=args.family,
-        size=args.size,
-        shards=args.shards,
-        seed=args.seed,
-        partition=args.partition,
-        max_steps=args.steps,
-        mode=args.mode,
-    )
-    _emit(checker.findings, args.format, title="race check")
-    if args.format == "text":
-        print(
-            f"race check: {args.race} on {args.family}({args.size}) seed {args.seed}, "
-            f"{args.shards} shards ({args.mode}); {checker.mirror_audits} mirror audits, "
-            f"{checker.execution_audits} execution audits; "
-            f"{'converged' if converged else 'DID NOT CONVERGE'}"
-        )
-    if checker.findings:
-        return 1
-    if not converged:
-        print("repro-lint: race check run did not converge", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.race:
-            return _run_race(args)
         if args.kernels:
             return _run_kernels(args)
         return _run_static(args)

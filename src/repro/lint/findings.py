@@ -2,10 +2,10 @@
 
 A :class:`Finding` is one rule violation -- static (``RL...``, from
 :mod:`repro.lint.static`), dynamic guard-locality (``RL004`` raised at run
-time as :class:`~repro.errors.GuardLocalityError`), or a sharded race
-(``RC...``, from :mod:`repro.lint.racecheck`).  All three surfaces render
-through the same two formatters so CI logs, the campaign pre-flight table and
-the race-check report read identically.
+time as :class:`~repro.errors.GuardLocalityError`), or a batch-kernel
+declaration mismatch (``RL007``, from :mod:`repro.lint.kernels`).  All of
+them render through the same two formatters so CI logs and the campaign
+pre-flight table read identically.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from repro.errors import GuardLocalityError
 #: Rule catalog: id -> (severity, one-line description).  The static pass
 #: emits RL001..RL006; the dynamic tracker raises RL004 (as
 #: :class:`GuardLocalityError`); the kernel cross-check
-#: (:mod:`repro.lint.kernels`) emits RL007; the shard race checker emits
-#: RC101..RC103.
+#: (:mod:`repro.lint.kernels`) emits RL007.
 RULES: dict[str, tuple[str, str]] = {
     "RL001": ("error", "guard mutates state (view.write inside a guard)"),
     "RL002": ("warning", "guard performs I/O"),
@@ -29,9 +28,6 @@ RULES: dict[str, tuple[str, str]] = {
     "RL005": ("error", "non-local write (statement writes outside its own node)"),
     "RL006": ("error", "undeclared variable access (name not in the layer's schema)"),
     "RL007": ("error", "batch kernel reads/writes declaration disagrees with the per-node action's static sets"),
-    "RC101": ("error", "stale ghost: shard mirror of a ghost node diverged from the journal"),
-    "RC102": ("error", "stale block mirror: shard's own-node state diverged from the journal"),
-    "RC103": ("error", "conflicting write: two shards (or a non-owner) wrote one node in a step"),
 }
 
 
@@ -53,7 +49,7 @@ class Finding:
     function: str = ""
 
     def location(self) -> str:
-        """``path:line`` (race findings use a ``protocol@step`` pseudo-path)."""
+        """``path:line`` (runtime findings carry only a pseudo-path)."""
         return f"{self.path}:{self.line}" if self.line else self.path
 
 

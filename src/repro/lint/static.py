@@ -3,7 +3,7 @@
 The whole reproduction rests on one structural assumption: a guard reads only
 its closed neighborhood and an action writes only its own node.  That is what
 makes the incremental enabled-set (dirty-frontier re-evaluation) and the
-sharded frontier exchange sound.  This pass checks the contract at review
+vectorized batch kernels sound.  This pass checks the contract at review
 time, before any scheduler runs:
 
 * every ``Action(name, guard, statement, ...)`` construction (and every
@@ -19,8 +19,8 @@ The analysis is deliberately *conservative*: a guard or helper it cannot
 resolve statically (a callable stored in a variable, a cross-object call like
 ``self._tree.children(view)``, a variable name computed at run time) is
 skipped, never flagged.  False negatives are acceptable -- the dynamic
-tracker (``check_guard_locality`` / ``REPRO_DEBUG_GUARDS``) and the shard
-race checker backstop them -- false positives on shipped protocols are not.
+tracker (``check_guard_locality`` / ``REPRO_DEBUG_GUARDS``) backstops
+them -- false positives on shipped protocols are not.
 
 Escape hatch: a line carrying ``# repro-lint: disable=RL001`` (comma-separate
 several ids, or ``disable=all``) suppresses findings anchored to that line.
@@ -332,8 +332,8 @@ class _Resolver:
 class ActionSummary:
     """The statically-derived read/write footprint of one protocol action.
 
-    The machine-readable artifact the future vectorized engine and the shard
-    partitioner consume (:mod:`repro.lint.summary`).
+    The machine-readable artifact the vectorized engine's kernel cross-check
+    consumes (:mod:`repro.lint.summary`).
     """
 
     module: str

@@ -5,10 +5,8 @@ which variables its guard reads (own vs. neighbor) and which its statement
 writes.  This module turns those :class:`~repro.lint.static.ActionSummary`
 records into one JSON-serializable artifact:
 
-* the future vectorized engine needs the guard read-sets to build its
-  dependency masks;
-* the shard partitioner can weigh boundary edges by how many neighbor-read
-  variables actually cross them;
+* the kernel cross-check (:mod:`repro.lint.kernels`) holds each batch
+  kernel's declared reads/writes to these sets;
 * reviewers get a one-page answer to "what does this layer touch?".
 
 Unresolvable guards/statements are reported with ``*_resolved: false`` rather

@@ -32,7 +32,6 @@ from repro.obs.instrument import (
     NULL_INSTRUMENTATION,
     PHASE_ACTION_EXEC,
     PHASE_DAEMON_SELECT,
-    PHASE_FRONTIER_EXCHANGE,
     PHASE_GUARD_EVAL,
     PHASE_OBSERVER_DISPATCH,
     SUMMARY_SCHEMA,
@@ -76,7 +75,6 @@ __all__ = [
     "NULL_INSTRUMENTATION",
     "PHASE_ACTION_EXEC",
     "PHASE_DAEMON_SELECT",
-    "PHASE_FRONTIER_EXCHANGE",
     "PHASE_GUARD_EVAL",
     "PHASE_OBSERVER_DISPATCH",
     "PROFILE_ENV",

@@ -4,18 +4,13 @@ One :class:`Instrumentation` object accompanies one run.  The execution cores
 feed it three kinds of measurements:
 
 * **counters** -- monotonically accumulated totals (``guards_evaluated``,
-  ``steps_timed``, ``frontier_bytes_sent``, fractional values like
-  ``step_seconds`` are fine);
+  ``steps_timed``, fractional values like ``step_seconds`` are fine);
 * **gauges** -- per-observation samples of a fluctuating quantity (dirty-set
   size, enabled-set size), summarized as count/sum/min/max so any two
   summaries merge associatively;
 * **phase timers** -- wall-clock attributed to a named phase of the step loop
-  (``guard_eval``, ``daemon_select``, ``action_exec``, ``observer_dispatch``,
-  and -- sharded -- ``frontier_exchange``), as ``(seconds, count)`` pairs.
-
-The sharded coordinator additionally files one *per-shard* summary per worker
-(:meth:`Instrumentation.record_shard`), so a sharded run can report per-shard
-skew next to its own coordinator-side phases.
+  (``guard_eval``, ``daemon_select``, ``action_exec``, ``observer_dispatch``),
+  as ``(seconds, count)`` pairs.
 
 **The disabled path costs (almost) nothing.**  Every scheduler holds an
 instrumentation object; when none was requested it holds the shared
@@ -28,8 +23,8 @@ layer existed, give or take a handful of predictable branches per step.
 Summaries (:meth:`Instrumentation.summary`) are plain JSON-serializable
 dictionaries -- exactly what lands in ``RunResult.perf`` and in campaign
 store rows -- and merge associatively via :func:`merge_summaries`, which is
-what lets per-worker summaries, per-trial summaries and per-campaign
-aggregates all share one representation.
+what lets per-trial summaries and per-campaign aggregates share one
+representation.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ PHASE_GUARD_EVAL = "guard_eval"
 PHASE_DAEMON_SELECT = "daemon_select"
 PHASE_ACTION_EXEC = "action_exec"
 PHASE_OBSERVER_DISPATCH = "observer_dispatch"
-PHASE_FRONTIER_EXCHANGE = "frontier_exchange"
 
 #: The summary schema version, bumped if the dictionary shape ever changes.
 SUMMARY_SCHEMA = 1
@@ -64,7 +58,7 @@ class Instrumentation:
     #: Hot loops hoist this once per step; the null subclass flips it.
     enabled: bool = True
 
-    __slots__ = ("counters", "gauges", "phases", "shards", "tracer")
+    __slots__ = ("counters", "gauges", "phases", "tracer")
 
     def __init__(self, tracer: "SpanTracer | None" = None) -> None:
         self.counters: dict[str, float] = {}
@@ -72,8 +66,6 @@ class Instrumentation:
         self.gauges: dict[str, list[float]] = {}
         #: name -> [seconds, count]
         self.phases: dict[str, list[float]] = {}
-        #: shard index -> that worker's summary dictionary
-        self.shards: dict[int, dict[str, Any]] = {}
         self.tracer = tracer
 
     # ------------------------------------------------------------------
@@ -109,11 +101,6 @@ class Instrumentation:
         """Context manager timing a phase (convenience for cold paths)."""
         return _PhaseTimer(self, name)
 
-    def record_shard(self, index: int, summary: Mapping[str, Any] | None) -> None:
-        """File (or refresh) worker ``index``'s cumulative summary."""
-        if summary:
-            self.shards[index] = dict(summary)
-
     # ------------------------------------------------------------------
     # Summaries
     # ------------------------------------------------------------------
@@ -137,16 +124,15 @@ class Instrumentation:
                 for name, entry in sorted(self.phases.items())
             },
         }
-        if self.shards:
-            out["shards"] = {str(index): dict(summary) for index, summary in sorted(self.shards.items())}
         return out
 
     def merge_summary(self, summary: Mapping[str, Any]) -> None:
         """Fold a :meth:`summary`-shaped dictionary into this registry.
 
         The inverse of :meth:`summary` up to representation: counters and
-        phase timers add, gauges combine their count/sum/min/max moments, and
-        per-shard summaries are merged recursively by shard index.  Folding
+        phase timers add, and gauges combine their count/sum/min/max moments.
+        Keys it does not know (such as the per-shard ``"shards"`` map older
+        rows carry) are ignored.  Folding
         summaries in any order yields the same state (the merge is
         commutative and associative), which the instrumentation test suite
         pins down.
@@ -164,12 +150,6 @@ class Instrumentation:
                 entry[3] = max(entry[3], stats["max"])
         for name, stats in summary.get("phases", {}).items():
             self.phase_time(name, stats["seconds"], stats["count"])
-        for index, shard_summary in summary.get("shards", {}).items():
-            existing = self.shards.get(int(index))
-            if existing is None:
-                self.shards[int(index)] = dict(shard_summary)
-            else:
-                self.shards[int(index)] = merge_summaries(existing, shard_summary)
 
 
 class _PhaseTimer:
@@ -211,9 +191,6 @@ class NullInstrumentation(Instrumentation):
     def phase_time(self, name: str, seconds: float, count: int = 1) -> None:  # noqa: D102
         pass
 
-    def record_shard(self, index: int, summary: Mapping[str, Any] | None) -> None:  # noqa: D102
-        pass
-
     def merge_summary(self, summary: Mapping[str, Any]) -> None:  # noqa: D102 - no-op
         pass
 
@@ -229,15 +206,15 @@ NULL_INSTRUMENTATION = NullInstrumentation()
 def merge_summaries(*summaries: Mapping[str, Any] | None) -> dict[str, Any]:
     """Merge any number of :meth:`Instrumentation.summary` dictionaries.
 
-    Associative and commutative: counters/phases add, gauges combine moments,
-    shard maps union recursively.  ``None`` and empty summaries are ignored;
+    Associative and commutative: counters/phases add, gauges combine moments.
+    ``None`` and empty summaries are ignored;
     merging nothing yields an empty dictionary.
     """
     merged = Instrumentation()
     for summary in summaries:
         if summary:
             merged.merge_summary(summary)
-    if not (merged.counters or merged.gauges or merged.phases or merged.shards):
+    if not (merged.counters or merged.gauges or merged.phases):
         return {}
     return merged.summary()
 
@@ -261,7 +238,6 @@ __all__ = [
     "NULL_INSTRUMENTATION",
     "PHASE_ACTION_EXEC",
     "PHASE_DAEMON_SELECT",
-    "PHASE_FRONTIER_EXCHANGE",
     "PHASE_GUARD_EVAL",
     "PHASE_OBSERVER_DISPATCH",
     "SUMMARY_SCHEMA",

@@ -1,6 +1,6 @@
 """The execution flight recorder: a causal, replayable event log per run.
 
-The health watchdog and the shard race checker can *flag* an anomalous run;
+The health watchdog can *flag* an anomalous run;
 the :class:`FlightRecorder` makes it a reproducible artifact.  Attached as an
 ordinary :class:`~repro.runtime.observers.Observer`, it appends one compact
 JSONL entry per observable event of the execution:
@@ -16,10 +16,6 @@ JSONL entry per observable event of the execution:
   ``set_network`` with the serialized new topology and the redrawn endpoint
   states, ``set_daemon``, ``replace_node``);
 * ``event`` -- scenario recovery records (informational);
-* ``exchange`` -- in sharded runs, every coordinator<->worker message
-  stamped with a Lamport-style causal sequence (informational: replay
-  re-executes on the single-process core, which the equivalence suite holds
-  bit-identical to the sharded one);
 * ``final`` -- the final configuration, metrics and totals on close.
 
 Values are encoded exactly (tuples and non-string-keyed mappings survive the
@@ -173,9 +169,6 @@ class FlightRecorder(Observer):
     can rebuild the protocol and validate the topology without guesswork;
     raw scheduler runs record ``protocol.name`` instead.
     """
-
-    #: Opt into the sharded coordinator's per-message exchange stream.
-    wants_exchanges = True
 
     def __init__(
         self,
@@ -340,11 +333,6 @@ class FlightRecorder(Observer):
             value = getattr(event, attr, None)
             if value is not None:
                 entry[attr] = encode_value(value)
-        self._write(entry)
-
-    def on_exchange(self, source: Any, exchange: Mapping[str, Any]) -> None:
-        entry = {"type": "exchange"}
-        entry.update(exchange)
         self._write(entry)
 
     def on_converged(self, source: Any, result: Any) -> None:

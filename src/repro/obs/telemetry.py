@@ -23,10 +23,7 @@ sampling at all because they come straight from the step records:
 * the **guard heat map** -- per-action fire counts keyed ``layer:action``,
   the quickest way to see which rule a protocol is burning its moves on;
 * **writes per node** -- how many variable writes each processor performed,
-  exposing hot spots (e.g. a root that keeps correcting its children);
-* **per-shard move counts** when the run executes on the sharded engine
-  (derived coordinator-side from the partition's owner map -- the same
-  piggyback economy as the per-shard perf summaries: no extra round-trips).
+  exposing hot spots (e.g. a root that keeps correcting its children).
 
 The resulting :meth:`snapshot` is a plain JSON-serializable dictionary -- it
 lands in ``RunResult.telemetry`` and, for campaigns run with
@@ -101,7 +98,6 @@ class ConvergenceTelemetryObserver(Observer):
         self.samples: list[list[Any]] = []
         self.guard_heat: dict[str, int] = {}
         self.writes_per_node: dict[int, int] = {}
-        self.shard_moves: dict[int, int] = {}
         self.events: list[list[Any]] = []
         self.steps = 0
         self.rounds = 0
@@ -114,7 +110,6 @@ class ConvergenceTelemetryObserver(Observer):
         self.steps = record.step + 1
         # Whole-run aggregates come straight off the record (cheap: they
         # iterate only the *selected* processors, not the network).
-        partition = getattr(source, "partition", None)
         for move in getattr(record, "moves", ()):
             key = f"{move.layer}:{move.action}"
             self.guard_heat[key] = self.guard_heat.get(key, 0) + 1
@@ -122,9 +117,6 @@ class ConvergenceTelemetryObserver(Observer):
                 self.writes_per_node[move.node] = self.writes_per_node.get(
                     move.node, 0
                 ) + len(move.changes)
-            if partition is not None:
-                shard = partition.owner_of(move.node)
-                self.shard_moves[shard] = self.shard_moves.get(shard, 0) + 1
         if record.step % self.stride == 0:
             self._sample(source, record)
 
@@ -222,10 +214,6 @@ class ConvergenceTelemetryObserver(Observer):
         }
         if self.events:
             out["events"] = [list(event) for event in self.events]
-        if self.shard_moves:
-            out["shard_moves"] = {
-                str(shard): count for shard, count in sorted(self.shard_moves.items())
-            }
         return out
 
 

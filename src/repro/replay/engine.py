@@ -8,10 +8,12 @@ recorded selection of each step, mutations re-apply their recorded effects
 through the scheduler's seams, and the live execution is asserted in
 lockstep against the recorded step records and fingerprints.
 
-Replay always runs on the single-process incremental
-:class:`~repro.runtime.scheduler.Scheduler`; logs recorded from the sharded
-or vectorized engines replay against it because the equivalence suite holds
-every engine to bit-identical step streams.
+Replay always runs on the incremental
+:class:`~repro.runtime.scheduler.Scheduler`; logs recorded from the
+vectorized engine replay against it because the equivalence suite holds
+every engine to bit-identical step streams.  Logs from older versions may
+carry ``exchange`` entries (the sharded engine's message stamps); replay
+treats them as observational like ``event`` entries.
 
 The first mismatch is returned as a :class:`Divergence` -- the debugging
 primitive behind ``repro-replay bisect`` -- rather than raised: a divergent
@@ -226,7 +228,8 @@ class ReplayRun:
             elif kind == "mutation":
                 self._apply_mutation(entry)
                 self.report.mutations_applied += 1
-            # event / exchange / note / converged entries are observational.
+            # event / exchange (older sharded logs) / note / converged
+            # entries are observational.
         self._check_final()
         return self.report
 
@@ -323,8 +326,9 @@ def replay_spec(path: "str | Path") -> RunSpec:
 
     Rebuilt from the log's recorded spec (raw logs without one cannot be
     turned into a spec -- replay them with :class:`ReplayRun` directly).
-    Fields only other engines understand (scenario, shards, record) move out
-    of the spec; the log itself carries everything replay needs.
+    Fields only other engines understand (scenario, record, and the
+    ``shards`` / ``partition`` of older logs) move out of the spec; the log
+    itself carries everything replay needs.
     """
     log = FlightLog.load(path)
     spec = log.spec_dict

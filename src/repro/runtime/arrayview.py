@@ -4,8 +4,7 @@ The dict-of-nodes configuration is the authoritative state everywhere in the
 runtime; this module adds an *opt-in* columnar mirror of it -- one flat numpy
 array per declared variable plus a CSR neighbor index -- which is what the
 batch guard/action kernels of the vectorized engine
-(:mod:`repro.runtime.vectorized`) operate on, and what the sharded engine's
-shared-memory mirrors serialize through.
+(:mod:`repro.runtime.vectorized`) operate on.
 
 Coherence is watcher-driven: the view registers a change watcher on the
 configuration, so every journal event (``set``, ``apply_writes``,
@@ -125,22 +124,6 @@ def _collect_specs(
     return table
 
 
-def column_sizes(network: "RootedNetwork", protocol: "Protocol") -> dict[str, int]:
-    """``name -> array length`` without building a view (shm pre-allocation).
-
-    The sharded coordinator sizes its shared-memory segment *before* forking
-    workers, so this computes the exact layout :class:`ArrayView` will demand
-    of its ``buffers``: ``n`` entries per scalar column, one entry per
-    directed edge (``2m``) for map columns.  Raises
-    :class:`ArrayViewUnsupported` for protocols that cannot be encoded.
-    """
-    edge_slots = sum(network.degree(node) for node in network.nodes())
-    return {
-        name: edge_slots if kind == "map" else network.n
-        for name, (kind, _values) in _collect_specs(network, protocol).items()
-    }
-
-
 class ArrayView:
     """A coherent columnar mirror of one configuration.
 
@@ -150,11 +133,6 @@ class ArrayView:
         The run the view mirrors.  The protocol supplies the variable
         declarations (kinds come from the variable factories); the
         configuration is watched for changes.
-    buffers:
-        Optional pre-allocated ``{name: int64 array}`` backing storage (the
-        sharded engine passes views over a ``multiprocessing.shared_memory``
-        segment).  Arrays must have the exact per-kind length (``n`` for
-        scalars, ``2m`` for maps); by default the view allocates its own.
 
     Use :meth:`detach` (or the context manager protocol) to unregister the
     configuration watcher when the view is abandoned.
@@ -165,7 +143,6 @@ class ArrayView:
         network: "RootedNetwork",
         protocol: "Protocol",
         configuration: "Configuration",
-        buffers: Mapping[str, Any] | None = None,
     ) -> None:
         if not HAVE_NUMPY:
             raise ArrayViewUnsupported(
@@ -186,15 +163,7 @@ class ArrayView:
         for name, (kind, enum_values) in _collect_specs(network, protocol).items():
             self._kinds[name] = kind
             length = int(self.index.indptr[-1]) if kind == "map" else network.n
-            if buffers is not None:
-                array = buffers[name]
-                if array.dtype != _np.int64 or array.shape != (length,):
-                    raise ArrayViewUnsupported(
-                        f"backing buffer for {name!r} must be int64[{length}]"
-                    )
-                self._arrays[name] = array
-            else:
-                self._arrays[name] = _np.zeros(length, dtype=_np.int64)
+            self._arrays[name] = _np.zeros(length, dtype=_np.int64)
             if kind == "enum":
                 self._enum_values[name] = enum_values
                 try:
@@ -223,10 +192,6 @@ class ArrayView:
     def kind_of(self, name: str) -> str:
         """The encoding kind of variable ``name``."""
         return self._kinds[name]
-
-    def sizes(self) -> dict[str, int]:
-        """``name -> array length`` (the shared-memory layout contract)."""
-        return {name: int(array.shape[0]) for name, array in self._arrays.items()}
 
     # ------------------------------------------------------------------
     # Coherence machinery
@@ -421,6 +386,5 @@ __all__ = [
     "ENCODABLE_KINDS",
     "HAVE_NUMPY",
     "NeighborIndex",
-    "column_sizes",
     "np",
 ]

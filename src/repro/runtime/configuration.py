@@ -31,10 +31,8 @@ class Configuration:
 
     def __init__(self, states: Mapping[int, Mapping[str, Any]] | None = None) -> None:
         self._states: dict[int, dict[str, Any]] = {}
-        # node -> changed variable names, or None when the whole local state
-        # was replaced (a variable may have been *dropped*, so a name list
-        # cannot describe the change).
-        self._dirty: dict[int, set[str] | None] = {}
+        # Nodes changed since the last drain.
+        self._dirty: set[int] = set()
         # Change watchers (e.g. the struct-of-arrays view): called as
         # ``watcher(node, variables_or_None)`` on every journal event.  A
         # watcher keeps its own pending-set, so draining the journal (which
@@ -64,11 +62,12 @@ class Configuration:
         """The live local state of ``node`` -- **not** a copy.
 
         For read-only hot paths that cannot afford :meth:`state_of`'s deep
-        copy, such as the sharded coordinator's frontier payloads (pickled
-        straight onto a pipe, or shallow-copied by the receiving worker).
-        Callers must never mutate the returned mapping or its values; the
-        runtime itself never mutates stored values in place (writes always
-        replace them), which is what makes sharing safe.
+        copy, such as loading the columnar
+        :class:`~repro.runtime.arrayview.ArrayView` or fingerprinting states
+        in the :class:`~repro.obs.health.HealthMonitor`.  Callers must never
+        mutate the returned mapping or its values; the runtime itself never
+        mutates stored values in place (writes always replace them), which is
+        what makes sharing safe.
         """
         return self._states.get(node, {})
 
@@ -96,12 +95,7 @@ class Configuration:
 
     def _journal(self, node: int, variables: "tuple[str, ...] | None") -> None:
         """Record changed ``variables`` at ``node`` (``None``: whole state)."""
-        if variables is None:
-            self._dirty[node] = None
-        else:
-            names = self._dirty.setdefault(node, set())
-            if names is not None:
-                names.update(variables)
+        self._dirty.add(node)
         if self._watchers:
             for watcher in self._watchers:
                 watcher(node, variables)
@@ -188,22 +182,6 @@ class Configuration:
     def drain_dirty(self) -> frozenset[int]:
         """Return the journaled changed nodes and clear the journal."""
         drained = frozenset(self._dirty)
-        self._dirty.clear()
-        return drained
-
-    def drain_dirty_detail(self) -> dict[int, "frozenset[str] | None"]:
-        """Per-node change detail: changed variable names, or ``None`` when
-        the whole local state was replaced.  Clears the journal.
-
-        The sharded coordinator consumes this to ship *deltas* across shard
-        boundaries -- only the written variables of a step travel; a full
-        state goes only where a ``replace_node`` (crash rejoin, topology
-        reinitialization) genuinely replaced one.
-        """
-        drained = {
-            node: (None if names is None else frozenset(names))
-            for node, names in self._dirty.items()
-        }
         self._dirty.clear()
         return drained
 

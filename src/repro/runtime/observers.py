@@ -116,16 +116,6 @@ class Observer:
         mutation has the complete causal record of the execution.
         """
 
-    def on_exchange(self, source: Any, exchange: Mapping[str, Any]) -> None:
-        """One coordinator<->worker message exchange completed (sharded runs).
-
-        Only dispatched to observers whose ``wants_exchanges`` attribute is
-        truthy -- the exchange stream is per-message hot-path traffic, so the
-        coordinator skips it entirely unless someone asked.  ``exchange``
-        carries the command name, the shard index, payload sizes and
-        Lamport-style causal stamps (see :mod:`repro.shard.coordinator`).
-        """
-
     def on_converged(self, source: Any, result: Any) -> None:
         """The engine's stop condition was reached; ``result`` is its outcome."""
 

@@ -54,8 +54,8 @@ class ProcessorView:
     assert the locality invariant its dirty-frontier propagation relies on: a
     guard's value may depend only on the node itself and its neighbors, so a
     change at ``p`` can only flip enabled-status inside ``N_p ∪ {p}``.  The
-    variable granularity is what the sharded race checker and the
-    guard-attribution of :class:`~repro.errors.GuardLocalityError` consume.
+    guard attribution of :class:`~repro.errors.GuardLocalityError` consumes
+    the variable granularity.
     """
 
     __slots__ = ("_node", "_network", "_configuration", "_writes", "_read_vars")

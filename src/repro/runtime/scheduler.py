@@ -50,10 +50,9 @@ def first_enabled_action(
 ) -> Action | None:
     """The first action of ``node`` whose guard holds in ``configuration``.
 
-    The single guard-evaluation primitive shared by the scheduler and the
-    sharded execution workers (:mod:`repro.shard`), so both paths evaluate
-    guards -- and enforce the guard-locality invariant in debug mode --
-    identically.
+    The single guard-evaluation primitive every scheduler core uses, so all
+    of them evaluate guards -- and enforce the guard-locality invariant in
+    debug mode -- identically.
     """
     if not check_guard_locality:
         view = ProcessorView(node, network, configuration)
@@ -209,11 +208,6 @@ class Scheduler:
         ``enabled`` flag once per call and skips all timing behind it.
     """
 
-    #: The phase name :meth:`_refresh_enabled` attributes its time to; the
-    #: sharded coordinator overrides its refresh with a frontier exchange and
-    #: re-labels accordingly.
-    _refresh_phase = PHASE_GUARD_EVAL
-
     def __init__(
         self,
         network: RootedNetwork,
@@ -316,12 +310,7 @@ class Scheduler:
         dispatch_safely(self._observers, "on_step", self, record)
 
     def _notify_mutation(self, kind: str, **payload: object) -> None:
-        """Tell every observer about out-of-band state surgery.
-
-        Mutations are rare (scenario events, test fixtures), so unlike the
-        sharded exchange stream this always dispatches to the full observer
-        list.
-        """
+        """Tell every observer about out-of-band state surgery."""
         mutation = {"kind": kind}
         mutation.update(payload)
         dispatch_safely(self._observers, "on_mutation", self, mutation)
@@ -371,7 +360,7 @@ class Scheduler:
                 self._enabled_order = order
                 self._enabled_members = frozenset(order)
                 if timed:
-                    instr.phase_time(self._refresh_phase, time.perf_counter() - started)
+                    instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
             assert self._enabled_members is not None
             return self._enabled_order, self._enabled, self._enabled_members
         instr = self._instr
@@ -429,10 +418,9 @@ class Scheduler:
         closed neighborhoods: a guard reads only its own node and its
         neighbors, so no other processor's enabled-status can have flipped.
 
-        Attributes its own wall clock to the ``guard_eval`` phase (the
-        sharded subclass re-labels it ``frontier_exchange``), so callers --
-        including the nested re-check round bookkeeping performs -- never
-        double-count it.
+        Attributes its own wall clock to the ``guard_eval`` phase, so
+        callers -- including the nested re-check round bookkeeping performs
+        -- never double-count it.
         """
         instr = self._instr
         timed = instr.enabled
@@ -449,12 +437,12 @@ class Scheduler:
             if timed:
                 instr.count("guards_evaluated", self.network.n)
                 instr.count("full_rescans")
-                instr.phase_time(self._refresh_phase, time.perf_counter() - started)
+                instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
             return
         dirty = self.configuration.drain_dirty()
         if not dirty:
             if timed:
-                instr.phase_time(self._refresh_phase, time.perf_counter() - started)
+                instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
             return
         frontier: set[int] = set()
         for node in dirty:
@@ -475,7 +463,7 @@ class Scheduler:
             instr.count("guards_evaluated", len(frontier))
             instr.gauge("dirty_set_size", len(dirty))
             instr.gauge("frontier_size", len(frontier))
-            instr.phase_time(self._refresh_phase, time.perf_counter() - started)
+            instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
 
     # ------------------------------------------------------------------
     # Stepping
@@ -589,7 +577,7 @@ class Scheduler:
         configuration and collect their writes (not yet applied).
 
         The execution half of a computation step, separated so an alternative
-        execution layer (the sharded engine fans it out to worker processes)
+        execution layer (the vectorized engine runs whole-column kernels)
         can replace *how* actions run without touching daemon selection,
         write application, or round bookkeeping.  Returns the ``(node, action
         name)`` pairs and the per-node pending writes, both in selection

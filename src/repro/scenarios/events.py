@@ -180,12 +180,6 @@ class MultiCrash(ScenarioEvent):
     executing against their last-written variables, and rejoin *in one
     event* with arbitrarily redrawn local states -- the multi-node transient
     fault the protocols claim to absorb.
-
-    On the sharded engine the victim set typically spans several blocks:
-    freezing is coordinator-side daemon bookkeeping, and every rejoin state
-    lands in the journaled configuration, so each redrawn node is routed to
-    exactly its owning and ghosting shards like any other dirty-frontier
-    entry.
     """
 
     fraction: float = 0.3

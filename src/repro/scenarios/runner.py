@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import random
 
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.analysis.recovery import EventRecovery, ScenarioReport, disturbed_nodes
 from repro.core.specification import VAR_EDGE_LABELS, VAR_NAME
@@ -66,14 +65,6 @@ class ScenarioRunner:
         Forwarded to the :class:`~repro.runtime.scheduler.Scheduler`;
         ``False`` forces the historical full guard scan (differential
         testing of the incremental enabled-set under scenario events).
-    scheduler_factory:
-        Substitute a whole alternative execution core (overrides
-        ``incremental``): the sharded engine passes
-        :class:`~repro.shard.ShardedScheduler` here, and because every event
-        mutates the run through the scheduler's journaled configuration
-        paths, fault injection routes to the owning shard with no
-        scenario-side changes.  A factory-built scheduler exposing
-        ``close()`` is closed when the run ends.
     instrumentation:
         Forwarded to the scheduler: the whole scenario execution -- initial
         stabilization, event windows, recoveries -- accumulates into one
@@ -91,7 +82,6 @@ class ScenarioRunner:
         watch_variables: tuple[str, ...] | None = ORIENTATION_VARIABLES,
         observers: Sequence[Observer] = (),
         incremental: bool = True,
-        scheduler_factory: Callable[..., Scheduler] | None = None,
         instrumentation: Instrumentation | None = None,
     ) -> None:
         self.network = network
@@ -110,29 +100,21 @@ class ScenarioRunner:
         # observer that raises, here exactly as inside the scheduler.
         self.observers = list(observers)
         self.incremental = incremental
-        self.scheduler_factory = scheduler_factory
         self.instrumentation = instrumentation
 
     def run(self) -> ScenarioReport:
         """Execute the scenario once and return the full recovery report."""
         rng = random.Random(self.seed)
-        factory = self.scheduler_factory or partial(
-            Scheduler, incremental=self.incremental
-        )
-        scheduler = factory(
+        scheduler = Scheduler(
             self.network,
             self.protocol,
             daemon=self.daemon,
             rng=random.Random(rng.randrange(1 << 30)),
             observers=self.observers,
+            incremental=self.incremental,
             instrumentation=self.instrumentation,
         )
-        try:
-            return self._run(scheduler, rng)
-        finally:
-            closer = getattr(scheduler, "close", None)
-            if closer is not None:
-                closer()
+        return self._run(scheduler, rng)
 
     def _run(self, scheduler: Scheduler, rng: random.Random) -> ScenarioReport:
         configured_daemon = scheduler.daemon.name

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,61 @@ def test_specs_round_trip_through_plain_dicts():
 def test_from_dict_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown RunSpec fields"):
         RunSpec.from_dict({"engine": "scheduler", "warp_factor": 9})
+
+
+#: A ``to_dict()`` dump written while ``RunSpec`` still had the sharded
+#: engine's ``shards`` / ``partition`` fields, with its hash at the time.
+LEGACY_DUMP = {
+    "engine": "scheduler",
+    "protocol": "stno-bfs",
+    "network": {"family": "ring", "size": 8, "height": None, "seed": 0},
+    "daemon": "distributed",
+    "seed": 4,
+    "scenario": None,
+    "workload": None,
+    "stop": {"max_steps": None, "max_rounds": None, "after_substrate": False},
+    "parameter": None,
+    "shards": None,
+    "partition": None,
+    "debug": None,
+    "record": None,
+}
+LEGACY_HASH = "2d81ae54fd67f8bd"
+
+#: A flight log the removed sharded engine recorded (k=2, DFTNO, n=6).
+SHARDED_LOG = (
+    Path(__file__).resolve().parent.parent / "replay" / "fixtures" / "sharded-k2.flight.jsonl"
+)
+
+
+def _sharded_dump(**overrides) -> dict:
+    """The sharded spec that log recorded in its header, with ``overrides``."""
+    with SHARDED_LOG.open(encoding="utf-8") as handle:
+        return {**json.loads(handle.readline())["spec"], **overrides}
+
+
+def test_legacy_dump_with_null_shard_fields_loads_to_the_same_hash():
+    spec = RunSpec.from_dict(LEGACY_DUMP)
+    assert spec.canonical_hash == LEGACY_HASH
+    assert "shards" not in spec.to_dict() and "partition" not in spec.to_dict()
+    assert RunSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize(
+    "dump",
+    [
+        {**LEGACY_DUMP, "shards": 2},
+        {**LEGACY_DUMP, "partition": "bfs"},
+        _sharded_dump(),
+        _sharded_dump(shards=None, partition=None),
+    ],
+    ids=["shards", "partition", "sharded-engine", "sharded-engine-null-knobs"],
+)
+def test_legacy_sharded_dumps_are_refused_naming_the_engines(dump):
+    with pytest.raises(ValueError, match="scheduler-vectorized") as excinfo:
+        RunSpec.from_dict(dump)
+    listed = str(excinfo.value).split("choose from")[1]
+    assert _sharded_dump()["engine"] not in listed
 
 
 def test_canonical_hash_is_stable_and_discriminating():

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import multiprocessing
 from functools import partial
 
 import pytest
 
 from repro.api import RunSpec, run
-from repro.api.engines import SchedulerEngine, ShardedSchedulerEngine
+from repro.api.engines import SchedulerEngine
 
 
 def test_debug_is_excluded_from_the_canonical_hash() -> None:
@@ -43,16 +42,6 @@ def test_scheduler_engine_arms_the_guard_tracker() -> None:
     assert factory.keywords["incremental"] is True
 
 
-def test_sharded_engine_arms_the_guard_tracker() -> None:
-    engine = ShardedSchedulerEngine()
-    spec = RunSpec(
-        engine="scheduler-sharded", shards=3, debug={"check_guard_locality": True}
-    )
-    factory = engine._scheduler_kwargs(spec)["scheduler_factory"]
-    assert factory.keywords["check_guard_locality"] is True
-    assert factory.keywords["shards"] == 3
-
-
 def test_debug_run_produces_the_same_row_as_a_bare_run() -> None:
     bare = run(RunSpec(network={"size": 6, "seed": 2}))
     debug = run(
@@ -60,20 +49,3 @@ def test_debug_run_produces_the_same_row_as_a_bare_run() -> None:
     )
     assert debug.converged
     assert debug.row == bare.row
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork start method unavailable",
-)
-def test_debug_reaches_forked_shard_workers() -> None:
-    # The sharded engine defaults to fork mode where available, so a clean
-    # converged run here exercises the tracker inside the worker processes.
-    result = run(
-        RunSpec(
-            engine="scheduler-sharded",
-            network={"size": 8, "seed": 3},
-            debug={"check_guard_locality": True},
-        )
-    )
-    assert result.converged

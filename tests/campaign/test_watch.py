@@ -201,7 +201,14 @@ def test_shard_status_table_covers_grid_and_charges_stale():
 
 def test_cli_watch_once_renders_a_single_snapshot(tmp_path, capsys):
     store = ResultStore(tmp_path / "once.jsonl")
-    run_grid(TINY_GRID, store=store)
+    rows = [run_task(spec, perf=True, telemetry=True) for spec in TINY_GRID.expand()]
+    # A row as the removed sharded engine stored it: per-worker perf
+    # summaries and per-shard move counts.  Both views must still render it.
+    worker = {"counters": {"guards_evaluated": 5}, "phases": {}}
+    rows[0]["perf"]["shards"] = {"0": worker, "1": worker}
+    rows[0]["telemetry"]["shard_moves"] = {"0": 3, "1": 4}
+    for row in rows:
+        store.append(row)
     code = campaign_main(
         [
             "watch",
@@ -217,6 +224,9 @@ def test_cli_watch_once_renders_a_single_snapshot(tmp_path, capsys):
     assert out.count("campaign watch --") == 1
     assert CLEAR_SCREEN not in out
     assert "progress: 2/2 tasks (100%)" in out
+    assert "rolling phase breakdown" in out
+    assert campaign_main(["report", "--out", str(store.path), "--perf"]) == 0
+    assert "phase time across 2 instrumented rows" in capsys.readouterr().out
 
 
 def test_cli_watch_once_overrides_iterations(tmp_path, capsys):

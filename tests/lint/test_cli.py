@@ -50,10 +50,3 @@ def test_summary_artifact_written(tmp_path, capsys) -> None:
 def test_missing_path_is_a_usage_error(capsys) -> None:
     assert main(["/no/such/path"]) == 2
     assert "no such path" in capsys.readouterr().err
-
-
-def test_race_mode_exits_zero_on_clean_run(capsys) -> None:
-    assert main(["--race", "dftno", "--shards", "2", "--size", "6", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "no findings" in out
-    assert "converged" in out

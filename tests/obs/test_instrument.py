@@ -55,25 +55,11 @@ def test_phase_context_manager_times_the_block():
     assert stats["seconds"] >= 0.0
 
 
-def test_record_shard_files_and_refreshes_worker_summaries():
-    worker = Instrumentation()
-    worker.count("guards_evaluated", 3)
-    instr = Instrumentation()
-    instr.record_shard(1, worker.summary())
-    worker.count("guards_evaluated", 2)
-    instr.record_shard(1, worker.summary())  # cumulative refresh replaces
-    instr.record_shard(0, None)  # empty summaries are ignored
-    summary = instr.summary()
-    assert set(summary["shards"]) == {"1"}
-    assert summary["shards"]["1"]["counters"]["guards_evaluated"] == 5
-
-
 def test_summary_is_json_serializable():
     instr = Instrumentation()
     instr.count("a", 1)
     instr.gauge("b", 2)
     instr.phase_time("c", 0.1)
-    instr.record_shard(0, {"counters": {"d": 1}})
     assert json.loads(json.dumps(instr.summary())) == instr.summary()
 
 
@@ -87,7 +73,6 @@ def test_null_instrumentation_is_disabled_and_records_nothing():
     instr.count("guards_evaluated", 100)
     instr.gauge("dirty_set_size", 5)
     instr.phase_time("guard_eval", 1.0)
-    instr.record_shard(0, {"counters": {"x": 1}})
     instr.merge_summary({"counters": {"x": 1}})
     with instr.phase("anything"):
         pass
@@ -114,9 +99,6 @@ def _sample(seed: int) -> dict:
     instr.gauge("dirty_set_size", seed)
     instr.gauge("dirty_set_size", 10 - seed)
     instr.phase_time("guard_eval", 0.125 * seed, count=seed)
-    shard = Instrumentation()
-    shard.count("actions_executed", seed)
-    instr.record_shard(seed % 2, shard.summary())
     return instr.summary()
 
 
@@ -147,13 +129,6 @@ def test_merge_summaries_adds_counters_and_combines_gauge_moments():
     assert gauge == {"count": 4, "sum": 20, "min": 1, "max": 9, "mean": 5.0}
     phase = merged["phases"]["guard_eval"]
     assert phase == {"seconds": pytest.approx(0.375), "count": 3}
-
-
-def test_merge_summaries_unions_shard_maps_recursively():
-    merged = merge_summaries(_sample(1), _sample(2), _sample(3))
-    # seeds 1 and 3 landed on shard 1, seed 2 on shard 0.
-    assert merged["shards"]["0"]["counters"]["actions_executed"] == 2
-    assert merged["shards"]["1"]["counters"]["actions_executed"] == 4
 
 
 # ---------------------------------------------------------------------------

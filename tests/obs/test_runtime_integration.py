@@ -1,13 +1,11 @@
-"""Instrumentation threaded through the real engines: scheduler, shards, api.
+"""Instrumentation threaded through the real engines: scheduler and api.
 
 These are the load-bearing guarantees of the observability layer:
 
 * an uninstrumented run records nothing and its row is byte-identical to the
   pre-layer shape (no ``perf`` key, same hash);
 * an instrumented run's phase timers account for the measured step wall time
-  and its guard counters match what the core actually evaluated;
-* a sharded run's per-worker counters sum to the single-process totals --
-  every frontier node is re-evaluated by exactly one owner shard.
+  and its guard counters match what the core actually evaluated.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from repro.obs import (
     ListSpanSink,
     PHASE_ACTION_EXEC,
     PHASE_DAEMON_SELECT,
-    PHASE_FRONTIER_EXCHANGE,
     PHASE_GUARD_EVAL,
     PHASE_OBSERVER_DISPATCH,
     SpanTracer,
@@ -32,7 +29,6 @@ from repro.obs import (
 )
 from repro.runtime.daemon import CentralDaemon, make_daemon
 from repro.runtime.scheduler import Scheduler
-from repro.shard import ShardedScheduler
 from repro.substrates.spanning_tree import BFSSpanningTree
 
 
@@ -122,103 +118,6 @@ def test_scheduler_emits_run_round_step_spans_through_the_tracer():
     steps = [r for r in sink.records if r["kind"] == "step"]
     rounds = {r["span"] for r in sink.records if r["kind"] == "round"}
     assert all(record["parent"] in rounds for record in steps)
-
-
-# ---------------------------------------------------------------------------
-# Sharded aggregation
-# ---------------------------------------------------------------------------
-def _sharded_pair(n=12, seed=4, shards=3):
-    network = generators.random_connected(n, extra_edge_probability=0.3, seed=seed)
-    inline_instr = Instrumentation()
-    plain = Scheduler(
-        network,
-        build_dftno(),
-        daemon=make_daemon("distributed"),
-        seed=seed,
-        incremental=True,
-        instrumentation=inline_instr,
-    )
-    sharded_instr = Instrumentation()
-    sharded = ShardedScheduler(
-        network,
-        build_dftno(),
-        daemon=make_daemon("distributed"),
-        seed=seed,
-        shards=shards,
-        mode="inline",
-        instrumentation=sharded_instr,
-    )
-    return plain, inline_instr, sharded, sharded_instr
-
-
-def test_sharded_per_worker_guard_totals_match_single_process():
-    # DFTNO circulates tokens forever, so run the identical deterministic
-    # execution for a fixed number of steps on both engines.
-    plain, inline_instr, sharded, sharded_instr = _sharded_pair()
-    try:
-        for _ in range(120):
-            record_plain = plain.step()
-            record_sharded = sharded.step()
-            assert record_plain == record_sharded
-            if record_plain is None:
-                break
-        inline_total = summary_counter(inline_instr.summary(), "guards_evaluated")
-        summary = sharded_instr.summary()
-        shard_summaries = list(summary["shards"].values())
-        assert len(shard_summaries) == 3
-        sharded_total = sum(
-            summary_counter(s, "guards_evaluated") for s in shard_summaries
-        )
-        # Each frontier node is re-evaluated by exactly its owner shard, so
-        # the per-worker counters partition the single-process total.
-        assert sharded_total == inline_total
-        merged = merge_summaries(*shard_summaries)
-        assert summary_counter(merged, "guards_evaluated") == inline_total
-    finally:
-        sharded.close()
-
-
-def test_sharded_run_reports_exchange_phases_and_frontier_bytes():
-    _, _, sharded, instr = _sharded_pair()
-    try:
-        for _ in range(30):
-            if sharded.step() is None:
-                break
-        summary = instr.summary()
-        assert summary["phases"][PHASE_FRONTIER_EXCHANGE]["seconds"] > 0.0
-        assert summary_counter(summary, "frontier_bytes_sent") > 0
-        assert summary_counter(summary, "frontier_bytes_received") > 0
-        assert summary_counter(summary, "frontier_messages") > 0
-        for shard_summary in summary["shards"].values():
-            assert shard_summary["phases"][PHASE_GUARD_EVAL]["seconds"] >= 0.0
-            assert summary_counter(shard_summary, "guards_evaluated") > 0
-    finally:
-        sharded.close()
-
-
-def test_sharded_fork_workers_report_perf_over_the_pipe():
-    network = generators.random_connected(10, extra_edge_probability=0.3, seed=2)
-    instr = Instrumentation()
-    sharded = ShardedScheduler(
-        network,
-        build_dftno(),
-        seed=2,
-        shards=2,
-        mode="fork",
-        instrumentation=instr,
-    )
-    try:
-        for _ in range(20):
-            if sharded.step() is None:
-                break
-    finally:
-        sharded.close()
-    summary = instr.summary()
-    assert set(summary.get("shards", {})) == {"0", "1"}
-    total = sum(
-        summary_counter(s, "guards_evaluated") for s in summary["shards"].values()
-    )
-    assert total > 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.obs import (
 )
 from repro.runtime.daemon import make_daemon
 from repro.runtime.scheduler import Scheduler
-from repro.shard import ShardedScheduler
 from repro.substrates.spanning_tree import BFSSpanningTree
 
 
@@ -95,26 +94,6 @@ def test_track_legitimacy_off_skips_the_predicate():
     observer, _ = _observed_run(track_legitimacy=False)
     index = observer.snapshot()["columns"].index("legitimate")
     assert all(sample[index] is None for sample in observer.samples)
-
-
-def test_sharded_run_records_shard_moves():
-    network = generators.random_connected(12, seed=1)
-    observer = ConvergenceTelemetryObserver(stride=4)
-    scheduler = ShardedScheduler(
-        network,
-        BFSSpanningTree(),
-        daemon=make_daemon("central"),
-        seed=7,
-        shards=2,
-        mode="inline",
-        observers=(observer,),
-    )
-    result = scheduler.run_until_legitimate(max_steps=2000)
-    assert result.converged
-    snapshot = observer.snapshot()
-    shard_moves = snapshot.get("shard_moves")
-    assert shard_moves and set(shard_moves) <= {"0", "1"}
-    assert sum(shard_moves.values()) == sum(snapshot["guard_heat"].values())
 
 
 def test_api_run_embeds_telemetry_and_health():

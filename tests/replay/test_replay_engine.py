@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.errors import ReplayError
 from repro.graphs import generators
 from repro.obs import FlightRecorder
 from repro.replay import ReplayDaemon, ReplayRun, replay_spec
+from repro.replay.cli import main as replay_main
 from repro.replay.log import FlightLog
 from repro.runtime.daemon import make_daemon
 from repro.runtime.observers import Observer
@@ -190,32 +192,21 @@ def test_stepping_a_replay_scheduler_past_the_log_raises(recorded_log):
         replay.scheduler.step()
 
 
-def test_sharded_recording_replays_on_the_single_process_core(tmp_path):
-    from repro.shard import ShardedScheduler
+#: A k=2 DFTNO log recorded (inline mode) by the sharded engine earlier
+#: versions shipped; it carries ``exchange`` entries and a spec with
+#: ``shards=2, partition="bfs"``.
+SHARDED_LOG = Path(__file__).resolve().parent / "fixtures" / "sharded-k2.flight.jsonl"
 
-    path = tmp_path / "sharded.flight.jsonl"
-    recorder = FlightRecorder(path)
-    scheduler = ShardedScheduler(
-        generators.random_connected(8, extra_edge_probability=0.3, seed=5),
-        build_dftno(),
-        daemon=make_daemon("distributed"),
-        seed=5,
-        shards=2,
-        mode="fork",
-        observers=(recorder,),
-    )
-    try:
-        for _ in range(80):
-            if scheduler.step() is None:
-                break
-    finally:
-        scheduler.close()
-        recorder.close()
-    log = FlightLog.load(path)
-    exchanges = [e for e in log.entries if e["type"] == "exchange"]
-    assert exchanges, "sharded run recorded no coordinator<->worker exchanges"
-    report = ReplayRun(log).run()
-    assert report.verified
+
+def test_sharded_recording_from_older_versions_still_verifies(capsys):
+    log = FlightLog.load(SHARDED_LOG)
+    assert log.spec_dict["shards"] == 2
+    assert any(e["type"] == "exchange" for e in log.entries)
+    assert replay_main(["verify", str(SHARDED_LOG)]) == 0
+    assert "verified" in capsys.readouterr().out
+    replayed = run(replay_spec(SHARDED_LOG))
+    assert replayed.row["verified"] is True
+    assert replayed.row["steps_replayed"] == len(list(log.steps()))
 
 
 def test_divergence_details_attribute_the_exact_variable(recorded_log):

@@ -14,14 +14,14 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
+pytest.importorskip("numpy")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.dftno import build_dftno
 from repro.graphs import generators
 from repro.runtime import arrayview
-from repro.runtime.arrayview import ArrayView, ArrayViewUnsupported, column_sizes
+from repro.runtime.arrayview import ArrayView, ArrayViewUnsupported
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import SynchronousDaemon
 from repro.runtime.scheduler import Scheduler
@@ -48,34 +48,12 @@ def test_view_matches_initial_and_stepped_configuration() -> None:
             _assert_coherent(view, scheduler.configuration)
 
 
-def test_column_sizes_matches_view_allocation() -> None:
-    network = generators.random_connected(9, seed=2)
-    protocol = build_dftno()
-    sizes = column_sizes(network, protocol)
-    view = ArrayView(network, protocol, protocol.initial_configuration(network))
-    assert view.sizes() == sizes
-    view.detach()
-
-
 def test_requires_numpy(monkeypatch) -> None:
     monkeypatch.setattr(arrayview, "HAVE_NUMPY", False)
     network = generators.ring(4)
     protocol = BFSSpanningTree()
     with pytest.raises(ArrayViewUnsupported, match="numpy"):
         ArrayView(network, protocol, protocol.initial_configuration(network))
-
-
-def test_mis_sized_backing_buffer_is_rejected() -> None:
-    network = generators.ring(5)
-    protocol = BFSSpanningTree()
-    sizes = column_sizes(network, protocol)
-    buffers = {
-        name: np.zeros(length + 1, dtype=np.int64) for name, length in sizes.items()
-    }
-    with pytest.raises(ArrayViewUnsupported, match="backing buffer"):
-        ArrayView(
-            network, protocol, protocol.initial_configuration(network), buffers=buffers
-        )
 
 
 def test_detached_view_stops_tracking() -> None:
