@@ -67,6 +67,14 @@ esac
 
 python -m repro.campaign report --out "$out"
 
+# --- invalid grids are refused before any store is opened ------------------
+invalid_rc=0
+python -m repro.campaign run --sizes 0 --out "$out/invalid.jsonl" --quiet || invalid_rc=$?
+if [ "$invalid_rc" -ne 2 ] || [ -e "$out/invalid.jsonl" ]; then
+    echo "smoke FAILED: --sizes 0 must exit 2 and create no store (exit $invalid_rc)" >&2
+    exit 1
+fi
+
 # --- multi-machine split: --shard I/K slices re-unite via merge ------------
 python -m repro.campaign run --protocol dftno --family ring \
     --sizes 6,8 --trials 2 --jobs 1 --seed 1 --out "$out/slice-a.jsonl" --shard 0/2 --quiet

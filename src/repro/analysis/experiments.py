@@ -22,6 +22,7 @@ from typing import Sequence
 
 from repro.analysis.reporting import summarize
 from repro.analysis.space import space_rows
+from repro.api.spec import normalize_protocol
 from repro.core.baseline import centralized_orientation
 from repro.core.dftno import VAR_MAX, build_dftno
 from repro.core.specification import VAR_NAME
@@ -29,7 +30,8 @@ from repro.core.stno import VAR_WEIGHT, build_stno
 from repro.graphs import generators
 from repro.graphs.network import RootedNetwork
 from repro.runtime.daemon import make_daemon
-from repro.runtime.scheduler import Scheduler
+from repro.runtime.observers import CallbackObserver
+from repro.runtime.scheduler import Scheduler, StepRecord
 from repro.sod.election import ring_election_oriented, ring_election_unoriented
 from repro.sod.traversal import (
     broadcast_with_sod,
@@ -45,10 +47,10 @@ def _campaign():
     # on repro.analysis for its measurement harness; importing it lazily keeps
     # that dependency one-directional at import time.
     from repro.campaign.aggregate import campaign_summary
-    from repro.campaign.grid import Grid, normalize_protocol
+    from repro.campaign.grid import Grid
     from repro.campaign.runner import run_grid
 
-    return Grid, run_grid, campaign_summary, normalize_protocol
+    return Grid, run_grid, campaign_summary
 
 
 # ----------------------------------------------------------------------
@@ -70,7 +72,7 @@ def exp_t1_dftno_stabilization(
     steps against ``n``, whose high R^2 is the measured counterpart of the
     O(n) theorem.
     """
-    Grid, run_grid, campaign_summary, _ = _campaign()
+    Grid, run_grid, campaign_summary = _campaign()
     grid = Grid(
         sizes=tuple(sizes),
         protocols=("dftno",),
@@ -101,7 +103,7 @@ def exp_t2_stno_stabilization(
     orientation variables are arbitrary, so the reported rounds are exactly
     the O(h) quantity of the theorem.
     """
-    Grid, run_grid, campaign_summary, _ = _campaign()
+    Grid, run_grid, campaign_summary = _campaign()
     grid = Grid(
         sizes=(n,),
         protocols=(f"stno-{tree}",),
@@ -153,35 +155,37 @@ def exp_f1_figure_3_1_1(seed: int = 3) -> dict[str, object]:
     protocol = build_dftno()
     # Clean token state (the figure's step (i): no processor visited yet), but
     # with the orientation variables deliberately off so that every naming
-    # shows up as a change in the trace.
+    # shows up as a change in the step stream.
     configuration = protocol.initial_configuration(network)
     for node in network.nodes():
         configuration.set(node, VAR_NAME, (node + 1) % network.n)
         configuration.set(node, VAR_MAX, network.n - 1)
+    records: list[StepRecord] = []
     scheduler = Scheduler(
         network,
         protocol,
         daemon=make_daemon("central", policy="round_robin"),
         configuration=configuration,
         seed=seed,
-        record_trace=True,
+        observers=(CallbackObserver(on_step=lambda source, record: records.append(record)),),
     )
     scheduler.run(max_steps=400, stop_predicate=lambda s: s.protocol.legitimate(s.network, s.configuration))
 
     events: list[dict[str, object]] = []
-    for event in scheduler.trace.events():
-        if VAR_NAME in event.changes:
-            _, new_name = event.changes[VAR_NAME]
-            max_value = event.changes.get(VAR_MAX, (None, new_name))[1]
-            events.append(
-                {
-                    "step": event.step,
-                    "processor": event.node,
-                    "thesis_label": labels[event.node],
-                    "assigned_name": new_name,
-                    "max_counter": max_value,
-                }
-            )
+    for record in records:
+        for move in record.moves:
+            if VAR_NAME in move.changes:
+                _, new_name = move.changes[VAR_NAME]
+                max_value = move.changes.get(VAR_MAX, (None, new_name))[1]
+                events.append(
+                    {
+                        "step": record.step,
+                        "processor": move.node,
+                        "thesis_label": labels[move.node],
+                        "assigned_name": new_name,
+                        "max_counter": max_value,
+                    }
+                )
     final_names = {
         labels[node]: scheduler.configuration.get(node, VAR_NAME) for node in network.nodes()
     }
@@ -369,7 +373,7 @@ def exp_r1_self_stabilization(
     protocols: Sequence[str] = ("dftno", "stno-bfs", "stno-dfs"),
 ) -> dict[str, object]:
     """Empirical convergence rate from random arbitrary configurations."""
-    Grid, run_grid, _, normalize_protocol = _campaign()
+    Grid, run_grid, _ = _campaign()
     grid = Grid(sizes=(size,), protocols=tuple(protocols), trials=trials, seed=seed)
     result = run_grid(grid)
     rows = []
@@ -413,7 +417,7 @@ def exp_s1_scenario_recovery(
     shares its hash-derived seeding and can be resumed and scaled via
     ``python -m repro.campaign``.
     """
-    Grid, run_grid, _, normalize_protocol = _campaign()
+    Grid, run_grid, _ = _campaign()
     grid = Grid(
         sizes=(size,),
         protocols=tuple(protocols),
@@ -487,7 +491,7 @@ def exp_m1_msgpass_workloads(
     is a :class:`~repro.api.RunSpec` executed by :func:`repro.api.run` -- so
     the sweep is resumable and shardable like every other campaign.
     """
-    Grid, run_grid, _, _ = _campaign()
+    Grid, run_grid, _ = _campaign()
     general = Grid(
         sizes=tuple(sizes),
         families=("random_connected",),
@@ -546,7 +550,7 @@ def exp_r2_daemon_ablation(
     daemons: Sequence[str] = ("central", "distributed", "synchronous", "adversarial"),
 ) -> dict[str, object]:
     """Stabilization of both protocols under the standard daemon families."""
-    Grid, run_grid, _, _ = _campaign()
+    Grid, run_grid, _ = _campaign()
     # pair_networks: every daemon/protocol cell of a trial runs on the same
     # topology, so the ablation compares daemons, not random networks.
     grid = Grid(

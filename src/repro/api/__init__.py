@@ -26,10 +26,12 @@ pluggable: pass :class:`Observer` implementations to :func:`run` to receive
 ``on_step`` / ``on_round`` / ``on_event`` / ``on_converged`` notifications
 from whichever engine executes the spec.
 
-The campaign engine (:mod:`repro.campaign`) builds on this API: its task
-types are thin adapters from a campaign ``TaskSpec`` to a ``RunSpec``, and
+The campaign engine (:mod:`repro.campaign`) builds on this API: each
+campaign ``TaskSpec`` maps to one ``RunSpec`` executed by :func:`run`, and
 sweeps, stores and resume logic layer on top rather than being baked into
-each experiment.
+each experiment.  The dependency is one-way: this package never imports
+:mod:`repro.campaign`; the protocol, daemon and family name validators that
+both use live in :mod:`repro.api.spec`.
 """
 
 from repro.api.engines import (
@@ -49,7 +51,6 @@ from repro.api.observers import (
     Observer,
     ProgressObserver,
     RecoveryObserver,
-    TraceObserver,
 )
 from repro.api.spec import (
     ENGINE_NAMES,
@@ -74,7 +75,6 @@ __all__ = [
     "MetricsObserver",
     "ProgressObserver",
     "RecoveryObserver",
-    "TraceObserver",
     "RunResult",
     "RunSpec",
     "ScenarioEngine",

@@ -145,8 +145,9 @@ def run(
     ``observers`` receive the engine's step/round/event/convergence
     notifications; pass a
     :class:`~repro.runtime.observers.ProgressObserver` for progress lines, a
-    :class:`~repro.runtime.observers.TraceObserver` to keep a trace, or any
-    custom :class:`~repro.runtime.observers.Observer`.
+    :class:`~repro.runtime.observers.CallbackObserver` collecting each
+    step's ``StepRecord.moves``, or any custom
+    :class:`~repro.runtime.observers.Observer`.
 
     ``instrumentation`` attaches a :class:`~repro.obs.Instrumentation`
     registry; the engine's phase timers and counters land in the returned
@@ -492,8 +493,7 @@ class MsgpassEngine(Engine):
 def build_protocol(name: str):
     """The protocol stack behind a normalized protocol name.
 
-    The single place the ``"dftno"`` / ``"stno-<tree>"`` naming is decoded;
-    the campaign layer's ``build_task_protocol`` delegates here.
+    The single place the ``"dftno"`` / ``"stno-<tree>"`` naming is decoded.
     """
     from repro.core.dftno import build_dftno
     from repro.core.stno import build_stno

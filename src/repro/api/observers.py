@@ -2,7 +2,6 @@
 
 The base vocabulary (:class:`~repro.runtime.observers.Observer`,
 :class:`~repro.runtime.observers.MetricsObserver`,
-:class:`~repro.runtime.observers.TraceObserver`,
 :class:`~repro.runtime.observers.ProgressObserver`,
 :class:`~repro.runtime.observers.CallbackObserver`) lives in
 :mod:`repro.runtime.observers` next to the scheduler that emits the
@@ -20,7 +19,6 @@ from repro.runtime.observers import (
     MetricsObserver,
     Observer,
     ProgressObserver,
-    TraceObserver,
 )
 
 
@@ -61,5 +59,4 @@ __all__ = [
     "Observer",
     "ProgressObserver",
     "RecoveryObserver",
-    "TraceObserver",
 ]

@@ -29,6 +29,14 @@ from repro.graphs.network import RootedNetwork
 #: The family name of height-controlled trees (not in the sweepable families).
 HEIGHT_TREE_FAMILY = "height_tree"
 
+#: Protocol stacks the scheduler engines build.  ``stno`` is accepted as an
+#: alias for ``stno-bfs`` (the thesis's default spanning tree).
+PROTOCOLS = ("dftno", "stno-bfs", "stno-dfs")
+_PROTOCOL_ALIASES = {"stno": "stno-bfs"}
+
+#: Daemon kinds understood by :func:`repro.runtime.daemon.make_daemon`.
+DAEMONS = ("central", "distributed", "synchronous", "adversarial")
+
 #: Engines :func:`repro.api.run` can dispatch to.  ``scheduler-fullscan`` is
 #: the differential-testing twin of ``scheduler``: same measurement, but the
 #: scheduler rescans every guard per step instead of maintaining the
@@ -78,6 +86,45 @@ RECORDABLE_ENGINES = (
 WORKLOADS = ("broadcast", "traversal", "election")
 
 
+def normalize_protocol(name: str) -> str:
+    """Resolve aliases and validate a protocol name."""
+    resolved = _PROTOCOL_ALIASES.get(name, name)
+    if resolved not in PROTOCOLS:
+        raise ValueError(
+            f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS + tuple(_PROTOCOL_ALIASES))}"
+        )
+    return resolved
+
+
+def normalize_daemon(kind: str) -> str:
+    """Validate a daemon kind."""
+    if kind not in DAEMONS:
+        raise ValueError(f"unknown daemon kind {kind!r}; choose from {sorted(DAEMONS)}")
+    return kind
+
+
+def normalize_family(name: str) -> str:
+    """Validate a sweepable topology family name."""
+    if name not in FAMILY_NAMES:
+        raise ValueError(
+            f"unknown topology family {name!r}; choose from {sorted(FAMILY_NAMES)}"
+        )
+    return name
+
+
+def check_after_substrate(engine: str, after_substrate: bool) -> None:
+    """Reject ``after_substrate`` starts on engines without a substrate phase.
+
+    Rejecting beats mislabeling: ``after_substrate`` is part of the canonical
+    hash (and of the campaign config hash), so silently ignoring it would
+    store two differently-hashed copies of the same measurement.
+    """
+    if after_substrate and engine not in SCHEDULER_ENGINES:
+        raise ValueError(
+            f"after_substrate starts are not supported by the {engine} engine"
+        )
+
+
 def _strip_defaults(value: Any, defaults: Mapping[str, Any]) -> dict[str, Any]:
     """Drop entries equal to their default: the canonical (hashable) form."""
     return {
@@ -113,11 +160,8 @@ class NetworkSpec:
             object.__setattr__(self, "family", HEIGHT_TREE_FAMILY)
         elif self.family == HEIGHT_TREE_FAMILY:
             raise ValueError("family='height_tree' needs a height")
-        elif self.family not in FAMILY_NAMES:
-            raise ValueError(
-                f"unknown topology family {self.family!r}; choose from "
-                f"{sorted(FAMILY_NAMES + (HEIGHT_TREE_FAMILY,))}"
-            )
+        else:
+            normalize_family(self.family)
         if self.size < 1:
             raise ValueError("size must be >= 1")
 
@@ -250,8 +294,6 @@ class RunSpec:
 
         # Validate names eagerly so a bad spec fails at construction, not at
         # execution on some pool worker an hour into a campaign.
-        from repro.campaign.grid import normalize_daemon, normalize_protocol
-
         object.__setattr__(self, "daemon", normalize_daemon(self.daemon))
         if self.engine != "msgpass":
             object.__setattr__(self, "protocol", normalize_protocol(self.protocol))
@@ -281,13 +323,7 @@ class RunSpec:
                 f"workloads only apply to engine='msgpass' (got {self.engine!r})"
             )
 
-        if self.engine not in SCHEDULER_ENGINES and self.stop.after_substrate:
-            # Rejecting beats mislabeling: after_substrate is part of the
-            # canonical hash, so silently ignoring it would store two
-            # differently-hashed copies of the same measurement.
-            raise ValueError(
-                f"after_substrate starts are not supported by the {self.engine} engine"
-            )
+        check_after_substrate(self.engine, self.stop.after_substrate)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -421,8 +457,10 @@ class RunResult:
 
 
 __all__ = [
+    "DAEMONS",
     "ENGINE_NAMES",
     "HEIGHT_TREE_FAMILY",
+    "PROTOCOLS",
     "RECORDABLE_ENGINES",
     "SCHEDULER_ENGINES",
     "NetworkSpec",
@@ -430,4 +468,8 @@ __all__ = [
     "RunSpec",
     "StopSpec",
     "WORKLOADS",
+    "check_after_substrate",
+    "normalize_daemon",
+    "normalize_family",
+    "normalize_protocol",
 ]

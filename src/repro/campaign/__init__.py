@@ -4,11 +4,12 @@ The subsystem has five layers, each usable on its own:
 
 * :mod:`repro.campaign.grid` -- declarative parameter grids that expand to
   deterministic task specs with stable config hashes and hash-derived seeds;
-* :mod:`repro.campaign.registry` / :mod:`repro.campaign.tasks` -- the
-  task-type registry and the built-in task kinds (``stabilize`` runs,
-  fault-injection ``scenario`` executions, ``msgpass`` workloads);
-* :mod:`repro.campaign.runner` -- serial or ``multiprocessing`` execution that
-  streams rows as tasks complete;
+  the task type (``stabilize`` runs, fault-injection ``scenario``
+  executions, ``msgpass`` workloads) picks the :mod:`repro.api` engine;
+* :mod:`repro.campaign.tasks` / :mod:`repro.campaign.runner` -- each task
+  becomes one :class:`~repro.api.RunSpec` executed by :func:`repro.api.run`,
+  serially or on a ``multiprocessing`` pool, streaming rows as tasks
+  complete;
 * :mod:`repro.campaign.store` -- a crash-safe, deduplicating JSONL result
   store that powers ``--resume`` and cross-machine merges;
 * :mod:`repro.campaign.aggregate` -- group-by/mean/fit summaries reusing
@@ -25,13 +26,7 @@ from repro.campaign.aggregate import (
     fit_if_possible,
     metrics_for_rows,
 )
-from repro.campaign.grid import Grid, TaskSpec, parse_axis
-from repro.campaign.registry import (
-    DEFAULT_TASK_TYPE,
-    get_task_handler,
-    register_task_type,
-    task_type_names,
-)
+from repro.campaign.grid import DEFAULT_TASK_TYPE, TASK_ENGINES, Grid, TaskSpec, parse_axis
 from repro.campaign.runner import CampaignResult, CampaignRunner, run_grid, run_task
 from repro.campaign.store import (
     BaseResultStore,
@@ -51,18 +46,16 @@ __all__ = [
     "JsonlResultStore",
     "ResultStore",
     "SqliteResultStore",
-    "open_store",
+    "TASK_ENGINES",
     "TaskSpec",
     "aggregate_rows",
     "campaign_summary",
     "fit_aggregate",
     "fit_if_possible",
-    "get_task_handler",
     "metrics_for_rows",
+    "open_store",
     "parse_axis",
-    "register_task_type",
     "resolve_store_path",
     "run_grid",
     "run_task",
-    "task_type_names",
 ]

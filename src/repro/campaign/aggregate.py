@@ -45,7 +45,7 @@ def metrics_for_rows(rows: Sequence[Row]) -> tuple[tuple[str, str], ...]:
     Lets ``repro-campaign report`` aggregate any mix of task types: each
     known metric set contributes the pairs whose source column some row
     carries.  Falls back to :data:`DEFAULT_METRICS` when nothing matches, so
-    legacy stores keep their exact pre-registry report shape.
+    legacy stores keep their exact pre-task-type report shape.
     """
     present: set[str] = set()
     for row in rows:

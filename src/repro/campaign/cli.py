@@ -78,8 +78,8 @@ from typing import Sequence
 
 from repro.analysis.reporting import format_table
 from repro.campaign.aggregate import aggregate_rows, fit_aggregate, metrics_for_rows
-from repro.campaign.grid import DAEMONS, Grid, PROTOCOLS, parse_axis, parse_shard
-from repro.campaign.registry import DEFAULT_TASK_TYPE, task_type_names
+from repro.api.spec import DAEMONS, PROTOCOLS
+from repro.campaign.grid import DEFAULT_TASK_TYPE, TASK_ENGINES, Grid, parse_axis, parse_shard
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import open_store, resolve_store_path
 from repro.campaign.watch import _format_duration, _utc_iso, watch
@@ -110,7 +110,7 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="NAME",
         help="what each task computes "
-        f"(default {DEFAULT_TASK_TYPE}; built-ins: {', '.join(task_type_names())})",
+        f"(default {DEFAULT_TASK_TYPE}; choices: {', '.join(TASK_ENGINES)})",
     )
     parser.add_argument(
         "--scenario",

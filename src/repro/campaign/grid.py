@@ -12,11 +12,11 @@ dedup and ``--resume``, and it is also the root of the task's seeds: the
 network seed and the scheduler seed are both derived from the hash, so a task
 produces the same rows no matter when, where, or on which worker it executes.
 
-Grids also carry a **task type** (see :mod:`repro.campaign.registry`):
-``stabilize`` is the default and hashes exactly as before the registry
-existed, so pre-existing stores resume unchanged; ``scenario`` adds the
-scenario name as an extra axis; any registered type can define its own
-workload.
+Grids also carry a **task type**, which picks the :mod:`repro.api` engine
+every task runs on (:data:`TASK_ENGINES`): ``stabilize`` is the default and
+hashes exactly as before task types existed, so pre-existing stores resume
+unchanged; ``scenario`` adds the scenario name as an extra axis and
+``msgpass`` the message-passing workload.
 """
 
 from __future__ import annotations
@@ -26,19 +26,22 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Sequence
 
-from repro.campaign.registry import DEFAULT_TASK_TYPE, normalize_task_type
-from repro.graphs.generators import FAMILY_NAMES
+from repro.api.spec import (
+    HEIGHT_TREE_FAMILY,
+    WORKLOADS,
+    NetworkSpec,
+    check_after_substrate,
+    normalize_daemon,
+    normalize_family,
+    normalize_protocol,
+)
 
-#: Protocol names the runner knows how to execute.  ``stno`` is accepted as an
-#: alias for ``stno-bfs`` (the thesis's default spanning tree).
-PROTOCOLS = ("dftno", "stno-bfs", "stno-dfs")
-_PROTOCOL_ALIASES = {"stno": "stno-bfs"}
+#: The task type existing grids implicitly use; its rows and config hashes
+#: stay byte-identical to those of grids that predate task types.
+DEFAULT_TASK_TYPE = "stabilize"
 
-#: Daemon kinds understood by :func:`repro.runtime.daemon.make_daemon`.
-DAEMONS = ("central", "distributed", "synchronous", "adversarial")
-
-#: The synthetic family used for height-controlled sweeps (EXP-T2).
-HEIGHT_TREE_FAMILY = "height_tree"
+#: Task type -> the :func:`repro.api.run` engine its tasks execute on.
+TASK_ENGINES = {"stabilize": "scheduler", "scenario": "scenario", "msgpass": "msgpass"}
 
 #: Fields of :class:`TaskSpec` that identify a *default-task-type* run.
 #: ``task_type`` and ``scenario`` join the identity only for non-default
@@ -61,32 +64,6 @@ IDENTITY_FIELDS = (
 #: ``pair_networks`` the network seed derives from these fields only, so every
 #: protocol/daemon cell of a trial runs on the same network.
 NETWORK_IDENTITY_FIELDS = ("family", "size", "height", "trial", "grid_seed")
-
-
-def normalize_protocol(name: str) -> str:
-    """Resolve aliases and validate a protocol name."""
-    resolved = _PROTOCOL_ALIASES.get(name, name)
-    if resolved not in PROTOCOLS:
-        raise ValueError(
-            f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS + tuple(_PROTOCOL_ALIASES))}"
-        )
-    return resolved
-
-
-def normalize_daemon(kind: str) -> str:
-    """Validate a daemon kind."""
-    if kind not in DAEMONS:
-        raise ValueError(f"unknown daemon kind {kind!r}; choose from {sorted(DAEMONS)}")
-    return kind
-
-
-def normalize_family(name: str) -> str:
-    """Validate a sweepable topology family name."""
-    if name not in FAMILY_NAMES:
-        raise ValueError(
-            f"unknown topology family {name!r}; choose from {sorted(FAMILY_NAMES)}"
-        )
-    return name
 
 
 @dataclass(frozen=True)
@@ -115,7 +92,7 @@ class TaskSpec:
     def identity(self) -> dict[str, object]:
         """The fields that define this configuration (hash input).
 
-        For the default task type this is exactly the pre-registry identity,
+        For the default task type this is exactly the pre-task-type identity,
         keeping hashes (and therefore stores, resumes and dedup) stable; other
         task types additionally carry ``task_type`` and, when set, the
         ``scenario`` name and the ``workload`` (so pre-existing ``msgpass``
@@ -202,8 +179,8 @@ class Grid:
     requested root-to-leaf height, and the ``families`` axis is replaced by
     the synthetic ``height_tree`` family.
 
-    ``task_type`` selects what each task computes (see
-    :mod:`repro.campaign.registry`); with ``task_type="scenario"`` the
+    ``task_type`` selects what each task computes (a key of
+    :data:`TASK_ENGINES`); with ``task_type="scenario"`` the
     ``scenarios`` tuple of library scenario names becomes an additional axis,
     and with ``task_type="msgpass"`` the ``workloads`` tuple (broadcast,
     traversal, election) does.  ``broadcast`` is the default workload and is
@@ -224,7 +201,11 @@ class Grid:
     workloads: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "task_type", normalize_task_type(self.task_type))
+        if self.task_type not in TASK_ENGINES:
+            raise ValueError(
+                f"unknown task type {self.task_type!r}; choose from {', '.join(TASK_ENGINES)}"
+            )
+        check_after_substrate(TASK_ENGINES[self.task_type], self.after_substrate)
         if self.task_type == "scenario":
             if not self.scenarios:
                 raise ValueError('task_type="scenario" needs a non-empty scenarios tuple')
@@ -246,8 +227,6 @@ class Grid:
                 raise ValueError(
                     f"workloads only apply to task_type='msgpass' (got {self.task_type!r})"
                 )
-            from repro.api.spec import WORKLOADS
-
             unknown = [name for name in self.workloads if name not in WORKLOADS]
             if unknown:
                 raise ValueError(
@@ -287,13 +266,11 @@ class Grid:
             raise ValueError("daemons must not be empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.heights is not None:
-            for size in self.sizes:
-                for height in self.heights:
-                    if not 1 <= height <= size - 1:
-                        raise ValueError(
-                            f"height {height} out of range 1..{size - 1} for size {size}"
-                        )
+        # Every size/height cell must make a valid NetworkSpec, so a bad grid
+        # fails here -- before a campaign opens (and stamps) its store.
+        for size in self.sizes:
+            for height in self.heights or (None,):
+                NetworkSpec(family=self.families[0], size=size, height=height)
 
     def __len__(self) -> int:
         heights = len(self.heights) if self.heights is not None else 1
@@ -431,16 +408,12 @@ def parse_shard(text: str) -> tuple[int, int]:
 
 
 __all__ = [
-    "DAEMONS",
+    "DEFAULT_TASK_TYPE",
     "Grid",
-    "HEIGHT_TREE_FAMILY",
     "IDENTITY_FIELDS",
     "NETWORK_IDENTITY_FIELDS",
-    "PROTOCOLS",
+    "TASK_ENGINES",
     "TaskSpec",
-    "normalize_daemon",
-    "normalize_family",
-    "normalize_protocol",
     "parse_axis",
     "parse_shard",
 ]

@@ -1,12 +1,13 @@
 """Campaign execution: run grid tasks serially or across a process pool.
 
-:func:`run_task` is the single unit of work -- it looks the task's type up in
-the registry (:mod:`repro.campaign.registry`), lets the handler rebuild the
-network/protocol/daemon from the spec's hash-derived seeds and compute one
-flat result row, then stamps the spec's identity fields and config hash onto
-it.  Because everything a task needs is derived from its config hash, a row
-is identical whether it ran serially, on a pool worker, or in a resumed
-campaign -- which is what makes ``--jobs 1`` and ``--jobs 4`` equivalent.
+:func:`run_task` is the single unit of work -- it maps the task to its
+:class:`~repro.api.RunSpec` (:func:`~repro.campaign.tasks.runspec_for_task`),
+which rebuilds the network/protocol/daemon from the spec's hash-derived
+seeds, executes it through :func:`repro.api.run`, then stamps the task's
+identity fields and config hash onto the flat result row.  Because
+everything a task needs is derived from its config hash, a row is identical
+whether it ran serially, on a pool worker, or in a resumed campaign -- which
+is what makes ``--jobs 1`` and ``--jobs 4`` equivalent.
 
 :class:`CampaignRunner` drives a whole :class:`~repro.campaign.grid.Grid`:
 it skips tasks the store has already completed (``resume=True``), streams the
@@ -19,15 +20,18 @@ as *stale* and reported instead of silently ignored.
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterator
 
+from repro.api import run
+from repro.api.spec import RECORDABLE_ENGINES
 from repro.campaign.grid import Grid, TaskSpec
-from repro.campaign.registry import get_task_handler
 from repro.campaign.store import BaseResultStore
+from repro.campaign.tasks import runspec_for_task
+from repro.obs.instrument import Instrumentation
+from repro.runtime.observers import ProgressObserver
 
 ProgressCallback = Callable[[dict[str, object]], None]
 
@@ -46,28 +50,6 @@ class _LiveProgressEmitter:
         print(f"  [{self.label}] {message}", flush=True)
 
 
-def _handler_accepts(handler: Callable[..., dict], keyword: str) -> bool:
-    """Whether a task handler can receive ``keyword``.
-
-    Built-in handlers accept both ``observers`` and ``instrument``;
-    third-party registrations predating those modes may not, and silently
-    run without them.
-    """
-    try:
-        parameters = inspect.signature(handler).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    return keyword in parameters or any(
-        parameter.kind == inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
-
-
-def _handler_accepts_observers(handler: Callable[..., dict]) -> bool:
-    """Back-compat alias for :func:`_handler_accepts` with ``observers``."""
-    return _handler_accepts(handler, "observers")
-
-
 def run_task(
     spec: TaskSpec,
     live_every: int | None = None,
@@ -78,7 +60,7 @@ def run_task(
 ) -> dict[str, object]:
     """Execute one campaign task and return its flat result row.
 
-    The row merges the handler's measurement (``n``, ``converged``, and the
+    The row merges the run's measurement (``n``, ``converged``, and the
     task-type-specific metrics) with the task's identity fields and hash, so
     a store row is self-describing and can be re-aggregated without the grid.
 
@@ -103,28 +85,29 @@ def run_task(
     ``record`` (``True`` or a directory path) attaches the execution flight
     recorder: each task writes a replayable causal event log (keyed by its
     spec's canonical hash) and its row -- plus any health anomalies in it --
-    gains a ``flight_log`` pointer.  Task types without a recordable
-    execution stream (``msgpass``) simply run unrecorded.
+    gains a ``flight_log`` pointer.  Task types whose engine has no
+    recordable execution stream (``msgpass``) simply run unrecorded.
     """
-    handler = get_task_handler(spec.task_type)
-    kwargs: dict[str, object] = {}
-    if live_every and _handler_accepts(handler, "observers"):
-        from repro.runtime.observers import ProgressObserver
-
-        observer = ProgressObserver(
-            every_steps=live_every,
-            emit=_LiveProgressEmitter(f"task {spec.index} {spec.protocol} n={spec.size}"),
+    runspec = runspec_for_task(spec)
+    if record and runspec.engine in RECORDABLE_ENGINES:
+        # The log file is keyed by the spec's canonical hash, so every task
+        # of a recorded campaign gets its own log inside the one directory.
+        runspec = replace(runspec, record=record)
+    observers = ()
+    if live_every:
+        observers = (
+            ProgressObserver(
+                every_steps=live_every,
+                emit=_LiveProgressEmitter(f"task {spec.index} {spec.protocol} n={spec.size}"),
+            ),
         )
-        kwargs["observers"] = (observer,)
-    if perf and _handler_accepts(handler, "instrument"):
-        kwargs["instrument"] = True
-    if telemetry and _handler_accepts(handler, "telemetry"):
-        kwargs["telemetry"] = telemetry
-    if health and _handler_accepts(handler, "health"):
-        kwargs["health"] = health
-    if record and _handler_accepts(handler, "record"):
-        kwargs["record"] = record
-    row = handler(spec, **kwargs)
+    row = run(
+        runspec,
+        observers=observers,
+        instrumentation=Instrumentation() if perf else None,
+        telemetry=telemetry or None,
+        health=health or None,
+    ).row
     row.update(spec.identity())
     row["config_hash"] = spec.config_hash
     row["task_index"] = spec.index
@@ -192,24 +175,13 @@ class CampaignRunner:
         self, pending: list[TaskSpec]
     ) -> Iterator[dict[str, object]]:
         """Yield result rows for ``pending`` tasks as they complete, in order."""
-        plain = (
-            self.live_every is None
-            and not self.perf
-            and not self.telemetry
-            and not self.health
-            and not self.record
-        )
-        task_runner = (
-            run_task
-            if plain
-            else partial(
-                run_task,
-                live_every=self.live_every,
-                perf=self.perf,
-                telemetry=self.telemetry,
-                health=self.health,
-                record=self.record,
-            )
+        task_runner = partial(
+            run_task,
+            live_every=self.live_every,
+            perf=self.perf,
+            telemetry=self.telemetry,
+            health=self.health,
+            record=self.record,
         )
         if self.jobs <= 1 or len(pending) <= 1:
             for spec in pending:

@@ -1,12 +1,12 @@
-"""Built-in campaign task types: thin adapters onto the unified API.
+"""Campaign tasks as unified-API specs.
 
-Each handler maps one :class:`~repro.campaign.grid.TaskSpec` to a declarative
-:class:`~repro.api.RunSpec` (:func:`runspec_for_task`) and executes it through
-the engine-agnostic :func:`repro.api.run` entry point; the runner adds the
-task's identity fields and config hash afterwards, so handlers only report
-what they measured.  Three types ship:
+:func:`runspec_for_task` maps one :class:`~repro.campaign.grid.TaskSpec` to a
+declarative :class:`~repro.api.RunSpec`; :func:`repro.campaign.run_task`
+executes it through the engine-agnostic :func:`repro.api.run` entry point and
+adds the task's identity fields and config hash afterwards.  The task type
+picks the engine (:data:`~repro.campaign.grid.TASK_ENGINES`):
 
-* ``stabilize`` -- the original stabilization measurement on the daemon-step
+* ``stabilize`` -- the stabilization measurement on the daemon-step
   scheduler engine (byte-identical rows and hashes to the pre-API campaign
   engine);
 * ``scenario`` -- a fault-injection / dynamic-network scenario from the
@@ -15,21 +15,17 @@ what they measured.  Three types ship:
 * ``msgpass`` -- a message-passing workload (broadcast, DFS traversal, or
   ring leader election) on the synchronous simulator, comparing message
   costs with and without the orientation (the application story of EXP-A1 as
-  a sweepable campaign axis).
+  a sweepable campaign axis).  Its orientation is the centralized reference
+  (the protocols' fixed point), so the ``protocol`` and ``daemon`` identity
+  axes do not influence the measurement: sweeping them yields repeated
+  trials on fresh networks.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.api import NetworkSpec, RunSpec, StopSpec, run
+from repro.api import NetworkSpec, RunSpec, StopSpec
 from repro.api.spec import HEIGHT_TREE_FAMILY
-from repro.obs.instrument import Instrumentation
-from repro.campaign.grid import TaskSpec
-from repro.campaign.registry import register_task_type
-from repro.graphs.network import RootedNetwork
-from repro.runtime.observers import Observer
-from repro.runtime.protocol import Protocol
+from repro.campaign.grid import TASK_ENGINES, TaskSpec
 
 
 def network_spec_for_task(spec: TaskSpec) -> NetworkSpec:
@@ -51,13 +47,12 @@ def runspec_for_task(spec: TaskSpec) -> RunSpec:
     fields become the spec, and the hash-derived seeds keep every row
     reproducible no matter where it executes.
     """
-    engines = {"stabilize": "scheduler", "scenario": "scenario", "msgpass": "msgpass"}
-    if spec.task_type not in engines:
+    if spec.task_type not in TASK_ENGINES:
         raise ValueError(f"no RunSpec mapping for task type {spec.task_type!r}")
     if spec.task_type == "scenario" and spec.scenario is None:
         raise ValueError("scenario tasks need a scenario name (Grid(scenarios=...))")
     return RunSpec(
-        engine=engines[spec.task_type],
+        engine=TASK_ENGINES[spec.task_type],
         protocol=spec.protocol,
         network=network_spec_for_task(spec),
         daemon=spec.daemon,
@@ -69,99 +64,4 @@ def runspec_for_task(spec: TaskSpec) -> RunSpec:
     )
 
 
-def build_task_network(spec: TaskSpec) -> RootedNetwork:
-    """The network a task runs on, rebuilt from its hash-derived seed."""
-    return network_spec_for_task(spec).build()
-
-
-def build_task_protocol(spec: TaskSpec) -> Protocol:
-    """The protocol stack named by ``spec.protocol``."""
-    from repro.api.engines import build_protocol
-
-    return build_protocol(spec.protocol)
-
-
-def _execute_task(
-    spec: TaskSpec,
-    observers: Sequence[Observer],
-    instrument: bool,
-    telemetry: bool | int = False,
-    health: bool | int = False,
-    record: "bool | str | None" = None,
-) -> dict[str, object]:
-    """Run the task's RunSpec; opt-in rows carry ``perf``/``telemetry``/``health``."""
-    from dataclasses import replace
-
-    instrumentation = Instrumentation() if instrument else None
-    runspec = runspec_for_task(spec)
-    if record:
-        # The log file is keyed by the spec's canonical hash, so every task
-        # of a recorded campaign gets its own log inside the one directory.
-        runspec = replace(runspec, record=record)
-    return run(
-        runspec,
-        observers=observers,
-        instrumentation=instrumentation,
-        telemetry=telemetry or None,
-        health=health or None,
-    ).row
-
-
-@register_task_type("stabilize")
-def run_stabilize(
-    spec: TaskSpec,
-    observers: Sequence[Observer] = (),
-    instrument: bool = False,
-    telemetry: bool | int = False,
-    health: bool | int = False,
-    record: "bool | str | None" = None,
-) -> dict[str, object]:
-    """Measure stabilization of the spec's protocol on its network."""
-    return _execute_task(spec, observers, instrument, telemetry, health, record)
-
-
-@register_task_type("scenario")
-def run_scenario_task(
-    spec: TaskSpec,
-    observers: Sequence[Observer] = (),
-    instrument: bool = False,
-    telemetry: bool | int = False,
-    health: bool | int = False,
-    record: "bool | str | None" = None,
-) -> dict[str, object]:
-    """Execute the spec's library scenario and report recovery aggregates."""
-    return _execute_task(spec, observers, instrument, telemetry, health, record)
-
-
-@register_task_type("msgpass")
-def run_msgpass(
-    spec: TaskSpec,
-    observers: Sequence[Observer] = (),
-    instrument: bool = False,
-    telemetry: bool | int = False,
-    health: bool | int = False,
-) -> dict[str, object]:
-    """Run the spec's message-passing workload with/without the orientation.
-
-    The orientation is the centralized reference (the protocols' fixed
-    point), so the row isolates what the *orientation* is worth to a
-    message-passing workload, independent of how it was computed.  The
-    ``protocol`` and ``daemon`` identity axes therefore do not influence the
-    measurement (sweeping them yields repeated trials on fresh networks);
-    ``after_substrate`` has no meaning here and is rejected.  The handler
-    takes no ``record`` parameter on purpose: the synchronous simulator has
-    no daemon-step stream for the flight recorder to capture, and the runner
-    only forwards options a handler's signature accepts.
-    """
-    return _execute_task(spec, observers, instrument, telemetry, health)
-
-
-__all__ = [
-    "build_task_network",
-    "build_task_protocol",
-    "network_spec_for_task",
-    "run_msgpass",
-    "run_scenario_task",
-    "run_stabilize",
-    "runspec_for_task",
-]
+__all__ = ["network_spec_for_task", "runspec_for_task"]

@@ -35,7 +35,7 @@ class OrientationResult:
         The extracted chordal orientation (validated against the network).
     run:
         The scheduler's :class:`~repro.runtime.scheduler.RunResult` (steps,
-        moves, rounds, stabilization point, final configuration, trace).
+        moves, rounds, stabilization point, final configuration).
     protocol:
         The composed protocol that was executed (substrate + orientation
         layer), e.g. for space accounting.
@@ -74,7 +74,6 @@ def _run(
     from_arbitrary_state: bool,
     max_steps: int | None,
     confirm_steps: int,
-    record_trace: bool,
     modulus: int | None = None,
 ) -> OrientationResult:
     rng = random.Random(seed)
@@ -89,7 +88,6 @@ def _run(
         daemon=daemon or DistributedDaemon(),
         configuration=configuration,
         rng=rng,
-        record_trace=record_trace,
     )
     # The orientation specification can hold transiently before the names have
     # settled to their final values (a token wave in flight may still rename a
@@ -117,7 +115,6 @@ def orient_with_dftno(
     from_arbitrary_state: bool = True,
     max_steps: int | None = None,
     confirm_steps: int = 0,
-    record_trace: bool = False,
 ) -> OrientationResult:
     """Orient ``network`` with DFTNO (token-circulation based, Chapter 3).
 
@@ -139,8 +136,6 @@ def orient_with_dftno(
         Step budget before :class:`~repro.errors.ConvergenceError` is raised.
     confirm_steps:
         Extra steps executed after stabilization to check closure empirically.
-    record_trace:
-        Keep a full execution trace in the result.
     """
     protocol = build_dftno(modulus=modulus)
     return _run(
@@ -151,7 +146,6 @@ def orient_with_dftno(
         from_arbitrary_state,
         max_steps,
         confirm_steps,
-        record_trace,
         modulus=modulus,
     )
 
@@ -165,7 +159,6 @@ def orient_with_stno(
     from_arbitrary_state: bool = True,
     max_steps: int | None = None,
     confirm_steps: int = 0,
-    record_trace: bool = False,
 ) -> OrientationResult:
     """Orient ``network`` with STNO (spanning-tree based, Chapter 4).
 
@@ -183,7 +176,6 @@ def orient_with_stno(
         from_arbitrary_state,
         max_steps,
         confirm_steps,
-        record_trace,
         modulus=modulus,
     )
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.api.engines import Engine, build_protocol, register_engine
-from repro.api.spec import RunResult, RunSpec
+from repro.api.spec import RunResult, RunSpec, normalize_protocol
 from repro.errors import ReplayError
 from repro.graphs import io as graph_io
 from repro.obs.recorder import decode_states, decode_value, encode_states, fingerprint
@@ -192,8 +192,6 @@ class ReplayRun:
         if protocol is None:
             name = header.get("protocol")
             try:
-                from repro.campaign.grid import normalize_protocol
-
                 protocol = build_protocol(normalize_protocol(str(name)))
             except Exception as exc:
                 raise ReplayError(

@@ -14,9 +14,10 @@ in:
   plus central, synchronous and adversarial variants, all with the weak
   fairness guarantee the paper assumes (:mod:`~repro.runtime.daemon`);
 * the :class:`~repro.runtime.scheduler.Scheduler` drives executions, counts
-  steps, moves and rounds, detects convergence to a legitimacy predicate and
-  records traces (:mod:`~repro.runtime.scheduler`, :mod:`~repro.runtime.trace`,
-  :mod:`~repro.runtime.metrics`);
+  steps, moves and rounds, and detects convergence to a legitimacy predicate
+  (:mod:`~repro.runtime.scheduler`, :mod:`~repro.runtime.metrics`); every
+  step's moves reach observers as :class:`~repro.runtime.scheduler.StepRecord`
+  objects (:mod:`~repro.runtime.observers`);
 * transient faults are modeled by starting from arbitrary configurations or by
   corrupting variables mid-execution (:mod:`~repro.runtime.faults`).
 """
@@ -41,9 +42,7 @@ from repro.runtime.observers import (
     MetricsObserver,
     Observer,
     ProgressObserver,
-    TraceObserver,
 )
-from repro.runtime.trace import Trace, TraceEvent
 from repro.runtime.metrics import ExecutionMetrics, space_bits_per_node, space_summary
 from repro.runtime.faults import random_configuration, corrupt_configuration, FaultInjector
 
@@ -72,11 +71,8 @@ __all__ = [
     "MoveRecord",
     "Observer",
     "MetricsObserver",
-    "TraceObserver",
     "ProgressObserver",
     "CallbackObserver",
-    "Trace",
-    "TraceEvent",
     "ExecutionMetrics",
     "space_bits_per_node",
     "space_summary",

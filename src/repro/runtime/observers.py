@@ -1,8 +1,8 @@
 """Pluggable execution observers: the instrumentation seam of every engine.
 
 Historically each consumer of the :class:`~repro.runtime.scheduler.Scheduler`
-hard-wired its own bookkeeping -- the scheduler updated metrics and trace
-inline, the scenario runner kept recovery records, experiments re-implemented
+hard-wired its own bookkeeping -- the scheduler updated metrics inline, the
+scenario runner kept recovery records, experiments re-implemented
 progress printing.  Observers replace that plumbing with one small protocol
 shared by every execution engine (the daemon-step scheduler, the scenario
 runner and the synchronous message-passing simulator):
@@ -17,10 +17,19 @@ runner and the synchronous message-passing simulator):
 * :meth:`Observer.on_converged` -- once, when the engine's stop condition is
   reached (legitimacy, quiescence, scenario completion).
 
-The scheduler's own metrics and trace are themselves observers
-(:class:`MetricsObserver`, :class:`TraceObserver`) registered by the
-constructor, so ``scheduler.metrics`` / ``scheduler.trace`` keep working
-unchanged while external observers plug into exactly the same stream.
+The scheduler's own metrics are themselves an observer
+(:class:`MetricsObserver`) registered by the constructor, so
+``scheduler.metrics`` keeps working while external observers plug into
+exactly the same stream.  The step stream is also the one record of every
+move: to keep the moves of a run, collect them from it --
+
+>>> records = []
+>>> observer = CallbackObserver(on_step=lambda source, record: records.append(record))
+
+-- and read each record's ``moves``
+(:class:`~repro.runtime.scheduler.MoveRecord`: node, action, layer and the
+``variable -> (old, new)`` changes).  For a persistent, replayable log use
+the flight recorder (:class:`repro.obs.recorder.FlightRecorder`).
 """
 
 from __future__ import annotations
@@ -29,7 +38,6 @@ import warnings
 from typing import TYPE_CHECKING, Any, Callable, Mapping, MutableSequence
 
 from repro.runtime.metrics import ExecutionMetrics
-from repro.runtime.trace import Trace, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.scheduler import StepRecord
@@ -140,41 +148,6 @@ class MetricsObserver(Observer):
         self.metrics.rounds = round_index
 
 
-class TraceObserver(Observer):
-    """Records a :class:`~repro.runtime.trace.Trace` of every executed move.
-
-    Registered by the scheduler when ``record_trace=True``; usable explicitly
-    to trace any engine that emits step records.  ``max_records`` bounds the
-    trace with a ring buffer (the newest ``max_records`` moves are retained,
-    ``trace.dropped`` counts evictions), so long chaotic-phase runs can trace
-    without unbounded growth; it takes precedence over the legacy ``limit``
-    alias when both are given.
-    """
-
-    def __init__(
-        self,
-        limit: int | None = 100_000,
-        trace: Trace | None = None,
-        max_records: int | None = None,
-    ) -> None:
-        if trace is None:
-            trace = Trace(limit=max_records if max_records is not None else limit)
-        self.trace = trace
-
-    def on_step(self, source: Any, record: "StepRecord") -> None:
-        for move in record.moves:
-            self.trace.record(
-                TraceEvent(
-                    step=record.step,
-                    round=record.round,
-                    node=move.node,
-                    action=move.action,
-                    layer=move.layer,
-                    changes=dict(move.changes),
-                )
-            )
-
-
 class ProgressObserver(Observer):
     """Periodic progress reporting: calls ``emit`` every ``every_steps`` steps.
 
@@ -253,6 +226,5 @@ __all__ = [
     "Observer",
     "ObserverFailureWarning",
     "ProgressObserver",
-    "TraceObserver",
     "dispatch_safely",
 ]

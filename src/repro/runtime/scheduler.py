@@ -35,10 +35,9 @@ from repro.runtime.actions import Action
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import Daemon, DistributedDaemon
 from repro.runtime.metrics import ExecutionMetrics
-from repro.runtime.observers import MetricsObserver, Observer, TraceObserver, dispatch_safely
+from repro.runtime.observers import MetricsObserver, Observer, dispatch_safely
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
-from repro.runtime.trace import Trace
 
 
 def first_enabled_action(
@@ -132,8 +131,6 @@ class RunResult:
         The final configuration.
     metrics:
         Full per-node / per-action counters.
-    trace:
-        The recorded trace (``None`` unless tracing was requested).
     """
 
     steps: int
@@ -145,7 +142,6 @@ class RunResult:
     first_legitimate_round: int | None
     configuration: Configuration
     metrics: ExecutionMetrics
-    trace: Trace | None = None
 
     @property
     def stabilization_steps(self) -> int | None:
@@ -175,12 +171,11 @@ class Scheduler:
         pass ``protocol.initial_configuration(network)`` for a clean start.
     seed / rng:
         Randomness used by the daemon and by arbitrary initialization.
-    record_trace:
-        Whether to keep a :class:`~repro.runtime.trace.Trace` of every move.
     observers:
         Extra :class:`~repro.runtime.observers.Observer` instances notified of
-        every step and completed round.  Metrics (and, with ``record_trace``,
-        the trace) are themselves observers registered before these.
+        every step and completed round; each step's
+        :class:`StepRecord` carries its moves.  Metrics are themselves an
+        observer registered before these.
     incremental:
         With ``True`` (the default) the scheduler maintains a persistent
         enabled-set and re-evaluates guards only for the *dirty frontier* of
@@ -216,8 +211,6 @@ class Scheduler:
         configuration: Configuration | None = None,
         seed: int | None = None,
         rng: random.Random | None = None,
-        record_trace: bool = False,
-        trace_limit: int | None = 100_000,
         observers: Sequence[Observer] = (),
         incremental: bool = True,
         check_guard_locality: bool | None = None,
@@ -240,15 +233,11 @@ class Scheduler:
         self._actions: dict[int, tuple[Action, ...]] = {
             node: tuple(protocol.actions(network, node)) for node in network.nodes()
         }
-        # Metrics and trace are observers like any other; keeping them first in
-        # the list preserves the historical update order (counters before any
-        # external consumer sees the step).
+        # Metrics are an observer like any other; keeping it first in the list
+        # preserves the historical update order (counters before any external
+        # consumer sees the step).
         self._metrics_observer = MetricsObserver()
-        self._trace_observer = TraceObserver(limit=trace_limit) if record_trace else None
-        self._observers: list[Observer] = [self._metrics_observer]
-        if self._trace_observer is not None:
-            self._observers.append(self._trace_observer)
-        self._observers.extend(observers)
+        self._observers: list[Observer] = [self._metrics_observer, *observers]
 
         self._step_index = 0
         self._round_index = 0
@@ -286,11 +275,6 @@ class Scheduler:
     def metrics(self) -> ExecutionMetrics:
         """Per-run counters, accumulated by the built-in metrics observer."""
         return self._metrics_observer.metrics
-
-    @property
-    def trace(self) -> Trace | None:
-        """The recorded trace, or ``None`` when tracing was not requested."""
-        return self._trace_observer.trace if self._trace_observer is not None else None
 
     @property
     def observers(self) -> tuple[Observer, ...]:
@@ -662,7 +646,6 @@ class Scheduler:
             first_legitimate_round=first_legitimate_round,
             configuration=self.configuration.copy(),
             metrics=self.metrics,
-            trace=self.trace,
         )
 
     def run_until_legitimate(
@@ -734,7 +717,6 @@ class Scheduler:
                 first_legitimate_round=stabilization_round,
                 configuration=self.configuration.copy(),
                 metrics=self.metrics,
-                trace=self.trace,
             )
         return result
 

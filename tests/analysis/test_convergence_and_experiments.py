@@ -141,6 +141,17 @@ def test_exp_f1_reproduces_figure_3_1_1():
     assert steps == sorted(steps)
 
 
+def test_exp_f1_naming_events_are_pinned():
+    # The events are read off the scheduler's StepRecord move stream; pin the
+    # exact steps, processors and counters so a change to how that stream is
+    # collected cannot shift the reproduced figure unnoticed.
+    events = experiments.exp_f1_figure_3_1_1()["events"]
+    assert [
+        (event["step"], event["processor"], event["thesis_label"], event["max_counter"])
+        for event in events
+    ] == [(0, 0, "r", 0), (5, 1, "b", 1), (9, 2, "d", 2), (13, 3, "c", 3), (20, 4, "a", 4)]
+
+
 def test_exp_f2_reproduces_figure_4_1_1():
     result = experiments.exp_f2_figure_4_1_1()
     assert result["matches_figure"]

@@ -15,7 +15,6 @@ from repro.api import (
     NetworkSpec,
     RecoveryObserver,
     RunSpec,
-    TraceObserver,
     engine_names,
     get_engine,
     register_engine,
@@ -75,17 +74,18 @@ def test_scheduler_engine_notifies_step_round_and_convergence():
         on_round=lambda source, index: rounds.append(index),
         on_converged=lambda source, result: converged.append(result),
     )
-    trace = TraceObserver()
+    moves = []
+    collector = CallbackObserver(on_step=lambda source, record: moves.extend(record.moves))
     spec = RunSpec(network=NetworkSpec(family="ring", size=6, seed=1), seed=4)
-    result = run(spec, observers=[watcher, trace])
+    result = run(spec, observers=[watcher, collector])
     assert result.converged
     assert len(steps) == result.row["total_steps"]
     assert steps[0].moves and steps[0].moves[0].action  # rich move records
     assert rounds and rounds[-1] == result.row["total_rounds"]
     assert len(converged) == 1 and isinstance(converged[0], StabilizationSample)
     assert converged[0].as_row() == result.row
-    # The trace observer recorded every move of every step.
-    assert len(trace.trace) == sum(len(record.moves) for record in steps)
+    # A second observer on the same stream saw every move of every step.
+    assert len(moves) == sum(len(record.moves) for record in steps)
 
 
 def test_scheduler_engine_feeds_external_metrics_observer():

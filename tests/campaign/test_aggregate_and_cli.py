@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.campaign.aggregate import aggregate_rows, campaign_summary, fit_if_possible
 from repro.campaign.cli import main
 from repro.campaign.store import ResultStore
@@ -78,6 +80,24 @@ def test_cli_rejects_bad_arguments(tmp_path, capsys):
     assert main(["run", "--family", "bogus", "--out", str(tmp_path)]) == 2
     assert "unknown topology family" in capsys.readouterr().err
     assert main(["report", "--out", str(tmp_path / "empty")]) == 1
+
+
+@pytest.mark.parametrize(
+    "grid_args",
+    [
+        ["--sizes", "0,4"],
+        ["--sizes", "0"],
+        ["--task-type", "msgpass", "--after-substrate"],
+        ["--task-type", "scenario", "--scenario", "cascade", "--after-substrate"],
+    ],
+    ids=["size-zero-in-list", "size-zero", "msgpass-after-substrate", "scenario-after-substrate"],
+)
+def test_cli_rejects_invalid_grids_before_opening_the_store(tmp_path, capsys, grid_args):
+    store = tmp_path / "store.jsonl"
+    assert main(["run", *grid_args, "--trials", "1", "--out", str(store)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not store.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_report_rejects_unknown_key(tmp_path, capsys):

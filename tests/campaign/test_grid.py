@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.spec import NetworkSpec, RunSpec
 from repro.campaign.grid import Grid, TaskSpec, parse_axis
 
 
@@ -58,6 +59,35 @@ def test_protocol_alias_and_validation():
         Grid(sizes=(6,), trials=0)
     with pytest.raises(ValueError):
         Grid(sizes=())
+    for sizes in ((0,), (-3,), (0, 4)):
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            Grid(sizes=sizes)
+    # after_substrate is hashed into every task's identity, so a task type
+    # whose engine cannot honour it must be refused when the grid is built.
+    for task_type, extra in (("msgpass", {}), ("scenario", {"scenarios": ("cascade",)})):
+        with pytest.raises(ValueError, match="after_substrate"):
+            Grid(sizes=(6,), task_type=task_type, after_substrate=True, **extra)
+    assert Grid(sizes=(6,), after_substrate=True).after_substrate is True
+
+
+# Grid validates each cell with the same repro.api.spec validators a RunSpec
+# uses, so a bad sweep fails with exactly the message a bad single run gets.
+@pytest.mark.parametrize(
+    "single, sweep",
+    [
+        (lambda: RunSpec(protocol="nope"), lambda: Grid(sizes=(6,), protocols=("nope",))),
+        (lambda: RunSpec(daemon="nope"), lambda: Grid(sizes=(6,), daemons=("nope",))),
+        (lambda: NetworkSpec(family="bogus"), lambda: Grid(sizes=(6,), families=("bogus",))),
+        (lambda: NetworkSpec(size=0), lambda: Grid(sizes=(0,))),
+    ],
+    ids=["protocol", "daemon", "family", "size"],
+)
+def test_grid_and_runspec_reject_bad_names_with_one_message(single, sweep):
+    with pytest.raises(ValueError) as single_error:
+        single()
+    with pytest.raises(ValueError) as sweep_error:
+        sweep()
+    assert str(sweep_error.value) == str(single_error.value)
 
 
 def test_axes_deduplicate_preserving_order():

@@ -112,3 +112,24 @@ def test_campaign_trace_export_respects_an_existing_trace_env(
     import os
 
     assert os.environ[TRACE_ENV] == str(spans)
+
+
+def test_msgpass_campaign_keeps_run_options_but_records_nothing(tmp_path, capsys):
+    # msgpass has no daemon-step stream: perf/telemetry/health/live still
+    # reach the run, while --record is dropped instead of failing the task.
+    from repro.campaign.grid import Grid
+    from repro.campaign.runner import CampaignRunner
+
+    logs = tmp_path / "logs"
+    grid = Grid(sizes=(6,), families=("ring",), trials=2, seed=5, task_type="msgpass")
+    runner = CampaignRunner(
+        record=str(logs), perf=True, telemetry=True, health=True, live_every=1
+    )
+    rows = runner.run(grid).rows
+    assert len(rows) == 2
+    for row in rows:
+        assert row["task_type"] == "msgpass" and row["converged"] is True
+        assert row["perf"] and row["telemetry"] and row["health"]
+        assert "flight_log" not in row
+    assert not logs.exists()
+    assert "[task 1 dftno n=6] converged" in capsys.readouterr().out

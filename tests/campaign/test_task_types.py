@@ -1,4 +1,4 @@
-"""Task-type registry: dispatch, new axes, and hash backward compatibility."""
+"""Campaign task types: engine mapping, new axes, and hash backward compatibility."""
 
 from __future__ import annotations
 
@@ -7,52 +7,19 @@ import json
 
 import pytest
 
-from repro.campaign.grid import Grid, TaskSpec
-from repro.campaign.registry import (
-    DEFAULT_TASK_TYPE,
-    get_task_handler,
-    normalize_task_type,
-    register_task_type,
-    task_type_names,
-)
+from repro.campaign.grid import DEFAULT_TASK_TYPE, TASK_ENGINES, Grid, TaskSpec
 from repro.campaign.runner import run_task
 
 
 def test_builtin_task_types_are_registered():
-    names = task_type_names()
     for expected in ("stabilize", "scenario", "msgpass"):
-        assert expected in names
+        assert expected in TASK_ENGINES
     assert DEFAULT_TASK_TYPE == "stabilize"
 
 
 def test_unknown_task_type_is_rejected_with_choices():
     with pytest.raises(ValueError, match="stabilize"):
-        normalize_task_type("quantum")
-    with pytest.raises(ValueError):
         Grid(sizes=(6,), task_type="quantum")
-
-
-def test_custom_task_types_plug_into_run_task():
-    @register_task_type("test_echo")
-    def run_echo(spec):
-        return {"echo": spec.size, "converged": True}
-
-    spec = TaskSpec(
-        protocol="dftno",
-        family="ring",
-        size=6,
-        daemon="central",
-        trial=0,
-        grid_seed=0,
-        task_type="test_echo",
-    )
-    row = run_task(spec)
-    assert row["echo"] == 6
-    assert row["task_type"] == "test_echo"
-    assert row["config_hash"] == spec.config_hash
-    # Re-registering a different handler under the same name is an error.
-    with pytest.raises(ValueError):
-        register_task_type("test_echo")(lambda spec: {})
 
 
 def test_default_task_type_hashes_are_byte_identical_to_pre_registry():
@@ -178,11 +145,6 @@ def test_scenario_and_msgpass_reject_after_substrate():
         )
         with pytest.raises(ValueError, match="after_substrate"):
             run_task(spec)
-
-
-def test_get_task_handler_returns_the_registered_callable():
-    handler = get_task_handler("stabilize")
-    assert callable(handler)
 
 
 def test_msgpass_workload_axis_expands_and_hashes():

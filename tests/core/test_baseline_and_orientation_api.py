@@ -96,12 +96,6 @@ def test_orient_with_explicit_daemon_and_confirm_steps(small_ring):
     assert result.orientation.is_valid(small_ring)
 
 
-def test_orient_with_trace_recording(small_ring):
-    result = orient_with_dftno(small_ring, seed=8, record_trace=True)
-    assert result.run.trace is not None
-    assert len(result.run.trace) > 0
-
-
 def test_orient_raises_convergence_error_on_tiny_budget(small_random):
     with pytest.raises(ConvergenceError):
         orient_with_dftno(small_random, seed=9, max_steps=3)

@@ -1,4 +1,4 @@
-"""Observer fault isolation and the bounded trace ring buffer."""
+"""Observer fault isolation."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.runtime.observers import (
     CallbackObserver,
     Observer,
     ObserverFailureWarning,
-    TraceObserver,
     dispatch_safely,
 )
 from repro.runtime.scheduler import Scheduler
@@ -88,31 +87,3 @@ def test_faulty_observer_does_not_change_the_run_outcome():
     with pytest.warns(ObserverFailureWarning):
         watched = run(spec, observers=[_Exploding()])
     assert watched.row == clean.row
-
-
-# ---------------------------------------------------------------------------
-# Bounded tracing
-# ---------------------------------------------------------------------------
-def test_trace_observer_ring_buffer_keeps_the_newest_records():
-    network = generators.random_connected(8, extra_edge_probability=0.3, seed=3)
-    bounded = TraceObserver(max_records=5)
-    unbounded = TraceObserver()
-    scheduler = Scheduler(
-        network,
-        BFSSpanningTree(),
-        daemon=CentralDaemon(),
-        seed=2,
-        observers=[bounded, unbounded],
-    )
-    scheduler.run_until_legitimate(max_steps=500)
-    full = unbounded.trace.events()
-    assert len(full) > 5
-    assert bounded.trace.limit == 5
-    assert bounded.trace.events() == full[-5:]
-    assert bounded.trace.dropped == len(full) - 5
-    assert unbounded.trace.dropped == 0
-
-
-def test_trace_observer_max_records_takes_precedence_over_limit():
-    assert TraceObserver(limit=100, max_records=3).trace.limit == 3
-    assert TraceObserver(limit=7).trace.limit == 7

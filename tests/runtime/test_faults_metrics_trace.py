@@ -1,4 +1,4 @@
-"""Unit tests for fault injection, metrics and traces."""
+"""Unit tests for fault injection and metrics."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.runtime.metrics import (
     theoretical_orientation_bits,
 )
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.trace import Trace, TraceEvent
 from repro.substrates.dijkstra_ring import DijkstraTokenRing
 from repro.core.dftno import build_dftno
 
@@ -174,41 +173,3 @@ def test_theoretical_orientation_bits_shape():
     dense = generators.complete(8)
     assert theoretical_orientation_bits(large) > theoretical_orientation_bits(small)
     assert theoretical_orientation_bits(dense) > theoretical_orientation_bits(small)
-
-
-# ----------------------------------------------------------------------
-# Traces
-# ----------------------------------------------------------------------
-def _event(step=0, node=0, action="A", layer="L", changes=None):
-    return TraceEvent(step=step, round=0, node=node, action=action, layer=layer, changes=changes or {})
-
-
-def test_trace_records_and_filters():
-    trace = Trace()
-    trace.record(_event(step=0, node=1, action="A", changes={"x": (0, 1)}))
-    trace.record(_event(step=1, node=2, action="B"))
-    assert len(trace) == 2
-    assert len(trace.for_node(1)) == 1
-    assert len(trace.for_action("B")) == 1
-    assert len(trace.for_variable("x")) == 1
-    assert list(iter(trace))[0].node == 1
-
-
-def test_trace_limit_drops_oldest():
-    trace = Trace(limit=3)
-    for step in range(5):
-        trace.record(_event(step=step))
-    assert len(trace) == 3
-    assert trace.dropped == 2
-    assert trace.events()[0].step == 2
-    assert "dropped=2" in repr(trace)
-
-
-def test_trace_format_and_event_format():
-    trace = Trace()
-    trace.record(_event(step=3, node=7, action="Label", changes={"eta": (0, 4)}))
-    trace.record(_event(step=4, node=8, action="Noop"))
-    text = trace.format()
-    assert "p7" in text and "Label" in text and "0 -> 4" in text
-    assert "(no state change)" in trace.events()[1].format()
-    assert "p8" in trace.format(last=1)

@@ -12,6 +12,7 @@ from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Action
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import CentralDaemon, Daemon, SynchronousDaemon
+from repro.runtime.observers import CallbackObserver
 from repro.runtime.protocol import Protocol
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.variables import VariableSpec, int_variable
@@ -268,17 +269,18 @@ def test_step_record_contents(small_ring):
 
 def test_trace_recording(small_ring):
     protocol = CountdownProtocol(start=1)
+    records = []
     scheduler = Scheduler(
         small_ring,
         protocol,
         daemon=SynchronousDaemon(),
         configuration=protocol.initial_configuration(small_ring),
-        record_trace=True,
+        observers=[CallbackObserver(on_step=lambda source, record: records.append(record))],
     )
     scheduler.run(max_steps=10)
-    assert scheduler.trace is not None
-    assert len(scheduler.trace) == small_ring.n
-    event = scheduler.trace.events()[0]
+    moves = [move for record in records for move in record.moves]
+    assert len(moves) == small_ring.n
+    event = moves[0]
     assert event.action == "Dec"
     assert event.changes["c"] == (1, 0)
 

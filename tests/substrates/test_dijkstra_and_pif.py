@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.graphs import generators
 from repro.runtime.daemon import CentralDaemon, DistributedDaemon, SynchronousDaemon
+from repro.runtime.observers import CallbackObserver
 from repro.runtime.scheduler import Scheduler
 from repro.substrates.dijkstra_ring import VAR_COUNTER, DijkstraTokenRing, ring_order
 from repro.substrates.pif import BROADCAST, CLEAN, FEEDBACK, VAR_PHASE, PIFWave
@@ -91,34 +92,41 @@ def test_dijkstra_ring_rejects_non_ring_topology():
 # ----------------------------------------------------------------------
 # PIF waves on a rooted tree
 # ----------------------------------------------------------------------
+def _move_collector():
+    """An observer that appends every executed move, in order, to ``moves``."""
+    moves = []
+    return moves, CallbackObserver(on_step=lambda source, record: moves.extend(record.moves))
+
+
 def test_pif_runs_repeated_waves_from_clean_state(small_tree):
     protocol = PIFWave()
+    moves, collector = _move_collector()
     scheduler = Scheduler(
         small_tree,
         protocol,
         daemon=CentralDaemon("round_robin"),
         configuration=protocol.initial_configuration(small_tree),
         seed=1,
-        record_trace=True,
+        observers=[collector],
     )
     result = scheduler.run(max_steps=400)
     assert not result.terminated  # waves repeat forever
-    root_starts = scheduler.trace.for_action(PIFWave.ACTION_ROOT_START)
+    root_starts = [move for move in moves if move.action == PIFWave.ACTION_ROOT_START]
     assert len(root_starts) >= 2
 
 
 def test_pif_broadcast_reaches_leaves_before_feedback(small_tree):
     protocol = PIFWave()
+    events, collector = _move_collector()
     scheduler = Scheduler(
         small_tree,
         protocol,
         daemon=CentralDaemon("round_robin"),
         configuration=protocol.initial_configuration(small_tree),
         seed=2,
-        record_trace=True,
+        observers=[collector],
     )
     scheduler.run(max_steps=200)
-    events = scheduler.trace.events()
     first_feedback = next(i for i, e in enumerate(events) if e.action == PIFWave.ACTION_FEEDBACK)
     broadcast_nodes = {e.node for e in events[:first_feedback] if e.action in
                        (PIFWave.ACTION_BROADCAST, PIFWave.ACTION_ROOT_START)}

@@ -7,6 +7,7 @@ import pytest
 from repro.graphs import generators
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import CentralDaemon, DistributedDaemon, SynchronousDaemon
+from repro.runtime.observers import CallbackObserver
 from repro.runtime.processor import ProcessorView
 from repro.runtime.scheduler import Scheduler
 from repro.substrates import token_circulation as tc
@@ -69,15 +70,22 @@ def test_initial_configuration_is_all_waiting(small_random):
 # ----------------------------------------------------------------------
 # One clean wave from the initial configuration
 # ----------------------------------------------------------------------
+def move_collector():
+    """An observer that appends every executed move, in order, to ``moves``."""
+    moves = []
+    return moves, CallbackObserver(on_step=lambda source, record: moves.extend(record.moves))
+
+
 def run_one_wave(network, daemon=None, max_steps=5_000):
     protocol = DepthFirstTokenCirculation()
+    moves, collector = move_collector()
     scheduler = Scheduler(
         network,
         protocol,
         daemon=daemon or CentralDaemon("round_robin"),
         configuration=protocol.initial_configuration(network),
         seed=1,
-        record_trace=True,
+        observers=[collector],
     )
     start_wave = scheduler.configuration.get(network.root, tc.VAR_WAVE)
     # Run until the root has completed one full wave (flipped parity and waiting).
@@ -89,14 +97,14 @@ def run_one_wave(network, daemon=None, max_steps=5_000):
 
     result = scheduler.run(max_steps=max_steps, stop_predicate=wave_done)
     assert result.converged, "the wave did not complete"
-    return protocol, scheduler
+    return protocol, scheduler, moves
 
 
 def test_single_wave_visits_every_node_exactly_once(small_random):
-    protocol, scheduler = run_one_wave(small_random)
+    protocol, scheduler, moves = run_one_wave(small_random)
     forwards = [
         event
-        for event in scheduler.trace.events()
+        for event in moves
         if event.action in DepthFirstTokenCirculation.FORWARD_ACTIONS
     ]
     visited = [event.node for event in forwards]
@@ -104,17 +112,17 @@ def test_single_wave_visits_every_node_exactly_once(small_random):
 
 
 def test_single_wave_visits_in_deterministic_dfs_order(figure_network):
-    protocol, scheduler = run_one_wave(figure_network)
+    protocol, scheduler, moves = run_one_wave(figure_network)
     forwards = [
         event.node
-        for event in scheduler.trace.events()
+        for event in moves
         if event.action in DepthFirstTokenCirculation.FORWARD_ACTIONS
     ]
     assert forwards == dfs_preorder(figure_network)
 
 
 def test_wave_records_traversal_parents(figure_network):
-    protocol, scheduler = run_one_wave(figure_network)
+    protocol, scheduler, _ = run_one_wave(figure_network)
     parents = DepthFirstTokenCirculation.traversal_parents(figure_network, scheduler.configuration)
     assert parents[0] is None
     assert parents[1] == 0
@@ -155,18 +163,19 @@ def test_circulation_never_terminates(small_ring):
 
 def test_waves_keep_alternating_parity(small_ring):
     protocol = DepthFirstTokenCirculation()
+    moves, collector = move_collector()
     scheduler = Scheduler(
         small_ring,
         protocol,
         daemon=CentralDaemon("round_robin"),
         configuration=protocol.initial_configuration(small_ring),
         seed=5,
-        record_trace=True,
+        observers=[collector],
     )
     scheduler.run(max_steps=400)
     starts = [
         event
-        for event in scheduler.trace.events()
+        for event in moves
         if event.action == DepthFirstTokenCirculation.ACTION_ROOT_START
     ]
     assert len(starts) >= 3
