@@ -42,6 +42,7 @@ from repro.graphs import generators
 from repro.obs import (
     Instrumentation,
     NULL_INSTRUMENTATION,
+    PHASE_LEGITIMACY,
     phase_seconds,
     summary_counter,
 )
@@ -70,8 +71,9 @@ MAX_RECORDER_OVERHEAD = 0.05
 #: this fraction of the measured step wall time.
 MIN_PHASE_COVERAGE = 0.90
 #: Branch checks one scheduler step performs when instrumentation is off,
-#: rounded up (step segments + enabled-set refresh + round bookkeeping).
-CHECKS_PER_STEP = 16
+#: rounded up (step segments + enabled-set refresh + round bookkeeping + the
+#: run loop's legitimacy queries and tracker sync).
+CHECKS_PER_STEP = 20
 
 DEFAULT_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_scheduler.json"
 
@@ -130,7 +132,9 @@ def _measure_instrumentation_once(n: int, seed: int) -> dict[str, object]:
     assert on["converged"] == off["converged"]
     summary = instrumentation.summary()
     step_wall = summary_counter(summary, "step_seconds")
-    coverage = phase_seconds(summary) / step_wall if step_wall else None
+    # Legitimacy is checked between steps, outside the step wall.
+    step_phases = phase_seconds(summary) - phase_seconds(summary, PHASE_LEGITIMACY)
+    coverage = step_phases / step_wall if step_wall else None
     disabled_cost = _disabled_path_cost(int(off["steps"]))
     off_seconds = float(off["seconds"]) or 1e-9
     return {

@@ -35,9 +35,6 @@ from repro.runtime.protocol import Protocol
 from repro.runtime.scheduler import Scheduler
 from repro.substrates.spanning_tree import BFSSpanningTree, SpanningTreeProtocol
 
-Predicate = Callable[[RootedNetwork, Configuration], bool]
-
-
 @dataclass(frozen=True)
 class StabilizationSample:
     """One measured execution of a layered protocol."""
@@ -82,8 +79,7 @@ class StabilizationSample:
 def measure_layered_stabilization(
     network: RootedNetwork,
     protocol: Protocol,
-    substrate_predicate: Predicate,
-    full_predicate: Predicate,
+    substrate: Protocol,
     daemon: Daemon | None = None,
     seed: int | None = None,
     max_steps: int | None = None,
@@ -95,17 +91,20 @@ def measure_layered_stabilization(
     scheduler_factory: Callable[..., Scheduler] | None = None,
     instrumentation: Instrumentation | None = None,
 ) -> StabilizationSample:
-    """Run ``protocol`` from an arbitrary configuration and time both predicates.
+    """Run ``protocol`` from an arbitrary configuration and time two predicates.
 
-    ``substrate_predicate`` / ``full_predicate`` are evaluated after every
-    computation step; the recorded time is the first step (and round) after
-    which the predicate held continuously until the end of the run.  The run
-    ends as soon as the full predicate has held for a full-wave closure window
-    of consecutive steps or the step budget is exhausted.  ``configuration``
-    overrides the (default: arbitrary) starting configuration.  ``observers``
-    receive every step/round notification plus ``on_converged`` with the
-    finished sample.  ``incremental=False`` forces the scheduler's historical
-    full guard scan (the ``scheduler-fullscan`` differential-testing path).
+    The legitimacy of ``substrate`` (a layer of ``protocol``, such as the
+    token circulation under DFTNO) and of the whole ``protocol`` are asked of
+    the scheduler (:meth:`~repro.runtime.scheduler.Scheduler.legitimate`)
+    after every computation step; the recorded time is the first step (and
+    round) after which the predicate held continuously until the end of the
+    run.  The run ends as soon as the full predicate has held for a full-wave
+    closure window of consecutive steps or the step budget is exhausted.
+    ``configuration`` overrides the (default: arbitrary) starting
+    configuration.  ``observers`` receive every step/round notification plus
+    ``on_converged`` with the finished sample.  ``incremental=False`` forces
+    the scheduler's historical full guard scan and global legitimacy
+    predicates (the ``scheduler-fullscan`` differential-testing path).
     ``scheduler_factory`` substitutes a whole alternative execution core --
     the ``scheduler-vectorized`` engine passes
     :class:`~repro.runtime.vectorized.VectorizedScheduler` here -- and
@@ -139,15 +138,14 @@ def measure_layered_stabilization(
 
     def observe() -> None:
         nonlocal substrate_step, substrate_round, full_step, full_round, held_for
-        config = scheduler.configuration
-        if substrate_predicate(network, config):
+        if scheduler.legitimate(substrate):
             if substrate_step is None:
                 substrate_step = scheduler.steps_executed
                 substrate_round = scheduler.rounds_completed
         else:
             substrate_step = None
             substrate_round = None
-        if full_predicate(network, config):
+        if scheduler.legitimate():
             if full_step is None:
                 full_step = scheduler.steps_executed
                 full_round = scheduler.rounds_completed
@@ -240,14 +238,7 @@ def measure_dftno(
     """
     protocol = build_dftno()
     token = protocol.base
-    overlay = protocol.overlay
     rng = random.Random(seed)
-
-    def substrate(net: RootedNetwork, config: Configuration) -> bool:
-        return token.legitimate(net, config)
-
-    def full(net: RootedNetwork, config: Configuration) -> bool:
-        return token.legitimate(net, config) and overlay.legitimate(net, config)
 
     configuration = None
     if after_substrate:
@@ -256,8 +247,7 @@ def measure_dftno(
     return measure_layered_stabilization(
         network,
         protocol,
-        substrate,
-        full,
+        token,
         daemon=daemon,
         seed=seed,
         max_steps=max_steps,
@@ -301,12 +291,6 @@ def measure_stno(
     tree_protocol = overlay.tree_layer
     rng = random.Random(seed)
 
-    def substrate(net: RootedNetwork, config: Configuration) -> bool:
-        return tree_protocol.legitimate(net, config)
-
-    def full(net: RootedNetwork, config: Configuration) -> bool:
-        return tree_protocol.legitimate(net, config) and overlay.legitimate(net, config)
-
     configuration = None
     if after_substrate:
         configuration = presettled_substrate_configuration(network, protocol, tree_protocol, rng)
@@ -314,8 +298,7 @@ def measure_stno(
     return measure_layered_stabilization(
         network,
         protocol,
-        substrate,
-        full,
+        tree_protocol,
         daemon=daemon,
         seed=seed,
         max_steps=max_steps,

@@ -169,7 +169,7 @@ def exp_f1_figure_3_1_1(seed: int = 3) -> dict[str, object]:
         seed=seed,
         observers=(CallbackObserver(on_step=lambda source, record: records.append(record)),),
     )
-    scheduler.run(max_steps=400, stop_predicate=lambda s: s.protocol.legitimate(s.network, s.configuration))
+    scheduler.run(max_steps=400, stop_predicate=lambda s: s.legitimate())
 
     events: list[dict[str, object]] = []
     for record in records:

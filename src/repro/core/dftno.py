@@ -60,6 +60,7 @@ class DFTNO(HookingLayer):
     """
 
     name = "dftno"
+    legitimacy_reads = frozenset({VAR_NAME, VAR_EDGE_LABELS})
 
     ACTION_EDGE_LABEL = "NO-EdgeLabel"
 
@@ -188,6 +189,16 @@ class DFTNO(HookingLayer):
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """The orientation part of ``L_NO``: SP1 and SP2 hold."""
         return self._specification.holds(network, configuration)
+
+    def node_legitimate(
+        self, network: RootedNetwork, configuration: Configuration, node: int
+    ) -> bool:
+        """SP1's range condition and SP2 at ``node``."""
+        return self._specification.node_holds(network, configuration, node)
+
+    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
+        """SP1's name uniqueness."""
+        return self._specification.names_unique(network, configuration)
 
     def expected_names(self, network: RootedNetwork) -> dict[int, int]:
         """The names DFTNO converges to: the deterministic DFS preorder index."""

@@ -29,6 +29,11 @@ VAR_NAME = "no_eta"
 VAR_EDGE_LABELS = "no_pi"
 
 
+def _in_range(name: object, modulus: int) -> bool:
+    """SP1's range condition on one name: an integer in ``{0, ..., N-1}``."""
+    return isinstance(name, int) and 0 <= name < modulus
+
+
 @dataclass(frozen=True)
 class SpecificationReport:
     """Outcome of checking SP1 and SP2 on one configuration."""
@@ -85,7 +90,7 @@ class OrientationSpecification:
         for node in network.nodes():
             name = configuration.get(node, self.name_variable)
             names[node] = name
-            if not isinstance(name, int) or not 0 <= name < modulus:
+            if not _in_range(name, modulus):
                 sp1 = False
                 violations.append(f"SP1: processor {node} carries out-of-range name {name!r}")
                 continue
@@ -121,12 +126,54 @@ class OrientationSpecification:
         return SpecificationReport(sp1=sp1, sp2=sp2, violations=tuple(violations))
 
     def holds(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        """Whether ``SP_NO`` holds (SP1 and SP2 simultaneously)."""
-        return self.check(network, configuration).holds
+        """Whether ``SP_NO`` holds (SP1 and SP2 simultaneously).
+
+        Evaluated as the per-node conjunct (:meth:`node_holds`) everywhere
+        plus the name-uniqueness residue (:meth:`names_unique`) -- the same
+        decomposition the incremental legitimacy tracker maintains -- without
+        collecting :meth:`check`'s violation messages.
+        """
+        return all(
+            self.node_holds(network, configuration, node) for node in network.nodes()
+        ) and self.names_unique(network, configuration)
 
     def sp1_holds(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """Whether SP1 alone (unique in-range names) holds."""
-        return self.check(network, configuration).sp1
+        modulus = self.effective_modulus(network)
+        return all(
+            _in_range(configuration.get(node, self.name_variable), modulus)
+            for node in network.nodes()
+        ) and self.names_unique(network, configuration)
+
+    def node_holds(self, network: RootedNetwork, configuration: Configuration, node: int) -> bool:
+        """SP1's range condition and SP2 at ``node``: reads only its closed neighborhood."""
+        modulus = self.effective_modulus(network)
+        name = configuration.get(node, self.name_variable)
+        if not _in_range(name, modulus):
+            return False
+        labels = configuration.get(node, self.labels_variable)
+        if not isinstance(labels, dict):
+            return False
+        for neighbor in network.neighbors(node):
+            other = configuration.get(neighbor, self.name_variable)
+            if not isinstance(other, int):
+                other = 0
+            if labels.get(neighbor) != chordal_edge_label(name, other, modulus):
+                return False
+        return True
+
+    def names_unique(self, network: RootedNetwork, configuration: Configuration) -> bool:
+        """SP1's global residue: no two processors carry the same in-range name."""
+        modulus = self.effective_modulus(network)
+        seen: set[int] = set()
+        for node in network.nodes():
+            name = configuration.get(node, self.name_variable)
+            if not _in_range(name, modulus):
+                continue
+            if name in seen:
+                return False
+            seen.add(name)
+        return True
 
     # ------------------------------------------------------------------
     # Extraction

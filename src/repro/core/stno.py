@@ -71,6 +71,7 @@ class STNO(Protocol):
     """
 
     name = "stno"
+    legitimacy_reads = frozenset({VAR_NAME, VAR_EDGE_LABELS})
 
     ACTION_WEIGHT = "STNO-Weight"
     ACTION_ROOT_WEIGHT = "STNO-RootWeight"
@@ -235,6 +236,16 @@ class STNO(Protocol):
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """The orientation part of ``L_NO``: SP1 and SP2 hold."""
         return self._specification.holds(network, configuration)
+
+    def node_legitimate(
+        self, network: RootedNetwork, configuration: Configuration, node: int
+    ) -> bool:
+        """SP1's range condition and SP2 at ``node``."""
+        return self._specification.node_holds(network, configuration, node)
+
+    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
+        """SP1's name uniqueness."""
+        return self._specification.names_unique(network, configuration)
 
     def expected_names(
         self, network: RootedNetwork, parents: dict[int, int | None] | None = None

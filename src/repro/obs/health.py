@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.runtime.observers import Observer
+from repro.runtime.observers import Observer, source_legitimacy
 
 #: The health blob schema version.
 HEALTH_SCHEMA = 1
@@ -225,15 +225,7 @@ class HealthMonitor(Observer):
 
     @staticmethod
     def _legitimate(source: Any) -> bool | None:
-        protocol = getattr(source, "protocol", None)
-        network = getattr(source, "network", None)
-        configuration = getattr(source, "configuration", None)
-        if protocol is None or network is None or configuration is None:
-            return None
-        try:
-            return bool(protocol.legitimate(network, configuration))
-        except Exception:
-            return None
+        return source_legitimacy(source)
 
     def _reset_window(self) -> None:
         self._window.clear()

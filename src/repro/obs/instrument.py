@@ -9,8 +9,8 @@ feed it three kinds of measurements:
   size, enabled-set size), summarized as count/sum/min/max so any two
   summaries merge associatively;
 * **phase timers** -- wall-clock attributed to a named phase of the step loop
-  (``guard_eval``, ``daemon_select``, ``action_exec``, ``observer_dispatch``),
-  as ``(seconds, count)`` pairs.
+  (``guard_eval``, ``daemon_select``, ``action_exec``, ``observer_dispatch``)
+  or of the run around it (``legitimacy``), as ``(seconds, count)`` pairs.
 
 **The disabled path costs (almost) nothing.**  Every scheduler holds an
 instrumentation object; when none was requested it holds the shared
@@ -41,6 +41,8 @@ PHASE_GUARD_EVAL = "guard_eval"
 PHASE_DAEMON_SELECT = "daemon_select"
 PHASE_ACTION_EXEC = "action_exec"
 PHASE_OBSERVER_DISPATCH = "observer_dispatch"
+#: Legitimacy checking, booked by ``Scheduler.legitimate`` outside the step.
+PHASE_LEGITIMACY = "legitimacy"
 
 #: The summary schema version, bumped if the dictionary shape ever changes.
 SUMMARY_SCHEMA = 1
@@ -239,6 +241,7 @@ __all__ = [
     "PHASE_ACTION_EXEC",
     "PHASE_DAEMON_SELECT",
     "PHASE_GUARD_EVAL",
+    "PHASE_LEGITIMACY",
     "PHASE_OBSERVER_DISPATCH",
     "SUMMARY_SCHEMA",
     "merge_summaries",

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.runtime.observers import Observer
+from repro.runtime.observers import Observer, source_legitimacy
 
 #: The telemetry blob schema version, bumped if the shape ever changes.
 TELEMETRY_SCHEMA = 1
@@ -166,15 +166,8 @@ class ConvergenceTelemetryObserver(Observer):
         Substrates may additionally expose ``convergence_distance(network,
         configuration)``; :meth:`_distance` reads it when present.
         """
-        protocol = getattr(source, "protocol", None)
-        network = getattr(source, "network", None)
-        configuration = getattr(source, "configuration", None)
-        if protocol is None or network is None or configuration is None:
-            return None
-        try:
-            return int(bool(protocol.legitimate(network, configuration)))
-        except Exception:  # a partial stack mid-scenario must not kill the run
-            return None
+        legitimate = source_legitimacy(source)
+        return None if legitimate is None else int(legitimate)
 
     @staticmethod
     def _distance(source: Any) -> float | None:

@@ -220,6 +220,31 @@ class CallbackObserver(Observer):
             self._on_converged(source, result)
 
 
+def source_legitimacy(source: Any) -> bool | None:
+    """Whether the configuration an observer's ``source`` holds is legitimate.
+
+    A :class:`~repro.runtime.scheduler.Scheduler` answers through
+    :meth:`~repro.runtime.scheduler.Scheduler.legitimate` (its incremental
+    tracker); any other source with ``protocol``/``network``/``configuration``
+    attributes gets the protocol's global predicate.  ``None`` when the
+    source has no such state or the predicate raises (a partial stack
+    mid-scenario must not kill the run).
+    """
+    from repro.runtime.scheduler import Scheduler
+
+    try:
+        if isinstance(source, Scheduler):
+            return source.legitimate()
+        protocol = getattr(source, "protocol", None)
+        network = getattr(source, "network", None)
+        configuration = getattr(source, "configuration", None)
+        if protocol is None or network is None or configuration is None:
+            return None
+        return bool(protocol.legitimate(network, configuration))
+    except Exception:
+        return None
+
+
 __all__ = [
     "CallbackObserver",
     "MetricsObserver",
@@ -227,4 +252,5 @@ __all__ = [
     "ObserverFailureWarning",
     "ProgressObserver",
     "dispatch_safely",
+    "source_legitimacy",
 ]

@@ -30,6 +30,11 @@ class Protocol(ABC):
     #: Short identifier used in traces, metrics and composition error messages.
     name: str = "protocol"
 
+    #: The variables :meth:`node_legitimate` and :meth:`legitimacy_residue`
+    #: read, or ``None`` for any variable.  The incremental legitimacy
+    #: tracker re-checks a layer only after one of them changed.
+    legitimacy_reads: frozenset[str] | None = None
+
     # ------------------------------------------------------------------
     # Abstract interface
     # ------------------------------------------------------------------
@@ -44,6 +49,30 @@ class Protocol(ABC):
     @abstractmethod
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """Whether ``configuration`` satisfies the protocol's legitimacy predicate."""
+
+    # ------------------------------------------------------------------
+    # Legitimacy decomposition (read by the incremental LegitimacyTracker)
+    # ------------------------------------------------------------------
+    def node_legitimate(
+        self, network: RootedNetwork, configuration: Configuration, node: int
+    ) -> bool:
+        """The per-node conjunct of :meth:`legitimate` at ``node``.
+
+        A layer that decomposes its predicate returns here the part that
+        reads only ``node``'s closed neighborhood (itself and its
+        neighbors), and defines :meth:`legitimate` as "this holds at every
+        node and :meth:`legitimacy_residue` holds".  The default -- no
+        decomposition -- holds everywhere.
+        """
+        return True
+
+    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
+        """The global remainder of :meth:`legitimate` beyond the per-node conjuncts.
+
+        The default is the whole predicate, which is correct for any layer
+        that does not decompose (see :meth:`node_legitimate`).
+        """
+        return self.legitimate(network, configuration)
 
     # ------------------------------------------------------------------
     # Derived helpers

@@ -29,11 +29,13 @@ from repro.obs.instrument import (
     PHASE_ACTION_EXEC,
     PHASE_DAEMON_SELECT,
     PHASE_GUARD_EVAL,
+    PHASE_LEGITIMACY,
     PHASE_OBSERVER_DISPATCH,
 )
 from repro.runtime.actions import Action
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import Daemon, DistributedDaemon
+from repro.runtime.legitimacy import LegitimacyTracker
 from repro.runtime.metrics import ExecutionMetrics
 from repro.runtime.observers import MetricsObserver, Observer, dispatch_safely
 from repro.runtime.processor import ProcessorView
@@ -185,7 +187,10 @@ class Scheduler:
         neighbors (:class:`~repro.runtime.processor.ProcessorView` enforces
         it), so results are bit-identical to ``incremental=False``, which
         keeps the historical full scan for differential testing (the
-        ``scheduler-fullscan`` engine).
+        ``scheduler-fullscan`` engine).  The same flag selects how
+        :meth:`legitimate` answers: from a
+        :class:`~repro.runtime.legitimacy.LegitimacyTracker` on the same
+        change journal, or by evaluating the protocol's global predicate.
     check_guard_locality:
         Debug mode: track every configuration read during guard evaluation
         and raise :class:`~repro.errors.GuardLocalityError` (a
@@ -263,6 +268,8 @@ class Scheduler:
         # *membership* (or the frozen set) actually changes.
         self._enabled_order: tuple[int, ...] | None = None
         self._enabled_members: frozenset[int] | None = None
+        # Built on the first legitimacy query (see :meth:`legitimate`).
+        self._legitimacy: LegitimacyTracker | None = None
 
         # The one point where an observer can still see the *initial*
         # configuration (the flight recorder captures it here).
@@ -450,6 +457,47 @@ class Scheduler:
             instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
 
     # ------------------------------------------------------------------
+    # Legitimacy
+    # ------------------------------------------------------------------
+    def legitimate(self, layer: Protocol | None = None) -> bool:
+        """Whether ``layer`` (default: the whole protocol) is legitimate now.
+
+        ``layer`` is the protocol, one of its :meth:`~Protocol.layers`, or a
+        composition of some of them (a substrate such as the DFS tree).  On
+        the incremental path the answer comes from a
+        :class:`~repro.runtime.legitimacy.LegitimacyTracker`, built on the
+        first call and rebuilt whenever the configuration or network object
+        was replaced (:meth:`set_configuration`, :meth:`set_network`): its
+        watcher must sit on the live configuration and its references match
+        the live links.  With ``incremental=False`` it evaluates the layer's
+        global predicate, the reference the tracker is tested against.
+        """
+        instr = self._instr
+        if not instr.enabled:
+            return self._legitimate(layer)
+        started = time.perf_counter()
+        holds = self._legitimate(layer)
+        instr.phase_time(PHASE_LEGITIMACY, time.perf_counter() - started)
+        return holds
+
+    def _legitimate(self, layer: Protocol | None) -> bool:
+        if not self.incremental:
+            checked = self.protocol if layer is None else layer
+            return checked.legitimate(self.network, self.configuration)
+        tracker = self._legitimacy
+        if (
+            tracker is None
+            or tracker.configuration is not self.configuration
+            or tracker.network is not self.network
+        ):
+            if tracker is not None:
+                tracker.detach()
+            tracker = self._legitimacy = LegitimacyTracker(
+                self.network, self.protocol, self.configuration, instrumentation=self._instr
+            )
+        return tracker.legitimate(layer)
+
+    # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
     def step(self) -> StepRecord | None:
@@ -611,7 +659,7 @@ class Scheduler:
 
         def note_legitimacy() -> None:
             nonlocal first_legitimate_step, first_legitimate_round
-            if self.protocol.legitimate(self.network, self.configuration):
+            if self.legitimate():
                 if first_legitimate_step is None:
                     first_legitimate_step = self._step_index
                     first_legitimate_round = self._round_index
@@ -634,7 +682,7 @@ class Scheduler:
 
         if terminated:
             # A terminated (silent) execution trivially converged if legitimate.
-            converged = converged or self.protocol.legitimate(self.network, self.configuration)
+            converged = converged or self.legitimate()
 
         return RunResult(
             steps=self._step_index,
@@ -663,10 +711,7 @@ class Scheduler:
         """
 
         result = self.run(
-            max_steps=max_steps,
-            stop_predicate=lambda scheduler: scheduler.protocol.legitimate(
-                scheduler.network, scheduler.configuration
-            ),
+            max_steps=max_steps, stop_predicate=lambda scheduler: scheduler.legitimate()
         )
         if not result.converged:
             if raise_on_failure:
@@ -688,13 +733,11 @@ class Scheduler:
                     terminated = True
                     break
                 confirmed += 1
-                if not self.protocol.legitimate(self.network, self.configuration):
+                if not self.legitimate():
                     # Closure violated: keep running until legitimate again.
                     inner = self.run(
                         max_steps=max_steps,
-                        stop_predicate=lambda scheduler: scheduler.protocol.legitimate(
-                            scheduler.network, scheduler.configuration
-                        ),
+                        stop_predicate=lambda scheduler: scheduler.legitimate(),
                     )
                     stabilization_step = inner.first_legitimate_step
                     stabilization_round = inner.first_legitimate_round
@@ -712,7 +755,7 @@ class Scheduler:
                 moves=self.metrics.moves,
                 rounds=self._round_index,
                 terminated=terminated,
-                converged=self.protocol.legitimate(self.network, self.configuration),
+                converged=self.legitimate(),
                 first_legitimate_step=stabilization_step,
                 first_legitimate_round=stabilization_round,
                 configuration=self.configuration.copy(),

@@ -135,9 +135,7 @@ class ScenarioRunner:
             for _ in range(timed.delay_steps):
                 if scheduler.step() is None:
                     break
-                if stabilized and not scheduler.protocol.legitimate(
-                    scheduler.network, scheduler.configuration
-                ):
+                if stabilized and not scheduler.legitimate():
                     violations += 1
 
             before = scheduler.configuration.copy()
@@ -145,9 +143,7 @@ class ScenarioRunner:
             disturbed = disturbed_nodes(
                 before, scheduler.configuration, self.watch_variables
             )
-            broke = not scheduler.protocol.legitimate(
-                scheduler.network, scheduler.configuration
-            )
+            broke = not scheduler.legitimate()
 
             start_steps = scheduler.steps_executed
             start_rounds = scheduler.rounds_completed

@@ -28,7 +28,7 @@ is all STNO needs.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
@@ -120,14 +120,40 @@ def tree_parents_from_configuration(
     return protocol.parents(network, configuration)
 
 
+class _PerNetwork:
+    """``compute(network)``, recomputed only when a different network object arrives.
+
+    Networks are immutable, so a reference value (true BFS distances, the
+    reference DFS tree) derived from one stays valid until a topology change
+    hands the protocol a new network object.
+    """
+
+    __slots__ = ("_compute", "_network", "_value")
+
+    def __init__(self, compute: Callable[[RootedNetwork], Any]) -> None:
+        self._compute = compute
+        self._network: RootedNetwork | None = None
+        self._value: Any = None
+
+    def __call__(self, network: RootedNetwork) -> Any:
+        if network is not self._network:
+            self._value = self._compute(network)
+            self._network = network
+        return self._value
+
+
 class BFSSpanningTree(SpanningTreeProtocol):
     """Breadth-first spanning tree by self-stabilizing distance relaxation."""
 
     name = "bfstree"
     parent_variable = VAR_BFS_PARENT
+    legitimacy_reads = frozenset({VAR_BFS_DIST, VAR_BFS_PARENT})
 
     ACTION_ROOT = "ST-Root"
     ACTION_RELAX = "ST-Relax"
+
+    def __init__(self) -> None:
+        self._truth = _PerNetwork(bfs_distances)
 
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
         max_dist = max(network.n - 1, 0)
@@ -262,19 +288,26 @@ class BFSSpanningTree(SpanningTreeProtocol):
 
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """True distances everywhere and every parent one hop closer to the root."""
-        truth = bfs_distances(network)
-        for node in network.nodes():
-            if configuration.get(node, VAR_BFS_DIST) != truth[node]:
-                return False
-            parent = configuration.get(node, VAR_BFS_PARENT)
-            if node == network.root:
-                if parent is not None:
-                    return False
-                continue
-            if parent is None or parent not in network.neighbor_set(node):
-                return False
-            if truth[parent] != truth[node] - 1:
-                return False
+        return all(
+            self.node_legitimate(network, configuration, node) for node in network.nodes()
+        )
+
+    def node_legitimate(
+        self, network: RootedNetwork, configuration: Configuration, node: int
+    ) -> bool:
+        """``node``'s distance is its true one and its parent one hop closer."""
+        truth = self._truth(network)
+        if configuration.get(node, VAR_BFS_DIST) != truth[node]:
+            return False
+        parent = configuration.get(node, VAR_BFS_PARENT)
+        if node == network.root:
+            return parent is None
+        if parent is None or parent not in network.neighbor_set(node):
+            return False
+        return truth[parent] == truth[node] - 1
+
+    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
+        """None: the reference distances are computed once per network."""
         return True
 
 
@@ -307,6 +340,10 @@ class _DFSTreeOverlay(HookingLayer):
     """Records the token's traversal parents into a stable tree variable."""
 
     name = "dfstree-overlay"
+    legitimacy_reads = frozenset({VAR_DFS_PARENT})
+
+    def __init__(self) -> None:
+        self._reference = _PerNetwork(dfs_tree_parents)
 
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
         return [
@@ -334,10 +371,19 @@ class _DFSTreeOverlay(HookingLayer):
         return []
 
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        reference = dfs_tree_parents(network)
         return all(
-            configuration.get(node, VAR_DFS_PARENT) == reference[node] for node in network.nodes()
+            self.node_legitimate(network, configuration, node) for node in network.nodes()
         )
+
+    def node_legitimate(
+        self, network: RootedNetwork, configuration: Configuration, node: int
+    ) -> bool:
+        """``node`` records its parent in the reference DFS tree."""
+        return configuration.get(node, VAR_DFS_PARENT) == self._reference(network)[node]
+
+    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
+        """None: the reference DFS tree is computed once per network."""
+        return True
 
 
 class DFSSpanningTree(SpanningTreeProtocol):

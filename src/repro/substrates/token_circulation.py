@@ -123,6 +123,7 @@ class DepthFirstTokenCirculation(Protocol):
     """
 
     name = "dftc"
+    legitimacy_reads = frozenset({VAR_STATE, VAR_WAVE, VAR_PARENT, VAR_CHILD, VAR_LEVEL})
 
     ACTION_ROOT_NORMALIZE = "TC-RootNormalize"
     ACTION_ROOT_START = "TC-RootStart"
@@ -398,47 +399,66 @@ class DepthFirstTokenCirculation(Protocol):
         wave (hence the active processors form a single DFS stack starting at
         the root), every accepted delegation was accepted from its delegator
         (no child pointer aims back into the stack), and there is at most one
-        token holder.
+        token holder.  The root, level and stacking conditions are the
+        per-node conjunct (:meth:`node_legitimate`); the holder count and
+        "an active processor implies an active root" are the residue.
         """
-        root = network.root
-        if configuration.get(root, VAR_PARENT) is not None:
-            return False
-        if configuration.get(root, VAR_LEVEL) != 0:
-            return False
+        return all(
+            self.node_legitimate(network, configuration, node) for node in network.nodes()
+        ) and self.legitimacy_residue(network, configuration)
 
-        any_active_non_root = False
-        for node in network.nodes():
-            if configuration.get(node, VAR_LEVEL) > network.n - 1:
+    def node_legitimate(
+        self, network: RootedNetwork, configuration: Configuration, node: int
+    ) -> bool:
+        """Levels in range, the root unparented, and ``node`` consistently stacked."""
+        level = configuration.get(node, VAR_LEVEL)
+        if level > network.n - 1:
+            return False
+        if node == network.root:
+            if configuration.get(node, VAR_PARENT) is not None or level != 0:
                 return False
-            if configuration.get(node, VAR_STATE) == ACTIVE:
-                child = configuration.get(node, VAR_CHILD)
-                if (
-                    child is not None
-                    and child in network.neighbor_set(node)
-                    and configuration.get(child, VAR_STATE) == ACTIVE
-                    and configuration.get(child, VAR_PARENT) != node
-                ):
-                    return False
-            if node == root:
-                continue
+        if configuration.get(node, VAR_STATE) != ACTIVE:
+            return True
+        neighbors = network.neighbor_set(node)
+        child = configuration.get(node, VAR_CHILD)
+        if (
+            child is not None
+            and child in neighbors
+            and configuration.get(child, VAR_STATE) == ACTIVE
+            and configuration.get(child, VAR_PARENT) != node
+        ):
+            return False
+        if node == network.root:
+            return True
+        parent = configuration.get(node, VAR_PARENT)
+        if parent is None or parent not in neighbors:
+            return False
+        return (
+            configuration.get(parent, VAR_STATE) == ACTIVE
+            and configuration.get(parent, VAR_CHILD) == node
+            and configuration.get(parent, VAR_WAVE) == configuration.get(node, VAR_WAVE)
+            and level == configuration.get(parent, VAR_LEVEL) + 1
+        )
+
+    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
+        """At most one token holder, and an active non-root implies an active root."""
+        root_active = configuration.get(network.root, VAR_STATE) == ACTIVE
+        holders = 0
+        for node in network.nodes():
             if configuration.get(node, VAR_STATE) != ACTIVE:
                 continue
-            any_active_non_root = True
-            parent = configuration.get(node, VAR_PARENT)
-            if parent is None or parent not in network.neighbor_set(node):
-                return False
-            if configuration.get(parent, VAR_STATE) != ACTIVE:
-                return False
-            if configuration.get(parent, VAR_CHILD) != node:
-                return False
-            if configuration.get(parent, VAR_WAVE) != configuration.get(node, VAR_WAVE):
-                return False
-            if configuration.get(node, VAR_LEVEL) != configuration.get(parent, VAR_LEVEL) + 1:
-                return False
-
-        if any_active_non_root and configuration.get(root, VAR_STATE) != ACTIVE:
-            return False
-        return len(self.token_holders(network, configuration)) <= 1
+            if not root_active:
+                return False  # ``node`` is an active non-root
+            child = configuration.get(node, VAR_CHILD)
+            if (
+                child is None
+                or child not in network.neighbor_set(node)
+                or configuration.get(child, VAR_STATE) != ACTIVE
+            ):
+                holders += 1
+                if holders > 1:
+                    return False
+        return True
 
     # ------------------------------------------------------------------
     # Introspection helpers used by experiments and by DFTNO

@@ -54,8 +54,7 @@ def test_measure_layered_stabilization_unconverged_budget(small_random):
     sample = measure_layered_stabilization(
         small_random,
         protocol,
-        substrate_predicate=lambda net, cfg: False,
-        full_predicate=lambda net, cfg: False,
+        protocol.base,
         seed=4,
         max_steps=20,
     )

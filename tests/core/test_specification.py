@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.api.engines import build_protocol
 from repro.core.baseline import centralized_orientation
 from repro.core.specification import VAR_EDGE_LABELS, VAR_NAME, OrientationSpecification
 from repro.graphs import generators
 from repro.runtime.configuration import Configuration
+from repro.runtime.faults import corrupt_configuration
+from repro.runtime.scheduler import Scheduler
 
 
 def configuration_from_orientation(network, orientation) -> Configuration:
@@ -116,3 +121,30 @@ def test_report_holds_property():
     assert SpecificationReport(sp1=True, sp2=True).holds
     assert not SpecificationReport(sp1=True, sp2=False).holds
     assert not SpecificationReport(sp1=False, sp2=True).holds
+
+
+@pytest.mark.parametrize("stack", ["dftno", "stno-bfs", "stno-dfs"])
+def test_holds_agrees_with_check_on_protocol_configurations(stack):
+    """``holds``/``sp1_holds`` skip the messages but must decide like ``check``."""
+    network = generators.random_connected(10, extra_edge_probability=0.3, seed=3)
+    protocol = build_protocol(stack)
+    spec = OrientationSpecification()
+    rng = random.Random(4)
+    scheduler = Scheduler(network, protocol, seed=5)
+    assert scheduler.run_until_legitimate(max_steps=5_000).converged
+    legitimate = scheduler.configuration
+    configurations = [legitimate]
+    configurations += [protocol.random_configuration(network, rng=rng) for _ in range(5)]
+    configurations += [
+        corrupt_configuration(
+            legitimate, protocol, network, node_fraction=0.1, variable_fraction=0.5, rng=rng
+        )
+        for _ in range(10)
+    ]
+    outcomes = set()
+    for configuration in configurations:
+        report = spec.check(network, configuration)
+        assert spec.holds(network, configuration) == report.holds
+        assert spec.sp1_holds(network, configuration) == report.sp1
+        outcomes.add(report.holds)
+    assert outcomes == {True, False}

@@ -1,0 +1,246 @@
+"""The incremental legitimacy tracker against the global predicates it replaces.
+
+``Scheduler.legitimate(layer)`` answers from a
+:class:`~repro.runtime.legitimacy.LegitimacyTracker` (per-node conjuncts
+re-checked around journaled changes, plus a cached global residue).  These
+tests hold it to ``layer.legitimate(network, configuration)`` after every
+step and every out-of-band mutation, and pin down the locality contract the
+tracker rests on: a node's conjunct reads only its closed neighborhood and
+only the variables its layer declares in ``legitimacy_reads``.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.api import NetworkSpec, RunSpec, run
+from repro.api.engines import build_protocol
+from repro.core.stno import STNO
+from repro.graphs import generators
+from repro.obs import Instrumentation, PHASE_LEGITIMACY, summary_counter
+from repro.runtime.configuration import Configuration
+from repro.runtime.daemon import make_daemon
+from repro.runtime.faults import corrupt_configuration
+from repro.runtime.legitimacy import LegitimacyTracker
+from repro.runtime.scheduler import Scheduler
+from repro.scenarios.events import LinkChange
+from repro.substrates.dijkstra_ring import DijkstraTokenRing
+from repro.substrates.pif import PIFWave
+from repro.substrates.spanning_tree import BFSSpanningTree, DFSSpanningTree
+from repro.substrates.token_circulation import DepthFirstTokenCirculation
+
+STACKS = ("dftno", "stno-bfs", "stno-dfs")
+DAEMONS = ("central", "distributed", "synchronous", "adversarial")
+FAMILIES = ("random_connected", "random_tree", "grid")
+
+
+def _substrate(protocol):
+    """The layer the harness times first: the token layer or the STNO tree."""
+    for layer in protocol.layers():
+        if isinstance(layer, STNO):
+            return layer.tree_layer
+    return protocol.base
+
+
+def _predicates(protocol):
+    """Everything the tracker answers for: the stack, its substrate, each layer."""
+    return (protocol, _substrate(protocol), *protocol.layers())
+
+
+def _assert_agrees(scheduler, predicates) -> bool:
+    network, configuration = scheduler.network, scheduler.configuration
+    for layer in predicates:
+        expected = layer.legitimate(network, configuration)
+        assert scheduler.legitimate(layer) == expected, (layer.name, scheduler.steps_executed)
+    whole = scheduler.protocol.legitimate(network, configuration)
+    assert scheduler.legitimate() == whole
+    return whole
+
+
+def _steps(scheduler, predicates, count: int, seen: set[bool]) -> None:
+    for _ in range(count):
+        if scheduler.step() is None:
+            break
+        seen.add(_assert_agrees(scheduler, predicates))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("daemon", DAEMONS)
+@pytest.mark.parametrize("stack", STACKS)
+def test_tracker_matches_the_global_predicates_after_every_step(stack, daemon, family):
+    network = generators.family(family, 9, seed=4)
+    protocol = build_protocol(stack)
+    rng = random.Random(11)
+    scheduler = Scheduler(network, protocol, daemon=make_daemon(daemon), seed=5)
+    predicates = _predicates(protocol)
+    seen = {_assert_agrees(scheduler, predicates)}
+
+    scheduler.run_until_legitimate(max_steps=3_000)
+    seen.add(_assert_agrees(scheduler, predicates))
+    _steps(scheduler, predicates, 40, seen)
+
+    scheduler.set_configuration(
+        corrupt_configuration(
+            scheduler.configuration, protocol, network, node_fraction=0.3, rng=rng
+        )
+    )
+    seen.add(_assert_agrees(scheduler, predicates))
+    _steps(scheduler, predicates, 60, seen)
+
+    victim = rng.randrange(1, network.n)
+    scheduler.freeze((victim,))
+    _steps(scheduler, predicates, 10, seen)
+    scheduler.unfreeze((victim,))
+    scheduler.replace_node(victim, protocol.random_state(network, victim, rng))
+    seen.add(_assert_agrees(scheduler, predicates))
+    _steps(scheduler, predicates, 60, seen)
+
+    LinkChange(mode="add").apply(scheduler, rng)
+    assert scheduler.network is not network
+    seen.add(_assert_agrees(scheduler, predicates))
+    _steps(scheduler, predicates, 400, seen)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "protocol, family",
+    [
+        (DepthFirstTokenCirculation(), "random_connected"),
+        (BFSSpanningTree(), "random_connected"),
+        (DFSSpanningTree(), "grid"),
+        (DijkstraTokenRing(), "ring"),
+        (PIFWave(), "random_tree"),
+    ],
+    ids=lambda value: getattr(value, "name", value),
+)
+def test_standalone_substrates_agree_including_the_residue_fallback(protocol, family):
+    network = generators.family(family, 8, seed=2)
+    rng = random.Random(3)
+    scheduler = Scheduler(network, protocol, daemon=make_daemon("distributed"), seed=6)
+    predicates = (protocol, *protocol.layers())
+    seen = {_assert_agrees(scheduler, predicates)}
+    _steps(scheduler, predicates, 150, seen)
+    scheduler.set_configuration(
+        corrupt_configuration(scheduler.configuration, protocol, network, rng=rng)
+    )
+    seen.add(_assert_agrees(scheduler, predicates))
+    _steps(scheduler, predicates, 150, seen)
+    assert True in seen
+
+
+def test_fullscan_scheduler_evaluates_the_global_predicate():
+    network = generators.random_connected(8, seed=1)
+    scheduler = Scheduler(network, build_protocol("dftno"), seed=2, incremental=False)
+    scheduler.run_until_legitimate(max_steps=3_000)
+    assert scheduler.legitimate()
+    assert scheduler._legitimacy is None
+
+
+def test_tracker_moves_to_a_replaced_configuration_object():
+    network = generators.random_connected(8, seed=1)
+    protocol = build_protocol("dftno")
+    scheduler = Scheduler(network, protocol, seed=2)
+    scheduler.run_until_legitimate(max_steps=3_000)
+    assert scheduler.legitimate()
+    old = scheduler.configuration
+    scheduler.set_configuration(protocol.random_configuration(network, seed=9))
+    assert scheduler.legitimate() == protocol.legitimate(network, scheduler.configuration)
+    # The previous configuration object lost its watcher.
+    assert not old._watchers
+
+
+def test_unknown_layer_is_rejected():
+    network = generators.random_connected(8, seed=1)
+    scheduler = Scheduler(network, build_protocol("dftno"), seed=2)
+    with pytest.raises(ValueError, match="not part of the tracked protocol"):
+        scheduler.legitimate(BFSSpanningTree())
+
+
+# ----------------------------------------------------------------------
+# Locality: what a conjunct and a residue may read
+# ----------------------------------------------------------------------
+class ReadLog(Configuration):
+    """A configuration that records every ``(node, variable)`` read."""
+
+    def __init__(self, states) -> None:
+        super().__init__(states)
+        self.reads: list[tuple[int, str]] = []
+
+    def get(self, node, variable):
+        self.reads.append((node, variable))
+        return super().get(node, variable)
+
+
+def _configurations(protocol, network):
+    """Arbitrary, fault-corrupted and legitimate configurations of ``protocol``."""
+    rng = random.Random(7)
+    scheduler = Scheduler(network, protocol, seed=8)
+    scheduler.run_until_legitimate(max_steps=5_000)
+    legitimate = scheduler.configuration
+    assert protocol.legitimate(network, legitimate)
+    return [
+        protocol.random_configuration(network, rng=rng),
+        protocol.random_configuration(network, rng=rng),
+        corrupt_configuration(legitimate, protocol, network, node_fraction=0.25, rng=rng),
+        legitimate,
+    ]
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_conjuncts_read_only_the_closed_neighborhood_and_declared_variables(stack):
+    network = generators.random_connected(10, extra_edge_probability=0.3, seed=5)
+    protocol = build_protocol(stack)
+    for configuration in _configurations(protocol, network):
+        logged = ReadLog(configuration.to_dict())
+        for layer in protocol.layers():
+            declared = layer.legitimacy_reads
+            assert declared is not None, layer.name
+            for node in network.nodes():
+                logged.reads.clear()
+                layer.node_legitimate(network, logged, node)
+                allowed = network.neighbor_set(node) | {node}
+                assert {source for source, _ in logged.reads} <= allowed, (layer.name, node)
+                assert {name for _, name in logged.reads} <= declared, (layer.name, node)
+            logged.reads.clear()
+            layer.legitimacy_residue(network, logged)
+            assert {name for _, name in logged.reads} <= declared, layer.name
+
+
+# ----------------------------------------------------------------------
+# Instrumentation
+# ----------------------------------------------------------------------
+def test_dftno_run_reports_the_legitimacy_phase_and_nodes_checked():
+    spec = RunSpec(network=NetworkSpec(family="random_connected", size=10, seed=1), seed=2)
+    instrumented = run(spec, instrumentation=Instrumentation())
+    perf = instrumented.perf
+    assert perf["phases"][PHASE_LEGITIMACY]["count"] > 0
+    assert perf["phases"][PHASE_LEGITIMACY]["seconds"] > 0.0
+    # The first query checks every node of both DFTNO layers.
+    assert summary_counter(perf, "legitimacy_nodes_checked") >= 2 * 10
+    plain = run(spec)
+    assert plain.perf is None
+    assert {key: value for key, value in instrumented.row.items() if key != "perf"} == plain.row
+
+
+def test_uninstrumented_tracker_records_nothing():
+    network = generators.random_connected(8, seed=1)
+    scheduler = Scheduler(network, build_protocol("dftno"), seed=2)
+    scheduler.run_until_legitimate(max_steps=3_000)
+    assert isinstance(scheduler._legitimacy, LegitimacyTracker)
+    assert scheduler.instrumentation.summary() == {}
+
+
+def test_disabled_instrumentation_overhead_contract_still_holds():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+    try:
+        import bench_scheduler_core as bench
+    finally:
+        sys.path.pop(0)
+    measure = bench.measure_instrumentation(50)
+    assert measure["disabled_overhead"] <= bench.MAX_DISABLED_OVERHEAD
+    # The legitimacy phase runs between steps: step-phase coverage stays <= 1.
+    assert measure["phase_coverage"] <= 1.001
