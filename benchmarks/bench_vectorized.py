@@ -76,6 +76,7 @@ def _time_stabilization(n: int, vectorized: bool) -> dict[str, object]:
     elapsed = time.perf_counter() - started
     row = {
         "n": n,
+        "m": network.num_edges(),
         "engine": "scheduler-vectorized" if vectorized else "scheduler",
         "steps": steps,
         "converged": True,
@@ -113,7 +114,7 @@ def run_bench(sizes=FULL_SIZES, emit=print) -> dict[str, object]:
         reference_final = base.pop("_final")
         rows.append(base)
         emit(
-            f"n={n}: per-node {base['seconds']:.3f}s "
+            f"n={n} m={base['m']}: per-node {base['seconds']:.3f}s "
             f"({base['steps']} rounds, {base['rounds_per_second']} rounds/s)"
         )
         fast = _time_stabilization(n, vectorized=True)

@@ -20,7 +20,9 @@ Three gates, machine-robust by construction:
 2. **Speedup trajectory** -- the incremental-vs-fullscan speedup at each
    size is a ratio of two timings on the *same* machine, hence directly
    comparable across machines.  The current speedup must stay within
-   ``--max-ratio`` of the history median per size.
+   ``--max-ratio`` of the history median per size, over the history lines
+   whose edge count ``m`` at that size (``m_by_n``) matches the current
+   run's; lines without the label still count.
 3. **Phase-time trajectory** -- absolute phase seconds are not comparable
    across machines, so both sides are normalized to *calibration units*:
    per-step phase seconds divided by ``calibration_seconds``, the fixed
@@ -188,6 +190,19 @@ def check_absolute(current: dict, failures: list[str]) -> None:
             )
 
 
+def _same_workload(current_edges: dict, line: dict, size: str) -> bool:
+    """Whether history ``line`` measured size ``size`` on the current edge count.
+
+    Lines (or runs) that predate the ``m_by_n`` label cannot tell, and count
+    as the same workload, as they always did.
+    """
+    past_edges = line.get("m_by_n")
+    if not isinstance(past_edges, dict):
+        return True
+    now, then = current_edges.get(size), past_edges.get(size)
+    return now is None or then is None or now == then
+
+
 def check_speedups(
     current: dict, history: list[dict], max_ratio: float, failures: list[str]
 ) -> int:
@@ -196,13 +211,15 @@ def check_speedups(
     if not isinstance(current_speedups, dict):
         return 0
     compared = 0
+    current_edges = current.get("m_by_n")
+    current_edges = current_edges if isinstance(current_edges, dict) else {}
     # str() keys: history lines from other benches may use non-string sizes.
     for size, raw in sorted(current_speedups.items(), key=lambda item: str(item[0])):
         speedup = _as_float(raw)
         past = []
         for line in history:
             speedups = line.get("speedup_by_n")
-            if isinstance(speedups, dict):
+            if isinstance(speedups, dict) and _same_workload(current_edges, line, size):
                 value = _as_float(speedups.get(size))
                 if value:
                     past.append(value)

@@ -114,7 +114,7 @@ class DFTNO(HookingLayer):
     def _node_label(self, view: ProcessorView) -> None:
         """``Nodelabel`` at a non-root processor (fires on Forward)."""
         parent = view.read(tc.VAR_PARENT)
-        if parent is None or parent not in view.network.neighbor_set(view.node):
+        if parent is None or parent not in view.neighbor_set:
             return
         modulus = self.modulus(view.network)
         parent_max = view.try_read_neighbor(parent, VAR_MAX, default=0)
@@ -127,7 +127,7 @@ class DFTNO(HookingLayer):
     def _update_max(self, view: ProcessorView) -> None:
         """``UpdateMax``: adopt the counter of the descendant the token returned from."""
         returned_child = view.read_pre(tc.VAR_CHILD)
-        if returned_child is None or returned_child not in view.network.neighbor_set(view.node):
+        if returned_child is None or returned_child not in view.neighbor_set:
             return
         child_max = view.try_read_neighbor(returned_child, VAR_MAX, default=None)
         if isinstance(child_max, int):

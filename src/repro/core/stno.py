@@ -153,7 +153,7 @@ class STNO(Protocol):
         if view.is_root:
             return 0
         parent = self._tree.parent(view)
-        if parent is None or parent not in view.network.neighbor_set(view.node):
+        if parent is None or parent not in view.neighbor_set:
             return view.read(VAR_NAME)  # no parent yet: keep the current name
         table = view.try_read_neighbor(parent, VAR_START, default={})
         table = table if isinstance(table, dict) else {}

@@ -157,13 +157,37 @@ def encode_step(record: Any) -> dict[str, Any]:
     }
 
 
+def _value_json(value: Any) -> str:
+    """``value`` encoded and dumped exactly as the sorted-keys step dump does."""
+    kind = type(value)
+    if kind is int:
+        return f"{value}"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(encode_value(value), sort_keys=True, separators=(",", ":"))
+
+
+class _JsonNames(dict):
+    """``name -> json.dumps(name)``, filled on first use."""
+
+    def __missing__(self, name: str) -> str:
+        encoded = self[name] = json.dumps(name)
+        return encoded
+
+
 class FlightRecorder(Observer):
     """Observer appending the run's causal event log to ``path``.
 
     Entries are buffered and flushed every ``flush_every`` entries (and on
-    :meth:`close`), keeping the per-step overhead to one JSON encode.  The
-    recorder is an ordinary observer: a failure inside any hook disables it
-    (warn-once) without perturbing the run it was watching.
+    :meth:`close`).  A step entry is buffered as its record and encoded in
+    one pass with the rest of the buffer at flush time, which keeps the
+    encoder warm instead of interleaving it with the step loop; the runtime
+    never mutates a record or the values it holds, so the line is the same
+    as if it had been encoded at once.  The recorder is an ordinary
+    observer: a failure inside any hook disables it (warn-once) without
+    perturbing the run it was watching.
 
     ``spec`` (a :class:`~repro.api.RunSpec`) enriches the header so a replay
     can rebuild the protocol and validate the topology without guesswork;
@@ -181,12 +205,15 @@ class FlightRecorder(Observer):
         self._spec = spec
         self._flush_every = max(1, int(flush_every))
         self._fh = open(self.path, "w", encoding="utf-8")
-        self._buffer: list[str] = []
+        # Serialized entries, and ``(seq, StepRecord)`` pairs still to encode.
+        self._buffer: list[str | tuple[int, Any]] = []
         self._seq = 0
         self._source: Any = None
         self._started = False
         self._closed = False
         self.entries_written = 0
+        # JSON encodings of the action, layer and variable names steps repeat.
+        self._names = _JsonNames()
 
     # ------------------------------------------------------------------
     # Low-level writing
@@ -197,8 +224,9 @@ class FlightRecorder(Observer):
         entry["seq"] = self._seq
         self._line(json.dumps(entry, separators=(",", ":")))
 
-    def _line(self, text: str) -> None:
-        """Append one pre-serialized entry (sequence number already inside)."""
+    def _line(self, text: "str | tuple[int, Any]") -> None:
+        """Append one entry: serialized (sequence number already inside), or
+        a ``(seq, StepRecord)`` pair :meth:`flush` encodes."""
         self._seq += 1
         self._buffer.append(text)
         self.entries_written += 1
@@ -208,7 +236,19 @@ class FlightRecorder(Observer):
     def flush(self) -> None:
         """Push buffered entries to disk."""
         if self._buffer and not self._closed:
-            self._fh.write("\n".join(self._buffer) + "\n")
+            lines = []
+            for entry in self._buffer:
+                if type(entry) is not str:
+                    # The core is serialized exactly once: the sorted-keys
+                    # dump both *is* the fingerprint input (matching
+                    # :func:`fingerprint` on the parsed-back core) and is
+                    # spliced verbatim into the entry line.
+                    seq, record = entry
+                    core_json = self._step_core_json(record)
+                    digest = hashlib.sha256(core_json.encode("utf-8")).hexdigest()[:16]
+                    entry = f'{{"type":"step","core":{core_json},"fp":"{digest}","seq":{seq}}}'
+                lines.append(entry)
+            self._fh.write("\n".join(lines) + "\n")
             self._buffer.clear()
             self._fh.flush()
 
@@ -285,15 +325,36 @@ class FlightRecorder(Observer):
         if self._closed:
             return
         self._source = source
-        # The hot path serializes the core exactly once: the sorted-keys dump
-        # both *is* the fingerprint input (matching :func:`fingerprint` on the
-        # parsed-back core) and is spliced verbatim into the entry line.
-        core_json = json.dumps(
-            encode_step(record), sort_keys=True, separators=(",", ":")
-        )
-        digest = hashlib.sha256(core_json.encode("utf-8")).hexdigest()[:16]
-        self._line(
-            f'{{"type":"step","core":{core_json},"fp":"{digest}","seq":{self._seq}}}'
+        self._line((self._seq, record))
+
+    def _step_core_json(self, record: Any) -> str:
+        """``json.dumps(encode_step(record), sort_keys=True, separators=(",", ":"))``.
+
+        Written out for the fixed ``step`` shape (keys in sorted order, names
+        from the cache, int pairs formatted inline) because it runs once per
+        step; a non-string variable name takes the generic dump.
+        """
+        names = self._names
+        moves = []
+        for move in record.moves:
+            changes = move.changes
+            parts = []
+            for variable in sorted(changes):
+                if type(variable) is not str:
+                    return json.dumps(encode_step(record), sort_keys=True, separators=(",", ":"))
+                old, new = changes[variable]
+                if type(old) is int and type(new) is int:
+                    parts.append(f"{names[variable]}:[{old},{new}]")
+                else:
+                    parts.append(f"{names[variable]}:[{_value_json(old)},{_value_json(new)}]")
+            moves.append(
+                f'{{"action":{names[move.action]},"changes":{{{",".join(parts)}}},'
+                f'"layer":{names[move.layer]},"node":{move.node}}}'
+            )
+        executed = ",".join([f"[{node},{names[action]}]" for node, action in record.executed])
+        return (
+            f'{{"changed":[{",".join(map(str, record.changed_nodes))}],"executed":[{executed}],'
+            f'"moves":[{",".join(moves)}],"round":{record.round},"step":{record.step}}}'
         )
 
     def on_mutation(self, source: Any, mutation: Mapping[str, Any]) -> None:

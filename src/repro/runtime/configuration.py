@@ -24,7 +24,7 @@ class Configuration:
     is sound as long as all mutations go through the write methods below --
     mutating a value obtained from :meth:`get` in place bypasses it (the
     runtime never does: :class:`~repro.runtime.processor.ProcessorView`
-    deep-copies on write).
+    deep-copies mutable values on write).
     """
 
     __slots__ = ("_states", "_dirty", "_watchers")
@@ -70,6 +70,15 @@ class Configuration:
         what makes sharing safe.
         """
         return self._states.get(node, {})
+
+    def state_table(self) -> Mapping[int, Mapping[str, Any]]:
+        """The live ``node -> local state`` table -- **not** a copy.
+
+        :class:`~repro.runtime.processor.ProcessorView` binds it once per
+        view so a guard's reads skip the per-read method calls.  The same
+        contract as :meth:`peek_state` applies: never mutate it or its values.
+        """
+        return self._states
 
     def has(self, node: int, variable: str) -> bool:
         """Whether ``variable`` is defined at ``node``."""

@@ -45,35 +45,49 @@ class _ReadTrackingConfiguration:
         return getattr(self._inner, name)
 
 
+#: Value types :meth:`ProcessorView.write` stores without copying: exact
+#: instances are immutable, so the caller cannot alter them after the write.
+_IMMUTABLE_TYPES = frozenset({int, bool, str, float, type(None)})
+
+
 class ProcessorView:
     """Restricted view of a :class:`Configuration` for one processor.
 
-    With ``track_reads=True`` the view also records every ``(processor,
-    variable)`` pair it read (:attr:`read_variables`, node-level rollup in
-    :attr:`read_nodes`).  The incremental scheduler's debug mode uses this to
-    assert the locality invariant its dirty-frontier propagation relies on: a
-    guard's value may depend only on the node itself and its neighbors, so a
-    change at ``p`` can only flip enabled-status inside ``N_p ∪ {p}``.  The
-    guard attribution of :class:`~repro.errors.GuardLocalityError` consumes
-    the variable granularity.
+    Guards run on a fresh view per evaluation, so the view binds everything a
+    read needs once, at construction: the processor's neighbor set and port
+    order from the network, and the configuration's live state table.  A read
+    is then a membership test in the bound neighbor set plus a lookup in that
+    table, with the same :class:`~repro.errors.ProtocolError` on a
+    non-neighbor or a missing variable that :meth:`Configuration.get` raises.
+    The view lives for one guard evaluation or one atomic step, during which
+    the scheduler never mutates the configuration.
+
+    :class:`TrackingProcessorView` is the debug variant that logs every read.
     """
 
-    __slots__ = ("_node", "_network", "_configuration", "_writes", "_read_vars")
+    __slots__ = (
+        "_node",
+        "_network",
+        "_configuration",
+        "_states",
+        "_neighbor_set",
+        "_ports",
+        "_writes",
+    )
 
     def __init__(
         self,
         node: int,
         network: RootedNetwork,
         configuration: Configuration,
-        track_reads: bool = False,
     ) -> None:
         self._node = node
         self._network = network
-        self._writes: dict[str, Any] = {}
-        self._read_vars: set[tuple[int, str]] | None = set() if track_reads else None
-        if track_reads:
-            configuration = _ReadTrackingConfiguration(configuration, self._read_vars)
         self._configuration = configuration
+        self._states = configuration.state_table()
+        self._neighbor_set = network.neighbor_set(node)
+        self._ports = network.neighbors(node)
+        self._writes: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Identity / topology helpers
@@ -96,12 +110,17 @@ class ProcessorView:
     @property
     def neighbors(self) -> tuple[int, ...]:
         """The processor's neighbors ``N_p`` in port order."""
-        return self._network.neighbors(self._node)
+        return self._ports
+
+    @property
+    def neighbor_set(self) -> frozenset[int]:
+        """The processor's neighbors ``N_p`` as a set (membership tests)."""
+        return self._neighbor_set
 
     @property
     def degree(self) -> int:
         """The processor's degree ``Delta_p``."""
-        return self._network.degree(self._node)
+        return len(self._ports)
 
     def port(self, neighbor: int) -> int:
         """Local port number of ``neighbor``."""
@@ -118,11 +137,13 @@ class ProcessorView:
         just assigned -- matching the sequential reading of the paper's
         macros.
         """
-        if self._read_vars is not None:
-            self._read_vars.add((self._node, variable))
-        if variable in self._writes:
-            return self._writes[variable]
-        return self._configuration.get(self._node, variable)
+        writes = self._writes
+        if variable in writes:
+            return writes[variable]
+        try:
+            return self._states[self._node][variable]
+        except KeyError:
+            return self._configuration.get(self._node, variable)  # raises ProtocolError
 
     def read_pre(self, variable: str) -> Any:
         """Read one of the processor's own variables as of the *start* of the step.
@@ -133,9 +154,10 @@ class ProcessorView:
         needs the descendant the token just returned from, before the token
         layer repoints its child variable).
         """
-        if self._read_vars is not None:
-            self._read_vars.add((self._node, variable))
-        return self._configuration.get(self._node, variable)
+        try:
+            return self._states[self._node][variable]
+        except KeyError:
+            return self._configuration.get(self._node, variable)  # raises ProtocolError
 
     def read_neighbor(self, neighbor: int, variable: str) -> Any:
         """Read a variable owned by a neighboring processor.
@@ -144,51 +166,99 @@ class ProcessorView:
         beginning of the step (composite atomicity: all processors selected in
         the same step read the old configuration).
         """
-        if neighbor not in self._network.neighbor_set(self._node):
-            raise ProtocolError(
-                f"processor {self._node} tried to read non-neighbor {neighbor}"
-            )
-        if self._read_vars is not None:
-            self._read_vars.add((neighbor, variable))
-        return self._configuration.get(neighbor, variable)
+        if neighbor not in self._neighbor_set:
+            raise self._non_neighbor(neighbor)
+        try:
+            return self._states[neighbor][variable]
+        except KeyError:
+            return self._configuration.get(neighbor, variable)  # raises ProtocolError
 
     def try_read_neighbor(self, neighbor: int, variable: str, default: Any = None) -> Any:
         """Like :meth:`read_neighbor` but returning ``default`` when undefined."""
-        if neighbor not in self._network.neighbor_set(self._node):
-            raise ProtocolError(
-                f"processor {self._node} tried to read non-neighbor {neighbor}"
-            )
-        if self._read_vars is not None:
-            self._read_vars.add((neighbor, variable))
-        if not self._configuration.has(neighbor, variable):
+        if neighbor not in self._neighbor_set:
+            raise self._non_neighbor(neighbor)
+        try:
+            return self._states[neighbor][variable]
+        except KeyError:
             return default
-        return self._configuration.get(neighbor, variable)
+
+    def _non_neighbor(self, neighbor: int) -> ProtocolError:
+        return ProtocolError(f"processor {self._node} tried to read non-neighbor {neighbor}")
 
     def write(self, variable: str, value: Any) -> None:
         """Assign one of the processor's own variables.
 
         Mutable values (per-neighbor maps) are copied so that later in-place
-        modification by the caller cannot retroactively alter the step.
+        modification by the caller cannot retroactively alter the step;
+        exact immutable scalars are stored as they are.
         """
-        self._writes[variable] = copy.deepcopy(value)
+        if type(value) not in _IMMUTABLE_TYPES:
+            value = copy.deepcopy(value)
+        self._writes[variable] = value
 
     @property
     def pending_writes(self) -> dict[str, Any]:
         """The writes collected so far in this atomic step."""
         return dict(self._writes)
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(node={self._node}, writes={sorted(self._writes)})"
+
+
+class TrackingProcessorView(ProcessorView):
+    """A :class:`ProcessorView` that records every ``(processor, variable)`` read.
+
+    The scheduler's debug mode (``check_guard_locality``) evaluates guards on
+    this view to assert the locality invariant its dirty-frontier propagation
+    relies on: a guard's value may depend only on the node itself and its
+    neighbors, so a change at ``p`` can only flip enabled-status inside
+    ``N_p ∪ {p}``.  Reads through the view's API are logged (own reads too,
+    even when a pending write serves them), and the configuration is wrapped
+    in :class:`_ReadTrackingConfiguration` so reads that reach *around* the
+    API land in the same log.  The guard attribution of
+    :class:`~repro.errors.GuardLocalityError` consumes
+    :attr:`read_variables`; :attr:`read_nodes` is the node-level rollup.
+    """
+
+    __slots__ = ("_read_vars",)
+
+    def __init__(
+        self,
+        node: int,
+        network: RootedNetwork,
+        configuration: Configuration,
+    ) -> None:
+        super().__init__(node, network, configuration)
+        self._read_vars: set[tuple[int, str]] = set()
+        self._configuration = _ReadTrackingConfiguration(configuration, self._read_vars)
+
+    def read(self, variable: str) -> Any:
+        self._read_vars.add((self._node, variable))
+        return super().read(variable)
+
+    def read_pre(self, variable: str) -> Any:
+        self._read_vars.add((self._node, variable))
+        return super().read_pre(variable)
+
+    def read_neighbor(self, neighbor: int, variable: str) -> Any:
+        if neighbor in self._neighbor_set:
+            self._read_vars.add((neighbor, variable))
+        return super().read_neighbor(neighbor, variable)
+
+    def try_read_neighbor(self, neighbor: int, variable: str, default: Any = None) -> Any:
+        if neighbor in self._neighbor_set:
+            self._read_vars.add((neighbor, variable))
+        return super().try_read_neighbor(neighbor, variable, default)
+
     @property
     def read_nodes(self) -> frozenset[int]:
-        """Processors whose state was read (only tracked with ``track_reads``)."""
-        return frozenset(node for node, _ in self._read_vars or ())
+        """Processors whose state was read."""
+        return frozenset(node for node, _ in self._read_vars)
 
     @property
     def read_variables(self) -> frozenset[tuple[int, str]]:
-        """``(processor, variable)`` pairs read (only tracked with ``track_reads``)."""
-        return frozenset(self._read_vars or ())
-
-    def __repr__(self) -> str:
-        return f"ProcessorView(node={self._node}, writes={sorted(self._writes)})"
+        """``(processor, variable)`` pairs read."""
+        return frozenset(self._read_vars)
 
 
-__all__ = ["ProcessorView"]
+__all__ = ["ProcessorView", "TrackingProcessorView"]

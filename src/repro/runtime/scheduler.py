@@ -38,7 +38,7 @@ from repro.runtime.daemon import Daemon, DistributedDaemon
 from repro.runtime.legitimacy import LegitimacyTracker
 from repro.runtime.metrics import ExecutionMetrics
 from repro.runtime.observers import MetricsObserver, Observer, dispatch_safely
-from repro.runtime.processor import ProcessorView
+from repro.runtime.processor import ProcessorView, TrackingProcessorView
 from repro.runtime.protocol import Protocol
 
 
@@ -58,17 +58,17 @@ def first_enabled_action(
     if not check_guard_locality:
         view = ProcessorView(node, network, configuration)
         for action in actions:
-            if action.enabled(view):
+            if action.guard(view):
                 return action
         return None
     # Debug path: diff the (node, variable) read log around each guard so a
     # violation is attributed to the exact action/layer/variable that tripped.
-    view = ProcessorView(node, network, configuration, track_reads=True)
+    view = TrackingProcessorView(node, network, configuration)
     allowed = set(network.neighbor_set(node))
     allowed.add(node)
     for action in actions:
         before = view.read_variables
-        enabled = action.enabled(view)
+        enabled = action.guard(view)
         illegal = sorted(
             (source, name)
             for source, name in view.read_variables - before
@@ -620,7 +620,7 @@ class Scheduler:
         for node in selected:
             action = enabled[node]
             view = ProcessorView(node, self.network, self.configuration)
-            action.execute(view)
+            action.statement(view)
             pending_writes[node] = view.pending_writes
             executed.append((node, action.name))
         return executed, pending_writes

@@ -201,7 +201,7 @@ class DepthFirstTokenCirculation(Protocol):
         child = view.read(VAR_CHILD)
         if child is None:
             return True
-        if child not in view.network.neighbor_set(view.node):
+        if child not in view.neighbor_set:
             return True
         return (
             view.read_neighbor(child, VAR_STATE) == WAIT
@@ -211,7 +211,7 @@ class DepthFirstTokenCirculation(Protocol):
     def _valid_active(self, view: ProcessorView) -> bool:
         """Consistency of an ACTIVE non-root processor with its parent and child."""
         parent = view.read(VAR_PARENT)
-        if parent is None or parent not in view.network.neighbor_set(view.node):
+        if parent is None or parent not in view.neighbor_set:
             return False
         level = view.read(VAR_LEVEL)
         if level > view.network.n - 1:
@@ -238,7 +238,7 @@ class DepthFirstTokenCirculation(Protocol):
         child/parent 2-cycle), which would otherwise deadlock the wave.
         """
         child = view.read(VAR_CHILD)
-        if child is None or child not in view.network.neighbor_set(view.node):
+        if child is None or child not in view.neighbor_set:
             return True
         if view.read_neighbor(child, VAR_STATE) != ACTIVE:
             return True
@@ -256,7 +256,7 @@ class DepthFirstTokenCirculation(Protocol):
         if view.read(VAR_STATE) != ACTIVE:
             return False
         child = view.read(VAR_CHILD)
-        if child is None or child not in view.network.neighbor_set(view.node):
+        if child is None or child not in view.neighbor_set:
             return True
         return view.read_neighbor(child, VAR_STATE) != ACTIVE
 

@@ -72,6 +72,30 @@ def test_gate_fails_on_speedup_regression(tmp_path, capsys):
     assert "speedup at n=60 regressed" in capsys.readouterr().err
 
 
+def _labelled(payload: dict, m: int) -> dict:
+    payload["m_by_n"] = {"60": m}
+    return payload
+
+
+def test_speedup_history_on_another_edge_count_is_not_compared(tmp_path, capsys):
+    current = _labelled(_payload(speedup=1.5), m=300)
+    history = [_labelled(_payload(speedup=4.0), m=900), _labelled(_payload(speedup=1.6), m=300)]
+    assert check_perf.main(_write(tmp_path, current, history)) == 0
+    history.append(_labelled(_payload(speedup=4.0), m=300))
+    history.append(_labelled(_payload(speedup=4.0), m=300))
+    assert check_perf.main(_write(tmp_path, current, history)) == 1
+    assert "speedup at n=60 regressed" in capsys.readouterr().err
+
+
+def test_unlabelled_history_lines_still_gate_labelled_runs(tmp_path, capsys):
+    current = _labelled(_payload(speedup=1.5), m=300)
+    assert check_perf.main(_write(tmp_path, current, [_payload(), _payload()])) == 1
+    assert "speedup at n=60 regressed" in capsys.readouterr().err
+    unlabelled = _payload(speedup=1.5)
+    history = [_labelled(_payload(), m=300), _labelled(_payload(), m=300)]
+    assert check_perf.main(_write(tmp_path, unlabelled, history)) == 1
+
+
 def test_median_defeats_one_outlier_line(tmp_path):
     history = [_payload(), _payload(), _payload(guard_eval=0.5)]
     assert check_perf.main(_write(tmp_path, _payload(), history)) == 0

@@ -8,7 +8,7 @@ from repro.errors import ProtocolError
 from repro.graphs import generators
 from repro.runtime.actions import Action
 from repro.runtime.configuration import Configuration
-from repro.runtime.processor import ProcessorView
+from repro.runtime.processor import ProcessorView, TrackingProcessorView
 
 
 @pytest.fixture
@@ -139,6 +139,93 @@ def test_view_is_root_flag():
     config = Configuration({node: {} for node in network.nodes()})
     assert ProcessorView(0, network, config).is_root
     assert not ProcessorView(2, network, config).is_root
+
+
+# ----------------------------------------------------------------------
+# View contract: the release view and the debug (tracking) view
+# ----------------------------------------------------------------------
+VIEWS = pytest.mark.parametrize("view_class", [ProcessorView, TrackingProcessorView])
+
+
+@VIEWS
+def test_view_contract_non_neighbor_reads_raise(view_class):
+    network = generators.path(4)
+    config = Configuration({node: {"v": node} for node in network.nodes()})
+    view = view_class(1, network, config)
+    for far in (3, 1, 99):  # a non-neighbor, the node itself, an unknown id
+        with pytest.raises(ProtocolError, match="non-neighbor"):
+            view.read_neighbor(far, "v")
+        with pytest.raises(ProtocolError, match="non-neighbor"):
+            view.try_read_neighbor(far, "v", default=-1)
+
+
+@VIEWS
+def test_view_contract_missing_variables(view_class):
+    network = generators.path(3)
+    config = Configuration({0: {"v": 0}, 1: {"v": 1}})  # processor 2 has no state
+    view = view_class(1, network, config)
+    reads = [
+        lambda: view.read("w"),
+        lambda: view.read_pre("w"),
+        lambda: view.read_neighbor(0, "w"),
+        lambda: view.read_neighbor(2, "v"),
+    ]
+    for read in reads:
+        with pytest.raises(ProtocolError, match="no value for variable"):
+            read()
+    assert view.try_read_neighbor(0, "w", default=-1) == -1  # missing variable
+    assert view.try_read_neighbor(2, "v", default=-1) == -1  # missing node
+    assert view.try_read_neighbor(2, "v") is None
+    assert view.try_read_neighbor(0, "v", default=-1) == 0
+
+
+@VIEWS
+def test_view_contract_written_values_are_detached(view_class):
+    network = generators.path(2)
+    config = Configuration({0: {"m": {}, "s": 0}, 1: {"m": {}}})
+    view = view_class(0, network, config)
+    table = {1: [1, 2]}
+    view.write("m", table)
+    table[1].append(3)
+    table[2] = [0]
+    assert view.pending_writes == {"m": {1: [1, 2]}}
+    view.write("s", 5)
+    view.pending_writes["s"] = 6  # the property hands out a copy
+    assert view.read("s") == 5
+    assert view.neighbor_set == frozenset({1})
+
+
+def test_release_view_keeps_no_read_log():
+    network = generators.path(3)
+    config = Configuration({node: {"v": node} for node in network.nodes()})
+    view = ProcessorView(1, network, config)
+    view.read("v")
+    view.read_neighbor(0, "v")
+    assert not hasattr(view, "read_variables")
+
+
+def test_tracking_view_logs_reads_served_from_pending_writes():
+    network = generators.path(3)
+    config = Configuration({node: {"v": node, "w": 0} for node in network.nodes()})
+    view = TrackingProcessorView(1, network, config)
+    view.write("v", 9)
+    assert view.read("v") == 9
+    assert view.read_variables == frozenset({(1, "v")})
+    view.read_pre("w")
+    view.try_read_neighbor(2, "w")
+    view.read_neighbor(0, "v")
+    assert view.read_variables == frozenset({(1, "v"), (1, "w"), (2, "w"), (0, "v")})
+    assert view.read_nodes == frozenset({0, 1, 2})
+
+
+def test_tracking_view_logs_reads_that_reach_around_the_api():
+    network = generators.path(4)
+    config = Configuration({node: {"v": node} for node in network.nodes()})
+    view = TrackingProcessorView(0, network, config)
+    assert view._configuration.get(3, "v") == 3  # bypasses the neighbor check
+    assert view._configuration.has(2, "v")
+    assert view.read_variables == frozenset({(3, "v"), (2, "v")})
+    assert view.read_nodes == frozenset({2, 3})
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.errors import ProtocolError
 from repro.graphs import generators
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import make_daemon
-from repro.runtime.processor import ProcessorView
+from repro.runtime.processor import ProcessorView, TrackingProcessorView
 from repro.runtime.scheduler import Scheduler
 from repro.substrates.dijkstra_ring import DijkstraTokenRing, VAR_COUNTER
 from repro.substrates.spanning_tree import BFSSpanningTree
@@ -141,21 +141,21 @@ def test_stepping_keeps_cache_consistent_under_distributed_daemon():
 def test_processor_view_read_tracker_records_closed_neighborhood():
     network = generators.ring(5)
     config = Configuration({node: {"x": node} for node in network.nodes()})
-    view = ProcessorView(2, network, config, track_reads=True)
+    view = TrackingProcessorView(2, network, config)
     view.read("x")
     for neighbor in network.neighbors(2):
         view.read_neighbor(neighbor, "x")
     assert view.read_nodes == frozenset({2, *network.neighbors(2)})
     untracked = ProcessorView(2, network, config)
     untracked.read("x")
-    assert untracked.read_nodes == frozenset()
+    assert not hasattr(untracked, "read_nodes")  # the release view keeps no log
 
 
 def test_non_neighbor_reads_are_rejected():
     """The locality invariant is structural: the view refuses remote reads."""
     network = generators.ring(6)
     config = Configuration({node: {"x": 0} for node in network.nodes()})
-    view = ProcessorView(0, network, config, track_reads=True)
+    view = TrackingProcessorView(0, network, config)
     far = 3  # opposite side of the ring
     with pytest.raises(ProtocolError):
         view.read_neighbor(far, "x")
