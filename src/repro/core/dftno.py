@@ -29,9 +29,14 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.core.chordal import chordal_edge_label
-from repro.core.specification import VAR_EDGE_LABELS, VAR_NAME, OrientationSpecification
+from repro.core.specification import (
+    SPEC_READS,
+    VAR_EDGE_LABELS,
+    VAR_NAME,
+    OrientationSpecification,
+)
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, StatementFn
+from repro.runtime.actions import Action, Reads, StatementFn
 from repro.runtime.composition import HookedComposition, HookingLayer
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
@@ -41,6 +46,12 @@ from repro.substrates.token_circulation import DepthFirstTokenCirculation, dfs_p
 
 #: Shared-variable name of the running maximum ``Max_p``.
 VAR_MAX = "no_max"
+
+#: What the edge-relabeling guard reads: its own labels and name, its
+#: neighbors' names, and -- through ``holds_token`` -- the token state.
+_EDGE_LABEL_READS = tc.HOLDS_TOKEN_READS | Reads(
+    own=frozenset({VAR_NAME, VAR_EDGE_LABELS}), neighbor=frozenset({VAR_NAME})
+)
 
 
 class DFTNO(HookingLayer):
@@ -60,7 +71,7 @@ class DFTNO(HookingLayer):
     """
 
     name = "dftno"
-    legitimacy_reads = frozenset({VAR_NAME, VAR_EDGE_LABELS})
+    legitimacy_reads = SPEC_READS
 
     ACTION_EDGE_LABEL = "NO-EdgeLabel"
 
@@ -180,7 +191,14 @@ class DFTNO(HookingLayer):
             return self._invalid_edge_labels(view)
 
         return [
-            Action(self.ACTION_EDGE_LABEL, guard, self._relabel_edges, layer=self.name, priority=10)
+            Action(
+                self.ACTION_EDGE_LABEL,
+                guard,
+                self._relabel_edges,
+                layer=self.name,
+                priority=10,
+                reads=_EDGE_LABEL_READS,
+            )
         ]
 
     # ------------------------------------------------------------------

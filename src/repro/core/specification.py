@@ -21,12 +21,19 @@ from dataclasses import dataclass, field
 
 from repro.core.chordal import ChordalOrientation, chordal_edge_label
 from repro.graphs.network import RootedNetwork
+from repro.runtime.actions import Reads
 from repro.runtime.configuration import Configuration
 
 #: Shared-variable name of the node label ``eta_p`` (both DFTNO and STNO).
 VAR_NAME = "no_eta"
 #: Shared-variable name of the per-link label map ``pi_p`` (both protocols).
 VAR_EDGE_LABELS = "no_pi"
+
+#: What :meth:`OrientationSpecification.node_holds` reads with the default
+#: variable names -- a node's name and labels, its neighbors' names -- and so
+#: the ``legitimacy_reads`` of both orientation layers (``names_unique``
+#: reads names only).
+SPEC_READS = Reads(own=frozenset({VAR_NAME, VAR_EDGE_LABELS}), neighbor=frozenset({VAR_NAME}))
 
 
 def _in_range(name: object, modulus: int) -> bool:
@@ -192,4 +199,10 @@ class OrientationSpecification:
         return ChordalOrientation(names=names, edge_labels=labels, modulus=modulus)
 
 
-__all__ = ["OrientationSpecification", "SpecificationReport", "VAR_NAME", "VAR_EDGE_LABELS"]
+__all__ = [
+    "OrientationSpecification",
+    "SpecificationReport",
+    "SPEC_READS",
+    "VAR_NAME",
+    "VAR_EDGE_LABELS",
+]

@@ -35,9 +35,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.chordal import chordal_edge_label
-from repro.core.specification import VAR_EDGE_LABELS, VAR_NAME, OrientationSpecification
+from repro.core.specification import (
+    SPEC_READS,
+    VAR_EDGE_LABELS,
+    VAR_NAME,
+    OrientationSpecification,
+)
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action
+from repro.runtime.actions import Action, Reads
 from repro.runtime.composition import LayeredProtocol
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
@@ -71,7 +76,7 @@ class STNO(Protocol):
     """
 
     name = "stno"
-    legitimacy_reads = frozenset({VAR_NAME, VAR_EDGE_LABELS})
+    legitimacy_reads = SPEC_READS
 
     ACTION_WEIGHT = "STNO-Weight"
     ACTION_ROOT_WEIGHT = "STNO-RootWeight"
@@ -83,6 +88,20 @@ class STNO(Protocol):
         self._tree = tree or BFSSpanningTree()
         self._modulus = modulus
         self._specification = OrientationSpecification(modulus=modulus)
+        # What each guard reads; the tree helpers read the parent pointer,
+        # own (``parent``) or the neighbors' (``children``).
+        parent = self._tree.parent_variable
+        self._weight_reads = Reads(
+            own=frozenset({VAR_WEIGHT}), neighbor=frozenset({VAR_WEIGHT, parent})
+        )
+        self._name_reads = Reads(
+            own=frozenset({VAR_NAME, VAR_START, parent}),
+            neighbor=frozenset({VAR_START, VAR_WEIGHT, parent}),
+        )
+        self._edge_reads = Reads(
+            own=frozenset({VAR_NAME, VAR_EDGE_LABELS, parent}),
+            neighbor=frozenset({VAR_NAME, VAR_START}),
+        )
 
     # ------------------------------------------------------------------
     # Parameters
@@ -225,9 +244,18 @@ class STNO(Protocol):
         weight_action = self.ACTION_ROOT_WEIGHT if is_root else self.ACTION_WEIGHT
         name_action = self.ACTION_ROOT_NAME if is_root else self.ACTION_NAME
         return [
-            Action(weight_action, weight_guard, weight_set, layer=self.name, priority=0),
-            Action(name_action, name_guard, name_set, layer=self.name, priority=1),
-            Action(self.ACTION_EDGE_LABEL, edge_guard, edge_set, layer=self.name, priority=2),
+            Action(
+                weight_action, weight_guard, weight_set,
+                layer=self.name, priority=0, reads=self._weight_reads,
+            ),
+            Action(
+                name_action, name_guard, name_set,
+                layer=self.name, priority=1, reads=self._name_reads,
+            ),
+            Action(
+                self.ACTION_EDGE_LABEL, edge_guard, edge_set,
+                layer=self.name, priority=2, reads=self._edge_reads,
+            ),
         ]
 
     # ------------------------------------------------------------------

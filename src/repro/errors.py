@@ -26,9 +26,10 @@ class ProtocolError(ReproError):
 
 
 class GuardLocalityError(ProtocolError):
-    """A guard read state outside its closed neighborhood (debug tracker).
+    """A guard read state outside its closed neighborhood (rule RL004) or
+    outside its action's declared reads (RL008) -- the debug tracker.
 
-    Raised by :func:`repro.runtime.scheduler.first_enabled_action` when
+    Raised by :func:`repro.runtime.scheduler.evaluate_guards` when
     ``check_guard_locality`` is on.  Carries enough attribution to tell
     *which* layer and guard tripped -- the node, the action's layer and name,
     the lint rule id, and the offending ``(processor, variable)`` reads -- so

@@ -8,7 +8,10 @@ One findings vocabulary (:data:`~repro.lint.findings.RULES`) for every mode:
   deriving per-action read/write sets (:mod:`repro.lint.summary`) on the way;
 * the **kernel** cross-check (:mod:`repro.lint.kernels`) holds each batch
   kernel's declared reads/writes to the per-node action's static sets
-  (``RL007``).
+  (``RL007``);
+* the **read-declaration** cross-check (:mod:`repro.lint.reads`, part of the
+  default run) holds each action's ``reads`` and each layer's
+  ``legitimacy_reads`` to the static read sets (``RL008``).
 
 Runtime :class:`~repro.errors.GuardLocalityError` failures route through the
 same formatter via :func:`~repro.lint.findings.finding_from_guard_error`.
@@ -43,7 +46,6 @@ __all__ = [
     "iter_source_files",
     "lint_paths",
     "modules_for_protocols",
-    "run_race_check",
     "severity_of",
     "write_summary",
 ]

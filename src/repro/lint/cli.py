@@ -1,7 +1,9 @@
 """``repro-lint``: static protocol verifier.
 
-Static mode (default) runs the AST pass over the given files/directories and
-prints findings (exit 1 when any are found)::
+Static mode (default) runs the AST pass over the given files/directories,
+cross-checks the declared guard and legitimacy reads of the protocols they
+define against it (rule RL008), and prints findings (exit 1 when any are
+found)::
 
     repro-lint src/repro                       # lint everything
     repro-lint --protocols dftno stno-bfs      # lint just those layers' modules
@@ -24,7 +26,8 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.lint.findings import findings_to_json, format_findings
-from repro.lint.static import lint_paths, modules_for_protocols
+from repro.lint.reads import check_reads
+from repro.lint.static import analyze_paths, modules_for_protocols
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,7 +84,10 @@ def _run_static(args: argparse.Namespace) -> int:
     if missing:
         print(f"repro-lint: no such path: {missing[0]}", file=sys.stderr)
         return 2
-    findings = lint_paths(paths)
+    analyzer = analyze_paths(paths)
+    findings = sorted(
+        analyzer.findings + check_reads(analyzer)[0], key=lambda f: (f.path, f.line, f.rule)
+    )
     if args.summary:
         from repro.lint.summary import write_summary
 

@@ -1,0 +1,188 @@
+"""Cross-check declared reads against the static read sets (rule RL008).
+
+The incremental scheduler skips a guard after a change to a variable its
+action's :class:`~repro.runtime.actions.Reads` omits, and the legitimacy
+tracker skips a conjunct the same way using its layer's
+``legitimacy_reads``.  An under-declared read therefore leaves a stale
+answer in place without any error.  This pass holds each declaration to the
+reads the static pass (:mod:`repro.lint.static`) finds.  A read the pass
+finds in a resolved guard, or in a legitimacy method, that the declaration
+omits is an RL008 error.  Over-declaring is sound and allowed.
+
+Declarations are runtime values: STNO builds its own from the tree it runs
+over.  So the pass imports each analyzed module that declares reads or
+defines legitimacy methods, instantiates its protocol classes that take no
+arguments, and reads the declarations off their actions on a small probe
+network.  Reads the static pass cannot see are not checked here, such as
+those made by helpers on other objects like ``self._tree.children``;
+``check_guard_locality`` checks those at run time.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+from types import ModuleType
+
+from repro.errors import ReproError
+from repro.lint.findings import Finding, severity_of
+from repro.runtime.actions import Reads
+from repro.runtime.protocol import Protocol
+
+
+def _import(path: Path) -> ModuleType | None:
+    """The module at ``path``: by dotted name inside the package, else by file."""
+    import repro
+
+    package = Path(repro.__file__).resolve().parent
+    if path.is_relative_to(package):
+        parts = path.relative_to(package).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        try:
+            return importlib.import_module(".".join(("repro", *parts)))
+        except ImportError:  # a missing optional dependency: left unchecked
+            return None
+    name = f"_repro_lint_probe_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    if spec is None or spec.loader is None:
+        return None
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    except ImportError:
+        del sys.modules[name]
+        return None
+    return module
+
+
+def _guard_site(guard: object) -> tuple[Path, int] | None:
+    """``(file, first line)`` of a guard's code: the key static summaries share."""
+    function = getattr(guard, "__func__", guard)  # a bound method's function
+    code = getattr(function, "__code__", None)
+    if code is None:
+        return None
+    return Path(code.co_filename).resolve(), code.co_firstlineno
+
+
+def _declarations(
+    paths: set[Path],
+) -> tuple[dict[tuple[Path, int], dict[Reads, set[str]]], dict[tuple[Path, str], Reads]]:
+    """Declared guard reads by guard site, and legitimacy reads by ``(file, class)``.
+
+    A guard site maps each declaration made for it to the action names that
+    made it (a guard shared by several actions may be declared differently).
+    """
+    from repro.graphs import generators
+
+    network = generators.random_connected(8, seed=1)
+    guards: dict[tuple[Path, int], dict[Reads, set[str]]] = {}
+    legitimacy: dict[tuple[Path, str], Reads] = {}
+    for path in sorted(paths):
+        module = _import(path)
+        if module is None:
+            continue
+        for cls in vars(module).values():
+            if not (
+                isinstance(cls, type)
+                and issubclass(cls, Protocol)
+                and cls.__module__ == module.__name__
+                and not inspect.isabstract(cls)
+            ):
+                continue
+            try:
+                protocol = cls()
+                tables = [protocol.actions(network, node) for node in network.nodes()]
+            except (TypeError, ValueError, ReproError):  # needs arguments or another topology
+                continue
+            if protocol.legitimacy_reads is not None:
+                legitimacy[(path, cls.__name__)] = protocol.legitimacy_reads
+            for actions in tables:
+                for action in actions:
+                    site = _guard_site(action.guard)
+                    if action.reads is not None and site is not None:
+                        names = guards.setdefault(site, {}).setdefault(action.reads, set())
+                        names.add(action.name)
+    return guards, legitimacy
+
+
+def _finding(path: str, line: int, owner: str, function: str, message: str) -> Finding:
+    return Finding(
+        rule="RL008",
+        path=path,
+        line=line,
+        message=message,
+        severity=severity_of("RL008"),
+        layer=owner,
+        function=function,
+    )
+
+
+def check_reads(analyzer) -> tuple[list[Finding], int]:
+    """RL008 findings for ``analyzer``'s modules, and the declarations checked.
+
+    ``analyzer`` is a finished static pass (:func:`~repro.lint.static.analyze_paths`).
+    """
+    paths = {
+        Path(summary.module).resolve() for summary in analyzer.summaries if summary.declares_reads
+    }
+    paths.update(Path(summary.module).resolve() for summary in analyzer.legitimacy_summaries)
+    guards, legitimacy = _declarations(paths)
+    findings: list[Finding] = []
+    checked = 0
+    for summary in analyzer.summaries:
+        if not summary.guard_resolved:
+            continue
+        declared_at = guards.get((Path(summary.module).resolve(), summary.guard_line), {})
+        for declared, names in sorted(declared_at.items(), key=lambda item: sorted(item[1])):
+            checked += 1
+            missing = []
+            if own := summary.guard_reads_own - declared.own:
+                missing.append(f"own {sorted(own)}")
+            if neighbor := summary.guard_reads_neighbor - declared.neighbor:
+                missing.append(f"neighbor {sorted(neighbor)}")
+            if missing:
+                action = "/".join(sorted(names))
+                findings.append(
+                    _finding(
+                        summary.module,
+                        summary.line,
+                        summary.owner,
+                        action,
+                        f"guard of action {action!r} reads "
+                        + " and ".join(missing)
+                        + " that its declared reads omit",
+                    )
+                )
+    for summary in analyzer.legitimacy_summaries:
+        declared = legitimacy.get((Path(summary.module).resolve(), summary.owner))
+        if declared is None:
+            continue
+        checked += 1
+        missing = []
+        if own := summary.own - declared.own:
+            missing.append(f"own {sorted(own)}")
+        if neighbor := summary.neighbor - declared.neighbor:
+            missing.append(f"neighbor {sorted(neighbor)}")
+        if anywhere := summary.anywhere - declared.own - declared.neighbor:
+            missing.append(f"{sorted(anywhere)}")
+        if missing:
+            findings.append(
+                _finding(
+                    summary.module,
+                    summary.line,
+                    summary.owner,
+                    summary.method,
+                    f"{summary.method} reads "
+                    + " and ".join(missing)
+                    + " that the layer's legitimacy_reads omit",
+                )
+            )
+    return findings, checked
+
+
+__all__ = ["check_reads"]

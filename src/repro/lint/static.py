@@ -2,7 +2,7 @@
 
 The whole reproduction rests on one structural assumption: a guard reads only
 its closed neighborhood and an action writes only its own node.  That is what
-makes the incremental enabled-set (dirty-frontier re-evaluation) and the
+makes the incremental enabled-set (stale-guard re-evaluation) and the
 vectorized batch kernels sound.  This pass checks the contract at review
 time, before any scheduler runs:
 
@@ -13,7 +13,10 @@ time, before any scheduler runs:
   API surface;
 * violations are reported as :class:`~repro.lint.findings.Finding` objects
   with rule ids ``RL001``..``RL006`` (see
-  :data:`~repro.lint.findings.RULES`).
+  :data:`~repro.lint.findings.RULES`);
+* the configuration reads of every layer's legitimacy methods
+  (``node_legitimate`` and friends) are collected too, for the RL008
+  cross-check of ``legitimacy_reads`` (:mod:`repro.lint.reads`).
 
 The analysis is deliberately *conservative*: a guard or helper it cannot
 resolve statically (a callable stored in a variable, a cross-object call like
@@ -67,6 +70,12 @@ _RNG_METHODS = {
     "uniform",
     "gauss",
 }
+
+#: Legitimacy methods whose configuration reads the static pass collects:
+#: per-node ones (``(self, network, configuration, node)``) and global ones
+#: (``(self, network, configuration, ...)``).
+_NODE_LEGITIMACY_METHODS = ("node_legitimate", "node_tally")
+_GLOBAL_LEGITIMACY_METHODS = ("legitimacy_residue", "residue_from_tally")
 
 _DISABLE_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9,\s]+)")
 
@@ -347,6 +356,8 @@ class ActionSummary:
     writes: set[str] = field(default_factory=set)
     guard_resolved: bool = False
     statement_resolved: bool = False
+    declares_reads: bool = False  # the Action(...) call passes ``reads=``
+    guard_line: int = 0  # first line of the resolved guard's definition
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -361,6 +372,25 @@ class ActionSummary:
             "guard_resolved": self.guard_resolved,
             "statement_resolved": self.statement_resolved,
         }
+
+
+@dataclass
+class LegitimacySummary:
+    """The statically found configuration reads of one legitimacy method.
+
+    Per-node methods split their reads by the node argument: the method's
+    own node parameter (``own``) or any other processor (``neighbor``).
+    Global methods put every read in ``anywhere``.  Reads whose variable
+    name is not a resolvable constant are left out.
+    """
+
+    module: str
+    owner: str
+    method: str
+    line: int
+    own: set[str] = field(default_factory=set)
+    neighbor: set[str] = field(default_factory=set)
+    anywhere: set[str] = field(default_factory=set)
 
 
 class _FunctionChecker(ast.NodeVisitor):
@@ -585,6 +615,7 @@ class _Analyzer:
         self.variable_universe: set[str] = set()
         self.findings: list[Finding] = []
         self.summaries: list[ActionSummary] = []
+        self.legitimacy_summaries: list[LegitimacySummary] = []
         self._seen_findings: set[tuple[str, str, int, int]] = set()
 
     # -- reporting ----------------------------------------------------
@@ -694,12 +725,20 @@ class _Analyzer:
             owner=scope.class_name or "<module>",
             action=action_name or f"<anonymous:{node.lineno}>",
             line=node.lineno,
+            declares_reads=any(keyword.arg == "reads" for keyword in node.keywords),
         )
         if guard_expr is not None:
-            summary.guard_resolved = self._check_callable(guard_expr, scope, "guard", summary)
+            guard = self._check_callable(guard_expr, scope, "guard", summary)
+            summary.guard_resolved = guard is not None
+            if guard is not None:
+                # Where the compiled guard's code starts (its first decorator).
+                summary.guard_line = min(
+                    [guard.lineno]
+                    + [decorator.lineno for decorator in getattr(guard, "decorator_list", ())]
+                )
         if statement_expr is not None:
-            summary.statement_resolved = self._check_callable(
-                statement_expr, scope, "statement", summary
+            summary.statement_resolved = (
+                self._check_callable(statement_expr, scope, "statement", summary) is not None
             )
         self.summaries.append(summary)
 
@@ -723,28 +762,71 @@ class _Analyzer:
                     line=value_expr.lineno,
                 )
                 summary.guard_resolved = True  # hooks have no guard of their own
-                summary.statement_resolved = self._check_callable(
-                    value_expr, scope, "statement", summary
+                summary.statement_resolved = (
+                    self._check_callable(value_expr, scope, "statement", summary) is not None
                 )
                 if summary.statement_resolved:
                     self.summaries.append(summary)
 
     def _check_callable(
         self, expr: ast.expr, scope: _Scope, kind: str, summary: ActionSummary
-    ) -> bool:
+    ) -> ast.FunctionDef | ast.Lambda | None:
+        """Check the callable ``expr`` resolves to; returns it (``None``: unresolved)."""
         resolver = self.resolvers[scope.index.path]
         resolved = resolver.resolve_callable(expr, scope)
         if resolved is None:
-            return False
+            return None
         target, target_scope = resolved
         view_param = _first_view_param(target)
         checker = _FunctionChecker(self, target_scope, kind, view_param, summary)
         checker.check(target.body)
-        return True
+        return target
+
+    def collect_legitimacy_reads(self) -> None:
+        """``configuration.get``/``has`` reads of every class's legitimacy methods."""
+        for index in self.indexes.values():
+            resolver = self.resolvers[index.path]
+            for class_name, class_node in index.classes.items():
+                for method in class_node.body:
+                    if not isinstance(method, ast.FunctionDef):
+                        continue
+                    per_node = method.name in _NODE_LEGITIMACY_METHODS
+                    if not per_node and method.name not in _GLOBAL_LEGITIMACY_METHODS:
+                        continue
+                    params = [arg.arg for arg in method.args.args]
+                    if len(params) < 3 + per_node:
+                        continue
+                    configuration = params[2]
+                    node_param = params[3] if per_node else None
+                    scope = _Scope(index, class_name=class_name, function_stack=(method,))
+                    summary = LegitimacySummary(
+                        module=index.path, owner=class_name, method=method.name, line=method.lineno
+                    )
+                    for call in ast.walk(method):
+                        if not (
+                            isinstance(call, ast.Call)
+                            and isinstance(call.func, ast.Attribute)
+                            and call.func.attr in ("get", "has")
+                            and isinstance(call.func.value, ast.Name)
+                            and call.func.value.id == configuration
+                            and len(call.args) >= 2
+                        ):
+                            continue
+                        name = resolver.resolve_string(call.args[1], scope)
+                        if name is None:
+                            continue
+                        if node_param is None:
+                            summary.anywhere.add(name)
+                        elif isinstance(call.args[0], ast.Name) and call.args[0].id == node_param:
+                            summary.own.add(name)
+                        else:
+                            summary.neighbor.add(name)
+                    self.legitimacy_summaries.append(summary)
 
     def run(self) -> None:
         self.collect_variables()
         self.check_actions()
+        self.collect_legitimacy_reads()
         self.findings.sort(key=lambda f: (f.path, f.line, f.rule))
 
 
@@ -834,6 +916,7 @@ def modules_for_protocols(protocols: Iterable[str]) -> list[Path]:
 
 __all__ = [
     "ActionSummary",
+    "LegitimacySummary",
     "analyze_paths",
     "iter_source_files",
     "lint_paths",

@@ -3,8 +3,10 @@
 One :class:`Instrumentation` object accompanies one run.  The execution cores
 feed it three kinds of measurements:
 
-* **counters** -- monotonically accumulated totals (``guards_evaluated``,
-  ``steps_timed``, fractional values like ``step_seconds`` are fine);
+* **counters** -- monotonically accumulated totals (``guards_evaluated``
+  counts processors re-evaluated, ``guard_calls`` the individual guard
+  invocations, ``steps_timed``; fractional values like ``step_seconds``
+  are fine);
 * **gauges** -- per-observation samples of a fluctuating quantity (dirty-set
   size, enabled-set size), summarized as count/sum/min/max so any two
   summaries merge associatively;

@@ -237,6 +237,7 @@ class FlightRecorder(Observer):
         """Push buffered entries to disk."""
         if self._buffer and not self._closed:
             lines = []
+            core_of, sha256 = self._step_core_json, hashlib.sha256
             for entry in self._buffer:
                 if type(entry) is not str:
                     # The core is serialized exactly once: the sorted-keys
@@ -244,8 +245,8 @@ class FlightRecorder(Observer):
                     # :func:`fingerprint` on the parsed-back core) and is
                     # spliced verbatim into the entry line.
                     seq, record = entry
-                    core_json = self._step_core_json(record)
-                    digest = hashlib.sha256(core_json.encode("utf-8")).hexdigest()[:16]
+                    core_json = core_of(record)
+                    digest = sha256(core_json.encode("utf-8")).hexdigest()[:16]
                     entry = f'{{"type":"step","core":{core_json},"fp":"{digest}","seq":{seq}}}'
                 lines.append(entry)
             self._fh.write("\n".join(lines) + "\n")
@@ -325,7 +326,14 @@ class FlightRecorder(Observer):
         if self._closed:
             return
         self._source = source
-        self._line((self._seq, record))
+        # :meth:`_line` inlined: this hook runs once per step.
+        seq = self._seq
+        self._seq = seq + 1
+        buffer = self._buffer
+        buffer.append((seq, record))
+        self.entries_written += 1
+        if len(buffer) >= self._flush_every:
+            self.flush()
 
     def _step_core_json(self, record: Any) -> str:
         """``json.dumps(encode_step(record), sort_keys=True, separators=(",", ":"))``.
@@ -351,9 +359,17 @@ class FlightRecorder(Observer):
                 f'{{"action":{names[move.action]},"changes":{{{",".join(parts)}}},'
                 f'"layer":{names[move.layer]},"node":{move.node}}}'
             )
-        executed = ",".join([f"[{node},{names[action]}]" for node, action in record.executed])
+        # One move per step is the common case (central daemon): skip the joins.
+        executed = record.executed
+        if len(executed) == 1:
+            node, action = executed[0]
+            executed_json = f"[{node},{names[action]}]"
+        else:
+            executed_json = ",".join([f"[{node},{names[action]}]" for node, action in executed])
+        changed = record.changed_nodes
+        changed_json = f"{changed[0]}" if len(changed) == 1 else ",".join(map(str, changed))
         return (
-            f'{{"changed":[{",".join(map(str, record.changed_nodes))}],"executed":[{executed}],'
+            f'{{"changed":[{changed_json}],"executed":[{executed_json}],'
             f'"moves":[{",".join(moves)}],"round":{record.round},"step":{record.step}}}'
         )
 

@@ -21,6 +21,28 @@ BatchStepFn = Callable[["ArrayView", Any], "dict[str, Any]"]
 
 
 @dataclass(frozen=True)
+class Reads:
+    """The variables a guard (or a legitimacy conjunct) reads, by owner.
+
+    ``own`` are read at the processor itself, ``neighbor`` at its neighbors.
+    A change of variable ``x`` at processor ``p`` can flip a declared
+    predicate of ``p`` only when ``x`` is in ``own``, and a predicate of a
+    neighbor of ``p`` only when ``x`` is in ``neighbor`` -- which is what lets
+    the scheduler and the legitimacy tracker skip re-checks a change cannot
+    affect.  Over-declaring is sound; under-declaring is caught by
+    ``repro-lint`` and, at run time, by ``check_guard_locality`` (rule RL008).
+    Build declarations once (module or instance constants), not per node.
+    """
+
+    own: frozenset[str] = frozenset()
+    neighbor: frozenset[str] = frozenset()
+
+    def __or__(self, other: "Reads") -> "Reads":
+        """Both declarations' reads (a guard that calls another's predicate)."""
+        return Reads(self.own | other.own, self.neighbor | other.neighbor)
+
+
+@dataclass(frozen=True)
 class Action:
     """One guarded action of a processor's program.
 
@@ -44,6 +66,11 @@ class Action:
         protocols list error-correction rules before normal rules, matching
         the usual "rules are tried in order" reading of guarded-command
         programs.
+    reads:
+        What the guard reads (:class:`Reads`).  ``None`` -- the default --
+        means "anything in the closed neighborhood", which is always sound:
+        the scheduler then re-evaluates the guard after every change around
+        the processor.
     """
 
     name: str
@@ -51,6 +78,7 @@ class Action:
     statement: StatementFn
     layer: str = ""
     priority: int = 0
+    reads: Reads | None = None
 
     def enabled(self, view: "ProcessorView") -> bool:
         """Evaluate the guard against ``view``."""
@@ -124,5 +152,6 @@ __all__ = [
     "BatchGuardFn",
     "BatchStepFn",
     "GuardFn",
+    "Reads",
     "StatementFn",
 ]

@@ -18,21 +18,23 @@ class Configuration:
     paper's model (guard evaluation and statement execution of an action are a
     single atomic step).
 
-    Every write path additionally journals *which processors' variables
-    changed* (:meth:`drain_dirty`); the incremental scheduler consumes that
-    journal to re-evaluate guards only around the changed nodes.  The journal
-    is sound as long as all mutations go through the write methods below --
-    mutating a value obtained from :meth:`get` in place bypasses it (the
-    runtime never does: :class:`~repro.runtime.processor.ProcessorView`
-    deep-copies mutable values on write).
+    Every write path additionally journals *which variables of which
+    processors changed* (:meth:`drain_dirty`); the incremental scheduler
+    consumes that journal to re-evaluate only the guards that read a changed
+    variable.  The journal is sound as long as all mutations go through the
+    write methods below -- mutating a value obtained from :meth:`get` in
+    place bypasses it (the runtime never does:
+    :class:`~repro.runtime.processor.ProcessorView` deep-copies mutable
+    values on write).
     """
 
     __slots__ = ("_states", "_dirty", "_watchers")
 
     def __init__(self, states: Mapping[int, Mapping[str, Any]] | None = None) -> None:
         self._states: dict[int, dict[str, Any]] = {}
-        # Nodes changed since the last drain.
-        self._dirty: set[int] = set()
+        # Nodes changed since the last drain -> the distinct variables that
+        # changed there, in first-change order (``None``: the whole state).
+        self._dirty: dict[int, tuple[str, ...] | None] = {}
         # Change watchers (e.g. the struct-of-arrays view): called as
         # ``watcher(node, variables_or_None)`` on every journal event.  A
         # watcher keeps its own pending-set, so draining the journal (which
@@ -103,8 +105,19 @@ class Configuration:
         state[variable] = value
 
     def _journal(self, node: int, variables: "tuple[str, ...] | None") -> None:
-        """Record changed ``variables`` at ``node`` (``None``: whole state)."""
-        self._dirty.add(node)
+        """Record changed ``variables`` at ``node`` (``None``: whole state).
+
+        A second event on a node before the next drain unions its variables
+        into the first one's; ``None`` absorbs everything.
+        """
+        known = self._dirty.setdefault(node, variables)
+        if known is not variables and known is not None:
+            if variables is None:
+                self._dirty[node] = None
+            else:
+                added = tuple(name for name in variables if name not in known)
+                if added:
+                    self._dirty[node] = known + added
         if self._watchers:
             for watcher in self._watchers:
                 watcher(node, variables)
@@ -188,10 +201,15 @@ class Configuration:
         """Nodes with journaled changes not yet drained."""
         return frozenset(self._dirty)
 
-    def drain_dirty(self) -> frozenset[int]:
-        """Return the journaled changed nodes and clear the journal."""
-        drained = frozenset(self._dirty)
-        self._dirty.clear()
+    def drain_dirty(self) -> dict[int, tuple[str, ...] | None]:
+        """Return ``node -> changed variables`` and clear the journal.
+
+        The variables are distinct names in first-change order, or ``None``
+        when the node's whole state changed (:meth:`replace_node`,
+        :meth:`mark_dirty`).
+        """
+        drained = self._dirty
+        self._dirty = {}
         return drained
 
     # ------------------------------------------------------------------

@@ -15,10 +15,16 @@ The layer's ``legitimate`` is "the conjunct holds at every node and the
 residue holds", so the global predicate and this tracker share one
 definition.  :class:`LegitimacyTracker` keeps, per layer, the set of nodes
 whose conjunct fails.  It watches the same change journal that feeds the
-scheduler's incremental enabled set: a change at ``v`` can only flip the
-conjuncts of ``v``'s closed neighborhood, so only those are re-checked.  A
-layer's residue is evaluated only when the layer's violation set is empty,
-and then cached until the next change.
+scheduler's incremental enabled set, and reads the layer's
+``legitimacy_reads`` declaration the way the scheduler reads a guard's: a
+change at ``v`` of a variable the conjunct reads only at the node itself
+re-checks ``v`` alone, one it reads at neighbors re-checks ``v``'s closed
+neighborhood, and any other change re-checks nothing.  A layer's residue is
+evaluated only when the layer's violation set is empty, and then cached
+until the next change.  A layer that declares a ``residue_tally`` (the
+token layer's active and holder counts) has its per-node tallies kept on
+the same re-checked nodes, so its residue reads the totals instead of
+scanning the configuration.
 """
 
 from __future__ import annotations
@@ -55,23 +61,48 @@ class LegitimacyTracker:
         self._slots: dict[Protocol, tuple[int, ...]] = {}
         self._violations: list[set[int]] = [set() for _ in self._layers]
         # Per layer: nodes journaled since its last sync with a change to a
-        # variable the layer's legitimacy reads.  A nonempty set also voids
-        # the layer's cached residue, which may read the whole configuration.
-        self._pending: list[set[int]] = [set() for _ in self._layers]
+        # variable the layer's legitimacy reads only at the node itself
+        # (``_pending_own``) or also at neighbors (``_pending_near``).  A
+        # nonempty set also voids the layer's cached residue, which may read
+        # the whole configuration.
+        self._pending_own: list[set[int]] = [set() for _ in self._layers]
+        self._pending_near: list[set[int]] = [set() for _ in self._layers]
         self._residues: dict[int, bool] = {}
+        # Per tallying layer: each node's last ``node_tally`` and their sums.
+        self._tallies: list[list[tuple[int, ...]] | None] = [
+            [(0,) * len(layer.residue_tally)] * network.n if layer.residue_tally else None
+            for layer in self._layers
+        ]
+        self._totals: list[list[int]] = [[0] * len(layer.residue_tally) for layer in self._layers]
         for slot in range(len(self._layers)):
             self._check(slot, network.nodes())
         watch = tuple(
-            (layer.legitimacy_reads, pending) for layer, pending in zip(self._layers, self._pending)
+            (layer.legitimacy_reads, own, near)
+            for layer, own, near in zip(self._layers, self._pending_own, self._pending_near)
         )
+        # Changed-variable tuple -> the pending sets it feeds (memoised: the
+        # journal repeats a handful of tuples).
+        targets: dict[tuple[str, ...] | None, tuple[set[int], ...]] = {}
+
+        def classify(variables: tuple[str, ...] | None) -> tuple[set[int], ...]:
+            fed: list[set[int]] = []
+            for reads, own, near in watch:
+                if reads is None or variables is None or not reads.neighbor.isdisjoint(variables):
+                    fed.append(near)
+                elif not reads.own.isdisjoint(variables):
+                    fed.append(own)
+            targets[variables] = fed = tuple(fed)
+            return fed
 
         # A closure over the pending sets only: the configuration holds its
         # watchers, and a bound method would tie it and the tracker into a
         # reference cycle that outlives the run until the cyclic collector.
         def on_change(node: int, variables: tuple[str, ...] | None) -> None:
-            for reads, pending in watch:
-                if reads is None or variables is None or not reads.isdisjoint(variables):
-                    pending.add(node)
+            fed = targets.get(variables)
+            if fed is None:
+                fed = classify(variables)
+            for pending in fed:
+                pending.add(node)
 
         self._on_change = on_change
         configuration.add_watcher(on_change)
@@ -81,10 +112,12 @@ class LegitimacyTracker:
         self.configuration.discard_watcher(self._on_change)
 
     def _check(self, slot: int, nodes: Iterable[int]) -> None:
-        """Re-evaluate layer ``slot``'s conjunct at ``nodes``."""
+        """Re-evaluate layer ``slot``'s conjunct (and tally) at ``nodes``."""
         network, configuration = self.network, self.configuration
-        conjunct = self._layers[slot].node_legitimate
+        layer = self._layers[slot]
+        conjunct = layer.node_legitimate
         violations = self._violations[slot]
+        tallies = self._tallies[slot]
         checked = 0
         for node in nodes:
             checked += 1
@@ -92,21 +125,31 @@ class LegitimacyTracker:
                 violations.discard(node)
             else:
                 violations.add(node)
+            if tallies is not None:
+                tally = layer.node_tally(network, configuration, node)
+                previous = tallies[node]
+                if tally != previous:
+                    tallies[node] = tally
+                    totals = self._totals[slot]
+                    for position, (old, new) in enumerate(zip(previous, tally)):
+                        totals[position] += new - old
         if self._instr.enabled:
             self._instr.count("legitimacy_nodes_checked", checked)
 
     def _sync(self, slot: int) -> None:
-        """Fold layer ``slot``'s journaled changes in: re-check their closed neighborhoods."""
-        pending = self._pending[slot]
-        if not pending:
+        """Fold layer ``slot``'s journaled changes in: re-check what they can flip."""
+        own, near = self._pending_own[slot], self._pending_near[slot]
+        if not own and not near:
             return
         network = self.network
-        frontier: set[int] = set()
-        for node in pending:
-            if 0 <= node < network.n:  # skip foreign ids journaled by hand
+        n = network.n
+        frontier = {node for node in own if 0 <= node < n}  # skip foreign ids
+        for node in near:
+            if 0 <= node < n:
                 frontier.add(node)
                 frontier.update(network.neighbor_set(node))
-        pending.clear()
+        own.clear()
+        near.clear()
         self._residues.pop(slot, None)
         self._check(slot, frontier)
 
@@ -139,9 +182,14 @@ class LegitimacyTracker:
         for slot in slots:
             holds = residues.get(slot)
             if holds is None:
-                holds = residues[slot] = self._layers[slot].legitimacy_residue(
-                    self.network, self.configuration
-                )
+                layer = self._layers[slot]
+                if self._tallies[slot] is not None:
+                    holds = layer.residue_from_tally(
+                        self.network, self.configuration, tuple(self._totals[slot])
+                    )
+                else:
+                    holds = layer.legitimacy_residue(self.network, self.configuration)
+                residues[slot] = holds
             if not holds:
                 return False
         return True

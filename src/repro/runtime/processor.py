@@ -209,13 +209,14 @@ class TrackingProcessorView(ProcessorView):
     """A :class:`ProcessorView` that records every ``(processor, variable)`` read.
 
     The scheduler's debug mode (``check_guard_locality``) evaluates guards on
-    this view to assert the locality invariant its dirty-frontier propagation
-    relies on: a guard's value may depend only on the node itself and its
-    neighbors, so a change at ``p`` can only flip enabled-status inside
-    ``N_p ∪ {p}``.  Reads through the view's API are logged (own reads too,
-    even when a pending write serves them), and the configuration is wrapped
-    in :class:`_ReadTrackingConfiguration` so reads that reach *around* the
-    API land in the same log.  The guard attribution of
+    this view to assert the invariants its stale-guard marking relies on: a
+    guard's value may depend only on the node itself and its neighbors (so a
+    change at ``p`` can only flip enabled-status inside ``N_p ∪ {p}``), and
+    only on the variables its action declares reading.  Reads through the
+    view's API are logged (own reads too, even when a pending write serves
+    them), and the configuration is wrapped in
+    :class:`_ReadTrackingConfiguration` so reads that reach *around* the API
+    land in the same log.  The guard attribution of
     :class:`~repro.errors.GuardLocalityError` consumes
     :attr:`read_variables`; :attr:`read_nodes` is the node-level rollup.
     """

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, BatchAction
+from repro.runtime.actions import Action, BatchAction, Reads
 from repro.runtime.configuration import Configuration
 from repro.runtime.variables import VariableSpec
 
@@ -30,10 +30,18 @@ class Protocol(ABC):
     #: Short identifier used in traces, metrics and composition error messages.
     name: str = "protocol"
 
-    #: The variables :meth:`node_legitimate` and :meth:`legitimacy_residue`
-    #: read, or ``None`` for any variable.  The incremental legitimacy
-    #: tracker re-checks a layer only after one of them changed.
-    legitimacy_reads: frozenset[str] | None = None
+    #: What :meth:`node_legitimate` reads at the node itself (``own``) and at
+    #: its neighbors (``neighbor``), in the :class:`~repro.runtime.actions.Reads`
+    #: form guards declare; :meth:`legitimacy_residue` and :meth:`node_tally`
+    #: may read only variables listed in either set.  ``None`` means any
+    #: variable.  The incremental legitimacy tracker re-checks a node after
+    #: an own-read change there and its closed neighborhood after a
+    #: neighbor-read change.
+    legitimacy_reads: Reads | None = None
+
+    #: Names of the per-node counts :meth:`node_tally` returns; empty when the
+    #: layer's residue keeps no tally.
+    residue_tally: tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
     # Abstract interface
@@ -73,6 +81,25 @@ class Protocol(ABC):
         that does not decompose (see :meth:`node_legitimate`).
         """
         return self.legitimate(network, configuration)
+
+    def node_tally(
+        self, network: RootedNetwork, configuration: Configuration, node: int
+    ) -> tuple[int, ...]:
+        """``node``'s contribution to the counts :meth:`residue_from_tally` reads.
+
+        Only for layers that declare :attr:`residue_tally`: the legitimacy
+        tracker keeps the per-node tallies -- which, like the conjunct, read
+        only the closed neighborhood and :attr:`legitimacy_reads` -- summed
+        over the nodes it re-checks, so the residue costs O(1) instead of a
+        scan.
+        """
+        return ()
+
+    def residue_from_tally(
+        self, network: RootedNetwork, configuration: Configuration, totals: Sequence[int]
+    ) -> bool:
+        """:meth:`legitimacy_residue` from the summed :meth:`node_tally` counts."""
+        return self.legitimacy_residue(network, configuration)
 
     # ------------------------------------------------------------------
     # Derived helpers

@@ -32,7 +32,7 @@ from repro.obs.instrument import (
     PHASE_LEGITIMACY,
     PHASE_OBSERVER_DISPATCH,
 )
-from repro.runtime.actions import Action
+from repro.runtime.actions import Action, Reads
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import Daemon, DistributedDaemon
 from repro.runtime.legitimacy import LegitimacyTracker
@@ -40,6 +40,109 @@ from repro.runtime.metrics import ExecutionMetrics
 from repro.runtime.observers import MetricsObserver, Observer, dispatch_safely
 from repro.runtime.processor import ProcessorView, TrackingProcessorView
 from repro.runtime.protocol import Protocol
+
+
+def evaluate_guards(
+    node: int,
+    network: RootedNetwork,
+    configuration: Configuration,
+    actions: Sequence[Action],
+    stale: int,
+    held: int,
+    check_guard_locality: bool = False,
+) -> tuple[int, int, int, int]:
+    """Find ``node``'s first enabled action, calling only its stale guards.
+
+    The single guard-evaluation primitive every scheduler core uses.  Bit
+    ``i`` of ``held`` records whether guard ``i`` held when last evaluated,
+    and bit ``i`` of ``stale`` that a change since then may have flipped it
+    (or that it was never evaluated).  The walk goes through the actions in
+    priority order, re-evaluates a guard only when its stale bit is set, and
+    stops at the first enabled action -- so the answer equals a fresh scan,
+    with at most as many guard calls.  A full scan is ``stale`` with every
+    bit set.
+
+    Returns ``(index, held, stale, calls)``: the first enabled action's
+    index (``len(actions)`` when none is), the updated masks, and the number
+    of guards called.
+
+    With ``check_guard_locality`` every called guard runs on a fresh
+    :class:`~repro.runtime.processor.TrackingProcessorView` and its read log
+    is checked: a read outside the closed neighborhood raises
+    :class:`~repro.errors.GuardLocalityError` with rule RL004, and a read
+    outside the action's declared :class:`~repro.runtime.actions.Reads` one
+    with rule RL008.
+    """
+    view = None if check_guard_locality else ProcessorView(node, network, configuration)
+    calls = 0
+    bit = 1
+    index = 0
+    for action in actions:
+        if stale & bit:
+            calls += 1
+            stale ^= bit
+            if view is None:
+                tracked = TrackingProcessorView(node, network, configuration)
+                holds = action.guard(tracked)
+                _check_guard_reads(node, network, action, tracked.read_variables)
+            else:
+                holds = action.guard(view)
+            if holds:
+                return index, held | bit, stale, calls
+            held &= ~bit
+        elif held & bit:
+            return index, held, stale, calls
+        bit <<= 1
+        index += 1
+    return index, held, stale, calls
+
+
+def _check_guard_reads(
+    node: int,
+    network: RootedNetwork,
+    action: Action,
+    reads: frozenset[tuple[int, str]],
+) -> None:
+    """Raise :class:`GuardLocalityError` for a read ``action``'s guard may not make."""
+    allowed = set(network.neighbor_set(node))
+    allowed.add(node)
+    illegal = sorted((source, name) for source, name in reads if source not in allowed)
+    if illegal:
+        listed = ", ".join(f"{name!r} of processor {source}" for source, name in illegal)
+        raise GuardLocalityError(
+            f"guard locality violated (RL004): guard of action {action.name!r} "
+            f"(layer {action.layer!r}) on processor {node} read {listed} outside "
+            f"its closed neighborhood {sorted(allowed)}",
+            node=node,
+            layer=action.layer,
+            action=action.name,
+            rule="RL004",
+            reads=illegal,
+        )
+    declared = action.reads
+    if declared is None:
+        return
+    undeclared = sorted(
+        (source, name)
+        for source, name in reads
+        if name not in (declared.own if source == node else declared.neighbor)
+    )
+    if undeclared:
+        listed = ", ".join(
+            f"{'own' if source == node else 'neighbor'} {name!r} (processor {source})"
+            for source, name in undeclared
+        )
+        raise GuardLocalityError(
+            f"undeclared guard read (RL008): guard of action {action.name!r} "
+            f"(layer {action.layer!r}) on processor {node} read {listed}, which its "
+            f"declared reads (own {sorted(declared.own)}, neighbor "
+            f"{sorted(declared.neighbor)}) omit",
+            node=node,
+            layer=action.layer,
+            action=action.name,
+            rule="RL008",
+            reads=undeclared,
+        )
 
 
 def first_enabled_action(
@@ -51,44 +154,12 @@ def first_enabled_action(
 ) -> Action | None:
     """The first action of ``node`` whose guard holds in ``configuration``.
 
-    The single guard-evaluation primitive every scheduler core uses, so all
-    of them evaluate guards -- and enforce the guard-locality invariant in
-    debug mode -- identically.
+    A full scan through :func:`evaluate_guards` (every guard stale).
     """
-    if not check_guard_locality:
-        view = ProcessorView(node, network, configuration)
-        for action in actions:
-            if action.guard(view):
-                return action
-        return None
-    # Debug path: diff the (node, variable) read log around each guard so a
-    # violation is attributed to the exact action/layer/variable that tripped.
-    view = TrackingProcessorView(node, network, configuration)
-    allowed = set(network.neighbor_set(node))
-    allowed.add(node)
-    for action in actions:
-        before = view.read_variables
-        enabled = action.guard(view)
-        illegal = sorted(
-            (source, name)
-            for source, name in view.read_variables - before
-            if source not in allowed
-        )
-        if illegal:
-            reads = ", ".join(f"{name!r} of processor {source}" for source, name in illegal)
-            raise GuardLocalityError(
-                f"guard locality violated (RL004): guard of action {action.name!r} "
-                f"(layer {action.layer!r}) on processor {node} read {reads} outside "
-                f"its closed neighborhood {sorted(allowed)}",
-                node=node,
-                layer=action.layer,
-                action=action.name,
-                rule="RL004",
-                reads=illegal,
-            )
-        if enabled:
-            return action
-    return None
+    index = evaluate_guards(
+        node, network, configuration, actions, (1 << len(actions)) - 1, 0, check_guard_locality
+    )[0]
+    return actions[index] if index < len(actions) else None
 
 
 @dataclass(frozen=True)
@@ -180,14 +251,17 @@ class Scheduler:
         observer registered before these.
     incremental:
         With ``True`` (the default) the scheduler maintains a persistent
-        enabled-set and re-evaluates guards only for the *dirty frontier* of
-        each mutation -- the nodes whose variables changed plus their closed
-        neighborhoods -- instead of rescanning all ``n`` processors per step.
-        This is sound because a guard may read only its own node and its
-        neighbors (:class:`~repro.runtime.processor.ProcessorView` enforces
-        it), so results are bit-identical to ``incremental=False``, which
-        keeps the historical full scan for differential testing (the
-        ``scheduler-fullscan`` engine).  The same flag selects how
+        enabled-set and re-evaluates only the guards a journaled change can
+        flip, instead of rescanning all ``n`` processors per step.  A change
+        of variables ``V`` at ``p`` marks stale the guards of ``p`` whose
+        declared :class:`~repro.runtime.actions.Reads` own-set meets ``V``
+        and the guards of ``p``'s neighbors whose neighbor-set does (an
+        action without a declaration counts as reading everything).  This is
+        sound because a guard may read only its closed neighborhood
+        (:class:`~repro.runtime.processor.ProcessorView` enforces it) and
+        only what it declares, so results are bit-identical to
+        ``incremental=False``, which keeps the historical full scan for
+        differential testing (the ``scheduler-fullscan`` engine).  The same flag selects how
         :meth:`legitimate` answers: from a
         :class:`~repro.runtime.legitimacy.LegitimacyTracker` on the same
         change journal, or by evaluating the protocol's global predicate.
@@ -195,10 +269,10 @@ class Scheduler:
         Debug mode: track every configuration read during guard evaluation
         and raise :class:`~repro.errors.GuardLocalityError` (a
         :class:`~repro.errors.ProtocolError`, carrying the layer, action and
-        offending variables) if a guard reads
-        outside its closed neighborhood -- the invariant the incremental path
-        relies on.  Defaults to the ``REPRO_DEBUG_GUARDS`` environment
-        variable.
+        offending variables) if a guard reads outside its closed
+        neighborhood (rule RL004) or outside its action's declared reads
+        (RL008) -- the invariants the incremental path relies on.  Defaults
+        to the ``REPRO_DEBUG_GUARDS`` environment variable.
     instrumentation:
         An :class:`~repro.obs.Instrumentation` registry the step loop feeds
         with phase timers (guard-eval, daemon-select, action-exec,
@@ -235,9 +309,7 @@ class Scheduler:
             configuration = protocol.random_configuration(network, rng=self.rng)
         self.configuration = configuration.copy()
 
-        self._actions: dict[int, tuple[Action, ...]] = {
-            node: tuple(protocol.actions(network, node)) for node in network.nodes()
-        }
+        self._index_actions()
         # Metrics are an observer like any other; keeping it first in the list
         # preserves the historical update order (counters before any external
         # consumer sees the step).
@@ -260,6 +332,13 @@ class Scheduler:
         # does not touch guards, so keeping crashed nodes cached makes
         # freeze/unfreeze invalidation-free; the accessors filter them).
         self._enabled: dict[int, Action] = {}
+        # Per node, bitmasks over its action tuple (see evaluate_guards):
+        # which guards held when last evaluated, which a change may have
+        # flipped since, and which can matter -- the bits up to the first
+        # enabled action; a stale bit beyond it waits for a later walk.
+        self._held: list[int] = []
+        self._stale: list[int] = []
+        self._watch: list[int] = []
         self._needs_full_rescan = True
         # Maintained sorted/immutable view of the non-frozen enabled nodes.
         # Steps used to re-sort the enabled-set (and daemons to copy it) every
@@ -358,15 +437,23 @@ class Scheduler:
         timed = instr.enabled
         started = time.perf_counter() if timed else 0.0
         enabled: dict[int, Action] = {}
-        for node in self.network.nodes():
+        network, configuration = self.network, self.configuration
+        check = self.check_guard_locality
+        calls = 0
+        for node in network.nodes():
             if node in self._frozen:
                 continue
-            action = self._first_enabled(node)
-            if action is not None:
-                enabled[node] = action
+            actions = self._actions[node]
+            index, _, _, called = evaluate_guards(
+                node, network, configuration, actions, (1 << len(actions)) - 1, 0, check
+            )
+            calls += called
+            if index < len(actions):
+                enabled[node] = actions[index]
         order = tuple(enabled)  # network.nodes() iterates ascending
         if timed:
-            instr.count("guards_evaluated", self.network.n - len(self._frozen))
+            instr.count("guards_evaluated", network.n - len(self._frozen))
+            instr.count("guard_calls", calls)
             instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
         return order, enabled, frozenset(order)
 
@@ -402,12 +489,82 @@ class Scheduler:
         self._enabled_order = None
         self._enabled_members = None
 
+    def _index_actions(self) -> None:
+        """Build the per-node action tables and their read-declaration index.
+
+        Nodes whose actions declare the same reads share one *table*; the
+        stale masks a change implies are memoised per changed-variable tuple
+        and table, so marking costs a lookup per touched node.
+        """
+        network = self.network
+        self._actions = {
+            node: tuple(self.protocol.actions(network, node)) for node in network.nodes()
+        }
+        tables: dict[tuple[Reads | None, ...], int] = {}
+        self._table: list[int] = [
+            tables.setdefault(tuple(action.reads for action in self._actions[node]), len(tables))
+            for node in network.nodes()
+        ]
+        self._tables: tuple[tuple[Reads | None, ...], ...] = tuple(tables)
+        self._stale_masks: dict[
+            tuple[str, ...] | None, tuple[tuple[int, ...], tuple[int, ...], bool]
+        ] = {}
+
+    def _masks_for(
+        self, variables: tuple[str, ...] | None
+    ) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+        """Stale masks a change of ``variables`` implies, per table.
+
+        ``(own, neighbor, reaches)``: ``own[t]`` for the changed node and
+        ``neighbor[t]`` for each of its neighbors, where ``t`` is the node's
+        table; ``reaches`` is whether any neighbor mask is nonzero.
+        """
+        def mask(table: tuple[Reads | None, ...], neighbor: bool) -> int:
+            bits = 0
+            for position, reads in enumerate(table):
+                if (
+                    reads is None
+                    or variables is None
+                    or not (reads.neighbor if neighbor else reads.own).isdisjoint(variables)
+                ):
+                    bits |= 1 << position
+            return bits
+
+        own = tuple(mask(table, False) for table in self._tables)
+        neighbor = tuple(mask(table, True) for table in self._tables)
+        entry = (own, neighbor, any(neighbor))
+        self._stale_masks[variables] = entry
+        return entry
+
+    def _reevaluate(self, node: int) -> int:
+        """Walk ``node``'s stale guards and update its enabled-set entry; returns guard calls."""
+        actions = self._actions[node]
+        index, self._held[node], self._stale[node], calls = evaluate_guards(
+            node,
+            self.network,
+            self.configuration,
+            actions,
+            self._stale[node],
+            self._held[node],
+            self.check_guard_locality,
+        )
+        self._watch[node] = (2 << index) - 1
+        if index < len(actions):
+            if node not in self._enabled:
+                self._invalidate_enabled_view()
+            self._enabled[node] = actions[index]
+        elif self._enabled.pop(node, None) is not None:
+            self._invalidate_enabled_view()
+        return calls
+
     def _refresh_enabled(self) -> None:
         """Fold journaled configuration changes into the persistent enabled-set.
 
-        The re-evaluated *dirty frontier* is the changed nodes plus their
-        closed neighborhoods: a guard reads only its own node and its
-        neighbors, so no other processor's enabled-status can have flipped.
+        Each journal entry ``node -> variables`` sets the stale bits its
+        declarations imply (:meth:`_masks_for`) at the node and its
+        neighbors; a node is re-walked only when a stale bit lies at or
+        before its first enabled action, since no other guard can change
+        which action is first.
 
         Attributes its own wall clock to the ``guard_eval`` phase, so
         callers -- including the nested re-check round bookkeeping performs
@@ -419,40 +576,62 @@ class Scheduler:
         if self._needs_full_rescan:
             self.configuration.drain_dirty()
             self._enabled = {}
-            for node in self.network.nodes():
-                action = self._first_enabled(node)
-                if action is not None:
-                    self._enabled[node] = action
+            n = self.network.n
+            self._held = [0] * n
+            self._stale = [(1 << len(self._actions[node])) - 1 for node in range(n)]
+            self._watch = [0] * n
+            calls = 0
+            for node in range(n):
+                calls += self._reevaluate(node)
             self._needs_full_rescan = False
             self._invalidate_enabled_view()
             if timed:
-                instr.count("guards_evaluated", self.network.n)
+                instr.count("guards_evaluated", n)
+                instr.count("guard_calls", calls)
                 instr.count("full_rescans")
                 instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
             return
-        dirty = self.configuration.drain_dirty()
-        if not dirty:
+        changes = self.configuration.drain_dirty()
+        if not changes:
             if timed:
                 instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
             return
+        actions, table, stale, watch = self._actions, self._table, self._stale, self._watch
+        memo = self._stale_masks
         frontier: set[int] = set()
-        for node in dirty:
-            if node not in self._actions:
+        # Neighbor masks -> the changed nodes whose neighbors they mark.
+        spread: dict[tuple[int, ...], list[int]] = {}
+        for node, variables in changes.items():
+            if node not in actions:
                 continue  # a foreign node id journaled by hand-built state
-            frontier.add(node)
-            frontier.update(self.network.neighbor_set(node))
+            entry = memo.get(variables)
+            if entry is None:
+                entry = self._masks_for(variables)
+            own, neighbor, reaches = entry
+            mask = own[table[node]]
+            if mask:
+                stale[node] |= mask
+                if mask & watch[node]:
+                    frontier.add(node)
+            if reaches:
+                spread.setdefault(neighbor, []).append(node)
+        # Marking each neighbor once per mask, not once per changed node next
+        # to it, keeps dense synchronous steps linear in n.
+        neighbor_set = self.network.neighbor_set
+        for neighbor, nodes in spread.items():
+            for other in set().union(*map(neighbor_set, nodes)):
+                mask = neighbor[table[other]]
+                if mask:
+                    stale[other] |= mask
+                    if mask & watch[other]:
+                        frontier.add(other)
+        calls = 0
         for node in frontier:
-            action = self._first_enabled(node)
-            if action is None:
-                if self._enabled.pop(node, None) is not None:
-                    self._invalidate_enabled_view()
-            else:
-                if node not in self._enabled:
-                    self._invalidate_enabled_view()
-                self._enabled[node] = action
+            calls += self._reevaluate(node)
         if timed:
             instr.count("guards_evaluated", len(frontier))
-            instr.gauge("dirty_set_size", len(dirty))
+            instr.count("guard_calls", calls)
+            instr.gauge("dirty_set_size", len(changes))
             instr.gauge("frontier_size", len(frontier))
             instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
 
@@ -548,8 +727,8 @@ class Scheduler:
 
         # Apply all writes after every selected processor has read the
         # beginning-of-step configuration (composite atomicity).  apply_writes
-        # journals the changed nodes, which is what feeds the incremental
-        # path's dirty frontier.
+        # journals the changed variables, which is what marks the incremental
+        # path's stale guards.
         changed_nodes: list[int] = []
         moves: list[MoveRecord] = []
         action_names = dict(executed)
@@ -813,9 +992,7 @@ class Scheduler:
             )
         self.protocol.validate(network)
         self.network = network
-        self._actions = {
-            node: tuple(self.protocol.actions(network, node)) for node in network.nodes()
-        }
+        self._index_actions()
         reinitialized = tuple(reinitialize)
         for node in reinitialized:
             self.configuration.replace_node(
@@ -865,7 +1042,7 @@ class Scheduler:
         Delegates to
         :meth:`~repro.runtime.configuration.Configuration.replace_node` -- the
         write is journaled, so the incremental enabled-set folds it in like
-        any other dirty-frontier entry -- and notifies observers, which a
+        any other change -- and notifies observers, which a
         direct ``scheduler.configuration.replace_node`` call would bypass.
         """
         self.configuration.replace_node(node, values)
@@ -900,5 +1077,6 @@ __all__ = [
     "Scheduler",
     "RunResult",
     "StepRecord",
+    "evaluate_guards",
     "first_enabled_action",
 ]

@@ -25,7 +25,7 @@ mutation seams -- :meth:`~repro.runtime.scheduler.Scheduler.set_configuration`
 and :meth:`~repro.runtime.scheduler.Scheduler.set_network` invalidate the
 incremental enabled-set wholesale, while ``freeze``/``unfreeze`` and
 :meth:`~repro.runtime.scheduler.Scheduler.replace_node` writes feed its
-dirty frontier -- so the incremental scheduler core stays bit-identical
+change journal -- so the incremental scheduler core stays bit-identical
 to the full scan under any scenario (the equivalence property test drives
 every library scenario through both paths), and every mutation reaches the
 observers' ``on_mutation`` hook, which is what makes a recorded scenario

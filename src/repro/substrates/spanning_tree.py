@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
 from repro.graphs.properties import bfs_distances
-from repro.runtime.actions import Action, BatchAction
+from repro.runtime.actions import Action, BatchAction, Reads
 from repro.runtime.composition import HookedComposition, HookingLayer
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
@@ -46,6 +46,11 @@ from repro.substrates.token_circulation import DepthFirstTokenCirculation, dfs_p
 VAR_BFS_DIST = "bt_dist"
 VAR_BFS_PARENT = "bt_par"
 VAR_DFS_PARENT = "dfst_par"
+
+_BFS_ROOT_READS = Reads(own=frozenset({VAR_BFS_DIST, VAR_BFS_PARENT}))
+_BFS_RELAX_READS = Reads(
+    own=frozenset({VAR_BFS_DIST, VAR_BFS_PARENT}), neighbor=frozenset({VAR_BFS_DIST})
+)
 
 
 class SpanningTreeProtocol(Protocol):
@@ -147,7 +152,8 @@ class BFSSpanningTree(SpanningTreeProtocol):
 
     name = "bfstree"
     parent_variable = VAR_BFS_PARENT
-    legitimacy_reads = frozenset({VAR_BFS_DIST, VAR_BFS_PARENT})
+    # The reference distances come from the network, not from neighbors.
+    legitimacy_reads = Reads(own=frozenset({VAR_BFS_DIST, VAR_BFS_PARENT}))
 
     ACTION_ROOT = "ST-Root"
     ACTION_RELAX = "ST-Relax"
@@ -197,7 +203,11 @@ class BFSSpanningTree(SpanningTreeProtocol):
                 view.write(VAR_BFS_DIST, 0)
                 view.write(VAR_BFS_PARENT, None)
 
-            return [Action(self.ACTION_ROOT, root_guard, root_set, layer=self.name)]
+            return [
+                Action(
+                    self.ACTION_ROOT, root_guard, root_set, layer=self.name, reads=_BFS_ROOT_READS
+                )
+            ]
 
         def relax_guard(view: ProcessorView) -> bool:
             dist, parent = self._desired(view)
@@ -208,7 +218,9 @@ class BFSSpanningTree(SpanningTreeProtocol):
             view.write(VAR_BFS_DIST, dist)
             view.write(VAR_BFS_PARENT, parent)
 
-        return [Action(self.ACTION_RELAX, relax_guard, relax, layer=self.name)]
+        return [
+            Action(self.ACTION_RELAX, relax_guard, relax, layer=self.name, reads=_BFS_RELAX_READS)
+        ]
 
     def batch_actions(self, network: RootedNetwork) -> Sequence[BatchAction]:
         """Whole-array twins of ``ST-Root``/``ST-Relax`` for the vectorized core.
@@ -340,7 +352,7 @@ class _DFSTreeOverlay(HookingLayer):
     """Records the token's traversal parents into a stable tree variable."""
 
     name = "dfstree-overlay"
-    legitimacy_reads = frozenset({VAR_DFS_PARENT})
+    legitimacy_reads = Reads(own=frozenset({VAR_DFS_PARENT}))
 
     def __init__(self) -> None:
         self._reference = _PerNetwork(dfs_tree_parents)

@@ -55,7 +55,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action
+from repro.runtime.actions import Action, Reads
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
@@ -71,6 +71,32 @@ VAR_WAVE = "tc_wave"
 VAR_PARENT = "tc_par"
 VAR_CHILD = "tc_child"
 VAR_LEVEL = "tc_lvl"
+
+_ALL = frozenset({VAR_STATE, VAR_WAVE, VAR_PARENT, VAR_CHILD, VAR_LEVEL})
+
+# What each guard reads (``Action.reads``); ``repro-lint`` holds them to the
+# guards' statically derived read sets (RL008).
+_NORMALIZE_READS = Reads(own=frozenset({VAR_PARENT, VAR_LEVEL}))
+_ROOT_START_READS = Reads(own=frozenset({VAR_STATE}))
+_ROOT_ERROR_READS = Reads(
+    own=frozenset({VAR_STATE, VAR_CHILD}), neighbor=frozenset({VAR_STATE, VAR_PARENT})
+)
+#: Root delegate/finish: the delegation settled, and which neighbors are unvisited.
+_ROOT_STEP_READS = Reads(
+    own=frozenset({VAR_STATE, VAR_CHILD, VAR_WAVE}), neighbor=frozenset({VAR_STATE, VAR_WAVE})
+)
+_FORWARD_READS = Reads(
+    own=frozenset({VAR_STATE, VAR_WAVE}),
+    neighbor=frozenset({VAR_STATE, VAR_CHILD, VAR_WAVE, VAR_LEVEL}),
+)
+#: Non-root error/delegate/finish: the whole stack consistency check.
+_STACKED_READS = Reads(own=_ALL, neighbor=_ALL)
+
+#: What :meth:`DepthFirstTokenCirculation.holds_token` reads, for guards of
+#: other layers that call it.
+HOLDS_TOKEN_READS = Reads(
+    own=frozenset({VAR_STATE, VAR_CHILD}), neighbor=frozenset({VAR_STATE})
+)
 
 
 def dfs_preorder(network: RootedNetwork) -> list[int]:
@@ -123,7 +149,8 @@ class DepthFirstTokenCirculation(Protocol):
     """
 
     name = "dftc"
-    legitimacy_reads = frozenset({VAR_STATE, VAR_WAVE, VAR_PARENT, VAR_CHILD, VAR_LEVEL})
+    legitimacy_reads = Reads(own=_ALL, neighbor=_ALL)
+    residue_tally = ("active", "holders")
 
     ACTION_ROOT_NORMALIZE = "TC-RootNormalize"
     ACTION_ROOT_START = "TC-RootStart"
@@ -321,12 +348,28 @@ class DepthFirstTokenCirculation(Protocol):
                 and not self._unvisited_neighbors(view)
             )
 
+        layer = self.name
         return [
-            Action(self.ACTION_ROOT_NORMALIZE, normalize_guard, normalize, layer=self.name, priority=0),
-            Action(self.ACTION_ROOT_ERROR, delegation_error_guard, delegation_error, layer=self.name, priority=1),
-            Action(self.ACTION_ROOT_DELEGATE, delegate_guard, self._delegate, layer=self.name, priority=2),
-            Action(self.ACTION_ROOT_FINISH, finish_guard, self._retire, layer=self.name, priority=3),
-            Action(self.ACTION_ROOT_START, start_guard, start, layer=self.name, priority=4),
+            Action(
+                self.ACTION_ROOT_NORMALIZE, normalize_guard, normalize,
+                layer=layer, priority=0, reads=_NORMALIZE_READS,
+            ),
+            Action(
+                self.ACTION_ROOT_ERROR, delegation_error_guard, delegation_error,
+                layer=layer, priority=1, reads=_ROOT_ERROR_READS,
+            ),
+            Action(
+                self.ACTION_ROOT_DELEGATE, delegate_guard, self._delegate,
+                layer=layer, priority=2, reads=_ROOT_STEP_READS,
+            ),
+            Action(
+                self.ACTION_ROOT_FINISH, finish_guard, self._retire,
+                layer=layer, priority=3, reads=_ROOT_STEP_READS,
+            ),
+            Action(
+                self.ACTION_ROOT_START, start_guard, start,
+                layer=layer, priority=4, reads=_ROOT_START_READS,
+            ),
         ]
 
     def _non_root_actions(self) -> list[Action]:
@@ -367,11 +410,24 @@ class DepthFirstTokenCirculation(Protocol):
                 and not self._unvisited_neighbors(view)
             )
 
+        layer = self.name
         return [
-            Action(self.ACTION_ERROR, error_guard, error_reset, layer=self.name, priority=0),
-            Action(self.ACTION_FORWARD, forward_guard, forward, layer=self.name, priority=1),
-            Action(self.ACTION_DELEGATE, delegate_guard, self._delegate, layer=self.name, priority=2),
-            Action(self.ACTION_FINISH, finish_guard, self._retire, layer=self.name, priority=3),
+            Action(
+                self.ACTION_ERROR, error_guard, error_reset,
+                layer=layer, priority=0, reads=_STACKED_READS,
+            ),
+            Action(
+                self.ACTION_FORWARD, forward_guard, forward,
+                layer=layer, priority=1, reads=_FORWARD_READS,
+            ),
+            Action(
+                self.ACTION_DELEGATE, delegate_guard, self._delegate,
+                layer=layer, priority=2, reads=_STACKED_READS,
+            ),
+            Action(
+                self.ACTION_FINISH, finish_guard, self._retire,
+                layer=layer, priority=3, reads=_STACKED_READS,
+            ),
         ]
 
     def _forwarding_parent(self, view: ProcessorView) -> int | None:
@@ -440,6 +496,28 @@ class DepthFirstTokenCirculation(Protocol):
             and level == configuration.get(parent, VAR_LEVEL) + 1
         )
 
+    def node_tally(
+        self, network: RootedNetwork, configuration: Configuration, node: int
+    ) -> tuple[int, int]:
+        """``(active, holder)``: whether ``node`` is on the stack, and holds the token."""
+        if configuration.get(node, VAR_STATE) != ACTIVE:
+            return (0, 0)
+        child = configuration.get(node, VAR_CHILD)
+        holder = (
+            child is None
+            or child not in network.neighbor_set(node)
+            or configuration.get(child, VAR_STATE) != ACTIVE
+        )
+        return (1, int(holder))
+
+    def residue_from_tally(
+        self, network: RootedNetwork, configuration: Configuration, totals: Sequence[int]
+    ) -> bool:
+        """:meth:`legitimacy_residue` from the active and holder counts."""
+        active, holders = totals
+        root_active = configuration.get(network.root, VAR_STATE) == ACTIVE
+        return holders <= 1 and (root_active or active == 0)
+
     def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """At most one token holder, and an active non-root implies an active root."""
         root_active = configuration.get(network.root, VAR_STATE) == ACTIVE
@@ -487,6 +565,7 @@ class DepthFirstTokenCirculation(Protocol):
 
 __all__ = [
     "DepthFirstTokenCirculation",
+    "HOLDS_TOKEN_READS",
     "dfs_preorder",
     "WAIT",
     "ACTIVE",

@@ -1,0 +1,57 @@
+"""Fixture protocol whose read declarations omit reads it makes.
+
+The guard of ``RU-Copy`` reads ``ru_x`` at the processor and at its
+neighbors but declares only the own read; ``node_legitimate`` reads the
+neighbors' ``ru_x`` while ``legitimacy_reads`` declares only the own one.
+The default ``repro-lint`` run must flag both as RL008 (and nothing else),
+and a scheduler in ``check_guard_locality`` mode must raise RL008 on the
+guard.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from repro.graphs.network import RootedNetwork
+from repro.runtime.actions import Action, Reads
+from repro.runtime.configuration import Configuration
+from repro.runtime.processor import ProcessorView
+from repro.runtime.protocol import Protocol
+from repro.runtime.variables import VariableSpec, int_variable
+
+VAR_X = "ru_x"
+
+_OWN_ONLY = Reads(own=frozenset({VAR_X}))
+
+
+class ReadsUnderdeclared(Protocol):
+    """Copy the largest neighbor value; declarations miss the neighbor reads."""
+
+    name = "reads-underdeclared"
+    legitimacy_reads = _OWN_ONLY
+
+    ACTION_COPY = "RU-Copy"
+
+    def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
+        return [int_variable(VAR_X, 0, 3, initial=0, description="copied value")]
+
+    def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
+        def copy_guard(view: ProcessorView) -> bool:
+            highest = max(view.read_neighbor(q, VAR_X) for q in view.neighbors)
+            return view.read(VAR_X) < highest
+
+        def copy(view: ProcessorView) -> None:
+            view.write(VAR_X, max(view.read_neighbor(q, VAR_X) for q in view.neighbors))
+
+        return [Action(self.ACTION_COPY, copy_guard, copy, layer=self.name, reads=_OWN_ONLY)]
+
+    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
+        return all(
+            self.node_legitimate(network, configuration, node) for node in network.nodes()
+        )
+
+    def node_legitimate(
+        self, network: RootedNetwork, configuration: Configuration, node: int
+    ) -> bool:
+        own = configuration.get(node, VAR_X)
+        return all(configuration.get(q, VAR_X) <= own for q in network.neighbors(node))

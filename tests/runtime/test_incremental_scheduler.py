@@ -32,7 +32,7 @@ def test_journal_marks_only_real_changes():
     config.set(0, "x", 5)
     config.update_node(1, {"x": 2})  # same value: no change
     assert config.dirty_nodes == frozenset({0})
-    assert config.drain_dirty() == frozenset({0})
+    assert config.drain_dirty() == {0: ("x",)}
     assert config.dirty_nodes == frozenset()
 
 
@@ -41,12 +41,12 @@ def test_apply_writes_reports_changes_and_journals_slot_creation():
     config.drain_dirty()
     changes = config.apply_writes(0, {"x": 2, "y": 7})
     assert changes == {"x": (1, 2), "y": (None, 7)}
-    assert config.drain_dirty() == frozenset({0})
+    assert config.drain_dirty() == {0: ("x", "y")}
     # Creating a slot holding None is invisible to MoveRecord changes
     # (historical semantics) but still journals the node for guard refresh.
     changes = config.apply_writes(0, {"z": None})
     assert changes == {}
-    assert config.drain_dirty() == frozenset({0})
+    assert config.drain_dirty() == {0: ("z",)}
 
 
 def test_replace_node_journals_only_on_difference():

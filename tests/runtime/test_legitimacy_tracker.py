@@ -200,14 +200,69 @@ def test_conjuncts_read_only_the_closed_neighborhood_and_declared_variables(stac
             declared = layer.legitimacy_reads
             assert declared is not None, layer.name
             for node in network.nodes():
-                logged.reads.clear()
-                layer.node_legitimate(network, logged, node)
-                allowed = network.neighbor_set(node) | {node}
-                assert {source for source, _ in logged.reads} <= allowed, (layer.name, node)
-                assert {name for _, name in logged.reads} <= declared, (layer.name, node)
+                for per_node in (layer.node_legitimate, layer.node_tally):
+                    logged.reads.clear()
+                    per_node(network, logged, node)
+                    allowed = network.neighbor_set(node) | {node}
+                    assert {source for source, _ in logged.reads} <= allowed, (layer.name, node)
+                    own = {name for source, name in logged.reads if source == node}
+                    neighbor = {name for source, name in logged.reads if source != node}
+                    assert own <= declared.own, (layer.name, node)
+                    assert neighbor <= declared.neighbor, (layer.name, node)
             logged.reads.clear()
             layer.legitimacy_residue(network, logged)
-            assert {name for _, name in logged.reads} <= declared, layer.name
+            read = {name for _, name in logged.reads}
+            assert read <= declared.own | declared.neighbor, layer.name
+
+
+# ----------------------------------------------------------------------
+# The token layer's residue from tallies
+# ----------------------------------------------------------------------
+def _assert_tallies_match(tracker: LegitimacyTracker) -> int:
+    """Every tallying layer's residue from totals equals the scanned residue."""
+    compared = 0
+    network, configuration = tracker.network, tracker.configuration
+    for slot, layer in enumerate(tracker._layers):
+        if layer.residue_tally:
+            totals = tuple(tracker._totals[slot])
+            scanned = [layer.node_tally(network, configuration, node) for node in network.nodes()]
+            assert list(totals) == [sum(column) for column in zip(*scanned)], layer.name
+            assert layer.residue_from_tally(network, configuration, totals) == (
+                layer.legitimacy_residue(network, configuration)
+            ), layer.name
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_tallied_residue_equals_the_scanned_residue_on_every_configuration(stack):
+    network = generators.random_connected(10, extra_edge_probability=0.3, seed=5)
+    protocol = build_protocol(stack)
+    for configuration in _configurations(protocol, network):
+        tracker = LegitimacyTracker(network, protocol, configuration)
+        compared = _assert_tallies_match(tracker)
+        tracker.detach()
+        assert compared == (0 if stack == "stno-bfs" else 1)
+
+
+@pytest.mark.parametrize("daemon", DAEMONS)
+@pytest.mark.parametrize("stack", ("dftno", "stno-dfs"))
+def test_tallies_follow_every_step_and_mutation(stack, daemon):
+    network = generators.random_connected(9, seed=4)
+    protocol = build_protocol(stack)
+    rng = random.Random(12)
+    scheduler = Scheduler(network, protocol, daemon=make_daemon(daemon), seed=5)
+    for _ in range(3):
+        for _ in range(80):
+            scheduler.legitimate()
+            _assert_tallies_match(scheduler._legitimacy)
+            if scheduler.step() is None:
+                break
+        victim = rng.randrange(network.n)
+        scheduler.replace_node(victim, protocol.random_state(network, victim, rng))
+        scheduler.configuration.set(rng.randrange(network.n), "tc_st", "active")
+        scheduler.legitimate()
+        _assert_tallies_match(scheduler._legitimacy)
 
 
 # ----------------------------------------------------------------------
