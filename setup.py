@@ -18,11 +18,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # The core engines are pure-Python on purpose; numpy only powers the
-    # opt-in vectorized synchronous engine (``scheduler-vectorized``).  Without
-    # it that engine raises EngineUnavailableError, so it is an extra:
-    #     pip install .[vectorized]
-    extras_require={"vectorized": ["numpy"]},
     entry_points={
         "console_scripts": [
             "repro-campaign=repro.campaign.cli:main",

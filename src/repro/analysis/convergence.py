@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, asdict
-from functools import partial
 from typing import Callable, Sequence
 
 from repro.core.dftno import build_dftno
@@ -88,7 +87,7 @@ def measure_layered_stabilization(
     configuration: Configuration | None = None,
     observers: Sequence[Observer] = (),
     incremental: bool = True,
-    scheduler_factory: Callable[..., Scheduler] | None = None,
+    check_guard_locality: bool = False,
     instrumentation: Instrumentation | None = None,
 ) -> StabilizationSample:
     """Run ``protocol`` from an arbitrary configuration and time two predicates.
@@ -105,25 +104,24 @@ def measure_layered_stabilization(
     ``on_converged`` with the finished sample.  ``incremental=False`` forces
     the scheduler's historical full guard scan and global legitimacy
     predicates (the ``scheduler-fullscan`` differential-testing path).
-    ``scheduler_factory`` substitutes a whole alternative execution core --
-    the ``scheduler-vectorized`` engine passes
-    :class:`~repro.runtime.vectorized.VectorizedScheduler` here -- and
-    overrides ``incremental``.
+    ``check_guard_locality=True`` runs every guard on the read-tracking view
+    (:class:`~repro.errors.GuardLocalityError` on violation); ``False`` leaves
+    the choice to the ``REPRO_DEBUG_GUARDS`` environment variable.
     """
     rng = random.Random(seed)
     daemon = daemon or DistributedDaemon()
     if max_steps is None:
         max_steps = 500 * (network.n + network.num_edges()) + 3_000
 
-    if scheduler_factory is None:
-        scheduler_factory = partial(Scheduler, incremental=incremental)
-    scheduler = scheduler_factory(
+    scheduler = Scheduler(
         network,
         protocol,
         daemon=daemon,
         rng=rng,
         configuration=configuration,
         observers=observers,
+        incremental=incremental,
+        check_guard_locality=check_guard_locality or None,
         instrumentation=instrumentation,
     )
     substrate_step: int | None = None
@@ -226,7 +224,7 @@ def measure_dftno(
     after_substrate: bool = False,
     observers: Sequence[Observer] = (),
     incremental: bool = True,
-    scheduler_factory: Callable[..., Scheduler] | None = None,
+    check_guard_locality: bool = False,
     instrumentation: Instrumentation | None = None,
 ) -> StabilizationSample:
     """Measure DFTNO on ``network``: token-layer and full-orientation stabilization.
@@ -256,7 +254,7 @@ def measure_dftno(
         configuration=configuration,
         observers=observers,
         incremental=incremental,
-        scheduler_factory=scheduler_factory,
+        check_guard_locality=check_guard_locality,
         instrumentation=instrumentation,
     )
 
@@ -271,7 +269,7 @@ def measure_stno(
     after_substrate: bool = False,
     observers: Sequence[Observer] = (),
     incremental: bool = True,
-    scheduler_factory: Callable[..., Scheduler] | None = None,
+    check_guard_locality: bool = False,
     instrumentation: Instrumentation | None = None,
 ) -> StabilizationSample:
     """Measure STNO on ``network``: tree-layer and full-orientation stabilization.
@@ -307,7 +305,7 @@ def measure_stno(
         configuration=configuration,
         observers=observers,
         incremental=incremental,
-        scheduler_factory=scheduler_factory,
+        check_guard_locality=check_guard_locality,
         instrumentation=instrumentation,
     )
 

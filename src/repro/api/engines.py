@@ -275,19 +275,12 @@ class SchedulerEngine(Engine):
         tracker (:class:`~repro.errors.GuardLocalityError` on violation)
         without touching the ``REPRO_DEBUG_GUARDS`` environment.
         """
-        if spec.debug and spec.debug.get("check_guard_locality"):
-            from functools import partial
-
-            from repro.runtime.scheduler import Scheduler
-
-            return {
-                "scheduler_factory": partial(
-                    Scheduler,
-                    incremental=self.incremental,
-                    check_guard_locality=True,
-                )
-            }
-        return {"incremental": self.incremental}
+        return {
+            "incremental": self.incremental,
+            "check_guard_locality": bool(
+                spec.debug and spec.debug.get("check_guard_locality")
+            ),
+        }
 
     def execute(
         self,
@@ -340,45 +333,6 @@ class FullScanSchedulerEngine(SchedulerEngine):
 
     name = "scheduler-fullscan"
     incremental = False
-
-
-class VectorizedSchedulerEngine(SchedulerEngine):
-    """The batch-kernel twin of :class:`SchedulerEngine`.
-
-    Same measurement, executed by
-    :class:`~repro.runtime.vectorized.VectorizedScheduler`: under the
-    synchronous daemon, protocols whose layers register
-    :class:`~repro.runtime.actions.BatchAction` kernels evaluate guards and
-    compute writes as whole numpy columns; everything else (non-synchronous
-    daemons, kernel-less layers, unencodable values) falls back to the
-    incremental per-node path.  Rows and spec hashes are byte-identical to
-    the ``scheduler`` engine's -- the equivalence suite holds all four
-    scheduler engines together.
-
-    Requires numpy (``pip install .[vectorized]``); requesting the engine
-    without it raises :class:`~repro.errors.EngineUnavailableError`.
-    """
-
-    name = "scheduler-vectorized"
-
-    def _scheduler_kwargs(self, spec: RunSpec) -> dict[str, object]:
-        from functools import partial
-
-        from repro.runtime.arrayview import HAVE_NUMPY
-        from repro.runtime.vectorized import VectorizedScheduler
-
-        if not HAVE_NUMPY:
-            from repro.errors import EngineUnavailableError
-
-            raise EngineUnavailableError(
-                "engine 'scheduler-vectorized' needs numpy, which is not "
-                "installed; install the optional extra with "
-                "'pip install .[vectorized]' or use engine='scheduler'"
-            )
-        kwargs: dict[str, object] = {}
-        if spec.debug and spec.debug.get("check_guard_locality"):
-            kwargs["check_guard_locality"] = True
-        return {"scheduler_factory": partial(VectorizedScheduler, **kwargs)}
 
 
 # ----------------------------------------------------------------------
@@ -505,7 +459,6 @@ def build_protocol(name: str):
 
 register_engine(SchedulerEngine())
 register_engine(FullScanSchedulerEngine())
-register_engine(VectorizedSchedulerEngine())
 register_engine(ScenarioEngine())
 register_engine(MsgpassEngine())
 
@@ -516,7 +469,6 @@ __all__ = [
     "MsgpassEngine",
     "ScenarioEngine",
     "SchedulerEngine",
-    "VectorizedSchedulerEngine",
     "build_protocol",
     "engine_names",
     "get_engine",

@@ -40,19 +40,13 @@ DAEMONS = ("central", "distributed", "synchronous", "adversarial")
 #: Engines :func:`repro.api.run` can dispatch to.  ``scheduler-fullscan`` is
 #: the differential-testing twin of ``scheduler``: same measurement, but the
 #: scheduler rescans every guard per step instead of maintaining the
-#: incremental enabled-set.  ``scheduler-vectorized`` runs the same
-#: measurement on the batch-kernel engine (:mod:`repro.runtime.vectorized`):
-#: under the synchronous daemon, layers with registered batch kernels
-#: evaluate guards and writes as whole numpy columns; results are again
-#: bit-identical, and the spec hash is unchanged for every existing engine
-#: name.
+#: incremental enabled-set.
 #: ``scheduler-replay`` re-executes a flight-recorder log
 #: (:mod:`repro.replay`) in verified lockstep instead of running anything
 #: new; its log path travels in the hash-excluded ``debug["replay_log"]``.
 ENGINE_NAMES = (
     "scheduler",
     "scheduler-fullscan",
-    "scheduler-vectorized",
     "scheduler-replay",
     "scenario",
     "msgpass",
@@ -66,7 +60,6 @@ _REMOVED_SHARD_FIELDS = ("shards", "partition")
 SCHEDULER_ENGINES = (
     "scheduler",
     "scheduler-fullscan",
-    "scheduler-vectorized",
     "scheduler-replay",
 )
 
@@ -77,7 +70,6 @@ SCHEDULER_ENGINES = (
 RECORDABLE_ENGINES = (
     "scheduler",
     "scheduler-fullscan",
-    "scheduler-vectorized",
     "scenario",
 )
 

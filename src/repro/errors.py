@@ -55,16 +55,6 @@ class GuardLocalityError(ProtocolError):
         self.reads = tuple(reads)
 
 
-class EngineUnavailableError(ReproError):
-    """An execution engine was requested but its runtime dependency is missing.
-
-    Raised by the ``scheduler-vectorized`` engine when numpy is not installed;
-    the message names the extra that provides it (``pip install
-    .[vectorized]``).  Distinct from :class:`SchedulingError` (misuse) because
-    the spec itself is valid -- only this environment cannot serve it.
-    """
-
-
 class SchedulingError(ReproError):
     """Raised when the scheduler or a daemon is used incorrectly."""
 

@@ -6,9 +6,6 @@ One findings vocabulary (:data:`~repro.lint.findings.RULES`) for every mode:
   guard/action source through the :class:`~repro.runtime.processor.ProcessorView`
   API and reports locality and purity violations (``RL001``-``RL006``),
   deriving per-action read/write sets (:mod:`repro.lint.summary`) on the way;
-* the **kernel** cross-check (:mod:`repro.lint.kernels`) holds each batch
-  kernel's declared reads/writes to the per-node action's static sets
-  (``RL007``);
 * the **read-declaration** cross-check (:mod:`repro.lint.reads`, part of the
   default run) holds each action's ``reads`` and each layer's
   ``legitimacy_reads`` to the static read sets (``RL008``).

@@ -10,11 +10,6 @@ found)::
     repro-lint src/repro --format json         # machine-readable findings
     repro-lint src/repro --summary rwsets.json # also write read/write sets
 
-Kernel mode cross-checks the registered batch kernels' declared read/write
-sets against the static per-node sets (rule RL007, exit 1 on disagreement)::
-
-    repro-lint --kernels
-
 Exit codes: 0 clean, 1 findings, 2 usage error.
 """
 
@@ -57,20 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="also write the per-layer static read/write sets to FILE as JSON",
     )
-    parser.add_argument(
-        "--kernels",
-        action="store_true",
-        help="cross-check registered batch-kernel reads/writes declarations "
-        "against the static per-node sets (rule RL007) instead of static lint",
-    )
     return parser
-
-
-def _emit(findings, fmt: str, title: str) -> None:
-    if fmt == "json":
-        print(findings_to_json(findings))
-    else:
-        print(format_findings(findings, title=title))
 
 
 def _run_static(args: argparse.Namespace) -> int:
@@ -92,25 +74,16 @@ def _run_static(args: argparse.Namespace) -> int:
         from repro.lint.summary import write_summary
 
         write_summary(paths, args.summary)
-    _emit(findings, args.format, title="static analysis")
-    return 1 if findings else 0
-
-
-def _run_kernels(args: argparse.Namespace) -> int:
-    from repro.lint.kernels import check_kernels
-
-    findings, checked = check_kernels()
-    _emit(findings, args.format, title="kernel cross-check")
-    if args.format == "text":
-        print(f"kernel cross-check: {checked} kernel(s) verified against static sets")
+    if args.format == "json":
+        print(findings_to_json(findings))
+    else:
+        print(format_findings(findings, title="static analysis"))
     return 1 if findings else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.kernels:
-            return _run_kernels(args)
         return _run_static(args)
     except (ValueError, OSError) as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)

@@ -2,8 +2,7 @@
 
 A :class:`Finding` is one rule violation -- static (``RL...``, from
 :mod:`repro.lint.static`), dynamic guard-locality (``RL004`` raised at run
-time as :class:`~repro.errors.GuardLocalityError`), a batch-kernel
-declaration mismatch (``RL007``, from :mod:`repro.lint.kernels`), or an
+time as :class:`~repro.errors.GuardLocalityError`), or an
 under-declared read (``RL008``, from :mod:`repro.lint.reads` and, at run
 time, from the scheduler's debug mode).  All of
 them render through the same two formatters so CI logs and the campaign
@@ -20,8 +19,7 @@ from repro.errors import GuardLocalityError
 
 #: Rule catalog: id -> (severity, one-line description).  The static pass
 #: emits RL001..RL006; the dynamic tracker raises RL004 (as
-#: :class:`GuardLocalityError`); the kernel cross-check
-#: (:mod:`repro.lint.kernels`) emits RL007; the read-declaration cross-check
+#: :class:`GuardLocalityError`); the read-declaration cross-check
 #: (:mod:`repro.lint.reads`) and the dynamic tracker emit RL008.
 RULES: dict[str, tuple[str, str]] = {
     "RL001": ("error", "guard mutates state (view.write inside a guard)"),
@@ -30,7 +28,6 @@ RULES: dict[str, tuple[str, str]] = {
     "RL004": ("error", "non-local read (bypasses the ProcessorView neighbor checks)"),
     "RL005": ("error", "non-local write (statement writes outside its own node)"),
     "RL006": ("error", "undeclared variable access (name not in the layer's schema)"),
-    "RL007": ("error", "batch kernel reads/writes declaration disagrees with the per-node action's static sets"),
     "RL008": ("error", "guard or legitimacy predicate reads a variable its declared reads omit"),
 }
 

@@ -2,9 +2,8 @@
 
 The whole reproduction rests on one structural assumption: a guard reads only
 its closed neighborhood and an action writes only its own node.  That is what
-makes the incremental enabled-set (stale-guard re-evaluation) and the
-vectorized batch kernels sound.  This pass checks the contract at review
-time, before any scheduler runs:
+makes the incremental enabled-set (stale-guard re-evaluation) sound.  This
+pass checks the contract at review time, before any scheduler runs:
 
 * every ``Action(name, guard, statement, ...)`` construction (and every
   composition ``hooks()`` mapping) is located in the protocol sources;
@@ -341,8 +340,9 @@ class _Resolver:
 class ActionSummary:
     """The statically-derived read/write footprint of one protocol action.
 
-    The machine-readable artifact the vectorized engine's kernel cross-check
-    consumes (:mod:`repro.lint.summary`).
+    The machine-readable artifact the RL008 read-declaration cross-check
+    (:mod:`repro.lint.reads`) and ``repro-lint --summary``
+    (:mod:`repro.lint.summary`) consume.
     """
 
     module: str

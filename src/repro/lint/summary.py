@@ -5,8 +5,7 @@ which variables its guard reads (own vs. neighbor) and which its statement
 writes.  This module turns those :class:`~repro.lint.static.ActionSummary`
 records into one JSON-serializable artifact:
 
-* the kernel cross-check (:mod:`repro.lint.kernels`) holds each batch
-  kernel's declared reads/writes to these sets;
+* the CI lint job uploads it as a build artifact;
 * reviewers get a one-page answer to "what does this layer touch?".
 
 Unresolvable guards/statements are reported with ``*_resolved: false`` rather

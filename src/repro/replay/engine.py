@@ -10,7 +10,7 @@ lockstep against the recorded step records and fingerprints.
 
 Replay always runs on the incremental
 :class:`~repro.runtime.scheduler.Scheduler`; logs recorded from the
-vectorized engine replay against it because the equivalence suite holds
+full-scan engine replay against it because the equivalence suite holds
 every engine to bit-identical step streams.  Logs from older versions may
 carry ``exchange`` entries (the sharded engine's message stamps); replay
 treats them as observational like ``event`` entries.

@@ -2,22 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, TYPE_CHECKING
+from dataclasses import dataclass, replace
+from typing import Callable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.arrayview import ArrayView
     from repro.runtime.processor import ProcessorView
 
 GuardFn = Callable[["ProcessorView"], bool]
 StatementFn = Callable[["ProcessorView"], None]
-
-# Batch kernels receive the struct-of-arrays view; guards return a boolean
-# mask over all nodes, steps return ``{variable name: full-length value
-# array}`` for the written columns.  Typed loosely so this module never
-# imports numpy.
-BatchGuardFn = Callable[["ArrayView"], Any]
-BatchStepFn = Callable[["ArrayView", Any], "dict[str, Any]"]
 
 
 @dataclass(frozen=True)
@@ -107,50 +99,8 @@ class Action:
         return replace(self, statement=combined, name=f"{self.name}{suffix}")
 
 
-@dataclass(frozen=True)
-class BatchAction:
-    """A whole-array kernel mirroring one per-node :class:`Action`.
-
-    Substrates may return these from ``Protocol.batch_actions(network)``; the
-    vectorized scheduler uses them to evaluate guards and compute writes for
-    *all* processors at once under the synchronous daemon, while every other
-    execution path keeps using the per-node actions.  A kernel must compute
-    exactly what its per-node twin computes -- the lockstep equivalence suite
-    holds the vectorized engine to byte-identical step records.
-
-    Attributes
-    ----------
-    name:
-        Must equal the per-node action's label; the scheduler matches kernels
-        to actions (and their priority order) by this name within the layer.
-    guard:
-        ``f(view) -> bool mask`` over all nodes: where the per-node guard
-        holds on the begin-of-step configuration.
-    step:
-        ``f(view, mask) -> {variable: values}`` with full-length value
-        columns for every written variable.  Only rows selected by the daemon
-        are applied; the kernel may compute the rest speculatively.
-    layer:
-        The owning protocol layer (same role as on :class:`Action`).
-    reads / writes:
-        The variable names the kernel reads and writes.  Purely declarative
-        -- ``repro-lint --kernels`` cross-checks them against the per-node
-        action's statically extracted read/write sets (rule RL007).
-    """
-
-    name: str
-    guard: BatchGuardFn
-    step: BatchStepFn
-    layer: str = ""
-    reads: tuple = ()
-    writes: tuple = ()
-
-
 __all__ = [
     "Action",
-    "BatchAction",
-    "BatchGuardFn",
-    "BatchStepFn",
     "GuardFn",
     "Reads",
     "StatementFn",

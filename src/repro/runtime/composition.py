@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, BatchAction, StatementFn
+from repro.runtime.actions import Action, StatementFn
 from repro.runtime.configuration import Configuration
 from repro.runtime.protocol import Protocol
 from repro.runtime.variables import VariableSpec
@@ -74,12 +74,6 @@ class LayeredProtocol(Protocol):
         for layer in self._layers:
             actions.extend(layer.actions(network, node))
         return actions
-
-    def batch_actions(self, network: RootedNetwork) -> Sequence[BatchAction]:
-        kernels: list[BatchAction] = []
-        for layer in self._layers:
-            kernels.extend(layer.batch_actions(network))
-        return kernels
 
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
         return all(layer.legitimate(network, configuration) for layer in self._layers)

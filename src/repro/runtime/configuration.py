@@ -35,7 +35,7 @@ class Configuration:
         # Nodes changed since the last drain -> the distinct variables that
         # changed there, in first-change order (``None``: the whole state).
         self._dirty: dict[int, tuple[str, ...] | None] = {}
-        # Change watchers (e.g. the struct-of-arrays view): called as
+        # Change watchers (e.g. the legitimacy tracker): called as
         # ``watcher(node, variables_or_None)`` on every journal event.  A
         # watcher keeps its own pending-set, so draining the journal (which
         # the scheduler does every step) never blinds it.
@@ -64,9 +64,8 @@ class Configuration:
         """The live local state of ``node`` -- **not** a copy.
 
         For read-only hot paths that cannot afford :meth:`state_of`'s deep
-        copy, such as loading the columnar
-        :class:`~repro.runtime.arrayview.ArrayView` or fingerprinting states
-        in the :class:`~repro.obs.health.HealthMonitor`.  Callers must never
+        copy, such as fingerprinting states in the
+        :class:`~repro.obs.health.HealthMonitor`.  Callers must never
         mutate the returned mapping or its values; the runtime itself never
         mutates stored values in place (writes always replace them), which is
         what makes sharing safe.

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, BatchAction, Reads
+from repro.runtime.actions import Action, Reads
 from repro.runtime.configuration import Configuration
 from repro.runtime.variables import VariableSpec
 
@@ -135,18 +135,6 @@ class Protocol(ABC):
     def space_bits(self, network: RootedNetwork, node: int) -> int:
         """Total bits of locally shared memory ``node`` needs for this protocol."""
         return sum(spec.space_bits(network, node) for spec in self.variables(network, node))
-
-    def batch_actions(self, network: RootedNetwork) -> Sequence[BatchAction]:
-        """Whole-array kernels mirroring this protocol's per-node actions.
-
-        Optional: the default (no kernels) simply keeps the protocol on the
-        per-node dispatch path everywhere.  A protocol that returns kernels
-        must cover *every* action of *every* node for the vectorized
-        scheduler to engage its fast path; partial coverage falls back
-        cleanly.  Composed protocols concatenate their layers' kernels
-        (see :mod:`repro.runtime.composition`).
-        """
-        return ()
 
     def layers(self) -> tuple["Protocol", ...]:
         """The protocol layers this protocol is composed of (itself by default)."""

@@ -787,12 +787,10 @@ class Scheduler:
         """Run the selected processors' actions against the beginning-of-step
         configuration and collect their writes (not yet applied).
 
-        The execution half of a computation step, separated so an alternative
-        execution layer (the vectorized engine runs whole-column kernels)
-        can replace *how* actions run without touching daemon selection,
-        write application, or round bookkeeping.  Returns the ``(node, action
-        name)`` pairs and the per-node pending writes, both in selection
-        order.
+        The execution half of a computation step, kept apart from daemon
+        selection, write application and round bookkeeping.  Returns the
+        ``(node, action name)`` pairs and the per-node pending writes, both in
+        selection order.
         """
         executed: list[tuple[int, str]] = []
         pending_writes: dict[int, dict[str, object]] = {}

@@ -49,18 +49,6 @@ class VariableSpec:
         ``f(network, node)`` returning the storage cost in bits at ``node``.
     description:
         Free-form documentation string surfaced in space reports.
-    kind:
-        Domain shape of the variable, used by the struct-of-arrays view
-        (:mod:`repro.runtime.arrayview`) to encode values into flat numpy
-        arrays: ``"int"`` (plain integer), ``"enum"`` (one of
-        :attr:`enum_values`), ``"pointer"`` (a neighbor id or ``None``) or
-        ``"map"`` (a per-neighbor ``{neighbor: int}`` map).  The factory
-        helpers below fill it in; an empty string means "unknown shape" and
-        makes the variable ineligible for array encoding (the vectorized
-        engine then falls back to per-node dispatch).
-    enum_values:
-        For ``kind="enum"``: the ordered value tuple the array encoding
-        indexes into.  Empty for every other kind.
     """
 
     name: str
@@ -68,8 +56,6 @@ class VariableSpec:
     random: RandomFn
     bits: BitsFn
     description: str = ""
-    kind: str = ""
-    enum_values: tuple = ()
 
     def space_bits(self, network: RootedNetwork, node: int) -> int:
         """Bits used by this variable at ``node``."""
@@ -104,7 +90,7 @@ def int_variable(
     def bit_cost(network: RootedNetwork, node: int) -> int:
         return bits_for_values(high_value(network, node) - low + 1)
 
-    return VariableSpec(name, initial_value, random_value, bit_cost, description, kind="int")
+    return VariableSpec(name, initial_value, random_value, bit_cost, description)
 
 
 def enum_variable(
@@ -125,8 +111,6 @@ def enum_variable(
         lambda network, node, rng: rng.choice(values),
         lambda network, node: bits_for_values(len(values)),
         description,
-        kind="enum",
-        enum_values=values,
     )
 
 
@@ -156,9 +140,7 @@ def pointer_variable(
     def bit_cost(network: RootedNetwork, node: int) -> int:
         return bits_for_values(network.degree(node) + (1 if allow_none else 0))
 
-    return VariableSpec(
-        name, initial_value, random_value, bit_cost, description, kind="pointer"
-    )
+    return VariableSpec(name, initial_value, random_value, bit_cost, description)
 
 
 def map_variable(
@@ -190,7 +172,7 @@ def map_variable(
         per_entry = bits_for_values(high_value(network, node) - value_low + 1)
         return network.degree(node) * per_entry
 
-    return VariableSpec(name, initial, random_value, bit_cost, description, kind="map")
+    return VariableSpec(name, initial, random_value, bit_cost, description)
 
 
 __all__ = [

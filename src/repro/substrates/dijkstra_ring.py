@@ -17,7 +17,7 @@ from typing import Sequence
 
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, BatchAction
+from repro.runtime.actions import Action
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
@@ -99,67 +99,6 @@ class DijkstraTokenRing(Protocol):
             view.write(VAR_COUNTER, view.read_neighbor(predecessor, VAR_COUNTER))
 
         return [Action(self.ACTION_COPY, copy_guard, copy_step, layer=self.name)]
-
-    def batch_actions(self, network: RootedNetwork) -> Sequence[BatchAction]:
-        """Whole-array twins of ``DK-Root``/``DK-Copy`` for the vectorized core.
-
-        The ring predecessor of every processor is a fixed permutation, so a
-        round is one fancy-indexed gather: ``counter[pred]``.
-        """
-        k = self._states(network)
-        order = ring_order(network)
-        root = network.root
-        predecessor_of = [0] * network.n
-        for index, node in enumerate(order):
-            predecessor_of[node] = order[index - 1]
-        cache: dict[str, object] = {}
-
-        def _pred(view):
-            pred = cache.get("pred")
-            if pred is None:
-                pred = view.np.asarray(predecessor_of, dtype=view.np.int64)
-                cache["pred"] = pred
-            return pred
-
-        def root_guard(view):
-            np = view.np
-            counter = view.array(VAR_COUNTER)
-            mask = np.zeros(view.network.n, dtype=bool)
-            mask[root] = counter[root] == counter[predecessor_of[root]]
-            return mask
-
-        def root_step(view, mask):
-            counter = view.array(VAR_COUNTER)
-            return {VAR_COUNTER: (counter + 1) % k}
-
-        def copy_guard(view):
-            counter = view.array(VAR_COUNTER)
-            mask = counter != counter[_pred(view)]
-            mask[root] = False
-            return mask
-
-        def copy_step(view, mask):
-            counter = view.array(VAR_COUNTER)
-            return {VAR_COUNTER: counter[_pred(view)]}
-
-        return [
-            BatchAction(
-                self.ACTION_ROOT,
-                root_guard,
-                root_step,
-                layer=self.name,
-                reads=(VAR_COUNTER,),
-                writes=(VAR_COUNTER,),
-            ),
-            BatchAction(
-                self.ACTION_COPY,
-                copy_guard,
-                copy_step,
-                layer=self.name,
-                reads=(VAR_COUNTER,),
-                writes=(VAR_COUNTER,),
-            ),
-        ]
 
     def privileged(self, network: RootedNetwork, configuration: Configuration) -> list[int]:
         """Processors currently holding a privilege (an enabled guard)."""

@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
 from repro.graphs.properties import bfs_distances
-from repro.runtime.actions import Action, BatchAction, Reads
+from repro.runtime.actions import Action, Reads
 from repro.runtime.composition import HookedComposition, HookingLayer
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
@@ -220,82 +220,6 @@ class BFSSpanningTree(SpanningTreeProtocol):
 
         return [
             Action(self.ACTION_RELAX, relax_guard, relax, layer=self.name, reads=_BFS_RELAX_READS)
-        ]
-
-    def batch_actions(self, network: RootedNetwork) -> Sequence[BatchAction]:
-        """Whole-array twins of ``ST-Root``/``ST-Relax`` for the vectorized core.
-
-        The relaxation is a segment reduction over the CSR neighbor index:
-        per-node minimum neighbor distance via ``minimum.reduceat``, and the
-        *first port-order* neighbor realizing it (matching :meth:`_desired`'s
-        strict ``<`` scan) via a masked positional ``minimum.reduceat``.
-        """
-        root = network.root
-        max_dist = max(network.n - 1, 0)
-
-        def _desired_columns(view):
-            np = view.np
-            index = view.index
-            dist = view.array(VAR_BFS_DIST)
-            if index.indices.size == 0:  # single-node network: nothing to relax
-                return dist.copy(), view.array(VAR_BFS_PARENT).copy()
-            neighbor_dists = dist[index.indices]
-            starts = index.indptr[:-1]
-            best = np.minimum.reduceat(neighbor_dists, starts)
-            beyond = index.indices.size  # sentinel larger than any position
-            positions = np.arange(beyond, dtype=np.int64)
-            candidates = np.where(
-                neighbor_dists == np.repeat(best, index.degrees), positions, beyond
-            )
-            first = np.minimum.reduceat(candidates, starts)
-            return np.minimum(best + 1, max_dist), index.indices[first]
-
-        def root_guard(view):
-            np = view.np
-            dist = view.array(VAR_BFS_DIST)
-            parent = view.array(VAR_BFS_PARENT)
-            mask = np.zeros(view.network.n, dtype=bool)
-            mask[root] = (dist[root] != 0) | (parent[root] != -1)
-            return mask
-
-        def root_step(view, mask):
-            np = view.np
-            n = view.network.n
-            return {
-                VAR_BFS_DIST: np.zeros(n, dtype=np.int64),
-                VAR_BFS_PARENT: np.full(n, -1, dtype=np.int64),
-            }
-
-        def relax_guard(view):
-            dist = view.array(VAR_BFS_DIST)
-            parent = view.array(VAR_BFS_PARENT)
-            desired_dist, desired_parent = _desired_columns(view)
-            mask = (dist != desired_dist) | (parent != desired_parent)
-            mask[root] = False
-            return mask
-
-        def relax_step(view, mask):
-            desired_dist, desired_parent = _desired_columns(view)
-            return {VAR_BFS_DIST: desired_dist, VAR_BFS_PARENT: desired_parent}
-
-        footprint = (VAR_BFS_DIST, VAR_BFS_PARENT)
-        return [
-            BatchAction(
-                self.ACTION_ROOT,
-                root_guard,
-                root_step,
-                layer=self.name,
-                reads=footprint,
-                writes=footprint,
-            ),
-            BatchAction(
-                self.ACTION_RELAX,
-                relax_guard,
-                relax_step,
-                layer=self.name,
-                reads=footprint,
-                writes=footprint,
-            ),
         ]
 
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:

@@ -1,24 +1,20 @@
-"""Equivalence of the incremental, full-scan and vectorized scheduler cores.
+"""Equivalence of the incremental and full-scan scheduler cores.
 
-The incremental enabled-set and the vectorized batch kernels are
-optimizations, not semantics changes: for any substrate, daemon, scenario and
-seed, the ``scheduler`` engine (dirty frontier re-evaluation), the
-``scheduler-fullscan`` engine (historical rescan of every guard per step) and
-the ``scheduler-vectorized`` engine (whole-column kernels under the
-synchronous daemon) must produce **identical** executions -- the same enabled
-set before every step, the same :class:`StepRecord` stream, the same metrics,
-and the same final configuration.
+The incremental enabled-set is an optimization, not a semantics change: for
+any substrate, daemon, scenario and seed, the ``scheduler`` engine (dirty
+frontier re-evaluation) and the ``scheduler-fullscan`` engine (historical
+rescan of every guard per step) must produce **identical** executions -- the
+same enabled set before every step, the same :class:`StepRecord` stream, the
+same metrics, and the same final configuration.
 
 These tests drive every substrate x daemon combination (and every library
 scenario, which exercises the mid-run mutation paths: ``set_configuration``,
 ``freeze``/``unfreeze`` + ``replace_node``, ``set_network``, ``set_daemon``)
-through all paths in lockstep, with guard-locality checking switched on so
+through both paths in lockstep, with guard-locality checking switched on so
 the invariant the dirty frontier relies on is asserted on every evaluation.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -27,7 +23,6 @@ from repro.api import RunSpec, NetworkSpec, run
 from repro.core.dftno import build_dftno
 from repro.core.stno import build_stno
 from repro.graphs import generators
-from repro.runtime.arrayview import HAVE_NUMPY
 from repro.runtime.daemon import make_daemon
 from repro.runtime.scheduler import Scheduler
 from repro.scenarios.library import build_scenario, scenario_names
@@ -52,49 +47,33 @@ PROTOCOLS = {
 }
 
 
-def _scheduler_builders(candidate: str):
-    """The reference core plus the core under test.
-
-    ``"fullscan"`` compares incremental vs full scan; ``"vectorized"``
-    compares incremental vs the batch-kernel engine (which must not get
-    guard-locality checking -- that debug mode deliberately disables the fast
-    path this pairing exists to hold to account).
-    """
-    reference = partial(Scheduler, incremental=True, check_guard_locality=True)
-    if candidate == "fullscan":
-        return reference, partial(Scheduler, incremental=False, check_guard_locality=True)
-    from repro.runtime.vectorized import VectorizedScheduler
-
-    return reference, partial(VectorizedScheduler, incremental=True)
-
-
 def _lockstep(
     protocol_key: str,
     daemon: str,
     seed: int,
     n: int,
     max_steps: int = 150,
-    candidate: str = "fullscan",
     family: str | None = None,
 ) -> None:
-    """Run two cores in lockstep and assert every observable is identical.
+    """Run the incremental and full-scan cores in lockstep and assert every
+    observable is identical.
 
     ``family`` overrides the protocol's pinned network family.
     """
     factory, pinned_family = PROTOCOLS[protocol_key]
     family = family or pinned_family
-    schedulers = []
-    for build in _scheduler_builders(candidate):
-        schedulers.append(
-            build(
-                generators.family(family, n, seed=seed),
-                factory(),
-                daemon=make_daemon(daemon),
-                seed=seed,
-            )
+    reference_scheduler, candidate_scheduler = (
+        Scheduler(
+            generators.family(family, n, seed=seed),
+            factory(),
+            daemon=make_daemon(daemon),
+            seed=seed,
+            incremental=incremental,
+            check_guard_locality=True,
         )
-    reference_scheduler, candidate_scheduler = schedulers
-    context = f"({protocol_key}, {family}, daemon={daemon}, seed={seed}, n={n}, {candidate})"
+        for incremental in (True, False)
+    )
+    context = f"({protocol_key}, {family}, daemon={daemon}, seed={seed}, n={n})"
     assert reference_scheduler.configuration == candidate_scheduler.configuration
 
     for _ in range(max_steps):
@@ -170,72 +149,17 @@ def test_incremental_equals_fullscan_property(seed, protocol_key, daemon, n):
     _lockstep(protocol_key, daemon, seed=seed, n=n, max_steps=80)
 
 
-#: The substrates that register batch kernels (the vectorized fast path);
-#: every other substrate rides the fallback, covered by the kernel-less
-#: fallback tests in ``tests/runtime/test_vectorized_scheduler.py``.
-VECTORIZED_PROTOCOLS = ("bfs-tree", "dijkstra-ring")
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy not installed (the vectorized extra)"
-)
-
-
-@needs_numpy
-@pytest.mark.parametrize("daemon", DAEMONS)
-@pytest.mark.parametrize("protocol_key", VECTORIZED_PROTOCOLS)
-def test_vectorized_equals_incremental_for_kernel_substrates(protocol_key, daemon):
-    """Vectorized lockstep equivalence across every daemon.
-
-    Under the synchronous daemon the batch kernels serve the steps; under
-    the other daemons the engine falls back to per-node dispatch -- either
-    way the records must be identical to the incremental reference.
-    """
-    _lockstep(protocol_key, daemon, seed=11, n=7, candidate="vectorized")
-
-
-@needs_numpy
-@pytest.mark.parametrize("daemon", DAEMONS)
-@pytest.mark.parametrize(
-    "protocol_key,family",
-    [cell for cell in FAMILY_CELLS if cell[0] in VECTORIZED_PROTOCOLS],
-)
-def test_vectorized_equals_incremental_on_every_legal_family(protocol_key, family, daemon):
-    """Vectorized lockstep equivalence on every other legal topology family."""
-    _lockstep(protocol_key, daemon, seed=11, n=7, candidate="vectorized", family=family)
-
-
-@needs_numpy
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    protocol_key=st.sampled_from(VECTORIZED_PROTOCOLS),
-    daemon=st.sampled_from(DAEMONS),
-    n=st.integers(min_value=3, max_value=9),
-)
-@settings(
-    max_examples=12,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-def test_vectorized_equals_incremental_property(seed, protocol_key, daemon, n):
-    """Vectorized equivalence holds for arbitrary seeds and sizes."""
-    _lockstep(protocol_key, daemon, seed=seed, n=n, max_steps=80, candidate="vectorized")
-
-
 @pytest.mark.parametrize("daemon", ("central", "distributed", "synchronous"))
 @pytest.mark.parametrize("protocol", ("dftno", "stno-bfs"))
 def test_engine_registry_rows_are_identical(protocol, daemon):
-    """All scheduler engines produce identical result rows.
+    """Both scheduler engines produce identical result rows.
 
     The whole-run check through the public entry point: same spec (modulo the
     engine name), same :class:`StabilizationSample` row, converged on every
-    path.  The synchronous-daemon cells drive the vectorized engine's fast
-    path (stno-bfs carries the BFS kernels).
+    path.
     """
-    engines = ["scheduler", "scheduler-fullscan"]
-    if HAVE_NUMPY:
-        engines.append("scheduler-vectorized")
     rows = {}
-    for engine in engines:
+    for engine in ("scheduler", "scheduler-fullscan"):
         spec = RunSpec(
             engine=engine,
             protocol=protocol,
@@ -264,8 +188,8 @@ def _record_and_replay(
 ):
     """Record a run with the flight recorder, replay it, assert fidelity.
 
-    ``core`` picks the recording engine (``"incremental"``, ``"fullscan"`` or
-    ``"vectorized"``); the replay always re-executes on the plain incremental
+    ``core`` picks the recording engine (``"incremental"`` or
+    ``"fullscan"``); the replay always re-executes on the plain incremental
     scheduler, substituting the recorded daemon selections.  Every replayed
     :class:`StepRecord`, the metrics and the final configuration must match
     the log exactly.
@@ -276,18 +200,13 @@ def _record_and_replay(
     factory, family = PROTOCOLS[protocol_key]
     log_path = tmp_path / f"{protocol_key}-{daemon}-{core}.flight.jsonl"
     recorder = FlightRecorder(log_path)
-    if core == "vectorized":
-        from repro.runtime.vectorized import VectorizedScheduler
-
-        build = VectorizedScheduler
-    else:
-        build = partial(Scheduler, incremental=core == "incremental")
-    scheduler = build(
+    scheduler = Scheduler(
         generators.family(family, n, seed=seed),
         factory(),
         daemon=make_daemon(daemon),
         seed=seed,
         observers=(recorder,),
+        incremental=core == "incremental",
     )
     try:
         for _ in range(max_steps):
@@ -316,18 +235,15 @@ def test_replayed_run_is_byte_identical_for_every_substrate_and_daemon(
     _record_and_replay(protocol_key, daemon, seed=11, n=7, tmp_path=tmp_path)
 
 
-@pytest.mark.parametrize(
-    "core",
-    ("fullscan", pytest.param("vectorized", marks=needs_numpy)),
-)
+@pytest.mark.parametrize("core", ("fullscan",))
 @pytest.mark.parametrize("daemon", DAEMONS)
 @pytest.mark.parametrize("protocol_key", sorted(PROTOCOLS))
 def test_recording_from_any_core_replays_on_the_reference_core(
     protocol_key, daemon, core, tmp_path
 ):
-    """Logs recorded by the full-scan or vectorized engine replay
-    byte-identically on the incremental core (the lockstep grids above hold
-    the engines bit-identical, so a log is engine-independent)."""
+    """Logs recorded by the full-scan engine replay byte-identically on the
+    incremental core (the lockstep grids above hold the engines
+    bit-identical, so a log is engine-independent)."""
     _record_and_replay(
         protocol_key, daemon, seed=11, n=7, tmp_path=tmp_path, core=core
     )

@@ -105,10 +105,26 @@ def test_legacy_dump_with_null_shard_fields_loads_to_the_same_hash():
     ids=["shards", "partition", "sharded-engine", "sharded-engine-null-knobs"],
 )
 def test_legacy_sharded_dumps_are_refused_naming_the_engines(dump):
-    with pytest.raises(ValueError, match="scheduler-vectorized") as excinfo:
+    with pytest.raises(ValueError, match="scheduler-fullscan") as excinfo:
         RunSpec.from_dict(dump)
     listed = str(excinfo.value).split("choose from")[1]
     assert _sharded_dump()["engine"] not in listed
+
+
+#: An engine name deleted with its engine; no alias maps it anywhere.
+REMOVED_ENGINE = "scheduler-vectorized"
+
+
+def test_removed_engine_name_is_refused_naming_the_live_engines():
+    for build in (
+        lambda: RunSpec(engine=REMOVED_ENGINE),
+        lambda: RunSpec.from_dict({**RunSpec().to_dict(), "engine": REMOVED_ENGINE}),
+    ):
+        with pytest.raises(ValueError, match="unknown engine") as excinfo:
+            build()
+        listed = str(excinfo.value).split("choose from")[1]
+        assert "'scheduler'" in listed
+        assert REMOVED_ENGINE not in listed
 
 
 def test_canonical_hash_is_stable_and_discriminating():

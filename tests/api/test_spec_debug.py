@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import partial
-
 import pytest
 
 from repro.api import RunSpec, run
@@ -34,12 +32,9 @@ def test_debug_must_be_a_mapping() -> None:
 def test_scheduler_engine_arms_the_guard_tracker() -> None:
     engine = SchedulerEngine()
     plain = engine._scheduler_kwargs(RunSpec())
-    assert plain == {"incremental": True}
+    assert plain == {"incremental": True, "check_guard_locality": False}
     armed = engine._scheduler_kwargs(RunSpec(debug={"check_guard_locality": True}))
-    factory = armed["scheduler_factory"]
-    assert isinstance(factory, partial)
-    assert factory.keywords["check_guard_locality"] is True
-    assert factory.keywords["incremental"] is True
+    assert armed == {"incremental": True, "check_guard_locality": True}
 
 
 def test_debug_run_produces_the_same_row_as_a_bare_run() -> None:
