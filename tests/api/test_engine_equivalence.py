@@ -7,14 +7,16 @@ rescan of every guard per step) must produce **identical** executions -- the
 same enabled set before every step, the same :class:`StepRecord` stream, the
 same metrics, and the same final configuration.
 
-These tests drive every substrate x daemon combination (and every library
-scenario, which exercises the mid-run mutation paths: ``set_configuration``,
-``freeze``/``unfreeze`` + ``replace_node``, ``set_network``, ``set_daemon``)
+These tests drive every substrate x daemon combination (with and without a
+mid-run ``set_configuration``, ``freeze``/``unfreeze``, ``replace_node`` or
+``set_daemon``, and every library scenario, which adds ``set_network``)
 through both paths in lockstep, with guard-locality checking switched on so
 the invariant the dirty frontier relies on is asserted on every evaluation.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,7 +26,7 @@ from repro.core.dftno import build_dftno
 from repro.core.stno import build_stno
 from repro.graphs import generators
 from repro.runtime.daemon import make_daemon
-from repro.runtime.scheduler import Scheduler
+from repro.runtime.scheduler import Scheduler, StepRecord
 from repro.scenarios.library import build_scenario, scenario_names
 from repro.scenarios.runner import ScenarioRunner
 from repro.substrates.dijkstra_ring import DijkstraTokenRing
@@ -47,16 +49,11 @@ PROTOCOLS = {
 }
 
 
-def _lockstep(
-    protocol_key: str,
-    daemon: str,
-    seed: int,
-    n: int,
-    max_steps: int = 150,
-    family: str | None = None,
-) -> None:
-    """Run the incremental and full-scan cores in lockstep and assert every
-    observable is identical.
+def _core_pair(
+    protocol_key: str, daemon: str, seed: int, n: int, family: str | None = None
+) -> tuple[Scheduler, Scheduler]:
+    """The incremental (reference) and full-scan (candidate) cores on the same
+    network, protocol, daemon and seed, with guard-locality checking on.
 
     ``family`` overrides the protocol's pinned network family.
     """
@@ -73,9 +70,18 @@ def _lockstep(
         )
         for incremental in (True, False)
     )
-    context = f"({protocol_key}, {family}, daemon={daemon}, seed={seed}, n={n})"
-    assert reference_scheduler.configuration == candidate_scheduler.configuration
+    return reference_scheduler, candidate_scheduler
 
+
+def _drive_lockstep(
+    reference_scheduler: Scheduler,
+    candidate_scheduler: Scheduler,
+    max_steps: int,
+    context: str,
+) -> list[StepRecord]:
+    """Step both cores together until they fall silent or ``max_steps`` pass,
+    asserting identical enabled sets and step records; return the records."""
+    records: list[StepRecord] = []
     for _ in range(max_steps):
         assert (
             reference_scheduler.enabled_nodes() == candidate_scheduler.enabled_nodes()
@@ -87,12 +93,41 @@ def _lockstep(
         )
         if record_reference is None:
             break
+        records.append(record_reference)
+    return records
 
+
+def _assert_same_outcome(
+    reference_scheduler: Scheduler, candidate_scheduler: Scheduler, context: str
+) -> None:
     assert reference_scheduler.configuration == candidate_scheduler.configuration, context
     assert reference_scheduler.metrics == candidate_scheduler.metrics, context
     assert (
         reference_scheduler.rounds_completed == candidate_scheduler.rounds_completed
     ), context
+
+
+def _lockstep(
+    protocol_key: str,
+    daemon: str,
+    seed: int,
+    n: int,
+    max_steps: int = 150,
+    family: str | None = None,
+) -> None:
+    """Run the incremental and full-scan cores in lockstep and assert every
+    observable is identical.
+
+    ``family`` overrides the protocol's pinned network family.
+    """
+    reference_scheduler, candidate_scheduler = _core_pair(
+        protocol_key, daemon, seed, n, family
+    )
+    family = family or PROTOCOLS[protocol_key][1]
+    context = f"({protocol_key}, {family}, daemon={daemon}, seed={seed}, n={n})"
+    assert reference_scheduler.configuration == candidate_scheduler.configuration
+    _drive_lockstep(reference_scheduler, candidate_scheduler, max_steps, context)
+    _assert_same_outcome(reference_scheduler, candidate_scheduler, context)
 
 
 @pytest.mark.parametrize("daemon", DAEMONS)
@@ -172,6 +207,98 @@ def test_engine_registry_rows_are_identical(protocol, daemon):
     for key, row in rows.items():
         assert row == reference, key
     assert reference["converged"]
+
+
+# ---------------------------------------------------------------------------
+# Mid-run mutations on every substrate: both cores stay in lockstep
+# ---------------------------------------------------------------------------
+#: Steps taken before (and between) mutations; short enough that every
+#: substrate is still moving when the mutation lands.
+WARMUP_STEPS = 3
+
+
+def _mutation_context(protocol_key: str, daemon: str, mutation: str) -> str:
+    return f"({protocol_key}, daemon={daemon}, {mutation})"
+
+
+@pytest.mark.parametrize("daemon", DAEMONS)
+@pytest.mark.parametrize("protocol_key", sorted(PROTOCOLS))
+def test_frozen_nodes_never_execute_on_either_core(protocol_key, daemon):
+    """Crashed processors are never enabled and never move on either core,
+    and both cores resume identically once they rejoin."""
+    reference_scheduler, candidate_scheduler = _core_pair(protocol_key, daemon, seed=11, n=7)
+    context = _mutation_context(protocol_key, daemon, "freeze/unfreeze")
+    frozen = (1, 4)
+    for scheduler in (reference_scheduler, candidate_scheduler):
+        scheduler.freeze(frozen)
+    records = _drive_lockstep(reference_scheduler, candidate_scheduler, 60, context)
+    assert not set(reference_scheduler.enabled_nodes()) & set(frozen), context
+    for record in records:
+        assert not {node for node, _ in record.executed} & set(frozen), context
+        assert not set(record.changed_nodes) & set(frozen), context
+    for scheduler in (reference_scheduler, candidate_scheduler):
+        scheduler.unfreeze(frozen)
+    _drive_lockstep(reference_scheduler, candidate_scheduler, 150, context)
+    _assert_same_outcome(reference_scheduler, candidate_scheduler, context)
+
+
+@pytest.mark.parametrize("daemon", DAEMONS)
+@pytest.mark.parametrize("protocol_key", sorted(PROTOCOLS))
+def test_set_configuration_mid_run_is_identical_across_cores(protocol_key, daemon):
+    """A wholesale configuration replacement (a transient-fault burst)
+    invalidates the incremental enabled-set exactly as a full rescan sees it."""
+    reference_scheduler, candidate_scheduler = _core_pair(protocol_key, daemon, seed=11, n=7)
+    context = _mutation_context(protocol_key, daemon, "set_configuration")
+    _drive_lockstep(reference_scheduler, candidate_scheduler, WARMUP_STEPS, context)
+    factory = PROTOCOLS[protocol_key][0]
+    replacement = factory().random_configuration(reference_scheduler.network, seed=99)
+    for scheduler in (reference_scheduler, candidate_scheduler):
+        scheduler.set_configuration(replacement.copy())
+    assert reference_scheduler.configuration == replacement, context
+    _drive_lockstep(reference_scheduler, candidate_scheduler, 150, context)
+    _assert_same_outcome(reference_scheduler, candidate_scheduler, context)
+
+
+@pytest.mark.parametrize("daemon", DAEMONS)
+@pytest.mark.parametrize("protocol_key", sorted(PROTOCOLS))
+def test_daemon_switch_mid_run_is_identical_across_cores(protocol_key, daemon):
+    """Switching to the next daemon and back mid-run keeps both cores
+    identical: the enabled-set survives every switch."""
+    reference_scheduler, candidate_scheduler = _core_pair(protocol_key, daemon, seed=11, n=7)
+    other = DAEMONS[(DAEMONS.index(daemon) + 1) % len(DAEMONS)]
+    context = _mutation_context(protocol_key, daemon, f"switch to {other} and back")
+    _drive_lockstep(reference_scheduler, candidate_scheduler, WARMUP_STEPS, context)
+    for kind in (other, daemon):
+        for scheduler in (reference_scheduler, candidate_scheduler):
+            scheduler.set_daemon(make_daemon(kind))
+        _drive_lockstep(reference_scheduler, candidate_scheduler, WARMUP_STEPS, context)
+    _drive_lockstep(reference_scheduler, candidate_scheduler, 150, context)
+    _assert_same_outcome(reference_scheduler, candidate_scheduler, context)
+
+
+@pytest.mark.parametrize("daemon", DAEMONS)
+@pytest.mark.parametrize("protocol_key", sorted(PROTOCOLS))
+def test_crash_rejoin_mid_run_is_identical_across_cores(protocol_key, daemon):
+    """Crash a processor, rewrite its whole state with ``replace_node`` and
+    let it rejoin: the journaled write reaches the incremental core's dirty
+    frontier, so both cores agree on every later step."""
+    reference_scheduler, candidate_scheduler = _core_pair(protocol_key, daemon, seed=11, n=7)
+    context = _mutation_context(protocol_key, daemon, "crash/rejoin")
+    _drive_lockstep(reference_scheduler, candidate_scheduler, WARMUP_STEPS, context)
+    crashed = 2
+    factory = PROTOCOLS[protocol_key][0]
+    fresh_state = factory().random_state(
+        reference_scheduler.network, crashed, random.Random(5)
+    )
+    for scheduler in (reference_scheduler, candidate_scheduler):
+        scheduler.freeze((crashed,))
+    _drive_lockstep(reference_scheduler, candidate_scheduler, WARMUP_STEPS, context)
+    for scheduler in (reference_scheduler, candidate_scheduler):
+        scheduler.replace_node(crashed, fresh_state)
+        scheduler.unfreeze((crashed,))
+    assert reference_scheduler.configuration.state_of(crashed) == fresh_state, context
+    _drive_lockstep(reference_scheduler, candidate_scheduler, 150, context)
+    _assert_same_outcome(reference_scheduler, candidate_scheduler, context)
 
 
 # ---------------------------------------------------------------------------
