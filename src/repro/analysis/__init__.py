@@ -6,7 +6,8 @@ This package turns each of them into a measured experiment:
 
 * :mod:`~repro.analysis.convergence` -- stabilization-time measurements for
   layered protocols (time for the substrate, time for the orientation layer on
-  top of it), with sweep drivers over topology families;
+  top of it), one run per call; sweeps go through the campaign grids of
+  :mod:`~repro.analysis.experiments`;
 * :mod:`~repro.analysis.recovery` -- per-event recovery metrics (disturbance,
   re-stabilization time, closure violations) for the fault-injection
   scenarios of :mod:`repro.scenarios`;
@@ -29,11 +30,9 @@ from repro.analysis.recovery import (
 )
 from repro.analysis.convergence import (
     StabilizationSample,
-    measure_layered_stabilization,
-    measure_dftno,
-    measure_stno,
-    sweep_dftno_sizes,
-    sweep_stno_heights,
+    closure_window,
+    measure_stabilization,
+    step_budget,
 )
 from repro.analysis.space import space_rows, orientation_space_row
 from repro.analysis import experiments
@@ -48,11 +47,9 @@ __all__ = [
     "disturbed_fraction",
     "disturbed_nodes",
     "StabilizationSample",
-    "measure_layered_stabilization",
-    "measure_dftno",
-    "measure_stno",
-    "sweep_dftno_sizes",
-    "sweep_stno_heights",
+    "closure_window",
+    "measure_stabilization",
+    "step_budget",
     "space_rows",
     "orientation_space_row",
     "experiments",

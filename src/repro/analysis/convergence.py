@@ -11,28 +11,57 @@ measurement therefore tracks two predicates along one execution:
 
 and reports both absolute values and their difference (the quantity the
 theorems bound), in steps and in asynchronous rounds, from arbitrary initial
-configurations.
+configurations.  The run itself is
+:meth:`~repro.runtime.scheduler.Scheduler.run_until_legitimate`;
+:func:`step_budget` and :func:`closure_window` are the one definition of how
+long it may take and how long legitimacy must hold.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, asdict
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.dftno import build_dftno
 from repro.core.stno import build_stno
 from repro.errors import ConvergenceError
 from repro.graphs.network import RootedNetwork
-from repro.graphs import generators
-from repro.graphs.properties import radius_from_root
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import Daemon, DistributedDaemon
 from repro.obs.instrument import Instrumentation
 from repro.runtime.observers import Observer
 from repro.runtime.protocol import Protocol
 from repro.runtime.scheduler import Scheduler
-from repro.substrates.spanning_tree import BFSSpanningTree, SpanningTreeProtocol
+
+
+def step_budget(network: RootedNetwork) -> int:
+    """Default step budget of a stabilization phase: ``500 (n + m) + 3000``."""
+    return 500 * (network.n + network.num_edges()) + 3_000
+
+
+def closure_window(network: RootedNetwork) -> int:
+    """Consecutive legitimate checks that count as stabilized: ``3 (n + m) + 10``.
+
+    At least one full token wave (O(n + m) moves), so that a transiently
+    satisfied specification is not mistaken for the stabilized one.
+    """
+    return 3 * (network.n + network.num_edges()) + 10
+
+
+def protocol_stack(name: str) -> tuple[Protocol, Protocol]:
+    """The protocol stack behind a normalized protocol name, and its substrate.
+
+    The single place the ``"dftno"`` / ``"stno-<tree>"`` naming is decoded.
+    The substrate is the layer the theorem's bound is stated after: the token
+    circulation under DFTNO, the spanning tree under STNO.
+    """
+    if name == "dftno":
+        protocol = build_dftno()
+        return protocol, protocol.base
+    protocol = build_stno(tree=name.split("-", 1)[1])
+    return protocol, protocol.layers()[-1].tree_layer
+
 
 @dataclass(frozen=True)
 class StabilizationSample:
@@ -75,112 +104,6 @@ class StabilizationSample:
         return row
 
 
-def measure_layered_stabilization(
-    network: RootedNetwork,
-    protocol: Protocol,
-    substrate: Protocol,
-    daemon: Daemon | None = None,
-    seed: int | None = None,
-    max_steps: int | None = None,
-    parameter: int | None = None,
-    label: str | None = None,
-    configuration: Configuration | None = None,
-    observers: Sequence[Observer] = (),
-    incremental: bool = True,
-    check_guard_locality: bool = False,
-    instrumentation: Instrumentation | None = None,
-) -> StabilizationSample:
-    """Run ``protocol`` from an arbitrary configuration and time two predicates.
-
-    The legitimacy of ``substrate`` (a layer of ``protocol``, such as the
-    token circulation under DFTNO) and of the whole ``protocol`` are asked of
-    the scheduler (:meth:`~repro.runtime.scheduler.Scheduler.legitimate`)
-    after every computation step; the recorded time is the first step (and
-    round) after which the predicate held continuously until the end of the
-    run.  The run ends as soon as the full predicate has held for a full-wave
-    closure window of consecutive steps or the step budget is exhausted.
-    ``configuration`` overrides the (default: arbitrary) starting
-    configuration.  ``observers`` receive every step/round notification plus
-    ``on_converged`` with the finished sample.  ``incremental=False`` forces
-    the scheduler's historical full guard scan and global legitimacy
-    predicates (the ``scheduler-fullscan`` differential-testing path).
-    ``check_guard_locality=True`` runs every guard on the read-tracking view
-    (:class:`~repro.errors.GuardLocalityError` on violation); ``False`` leaves
-    the choice to the ``REPRO_DEBUG_GUARDS`` environment variable.
-    """
-    rng = random.Random(seed)
-    daemon = daemon or DistributedDaemon()
-    if max_steps is None:
-        max_steps = 500 * (network.n + network.num_edges()) + 3_000
-
-    scheduler = Scheduler(
-        network,
-        protocol,
-        daemon=daemon,
-        rng=rng,
-        configuration=configuration,
-        observers=observers,
-        incremental=incremental,
-        check_guard_locality=check_guard_locality or None,
-        instrumentation=instrumentation,
-    )
-    substrate_step: int | None = None
-    substrate_round: int | None = None
-    full_step: int | None = None
-    full_round: int | None = None
-    # Confirm legitimacy over at least one full token wave (O(n + m)
-    # moves) so that a transiently satisfied specification is not
-    # mistaken for the stabilized one.
-    closure_window = 3 * (network.n + network.num_edges()) + 10
-    held_for = 0
-
-    def observe() -> None:
-        nonlocal substrate_step, substrate_round, full_step, full_round, held_for
-        if scheduler.legitimate(substrate):
-            if substrate_step is None:
-                substrate_step = scheduler.steps_executed
-                substrate_round = scheduler.rounds_completed
-        else:
-            substrate_step = None
-            substrate_round = None
-        if scheduler.legitimate():
-            if full_step is None:
-                full_step = scheduler.steps_executed
-                full_round = scheduler.rounds_completed
-            held_for += 1
-        else:
-            full_step = None
-            full_round = None
-            held_for = 0
-
-    observe()
-    while scheduler.steps_executed < max_steps and held_for < closure_window:
-        if scheduler.step() is None:
-            break
-        observe()
-
-    converged = full_step is not None
-    sample = StabilizationSample(
-        protocol=label or protocol.name,
-        network=network.name,
-        n=network.n,
-        edges=network.num_edges(),
-        parameter=parameter if parameter is not None else network.n,
-        daemon=daemon.name,
-        seed=seed if seed is not None else -1,
-        converged=converged,
-        total_steps=scheduler.steps_executed,
-        total_rounds=scheduler.rounds_completed,
-        substrate_steps=substrate_step,
-        substrate_rounds=substrate_round,
-        full_steps=full_step,
-        full_rounds=full_round,
-    )
-    if converged:
-        scheduler.notify_converged(sample)
-    return sample
-
-
 def presettled_substrate_configuration(
     network: RootedNetwork,
     full_protocol: Protocol,
@@ -215,8 +138,9 @@ def presettled_substrate_configuration(
     return configuration
 
 
-def measure_dftno(
+def measure_stabilization(
     network: RootedNetwork,
+    protocol: str,
     daemon: Daemon | None = None,
     seed: int | None = None,
     max_steps: int | None = None,
@@ -227,173 +151,77 @@ def measure_dftno(
     check_guard_locality: bool = False,
     instrumentation: Instrumentation | None = None,
 ) -> StabilizationSample:
-    """Measure DFTNO on ``network``: token-layer and full-orientation stabilization.
+    """Run the ``protocol`` stack from an arbitrary configuration and time two predicates.
 
-    With ``after_substrate=True`` the run starts from a configuration in which
-    the token layer is already legitimate (matching the phrasing of Theorem
-    3.2.3: O(n) steps *after* the token circulation stabilizes) while the
-    orientation variables are arbitrary.
+    ``protocol`` is a normalized protocol name (``"dftno"``, ``"stno-bfs"``,
+    ``"stno-dfs"``).  The legitimacy of its substrate (see
+    :func:`protocol_stack`) and of the whole stack are checked before the
+    first step and after every step; the recorded time is the first step
+    (and round) after which each predicate held continuously until the end
+    of the run.  The run ends once the full predicate has held for
+    :func:`closure_window` consecutive checks, when the protocol falls
+    silent, or after ``max_steps`` (default :func:`step_budget`) steps.
+
+    With ``after_substrate=True`` the run starts from a configuration whose
+    substrate is already legitimate while the orientation variables are
+    arbitrary -- the phrasing of Theorems 3.2.3 and 4.2.1/4.2.3.
+    ``observers`` receive every step/round notification plus
+    ``on_converged`` with the finished sample.  ``incremental=False`` forces
+    the scheduler's historical full guard scan and global legitimacy
+    predicates (the ``scheduler-fullscan`` differential-testing path).
+    ``check_guard_locality=True`` runs every guard on the read-tracking view
+    (:class:`~repro.errors.GuardLocalityError` on violation); ``False`` leaves
+    the choice to the ``REPRO_DEBUG_GUARDS`` environment variable.
     """
-    protocol = build_dftno()
-    token = protocol.base
-    rng = random.Random(seed)
-
+    stack, substrate = protocol_stack(protocol)
+    daemon = daemon or DistributedDaemon()
     configuration = None
     if after_substrate:
-        configuration = presettled_substrate_configuration(network, protocol, token, rng)
-
-    return measure_layered_stabilization(
+        configuration = presettled_substrate_configuration(
+            network, stack, substrate, random.Random(seed)
+        )
+    scheduler = Scheduler(
         network,
-        protocol,
-        token,
+        stack,
         daemon=daemon,
-        seed=seed,
-        max_steps=max_steps,
-        parameter=parameter,
-        label="dftno",
+        rng=random.Random(seed),
         configuration=configuration,
         observers=observers,
         incremental=incremental,
-        check_guard_locality=check_guard_locality,
+        check_guard_locality=check_guard_locality or None,
         instrumentation=instrumentation,
     )
-
-
-def measure_stno(
-    network: RootedNetwork,
-    tree: str | SpanningTreeProtocol = "bfs",
-    daemon: Daemon | None = None,
-    seed: int | None = None,
-    max_steps: int | None = None,
-    parameter: int | None = None,
-    after_substrate: bool = False,
-    observers: Sequence[Observer] = (),
-    incremental: bool = True,
-    check_guard_locality: bool = False,
-    instrumentation: Instrumentation | None = None,
-) -> StabilizationSample:
-    """Measure STNO on ``network``: tree-layer and full-orientation stabilization.
-
-    With ``after_substrate=True`` the run starts from a configuration in which
-    the spanning tree is already constructed (matching the phrasing of Theorem
-    4.2.1/4.2.3: O(h) steps *after* the tree stabilizes) while the orientation
-    variables are arbitrary.
-    """
-    protocol = build_stno(tree=tree)
-    overlay = None
-    for layer in protocol.layers():
-        if layer.name == "stno":
-            overlay = layer
-    if overlay is None:  # pragma: no cover - build_stno always adds the layer
-        raise ConvergenceError("build_stno did not produce an STNO layer")
-    tree_protocol = overlay.tree_layer
-    rng = random.Random(seed)
-
-    configuration = None
-    if after_substrate:
-        configuration = presettled_substrate_configuration(network, protocol, tree_protocol, rng)
-
-    return measure_layered_stabilization(
-        network,
-        protocol,
-        tree_protocol,
-        daemon=daemon,
-        seed=seed,
-        max_steps=max_steps,
-        parameter=parameter,
-        label=protocol.name,
-        configuration=configuration,
-        observers=observers,
-        incremental=incremental,
-        check_guard_locality=check_guard_locality,
-        instrumentation=instrumentation,
+    result = scheduler.run_until_legitimate(
+        max_steps=max_steps if max_steps is not None else step_budget(network),
+        confirm_steps=closure_window(network) - 1,
+        substrate=substrate,
     )
+    sample = StabilizationSample(
+        protocol=stack.name,
+        network=network.name,
+        n=network.n,
+        edges=network.num_edges(),
+        parameter=parameter if parameter is not None else network.n,
+        daemon=daemon.name,
+        seed=seed if seed is not None else -1,
+        converged=result.converged,
+        total_steps=result.steps,
+        total_rounds=result.rounds,
+        substrate_steps=result.substrate_step,
+        substrate_rounds=result.substrate_round,
+        full_steps=result.first_legitimate_step,
+        full_rounds=result.first_legitimate_round,
+    )
+    if result.converged:
+        scheduler.notify_converged(sample)
+    return sample
 
-
-# ----------------------------------------------------------------------
-# Sweeps used by EXP-T1 and EXP-T2
-# ----------------------------------------------------------------------
-def sweep_dftno_sizes(
-    sizes: Sequence[int],
-    family: str = "random_connected",
-    trials: int = 3,
-    seed: int = 0,
-    daemon_factory: Callable[[], Daemon] | None = None,
-    after_substrate: bool = False,
-) -> list[StabilizationSample]:
-    """EXP-T1 driver: DFTNO stabilization across network sizes of one family."""
-    samples: list[StabilizationSample] = []
-    for size in sizes:
-        for trial in range(trials):
-            network = generators.family(family, size, seed=seed + 1_000 * trial + size)
-            daemon = daemon_factory() if daemon_factory else None
-            samples.append(
-                measure_dftno(
-                    network,
-                    daemon=daemon,
-                    seed=seed + 7 * trial + size,
-                    parameter=size,
-                    after_substrate=after_substrate,
-                )
-            )
-    return samples
-
-
-def _height_controlled_tree(n: int, height: int, seed: int) -> RootedNetwork:
-    """A tree on ``n`` processors whose root-to-leaf height is exactly ``height``.
-
-    A spine of ``height`` edges fixes the height; the remaining processors are
-    attached uniformly at random to spine processors other than the last one,
-    so they can never extend the height.
-    """
-    rng = random.Random(seed)
-    if height < 1 or height > n - 1:
-        raise ValueError("height must lie in 1..n-1")
-    edges = [(i, i + 1) for i in range(height)]
-    for node in range(height + 1, n):
-        parent = rng.randrange(0, height)
-        edges.append((parent, node))
-    return RootedNetwork(n, edges, root=0, name=f"height_tree(n={n}, h={height}, seed={seed})")
-
-
-def sweep_stno_heights(
-    n: int,
-    heights: Sequence[int],
-    trials: int = 3,
-    seed: int = 0,
-    tree: str = "bfs",
-    daemon_factory: Callable[[], Daemon] | None = None,
-    after_substrate: bool = False,
-) -> list[StabilizationSample]:
-    """EXP-T2 driver: STNO stabilization across tree heights at fixed ``n``."""
-    samples: list[StabilizationSample] = []
-    for height in heights:
-        for trial in range(trials):
-            network = _height_controlled_tree(n, height, seed + 97 * trial + height)
-            actual_height = radius_from_root(network)
-            daemon = daemon_factory() if daemon_factory else None
-            samples.append(
-                measure_stno(
-                    network,
-                    tree=tree,
-                    daemon=daemon,
-                    seed=seed + 13 * trial + height,
-                    parameter=actual_height,
-                    after_substrate=after_substrate,
-                )
-            )
-    return samples
-
-
-# Exposed for tests of the sweep helper itself.
-height_controlled_tree = _height_controlled_tree
 
 __all__ = [
     "StabilizationSample",
-    "measure_layered_stabilization",
-    "measure_dftno",
-    "measure_stno",
-    "sweep_dftno_sizes",
-    "sweep_stno_heights",
-    "height_controlled_tree",
+    "closure_window",
+    "measure_stabilization",
+    "presettled_substrate_configuration",
+    "protocol_stack",
+    "step_budget",
 ]

@@ -288,37 +288,21 @@ class SchedulerEngine(Engine):
         observers: Sequence[Observer] = (),
         instrumentation: Instrumentation | None = None,
     ) -> RunResult:
-        from repro.analysis.convergence import measure_dftno, measure_stno
+        from repro.analysis.convergence import measure_stabilization
         from repro.runtime.daemon import make_daemon
 
-        network = spec.network.build()
-        daemon = make_daemon(spec.daemon)
-        kwargs = self._scheduler_kwargs(spec)
-        if spec.protocol == "dftno":
-            sample = measure_dftno(
-                network,
-                daemon=daemon,
-                seed=spec.seed,
-                max_steps=spec.stop.max_steps,
-                parameter=spec.parameter,
-                after_substrate=spec.stop.after_substrate,
-                observers=observers,
-                instrumentation=instrumentation,
-                **kwargs,
-            )
-        else:
-            sample = measure_stno(
-                network,
-                tree=spec.protocol.split("-", 1)[1],
-                daemon=daemon,
-                seed=spec.seed,
-                max_steps=spec.stop.max_steps,
-                parameter=spec.parameter,
-                after_substrate=spec.stop.after_substrate,
-                observers=observers,
-                instrumentation=instrumentation,
-                **kwargs,
-            )
+        sample = measure_stabilization(
+            spec.network.build(),
+            spec.protocol,
+            daemon=make_daemon(spec.daemon),
+            seed=spec.seed,
+            max_steps=spec.stop.max_steps,
+            parameter=spec.parameter,
+            after_substrate=spec.stop.after_substrate,
+            observers=observers,
+            instrumentation=instrumentation,
+            **self._scheduler_kwargs(spec),
+        )
         return RunResult(engine=self.name, spec=spec, row=sample.as_row(), report=sample)
 
 
@@ -447,14 +431,12 @@ class MsgpassEngine(Engine):
 def build_protocol(name: str):
     """The protocol stack behind a normalized protocol name.
 
-    The single place the ``"dftno"`` / ``"stno-<tree>"`` naming is decoded.
+    Decoded by :func:`~repro.analysis.convergence.protocol_stack`, which the
+    measurement harness shares.
     """
-    from repro.core.dftno import build_dftno
-    from repro.core.stno import build_stno
+    from repro.analysis.convergence import protocol_stack
 
-    if name == "dftno":
-        return build_dftno()
-    return build_stno(tree=name.split("-", 1)[1])
+    return protocol_stack(name)[0]
 
 
 register_engine(SchedulerEngine())

@@ -11,15 +11,17 @@ observers that used to be hard-wired into individual harnesses.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.analysis.recovery import EventRecovery, aggregate_event_recoveries
 from repro.runtime.observers import (
     CallbackObserver,
     MetricsObserver,
     Observer,
     ProgressObserver,
 )
+
+if TYPE_CHECKING:
+    from repro.analysis.recovery import EventRecovery
 
 
 class RecoveryObserver(Observer):
@@ -30,6 +32,8 @@ class RecoveryObserver(Observer):
     every :class:`~repro.analysis.recovery.EventRecovery` across any number of
     runs and aggregates them by event kind -- the observer form of the
     recovery-analysis plumbing the scenario harness used to own exclusively.
+    (:mod:`repro.analysis` is imported on use: the API layer, network specs
+    included, loads without it.)
     """
 
     def __init__(self) -> None:
@@ -37,6 +41,8 @@ class RecoveryObserver(Observer):
         self.converged_runs = 0
 
     def on_event(self, source: Any, event: Any) -> None:
+        from repro.analysis.recovery import EventRecovery
+
         if isinstance(event, EventRecovery):
             self.events.append(event)
 
@@ -50,6 +56,8 @@ class RecoveryObserver(Observer):
 
     def aggregate(self) -> list[dict[str, object]]:
         """Per-event-kind recovery aggregates over everything collected."""
+        from repro.analysis.recovery import aggregate_event_recoveries
+
         return aggregate_event_recoveries([self])
 
 

@@ -23,7 +23,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
-from repro.graphs.generators import FAMILY_NAMES, family as build_family
+from repro.graphs.generators import FAMILY_NAMES, family as build_family, height_tree
 from repro.graphs.network import RootedNetwork
 
 #: The family name of height-controlled trees (not in the sweepable families).
@@ -160,10 +160,7 @@ class NetworkSpec:
     def build(self) -> RootedNetwork:
         """Construct the described network (deterministic in the spec)."""
         if self.height is not None:
-            # Imported here: analysis depends on graphs, not the reverse.
-            from repro.analysis.convergence import height_controlled_tree
-
-            return height_controlled_tree(self.size, self.height, seed=self.seed)
+            return height_tree(self.size, self.height, seed=self.seed)
         return build_family(self.family, self.size, seed=self.seed)
 
 
@@ -172,22 +169,31 @@ class StopSpec:
     """When a run is allowed (or forced) to end.
 
     ``max_steps`` bounds the daemon-step engines (``None`` -> the harness
-    default ``500 * (n + m) + 3000``); ``max_rounds`` bounds the synchronous
-    message-passing engine (``None`` -> its default).  ``after_substrate``
-    starts the run from a configuration whose substrate layer is already
-    stabilized (the theorems' phrasing); it is only meaningful for the
-    ``scheduler`` engine.
+    default :func:`~repro.analysis.convergence.step_budget`); the
+    ``msgpass`` engine refuses it.  ``after_substrate`` starts the run from a
+    configuration whose substrate layer is already stabilized (the theorems'
+    phrasing); it is only meaningful for the scheduler engines.
     """
 
     max_steps: int | None = None
-    max_rounds: int | None = None
     after_substrate: bool = False
 
     def __post_init__(self) -> None:
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+
+    @classmethod
+    def from_mapping(cls, data: Mapping[str, object]) -> "StopSpec":
+        """Build from :meth:`RunSpec.to_dict` output, old dumps included.
+
+        Dumps written while the field existed carry ``"max_rounds": None``;
+        it is dropped so they load to the same hash.  No engine ever read
+        it, so a set value is refused rather than silently ignored.
+        """
+        kwargs = dict(data)
+        if kwargs.pop("max_rounds", None) is not None:
+            raise ValueError("StopSpec.max_rounds was never read by any engine and is removed")
+        return cls(**kwargs)
 
 
 _NETWORK_DEFAULTS = asdict(NetworkSpec())
@@ -263,7 +269,7 @@ class RunSpec:
         if isinstance(self.network, Mapping):
             object.__setattr__(self, "network", NetworkSpec(**dict(self.network)))
         if isinstance(self.stop, Mapping):
-            object.__setattr__(self, "stop", StopSpec(**dict(self.stop)))
+            object.__setattr__(self, "stop", StopSpec.from_mapping(self.stop))
         if self.debug is not None:
             if not isinstance(self.debug, Mapping):
                 raise ValueError(
@@ -310,6 +316,8 @@ class RunSpec:
             object.__setattr__(self, "workload", workload)
             if workload == "election" and self.network.family != "ring":
                 raise ValueError("the election workload runs on family='ring' networks")
+            if self.stop.max_steps is not None:
+                raise ValueError("the msgpass engine has no step budget (stop.max_steps)")
         elif self.workload is not None:
             raise ValueError(
                 f"workloads only apply to engine='msgpass' (got {self.engine!r})"
@@ -346,10 +354,7 @@ class RunSpec:
         unknown = set(kwargs) - known
         if unknown:
             raise ValueError(f"unknown RunSpec fields: {sorted(unknown)}")
-        if "network" in kwargs and isinstance(kwargs["network"], Mapping):
-            kwargs["network"] = NetworkSpec(**dict(kwargs["network"]))
-        if "stop" in kwargs and isinstance(kwargs["stop"], Mapping):
-            kwargs["stop"] = StopSpec(**dict(kwargs["stop"]))
+        # ``__post_init__`` turns the nested network/stop mappings into specs.
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def canonical(self) -> dict[str, object]:

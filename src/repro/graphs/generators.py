@@ -174,6 +174,22 @@ def random_tree(n: int, seed: int | None = None, root: int = 0) -> RootedNetwork
     return RootedNetwork(n, edges, root=root, name=f"random_tree(n={n}, seed={seed})")
 
 
+def height_tree(n: int, height: int, seed: int | None = None) -> RootedNetwork:
+    """A tree on ``n`` processors whose root-to-leaf height is exactly ``height``.
+
+    A spine of ``height`` edges fixes the height; the remaining processors are
+    attached uniformly at random to spine processors other than the last one,
+    so they can never extend the height.
+    """
+    rng = random.Random(seed)
+    if height < 1 or height > n - 1:
+        raise ValueError("height must lie in 1..n-1")
+    edges = [(i, i + 1) for i in range(height)]
+    for node in range(height + 1, n):
+        edges.append((rng.randrange(0, height), node))
+    return RootedNetwork(n, edges, root=0, name=f"height_tree(n={n}, h={height}, seed={seed})")
+
+
 def random_connected(
     n: int,
     extra_edge_probability: float = 0.15,
@@ -318,6 +334,7 @@ __all__ = [
     "hypercube",
     "lollipop",
     "random_tree",
+    "height_tree",
     "random_connected",
     "random_regularish",
     "figure_3_1_1_network",

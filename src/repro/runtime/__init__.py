@@ -44,7 +44,7 @@ from repro.runtime.observers import (
     ProgressObserver,
 )
 from repro.runtime.metrics import ExecutionMetrics, space_bits_per_node, space_summary
-from repro.runtime.faults import random_configuration, corrupt_configuration, FaultInjector
+from repro.runtime.faults import corrupt_configuration
 
 __all__ = [
     "VariableSpec",
@@ -76,7 +76,5 @@ __all__ = [
     "ExecutionMetrics",
     "space_bits_per_node",
     "space_summary",
-    "random_configuration",
     "corrupt_configuration",
-    "FaultInjector",
 ]

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.errors import ConvergenceError, GuardLocalityError, SchedulingError
+from repro.errors import GuardLocalityError, SchedulingError
 from repro.graphs.network import RootedNetwork
 from repro.obs.instrument import (
     Instrumentation,
@@ -200,6 +200,9 @@ class RunResult:
         The step/round at which the protocol's legitimacy predicate first
         became true and then remained true until the end of the observed
         execution; ``None`` if it never did.
+    substrate_step / substrate_round:
+        The same for the ``substrate`` layer handed to
+        :meth:`Scheduler.run_until_legitimate`; ``None`` without one.
     configuration:
         The final configuration.
     metrics:
@@ -215,6 +218,8 @@ class RunResult:
     first_legitimate_round: int | None
     configuration: Configuration
     metrics: ExecutionMetrics
+    substrate_step: int | None = None
+    substrate_round: int | None = None
 
     @property
     def stabilization_steps(self) -> int | None:
@@ -877,68 +882,61 @@ class Scheduler:
         self,
         max_steps: int = 100_000,
         confirm_steps: int = 0,
-        raise_on_failure: bool = False,
+        substrate: Protocol | None = None,
     ) -> RunResult:
-        """Run until the protocol's legitimacy predicate holds.
+        """Run until the protocol has been legitimate for ``confirm_steps + 1`` checks.
 
-        ``confirm_steps`` additional steps are executed afterwards while
-        checking that legitimacy *keeps* holding (an empirical closure check);
-        if it is violated during confirmation the run keeps going until it
-        becomes legitimate again or the budget runs out.
+        Legitimacy is checked before the first step and after every step.
+        The run stops at the first of: ``confirm_steps + 1`` consecutive
+        legitimate checks (an empirical closure check over ``confirm_steps``
+        steps), a silent configuration (no processor enabled;
+        ``terminated``), or ``max_steps`` executed steps -- so the budget can
+        run out mid-confirmation.  ``converged`` is whether the last check
+        was legitimate, and ``first_legitimate_step`` / ``_round`` is where
+        that final legitimate streak began.  With ``substrate`` (a layer of
+        the protocol, or a composition of some of them) its legitimacy is
+        checked first at each check, and ``substrate_step`` / ``_round``
+        report where its own final streak began.
         """
-
-        result = self.run(
-            max_steps=max_steps, stop_predicate=lambda scheduler: scheduler.legitimate()
-        )
-        if not result.converged:
-            if raise_on_failure:
-                raise ConvergenceError(
-                    f"protocol {self.protocol.name!r} did not stabilize on {self.network.name} "
-                    f"within {max_steps} steps",
-                    steps=result.steps,
-                )
-            return result
-
-        if confirm_steps > 0:
-            stabilization_step = result.first_legitimate_step
-            stabilization_round = result.first_legitimate_round
-            terminated = result.terminated
-            confirmed = 0
-            while confirmed < confirm_steps and self._step_index < max_steps:
-                record = self.step()
-                if record is None:
-                    terminated = True
+        first_step: int | None = None
+        first_round: int | None = None
+        substrate_step: int | None = None
+        substrate_round: int | None = None
+        held_for = 0
+        terminated = False
+        while True:
+            if substrate is not None:
+                if not self.legitimate(substrate):
+                    substrate_step = substrate_round = None
+                elif substrate_step is None:
+                    substrate_step, substrate_round = self._step_index, self._round_index
+            if not self.legitimate():
+                first_step = first_round = None
+                held_for = 0
+            else:
+                if first_step is None:
+                    first_step, first_round = self._step_index, self._round_index
+                held_for += 1
+                if held_for > confirm_steps:
                     break
-                confirmed += 1
-                if not self.legitimate():
-                    # Closure violated: keep running until legitimate again.
-                    inner = self.run(
-                        max_steps=max_steps,
-                        stop_predicate=lambda scheduler: scheduler.legitimate(),
-                    )
-                    stabilization_step = inner.first_legitimate_step
-                    stabilization_round = inner.first_legitimate_round
-                    terminated = terminated or inner.terminated
-                    confirmed = 0
-                    if not inner.converged:
-                        if raise_on_failure:
-                            raise ConvergenceError(
-                                f"protocol {self.protocol.name!r} lost legitimacy and did not recover",
-                                steps=self._step_index,
-                            )
-                        break
-            result = RunResult(
-                steps=self._step_index,
-                moves=self.metrics.moves,
-                rounds=self._round_index,
-                terminated=terminated,
-                converged=self.legitimate(),
-                first_legitimate_step=stabilization_step,
-                first_legitimate_round=stabilization_round,
-                configuration=self.configuration.copy(),
-                metrics=self.metrics,
-            )
-        return result
+            if self._step_index >= max_steps:
+                break
+            if self.step() is None:
+                terminated = True
+                break
+        return RunResult(
+            steps=self._step_index,
+            moves=self.metrics.moves,
+            rounds=self._round_index,
+            terminated=terminated,
+            converged=first_step is not None,
+            first_legitimate_step=first_step,
+            first_legitimate_round=first_round,
+            configuration=self.configuration.copy(),
+            metrics=self.metrics,
+            substrate_step=substrate_step,
+            substrate_round=substrate_round,
+        )
 
     # ------------------------------------------------------------------
     # State manipulation (fault injection, dynamic networks)

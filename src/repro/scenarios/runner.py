@@ -8,9 +8,8 @@ event, measure the disturbance it caused, and time the re-stabilization --
 and returns a :class:`~repro.analysis.recovery.ScenarioReport` with one
 :class:`~repro.analysis.recovery.EventRecovery` per event.
 
-This subsumes the old hard-coded ``FaultInjector`` step schedule of EXP-R1:
-a corruption burst is now just one event kind among crash/rejoin, link
-dynamics and daemon switches, and the recovery bookkeeping lives in
+A corruption burst is one event kind among crash/rejoin, link dynamics and
+daemon switches, and the recovery bookkeeping lives in
 :mod:`repro.analysis.recovery` instead of each experiment loop.
 """
 
@@ -20,6 +19,7 @@ import random
 
 from typing import Sequence
 
+from repro.analysis.convergence import closure_window, step_budget
 from repro.analysis.recovery import EventRecovery, ScenarioReport, disturbed_nodes
 from repro.core.specification import VAR_EDGE_LABELS, VAR_NAME
 from repro.graphs.network import RootedNetwork
@@ -46,11 +46,13 @@ class ScenarioRunner:
         The declarative event schedule to inflict.
     phase_budget:
         Step budget for the initial stabilization and for each recovery
-        (default: the same ``500 * (n + m) + 3000`` bound the stabilization
-        harness uses).  Every stabilization is *confirmed* over a closure
-        window of ``3 * (n + m) + 10`` further steps (again matching the
-        harness), so a transiently satisfied predicate is not reported as a
-        recovery.
+        (default: :func:`~repro.analysis.convergence.step_budget`, the
+        stabilization harness's bound).  Every stabilization is *confirmed*
+        over :func:`~repro.analysis.convergence.closure_window` further steps,
+        so a transiently satisfied predicate is not reported as a recovery.
+        That is one legitimate check more than the harness asks for (it
+        counts the check that opens the streak, this runner does not); it
+        is kept because changing it would change every stored scenario row.
     watch_variables:
         Variable names disturbance is measured over (default: the orientation
         variables ``no_eta`` / ``no_pi``); ``None`` -> every variable.
@@ -89,12 +91,8 @@ class ScenarioRunner:
         self.scenario = scenario
         self.daemon = daemon
         self.seed = seed
-        self.phase_budget = (
-            phase_budget
-            if phase_budget is not None
-            else 500 * (network.n + network.num_edges()) + 3_000
-        )
-        self.confirm_steps = 3 * (network.n + network.num_edges()) + 10
+        self.phase_budget = phase_budget if phase_budget is not None else step_budget(network)
+        self.confirm_steps = closure_window(network)
         self.watch_variables = watch_variables
         # A list, not a tuple: failure isolation disables (removes) an
         # observer that raises, here exactly as inside the scheduler.

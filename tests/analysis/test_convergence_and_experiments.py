@@ -5,25 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import experiments
-from repro.analysis.convergence import (
-    height_controlled_tree,
-    measure_dftno,
-    measure_layered_stabilization,
-    measure_stno,
-    sweep_dftno_sizes,
-    sweep_stno_heights,
-)
+from repro.analysis.convergence import closure_window, measure_stabilization, step_budget
 from repro.graphs import generators
 from repro.graphs.properties import radius_from_root
 from repro.runtime.daemon import CentralDaemon
-from repro.substrates.spanning_tree import BFSSpanningTree
 
 
 # ----------------------------------------------------------------------
 # measurement primitives
 # ----------------------------------------------------------------------
 def test_measure_dftno_reports_both_layers(small_random):
-    sample = measure_dftno(small_random, seed=1)
+    sample = measure_stabilization(small_random, "dftno", seed=1)
     assert sample.converged
     assert sample.substrate_steps is not None
     assert sample.full_steps is not None
@@ -35,54 +27,42 @@ def test_measure_dftno_reports_both_layers(small_random):
 
 
 def test_measure_stno_reports_both_layers(small_random):
-    sample = measure_stno(small_random, tree="bfs", seed=2)
+    sample = measure_stabilization(small_random, "stno-bfs", seed=2)
     assert sample.converged
     assert sample.overlay_rounds is not None
     assert sample.protocol.startswith("stno")
 
 
 def test_measure_with_explicit_daemon_and_parameter(small_ring):
-    sample = measure_dftno(small_ring, daemon=CentralDaemon("round_robin"), seed=3, parameter=99)
+    sample = measure_stabilization(
+        small_ring, "dftno", daemon=CentralDaemon("round_robin"), seed=3, parameter=99
+    )
     assert sample.parameter == 99
     assert sample.daemon.startswith("central")
 
 
-def test_measure_layered_stabilization_unconverged_budget(small_random):
-    from repro.core.dftno import build_dftno
-
-    protocol = build_dftno()
-    sample = measure_layered_stabilization(
-        small_random,
-        protocol,
-        protocol.base,
-        seed=4,
-        max_steps=20,
-    )
+def test_measure_stabilization_unconverged_budget(small_random):
+    sample = measure_stabilization(small_random, "dftno", seed=4, max_steps=20)
     assert not sample.converged
     assert sample.overlay_steps is None
     assert sample.total_steps == 20
 
 
-def test_height_controlled_tree_has_requested_height():
+def test_measure_stabilization_confirms_over_the_closure_window(small_random):
+    sample = measure_stabilization(small_random, "stno-dfs", seed=5)
+    assert sample.converged
+    assert sample.total_steps < step_budget(small_random)
+    # Stopped by the closure window: its last check closed a full window.
+    assert sample.total_steps - sample.full_steps == closure_window(small_random) - 1
+
+
+def test_height_tree_has_requested_height():
     for height in (1, 3, 7, 11):
-        network = height_controlled_tree(12, height, seed=5)
+        network = generators.height_tree(12, height, seed=5)
         assert network.n == 12
         assert radius_from_root(network) == height
     with pytest.raises(ValueError):
-        height_controlled_tree(5, 10, seed=1)
-
-
-def test_sweep_dftno_sizes_produces_one_sample_per_trial():
-    samples = sweep_dftno_sizes((6, 8), family="random_tree", trials=2, seed=6)
-    assert len(samples) == 4
-    assert all(sample.converged for sample in samples)
-    assert {sample.parameter for sample in samples} == {6, 8}
-
-
-def test_sweep_stno_heights_uses_actual_heights():
-    samples = sweep_stno_heights(10, (2, 5), trials=1, seed=7)
-    assert len(samples) == 2
-    assert {sample.parameter for sample in samples} == {2, 5}
+        generators.height_tree(5, 10, seed=1)
 
 
 # ----------------------------------------------------------------------

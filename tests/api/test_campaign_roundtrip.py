@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.convergence import height_controlled_tree, measure_dftno, measure_stno
+from repro.analysis.convergence import measure_stabilization
 from repro.campaign.grid import Grid, TaskSpec
 from repro.campaign.runner import run_task
 from repro.campaign.store import JsonlResultStore
@@ -26,27 +26,17 @@ from repro.runtime.daemon import make_daemon
 def legacy_stabilize_row(spec: TaskSpec) -> dict[str, object]:
     """The pre-API ``stabilize`` handler, inlined exactly as PR 1/PR 2 ran it."""
     if spec.height is not None:
-        network = height_controlled_tree(spec.size, spec.height, seed=spec.network_seed)
+        network = generators.height_tree(spec.size, spec.height, seed=spec.network_seed)
     else:
         network = generators.family(spec.family, spec.size, seed=spec.network_seed)
-    daemon = make_daemon(spec.daemon)
-    if spec.protocol == "dftno":
-        sample = measure_dftno(
-            network,
-            daemon=daemon,
-            seed=spec.run_seed,
-            parameter=spec.parameter,
-            after_substrate=spec.after_substrate,
-        )
-    else:
-        sample = measure_stno(
-            network,
-            tree=spec.protocol.split("-", 1)[1],
-            daemon=daemon,
-            seed=spec.run_seed,
-            parameter=spec.parameter,
-            after_substrate=spec.after_substrate,
-        )
+    sample = measure_stabilization(
+        network,
+        spec.protocol,
+        daemon=make_daemon(spec.daemon),
+        seed=spec.run_seed,
+        parameter=spec.parameter,
+        after_substrate=spec.after_substrate,
+    )
     row = sample.as_row()
     row.update(spec.identity())
     row["config_hash"] = spec.config_hash

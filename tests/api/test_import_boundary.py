@@ -1,4 +1,5 @@
-"""``repro.api`` stands alone: building and running specs never loads the campaign layer."""
+"""``repro.api`` stands alone: building and running specs never loads the campaign layer,
+and building a network never loads the analysis layer."""
 
 from __future__ import annotations
 
@@ -23,11 +24,29 @@ print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro.c
 """
 
 
-def test_specs_and_runs_never_import_the_campaign_layer():
-    # A fresh interpreter: this test session has long imported repro.campaign.
+_HEIGHT_TREE_PROBE = """
+import json, sys
+from repro.api import NetworkSpec
+
+network = NetworkSpec(family="height_tree", size=12, height=5, seed=3).build()
+assert network.n == 12
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro.analysis"))))
+"""
+
+
+def _loaded_in_fresh_interpreter(probe: str) -> list[str]:
+    # A fresh interpreter: this test session has long imported every layer.
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     completed = subprocess.run(
-        [sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert json.loads(completed.stdout.strip().splitlines()[-1]) == []
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+def test_specs_and_runs_never_import_the_campaign_layer():
+    assert _loaded_in_fresh_interpreter(_PROBE) == []
+
+
+def test_building_a_height_tree_never_imports_the_analysis_layer():
+    assert _loaded_in_fresh_interpreter(_HEIGHT_TREE_PROBE) == []

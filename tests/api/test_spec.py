@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.convergence import height_controlled_tree
 from repro.api import NetworkSpec, RunSpec, StopSpec
 from repro.graphs import generators
 
@@ -94,6 +93,21 @@ def test_legacy_dump_with_null_shard_fields_loads_to_the_same_hash():
     assert RunSpec.from_dict(spec.to_dict()) == spec
 
 
+def test_max_rounds_loads_only_as_a_legacy_null():
+    # No engine ever read StopSpec.max_rounds, yet it changed the hash.
+    assert "max_rounds" not in RunSpec.from_dict(LEGACY_DUMP).to_dict()["stop"]
+    with pytest.raises(ValueError, match="max_rounds"):
+        RunSpec.from_dict({**LEGACY_DUMP, "stop": {**LEGACY_DUMP["stop"], "max_rounds": 50}})
+    with pytest.raises(ValueError, match="max_rounds"):
+        RunSpec(stop={"max_rounds": 50})  # type: ignore[arg-type]
+
+
+def test_msgpass_specs_refuse_a_step_budget():
+    # The message-passing engine never read stop.max_steps either.
+    with pytest.raises(ValueError, match="max_steps"):
+        RunSpec(engine="msgpass", stop=StopSpec(max_steps=100))
+
+
 @pytest.mark.parametrize(
     "dump",
     [
@@ -171,7 +185,7 @@ def test_network_spec_builds_the_described_topology():
 
     tree_spec = NetworkSpec(family="height_tree", size=10, height=4, seed=7)
     tree = tree_spec.build()
-    reference_tree = height_controlled_tree(10, 4, seed=7)
+    reference_tree = generators.height_tree(10, 4, seed=7)
     assert sorted(tree.edges()) == sorted(reference_tree.edges())
 
 

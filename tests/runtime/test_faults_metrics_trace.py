@@ -5,16 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs import generators
-from repro.runtime.configuration import Configuration
-from repro.runtime.daemon import SynchronousDaemon
-from repro.runtime.faults import FaultInjector, corrupt_configuration, random_configuration
+from repro.runtime.faults import corrupt_configuration
 from repro.runtime.metrics import (
     ExecutionMetrics,
     space_bits_per_node,
     space_summary,
     theoretical_orientation_bits,
 )
-from repro.runtime.scheduler import Scheduler
 from repro.substrates.dijkstra_ring import DijkstraTokenRing
 from repro.core.dftno import build_dftno
 
@@ -24,7 +21,7 @@ from repro.core.dftno import build_dftno
 # ----------------------------------------------------------------------
 def test_random_configuration_covers_all_nodes_and_variables(small_ring):
     protocol = DijkstraTokenRing()
-    config = random_configuration(protocol, small_ring, seed=3)
+    config = protocol.random_configuration(small_ring, seed=3)
     for node in small_ring.nodes():
         assert config.has(node, "dk_x")
 
@@ -89,49 +86,6 @@ def test_corrupt_configuration_rejects_bad_fractions(small_ring):
         corrupt_configuration(base, protocol, small_ring, node_fraction=2.0)
     with pytest.raises(ValueError):
         corrupt_configuration(base, protocol, small_ring, variable_fraction=-0.5)
-
-
-def test_fault_injector_fires_once_per_scheduled_step(small_ring):
-    protocol = DijkstraTokenRing(k=100)
-    scheduler = Scheduler(
-        small_ring,
-        protocol,
-        daemon=SynchronousDaemon(),
-        configuration=protocol.initial_configuration(small_ring),
-        seed=4,
-    )
-    injector = FaultInjector(protocol, small_ring, schedule={0: (1.0, 1.0)}, seed=5)
-    assert injector.maybe_inject(scheduler)
-    assert not injector.maybe_inject(scheduler)  # same step, already injected
-    assert injector.injected_at == [0]
-
-
-def test_fault_injector_ignores_unscheduled_steps(small_ring):
-    protocol = DijkstraTokenRing()
-    scheduler = Scheduler(small_ring, protocol, seed=6)
-    injector = FaultInjector(protocol, small_ring, schedule={5: (1.0, 1.0)})
-    assert not injector.maybe_inject(scheduler)
-
-
-def test_fault_injector_double_fire_protection_across_a_run(small_ring):
-    # Even when maybe_inject is polled many times per step (as a nested
-    # experiment loop might), each scheduled burst fires exactly once.
-    protocol = DijkstraTokenRing(k=100)
-    scheduler = Scheduler(
-        small_ring,
-        protocol,
-        daemon=SynchronousDaemon(),
-        configuration=protocol.initial_configuration(small_ring),
-        seed=4,
-    )
-    injector = FaultInjector(protocol, small_ring, schedule={0: (1.0, 1.0), 3: (0.5, 1.0)}, seed=5)
-    fired = 0
-    for _ in range(6):
-        for _ in range(3):  # repeated polls at the same step
-            fired += injector.maybe_inject(scheduler)
-        scheduler.step()
-    assert fired == 2
-    assert injector.injected_at == [0, 3]
 
 
 # ----------------------------------------------------------------------

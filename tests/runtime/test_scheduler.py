@@ -6,7 +6,7 @@ from typing import Sequence
 
 import pytest
 
-from repro.errors import ConvergenceError, SchedulingError
+from repro.errors import SchedulingError
 from repro.graphs import generators
 from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Action
@@ -174,19 +174,6 @@ def test_run_until_legitimate_converges_from_arbitrary_state(small_random):
     result = scheduler.run_until_legitimate(max_steps=10_000)
     assert result.converged
     assert protocol.legitimate(small_random, result.configuration)
-
-
-def test_run_until_legitimate_raises_when_budget_too_small(small_ring):
-    protocol = CountdownProtocol(start=40)
-    scheduler = Scheduler(
-        small_ring,
-        protocol,
-        daemon=CentralDaemon(),
-        configuration=protocol.initial_configuration(small_ring),
-        seed=1,
-    )
-    with pytest.raises(ConvergenceError):
-        scheduler.run_until_legitimate(max_steps=5, raise_on_failure=True)
 
 
 def test_run_until_legitimate_without_raise_returns_unconverged(small_ring):
