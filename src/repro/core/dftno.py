@@ -36,7 +36,7 @@ from repro.core.specification import (
     OrientationSpecification,
 )
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Reads, StatementFn
+from repro.runtime.actions import Action, Reads, StatementFn, all_of
 from repro.runtime.composition import HookedComposition, HookingLayer
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
@@ -47,9 +47,10 @@ from repro.substrates.token_circulation import DepthFirstTokenCirculation, dfs_p
 #: Shared-variable name of the running maximum ``Max_p``.
 VAR_MAX = "no_max"
 
-#: What the edge-relabeling guard reads: its own labels and name, its
-#: neighbors' names, and -- through ``holds_token`` -- the token state.
-_EDGE_LABEL_READS = tc.HOLDS_TOKEN_READS | Reads(
+#: What the edge-relabeling guard's label scan reads: its own labels and
+#: name, and its neighbors' names.  Its token gate reads what ``holds_token``
+#: does.
+_EDGE_LABEL_READS = Reads(
     own=frozenset({VAR_NAME, VAR_EDGE_LABELS}), neighbor=frozenset({VAR_NAME})
 )
 
@@ -160,6 +161,11 @@ class DFTNO(HookingLayer):
     # ------------------------------------------------------------------
     # Stand-alone action: edge relabeling
     # ------------------------------------------------------------------
+    @staticmethod
+    def _token_free(view: ProcessorView) -> bool:
+        """The paper's ``~Forward /\\ ~Backtrack``: the processor does not hold the token."""
+        return not DepthFirstTokenCirculation.holds_token(view)
+
     def _invalid_edge_labels(self, view: ProcessorView) -> bool:
         modulus = self.modulus(view.network)
         labels = view.read(VAR_EDGE_LABELS)
@@ -185,19 +191,20 @@ class DFTNO(HookingLayer):
         view.write(VAR_EDGE_LABELS, labels)
 
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
-        def guard(view: ProcessorView) -> bool:
-            if DepthFirstTokenCirculation.holds_token(view):
-                return False
-            return self._invalid_edge_labels(view)
-
+        # Built per call: an instance constant holding bound methods would
+        # make a reference cycle through the instance.  The edge guard gates
+        # the O(degree) label scan on not holding the token, so a token move
+        # re-calls the scan only where it can matter.
         return [
             Action(
                 self.ACTION_EDGE_LABEL,
-                guard,
+                all_of(
+                    (self._token_free, tc.HOLDS_TOKEN_READS),
+                    (self._invalid_edge_labels, _EDGE_LABEL_READS),
+                ),
                 self._relabel_edges,
                 layer=self.name,
                 priority=10,
-                reads=_EDGE_LABEL_READS,
             )
         ]
 

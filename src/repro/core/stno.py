@@ -42,7 +42,7 @@ from repro.core.specification import (
     OrientationSpecification,
 )
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Reads
+from repro.runtime.actions import Action, Reads, all_of
 from repro.runtime.composition import LayeredProtocol
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
@@ -88,8 +88,8 @@ class STNO(Protocol):
         self._tree = tree or BFSSpanningTree()
         self._modulus = modulus
         self._specification = OrientationSpecification(modulus=modulus)
-        # What each guard reads; the tree helpers read the parent pointer,
-        # own (``parent``) or the neighbors' (``children``).
+        # What each guard part reads; the tree helpers read the parent
+        # pointer, own (``parent``) or the neighbors' (``children``).
         parent = self._tree.parent_variable
         self._weight_reads = Reads(
             own=frozenset({VAR_WEIGHT}), neighbor=frozenset({VAR_WEIGHT, parent})
@@ -98,9 +98,11 @@ class STNO(Protocol):
             own=frozenset({VAR_NAME, VAR_START, parent}),
             neighbor=frozenset({VAR_START, VAR_WEIGHT, parent}),
         )
-        self._edge_reads = Reads(
-            own=frozenset({VAR_NAME, VAR_EDGE_LABELS, parent}),
-            neighbor=frozenset({VAR_NAME, VAR_START}),
+        self._name_valid_reads = Reads(
+            own=frozenset({VAR_NAME, parent}), neighbor=frozenset({VAR_START})
+        )
+        self._label_reads = Reads(
+            own=frozenset({VAR_NAME, VAR_EDGE_LABELS}), neighbor=frozenset({VAR_NAME})
         )
 
     # ------------------------------------------------------------------
@@ -210,53 +212,61 @@ class STNO(Protocol):
     # Actions
     # ------------------------------------------------------------------
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
+        # Built per call: an instance constant holding bound methods would
+        # make a reference cycle through the instance.  The edge guard is
+        # gated on the name being valid, as in the paper.
         is_root = network.is_root(node)
-
-        def weight_guard(view: ProcessorView) -> bool:
-            return view.read(VAR_WEIGHT) != self._desired_weight(view)
-
-        def weight_set(view: ProcessorView) -> None:
-            view.write(VAR_WEIGHT, self._desired_weight(view))
-
-        def name_guard(view: ProcessorView) -> bool:
-            desired = self._desired_name(view)
-            if view.read(VAR_NAME) != desired:
-                return True
-            return not self._start_consistent(view, desired)
-
-        def name_set(view: ProcessorView) -> None:
-            desired = self._desired_name(view)
-            view.write(VAR_NAME, desired)
-            view.write(VAR_START, self._desired_start(view, desired))
-
-        def edge_guard(view: ProcessorView) -> bool:
-            own_name = view.read(VAR_NAME)
-            if own_name != self._desired_name(view):
-                return False  # the paper labels edges only once the name is valid
-            stored = view.read(VAR_EDGE_LABELS)
-            stored = stored if isinstance(stored, dict) else {}
-            desired = self._desired_labels(view, own_name)
-            return any(stored.get(q) != label for q, label in desired.items())
-
-        def edge_set(view: ProcessorView) -> None:
-            view.write(VAR_EDGE_LABELS, self._desired_labels(view, view.read(VAR_NAME)))
-
         weight_action = self.ACTION_ROOT_WEIGHT if is_root else self.ACTION_WEIGHT
         name_action = self.ACTION_ROOT_NAME if is_root else self.ACTION_NAME
         return [
             Action(
-                weight_action, weight_guard, weight_set,
+                weight_action, self._weight_wrong, self._set_weight,
                 layer=self.name, priority=0, reads=self._weight_reads,
             ),
             Action(
-                name_action, name_guard, name_set,
+                name_action, self._name_wrong, self._set_name,
                 layer=self.name, priority=1, reads=self._name_reads,
             ),
             Action(
-                self.ACTION_EDGE_LABEL, edge_guard, edge_set,
-                layer=self.name, priority=2, reads=self._edge_reads,
+                self.ACTION_EDGE_LABEL,
+                all_of(
+                    (self._name_valid, self._name_valid_reads),
+                    (self._labels_wrong, self._label_reads),
+                ),
+                self._set_labels,
+                layer=self.name, priority=2,
             ),
         ]
+
+    def _weight_wrong(self, view: ProcessorView) -> bool:
+        return view.read(VAR_WEIGHT) != self._desired_weight(view)
+
+    def _set_weight(self, view: ProcessorView) -> None:
+        view.write(VAR_WEIGHT, self._desired_weight(view))
+
+    def _name_wrong(self, view: ProcessorView) -> bool:
+        desired = self._desired_name(view)
+        if view.read(VAR_NAME) != desired:
+            return True
+        return not self._start_consistent(view, desired)
+
+    def _set_name(self, view: ProcessorView) -> None:
+        desired = self._desired_name(view)
+        view.write(VAR_NAME, desired)
+        view.write(VAR_START, self._desired_start(view, desired))
+
+    def _name_valid(self, view: ProcessorView) -> bool:
+        """The paper labels edges only once the name is valid."""
+        return view.read(VAR_NAME) == self._desired_name(view)
+
+    def _labels_wrong(self, view: ProcessorView) -> bool:
+        stored = view.read(VAR_EDGE_LABELS)
+        stored = stored if isinstance(stored, dict) else {}
+        desired = self._desired_labels(view, view.read(VAR_NAME))
+        return any(stored.get(q) != label for q, label in desired.items())
+
+    def _set_labels(self, view: ProcessorView) -> None:
+        view.write(VAR_EDGE_LABELS, self._desired_labels(view, view.read(VAR_NAME)))
 
     # ------------------------------------------------------------------
     # Legitimacy and reference values

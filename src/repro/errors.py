@@ -27,7 +27,7 @@ class ProtocolError(ReproError):
 
 class GuardLocalityError(ProtocolError):
     """A guard read state outside its closed neighborhood (rule RL004) or
-    outside its action's declared reads (RL008) -- the debug tracker.
+    outside its declared reads (RL008; per ``all_of`` part) -- the debug tracker.
 
     Raised by :func:`repro.runtime.scheduler.evaluate_guards` when
     ``check_guard_locality`` is on.  Carries enough attribution to tell

@@ -1,13 +1,15 @@
 """Cross-check declared reads against the static read sets (rule RL008).
 
-The incremental scheduler skips a guard after a change to a variable its
-action's :class:`~repro.runtime.actions.Reads` omits, and the legitimacy
-tracker skips a conjunct the same way using its layer's
+The incremental scheduler skips a guard part after a change to a variable
+its :class:`~repro.runtime.actions.Reads` omits (each ``all_of`` part has
+its own; a plain guard is one part declared by ``Action.reads``), and the
+legitimacy tracker skips a conjunct the same way using its layer's
 ``legitimacy_reads``.  An under-declared read therefore leaves a stale
 answer in place without any error.  This pass holds each declaration to the
 reads the static pass (:mod:`repro.lint.static`) finds.  A read the pass
-finds in a resolved guard, or in a legitimacy method, that the declaration
-omits is an RL008 error.  Over-declaring is sound and allowed.
+finds in a resolved guard part, or in a legitimacy method, that the part's
+own declaration omits is an RL008 error, even when another part of the same
+guard declares it.  Over-declaring is sound and allowed.
 
 Declarations are runtime values: STNO builds its own from the tree it runs
 over.  So the pass imports each analyzed module that declares reads or
@@ -61,7 +63,7 @@ def _import(path: Path) -> ModuleType | None:
 
 
 def _guard_site(guard: object) -> tuple[Path, int] | None:
-    """``(file, first line)`` of a guard's code: the key static summaries share."""
+    """``(file, first line)`` of a guard part's code: the key static summaries share."""
     function = getattr(guard, "__func__", guard)  # a bound method's function
     code = getattr(function, "__code__", None)
     if code is None:
@@ -72,10 +74,11 @@ def _guard_site(guard: object) -> tuple[Path, int] | None:
 def _declarations(
     paths: set[Path],
 ) -> tuple[dict[tuple[Path, int], dict[Reads, set[str]]], dict[tuple[Path, str], Reads]]:
-    """Declared guard reads by guard site, and legitimacy reads by ``(file, class)``.
+    """Declared guard-part reads by site, and legitimacy reads by ``(file, class)``.
 
-    A guard site maps each declaration made for it to the action names that
-    made it (a guard shared by several actions may be declared differently).
+    A site maps each declaration made for it to the action names that made
+    it (a predicate shared by several actions or parts may be declared
+    differently).
     """
     from repro.graphs import generators
 
@@ -103,10 +106,11 @@ def _declarations(
                 legitimacy[(path, cls.__name__)] = protocol.legitimacy_reads
             for actions in tables:
                 for action in actions:
-                    site = _guard_site(action.guard)
-                    if action.reads is not None and site is not None:
-                        names = guards.setdefault(site, {}).setdefault(action.reads, set())
-                        names.add(action.name)
+                    for predicate, reads in action.guard_parts:
+                        site = _guard_site(predicate)
+                        if reads is not None and site is not None:
+                            names = guards.setdefault(site, {}).setdefault(reads, set())
+                            names.add(action.name)
     return guards, legitimacy
 
 
@@ -132,18 +136,22 @@ def check_reads(analyzer) -> tuple[list[Finding], int]:
     }
     paths.update(Path(summary.module).resolve() for summary in analyzer.legitimacy_summaries)
     guards, legitimacy = _declarations(paths)
+    # Each guard-part site once, with the first action summary that uses it
+    # (a gate shared by several actions is one site).
+    sites = {}
+    for summary in analyzer.summaries:
+        for part in summary.guard_parts:
+            sites.setdefault((Path(summary.module).resolve(), part.line), (part, summary))
     findings: list[Finding] = []
     checked = 0
-    for summary in analyzer.summaries:
-        if not summary.guard_resolved:
-            continue
-        declared_at = guards.get((Path(summary.module).resolve(), summary.guard_line), {})
+    for site, (part, summary) in sites.items():
+        declared_at = guards.get(site, {})
         for declared, names in sorted(declared_at.items(), key=lambda item: sorted(item[1])):
             checked += 1
             missing = []
-            if own := summary.guard_reads_own - declared.own:
+            if own := part.reads_own - declared.own:
                 missing.append(f"own {sorted(own)}")
-            if neighbor := summary.guard_reads_neighbor - declared.neighbor:
+            if neighbor := part.reads_neighbor - declared.neighbor:
                 missing.append(f"neighbor {sorted(neighbor)}")
             if missing:
                 action = "/".join(sorted(names))
@@ -153,7 +161,8 @@ def check_reads(analyzer) -> tuple[list[Finding], int]:
                         summary.line,
                         summary.owner,
                         action,
-                        f"guard of action {action!r} reads "
+                        f"guard of action {action!r} (the part defined at line "
+                        f"{part.line}) reads "
                         + " and ".join(missing)
                         + " that its declared reads omit",
                     )

@@ -9,7 +9,8 @@ pass checks the contract at review time, before any scheduler runs:
   composition ``hooks()`` mapping) is located in the protocol sources;
 * guards and statements -- plus every same-module helper they call with the
   view -- are walked through the :class:`~repro.runtime.processor.ProcessorView`
-  API surface;
+  API surface; a guard written ``all_of((predicate, reads), ...)`` is walked
+  part by part, and each part's reads are kept apart for RL008;
 * violations are reported as :class:`~repro.lint.findings.Finding` objects
   with rule ids ``RL001``..``RL006`` (see
   :data:`~repro.lint.findings.RULES`);
@@ -337,27 +338,44 @@ class _Resolver:
 
 
 @dataclass
+class GuardPart:
+    """The static reads of one guard part: an ``all_of`` conjunct, or a plain guard."""
+
+    line: int = 0  # first line of the resolved predicate's definition
+    reads_own: set[str] = field(default_factory=set)
+    reads_neighbor: set[str] = field(default_factory=set)
+
+
+@dataclass
 class ActionSummary:
     """The statically-derived read/write footprint of one protocol action.
 
     The machine-readable artifact the RL008 read-declaration cross-check
-    (:mod:`repro.lint.reads`) and ``repro-lint --summary``
-    (:mod:`repro.lint.summary`) consume.
+    (:mod:`repro.lint.reads`, per guard part) and ``repro-lint --summary``
+    (:mod:`repro.lint.summary`, the guard's union) consume.
     """
 
     module: str
     owner: str  # enclosing class (or "<module>")
     action: str
     line: int
-    guard_reads_own: set[str] = field(default_factory=set)
-    guard_reads_neighbor: set[str] = field(default_factory=set)
+    guard_parts: list[GuardPart] = field(default_factory=list)  # the resolved ones, in order
     statement_reads_own: set[str] = field(default_factory=set)
     statement_reads_neighbor: set[str] = field(default_factory=set)
     writes: set[str] = field(default_factory=set)
-    guard_resolved: bool = False
+    guard_resolved: bool = False  # every guard part resolved
     statement_resolved: bool = False
-    declares_reads: bool = False  # the Action(...) call passes ``reads=``
-    guard_line: int = 0  # first line of the resolved guard's definition
+    declares_reads: bool = False  # the Action(...) call passes ``reads=`` or an ``all_of``
+
+    @property
+    def guard_reads_own(self) -> set[str]:
+        """Own reads of the whole guard: the union over its parts."""
+        return set().union(*(part.reads_own for part in self.guard_parts))
+
+    @property
+    def guard_reads_neighbor(self) -> set[str]:
+        """Neighbor reads of the whole guard: the union over its parts."""
+        return set().union(*(part.reads_neighbor for part in self.guard_parts))
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -403,6 +421,7 @@ class _FunctionChecker(ast.NodeVisitor):
         kind: str,  # "guard" | "statement"
         view_param: str | None,
         summary: ActionSummary,
+        reads: tuple[set[str], set[str]],  # where own / neighbor reads go
         visited: set[tuple[str, int, str]] | None = None,
     ) -> None:
         self.analyzer = analyzer
@@ -410,6 +429,7 @@ class _FunctionChecker(ast.NodeVisitor):
         self.kind = kind
         self.view_param = view_param
         self.summary = summary
+        self.reads = reads
         # Per-action: a helper shared by two actions must contribute its
         # footprint to both summaries (finding dedup is separate).
         self.visited = visited if visited is not None else set()
@@ -495,20 +515,8 @@ class _FunctionChecker(ast.NodeVisitor):
         if method in _READ_METHODS:
             name = self._variable_argument(node, _READ_METHODS[method])
             if name is not None:
-                neighbor = method in ("read_neighbor", "try_read_neighbor")
-                if self.kind == "guard":
-                    bucket = (
-                        self.summary.guard_reads_neighbor
-                        if neighbor
-                        else self.summary.guard_reads_own
-                    )
-                else:
-                    bucket = (
-                        self.summary.statement_reads_neighbor
-                        if neighbor
-                        else self.summary.statement_reads_own
-                    )
-                bucket.add(name)
+                own, neighbor = self.reads
+                (neighbor if method in ("read_neighbor", "try_read_neighbor") else own).add(name)
                 self._check_declared(node, name, "read")
             return True
         return False
@@ -586,7 +594,13 @@ class _FunctionChecker(ast.NodeVisitor):
             if callee_view is not None and self._passes_view(node):
                 view_param = callee_view
         checker = _FunctionChecker(
-            self.analyzer, target_scope, self.kind, view_param, self.summary, self.visited
+            self.analyzer,
+            target_scope,
+            self.kind,
+            view_param,
+            self.summary,
+            self.reads,
+            self.visited,
         )
         checker.check(target.body)
 
@@ -728,17 +742,28 @@ class _Analyzer:
             declares_reads=any(keyword.arg == "reads" for keyword in node.keywords),
         )
         if guard_expr is not None:
-            guard = self._check_callable(guard_expr, scope, "guard", summary)
-            summary.guard_resolved = guard is not None
-            if guard is not None:
-                # Where the compiled guard's code starts (its first decorator).
-                summary.guard_line = min(
-                    [guard.lineno]
-                    + [decorator.lineno for decorator in getattr(guard, "decorator_list", ())]
+            predicates = _conjunct_predicates(guard_expr)
+            summary.declares_reads |= predicates is not None
+            predicates = predicates or [guard_expr]
+            for predicate in predicates:
+                part = GuardPart()
+                target = self._check_callable(
+                    predicate, scope, "guard", summary, (part.reads_own, part.reads_neighbor)
                 )
+                if target is None:
+                    continue
+                # Where the compiled predicate's code starts (its first decorator).
+                part.line = min(
+                    [target.lineno]
+                    + [decorator.lineno for decorator in getattr(target, "decorator_list", ())]
+                )
+                summary.guard_parts.append(part)
+            summary.guard_resolved = len(summary.guard_parts) == len(predicates)
         if statement_expr is not None:
+            statement_reads = (summary.statement_reads_own, summary.statement_reads_neighbor)
             summary.statement_resolved = (
-                self._check_callable(statement_expr, scope, "statement", summary) is not None
+                self._check_callable(statement_expr, scope, "statement", summary, statement_reads)
+                is not None
             )
         self.summaries.append(summary)
 
@@ -762,23 +787,31 @@ class _Analyzer:
                     line=value_expr.lineno,
                 )
                 summary.guard_resolved = True  # hooks have no guard of their own
+                statement_reads = (summary.statement_reads_own, summary.statement_reads_neighbor)
                 summary.statement_resolved = (
-                    self._check_callable(value_expr, scope, "statement", summary) is not None
+                    self._check_callable(value_expr, scope, "statement", summary, statement_reads)
+                    is not None
                 )
                 if summary.statement_resolved:
                     self.summaries.append(summary)
 
     def _check_callable(
-        self, expr: ast.expr, scope: _Scope, kind: str, summary: ActionSummary
+        self,
+        expr: ast.expr,
+        scope: _Scope,
+        kind: str,
+        summary: ActionSummary,
+        reads: tuple[set[str], set[str]],
     ) -> ast.FunctionDef | ast.Lambda | None:
-        """Check the callable ``expr`` resolves to; returns it (``None``: unresolved)."""
+        """Check the callable ``expr`` resolves to, collecting its reads into
+        ``reads`` (own, neighbor); returns it (``None``: unresolved)."""
         resolver = self.resolvers[scope.index.path]
         resolved = resolver.resolve_callable(expr, scope)
         if resolved is None:
             return None
         target, target_scope = resolved
         view_param = _first_view_param(target)
-        checker = _FunctionChecker(self, target_scope, kind, view_param, summary)
+        checker = _FunctionChecker(self, target_scope, kind, view_param, summary, reads)
         checker.check(target.body)
         return target
 
@@ -828,6 +861,24 @@ class _Analyzer:
         self.check_actions()
         self.collect_legitimacy_reads()
         self.findings.sort(key=lambda f: (f.path, f.line, f.rule))
+
+
+def _conjunct_predicates(expr: ast.expr) -> list[ast.expr] | None:
+    """The predicates of an ``all_of((predicate, reads), ...)`` guard, else ``None``.
+
+    A part that is not a literal ``(predicate, reads)`` tuple is taken whole,
+    which leaves it unresolved.
+    """
+    if not isinstance(expr, ast.Call):
+        return None
+    func = expr.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name != "all_of":
+        return None
+    return [
+        part.elts[0] if isinstance(part, ast.Tuple) and part.elts else part
+        for part in expr.args
+    ]
 
 
 def _walk_functions(index: _ModuleIndex):
@@ -916,6 +967,7 @@ def modules_for_protocols(protocols: Iterable[str]) -> list[Path]:
 
 __all__ = [
     "ActionSummary",
+    "GuardPart",
     "LegitimacySummary",
     "analyze_paths",
     "iter_source_files",

@@ -4,9 +4,9 @@ One :class:`Instrumentation` object accompanies one run.  The execution cores
 feed it three kinds of measurements:
 
 * **counters** -- monotonically accumulated totals (``guards_evaluated``
-  counts processors re-evaluated, ``guard_calls`` the individual guard
-  invocations, ``steps_timed``; fractional values like ``step_seconds``
-  are fine);
+  counts processors re-walked, ``guard_calls`` the guard-part calls -- one
+  per ``all_of`` conjunct called, a plain guard being one part --
+  ``steps_timed``; fractional values like ``step_seconds`` are fine);
 * **gauges** -- per-observation samples of a fluctuating quantity (dirty-set
   size, enabled-set size), summarized as count/sum/min/max so any two
   summaries merge associatively;

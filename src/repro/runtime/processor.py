@@ -53,14 +53,14 @@ _IMMUTABLE_TYPES = frozenset({int, bool, str, float, type(None)})
 class ProcessorView:
     """Restricted view of a :class:`Configuration` for one processor.
 
-    Guards run on a fresh view per evaluation, so the view binds everything a
-    read needs once, at construction: the processor's neighbor set and port
-    order from the network, and the configuration's live state table.  A read
-    is then a membership test in the bound neighbor set plus a lookup in that
-    table, with the same :class:`~repro.errors.ProtocolError` on a
-    non-neighbor or a missing variable that :meth:`Configuration.get` raises.
-    The view lives for one guard evaluation or one atomic step, during which
-    the scheduler never mutates the configuration.
+    The view binds everything a read needs once, at construction: the
+    processor's neighbor set and port order from the network, and the
+    configuration's live state table.  A read is then a membership test in
+    the bound neighbor set plus a lookup in that table, with the same
+    :class:`~repro.errors.ProtocolError` on a non-neighbor or a missing
+    variable that :meth:`Configuration.get` raises.  Statements run on a
+    fresh view per atomic step, during which the scheduler never mutates the
+    configuration; guards run on the read-only :class:`GuardView`.
 
     :class:`TrackingProcessorView` is the debug variant that logs every read.
     """
@@ -205,14 +205,61 @@ class ProcessorView:
         return f"{type(self).__name__}(node={self._node}, writes={sorted(self._writes)})"
 
 
+class GuardView(ProcessorView):
+    """The read-only view guards run on.
+
+    A guard is a predicate: a write from it would leak into the guards
+    evaluated after it on the same view, and which guards run depends on the
+    scheduler's cached truth values, so the two scheduler cores would see
+    different states.  :meth:`write` therefore raises
+    :class:`~repro.errors.ProtocolError`, and the view keeps no write buffer.
+    Since it holds no per-evaluation state, the incremental scheduler keeps
+    one per processor for the whole run and rebuilds them only when the
+    configuration or network object is replaced.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        node: int,
+        network: RootedNetwork,
+        configuration: Configuration,
+    ) -> None:
+        self._node = node
+        self._network = network
+        self._configuration = configuration
+        self._states = configuration.state_table()
+        self._neighbor_set = network.neighbor_set(node)
+        self._ports = network.neighbors(node)
+
+    def read(self, variable: str) -> Any:
+        """Read one of the processor's own variables."""
+        try:
+            return self._states[self._node][variable]
+        except KeyError:
+            return self._configuration.get(self._node, variable)  # raises ProtocolError
+
+    def write(self, variable: str, value: Any) -> None:
+        """Refuse the write: guards must not change state."""
+        raise ProtocolError(
+            f"guard of processor {self._node} tried to write variable {variable!r}; "
+            f"guards are read-only predicates"
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(node={self._node})"
+
+
 class TrackingProcessorView(ProcessorView):
     """A :class:`ProcessorView` that records every ``(processor, variable)`` read.
 
-    The scheduler's debug mode (``check_guard_locality``) evaluates guards on
-    this view to assert the invariants its stale-guard marking relies on: a
-    guard's value may depend only on the node itself and its neighbors (so a
-    change at ``p`` can only flip enabled-status inside ``N_p ∪ {p}``), and
-    only on the variables its action declares reading.  Reads through the
+    The scheduler's debug mode (``check_guard_locality``) evaluates every
+    guard part on this view's read-only variant, :class:`TrackingGuardView`,
+    to assert the invariants its stale-bit marking relies on: a guard's value
+    may depend only on the node itself and its neighbors (so a change at
+    ``p`` can only flip enabled-status inside ``N_p ∪ {p}``), and a part's
+    only on the variables that part declares reading.  Reads through the
     view's API are logged (own reads too, even when a pending write serves
     them), and the configuration is wrapped in
     :class:`_ReadTrackingConfiguration` so reads that reach *around* the API
@@ -262,4 +309,15 @@ class TrackingProcessorView(ProcessorView):
         return frozenset(self._read_vars)
 
 
-__all__ = ["ProcessorView", "TrackingProcessorView"]
+class TrackingGuardView(TrackingProcessorView, GuardView):
+    """The read-only :class:`GuardView` that also logs every read.
+
+    What ``check_guard_locality`` runs each guard part on: the read log of
+    :class:`TrackingProcessorView` with the write refusal of
+    :class:`GuardView`.
+    """
+
+    __slots__ = ()
+
+
+__all__ = ["GuardView", "ProcessorView", "TrackingGuardView", "TrackingProcessorView"]

@@ -32,13 +32,13 @@ from repro.obs.instrument import (
     PHASE_LEGITIMACY,
     PHASE_OBSERVER_DISPATCH,
 )
-from repro.runtime.actions import Action, Reads
+from repro.runtime.actions import Action, Conjunction, Reads
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import Daemon, DistributedDaemon
 from repro.runtime.legitimacy import LegitimacyTracker
 from repro.runtime.metrics import ExecutionMetrics
 from repro.runtime.observers import MetricsObserver, Observer, dispatch_safely
-from repro.runtime.processor import ProcessorView, TrackingProcessorView
+from repro.runtime.processor import GuardView, ProcessorView, TrackingGuardView
 from repro.runtime.protocol import Protocol
 
 
@@ -50,60 +50,95 @@ def evaluate_guards(
     stale: int,
     held: int,
     check_guard_locality: bool = False,
-) -> tuple[int, int, int, int]:
-    """Find ``node``'s first enabled action, calling only its stale guards.
+    view: GuardView | None = None,
+) -> tuple[int, int, int, int, int]:
+    """Find ``node``'s first enabled action, calling only its stale guard parts.
 
-    The single guard-evaluation primitive every scheduler core uses.  Bit
-    ``i`` of ``held`` records whether guard ``i`` held when last evaluated,
-    and bit ``i`` of ``stale`` that a change since then may have flipped it
-    (or that it was never evaluated).  The walk goes through the actions in
-    priority order, re-evaluates a guard only when its stale bit is set, and
-    stops at the first enabled action -- so the answer equals a fresh scan,
-    with at most as many guard calls.  A full scan is ``stale`` with every
-    bit set.
+    The single guard-evaluation primitive every scheduler core uses.  The
+    bits of ``held`` and ``stale`` index the guard *parts* (conjuncts, see
+    :func:`~repro.runtime.actions.all_of`) of ``actions`` in order, a plain
+    guard being one part.  Bit ``i`` of ``held`` records whether part ``i``
+    held when last called, and bit ``i`` of ``stale`` that a change since
+    then may have flipped it (or that it was never called).  The walk goes
+    through the actions in priority order and through each action's parts
+    left to right; it calls a part only when its stale bit is set, stops an
+    action at its first false part, and stops at the first action whose
+    parts all hold -- so the answer equals a fresh scan, with at most as many
+    calls.  A full scan is ``stale=-1`` (every bit set).
 
-    Returns ``(index, held, stale, calls)``: the first enabled action's
-    index (``len(actions)`` when none is), the updated masks, and the number
-    of guards called.
+    Returns ``(index, held, stale, consulted, calls)``: the first enabled
+    action's index (``len(actions)`` when none is), the updated masks, the
+    bits the walk consulted, and the number of parts called (what the
+    ``guard_calls`` counter adds up).  Only a change
+    that stales a consulted bit can change the answer; the other bits, behind
+    a false part or past the first enabled action, may stay stale until a
+    walk reaches them.
 
-    With ``check_guard_locality`` every called guard runs on a fresh
-    :class:`~repro.runtime.processor.TrackingProcessorView` and its read log
-    is checked: a read outside the closed neighborhood raises
+    Guards run on ``view`` (a fresh :class:`GuardView` when omitted).  With
+    ``check_guard_locality`` every called part instead runs on a fresh
+    :class:`~repro.runtime.processor.TrackingGuardView` and its read log is
+    checked: a read outside the closed neighborhood raises
     :class:`~repro.errors.GuardLocalityError` with rule RL004, and a read
-    outside the action's declared :class:`~repro.runtime.actions.Reads` one
-    with rule RL008.
+    outside the part's own declared :class:`~repro.runtime.actions.Reads`
+    one with rule RL008.
     """
-    view = None if check_guard_locality else ProcessorView(node, network, configuration)
-    calls = 0
+    if not check_guard_locality and view is None:
+        view = GuardView(node, network, configuration)
+    calls = consulted = 0
     bit = 1
     index = 0
     for action in actions:
-        if stale & bit:
-            calls += 1
-            stale ^= bit
-            if view is None:
-                tracked = TrackingProcessorView(node, network, configuration)
-                holds = action.guard(tracked)
-                _check_guard_reads(node, network, action, tracked.read_variables)
-            else:
-                holds = action.guard(view)
-            if holds:
-                return index, held | bit, stale, calls
-            held &= ~bit
-        elif held & bit:
-            return index, held, stale, calls
-        bit <<= 1
+        if check_guard_locality:
+            predicates = _checked_parts(node, network, configuration, action)
+        else:
+            guard = action.guard
+            predicates = guard.predicates if type(guard) is Conjunction else (guard,)
+        end = bit << len(predicates)
+        for predicate in predicates:
+            consulted |= bit
+            if stale & bit:
+                calls += 1
+                stale ^= bit
+                if predicate(view):
+                    held |= bit
+                else:
+                    held &= ~bit
+                    break
+            elif not held & bit:
+                break
+            bit <<= 1
+        else:
+            return index, held, stale, consulted, calls
+        bit = end
         index += 1
-    return index, held, stale, calls
+    return index, held, stale, consulted, calls
+
+
+def _checked_parts(
+    node: int, network: RootedNetwork, configuration: Configuration, action: Action
+) -> tuple[Callable[[object], bool], ...]:
+    """``action``'s guard parts, each run on a fresh tracking view and checked."""
+
+    def checked(predicate: Callable, declared: Reads | None) -> Callable[[object], bool]:
+        def call(_: object) -> bool:
+            tracked = TrackingGuardView(node, network, configuration)
+            holds = predicate(tracked)
+            _check_guard_reads(node, network, action, declared, tracked.read_variables)
+            return holds
+
+        return call
+
+    return tuple(checked(predicate, declared) for predicate, declared in action.guard_parts)
 
 
 def _check_guard_reads(
     node: int,
     network: RootedNetwork,
     action: Action,
+    declared: Reads | None,
     reads: frozenset[tuple[int, str]],
 ) -> None:
-    """Raise :class:`GuardLocalityError` for a read ``action``'s guard may not make."""
+    """Raise :class:`GuardLocalityError` for a read a guard part may not make."""
     allowed = set(network.neighbor_set(node))
     allowed.add(node)
     illegal = sorted((source, name) for source, name in reads if source not in allowed)
@@ -119,7 +154,6 @@ def _check_guard_reads(
             rule="RL004",
             reads=illegal,
         )
-    declared = action.reads
     if declared is None:
         return
     undeclared = sorted(
@@ -154,11 +188,9 @@ def first_enabled_action(
 ) -> Action | None:
     """The first action of ``node`` whose guard holds in ``configuration``.
 
-    A full scan through :func:`evaluate_guards` (every guard stale).
+    A full scan through :func:`evaluate_guards` (every guard part stale).
     """
-    index = evaluate_guards(
-        node, network, configuration, actions, (1 << len(actions)) - 1, 0, check_guard_locality
-    )[0]
+    index = evaluate_guards(node, network, configuration, actions, -1, 0, check_guard_locality)[0]
     return actions[index] if index < len(actions) else None
 
 
@@ -257,16 +289,20 @@ class Scheduler:
     incremental:
         With ``True`` (the default) the scheduler maintains a persistent
         enabled-set and re-evaluates only the guards a journaled change can
-        flip, instead of rescanning all ``n`` processors per step.  A change
-        of variables ``V`` at ``p`` marks stale the guards of ``p`` whose
-        declared :class:`~repro.runtime.actions.Reads` own-set meets ``V``
-        and the guards of ``p``'s neighbors whose neighbor-set does (an
-        action without a declaration counts as reading everything).  This is
-        sound because a guard may read only its closed neighborhood
-        (:class:`~repro.runtime.processor.ProcessorView` enforces it) and
-        only what it declares, so results are bit-identical to
-        ``incremental=False``, which keeps the historical full scan for
-        differential testing (the ``scheduler-fullscan`` engine).  The same flag selects how
+        flip, instead of rescanning all ``n`` processors per step.  It caches
+        one truth value per guard part (:func:`evaluate_guards`).  A change
+        of variables ``V`` at ``p`` marks stale the parts of ``p``'s guards
+        whose declared :class:`~repro.runtime.actions.Reads` own-set meets
+        ``V`` and the parts of ``p``'s neighbors' guards whose neighbor-set
+        does (a part without a declaration counts as reading everything);
+        a processor is re-walked only when a bit its last walk consulted
+        went stale.  Guards run on one read-only
+        :class:`~repro.runtime.processor.GuardView` per processor, built at
+        every full rescan.  This is sound because a guard may read only its
+        closed neighborhood (the view enforces it) and only what it
+        declares, so results are bit-identical to ``incremental=False``,
+        which keeps the historical full scan for differential testing (the
+        ``scheduler-fullscan`` engine).  The same flag selects how
         :meth:`legitimate` answers: from a
         :class:`~repro.runtime.legitimacy.LegitimacyTracker` on the same
         change journal, or by evaluating the protocol's global predicate.
@@ -275,7 +311,7 @@ class Scheduler:
         and raise :class:`~repro.errors.GuardLocalityError` (a
         :class:`~repro.errors.ProtocolError`, carrying the layer, action and
         offending variables) if a guard reads outside its closed
-        neighborhood (rule RL004) or outside its action's declared reads
+        neighborhood (rule RL004) or outside its part's declared reads
         (RL008) -- the invariants the incremental path relies on.  Defaults
         to the ``REPRO_DEBUG_GUARDS`` environment variable.
     instrumentation:
@@ -310,9 +346,11 @@ class Scheduler:
         protocol.validate(network)
         self.daemon.reset()
 
+        # A drawn configuration is the scheduler's own; only a caller's is copied.
         if configuration is None:
-            configuration = protocol.random_configuration(network, rng=self.rng)
-        self.configuration = configuration.copy()
+            self.configuration = protocol.random_configuration(network, rng=self.rng)
+        else:
+            self.configuration = configuration.copy()
 
         self._index_actions()
         # Metrics are an observer like any other; keeping it first in the list
@@ -337,13 +375,15 @@ class Scheduler:
         # does not touch guards, so keeping crashed nodes cached makes
         # freeze/unfreeze invalidation-free; the accessors filter them).
         self._enabled: dict[int, Action] = {}
-        # Per node, bitmasks over its action tuple (see evaluate_guards):
-        # which guards held when last evaluated, which a change may have
-        # flipped since, and which can matter -- the bits up to the first
-        # enabled action; a stale bit beyond it waits for a later walk.
+        # Per node, bitmasks over its guard parts (see evaluate_guards):
+        # which parts held when last called, which a change may have flipped
+        # since, and which can matter -- the bits the last walk consulted; a
+        # stale bit elsewhere waits for a walk that reaches it.
         self._held: list[int] = []
         self._stale: list[int] = []
         self._watch: list[int] = []
+        # One read-only guard view per node, rebuilt at every full rescan.
+        self._views: list[GuardView] = []
         self._needs_full_rescan = True
         # Maintained sorted/immutable view of the non-frozen enabled nodes.
         # Steps used to re-sort the enabled-set (and daemons to copy it) every
@@ -449,8 +489,8 @@ class Scheduler:
             if node in self._frozen:
                 continue
             actions = self._actions[node]
-            index, _, _, called = evaluate_guards(
-                node, network, configuration, actions, (1 << len(actions)) - 1, 0, check
+            index, _, _, _, called = evaluate_guards(
+                node, network, configuration, actions, -1, 0, check
             )
             calls += called
             if index < len(actions):
@@ -497,9 +537,10 @@ class Scheduler:
     def _index_actions(self) -> None:
         """Build the per-node action tables and their read-declaration index.
 
-        Nodes whose actions declare the same reads share one *table*; the
-        stale masks a change implies are memoised per changed-variable tuple
-        and table, so marking costs a lookup per touched node.
+        A node's *table* is the reads of its guard parts, in bit order; nodes
+        with equal tables share one.  The stale masks a change implies are
+        memoised per changed-variable tuple and table, so marking costs a
+        lookup per touched node.
         """
         network = self.network
         self._actions = {
@@ -507,7 +548,14 @@ class Scheduler:
         }
         tables: dict[tuple[Reads | None, ...], int] = {}
         self._table: list[int] = [
-            tables.setdefault(tuple(action.reads for action in self._actions[node]), len(tables))
+            tables.setdefault(
+                tuple(
+                    reads
+                    for action in self._actions[node]
+                    for _, reads in action.guard_parts
+                ),
+                len(tables),
+            )
             for node in network.nodes()
         ]
         self._tables: tuple[tuple[Reads | None, ...], ...] = tuple(tables)
@@ -542,9 +590,9 @@ class Scheduler:
         return entry
 
     def _reevaluate(self, node: int) -> int:
-        """Walk ``node``'s stale guards and update its enabled-set entry; returns guard calls."""
+        """Walk ``node``'s stale guard parts and update its enabled-set entry; returns part calls."""
         actions = self._actions[node]
-        index, self._held[node], self._stale[node], calls = evaluate_guards(
+        index, self._held[node], self._stale[node], self._watch[node], calls = evaluate_guards(
             node,
             self.network,
             self.configuration,
@@ -552,8 +600,8 @@ class Scheduler:
             self._stale[node],
             self._held[node],
             self.check_guard_locality,
+            self._views[node],
         )
-        self._watch[node] = (2 << index) - 1
         if index < len(actions):
             if node not in self._enabled:
                 self._invalidate_enabled_view()
@@ -567,9 +615,9 @@ class Scheduler:
 
         Each journal entry ``node -> variables`` sets the stale bits its
         declarations imply (:meth:`_masks_for`) at the node and its
-        neighbors; a node is re-walked only when a stale bit lies at or
-        before its first enabled action, since no other guard can change
-        which action is first.
+        neighbors; a node is re-walked only when a stale bit is one its last
+        walk consulted, since no other guard part can change which action is
+        first.
 
         Attributes its own wall clock to the ``guard_eval`` phase, so
         callers -- including the nested re-check round bookkeeping performs
@@ -582,8 +630,10 @@ class Scheduler:
             self.configuration.drain_dirty()
             self._enabled = {}
             n = self.network.n
+            network, configuration = self.network, self.configuration
+            self._views = [GuardView(node, network, configuration) for node in range(n)]
             self._held = [0] * n
-            self._stale = [(1 << len(self._actions[node])) - 1 for node in range(n)]
+            self._stale = [-1] * n
             self._watch = [0] * n
             calls = 0
             for node in range(n):

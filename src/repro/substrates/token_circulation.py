@@ -55,7 +55,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Reads
+from repro.runtime.actions import Action, Reads, all_of
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
@@ -74,23 +74,25 @@ VAR_LEVEL = "tc_lvl"
 
 _ALL = frozenset({VAR_STATE, VAR_WAVE, VAR_PARENT, VAR_CHILD, VAR_LEVEL})
 
-# What each guard reads (``Action.reads``); ``repro-lint`` holds them to the
-# guards' statically derived read sets (RL008).
+# What each guard part reads (``all_of`` parts, ``Action.reads``);
+# ``repro-lint`` holds them to the parts' statically derived read sets (RL008).
 _NORMALIZE_READS = Reads(own=frozenset({VAR_PARENT, VAR_LEVEL}))
-_ROOT_START_READS = Reads(own=frozenset({VAR_STATE}))
-_ROOT_ERROR_READS = Reads(
-    own=frozenset({VAR_STATE, VAR_CHILD}), neighbor=frozenset({VAR_STATE, VAR_PARENT})
+#: The own-state gate every guard but the root's normalization opens with.
+_STATE_READS = Reads(own=frozenset({VAR_STATE}))
+#: ``_valid_delegation``: the delegated child's state and parent pointer.
+_DELEGATION_READS = Reads(own=frozenset({VAR_CHILD}), neighbor=frozenset({VAR_STATE, VAR_PARENT}))
+#: ``_child_settled``: the delegated child visited and waiting.
+_SETTLED_READS = Reads(
+    own=frozenset({VAR_CHILD, VAR_WAVE}), neighbor=frozenset({VAR_STATE, VAR_WAVE})
 )
-#: Root delegate/finish: the delegation settled, and which neighbors are unvisited.
-_ROOT_STEP_READS = Reads(
-    own=frozenset({VAR_STATE, VAR_CHILD, VAR_WAVE}), neighbor=frozenset({VAR_STATE, VAR_WAVE})
+#: ``_unvisited_neighbors``.
+_UNVISITED_READS = Reads(own=frozenset({VAR_WAVE}), neighbor=frozenset({VAR_STATE, VAR_WAVE}))
+#: ``_forwarding_parent``.
+_FORWARDING_READS = Reads(
+    own=frozenset({VAR_WAVE}), neighbor=frozenset({VAR_STATE, VAR_CHILD, VAR_WAVE, VAR_LEVEL})
 )
-_FORWARD_READS = Reads(
-    own=frozenset({VAR_STATE, VAR_WAVE}),
-    neighbor=frozenset({VAR_STATE, VAR_CHILD, VAR_WAVE, VAR_LEVEL}),
-)
-#: Non-root error/delegate/finish: the whole stack consistency check.
-_STACKED_READS = Reads(own=_ALL, neighbor=_ALL)
+#: ``_valid_active``: the whole stack consistency check.
+_STACKED_READS = Reads(own=_ALL - {VAR_STATE}, neighbor=_ALL)
 
 #: What :meth:`DepthFirstTokenCirculation.holds_token` reads, for guards of
 #: other layers that call it.
@@ -172,6 +174,14 @@ class DepthFirstTokenCirculation(Protocol):
         ACTION_FINISH,
     )
 
+    def __init__(self) -> None:
+        # Guards read the network through the view, so all non-root
+        # processors share one program and the root another, built once.
+        # The programs hold plain functions only: a bound method would make
+        # a reference cycle through the instance, which only a full garbage
+        # collection frees.
+        self._programs = (tuple(self._non_root_actions()), tuple(self._root_actions()))
+
     # ------------------------------------------------------------------
     # Variable declarations
     # ------------------------------------------------------------------
@@ -213,6 +223,16 @@ class DepthFirstTokenCirculation(Protocol):
     # Local predicates
     # ------------------------------------------------------------------
     @staticmethod
+    def _active(view: ProcessorView) -> bool:
+        """The own-state gate of the error, delegate and finish guards."""
+        return view.read(VAR_STATE) == ACTIVE
+
+    @staticmethod
+    def _waiting(view: ProcessorView) -> bool:
+        """The own-state gate of the root's start and of the forward guard."""
+        return view.read(VAR_STATE) == WAIT
+
+    @staticmethod
     def _unvisited_neighbors(view: ProcessorView) -> list[int]:
         """Neighbors not yet visited by the wave this processor belongs to."""
         wave = view.read(VAR_WAVE)
@@ -235,7 +255,8 @@ class DepthFirstTokenCirculation(Protocol):
             and view.read_neighbor(child, VAR_WAVE) == view.read(VAR_WAVE)
         )
 
-    def _valid_active(self, view: ProcessorView) -> bool:
+    @staticmethod
+    def _valid_active(view: ProcessorView) -> bool:
         """Consistency of an ACTIVE non-root processor with its parent and child."""
         parent = view.read(VAR_PARENT)
         if parent is None or parent not in view.neighbor_set:
@@ -251,7 +272,27 @@ class DepthFirstTokenCirculation(Protocol):
             return False
         if level != view.read_neighbor(parent, VAR_LEVEL) + 1:
             return False
-        return self._valid_delegation(view)
+        return DepthFirstTokenCirculation._valid_delegation(view)
+
+    @staticmethod
+    def _invalid_active(view: ProcessorView) -> bool:
+        return not DepthFirstTokenCirculation._valid_active(view)
+
+    @staticmethod
+    def _has_unvisited(view: ProcessorView) -> bool:
+        return bool(DepthFirstTokenCirculation._unvisited_neighbors(view))
+
+    @staticmethod
+    def _none_unvisited(view: ProcessorView) -> bool:
+        return not DepthFirstTokenCirculation._unvisited_neighbors(view)
+
+    @staticmethod
+    def _invalid_delegation(view: ProcessorView) -> bool:
+        return not DepthFirstTokenCirculation._valid_delegation(view)
+
+    @staticmethod
+    def _has_forwarding_parent(view: ProcessorView) -> bool:
+        return DepthFirstTokenCirculation._forwarding_parent(view) is not None
 
     @staticmethod
     def _valid_delegation(view: ProcessorView) -> bool:
@@ -290,8 +331,9 @@ class DepthFirstTokenCirculation(Protocol):
     # ------------------------------------------------------------------
     # Statements
     # ------------------------------------------------------------------
-    def _delegate(self, view: ProcessorView) -> None:
-        unvisited = self._unvisited_neighbors(view)
+    @staticmethod
+    def _delegate(view: ProcessorView) -> None:
+        unvisited = DepthFirstTokenCirculation._unvisited_neighbors(view)
         if unvisited:
             view.write(VAR_CHILD, unvisited[0])
 
@@ -304,20 +346,21 @@ class DepthFirstTokenCirculation(Protocol):
     # Programs
     # ------------------------------------------------------------------
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
-        if network.is_root(node):
-            return self._root_actions()
-        return self._non_root_actions()
+        return self._programs[network.is_root(node)]
 
     def _root_actions(self) -> list[Action]:
+        """The root's program.
+
+        Each guard but the normalization opens with the own ``tc_st`` gate:
+        the parts behind a closed gate are not called until it opens.
+        """
+
         def normalize_guard(view: ProcessorView) -> bool:
             return view.read(VAR_PARENT) is not None or view.read(VAR_LEVEL) != 0
 
         def normalize(view: ProcessorView) -> None:
             view.write(VAR_PARENT, None)
             view.write(VAR_LEVEL, 0)
-
-        def start_guard(view: ProcessorView) -> bool:
-            return view.read(VAR_STATE) == WAIT
 
         def start(view: ProcessorView) -> None:
             view.write(VAR_STATE, ACTIVE)
@@ -326,27 +369,10 @@ class DepthFirstTokenCirculation(Protocol):
             view.write(VAR_PARENT, None)
             view.write(VAR_LEVEL, 0)
 
-        def delegation_error_guard(view: ProcessorView) -> bool:
-            return view.read(VAR_STATE) == ACTIVE and not self._valid_delegation(view)
-
         def delegation_error(view: ProcessorView) -> None:
             # The root never abandons its wave; it only forgets the bogus
             # delegation and re-delegates (or finishes) normally.
             view.write(VAR_CHILD, None)
-
-        def delegate_guard(view: ProcessorView) -> bool:
-            return (
-                view.read(VAR_STATE) == ACTIVE
-                and self._child_settled(view)
-                and bool(self._unvisited_neighbors(view))
-            )
-
-        def finish_guard(view: ProcessorView) -> bool:
-            return (
-                view.read(VAR_STATE) == ACTIVE
-                and self._child_settled(view)
-                and not self._unvisited_neighbors(view)
-            )
 
         layer = self.name
         return [
@@ -355,38 +381,52 @@ class DepthFirstTokenCirculation(Protocol):
                 layer=layer, priority=0, reads=_NORMALIZE_READS,
             ),
             Action(
-                self.ACTION_ROOT_ERROR, delegation_error_guard, delegation_error,
-                layer=layer, priority=1, reads=_ROOT_ERROR_READS,
+                self.ACTION_ROOT_ERROR,
+                all_of(
+                    (self._active, _STATE_READS),
+                    (self._invalid_delegation, _DELEGATION_READS),
+                ),
+                delegation_error,
+                layer=layer, priority=1,
             ),
             Action(
-                self.ACTION_ROOT_DELEGATE, delegate_guard, self._delegate,
-                layer=layer, priority=2, reads=_ROOT_STEP_READS,
+                self.ACTION_ROOT_DELEGATE,
+                all_of(
+                    (self._active, _STATE_READS),
+                    (self._child_settled, _SETTLED_READS),
+                    (self._has_unvisited, _UNVISITED_READS),
+                ),
+                self._delegate,
+                layer=layer, priority=2,
             ),
             Action(
-                self.ACTION_ROOT_FINISH, finish_guard, self._retire,
-                layer=layer, priority=3, reads=_ROOT_STEP_READS,
+                self.ACTION_ROOT_FINISH,
+                all_of(
+                    (self._active, _STATE_READS),
+                    (self._child_settled, _SETTLED_READS),
+                    (self._none_unvisited, _UNVISITED_READS),
+                ),
+                self._retire,
+                layer=layer, priority=3,
             ),
             Action(
-                self.ACTION_ROOT_START, start_guard, start,
-                layer=layer, priority=4, reads=_ROOT_START_READS,
+                self.ACTION_ROOT_START, self._waiting, start,
+                layer=layer, priority=4, reads=_STATE_READS,
             ),
         ]
 
     def _non_root_actions(self) -> list[Action]:
-        def error_guard(view: ProcessorView) -> bool:
-            return view.read(VAR_STATE) == ACTIVE and not self._valid_active(view)
+        """A non-root processor's program.
 
-        def error_reset(view: ProcessorView) -> None:
-            self._retire(view)
-
-        def forward_guard(view: ProcessorView) -> bool:
-            if view.read(VAR_STATE) != WAIT:
-                return False
-            return self._forwarding_parent(view) is not None
+        Every guard opens with the own ``tc_st`` gate, so a token move next to
+        a waiting processor re-calls only its forward guard's second part.
+        Delegate and finish test the cheap ``_child_settled`` before the
+        stack check: while the token is delegated below, that part is false.
+        """
 
         def forward(view: ProcessorView) -> None:
-            parent = self._forwarding_parent(view)
-            if parent is None:  # pragma: no cover - guarded by forward_guard
+            parent = DepthFirstTokenCirculation._forwarding_parent(view)
+            if parent is None:  # pragma: no cover - guarded by the forward guard
                 return
             view.write(VAR_STATE, ACTIVE)
             view.write(VAR_WAVE, view.read_neighbor(parent, VAR_WAVE))
@@ -394,43 +434,49 @@ class DepthFirstTokenCirculation(Protocol):
             view.write(VAR_CHILD, None)
             view.write(VAR_LEVEL, view.read_neighbor(parent, VAR_LEVEL) + 1)
 
-        def delegate_guard(view: ProcessorView) -> bool:
-            return (
-                view.read(VAR_STATE) == ACTIVE
-                and self._valid_active(view)
-                and self._child_settled(view)
-                and bool(self._unvisited_neighbors(view))
-            )
-
-        def finish_guard(view: ProcessorView) -> bool:
-            return (
-                view.read(VAR_STATE) == ACTIVE
-                and self._valid_active(view)
-                and self._child_settled(view)
-                and not self._unvisited_neighbors(view)
-            )
-
         layer = self.name
         return [
             Action(
-                self.ACTION_ERROR, error_guard, error_reset,
-                layer=layer, priority=0, reads=_STACKED_READS,
+                self.ACTION_ERROR,
+                all_of((self._active, _STATE_READS), (self._invalid_active, _STACKED_READS)),
+                self._retire,
+                layer=layer, priority=0,
             ),
             Action(
-                self.ACTION_FORWARD, forward_guard, forward,
-                layer=layer, priority=1, reads=_FORWARD_READS,
+                self.ACTION_FORWARD,
+                all_of(
+                    (self._waiting, _STATE_READS),
+                    (self._has_forwarding_parent, _FORWARDING_READS),
+                ),
+                forward,
+                layer=layer, priority=1,
             ),
             Action(
-                self.ACTION_DELEGATE, delegate_guard, self._delegate,
-                layer=layer, priority=2, reads=_STACKED_READS,
+                self.ACTION_DELEGATE,
+                all_of(
+                    (self._active, _STATE_READS),
+                    (self._child_settled, _SETTLED_READS),
+                    (self._valid_active, _STACKED_READS),
+                    (self._has_unvisited, _UNVISITED_READS),
+                ),
+                self._delegate,
+                layer=layer, priority=2,
             ),
             Action(
-                self.ACTION_FINISH, finish_guard, self._retire,
-                layer=layer, priority=3, reads=_STACKED_READS,
+                self.ACTION_FINISH,
+                all_of(
+                    (self._active, _STATE_READS),
+                    (self._child_settled, _SETTLED_READS),
+                    (self._valid_active, _STACKED_READS),
+                    (self._none_unvisited, _UNVISITED_READS),
+                ),
+                self._retire,
+                layer=layer, priority=3,
             ),
         ]
 
-    def _forwarding_parent(self, view: ProcessorView) -> int | None:
+    @staticmethod
+    def _forwarding_parent(view: ProcessorView) -> int | None:
         """The first neighbor (port order) currently delegating the token to us."""
         max_level = view.network.n - 1
         own_wave = view.read(VAR_WAVE)

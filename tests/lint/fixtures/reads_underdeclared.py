@@ -1,11 +1,13 @@
 """Fixture protocol whose read declarations omit reads it makes.
 
 The guard of ``RU-Copy`` reads ``ru_x`` at the processor and at its
-neighbors but declares only the own read; ``node_legitimate`` reads the
-neighbors' ``ru_x`` while ``legitimacy_reads`` declares only the own one.
-The default ``repro-lint`` run must flag both as RL008 (and nothing else),
-and a scheduler in ``check_guard_locality`` mode must raise RL008 on the
-guard.
+neighbors but declares only the own read; the ``all_of`` guard of
+``RU-Raise`` declares the neighbor read in its first part, but its second
+part reads it while declaring only the own read; ``node_legitimate`` reads
+the neighbors' ``ru_x`` while ``legitimacy_reads`` declares only the own
+one.  The default ``repro-lint`` run must flag all three as RL008 (and
+nothing else), and a scheduler in ``check_guard_locality`` mode must raise
+RL008 on the first guard.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Reads
+from repro.runtime.actions import Action, Reads, all_of
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
@@ -22,6 +24,7 @@ from repro.runtime.variables import VariableSpec, int_variable
 VAR_X = "ru_x"
 
 _OWN_ONLY = Reads(own=frozenset({VAR_X}))
+_OWN_AND_NEIGHBORS = Reads(own=frozenset({VAR_X}), neighbor=frozenset({VAR_X}))
 
 
 class ReadsUnderdeclared(Protocol):
@@ -31,6 +34,7 @@ class ReadsUnderdeclared(Protocol):
     legitimacy_reads = _OWN_ONLY
 
     ACTION_COPY = "RU-Copy"
+    ACTION_RAISE = "RU-Raise"
 
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
         return [int_variable(VAR_X, 0, 3, initial=0, description="copied value")]
@@ -43,7 +47,22 @@ class ReadsUnderdeclared(Protocol):
         def copy(view: ProcessorView) -> None:
             view.write(VAR_X, max(view.read_neighbor(q, VAR_X) for q in view.neighbors))
 
-        return [Action(self.ACTION_COPY, copy_guard, copy, layer=self.name, reads=_OWN_ONLY)]
+        def below_top(view: ProcessorView) -> bool:
+            return view.read(VAR_X) < 3
+
+        def neighbor_above(view: ProcessorView) -> bool:
+            own = view.read(VAR_X)
+            return any(view.read_neighbor(q, VAR_X) > own for q in view.neighbors)
+
+        return [
+            Action(self.ACTION_COPY, copy_guard, copy, layer=self.name, reads=_OWN_ONLY),
+            Action(
+                self.ACTION_RAISE,
+                all_of((below_top, _OWN_AND_NEIGHBORS), (neighbor_above, _OWN_ONLY)),
+                copy,
+                layer=self.name,
+            ),
+        ]
 
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
         return all(

@@ -25,36 +25,42 @@ def test_rl008_in_rule_catalog() -> None:
 def test_shipped_declarations_cover_their_static_reads() -> None:
     findings, checked = check_reads(analyze_paths([PACKAGE]))
     assert findings == []
-    # 15 guards (token 9, DFTNO 1, STNO 3, BFS tree 2) and 12 legitimacy
-    # methods (token 4, DFTNO 2, STNO 2, BFS tree 2, DFS overlay 2).
-    assert checked == 27
+    # 18 guard-part sites (token 10, DFTNO 2, STNO 4, BFS tree 2; a gate
+    # shared by several guards is one site) and 12 legitimacy methods
+    # (token 4, DFTNO 2, STNO 2, BFS tree 2, DFS overlay 2).
+    assert checked == 30
 
 
 def test_token_guards_declare_exactly_their_static_reads() -> None:
     analyzer = analyze_paths([PACKAGE / "substrates" / "token_circulation.py"])
     static = {
-        summary.action: (summary.guard_reads_own, summary.guard_reads_neighbor)
+        summary.action: [(part.reads_own, part.reads_neighbor) for part in summary.guard_parts]
         for summary in analyzer.summaries
         if summary.owner == "DepthFirstTokenCirculation"
     }
     network = generators.random_connected(8, seed=1)
     token = DepthFirstTokenCirculation()
     declared = {
-        action.name: (action.reads.own, action.reads.neighbor)
+        action.name: [(reads.own, reads.neighbor) for _, reads in action.guard_parts]
         for node in network.nodes()
         for action in token.actions(network, node)
     }
     assert len(declared) == 9
+    assert sum(map(len, declared.values())) == 22
     assert declared == static
 
 
-def test_underdeclared_fixture_fires_rl008_twice(capsys) -> None:
+def test_underdeclared_fixture_fires_rl008_three_times(capsys) -> None:
     assert main([str(FIXTURES / "reads_underdeclared.py"), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert [finding["rule"] for finding in payload] == ["RL008", "RL008"]
-    guard, conjunct = payload
+    assert [finding["rule"] for finding in payload] == ["RL008", "RL008", "RL008"]
+    guard, part, conjunct = payload
     assert guard["function"] == "RU-Copy"
     assert "neighbor ['ru_x']" in guard["message"]
+    # The first part declares the neighbor read; the second part's own
+    # declaration must cover it all the same.
+    assert part["function"] == "RU-Raise"
+    assert "neighbor ['ru_x']" in part["message"]
     assert conjunct["function"] == "node_legitimate"
     assert "legitimacy_reads" in conjunct["message"]
     assert all(finding["line"] > 0 for finding in payload)
