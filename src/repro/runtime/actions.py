@@ -21,7 +21,8 @@ class Reads:
     A change of variable ``x`` at processor ``p`` can flip a declared
     predicate of ``p`` only when ``x`` is in ``own``, and a predicate of a
     neighbor of ``p`` only when ``x`` is in ``neighbor`` -- which is what lets
-    the scheduler and the legitimacy tracker skip re-checks a change cannot
+    the scheduler skip guard re-checks, and the legitimacy tracker it feeds
+    from the same journal drain skip conjunct re-checks, that a change cannot
     affect.  Over-declaring is sound; under-declaring is caught by
     ``repro-lint`` and, at run time, by ``check_guard_locality`` (rule RL008).
     Build declarations once (module or instance constants), not per node.

@@ -19,27 +19,22 @@ class Configuration:
     single atomic step).
 
     Every write path additionally journals *which variables of which
-    processors changed* (:meth:`drain_dirty`); the incremental scheduler
-    consumes that journal to re-evaluate only the guards that read a changed
-    variable.  The journal is sound as long as all mutations go through the
-    write methods below -- mutating a value obtained from :meth:`get` in
-    place bypasses it (the runtime never does:
-    :class:`~repro.runtime.processor.ProcessorView` deep-copies mutable
-    values on write).
+    processors changed* (:meth:`drain_dirty`).  The journal has one consumer,
+    the incremental scheduler: each drain both marks the guards that read a
+    changed variable stale and feeds the legitimacy tracker.  The journal is
+    sound as long as all mutations go through the write methods below --
+    mutating a value obtained from :meth:`get` in place bypasses it (the
+    runtime never does: :class:`~repro.runtime.processor.ProcessorView`
+    deep-copies mutable values on write).
     """
 
-    __slots__ = ("_states", "_dirty", "_watchers")
+    __slots__ = ("_states", "_dirty")
 
     def __init__(self, states: Mapping[int, Mapping[str, Any]] | None = None) -> None:
         self._states: dict[int, dict[str, Any]] = {}
         # Nodes changed since the last drain -> the distinct variables that
         # changed there, in first-change order (``None``: the whole state).
         self._dirty: dict[int, tuple[str, ...] | None] = {}
-        # Change watchers (e.g. the legitimacy tracker): called as
-        # ``watcher(node, variables_or_None)`` on every journal event.  A
-        # watcher keeps its own pending-set, so draining the journal (which
-        # the scheduler does every step) never blinds it.
-        self._watchers: list = []
         if states is not None:
             for node, variables in states.items():
                 self._states[int(node)] = dict(variables)
@@ -117,30 +112,6 @@ class Configuration:
                 added = tuple(name for name in variables if name not in known)
                 if added:
                     self._dirty[node] = known + added
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher(node, variables)
-
-    def add_watcher(self, watcher) -> None:
-        """Register a ``watcher(node, variables_or_None)`` change callback.
-
-        Watchers see every journal event as it happens, independently of the
-        scheduler draining the journal; they must be cheap and must never
-        mutate the configuration.
-        """
-        if watcher not in self._watchers:
-            self._watchers.append(watcher)
-
-    def discard_watcher(self, watcher) -> None:
-        """Remove a previously registered watcher (no-op if absent)."""
-        try:
-            self._watchers.remove(watcher)
-        except ValueError:
-            pass
-
-    def update_node(self, node: int, values: Mapping[str, Any]) -> None:
-        """Apply several writes at ``node`` at once."""
-        self.apply_writes(node, values)
 
     def apply_writes(self, node: int, values: Mapping[str, Any]) -> dict[str, tuple[Any, Any]]:
         """Apply writes at ``node`` and return ``variable -> (old, new)`` changes.
@@ -171,7 +142,7 @@ class Configuration:
     def replace_node(self, node: int, values: Mapping[str, Any]) -> None:
         """Replace the *whole* local state of ``node``.
 
-        Unlike :meth:`update_node` this drops variables absent from
+        Unlike :meth:`apply_writes` this drops variables absent from
         ``values`` -- needed when a topology change alters which variables a
         processor's program declares (e.g. per-neighbor maps).
         """
@@ -182,30 +153,11 @@ class Configuration:
     # ------------------------------------------------------------------
     # Change journal
     # ------------------------------------------------------------------
-    def mark_dirty(self, nodes: "int | Any") -> None:
-        """Journal ``nodes`` (an id or an iterable of ids) as changed.
-
-        For callers that mutate state outside the write methods (none in this
-        repository) or want to force guard re-evaluation around some nodes.
-        An externally marked node is journaled as fully changed.
-        """
-        if isinstance(nodes, int):
-            self._journal(nodes, None)
-        else:
-            for node in nodes:
-                self._journal(node, None)
-
-    @property
-    def dirty_nodes(self) -> frozenset[int]:
-        """Nodes with journaled changes not yet drained."""
-        return frozenset(self._dirty)
-
     def drain_dirty(self) -> dict[int, tuple[str, ...] | None]:
         """Return ``node -> changed variables`` and clear the journal.
 
         The variables are distinct names in first-change order, or ``None``
-        when the node's whole state changed (:meth:`replace_node`,
-        :meth:`mark_dirty`).
+        when the node's whole state changed (:meth:`replace_node`).
         """
         drained = self._dirty
         self._dirty = {}

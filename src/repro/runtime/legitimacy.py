@@ -1,4 +1,4 @@
-"""Incremental legitimacy: ``L_NO`` kept up to date from the configuration journal.
+"""Incremental legitimacy: ``L_NO`` kept up to date from the scheduler's journal drain.
 
 Every protocol layer states its legitimacy predicate in two parts (see
 :meth:`~repro.runtime.protocol.Protocol.node_legitimate` and
@@ -14,8 +14,9 @@ Every protocol layer states its legitimacy predicate in two parts (see
 The layer's ``legitimate`` is "the conjunct holds at every node and the
 residue holds", so the global predicate and this tracker share one
 definition.  :class:`LegitimacyTracker` keeps, per layer, the set of nodes
-whose conjunct fails.  It watches the same change journal that feeds the
-scheduler's incremental enabled set, and reads the layer's
+whose conjunct fails.  It is fed by the scheduler: every drain of the
+configuration's change journal that marks guards stale is also handed to
+:meth:`LegitimacyTracker.note`.  The tracker reads the layer's
 ``legitimacy_reads`` declaration the way the scheduler reads a guard's: a
 change at ``v`` of a variable the conjunct reads only at the node itself
 re-checks ``v`` alone, one it reads at neighbors re-checks ``v``'s closed
@@ -29,7 +30,7 @@ scanning the configuration.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro.graphs.network import RootedNetwork
 from repro.obs.instrument import Instrumentation, NULL_INSTRUMENTATION
@@ -40,11 +41,12 @@ from repro.runtime.protocol import Protocol
 class LegitimacyTracker:
     """Per-layer violation sets of ``protocol`` on one configuration object.
 
-    The tracker is bound to ``network`` and ``configuration`` *objects*: it
-    registers a watcher on the configuration at construction, and a
-    replacement configuration or network needs a new tracker (the
-    :class:`~repro.runtime.scheduler.Scheduler` builds one lazily).  Call
-    :meth:`detach` before dropping a tracker whose configuration lives on.
+    The tracker is bound to ``network`` and ``configuration`` *objects* and
+    learns of changes only through :meth:`note`, so whoever writes the
+    configuration must hand it every drained journal entry; a replacement
+    configuration or network needs a new tracker (the
+    :class:`~repro.runtime.scheduler.Scheduler` drops its tracker on a
+    replacement and builds one lazily).
     """
 
     def __init__(
@@ -60,7 +62,7 @@ class LegitimacyTracker:
         self._layers: tuple[Protocol, ...] = tuple(dict.fromkeys(protocol.layers()))
         self._slots: dict[Protocol, tuple[int, ...]] = {}
         self._violations: list[set[int]] = [set() for _ in self._layers]
-        # Per layer: nodes journaled since its last sync with a change to a
+        # Per layer: nodes noted since its last sync with a change to a
         # variable the layer's legitimacy reads only at the node itself
         # (``_pending_own``) or also at neighbors (``_pending_near``).  A
         # nonempty set also voids the layer's cached residue, which may read
@@ -74,42 +76,36 @@ class LegitimacyTracker:
             for layer in self._layers
         ]
         self._totals: list[list[int]] = [[0] * len(layer.residue_tally) for layer in self._layers]
-        for slot in range(len(self._layers)):
-            self._check(slot, network.nodes())
-        watch = tuple(
-            (layer.legitimacy_reads, own, near)
-            for layer, own, near in zip(self._layers, self._pending_own, self._pending_near)
-        )
         # Changed-variable tuple -> the pending sets it feeds (memoised: the
         # journal repeats a handful of tuples).
-        targets: dict[tuple[str, ...] | None, tuple[set[int], ...]] = {}
+        self._targets: dict[tuple[str, ...] | None, tuple[set[int], ...]] = {}
+        for slot in range(len(self._layers)):
+            self._check(slot, network.nodes())
 
-        def classify(variables: tuple[str, ...] | None) -> tuple[set[int], ...]:
-            fed: list[set[int]] = []
-            for reads, own, near in watch:
-                if reads is None or variables is None or not reads.neighbor.isdisjoint(variables):
-                    fed.append(near)
-                elif not reads.own.isdisjoint(variables):
-                    fed.append(own)
-            targets[variables] = fed = tuple(fed)
-            return fed
+    def note(self, changes: Mapping[int, tuple[str, ...] | None]) -> None:
+        """Queue re-checks for drained journal entries ``node -> variables``.
 
-        # A closure over the pending sets only: the configuration holds its
-        # watchers, and a bound method would tie it and the tracker into a
-        # reference cycle that outlives the run until the cyclic collector.
-        def on_change(node: int, variables: tuple[str, ...] | None) -> None:
+        ``variables`` is ``None`` for a whole-state change.  Nothing is
+        evaluated here: each layer folds its queue in on its next query.
+        """
+        targets = self._targets
+        for node, variables in changes.items():
             fed = targets.get(variables)
             if fed is None:
-                fed = classify(variables)
+                fed = targets[variables] = self._classify(variables)
             for pending in fed:
                 pending.add(node)
 
-        self._on_change = on_change
-        configuration.add_watcher(on_change)
-
-    def detach(self) -> None:
-        """Stop watching the configuration."""
-        self.configuration.discard_watcher(self._on_change)
+    def _classify(self, variables: tuple[str, ...] | None) -> tuple[set[int], ...]:
+        """The pending sets a change of ``variables`` feeds, one per layer it can flip."""
+        fed: list[set[int]] = []
+        for layer, own, near in zip(self._layers, self._pending_own, self._pending_near):
+            reads = layer.legitimacy_reads
+            if reads is None or variables is None or not reads.neighbor.isdisjoint(variables):
+                fed.append(near)
+            elif not reads.own.isdisjoint(variables):
+                fed.append(own)
+        return tuple(fed)
 
     def _check(self, slot: int, nodes: Iterable[int]) -> None:
         """Re-evaluate layer ``slot``'s conjunct (and tally) at ``nodes``."""
@@ -137,7 +133,7 @@ class LegitimacyTracker:
             self._instr.count("legitimacy_nodes_checked", checked)
 
     def _sync(self, slot: int) -> None:
-        """Fold layer ``slot``'s journaled changes in: re-check what they can flip."""
+        """Fold layer ``slot``'s noted changes in: re-check what they can flip."""
         own, near = self._pending_own[slot], self._pending_near[slot]
         if not own and not near:
             return
@@ -157,13 +153,7 @@ class LegitimacyTracker:
         slots = self._slots.get(layer)
         if slots is None:
             index = {tracked: slot for slot, tracked in enumerate(self._layers)}
-            try:
-                slots = tuple(index[leaf] for leaf in layer.layers())
-            except KeyError:
-                raise ValueError(
-                    f"layer {layer.name!r} is not part of the tracked protocol"
-                ) from None
-            self._slots[layer] = slots
+            slots = self._slots[layer] = tuple(index[leaf] for leaf in layer.layers())
         return slots
 
     def legitimate(self, layer: Protocol | None = None) -> bool:
@@ -171,7 +161,8 @@ class LegitimacyTracker:
 
         ``layer`` is the tracked protocol, one of its layers, or a
         composition of some of them (e.g. a DFS tree substrate made of the
-        token layer and its recording overlay).
+        token layer and its recording overlay); the scheduler rejects any
+        other layer before asking.
         """
         slots = self._slots_of(layer) if layer is not None else range(len(self._layers))
         for slot in slots:

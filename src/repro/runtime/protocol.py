@@ -34,9 +34,9 @@ class Protocol(ABC):
     #: its neighbors (``neighbor``), in the :class:`~repro.runtime.actions.Reads`
     #: form guards declare; :meth:`legitimacy_residue` and :meth:`node_tally`
     #: may read only variables listed in either set.  ``None`` means any
-    #: variable.  The incremental legitimacy tracker re-checks a node after
-    #: an own-read change there and its closed neighborhood after a
-    #: neighbor-read change.
+    #: variable.  The incremental legitimacy tracker, fed by the scheduler's
+    #: journal drain, re-checks a node after an own-read change there and its
+    #: closed neighborhood after a neighbor-read change.
     legitimacy_reads: Reads | None = None
 
     #: Names of the per-node counts :meth:`node_tally` returns; empty when the

@@ -226,8 +226,7 @@ class RunResult:
     terminated:
         ``True`` when no action was enabled anymore (silent protocols).
     converged:
-        ``True`` when the requested stop predicate (usually legitimacy) was
-        reached.
+        ``True`` when the run stopped on a legitimate check.
     first_legitimate_step / first_legitimate_round:
         The step/round at which the protocol's legitimacy predicate first
         became true and then remained true until the end of the observed
@@ -304,8 +303,9 @@ class Scheduler:
         which keeps the historical full scan for differential testing (the
         ``scheduler-fullscan`` engine).  The same flag selects how
         :meth:`legitimate` answers: from a
-        :class:`~repro.runtime.legitimacy.LegitimacyTracker` on the same
-        change journal, or by evaluating the protocol's global predicate.
+        :class:`~repro.runtime.legitimacy.LegitimacyTracker` fed by the same
+        journal drain that marks the guards stale, or by evaluating the
+        protocol's global predicate.
     check_guard_locality:
         Debug mode: track every configuration read during guard evaluation
         and raise :class:`~repro.errors.GuardLocalityError` (a
@@ -384,6 +384,8 @@ class Scheduler:
         self._watch: list[int] = []
         # One read-only guard view per node, rebuilt at every full rescan.
         self._views: list[GuardView] = []
+        # Nodes a drained change staled a consulted bit of, awaiting a walk.
+        self._frontier: set[int] = set()
         self._needs_full_rescan = True
         # Maintained sorted/immutable view of the non-frozen enabled nodes.
         # Steps used to re-sort the enabled-set (and daemons to copy it) every
@@ -392,8 +394,12 @@ class Scheduler:
         # *membership* (or the frozen set) actually changes.
         self._enabled_order: tuple[int, ...] | None = None
         self._enabled_members: frozenset[int] | None = None
-        # Built on the first legitimacy query (see :meth:`legitimate`).
+        # Built on the first legitimacy query (see :meth:`legitimate`) and
+        # dropped whenever the configuration or network is replaced.
         self._legitimacy: LegitimacyTracker | None = None
+        # The protocol's leaf layers by identity: what a queried layer may
+        # be made of.  The protocol keeps them alive, so the ids stay theirs.
+        self._leaf_ids = frozenset(map(id, protocol.layers()))
 
         # The one point where an observer can still see the *initial*
         # configuration (the flight recorder captures it here).
@@ -525,8 +531,14 @@ class Scheduler:
         )
 
     def _invalidate_enabled(self) -> None:
-        """Force a full guard rescan on the next enabled-set access."""
+        """Force a full guard rescan and drop the legitimacy tracker.
+
+        The one reset for a replaced configuration or network: the next
+        enabled-set access rescans every guard, and the next legitimacy
+        query builds a tracker on the live state.
+        """
         self._needs_full_rescan = True
+        self._legitimacy = None
         self._invalidate_enabled_view()
 
     def _invalidate_enabled_view(self) -> None:
@@ -610,50 +622,29 @@ class Scheduler:
             self._invalidate_enabled_view()
         return calls
 
-    def _refresh_enabled(self) -> None:
-        """Fold journaled configuration changes into the persistent enabled-set.
+    def _drain(self) -> None:
+        """Route the configuration's journaled changes to both consumers.
 
-        Each journal entry ``node -> variables`` sets the stale bits its
-        declarations imply (:meth:`_masks_for`) at the node and its
-        neighbors; a node is re-walked only when a stale bit is one its last
-        walk consulted, since no other guard part can change which action is
-        first.
-
-        Attributes its own wall clock to the ``guard_eval`` phase, so
-        callers -- including the nested re-check round bookkeeping performs
-        -- never double-count it.
+        The journal's only reader.  Every drained entry ``node -> variables``
+        is noted by the legitimacy tracker (when one exists) and sets the
+        stale bits its declarations imply (:meth:`_masks_for`) at the node
+        and its neighbors; a node joins the frontier when a newly stale bit
+        is one its last walk consulted, since no other guard part can change
+        which action is first.  While a full rescan is pending the stale bits
+        are moot and only the tracker is fed.  Calls no guard, so
+        :meth:`legitimate` can drain without moving guard work out of the
+        step.
         """
-        instr = self._instr
-        timed = instr.enabled
-        started = time.perf_counter() if timed else 0.0
-        if self._needs_full_rescan:
-            self.configuration.drain_dirty()
-            self._enabled = {}
-            n = self.network.n
-            network, configuration = self.network, self.configuration
-            self._views = [GuardView(node, network, configuration) for node in range(n)]
-            self._held = [0] * n
-            self._stale = [-1] * n
-            self._watch = [0] * n
-            calls = 0
-            for node in range(n):
-                calls += self._reevaluate(node)
-            self._needs_full_rescan = False
-            self._invalidate_enabled_view()
-            if timed:
-                instr.count("guards_evaluated", n)
-                instr.count("guard_calls", calls)
-                instr.count("full_rescans")
-                instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
-            return
         changes = self.configuration.drain_dirty()
         if not changes:
-            if timed:
-                instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
+            return
+        if self._legitimacy is not None:
+            self._legitimacy.note(changes)
+        if self._needs_full_rescan:
             return
         actions, table, stale, watch = self._actions, self._table, self._stale, self._watch
         memo = self._stale_masks
-        frontier: set[int] = set()
+        frontier = self._frontier
         # Neighbor masks -> the changed nodes whose neighbors they mark.
         spread: dict[tuple[int, ...], list[int]] = {}
         for node, variables in changes.items():
@@ -680,14 +671,51 @@ class Scheduler:
                     stale[other] |= mask
                     if mask & watch[other]:
                         frontier.add(other)
-        calls = 0
-        for node in frontier:
-            calls += self._reevaluate(node)
+        if self._instr.enabled:
+            self._instr.gauge("dirty_set_size", len(changes))
+
+    def _refresh_enabled(self) -> None:
+        """Drain the journal, then re-walk the frontier (or rescan everything).
+
+        Attributes its own wall clock to the ``guard_eval`` phase, so
+        callers -- including the nested re-check round bookkeeping performs
+        -- never double-count it.
+        """
+        instr = self._instr
+        timed = instr.enabled
+        started = time.perf_counter() if timed else 0.0
+        self._drain()
+        if self._needs_full_rescan:
+            self._enabled = {}
+            self._frontier = set()
+            n = self.network.n
+            network, configuration = self.network, self.configuration
+            self._views = [GuardView(node, network, configuration) for node in range(n)]
+            self._held = [0] * n
+            self._stale = [-1] * n
+            self._watch = [0] * n
+            calls = 0
+            for node in range(n):
+                calls += self._reevaluate(node)
+            self._needs_full_rescan = False
+            self._invalidate_enabled_view()
+            if timed:
+                instr.count("guards_evaluated", n)
+                instr.count("guard_calls", calls)
+                instr.count("full_rescans")
+                instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
+            return
+        frontier = self._frontier
+        if frontier:
+            self._frontier = set()
+            calls = 0
+            for node in frontier:
+                calls += self._reevaluate(node)
+            if timed:
+                instr.count("guards_evaluated", len(frontier))
+                instr.count("guard_calls", calls)
+                instr.gauge("frontier_size", len(frontier))
         if timed:
-            instr.count("guards_evaluated", len(frontier))
-            instr.count("guard_calls", calls)
-            instr.gauge("dirty_set_size", len(changes))
-            instr.gauge("frontier_size", len(frontier))
             instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
 
     # ------------------------------------------------------------------
@@ -697,15 +725,18 @@ class Scheduler:
         """Whether ``layer`` (default: the whole protocol) is legitimate now.
 
         ``layer`` is the protocol, one of its :meth:`~Protocol.layers`, or a
-        composition of some of them (a substrate such as the DFS tree).  On
-        the incremental path the answer comes from a
+        composition of some of them (a substrate such as the DFS tree); any
+        other layer raises ``ValueError`` on both cores.  On the incremental
+        path the call drains the change journal (:meth:`_drain`, no guard is
+        walked) and answers from a
         :class:`~repro.runtime.legitimacy.LegitimacyTracker`, built on the
-        first call and rebuilt whenever the configuration or network object
-        was replaced (:meth:`set_configuration`, :meth:`set_network`): its
-        watcher must sit on the live configuration and its references match
-        the live links.  With ``incremental=False`` it evaluates the layer's
-        global predicate, the reference the tracker is tested against.
+        first call after construction or after the configuration or network
+        was replaced (:meth:`set_configuration`, :meth:`set_network`).  With
+        ``incremental=False`` it evaluates the layer's global predicate, the
+        reference the tracker is tested against.
         """
+        if layer is not None and not self._leaf_ids.issuperset(map(id, layer.layers())):
+            raise ValueError(f"layer {layer.name!r} is not part of the scheduled protocol")
         instr = self._instr
         if not instr.enabled:
             return self._legitimate(layer)
@@ -718,14 +749,11 @@ class Scheduler:
         if not self.incremental:
             checked = self.protocol if layer is None else layer
             return checked.legitimate(self.network, self.configuration)
+        # Drained first, so a tracker built below never sees changes its
+        # construction already read.
+        self._drain()
         tracker = self._legitimacy
-        if (
-            tracker is None
-            or tracker.configuration is not self.configuration
-            or tracker.network is not self.network
-        ):
-            if tracker is not None:
-                tracker.detach()
+        if tracker is None:
             tracker = self._legitimacy = LegitimacyTracker(
                 self.network, self.protocol, self.configuration, instrumentation=self._instr
             )
@@ -875,59 +903,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Whole runs
     # ------------------------------------------------------------------
-    def run(
-        self,
-        max_steps: int = 100_000,
-        stop_predicate: Callable[["Scheduler"], bool] | None = None,
-    ) -> RunResult:
-        """Execute until termination, ``stop_predicate`` holds, or ``max_steps``.
-
-        The returned :class:`RunResult` also reports the first step/round at
-        which the protocol's legitimacy predicate became true and stayed true
-        for the rest of the observed execution.
-        """
-        first_legitimate_step: int | None = None
-        first_legitimate_round: int | None = None
-
-        def note_legitimacy() -> None:
-            nonlocal first_legitimate_step, first_legitimate_round
-            if self.legitimate():
-                if first_legitimate_step is None:
-                    first_legitimate_step = self._step_index
-                    first_legitimate_round = self._round_index
-            else:
-                first_legitimate_step = None
-                first_legitimate_round = None
-
-        note_legitimacy()
-        converged = bool(stop_predicate and stop_predicate(self))
-        terminated = False
-
-        while not converged and self._step_index < max_steps:
-            record = self.step()
-            if record is None:
-                terminated = True
-                break
-            note_legitimacy()
-            if stop_predicate is not None and stop_predicate(self):
-                converged = True
-
-        if terminated:
-            # A terminated (silent) execution trivially converged if legitimate.
-            converged = converged or self.legitimate()
-
-        return RunResult(
-            steps=self._step_index,
-            moves=self.metrics.moves,
-            rounds=self._round_index,
-            terminated=terminated,
-            converged=converged,
-            first_legitimate_step=first_legitimate_step,
-            first_legitimate_round=first_legitimate_round,
-            configuration=self.configuration.copy(),
-            metrics=self.metrics,
-        )
-
     def run_until_legitimate(
         self,
         max_steps: int = 100_000,

@@ -124,7 +124,7 @@ def test_root_weight_is_network_size(small_random):
 def test_stno_is_silent_after_stabilization(small_random):
     protocol = build_stno(tree="bfs")
     scheduler = Scheduler(small_random, protocol, daemon=DistributedDaemon(), seed=6)
-    result = scheduler.run(max_steps=120_000)
+    result = scheduler.run_until_legitimate(max_steps=120_000, confirm_steps=120_000)
     # The BFS tree and the orientation layer are both silent, so the composed
     # protocol terminates -- and the terminal configuration is legitimate.
     assert result.terminated

@@ -28,12 +28,11 @@ def test_journal_marks_only_real_changes():
     config = Configuration({0: {"x": 1}, 1: {"x": 2}})
     config.drain_dirty()
     config.set(0, "x", 1)  # same value: no change
-    assert config.dirty_nodes == frozenset()
+    assert config.drain_dirty() == {}
     config.set(0, "x", 5)
-    config.update_node(1, {"x": 2})  # same value: no change
-    assert config.dirty_nodes == frozenset({0})
+    assert config.apply_writes(1, {"x": 2}) == {}  # same value: no change
     assert config.drain_dirty() == {0: ("x",)}
-    assert config.dirty_nodes == frozenset()
+    assert config.drain_dirty() == {}
 
 
 def test_apply_writes_reports_changes_and_journals_slot_creation():
@@ -53,22 +52,23 @@ def test_replace_node_journals_only_on_difference():
     config = Configuration({0: {"x": 1}})
     config.drain_dirty()
     config.replace_node(0, {"x": 1})
-    assert config.dirty_nodes == frozenset()
+    assert config.drain_dirty() == {}
     config.replace_node(0, {"y": 3})
-    assert config.dirty_nodes == frozenset({0})
+    assert config.drain_dirty() == {0: None}
 
 
 def test_copies_start_with_a_clean_journal():
     config = Configuration({0: {"x": 1}})
     config.set(0, "x", 9)
-    assert config.copy().dirty_nodes == frozenset()
+    assert config.copy().drain_dirty() == {}
+    assert config.drain_dirty() == {0: ("x",)}
 
 
-def test_mark_dirty_accepts_node_and_iterable():
+def test_replace_node_journals_every_given_node_as_a_whole_state_change():
     config = Configuration({0: {"x": 1}, 1: {"x": 1}})
-    config.mark_dirty(0)
-    config.mark_dirty([1])
-    assert config.dirty_nodes == frozenset({0, 1})
+    config.replace_node(0, {"x": 2})
+    config.replace_node(1, {"x": 1, "y": 0})
+    assert config.drain_dirty() == {0: None, 1: None}
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 ``Scheduler.legitimate(layer)`` answers from a
 :class:`~repro.runtime.legitimacy.LegitimacyTracker` (per-node conjuncts
-re-checked around journaled changes, plus a cached global residue).  These
+re-checked around journaled changes, plus a cached global residue), fed by
+the same journal drain that marks the scheduler's guards stale.  These
 tests hold it to ``layer.legitimate(network, configuration)`` after every
 step and every out-of-band mutation, and pin down the locality contract the
 tracker rests on: a node's conjunct reads only its closed neighborhood and
@@ -19,6 +20,7 @@ import pytest
 
 from repro.api import NetworkSpec, RunSpec, run
 from repro.api.engines import build_protocol
+from repro.core.specification import VAR_EDGE_LABELS
 from repro.core.stno import STNO
 from repro.graphs import generators
 from repro.obs import Instrumentation, PHASE_LEGITIMACY, summary_counter
@@ -32,6 +34,7 @@ from repro.substrates.dijkstra_ring import DijkstraTokenRing
 from repro.substrates.pif import PIFWave
 from repro.substrates.spanning_tree import BFSSpanningTree, DFSSpanningTree
 from repro.substrates.token_circulation import DepthFirstTokenCirculation
+from tests.runtime.test_read_declarations import _fresh_scan, _settled_dftno
 
 STACKS = ("dftno", "stno-bfs", "stno-dfs")
 DAEMONS = ("central", "distributed", "synchronous", "adversarial")
@@ -147,17 +150,88 @@ def test_tracker_moves_to_a_replaced_configuration_object():
     scheduler.run_until_legitimate(max_steps=3_000)
     assert scheduler.legitimate()
     old = scheduler.configuration
+    old_tracker = scheduler._legitimacy
     scheduler.set_configuration(protocol.random_configuration(network, seed=9))
     assert scheduler.legitimate() == protocol.legitimate(network, scheduler.configuration)
-    # The previous configuration object lost its watcher.
-    assert not old._watchers
+    assert scheduler._legitimacy is not old_tracker
+    assert scheduler._legitimacy.configuration is scheduler.configuration
+    # Writes to the replaced object reach neither the tracker nor the guards.
+    for node in network.nodes():
+        old.replace_node(node, {})
+    assert scheduler.legitimate() == protocol.legitimate(network, scheduler.configuration)
+    assert scheduler.enabled_actions() == _fresh_scan(scheduler)
 
 
-def test_unknown_layer_is_rejected():
+@pytest.mark.parametrize("incremental", (True, False), ids=("scheduler", "fullscan"))
+@pytest.mark.parametrize(
+    "layer",
+    (DepthFirstTokenCirculation(), BFSSpanningTree()),
+    ids=lambda layer: layer.name,
+)
+def test_unknown_layer_is_rejected(layer, incremental):
     network = generators.random_connected(8, seed=1)
-    scheduler = Scheduler(network, build_protocol("dftno"), seed=2)
-    with pytest.raises(ValueError, match="not part of the tracked protocol"):
-        scheduler.legitimate(BFSSpanningTree())
+    scheduler = Scheduler(network, build_protocol("dftno"), seed=2, incremental=incremental)
+    with pytest.raises(ValueError, match="not part of the scheduled protocol"):
+        scheduler.legitimate(layer)
+    # The stack's own layers, and compositions of them, are still accepted.
+    for known in (scheduler.protocol, *scheduler.protocol.layers()):
+        scheduler.legitimate(known)
+
+
+# ----------------------------------------------------------------------
+# One journal drain feeds the guard stale bits and the tracker
+# ----------------------------------------------------------------------
+def test_a_write_drained_by_the_guard_refresh_still_reaches_the_tracker():
+    scheduler = _settled_dftno()
+    network, configuration = scheduler.network, scheduler.configuration
+    node = next(node for node in network.nodes() if node != network.root)
+    configuration.set(node, VAR_EDGE_LABELS, {})
+    # The refresh drains the journal before any legitimacy query does.
+    assert scheduler.enabled_actions() == _fresh_scan(scheduler)
+    assert configuration.drain_dirty() == {}
+    expected = scheduler.protocol.legitimate(network, configuration)
+    assert expected is False
+    assert scheduler.legitimate() == expected
+
+
+def test_a_query_between_replacement_and_rescan_keeps_both_consumers_fed():
+    scheduler = _settled_dftno()
+    network = scheduler.network
+    predicates = _predicates(scheduler.protocol)
+    scheduler.set_configuration(scheduler.configuration.copy())
+    # The tracker is rebuilt here, while the full guard rescan is pending.
+    assert _assert_agrees(scheduler, predicates)
+    node = next(node for node in network.nodes() if node != network.root)
+    scheduler.configuration.set(node, VAR_EDGE_LABELS, {})
+    # The rescan drains the write; the tracker must still see it.
+    assert scheduler.enabled_actions() == _fresh_scan(scheduler)
+    assert not _assert_agrees(scheduler, predicates)
+    assert scheduler.step() is not None
+    _assert_agrees(scheduler, predicates)
+    seen: set[bool] = set()
+    _steps(scheduler, predicates, 30, seen)
+
+
+def test_a_legitimacy_query_never_walks_guards():
+    scheduler = _settled_dftno()
+    network = scheduler.network
+
+    def guard_counters():
+        counters = scheduler.instrumentation.summary()["counters"]
+        return counters["guards_evaluated"], counters["guard_calls"]
+
+    for _ in range(5):
+        assert scheduler.step() is not None
+        before = guard_counters()
+        scheduler.legitimate()
+        scheduler.legitimate(_substrate(scheduler.protocol))
+        assert guard_counters() == before
+    # Also when the query drains an out-of-band write next to a guard.
+    scheduler.configuration.set(network.root, VAR_EDGE_LABELS, {})
+    before = guard_counters()
+    assert not scheduler.legitimate()
+    assert guard_counters() == before
+    assert scheduler.enabled_actions() == _fresh_scan(scheduler)
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +315,6 @@ def test_tallied_residue_equals_the_scanned_residue_on_every_configuration(stack
     for configuration in _configurations(protocol, network):
         tracker = LegitimacyTracker(network, protocol, configuration)
         compared = _assert_tallies_match(tracker)
-        tracker.detach()
         assert compared == (0 if stack == "stno-bfs" else 1)
 
 

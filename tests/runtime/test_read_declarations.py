@@ -49,7 +49,7 @@ def test_journal_whole_state_change_wins():
     config = Configuration({0: {"x": 1}, 1: {"x": 1}})
     config.set(0, "x", 2)
     config.replace_node(0, {"x": 5})
-    config.mark_dirty(1)
+    config.replace_node(1, {"x": 3})
     config.set(1, "x", 7)  # after None: stays None
     assert config.drain_dirty() == {0: None, 1: None}
 
@@ -61,7 +61,7 @@ def test_foreign_journal_ids_are_skipped():
     scheduler.legitimate()
     before = scheduler.enabled_actions()
     scheduler.configuration.set(999, "x", 1)
-    scheduler.configuration.mark_dirty(-1)
+    scheduler.configuration.replace_node(-1, {"x": 1})
     assert scheduler.enabled_actions() == before
     assert scheduler.legitimate() == protocol.legitimate(network, scheduler.configuration)
 
@@ -84,7 +84,7 @@ def _fresh_scan(scheduler: Scheduler) -> dict[int, Action]:
 
 OPERATIONS = st.lists(
     st.tuples(
-        st.sampled_from(("step", "write", "replace", "mark", "freeze", "unfreeze", "link")),
+        st.sampled_from(("step", "write", "replace", "freeze", "unfreeze", "link")),
         st.integers(min_value=0, max_value=7),
         st.integers(min_value=0, max_value=10_000),
     ),
@@ -116,8 +116,6 @@ def test_stale_bit_enabled_set_equals_a_full_scan(stack, daemon, operations):
             scheduler.configuration.set(node, variable, state[variable])
         elif kind == "replace":
             scheduler.replace_node(node, protocol.random_state(scheduler.network, node, rng))
-        elif kind == "mark":
-            scheduler.configuration.mark_dirty(node)
         elif kind == "freeze":
             scheduler.freeze((node,))
         elif kind == "unfreeze":
@@ -201,13 +199,15 @@ def test_shipped_declarations_hold_under_the_runtime_check(protocol):
         scheduler = Scheduler(
             network, protocol, daemon=make_daemon(daemon), seed=9, check_guard_locality=True
         )
-        scheduler.run(max_steps=400)
+        for _ in range(400):
+            scheduler.step()
         scheduler.set_configuration(
             corrupt_configuration(
                 scheduler.configuration, protocol, network, node_fraction=0.4, rng=rng
             )
         )
-        scheduler.run(max_steps=400)
+        for _ in range(400):
+            scheduler.step()
 
 
 def test_underdeclared_guard_raises_rl008():

@@ -13,13 +13,10 @@ import pytest
 from repro.analysis.convergence import protocol_stack
 from repro.api.spec import DAEMONS, PROTOCOLS
 from repro.graphs import generators
+from repro.runtime.composition import LayeredProtocol
 from repro.runtime.daemon import SynchronousDaemon, make_daemon
 from repro.runtime.scheduler import Scheduler
-from tests.runtime.test_scheduler import (
-    CountdownProtocol,
-    MaxPropagation,
-    TransientLegitimacyProtocol,
-)
+from tests.runtime.test_scheduler import CountdownProtocol, MaxPropagation
 
 NETWORKS = {
     "random_connected": lambda: generators.random_connected(8, seed=3),
@@ -140,19 +137,31 @@ def test_the_budget_can_run_out_mid_confirmation(small_random):
     assert result.substrate_step <= result.first_legitimate_step
 
 
-def test_a_substrate_streak_that_breaks_restarts(small_ring):
-    # Substrate legitimacy that is not closed: it holds at step 2 only, so no
-    # streak is live when the stack becomes legitimate at step 3.
-    protocol = CountdownProtocol(start=3)
+class OddCountdown(CountdownProtocol):
+    """Legitimate while every counter is odd or zero: holds, breaks, holds again."""
+
+    name = "odd-countdown"
+
+    def legitimate(self, network, configuration) -> bool:
+        return all(
+            configuration.get(node, self.variable) in (0, 1, 3) for node in network.nodes()
+        )
+
+
+@pytest.mark.parametrize("incremental", (True, False), ids=("scheduler", "fullscan"))
+def test_a_substrate_streak_that_breaks_restarts(small_ring, incremental):
+    # Substrate legitimacy that is not closed: it holds at step 1, breaks at
+    # step 2 and holds again from step 3 on, while the stack's upper layer
+    # counts down only after the substrate is done (steps 5-8).
+    substrate = OddCountdown(start=4, variable="s")
+    protocol = LayeredProtocol([substrate, CountdownProtocol(start=4)])
     scheduler = Scheduler(
         small_ring,
         protocol,
         daemon=SynchronousDaemon(),
         configuration=protocol.initial_configuration(small_ring),
-        incremental=False,
+        incremental=incremental,
     )
-    result = scheduler.run_until_legitimate(
-        max_steps=100, substrate=TransientLegitimacyProtocol(start=3)
-    )
-    assert result.converged and result.steps == 3 == result.first_legitimate_step
-    assert result.substrate_step is None and result.substrate_round is None
+    result = scheduler.run_until_legitimate(max_steps=100, substrate=substrate)
+    assert result.converged and result.steps == 8 == result.first_legitimate_step
+    assert (result.substrate_step, result.substrate_round) == (3, 3)

@@ -23,24 +23,26 @@ class CountdownProtocol(Protocol):
 
     name = "countdown"
 
-    def __init__(self, start: int = 3) -> None:
+    def __init__(self, start: int = 3, variable: str = "c") -> None:
         self.start = start
+        self.variable = variable
 
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
-        return [int_variable("c", 0, self.start, initial=self.start)]
+        return [int_variable(self.variable, 0, self.start, initial=self.start)]
 
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
+        counter = self.variable
         return [
             Action(
                 "Dec",
-                lambda view: view.read("c") > 0,
-                lambda view: view.write("c", view.read("c") - 1),
+                lambda view: view.read(counter) > 0,
+                lambda view: view.write(counter, view.read(counter) - 1),
                 layer=self.name,
             )
         ]
 
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        return all(configuration.get(node, "c") == 0 for node in network.nodes())
+        return all(configuration.get(node, self.variable) == 0 for node in network.nodes())
 
 
 class MaxPropagation(Protocol):
@@ -90,7 +92,8 @@ def test_run_terminates_when_silent(small_ring):
         daemon=SynchronousDaemon(),
         configuration=CountdownProtocol(start=2).initial_configuration(small_ring),
     )
-    result = scheduler.run(max_steps=100)
+    # A confirmation window as long as the budget runs on to silence.
+    result = scheduler.run_until_legitimate(max_steps=100, confirm_steps=100)
     assert result.terminated
     assert result.converged
     assert result.steps == 2
@@ -106,7 +109,7 @@ def test_synchronous_daemon_one_round_per_step(small_ring):
         daemon=SynchronousDaemon(),
         configuration=protocol.initial_configuration(small_ring),
     )
-    result = scheduler.run(max_steps=50)
+    result = scheduler.run_until_legitimate(max_steps=50)
     assert result.rounds == 3
     assert result.steps == 3
 
@@ -119,7 +122,7 @@ def test_central_daemon_round_counts_match_moves(small_ring):
         daemon=CentralDaemon("round_robin"),
         configuration=protocol.initial_configuration(small_ring),
     )
-    result = scheduler.run(max_steps=100)
+    result = scheduler.run_until_legitimate(max_steps=100)
     # Under a central daemon every processor moves once per round.
     assert result.steps == 2 * small_ring.n
     assert result.rounds == 2
@@ -134,13 +137,13 @@ def test_run_respects_max_steps(small_ring):
         daemon=CentralDaemon("round_robin"),
         configuration=protocol.initial_configuration(small_ring),
     )
-    result = scheduler.run(max_steps=10)
+    result = scheduler.run_until_legitimate(max_steps=10)
     assert result.steps == 10
     assert not result.terminated
     assert not result.converged
 
 
-def test_stop_predicate_halts_run(small_ring):
+def test_a_custom_stop_condition_is_an_explicit_step_loop(small_ring):
     protocol = CountdownProtocol(start=5)
     scheduler = Scheduler(
         small_ring,
@@ -148,9 +151,11 @@ def test_stop_predicate_halts_run(small_ring):
         daemon=SynchronousDaemon(),
         configuration=protocol.initial_configuration(small_ring),
     )
-    result = scheduler.run(max_steps=100, stop_predicate=lambda s: s.steps_executed >= 2)
-    assert result.steps == 2
-    assert result.converged
+    while scheduler.steps_executed < 2:
+        assert scheduler.step() is not None
+    assert scheduler.steps_executed == 2
+    assert scheduler.rounds_completed == 2
+    assert not scheduler.legitimate()
 
 
 def test_first_legitimate_step_records_stable_point(small_ring):
@@ -161,7 +166,7 @@ def test_first_legitimate_step_records_stable_point(small_ring):
         daemon=SynchronousDaemon(),
         configuration=protocol.initial_configuration(small_ring),
     )
-    result = scheduler.run(max_steps=100)
+    result = scheduler.run_until_legitimate(max_steps=100, confirm_steps=100)
     assert result.terminated
     assert result.first_legitimate_step is not None
     assert result.first_legitimate_step <= result.steps
@@ -264,7 +269,7 @@ def test_trace_recording(small_ring):
         configuration=protocol.initial_configuration(small_ring),
         observers=[CallbackObserver(on_step=lambda source, record: records.append(record))],
     )
-    scheduler.run(max_steps=10)
+    scheduler.run_until_legitimate(max_steps=10)
     moves = [move for record in records for move in record.moves]
     assert len(moves) == small_ring.n
     event = moves[0]
@@ -280,7 +285,7 @@ def test_metrics_per_node_and_action(small_ring):
         daemon=SynchronousDaemon(),
         configuration=protocol.initial_configuration(small_ring),
     )
-    scheduler.run(max_steps=10)
+    scheduler.run_until_legitimate(max_steps=10)
     metrics = scheduler.metrics
     assert metrics.moves == 2 * small_ring.n
     assert metrics.moves_per_action == {"Dec": 2 * small_ring.n}
@@ -396,7 +401,7 @@ def test_set_network_rebuilds_actions_and_reinitializes(small_ring):
     # Reinitialized nodes carry domain-valid states for the new network.
     for node in (0, 3):
         assert 0 <= scheduler.configuration.get(node, "c") <= 3
-    assert scheduler.run(max_steps=100).terminated
+    assert scheduler.run_until_legitimate(max_steps=100, confirm_steps=100).terminated
 
 
 def test_set_network_rejects_resizing_or_rerooting(small_ring):

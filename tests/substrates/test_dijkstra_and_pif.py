@@ -60,8 +60,8 @@ def test_dijkstra_ring_never_deadlocks():
     network = generators.ring(5)
     protocol = DijkstraTokenRing()
     scheduler = Scheduler(network, protocol, daemon=DistributedDaemon(), seed=6)
-    result = scheduler.run(max_steps=300)
-    assert not result.terminated
+    for _ in range(300):
+        assert scheduler.step() is not None
 
 
 def test_dijkstra_ring_every_processor_eventually_privileged():
@@ -109,8 +109,8 @@ def test_pif_runs_repeated_waves_from_clean_state(small_tree):
         seed=1,
         observers=[collector],
     )
-    result = scheduler.run(max_steps=400)
-    assert not result.terminated  # waves repeat forever
+    for _ in range(400):
+        assert scheduler.step() is not None  # waves repeat forever
     root_starts = [move for move in moves if move.action == PIFWave.ACTION_ROOT_START]
     assert len(root_starts) >= 2
 
@@ -126,7 +126,8 @@ def test_pif_broadcast_reaches_leaves_before_feedback(small_tree):
         seed=2,
         observers=[collector],
     )
-    scheduler.run(max_steps=200)
+    for _ in range(200):
+        scheduler.step()
     first_feedback = next(i for i, e in enumerate(events) if e.action == PIFWave.ACTION_FEEDBACK)
     broadcast_nodes = {e.node for e in events[:first_feedback] if e.action in
                        (PIFWave.ACTION_BROADCAST, PIFWave.ACTION_ROOT_START)}

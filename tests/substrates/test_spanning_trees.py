@@ -46,7 +46,7 @@ def test_bfs_tree_distances_are_true_bfs_distances(small_random):
 def test_bfs_tree_is_silent_once_stable(small_random):
     protocol = BFSSpanningTree()
     scheduler = Scheduler(small_random, protocol, seed=4)
-    result = scheduler.run(max_steps=20_000)
+    result = scheduler.run_until_legitimate(max_steps=20_000, confirm_steps=20_000)
     assert result.terminated  # no action enabled at the fixpoint
     assert protocol.legitimate(small_random, result.configuration)
 

@@ -89,14 +89,16 @@ def run_one_wave(network, daemon=None, max_steps=5_000):
     )
     start_wave = scheduler.configuration.get(network.root, tc.VAR_WAVE)
     # Run until the root has completed one full wave (flipped parity and waiting).
-    def wave_done(s):
+    def wave_done():
         return (
-            s.configuration.get(network.root, tc.VAR_WAVE) != start_wave
-            and s.configuration.get(network.root, tc.VAR_STATE) == WAIT
+            scheduler.configuration.get(network.root, tc.VAR_WAVE) != start_wave
+            and scheduler.configuration.get(network.root, tc.VAR_STATE) == WAIT
         )
 
-    result = scheduler.run(max_steps=max_steps, stop_predicate=wave_done)
-    assert result.converged, "the wave did not complete"
+    while not wave_done() and scheduler.steps_executed < max_steps:
+        if scheduler.step() is None:
+            break
+    assert wave_done(), "the wave did not complete"
     return protocol, scheduler, moves
 
 
@@ -156,9 +158,9 @@ def test_circulation_never_terminates(small_ring):
         configuration=protocol.initial_configuration(small_ring),
         seed=4,
     )
-    result = scheduler.run(max_steps=500)
-    assert not result.terminated
-    assert result.steps == 500
+    for _ in range(500):
+        assert scheduler.step() is not None
+    assert scheduler.steps_executed == 500
 
 
 def test_waves_keep_alternating_parity(small_ring):
@@ -172,7 +174,8 @@ def test_waves_keep_alternating_parity(small_ring):
         seed=5,
         observers=[collector],
     )
-    scheduler.run(max_steps=400)
+    for _ in range(400):
+        scheduler.step()
     starts = [
         event
         for event in moves
@@ -313,5 +316,6 @@ def test_single_processor_network_cycles_waves():
         daemon=CentralDaemon("round_robin"),
         seed=0,
     )
-    result = scheduler.run(max_steps=10)
-    assert result.steps == 10  # keeps starting/finishing waves forever
+    for _ in range(10):
+        assert scheduler.step() is not None  # keeps starting/finishing waves forever
+    assert scheduler.steps_executed == 10
