@@ -73,7 +73,7 @@ MAX_RECORDER_OVERHEAD = 0.05
 MIN_PHASE_COVERAGE = 0.90
 #: Branch checks one scheduler step performs when instrumentation is off,
 #: rounded up (step segments + enabled-set refresh + round bookkeeping + the
-#: run loop's legitimacy queries and tracker sync).
+#: run loop's legitimacy queries and rule walks).
 CHECKS_PER_STEP = 20
 
 DEFAULT_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_scheduler.json"

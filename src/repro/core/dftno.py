@@ -30,13 +30,12 @@ from typing import Mapping, Sequence
 
 from repro.core.chordal import chordal_edge_label
 from repro.core.specification import (
-    SPEC_READS,
     VAR_EDGE_LABELS,
     VAR_NAME,
     OrientationSpecification,
 )
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Reads, StatementFn, all_of
+from repro.runtime.actions import Action, Reads, Rule, StatementFn, all_of
 from repro.runtime.composition import HookedComposition, HookingLayer
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
@@ -72,7 +71,6 @@ class DFTNO(HookingLayer):
     """
 
     name = "dftno"
-    legitimacy_reads = SPEC_READS
 
     ACTION_EDGE_LABEL = "NO-EdgeLabel"
 
@@ -80,6 +78,7 @@ class DFTNO(HookingLayer):
         self._token = token or DepthFirstTokenCirculation()
         self._modulus = modulus
         self._specification = OrientationSpecification(modulus=modulus)
+        self._rules = (self._specification.violation_rule("NO-Misoriented", self.name),)
 
     # ------------------------------------------------------------------
     # Parameters
@@ -211,15 +210,9 @@ class DFTNO(HookingLayer):
     # ------------------------------------------------------------------
     # Legitimacy and reference values
     # ------------------------------------------------------------------
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        """The orientation part of ``L_NO``: SP1 and SP2 hold."""
-        return self._specification.holds(network, configuration)
-
-    def node_legitimate(
-        self, network: RootedNetwork, configuration: Configuration, node: int
-    ) -> bool:
-        """SP1's range condition and SP2 at ``node``."""
-        return self._specification.node_holds(network, configuration, node)
+    def violation_rules(self, network: RootedNetwork, node: int) -> Sequence[Rule]:
+        """The orientation part of ``L_NO``: SP1's range condition and SP2 at ``node``."""
+        return self._rules
 
     def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """SP1's name uniqueness."""

@@ -21,19 +21,14 @@ from dataclasses import dataclass, field
 
 from repro.core.chordal import ChordalOrientation, chordal_edge_label
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Reads
+from repro.runtime.actions import Reads, Rule, all_of
 from repro.runtime.configuration import Configuration
+from repro.runtime.processor import GuardView, ProcessorView
 
 #: Shared-variable name of the node label ``eta_p`` (both DFTNO and STNO).
 VAR_NAME = "no_eta"
 #: Shared-variable name of the per-link label map ``pi_p`` (both protocols).
 VAR_EDGE_LABELS = "no_pi"
-
-#: What :meth:`OrientationSpecification.node_holds` reads with the default
-#: variable names -- a node's name and labels, its neighbors' names -- and so
-#: the ``legitimacy_reads`` of both orientation layers (``names_unique``
-#: reads names only).
-SPEC_READS = Reads(own=frozenset({VAR_NAME, VAR_EDGE_LABELS}), neighbor=frozenset({VAR_NAME}))
 
 
 def _in_range(name: object, modulus: int) -> bool:
@@ -78,6 +73,11 @@ class OrientationSpecification:
         self.modulus = modulus
         self.name_variable = name_variable
         self.labels_variable = labels_variable
+        #: What :meth:`misoriented` reads: a node's name and labels, its
+        #: neighbors' names (:meth:`names_unique` reads names only).
+        self.reads = Reads(
+            own=frozenset({name_variable, labels_variable}), neighbor=frozenset({name_variable})
+        )
 
     def effective_modulus(self, network: RootedNetwork) -> int:
         """The modulus used for ``network`` (explicit value or ``network.n``)."""
@@ -135,13 +135,13 @@ class OrientationSpecification:
     def holds(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """Whether ``SP_NO`` holds (SP1 and SP2 simultaneously).
 
-        Evaluated as the per-node conjunct (:meth:`node_holds`) everywhere
-        plus the name-uniqueness residue (:meth:`names_unique`) -- the same
-        decomposition the incremental legitimacy tracker maintains -- without
-        collecting :meth:`check`'s violation messages.
+        Evaluated as "no node is :meth:`misoriented`" plus the
+        name-uniqueness residue (:meth:`names_unique`) -- the orientation
+        layers' violation rule and residue -- without collecting
+        :meth:`check`'s violation messages.
         """
-        return all(
-            self.node_holds(network, configuration, node) for node in network.nodes()
+        return not any(
+            self.misoriented(GuardView(node, network, configuration)) for node in network.nodes()
         ) and self.names_unique(network, configuration)
 
     def sp1_holds(self, network: RootedNetwork, configuration: Configuration) -> bool:
@@ -152,22 +152,32 @@ class OrientationSpecification:
             for node in network.nodes()
         ) and self.names_unique(network, configuration)
 
-    def node_holds(self, network: RootedNetwork, configuration: Configuration, node: int) -> bool:
-        """SP1's range condition and SP2 at ``node``: reads only its closed neighborhood."""
-        modulus = self.effective_modulus(network)
-        name = configuration.get(node, self.name_variable)
+    def misoriented(self, view: ProcessorView) -> bool:
+        """SP1's range condition or SP2 fails at the view's processor.
+
+        Reads only the closed neighborhood: the processor's name and labels
+        and its neighbors' names.
+        """
+        modulus = self.effective_modulus(view.network)
+        name_variable = self.name_variable
+        name = view.read(name_variable)
         if not _in_range(name, modulus):
-            return False
-        labels = configuration.get(node, self.labels_variable)
+            return True
+        labels = view.read(self.labels_variable)
         if not isinstance(labels, dict):
-            return False
-        for neighbor in network.neighbors(node):
-            other = configuration.get(neighbor, self.name_variable)
+            return True
+        read_neighbor, label = view.read_neighbor, labels.get
+        for neighbor in view.neighbors:
+            other = read_neighbor(neighbor, name_variable)
             if not isinstance(other, int):
                 other = 0
-            if labels.get(neighbor) != chordal_edge_label(name, other, modulus):
-                return False
-        return True
+            if label(neighbor) != chordal_edge_label(name, other, modulus):
+                return True
+        return False
+
+    def violation_rule(self, name: str, layer: str) -> Rule:
+        """The orientation layers' violation rule: :meth:`misoriented`."""
+        return Rule(name, all_of((self.misoriented, self.reads)), layer=layer)
 
     def names_unique(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """SP1's global residue: no two processors carry the same in-range name."""
@@ -202,7 +212,6 @@ class OrientationSpecification:
 __all__ = [
     "OrientationSpecification",
     "SpecificationReport",
-    "SPEC_READS",
     "VAR_NAME",
     "VAR_EDGE_LABELS",
 ]

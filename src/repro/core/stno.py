@@ -36,13 +36,12 @@ from typing import Sequence
 
 from repro.core.chordal import chordal_edge_label
 from repro.core.specification import (
-    SPEC_READS,
     VAR_EDGE_LABELS,
     VAR_NAME,
     OrientationSpecification,
 )
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Reads, all_of
+from repro.runtime.actions import Action, Reads, Rule, all_of
 from repro.runtime.composition import LayeredProtocol
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
@@ -76,7 +75,6 @@ class STNO(Protocol):
     """
 
     name = "stno"
-    legitimacy_reads = SPEC_READS
 
     ACTION_WEIGHT = "STNO-Weight"
     ACTION_ROOT_WEIGHT = "STNO-RootWeight"
@@ -88,6 +86,7 @@ class STNO(Protocol):
         self._tree = tree or BFSSpanningTree()
         self._modulus = modulus
         self._specification = OrientationSpecification(modulus=modulus)
+        self._rules = (self._specification.violation_rule("STNO-Misoriented", self.name),)
         # What each guard part reads; the tree helpers read the parent
         # pointer, own (``parent``) or the neighbors' (``children``).
         parent = self._tree.parent_variable
@@ -271,15 +270,9 @@ class STNO(Protocol):
     # ------------------------------------------------------------------
     # Legitimacy and reference values
     # ------------------------------------------------------------------
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        """The orientation part of ``L_NO``: SP1 and SP2 hold."""
-        return self._specification.holds(network, configuration)
-
-    def node_legitimate(
-        self, network: RootedNetwork, configuration: Configuration, node: int
-    ) -> bool:
-        """SP1's range condition and SP2 at ``node``."""
-        return self._specification.node_holds(network, configuration, node)
+    def violation_rules(self, network: RootedNetwork, node: int) -> Sequence[Rule]:
+        """The orientation part of ``L_NO``: SP1's range condition and SP2 at ``node``."""
+        return self._rules
 
     def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """SP1's name uniqueness."""

@@ -26,13 +26,14 @@ class ProtocolError(ReproError):
 
 
 class GuardLocalityError(ProtocolError):
-    """A guard read state outside its closed neighborhood (rule RL004) or
-    outside its declared reads (RL008; per ``all_of`` part) -- the debug tracker.
+    """A guard or violation rule read state outside its closed neighborhood
+    (rule RL004) or outside its declared reads (RL008; per ``all_of`` part)
+    -- the debug tracker.
 
     Raised by :func:`repro.runtime.scheduler.evaluate_guards` when
     ``check_guard_locality`` is on.  Carries enough attribution to tell
-    *which* layer and guard tripped -- the node, the action's layer and name,
-    the lint rule id, and the offending ``(processor, variable)`` reads -- so
+    *which* layer and guard tripped -- the node, the action's (or rule's)
+    layer and name, the lint rule id, and the offending ``(processor, variable)`` reads -- so
     the failure formats like a ``repro-lint`` finding
     (:func:`repro.lint.findings.finding_from_guard_error`) instead of an
     anonymous mid-step crash.

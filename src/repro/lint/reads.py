@@ -1,23 +1,25 @@
 """Cross-check declared reads against the static read sets (rule RL008).
 
-The incremental scheduler skips a guard part after a change to a variable
-its :class:`~repro.runtime.actions.Reads` omits (each ``all_of`` part has
-its own; a plain guard is one part declared by ``Action.reads``), and the
-legitimacy tracker skips a conjunct the same way using its layer's
-``legitimacy_reads``.  An under-declared read therefore leaves a stale
-answer in place without any error.  This pass holds each declaration to the
-reads the static pass (:mod:`repro.lint.static`) finds.  A read the pass
-finds in a resolved guard part, or in a legitimacy method, that the part's
-own declaration omits is an RL008 error, even when another part of the same
-guard declares it.  Over-declaring is sound and allowed.
+The incremental scheduler skips a guard or violation-rule part after a
+change to a variable its :class:`~repro.runtime.actions.Reads` omits (each
+``all_of`` part has its own; a plain guard is one part declared by
+``Action.reads``), and keeps a layer's cached residue after a change to
+anything its rule parts do not read.  An under-declared read therefore
+leaves a stale answer in place without any error.  This pass holds each
+declaration to the reads the static pass (:mod:`repro.lint.static`) finds.
+A read the pass finds in a resolved guard or rule part that the part's own
+declaration omits is an RL008 error, even when another part of the same
+guard declares it; so is a read of ``legitimacy_residue`` that no rule part
+of its layer declares.  Over-declaring is sound and allowed.
 
 Declarations are runtime values: STNO builds its own from the tree it runs
 over.  So the pass imports each analyzed module that declares reads or
-defines legitimacy methods, instantiates its protocol classes that take no
-arguments, and reads the declarations off their actions on a small probe
-network.  Reads the static pass cannot see are not checked here, such as
-those made by helpers on other objects like ``self._tree.children``;
-``check_guard_locality`` checks those at run time.
+defines a residue, instantiates its protocol classes that take no
+arguments, and reads the declarations off their actions and rules on a
+small probe network.  Reads the static pass cannot see are not checked
+here, such as those made by helpers on other objects like
+``self._tree.children`` or variable names held in attributes (the
+orientation rule's); ``check_guard_locality`` checks those at run time.
 """
 
 from __future__ import annotations
@@ -73,18 +75,19 @@ def _guard_site(guard: object) -> tuple[Path, int] | None:
 
 def _declarations(
     paths: set[Path],
-) -> tuple[dict[tuple[Path, int], dict[Reads, set[str]]], dict[tuple[Path, str], Reads]]:
-    """Declared guard-part reads by site, and legitimacy reads by ``(file, class)``.
+) -> tuple[dict[tuple[Path, int], dict[Reads, set[str]]], dict[tuple[Path, str], frozenset[str]]]:
+    """Declared guard- and rule-part reads by site, and rule reads by ``(file, class)``.
 
-    A site maps each declaration made for it to the action names that made
-    it (a predicate shared by several actions or parts may be declared
-    differently).
+    A site maps each declaration made for it to the action or rule names
+    that made it (a predicate shared by several actions or parts may be
+    declared differently).  A class maps to every variable its rule parts
+    read, own or neighbor -- what its residue may read.
     """
     from repro.graphs import generators
 
     network = generators.random_connected(8, seed=1)
     guards: dict[tuple[Path, int], dict[Reads, set[str]]] = {}
-    legitimacy: dict[tuple[Path, str], Reads] = {}
+    legitimacy: dict[tuple[Path, str], frozenset[str]] = {}
     for path in sorted(paths):
         module = _import(path)
         if module is None:
@@ -99,13 +102,19 @@ def _declarations(
                 continue
             try:
                 protocol = cls()
-                tables = [protocol.actions(network, node) for node in network.nodes()]
+                actions = [protocol.actions(network, node) for node in network.nodes()]
+                rules = [protocol.violation_rules(network, node) for node in network.nodes()]
             except (TypeError, ValueError, ReproError):  # needs arguments or another topology
                 continue
-            if protocol.legitimacy_reads is not None:
-                legitimacy[(path, cls.__name__)] = protocol.legitimacy_reads
-            for actions in tables:
-                for action in actions:
+            declared = [
+                reads for program in rules for rule in program for _, reads in rule.guard_parts
+            ]
+            if declared and None not in declared:
+                legitimacy[(path, cls.__name__)] = frozenset().union(
+                    *(reads.own | reads.neighbor for reads in declared)
+                )
+            for program in (*actions, *rules):
+                for action in program:
                     for predicate, reads in action.guard_parts:
                         site = _guard_site(predicate)
                         if reads is not None and site is not None:
@@ -155,13 +164,14 @@ def check_reads(analyzer) -> tuple[list[Finding], int]:
                 missing.append(f"neighbor {sorted(neighbor)}")
             if missing:
                 action = "/".join(sorted(names))
+                kind = "violation rule" if summary.rule else "guard of action"
                 findings.append(
                     _finding(
                         summary.module,
                         summary.line,
                         summary.owner,
                         action,
-                        f"guard of action {action!r} (the part defined at line "
+                        f"{kind} {action!r} (the part defined at line "
                         f"{part.line}) reads "
                         + " and ".join(missing)
                         + " that its declared reads omit",
@@ -172,23 +182,15 @@ def check_reads(analyzer) -> tuple[list[Finding], int]:
         if declared is None:
             continue
         checked += 1
-        missing = []
-        if own := summary.own - declared.own:
-            missing.append(f"own {sorted(own)}")
-        if neighbor := summary.neighbor - declared.neighbor:
-            missing.append(f"neighbor {sorted(neighbor)}")
-        if anywhere := summary.anywhere - declared.own - declared.neighbor:
-            missing.append(f"{sorted(anywhere)}")
-        if missing:
+        if missing := summary.reads - declared:
             findings.append(
                 _finding(
                     summary.module,
                     summary.line,
                     summary.owner,
                     summary.method,
-                    f"{summary.method} reads "
-                    + " and ".join(missing)
-                    + " that the layer's legitimacy_reads omit",
+                    f"{summary.method} reads {sorted(missing)} that none of the "
+                    "layer's violation rules declares",
                 )
             )
     return findings, checked

@@ -5,8 +5,10 @@ its closed neighborhood and an action writes only its own node.  That is what
 makes the incremental enabled-set (stale-guard re-evaluation) sound.  This
 pass checks the contract at review time, before any scheduler runs:
 
-* every ``Action(name, guard, statement, ...)`` construction (and every
-  composition ``hooks()`` mapping) is located in the protocol sources;
+* every ``Action(name, guard, statement, ...)`` and violation
+  ``Rule(name, guard, ...)`` construction (and every composition
+  ``hooks()`` mapping) is located in the protocol sources; a rule's guard
+  is held to the same contract as an action's;
 * guards and statements -- plus every same-module helper they call with the
   view -- are walked through the :class:`~repro.runtime.processor.ProcessorView`
   API surface; a guard written ``all_of((predicate, reads), ...)`` is walked
@@ -14,9 +16,9 @@ pass checks the contract at review time, before any scheduler runs:
 * violations are reported as :class:`~repro.lint.findings.Finding` objects
   with rule ids ``RL001``..``RL006`` (see
   :data:`~repro.lint.findings.RULES`);
-* the configuration reads of every layer's legitimacy methods
-  (``node_legitimate`` and friends) are collected too, for the RL008
-  cross-check of ``legitimacy_reads`` (:mod:`repro.lint.reads`).
+* the configuration reads of every layer's ``legitimacy_residue`` are
+  collected too, for the RL008 cross-check against what the layer's rules
+  read (:mod:`repro.lint.reads`).
 
 The analysis is deliberately *conservative*: a guard or helper it cannot
 resolve statically (a callable stored in a variable, a cross-object call like
@@ -71,11 +73,9 @@ _RNG_METHODS = {
     "gauss",
 }
 
-#: Legitimacy methods whose configuration reads the static pass collects:
-#: per-node ones (``(self, network, configuration, node)``) and global ones
-#: (``(self, network, configuration, ...)``).
-_NODE_LEGITIMACY_METHODS = ("node_legitimate", "node_tally")
-_GLOBAL_LEGITIMACY_METHODS = ("legitimacy_residue", "residue_from_tally")
+#: The legitimacy method whose configuration reads the static pass collects
+#: (``(self, network, configuration)``).
+_RESIDUE_METHOD = "legitimacy_residue"
 
 _DISABLE_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9,\s]+)")
 
@@ -366,6 +366,7 @@ class ActionSummary:
     guard_resolved: bool = False  # every guard part resolved
     statement_resolved: bool = False
     declares_reads: bool = False  # the Action(...) call passes ``reads=`` or an ``all_of``
+    rule: bool = False  # a violation Rule(...), which has no statement
 
     @property
     def guard_reads_own(self) -> set[str]:
@@ -394,21 +395,16 @@ class ActionSummary:
 
 @dataclass
 class LegitimacySummary:
-    """The statically found configuration reads of one legitimacy method.
+    """The statically found configuration reads of one ``legitimacy_residue``.
 
-    Per-node methods split their reads by the node argument: the method's
-    own node parameter (``own``) or any other processor (``neighbor``).
-    Global methods put every read in ``anywhere``.  Reads whose variable
-    name is not a resolvable constant are left out.
+    Reads whose variable name is not a resolvable constant are left out.
     """
 
     module: str
     owner: str
     method: str
     line: int
-    own: set[str] = field(default_factory=set)
-    neighbor: set[str] = field(default_factory=set)
-    anywhere: set[str] = field(default_factory=set)
+    reads: set[str] = field(default_factory=set)
 
 
 class _FunctionChecker(ast.NodeVisitor):
@@ -711,18 +707,19 @@ class _Analyzer:
                     if not isinstance(node, ast.Call):
                         continue
                     callee = node.func
-                    if isinstance(callee, ast.Name) and callee.id == "Action":
-                        self._check_action_call(node, inner, resolver)
-                    elif isinstance(callee, ast.Attribute) and callee.attr == "Action":
-                        self._check_action_call(node, inner, resolver)
+                    name = callee.id if isinstance(callee, ast.Name) else getattr(
+                        callee, "attr", None
+                    )
+                    if name in ("Action", "Rule"):
+                        self._check_action_call(node, inner, resolver, rule=name == "Rule")
                 if function.name == "hooks":
                     self._check_hooks(function, inner, resolver)
 
     def _check_action_call(
-        self, node: ast.Call, scope: _Scope, resolver: _Resolver
+        self, node: ast.Call, scope: _Scope, resolver: _Resolver, rule: bool = False
     ) -> None:
         guard_expr = node.args[1] if len(node.args) > 1 else None
-        statement_expr = node.args[2] if len(node.args) > 2 else None
+        statement_expr = node.args[2] if len(node.args) > 2 and not rule else None
         name_expr = node.args[0] if node.args else None
         for keyword in node.keywords:
             if keyword.arg == "guard":
@@ -740,6 +737,8 @@ class _Analyzer:
             action=action_name or f"<anonymous:{node.lineno}>",
             line=node.lineno,
             declares_reads=any(keyword.arg == "reads" for keyword in node.keywords),
+            rule=rule,
+            statement_resolved=rule,  # a rule has no statement to resolve
         )
         if guard_expr is not None:
             predicates = _conjunct_predicates(guard_expr)
@@ -816,21 +815,17 @@ class _Analyzer:
         return target
 
     def collect_legitimacy_reads(self) -> None:
-        """``configuration.get``/``has`` reads of every class's legitimacy methods."""
+        """``configuration.get``/``has`` reads of every class's ``legitimacy_residue``."""
         for index in self.indexes.values():
             resolver = self.resolvers[index.path]
             for class_name, class_node in index.classes.items():
                 for method in class_node.body:
-                    if not isinstance(method, ast.FunctionDef):
-                        continue
-                    per_node = method.name in _NODE_LEGITIMACY_METHODS
-                    if not per_node and method.name not in _GLOBAL_LEGITIMACY_METHODS:
+                    if not isinstance(method, ast.FunctionDef) or method.name != _RESIDUE_METHOD:
                         continue
                     params = [arg.arg for arg in method.args.args]
-                    if len(params) < 3 + per_node:
+                    if len(params) < 3:
                         continue
                     configuration = params[2]
-                    node_param = params[3] if per_node else None
                     scope = _Scope(index, class_name=class_name, function_stack=(method,))
                     summary = LegitimacySummary(
                         module=index.path, owner=class_name, method=method.name, line=method.lineno
@@ -846,14 +841,8 @@ class _Analyzer:
                         ):
                             continue
                         name = resolver.resolve_string(call.args[1], scope)
-                        if name is None:
-                            continue
-                        if node_param is None:
-                            summary.anywhere.add(name)
-                        elif isinstance(call.args[0], ast.Name) and call.args[0].id == node_param:
-                            summary.own.add(name)
-                        else:
-                            summary.neighbor.add(name)
+                        if name is not None:
+                            summary.reads.add(name)
                     self.legitimacy_summaries.append(summary)
 
     def run(self) -> None:

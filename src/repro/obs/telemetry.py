@@ -11,11 +11,10 @@ observer stream and samples, at a configurable step stride,
   frontier that feeds the incremental scheduler;
 * the **selected-set size** -- how much parallelism the daemon granted;
 * the **legitimacy bit** -- whether the protocol's legitimacy predicate held
-  at the sample (evaluated only at the stride, never per step), plus an
-  optional *convergence distance* for substrates that expose one (a
-  ``convergence_distance(network, configuration)`` method returning a
-  number; none of the built-ins do yet -- it is the forward hook the
-  autotuning/hunt roadmap items want).
+  at the sample (evaluated only at the stride, never per step), plus the
+  **distance** from legitimacy on a scheduler: the number of nodes at which
+  a violation rule holds, plus 1 when a layer's residue fails
+  (:meth:`~repro.runtime.scheduler.Scheduler.legitimacy_distance`).
 
 Alongside the series it accumulates whole-run aggregates that need no
 sampling at all because they come straight from the step records:
@@ -135,13 +134,17 @@ class ConvergenceTelemetryObserver(Observer):
     # Sampling
     # ------------------------------------------------------------------
     def _sample(self, source: Any, record: Any) -> None:
+        from repro.runtime.scheduler import Scheduler  # the scheduler imports repro.obs
+
         enabled: int | None = None
         enabled_nodes = getattr(source, "enabled_nodes", None)
         if callable(enabled_nodes):
             enabled = len(enabled_nodes())
-        legitimate: int | None = None
+        legitimate = distance = None
         if self.track_legitimacy:
             legitimate = self._legitimacy(source)
+            if legitimate is not None and isinstance(source, Scheduler):
+                distance = source.legitimacy_distance()
         self.samples.append(
             [
                 record.step,
@@ -150,7 +153,7 @@ class ConvergenceTelemetryObserver(Observer):
                 len(getattr(record, "changed_nodes", ())),
                 len(getattr(record, "executed", ())),
                 legitimate,
-                self._distance(source),
+                distance,
             ]
         )
         if len(self.samples) >= self.max_samples:
@@ -161,25 +164,9 @@ class ConvergenceTelemetryObserver(Observer):
 
     @staticmethod
     def _legitimacy(source: Any) -> int | None:
-        """0/1 legitimacy of the source's current configuration (or ``None``).
-
-        Substrates may additionally expose ``convergence_distance(network,
-        configuration)``; :meth:`_distance` reads it when present.
-        """
+        """0/1 legitimacy of the source's current configuration (or ``None``)."""
         legitimate = source_legitimacy(source)
         return None if legitimate is None else int(legitimate)
-
-    @staticmethod
-    def _distance(source: Any) -> float | None:
-        protocol = getattr(source, "protocol", None)
-        distance = getattr(protocol, "convergence_distance", None)
-        if not callable(distance):
-            return None
-        try:
-            value = distance(source.network, source.configuration)
-        except Exception:
-            return None
-        return float(value) if value is not None else None
 
     # ------------------------------------------------------------------
     # The persisted blob

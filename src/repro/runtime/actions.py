@@ -15,14 +15,13 @@ StatementFn = Callable[["ProcessorView"], None]
 
 @dataclass(frozen=True)
 class Reads:
-    """The variables a guard (or a legitimacy conjunct) reads, by owner.
+    """The variables a guard (or a violation rule) part reads, by owner.
 
     ``own`` are read at the processor itself, ``neighbor`` at its neighbors.
     A change of variable ``x`` at processor ``p`` can flip a declared
     predicate of ``p`` only when ``x`` is in ``own``, and a predicate of a
     neighbor of ``p`` only when ``x`` is in ``neighbor`` -- which is what lets
-    the scheduler skip guard re-checks, and the legitimacy tracker it feeds
-    from the same journal drain skip conjunct re-checks, that a change cannot
+    the scheduler skip the guard and rule re-checks a change cannot
     affect.  Over-declaring is sound; under-declaring is caught by
     ``repro-lint`` and, at run time, by ``check_guard_locality`` (rule RL008).
     Build declarations once (module or instance constants), not per node.
@@ -185,12 +184,36 @@ class Action:
         return replace(self, statement=combined, name=f"{self.name}{suffix}")
 
 
+@dataclass(frozen=True)
+class Rule:
+    """One violation rule of a protocol layer's per-node legitimacy.
+
+    A processor violates the layer while ``guard`` -- an :func:`all_of`
+    conjunction whose parts each declare their reads -- holds on its
+    read-only view; it is legitimate for the layer when none of its rules
+    holds (see :meth:`~repro.runtime.protocol.Protocol.violation_rules`).
+    The scheduler walks rules exactly as it walks guards, with the same
+    cached part bits, so the parts obey the guard contract: they read only
+    the closed neighborhood and only what they declare.
+    """
+
+    name: str
+    guard: Conjunction
+    layer: str = ""
+
+    @property
+    def guard_parts(self) -> tuple[GuardPart, ...]:
+        """The rule's ``(predicate, reads)`` conjuncts, in evaluation order."""
+        return self.guard.parts
+
+
 __all__ = [
     "Action",
     "Conjunction",
     "GuardFn",
     "GuardPart",
     "Reads",
+    "Rule",
     "StatementFn",
     "all_of",
 ]

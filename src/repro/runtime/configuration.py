@@ -20,8 +20,8 @@ class Configuration:
 
     Every write path additionally journals *which variables of which
     processors changed* (:meth:`drain_dirty`).  The journal has one consumer,
-    the incremental scheduler: each drain both marks the guards that read a
-    changed variable stale and feeds the legitimacy tracker.  The journal is
+    the incremental scheduler: each drain marks stale the guard and
+    violation-rule parts that read a changed variable.  The journal is
     sound as long as all mutations go through the write methods below --
     mutating a value obtained from :meth:`get` in place bypasses it (the
     runtime never does: :class:`~repro.runtime.processor.ProcessorView`

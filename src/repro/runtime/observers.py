@@ -224,8 +224,8 @@ def source_legitimacy(source: Any) -> bool | None:
     """Whether the configuration an observer's ``source`` holds is legitimate.
 
     A :class:`~repro.runtime.scheduler.Scheduler` answers through
-    :meth:`~repro.runtime.scheduler.Scheduler.legitimate` (its incremental
-    tracker); any other source with ``protocol``/``network``/``configuration``
+    :meth:`~repro.runtime.scheduler.Scheduler.legitimate` (its violation
+    sets); any other source with ``protocol``/``network``/``configuration``
     attributes gets the protocol's global predicate.  ``None`` when the
     source has no such state or the predicate raises (a partial stack
     mid-scenario must not kill the run).

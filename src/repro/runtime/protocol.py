@@ -8,8 +8,9 @@ from typing import Sequence
 
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Reads
+from repro.runtime.actions import Action, Rule
 from repro.runtime.configuration import Configuration
+from repro.runtime.processor import GuardView
 from repro.runtime.variables import VariableSpec
 
 
@@ -18,30 +19,32 @@ class Protocol(ABC):
 
     Subclasses describe, for every processor of a given network, which
     variables it owns (:meth:`variables`) and which guarded actions form its
-    program (:meth:`actions`).  They also provide the protocol's *legitimacy
-    predicate* (:meth:`legitimate`), which is what self-stabilization
-    (Definition 2.1.2) is stated against.
+    program (:meth:`actions`).  Self-stabilization (Definition 2.1.2) is
+    stated against the protocol's *legitimacy predicate*
+    (:meth:`legitimate`), which a layer gives in one of two ways:
+
+    * **Decomposed**, by local checking: :meth:`violation_rules` lists, per
+      processor, :class:`~repro.runtime.actions.Rule` conjunctions that hold
+      where the processor is not legitimate (each part reads only the closed
+      neighborhood and declares what it reads, exactly like a guard part),
+      and :meth:`legitimacy_residue` is the global remainder the rules
+      cannot see (SP1's name uniqueness; ``True`` by default).  The layer
+      then inherits :meth:`legitimate`: no rule holds at any node and the
+      residue holds.  The scheduler caches the rule parts like guard parts
+      and re-calls only those a change can flip; the residue must read only
+      variables some rule part declares, so a change to anything else keeps
+      its cached value.
+    * **Whole**: the layer states no rules and overrides :meth:`legitimate`
+      (Dijkstra's ring, the PIF wave); the scheduler re-evaluates it after
+      any change.
 
     The base class derives everything the scheduler and the fault injector
-    need from those three methods: clean and arbitrary configurations and the
+    need from there: clean and arbitrary configurations and the
     per-processor space cost in bits.
     """
 
     #: Short identifier used in traces, metrics and composition error messages.
     name: str = "protocol"
-
-    #: What :meth:`node_legitimate` reads at the node itself (``own``) and at
-    #: its neighbors (``neighbor``), in the :class:`~repro.runtime.actions.Reads`
-    #: form guards declare; :meth:`legitimacy_residue` and :meth:`node_tally`
-    #: may read only variables listed in either set.  ``None`` means any
-    #: variable.  The incremental legitimacy tracker, fed by the scheduler's
-    #: journal drain, re-checks a node after an own-read change there and its
-    #: closed neighborhood after a neighbor-read change.
-    legitimacy_reads: Reads | None = None
-
-    #: Names of the per-node counts :meth:`node_tally` returns; empty when the
-    #: layer's residue keeps no tally.
-    residue_tally: tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
     # Abstract interface
@@ -54,51 +57,32 @@ class Protocol(ABC):
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
         """Guarded actions of ``node``'s program, in priority order."""
 
-    @abstractmethod
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        """Whether ``configuration`` satisfies the protocol's legitimacy predicate."""
-
     # ------------------------------------------------------------------
-    # Legitimacy decomposition (read by the incremental LegitimacyTracker)
+    # Legitimacy
     # ------------------------------------------------------------------
-    def node_legitimate(
-        self, network: RootedNetwork, configuration: Configuration, node: int
-    ) -> bool:
-        """The per-node conjunct of :meth:`legitimate` at ``node``.
+    def violation_rules(self, network: RootedNetwork, node: int) -> Sequence[Rule]:
+        """The rules whose holding makes ``node`` illegitimate for this layer.
 
-        A layer that decomposes its predicate returns here the part that
-        reads only ``node``'s closed neighborhood (itself and its
-        neighbors), and defines :meth:`legitimate` as "this holds at every
-        node and :meth:`legitimacy_residue` holds".  The default -- no
-        decomposition -- holds everywhere.
-        """
-        return True
-
-    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        """The global remainder of :meth:`legitimate` beyond the per-node conjuncts.
-
-        The default is the whole predicate, which is correct for any layer
-        that does not decompose (see :meth:`node_legitimate`).
-        """
-        return self.legitimate(network, configuration)
-
-    def node_tally(
-        self, network: RootedNetwork, configuration: Configuration, node: int
-    ) -> tuple[int, ...]:
-        """``node``'s contribution to the counts :meth:`residue_from_tally` reads.
-
-        Only for layers that declare :attr:`residue_tally`: the legitimacy
-        tracker keeps the per-node tallies -- which, like the conjunct, read
-        only the closed neighborhood and :attr:`legitimacy_reads` -- summed
-        over the nodes it re-checks, so the residue costs O(1) instead of a
-        scan.
+        Cheapest and most often false first: a node's rules are walked in
+        order up to the first that holds.  Build them once (per instance or
+        module), not per call.  None by default.
         """
         return ()
 
-    def residue_from_tally(
-        self, network: RootedNetwork, configuration: Configuration, totals: Sequence[int]
-    ) -> bool:
-        """:meth:`legitimacy_residue` from the summed :meth:`node_tally` counts."""
+    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
+        """The global remainder of :meth:`legitimate` beyond the violation rules."""
+        return True
+
+    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
+        """Whether ``configuration`` satisfies the protocol's legitimacy predicate.
+
+        No violation rule holds at any node and the residue holds.
+        """
+        for node in network.nodes():
+            view = GuardView(node, network, configuration)
+            for rule in self.violation_rules(network, node):
+                if rule.guard(view):
+                    return False
         return self.legitimacy_residue(network, configuration)
 
     # ------------------------------------------------------------------

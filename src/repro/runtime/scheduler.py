@@ -32,10 +32,9 @@ from repro.obs.instrument import (
     PHASE_LEGITIMACY,
     PHASE_OBSERVER_DISPATCH,
 )
-from repro.runtime.actions import Action, Conjunction, Reads
+from repro.runtime.actions import Action, Conjunction, Reads, Rule
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import Daemon, DistributedDaemon
-from repro.runtime.legitimacy import LegitimacyTracker
 from repro.runtime.metrics import ExecutionMetrics
 from repro.runtime.observers import MetricsObserver, Observer, dispatch_safely
 from repro.runtime.processor import GuardView, ProcessorView, TrackingGuardView
@@ -51,15 +50,20 @@ def evaluate_guards(
     held: int,
     check_guard_locality: bool = False,
     view: GuardView | None = None,
+    offset: int = 0,
 ) -> tuple[int, int, int, int, int]:
     """Find ``node``'s first enabled action, calling only its stale guard parts.
 
-    The single guard-evaluation primitive every scheduler core uses.  The
-    bits of ``held`` and ``stale`` index the guard *parts* (conjuncts, see
+    The single guard-evaluation primitive every scheduler core uses, for
+    guards and for violation rules alike: ``actions`` may be a layer's
+    :class:`~repro.runtime.actions.Rule` sequence, whose first "enabled"
+    entry is the first rule that holds.  The bits of ``held`` and ``stale``
+    from bit ``offset`` on index the guard *parts* (conjuncts, see
     :func:`~repro.runtime.actions.all_of`) of ``actions`` in order, a plain
-    guard being one part.  Bit ``i`` of ``held`` records whether part ``i``
-    held when last called, and bit ``i`` of ``stale`` that a change since
-    then may have flipped it (or that it was never called).  The walk goes
+    guard being one part; the other bits pass through untouched.  Bit ``i``
+    of ``held`` records whether part ``i`` held when last called, and bit
+    ``i`` of ``stale`` that a change since then may have flipped it (or that
+    it was never called).  The walk goes
     through the actions in priority order and through each action's parts
     left to right; it calls a part only when its stale bit is set, stops an
     action at its first false part, and stops at the first action whose
@@ -85,7 +89,7 @@ def evaluate_guards(
     if not check_guard_locality and view is None:
         view = GuardView(node, network, configuration)
     calls = consulted = 0
-    bit = 1
+    bit = 1 << offset
     index = 0
     for action in actions:
         if check_guard_locality:
@@ -115,9 +119,9 @@ def evaluate_guards(
 
 
 def _checked_parts(
-    node: int, network: RootedNetwork, configuration: Configuration, action: Action
+    node: int, network: RootedNetwork, configuration: Configuration, action: Action | Rule
 ) -> tuple[Callable[[object], bool], ...]:
-    """``action``'s guard parts, each run on a fresh tracking view and checked."""
+    """``action``'s (or a rule's) guard parts, each run on a fresh tracking view and checked."""
 
     def checked(predicate: Callable, declared: Reads | None) -> Callable[[object], bool]:
         def call(_: object) -> bool:
@@ -134,18 +138,19 @@ def _checked_parts(
 def _check_guard_reads(
     node: int,
     network: RootedNetwork,
-    action: Action,
+    action: Action | Rule,
     declared: Reads | None,
     reads: frozenset[tuple[int, str]],
 ) -> None:
-    """Raise :class:`GuardLocalityError` for a read a guard part may not make."""
+    """Raise :class:`GuardLocalityError` for a read a guard or rule part may not make."""
+    kind = "violation rule" if isinstance(action, Rule) else "guard of action"
     allowed = set(network.neighbor_set(node))
     allowed.add(node)
     illegal = sorted((source, name) for source, name in reads if source not in allowed)
     if illegal:
         listed = ", ".join(f"{name!r} of processor {source}" for source, name in illegal)
         raise GuardLocalityError(
-            f"guard locality violated (RL004): guard of action {action.name!r} "
+            f"guard locality violated (RL004): {kind} {action.name!r} "
             f"(layer {action.layer!r}) on processor {node} read {listed} outside "
             f"its closed neighborhood {sorted(allowed)}",
             node=node,
@@ -167,7 +172,7 @@ def _check_guard_reads(
             for source, name in undeclared
         )
         raise GuardLocalityError(
-            f"undeclared guard read (RL008): guard of action {action.name!r} "
+            f"undeclared guard read (RL008): {kind} {action.name!r} "
             f"(layer {action.layer!r}) on processor {node} read {listed}, which its "
             f"declared reads (own {sorted(declared.own)}, neighbor "
             f"{sorted(declared.neighbor)}) omit",
@@ -301,19 +306,19 @@ class Scheduler:
         closed neighborhood (the view enforces it) and only what it
         declares, so results are bit-identical to ``incremental=False``,
         which keeps the historical full scan for differential testing (the
-        ``scheduler-fullscan`` engine).  The same flag selects how
-        :meth:`legitimate` answers: from a
-        :class:`~repro.runtime.legitimacy.LegitimacyTracker` fed by the same
-        journal drain that marks the guards stale, or by evaluating the
-        protocol's global predicate.
+        ``scheduler-fullscan`` engine).  The layers' violation rules
+        (:meth:`~repro.runtime.protocol.Protocol.violation_rules`) share
+        the same tables and stale bits, so :meth:`legitimate` re-walks only
+        the rules a change can flip; with ``incremental=False`` it evaluates
+        the global predicates.
     check_guard_locality:
         Debug mode: track every configuration read during guard evaluation
         and raise :class:`~repro.errors.GuardLocalityError` (a
         :class:`~repro.errors.ProtocolError`, carrying the layer, action and
-        offending variables) if a guard reads outside its closed
-        neighborhood (rule RL004) or outside its part's declared reads
-        (RL008) -- the invariants the incremental path relies on.  Defaults
-        to the ``REPRO_DEBUG_GUARDS`` environment variable.
+        offending variables) if a guard or violation rule reads outside its
+        closed neighborhood (rule RL004) or outside its part's declared
+        reads (RL008) -- the invariants the incremental path relies on.
+        Defaults to the ``REPRO_DEBUG_GUARDS`` environment variable.
     instrumentation:
         An :class:`~repro.obs.Instrumentation` registry the step loop feeds
         with phase timers (guard-eval, daemon-select, action-exec,
@@ -352,6 +357,12 @@ class Scheduler:
         else:
             self.configuration = configuration.copy()
 
+        # The protocol's leaf layers, each with its violation rules, its
+        # violation set and its residue.  A queried layer must be made of
+        # them; the protocol keeps them alive, so the ids stay theirs.
+        self._leaves: tuple[Protocol, ...] = tuple(dict.fromkeys(protocol.layers()))
+        self._leaf_ids = frozenset(map(id, self._leaves))
+        self._slots: dict[Protocol, tuple[int, ...]] = {}
         self._index_actions()
         # Metrics are an observer like any other; keeping it first in the list
         # preserves the historical update order (counters before any external
@@ -375,17 +386,26 @@ class Scheduler:
         # does not touch guards, so keeping crashed nodes cached makes
         # freeze/unfreeze invalidation-free; the accessors filter them).
         self._enabled: dict[int, Action] = {}
-        # Per node, bitmasks over its guard parts (see evaluate_guards):
-        # which parts held when last called, which a change may have flipped
-        # since, and which can matter -- the bits the last walk consulted; a
-        # stale bit elsewhere waits for a walk that reaches it.
+        # Per node, bitmasks over its guard parts and then its rule parts
+        # (see evaluate_guards): which parts held when last called and which
+        # a change may have flipped since.  ``_watch`` and ``_rule_watch``
+        # are the guard and rule bits the last walks consulted: only a stale
+        # bit there can change an answer; a stale bit elsewhere waits for a
+        # walk that reaches it.  ``_frontier`` and ``_rule_frontier`` hold the
+        # nodes a drained change staled a consulted guard or rule bit of.
+        # All are (re)built by _invalidate_enabled, one read-only guard view
+        # per node included.
         self._held: list[int] = []
         self._stale: list[int] = []
         self._watch: list[int] = []
-        # One read-only guard view per node, rebuilt at every full rescan.
+        self._rule_watch: list[int] = []
         self._views: list[GuardView] = []
-        # Nodes a drained change staled a consulted bit of, awaiting a walk.
         self._frontier: set[int] = set()
+        self._rule_frontier: set[int] = set()
+        # Per leaf layer: the nodes one of its rules holds at, and its
+        # residue's cached verdict (dropped by a change to what its rules read).
+        self._violations: list[set[int]] = []
+        self._residues: dict[int, bool] = {}
         self._needs_full_rescan = True
         # Maintained sorted/immutable view of the non-frozen enabled nodes.
         # Steps used to re-sort the enabled-set (and daemons to copy it) every
@@ -394,12 +414,7 @@ class Scheduler:
         # *membership* (or the frozen set) actually changes.
         self._enabled_order: tuple[int, ...] | None = None
         self._enabled_members: frozenset[int] | None = None
-        # Built on the first legitimacy query (see :meth:`legitimate`) and
-        # dropped whenever the configuration or network is replaced.
-        self._legitimacy: LegitimacyTracker | None = None
-        # The protocol's leaf layers by identity: what a queried layer may
-        # be made of.  The protocol keeps them alive, so the ids stay theirs.
-        self._leaf_ids = frozenset(map(id, protocol.layers()))
+        self._invalidate_enabled()
 
         # The one point where an observer can still see the *initial*
         # configuration (the flight recorder captures it here).
@@ -487,6 +502,7 @@ class Scheduler:
         instr = self._instr
         timed = instr.enabled
         started = time.perf_counter() if timed else 0.0
+        self._drain()
         enabled: dict[int, Action] = {}
         network, configuration = self.network, self.configuration
         check = self.check_guard_locality
@@ -531,15 +547,33 @@ class Scheduler:
         )
 
     def _invalidate_enabled(self) -> None:
-        """Force a full guard rescan and drop the legitimacy tracker.
+        """Mark every guard and rule part stale and rebuild the guard views.
 
-        The one reset for a replaced configuration or network: the next
-        enabled-set access rescans every guard, and the next legitimacy
-        query builds a tracker on the live state.
+        The one reset for a new or replaced configuration or network: the
+        next enabled-set access rescans every guard, and the next legitimacy
+        query walks every rule.
         """
+        network, configuration = self.network, self.configuration
+        n = network.n
+        self._views = [GuardView(node, network, configuration) for node in range(n)]
+        self._held = [0] * n
+        self._stale = [-1] * n
+        self._watch = [0] * n
+        self._frontier = set()
         self._needs_full_rescan = True
-        self._legitimacy = None
+        self._reset_legitimacy()
         self._invalidate_enabled_view()
+
+    def _reset_legitimacy(self) -> None:
+        """Queue every node's rules for a walk and drop every cached verdict.
+
+        Sound only while every rule bit is stale: the walk then calls each
+        part it consults.
+        """
+        self._rule_watch = [sum(bits for _, _, bits, _ in walks) for walks in self._rule_walks]
+        self._rule_frontier = set(range(self.network.n))
+        self._violations = [set() for _ in self._leaves]
+        self._residues = {}
 
     def _invalidate_enabled_view(self) -> None:
         """Drop the maintained sorted view (membership or frozen set changed)."""
@@ -547,42 +581,68 @@ class Scheduler:
         self._enabled_members = None
 
     def _index_actions(self) -> None:
-        """Build the per-node action tables and their read-declaration index.
+        """Build the per-node action and rule tables and their read-declaration index.
 
-        A node's *table* is the reads of its guard parts, in bit order; nodes
-        with equal tables share one.  The stale masks a change implies are
-        memoised per changed-variable tuple and table, so marking costs a
-        lookup per touched node.
+        A node's *table* is the reads of its guard parts, in bit order, then
+        those of each leaf layer's rule parts (one *segment* per layer);
+        nodes with equal tables share one.  The stale masks a change implies
+        are memoised per changed-variable tuple and table, so marking costs a
+        lookup per touched node.  A layer's residue is re-evaluated after a
+        change to what its rule parts read; a layer without rules is checked
+        whole, after any change.
         """
         network = self.network
         self._actions = {
             node: tuple(self.protocol.actions(network, node)) for node in network.nodes()
         }
         tables: dict[tuple[Reads | None, ...], int] = {}
-        self._table: list[int] = [
-            tables.setdefault(
-                tuple(
-                    reads
-                    for action in self._actions[node]
-                    for _, reads in action.guard_parts
-                ),
-                len(tables),
-            )
-            for node in network.nodes()
-        ]
+        self._table: list[int] = []
+        # Per node: ``(leaf slot, first bit, bit mask, rules)`` of each
+        # nonempty rule segment; equal ones are stored once.
+        walks_of: dict[tuple, tuple[tuple[int, int, int, tuple[Rule, ...]], ...]] = {}
+        self._rule_walks: list[tuple[tuple[int, int, int, tuple[Rule, ...]], ...]] = []
+        for node in network.nodes():
+            parts = [reads for action in self._actions[node] for _, reads in action.guard_parts]
+            walks = []
+            for slot, leaf in enumerate(self._leaves):
+                rules = tuple(leaf.violation_rules(network, node))
+                offset = len(parts)
+                parts.extend(reads for rule in rules for _, reads in rule.guard_parts)
+                if len(parts) > offset:
+                    walks.append((slot, offset, (1 << len(parts)) - (1 << offset), rules))
+            self._table.append(tables.setdefault(tuple(parts), len(tables)))
+            self._rule_walks.append(walks_of.setdefault(tuple(walks), tuple(walks)))
         self._tables: tuple[tuple[Reads | None, ...], ...] = tuple(tables)
+        # Per leaf: what its rule parts read (``None``: anything) and how
+        # its residue is checked.
+        declared: list[set[Reads | None]] = [set() for _ in self._leaves]
+        for walks in walks_of.values():
+            for slot, _, _, rules in walks:
+                declared[slot].update(reads for rule in rules for _, reads in rule.guard_parts)
+        self._residue_reads = [
+            None
+            if not reads or None in reads
+            else frozenset().union(*(read.own | read.neighbor for read in reads))
+            for reads in declared
+        ]
+        self._residue_checks: list[Callable[[RootedNetwork, Configuration], bool]] = [
+            leaf.legitimacy_residue if reads else leaf.legitimate
+            for leaf, reads in zip(self._leaves, declared)
+        ]
         self._stale_masks: dict[
-            tuple[str, ...] | None, tuple[tuple[int, ...], tuple[int, ...], bool]
+            tuple[str, ...] | None,
+            tuple[tuple[int, ...], tuple[int, ...], bool, tuple[int, ...]],
         ] = {}
 
     def _masks_for(
         self, variables: tuple[str, ...] | None
-    ) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    ) -> tuple[tuple[int, ...], tuple[int, ...], bool, tuple[int, ...]]:
         """Stale masks a change of ``variables`` implies, per table.
 
-        ``(own, neighbor, reaches)``: ``own[t]`` for the changed node and
-        ``neighbor[t]`` for each of its neighbors, where ``t`` is the node's
-        table; ``reaches`` is whether any neighbor mask is nonzero.
+        ``(own, neighbor, reaches, voids)``: ``own[t]`` for the changed node
+        and ``neighbor[t]`` for each of its neighbors, where ``t`` is the
+        node's table; ``reaches`` is whether any neighbor mask is nonzero;
+        ``voids`` the leaf layers whose cached residue the change drops.
         """
         def mask(table: tuple[Reads | None, ...], neighbor: bool) -> int:
             bits = 0
@@ -597,7 +657,12 @@ class Scheduler:
 
         own = tuple(mask(table, False) for table in self._tables)
         neighbor = tuple(mask(table, True) for table in self._tables)
-        entry = (own, neighbor, any(neighbor))
+        voids = tuple(
+            slot
+            for slot, reads in enumerate(self._residue_reads)
+            if reads is None or variables is None or not reads.isdisjoint(variables)
+        )
+        entry = (own, neighbor, any(neighbor), voids)
         self._stale_masks[variables] = entry
         return entry
 
@@ -623,26 +688,24 @@ class Scheduler:
         return calls
 
     def _drain(self) -> None:
-        """Route the configuration's journaled changes to both consumers.
+        """Mark stale the guard and rule parts the journaled changes can flip.
 
         The journal's only reader.  Every drained entry ``node -> variables``
-        is noted by the legitimacy tracker (when one exists) and sets the
-        stale bits its declarations imply (:meth:`_masks_for`) at the node
-        and its neighbors; a node joins the frontier when a newly stale bit
-        is one its last walk consulted, since no other guard part can change
-        which action is first.  While a full rescan is pending the stale bits
-        are moot and only the tracker is fed.  Calls no guard, so
-        :meth:`legitimate` can drain without moving guard work out of the
-        step.
+        sets the stale bits its declarations imply (:meth:`_masks_for`) at
+        the node and its neighbors.  A node joins the guard (rule) frontier
+        when a newly stale bit is a guard (rule) bit its last walk
+        consulted, since no other part can change which action is first or
+        which rule holds.  The entry also drops the cached residues it can
+        change.  Calls no guard or rule, so :meth:`legitimate` can drain
+        without moving guard work out of the step.  The full-scan core
+        re-evaluates everything anyway and discards the journal.
         """
         changes = self.configuration.drain_dirty()
-        if not changes:
-            return
-        if self._legitimacy is not None:
-            self._legitimacy.note(changes)
-        if self._needs_full_rescan:
+        if not changes or not self.incremental:
             return
         actions, table, stale, watch = self._actions, self._table, self._stale, self._watch
+        rule_watch, rule_frontier = self._rule_watch, self._rule_frontier
+        residues = self._residues
         memo = self._stale_masks
         frontier = self._frontier
         # Neighbor masks -> the changed nodes whose neighbors they mark.
@@ -653,14 +716,19 @@ class Scheduler:
             entry = memo.get(variables)
             if entry is None:
                 entry = self._masks_for(variables)
-            own, neighbor, reaches = entry
+            own, neighbor, reaches, voids = entry
             mask = own[table[node]]
             if mask:
                 stale[node] |= mask
                 if mask & watch[node]:
                     frontier.add(node)
+                if mask & rule_watch[node]:
+                    rule_frontier.add(node)
             if reaches:
                 spread.setdefault(neighbor, []).append(node)
+            if residues:
+                for slot in voids:
+                    residues.pop(slot, None)
         # Marking each neighbor once per mask, not once per changed node next
         # to it, keeps dense synchronous steps linear in n.
         neighbor_set = self.network.neighbor_set
@@ -671,6 +739,8 @@ class Scheduler:
                     stale[other] |= mask
                     if mask & watch[other]:
                         frontier.add(other)
+                    if mask & rule_watch[other]:
+                        rule_frontier.add(other)
         if self._instr.enabled:
             self._instr.gauge("dirty_set_size", len(changes))
 
@@ -686,14 +756,10 @@ class Scheduler:
         started = time.perf_counter() if timed else 0.0
         self._drain()
         if self._needs_full_rescan:
+            # _invalidate_enabled left every guard bit stale.
             self._enabled = {}
             self._frontier = set()
             n = self.network.n
-            network, configuration = self.network, self.configuration
-            self._views = [GuardView(node, network, configuration) for node in range(n)]
-            self._held = [0] * n
-            self._stale = [-1] * n
-            self._watch = [0] * n
             calls = 0
             for node in range(n):
                 calls += self._reevaluate(node)
@@ -726,14 +792,14 @@ class Scheduler:
 
         ``layer`` is the protocol, one of its :meth:`~Protocol.layers`, or a
         composition of some of them (a substrate such as the DFS tree); any
-        other layer raises ``ValueError`` on both cores.  On the incremental
-        path the call drains the change journal (:meth:`_drain`, no guard is
-        walked) and answers from a
-        :class:`~repro.runtime.legitimacy.LegitimacyTracker`, built on the
-        first call after construction or after the configuration or network
-        was replaced (:meth:`set_configuration`, :meth:`set_network`).  With
-        ``incremental=False`` it evaluates the layer's global predicate, the
-        reference the tracker is tested against.
+        other layer raises ``ValueError`` on both cores.  The answer is "no
+        violation rule of its leaf layers holds at any node, and their
+        residues hold" (:meth:`~repro.runtime.protocol.Protocol.legitimate`).
+        The incremental core drains the change journal (:meth:`_drain`, no
+        guard is walked), re-walks only the rules whose consulted parts went
+        stale and re-checks a residue only after a change to what its rules
+        read.  With ``incremental=False`` it evaluates the layer's global
+        predicate -- the reference.
         """
         if layer is not None and not self._leaf_ids.issuperset(map(id, layer.layers())):
             raise ValueError(f"layer {layer.name!r} is not part of the scheduled protocol")
@@ -747,17 +813,91 @@ class Scheduler:
 
     def _legitimate(self, layer: Protocol | None) -> bool:
         if not self.incremental:
+            self._drain()
             checked = self.protocol if layer is None else layer
             return checked.legitimate(self.network, self.configuration)
-        # Drained first, so a tracker built below never sees changes its
-        # construction already read.
+        if layer is None:
+            slots: Sequence[int] = range(len(self._leaves))
+        else:
+            slots = self._slots.get(layer)
+            if slots is None:
+                slots = self._slots[layer] = tuple(map(self._leaves.index, layer.layers()))
         self._drain()
-        tracker = self._legitimacy
-        if tracker is None:
-            tracker = self._legitimacy = LegitimacyTracker(
-                self.network, self.protocol, self.configuration, instrumentation=self._instr
+        # One node that still violates settles the answer: re-walk the known
+        # violators first, one at a time, and leave the rest of the frontier
+        # for a query it can change.
+        frontier, violations = self._rule_frontier, self._violations
+        for slot in slots:
+            violating = violations[slot]
+            for node in list(violating):
+                if node in frontier:
+                    frontier.discard(node)
+                    self._walk_rules((node,))
+                if node in violating:
+                    return False
+        self._walk_rule_frontier()
+        if any(violations[slot] for slot in slots):
+            return False
+        return all(self._residue(slot) for slot in slots)
+
+    def legitimacy_distance(self) -> int:
+        """How far from legitimate the configuration is; 0 exactly when :meth:`legitimate`.
+
+        The number of nodes at which some leaf layer's violation rule holds,
+        plus 1 when a layer's residue fails -- read off the violation sets
+        and residue cache :meth:`legitimate` answers from.
+        """
+        self._drain()
+        if not self.incremental:
+            # The full-scan core marks no stale bits: walk every rule afresh.
+            self._stale = [-1] * self.network.n
+            self._reset_legitimacy()
+        self._walk_rule_frontier()
+        violating = set().union(*self._violations)
+        return len(violating) + (not all(map(self._residue, range(len(self._leaves)))))
+
+    def _residue(self, slot: int) -> bool:
+        holds = self._residues.get(slot)
+        if holds is None:
+            holds = self._residues[slot] = self._residue_checks[slot](
+                self.network, self.configuration
             )
-        return tracker.legitimate(layer)
+        return holds
+
+    def _walk_rule_frontier(self) -> None:
+        """Bring the violation sets up to date with the drained changes."""
+        frontier = self._rule_frontier
+        if frontier:
+            self._rule_frontier = set()
+            self._walk_rules(frontier)
+
+    def _walk_rules(self, nodes: Iterable[int]) -> None:
+        """Re-walk each rule segment of ``nodes`` whose consulted bits went stale.
+
+        Calls only the segment's stale parts; rule part calls are not guard
+        calls and are not counted as such.
+        """
+        network, configuration = self.network, self.configuration
+        check, views, rule_walks = self.check_guard_locality, self._views, self._rule_walks
+        held, stale, watch = self._held, self._stale, self._rule_watch
+        violations = self._violations
+        walked = 0
+        for node in nodes:
+            hot = stale[node] & watch[node]
+            for slot, offset, bits, rules in rule_walks[node]:
+                if hot & bits:
+                    walked += 1
+                    index, held[node], stale[node], consulted, _ = evaluate_guards(
+                        node, network, configuration, rules, stale[node], held[node],
+                        check, views[node], offset,
+                    )
+                    watch[node] = watch[node] & ~bits | consulted
+                    if index < len(rules):
+                        violations[slot].add(node)
+                    else:
+                        violations[slot].discard(node)
+        if self._instr.enabled:
+            self._instr.count("legitimacy_nodes_checked", walked)
 
     # ------------------------------------------------------------------
     # Stepping

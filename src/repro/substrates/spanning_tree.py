@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
 from repro.graphs.properties import bfs_distances
-from repro.runtime.actions import Action, Reads
+from repro.runtime.actions import Action, Reads, Rule, all_of
 from repro.runtime.composition import HookedComposition, HookingLayer
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
@@ -48,6 +48,7 @@ VAR_BFS_PARENT = "bt_par"
 VAR_DFS_PARENT = "dfst_par"
 
 _BFS_ROOT_READS = Reads(own=frozenset({VAR_BFS_DIST, VAR_BFS_PARENT}))
+_DFS_READS = Reads(own=frozenset({VAR_DFS_PARENT}))
 _BFS_RELAX_READS = Reads(
     own=frozenset({VAR_BFS_DIST, VAR_BFS_PARENT}), neighbor=frozenset({VAR_BFS_DIST})
 )
@@ -152,14 +153,31 @@ class BFSSpanningTree(SpanningTreeProtocol):
 
     name = "bfstree"
     parent_variable = VAR_BFS_PARENT
-    # The reference distances come from the network, not from neighbors.
-    legitimacy_reads = Reads(own=frozenset({VAR_BFS_DIST, VAR_BFS_PARENT}))
 
     ACTION_ROOT = "ST-Root"
     ACTION_RELAX = "ST-Relax"
 
     def __init__(self) -> None:
-        self._truth = _PerNetwork(bfs_distances)
+        self._truth = truth = _PerNetwork(bfs_distances)
+
+        def off_tree(view: ProcessorView) -> bool:
+            """The distance is not the true one, or the parent not one hop closer.
+
+            The reference distances come from the network, not from neighbors.
+            """
+            node, network = view.node, view.network
+            distances = truth(network)
+            if view.read(VAR_BFS_DIST) != distances[node]:
+                return True
+            parent = view.read(VAR_BFS_PARENT)
+            if node == network.root:
+                return parent is not None
+            # ``None`` is never a neighbor.
+            return parent not in view.neighbor_set or distances[parent] != distances[node] - 1
+
+        self._rules = (
+            Rule("ST-OffTree", all_of((off_tree, _BFS_ROOT_READS)), layer=self.name),
+        )
 
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
         max_dist = max(network.n - 1, 0)
@@ -222,29 +240,9 @@ class BFSSpanningTree(SpanningTreeProtocol):
             Action(self.ACTION_RELAX, relax_guard, relax, layer=self.name, reads=_BFS_RELAX_READS)
         ]
 
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
+    def violation_rules(self, network: RootedNetwork, node: int) -> Sequence[Rule]:
         """True distances everywhere and every parent one hop closer to the root."""
-        return all(
-            self.node_legitimate(network, configuration, node) for node in network.nodes()
-        )
-
-    def node_legitimate(
-        self, network: RootedNetwork, configuration: Configuration, node: int
-    ) -> bool:
-        """``node``'s distance is its true one and its parent one hop closer."""
-        truth = self._truth(network)
-        if configuration.get(node, VAR_BFS_DIST) != truth[node]:
-            return False
-        parent = configuration.get(node, VAR_BFS_PARENT)
-        if node == network.root:
-            return parent is None
-        if parent is None or parent not in network.neighbor_set(node):
-            return False
-        return truth[parent] == truth[node] - 1
-
-    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        """None: the reference distances are computed once per network."""
-        return True
+        return self._rules
 
 
 def dfs_tree_parents(network: RootedNetwork) -> dict[int, int | None]:
@@ -276,10 +274,17 @@ class _DFSTreeOverlay(HookingLayer):
     """Records the token's traversal parents into a stable tree variable."""
 
     name = "dfstree-overlay"
-    legitimacy_reads = Reads(own=frozenset({VAR_DFS_PARENT}))
 
     def __init__(self) -> None:
-        self._reference = _PerNetwork(dfs_tree_parents)
+        self._reference = reference = _PerNetwork(dfs_tree_parents)
+
+        def misrecorded(view: ProcessorView) -> bool:
+            """The recorded parent is not the reference DFS tree's."""
+            return view.read(VAR_DFS_PARENT) != reference(view.network)[view.node]
+
+        self._rules = (
+            Rule("DFST-Misrecorded", all_of((misrecorded, _DFS_READS)), layer=self.name),
+        )
 
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
         return [
@@ -306,20 +311,9 @@ class _DFSTreeOverlay(HookingLayer):
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
         return []
 
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        return all(
-            self.node_legitimate(network, configuration, node) for node in network.nodes()
-        )
-
-    def node_legitimate(
-        self, network: RootedNetwork, configuration: Configuration, node: int
-    ) -> bool:
+    def violation_rules(self, network: RootedNetwork, node: int) -> Sequence[Rule]:
         """``node`` records its parent in the reference DFS tree."""
-        return configuration.get(node, VAR_DFS_PARENT) == self._reference(network)[node]
-
-    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        """None: the reference DFS tree is computed once per network."""
-        return True
+        return self._rules
 
 
 class DFSSpanningTree(SpanningTreeProtocol):

@@ -55,7 +55,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Reads, all_of
+from repro.runtime.actions import Action, Reads, Rule, all_of
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
@@ -77,6 +77,8 @@ _ALL = frozenset({VAR_STATE, VAR_WAVE, VAR_PARENT, VAR_CHILD, VAR_LEVEL})
 # What each guard part reads (``all_of`` parts, ``Action.reads``);
 # ``repro-lint`` holds them to the parts' statically derived read sets (RL008).
 _NORMALIZE_READS = Reads(own=frozenset({VAR_PARENT, VAR_LEVEL}))
+#: ``_level_out_of_range``.
+_LEVEL_READS = Reads(own=frozenset({VAR_LEVEL}))
 #: The own-state gate every guard but the root's normalization opens with.
 _STATE_READS = Reads(own=frozenset({VAR_STATE}))
 #: ``_valid_delegation``: the delegated child's state and parent pointer.
@@ -151,8 +153,6 @@ class DepthFirstTokenCirculation(Protocol):
     """
 
     name = "dftc"
-    legitimacy_reads = Reads(own=_ALL, neighbor=_ALL)
-    residue_tally = ("active", "holders")
 
     ACTION_ROOT_NORMALIZE = "TC-RootNormalize"
     ACTION_ROOT_START = "TC-RootStart"
@@ -181,6 +181,7 @@ class DepthFirstTokenCirculation(Protocol):
         # a reference cycle through the instance, which only a full garbage
         # collection frees.
         self._programs = (tuple(self._non_root_actions()), tuple(self._root_actions()))
+        self._rules = (self._non_root_rules(), self._root_rules())
 
     # ------------------------------------------------------------------
     # Variable declarations
@@ -222,6 +223,15 @@ class DepthFirstTokenCirculation(Protocol):
     # ------------------------------------------------------------------
     # Local predicates
     # ------------------------------------------------------------------
+    @staticmethod
+    def _unnormalized(view: ProcessorView) -> bool:
+        """The root carries a parent pointer or a nonzero level."""
+        return view.read(VAR_PARENT) is not None or view.read(VAR_LEVEL) != 0
+
+    @staticmethod
+    def _level_out_of_range(view: ProcessorView) -> bool:
+        return view.read(VAR_LEVEL) > view.network.n - 1
+
     @staticmethod
     def _active(view: ProcessorView) -> bool:
         """The own-state gate of the error, delegate and finish guards."""
@@ -355,9 +365,6 @@ class DepthFirstTokenCirculation(Protocol):
         the parts behind a closed gate are not called until it opens.
         """
 
-        def normalize_guard(view: ProcessorView) -> bool:
-            return view.read(VAR_PARENT) is not None or view.read(VAR_LEVEL) != 0
-
         def normalize(view: ProcessorView) -> None:
             view.write(VAR_PARENT, None)
             view.write(VAR_LEVEL, 0)
@@ -377,7 +384,7 @@ class DepthFirstTokenCirculation(Protocol):
         layer = self.name
         return [
             Action(
-                self.ACTION_ROOT_NORMALIZE, normalize_guard, normalize,
+                self.ACTION_ROOT_NORMALIZE, self._unnormalized, normalize,
                 layer=layer, priority=0, reads=_NORMALIZE_READS,
             ),
             Action(
@@ -493,96 +500,54 @@ class DepthFirstTokenCirculation(Protocol):
     # ------------------------------------------------------------------
     # Legitimacy
     # ------------------------------------------------------------------
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
+    def violation_rules(self, network: RootedNetwork, node: int) -> Sequence[Rule]:
         """Structural legitimacy of the token layer (``L_TC`` in the thesis).
 
-        The root carries no parent pointer and level 0, every active non-root
-        processor is consistently stacked under an active parent of the same
-        wave (hence the active processors form a single DFS stack starting at
-        the root), every accepted delegation was accepted from its delegator
-        (no child pointer aims back into the stack), and there is at most one
-        token holder.  The root, level and stacking conditions are the
-        per-node conjunct (:meth:`node_legitimate`); the holder count and
-        "an active processor implies an active root" are the residue.
+        The root carries no parent pointer and level 0, levels are in range,
+        every active non-root processor is consistently stacked under an
+        active parent of the same wave, and every accepted delegation was
+        accepted from its delegator (no child pointer aims back into the
+        stack).  The stacking rules are the guards of ``TC-Error`` and
+        ``TC-RootError``.  They leave no global residue: levels rise by
+        exactly one along the parent links of active processors and each
+        parent's single child pointer points back, so the active processors
+        form one path from an active root, whose last processor is the only
+        token holder.
         """
-        return all(
-            self.node_legitimate(network, configuration, node) for node in network.nodes()
-        ) and self.legitimacy_residue(network, configuration)
+        return self._rules[network.is_root(node)]
 
-    def node_legitimate(
-        self, network: RootedNetwork, configuration: Configuration, node: int
-    ) -> bool:
-        """Levels in range, the root unparented, and ``node`` consistently stacked."""
-        level = configuration.get(node, VAR_LEVEL)
-        if level > network.n - 1:
-            return False
-        if node == network.root:
-            if configuration.get(node, VAR_PARENT) is not None or level != 0:
-                return False
-        if configuration.get(node, VAR_STATE) != ACTIVE:
-            return True
-        neighbors = network.neighbor_set(node)
-        child = configuration.get(node, VAR_CHILD)
-        if (
-            child is not None
-            and child in neighbors
-            and configuration.get(child, VAR_STATE) == ACTIVE
-            and configuration.get(child, VAR_PARENT) != node
-        ):
-            return False
-        if node == network.root:
-            return True
-        parent = configuration.get(node, VAR_PARENT)
-        if parent is None or parent not in neighbors:
-            return False
+    def _root_rules(self) -> tuple[Rule, ...]:
+        layer = self.name
         return (
-            configuration.get(parent, VAR_STATE) == ACTIVE
-            and configuration.get(parent, VAR_CHILD) == node
-            and configuration.get(parent, VAR_WAVE) == configuration.get(node, VAR_WAVE)
-            and level == configuration.get(parent, VAR_LEVEL) + 1
+            Rule(
+                "TC-RootUnnormalized",
+                all_of((self._unnormalized, _NORMALIZE_READS)),
+                layer=layer,
+            ),
+            Rule(
+                "TC-RootBadDelegation",
+                all_of(
+                    (self._active, _STATE_READS),
+                    (self._invalid_delegation, _DELEGATION_READS),
+                ),
+                layer=layer,
+            ),
         )
 
-    def node_tally(
-        self, network: RootedNetwork, configuration: Configuration, node: int
-    ) -> tuple[int, int]:
-        """``(active, holder)``: whether ``node`` is on the stack, and holds the token."""
-        if configuration.get(node, VAR_STATE) != ACTIVE:
-            return (0, 0)
-        child = configuration.get(node, VAR_CHILD)
-        holder = (
-            child is None
-            or child not in network.neighbor_set(node)
-            or configuration.get(child, VAR_STATE) != ACTIVE
+    def _non_root_rules(self) -> tuple[Rule, ...]:
+        layer = self.name
+        return (
+            Rule(
+                "TC-LevelRange",
+                all_of((self._level_out_of_range, _LEVEL_READS)),
+                layer=layer,
+            ),
+            Rule(
+                "TC-Unstacked",
+                all_of((self._active, _STATE_READS), (self._invalid_active, _STACKED_READS)),
+                layer=layer,
+            ),
         )
-        return (1, int(holder))
-
-    def residue_from_tally(
-        self, network: RootedNetwork, configuration: Configuration, totals: Sequence[int]
-    ) -> bool:
-        """:meth:`legitimacy_residue` from the active and holder counts."""
-        active, holders = totals
-        root_active = configuration.get(network.root, VAR_STATE) == ACTIVE
-        return holders <= 1 and (root_active or active == 0)
-
-    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        """At most one token holder, and an active non-root implies an active root."""
-        root_active = configuration.get(network.root, VAR_STATE) == ACTIVE
-        holders = 0
-        for node in network.nodes():
-            if configuration.get(node, VAR_STATE) != ACTIVE:
-                continue
-            if not root_active:
-                return False  # ``node`` is an active non-root
-            child = configuration.get(node, VAR_CHILD)
-            if (
-                child is None
-                or child not in network.neighbor_set(node)
-                or configuration.get(child, VAR_STATE) != ACTIVE
-            ):
-                holders += 1
-                if holders > 1:
-                    return False
-        return True
 
     # ------------------------------------------------------------------
     # Introspection helpers used by experiments and by DFTNO

@@ -3,11 +3,11 @@
 The guard of ``RU-Copy`` reads ``ru_x`` at the processor and at its
 neighbors but declares only the own read; the ``all_of`` guard of
 ``RU-Raise`` declares the neighbor read in its first part, but its second
-part reads it while declaring only the own read; ``node_legitimate`` reads
-the neighbors' ``ru_x`` while ``legitimacy_reads`` declares only the own
+part reads it while declaring only the own read; the violation rule
+``RU-Below`` reads the neighbors' ``ru_x`` while declaring only the own
 one.  The default ``repro-lint`` run must flag all three as RL008 (and
 nothing else), and a scheduler in ``check_guard_locality`` mode must raise
-RL008 on the first guard.
+RL008 on the first guard and, on a legitimacy query, on the rule.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Reads, all_of
-from repro.runtime.configuration import Configuration
+from repro.runtime.actions import Action, Reads, Rule, all_of
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
 from repro.runtime.variables import VariableSpec, int_variable
@@ -27,11 +26,15 @@ _OWN_ONLY = Reads(own=frozenset({VAR_X}))
 _OWN_AND_NEIGHBORS = Reads(own=frozenset({VAR_X}), neighbor=frozenset({VAR_X}))
 
 
+def _below_a_neighbor(view: ProcessorView) -> bool:
+    own = view.read(VAR_X)
+    return any(view.read_neighbor(q, VAR_X) > own for q in view.neighbors)
+
+
 class ReadsUnderdeclared(Protocol):
     """Copy the largest neighbor value; declarations miss the neighbor reads."""
 
     name = "reads-underdeclared"
-    legitimacy_reads = _OWN_ONLY
 
     ACTION_COPY = "RU-Copy"
     ACTION_RAISE = "RU-Raise"
@@ -64,13 +67,5 @@ class ReadsUnderdeclared(Protocol):
             ),
         ]
 
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        return all(
-            self.node_legitimate(network, configuration, node) for node in network.nodes()
-        )
-
-    def node_legitimate(
-        self, network: RootedNetwork, configuration: Configuration, node: int
-    ) -> bool:
-        own = configuration.get(node, VAR_X)
-        return all(configuration.get(q, VAR_X) <= own for q in network.neighbors(node))
+    def violation_rules(self, network: RootedNetwork, node: int) -> Sequence[Rule]:
+        return (Rule("RU-Below", all_of((_below_a_neighbor, _OWN_ONLY)), layer=self.name),)

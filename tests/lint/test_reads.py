@@ -25,10 +25,11 @@ def test_rl008_in_rule_catalog() -> None:
 def test_shipped_declarations_cover_their_static_reads() -> None:
     findings, checked = check_reads(analyze_paths([PACKAGE]))
     assert findings == []
-    # 18 guard-part sites (token 10, DFTNO 2, STNO 4, BFS tree 2; a gate
-    # shared by several guards is one site) and 12 legitimacy methods
-    # (token 4, DFTNO 2, STNO 2, BFS tree 2, DFS overlay 2).
-    assert checked == 30
+    # 22 guard- and rule-part sites (token 11, DFTNO 2, STNO 4, BFS tree 3,
+    # DFS overlay 1, the orientation rule both orientation layers share 1;
+    # a gate shared by several guards and rules is one site) and 2 residues
+    # (DFTNO, STNO).
+    assert checked == 24
 
 
 def test_token_guards_declare_exactly_their_static_reads() -> None:
@@ -40,13 +41,14 @@ def test_token_guards_declare_exactly_their_static_reads() -> None:
     }
     network = generators.random_connected(8, seed=1)
     token = DepthFirstTokenCirculation()
+    # Actions and violation rules alike.
     declared = {
         action.name: [(reads.own, reads.neighbor) for _, reads in action.guard_parts]
         for node in network.nodes()
-        for action in token.actions(network, node)
+        for action in (*token.actions(network, node), *token.violation_rules(network, node))
     }
-    assert len(declared) == 9
-    assert sum(map(len, declared.values())) == 22
+    assert len(declared) == 9 + 4
+    assert sum(map(len, declared.values())) == 22 + 6
     assert declared == static
 
 
@@ -61,8 +63,9 @@ def test_underdeclared_fixture_fires_rl008_three_times(capsys) -> None:
     # declaration must cover it all the same.
     assert part["function"] == "RU-Raise"
     assert "neighbor ['ru_x']" in part["message"]
-    assert conjunct["function"] == "node_legitimate"
-    assert "legitimacy_reads" in conjunct["message"]
+    assert conjunct["function"] == "RU-Below"
+    assert "violation rule" in conjunct["message"]
+    assert "neighbor ['ru_x']" in conjunct["message"]
     assert all(finding["line"] > 0 for finding in payload)
 
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.api import NetworkSpec, RunSpec, run
+from repro.api.engines import build_protocol
 from repro.graphs import generators
 from repro.obs import (
     ConvergenceTelemetryObserver,
@@ -92,8 +93,54 @@ def test_snapshot_round_trips_byte_stable():
 
 def test_track_legitimacy_off_skips_the_predicate():
     observer, _ = _observed_run(track_legitimacy=False)
-    index = observer.snapshot()["columns"].index("legitimate")
-    assert all(sample[index] is None for sample in observer.samples)
+    columns = observer.snapshot()["columns"]
+    for column in ("legitimate", "distance"):
+        index = columns.index(column)
+        assert all(sample[index] is None for sample in observer.samples)
+
+
+@pytest.mark.parametrize("incremental", (True, False), ids=("scheduler", "fullscan"))
+@pytest.mark.parametrize("stack", ("dftno", "stno-bfs", "stno-dfs"))
+def test_distance_counts_violating_nodes_until_legitimacy(stack, incremental):
+    network = generators.random_connected(10, seed=3)
+    observer = ConvergenceTelemetryObserver(stride=1)
+    scheduler = Scheduler(
+        network, build_protocol(stack), seed=5, observers=(observer,), incremental=incremental
+    )
+    result = scheduler.run_until_legitimate(max_steps=5_000, confirm_steps=20)
+    assert result.converged
+    columns = observer.snapshot()["columns"]
+    step, legitimate, distance = (
+        columns.index("step"), columns.index("legitimate"), columns.index("distance")
+    )
+    samples = observer.samples
+    assert samples[0][distance] > 0
+    assert all(
+        (sample[distance] == 0) == (sample[legitimate] == 1) for sample in samples
+    )
+    assert all(
+        sample[distance] == 0 for sample in samples if sample[step] >= result.first_legitimate_step
+    )
+
+
+def test_distance_is_none_for_a_source_without_violation_sets():
+    network = generators.random_connected(8, seed=1)
+    protocol = build_protocol("dftno")
+    source = type(
+        "Source",
+        (),
+        {
+            "protocol": protocol,
+            "network": network,
+            "configuration": protocol.random_configuration(network, seed=2),
+        },
+    )()
+    observer = ConvergenceTelemetryObserver(stride=1)
+    observer._sample(source, type("Record", (), {"step": 0, "round": 0})())
+    columns = observer.snapshot()["columns"]
+    (sample,) = observer.samples
+    assert sample[columns.index("legitimate")] in (0, 1)
+    assert sample[columns.index("distance")] is None
 
 
 def test_api_run_embeds_telemetry_and_health():

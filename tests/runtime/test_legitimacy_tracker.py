@@ -1,17 +1,18 @@
-"""The incremental legitimacy tracker against the global predicates it replaces.
+"""Incremental legitimacy against the global predicates it answers for.
 
-``Scheduler.legitimate(layer)`` answers from a
-:class:`~repro.runtime.legitimacy.LegitimacyTracker` (per-node conjuncts
-re-checked around journaled changes, plus a cached global residue), fed by
-the same journal drain that marks the scheduler's guards stale.  These
-tests hold it to ``layer.legitimate(network, configuration)`` after every
-step and every out-of-band mutation, and pin down the locality contract the
-tracker rests on: a node's conjunct reads only its closed neighborhood and
-only the variables its layer declares in ``legitimacy_reads``.
+``Scheduler.legitimate(layer)`` answers from per-layer violation sets: the
+layers' violation rules are walked like guards, on the same cached part
+bits the same journal drain marks stale, plus a cached global residue.
+These tests hold it to ``layer.legitimate(network, configuration)`` after
+every step and every out-of-band mutation, pin down the locality contract
+it rests on -- a rule part reads only its closed neighborhood and only what
+it declares, a residue only what its layer's rules read -- and check that
+the token layer's rules imply the residue they replaced.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -27,9 +28,10 @@ from repro.obs import Instrumentation, PHASE_LEGITIMACY, summary_counter
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import make_daemon
 from repro.runtime.faults import corrupt_configuration
-from repro.runtime.legitimacy import LegitimacyTracker
+from repro.runtime.processor import GuardView
 from repro.runtime.scheduler import Scheduler
 from repro.scenarios.events import LinkChange
+from repro.substrates import token_circulation as tc
 from repro.substrates.dijkstra_ring import DijkstraTokenRing
 from repro.substrates.pif import PIFWave
 from repro.substrates.spanning_tree import BFSSpanningTree, DFSSpanningTree
@@ -50,7 +52,7 @@ def _substrate(protocol):
 
 
 def _predicates(protocol):
-    """Everything the tracker answers for: the stack, its substrate, each layer."""
+    """Everything the scheduler answers for: the stack, its substrate, each layer."""
     return (protocol, _substrate(protocol), *protocol.layers())
 
 
@@ -135,12 +137,17 @@ def test_standalone_substrates_agree_including_the_residue_fallback(protocol, fa
     assert True in seen
 
 
-def test_fullscan_scheduler_evaluates_the_global_predicate():
-    network = generators.random_connected(8, seed=1)
-    scheduler = Scheduler(network, build_protocol("dftno"), seed=2, incremental=False)
-    scheduler.run_until_legitimate(max_steps=3_000)
-    assert scheduler.legitimate()
-    assert scheduler._legitimacy is None
+@pytest.mark.parametrize("stack", STACKS)
+def test_fullscan_scheduler_drains_its_journal(stack):
+    network = generators.random_connected(40, seed=1)
+    protocol = build_protocol(stack)
+    scheduler = Scheduler(network, protocol, seed=2, incremental=False)
+    result = scheduler.run_until_legitimate(max_steps=20_000)
+    assert result.converged and result.steps > 0
+    assert scheduler.configuration.drain_dirty() == {}
+    scheduler.configuration.set(network.root, VAR_EDGE_LABELS, {})
+    assert not scheduler.legitimate()
+    assert scheduler.configuration.drain_dirty() == {}
 
 
 def test_tracker_moves_to_a_replaced_configuration_object():
@@ -150,12 +157,10 @@ def test_tracker_moves_to_a_replaced_configuration_object():
     scheduler.run_until_legitimate(max_steps=3_000)
     assert scheduler.legitimate()
     old = scheduler.configuration
-    old_tracker = scheduler._legitimacy
     scheduler.set_configuration(protocol.random_configuration(network, seed=9))
+    assert all(view._configuration is scheduler.configuration for view in scheduler._views)
     assert scheduler.legitimate() == protocol.legitimate(network, scheduler.configuration)
-    assert scheduler._legitimacy is not old_tracker
-    assert scheduler._legitimacy.configuration is scheduler.configuration
-    # Writes to the replaced object reach neither the tracker nor the guards.
+    # Writes to the replaced object reach neither the rules nor the guards.
     for node in network.nodes():
         old.replace_node(node, {})
     assert scheduler.legitimate() == protocol.legitimate(network, scheduler.configuration)
@@ -178,10 +183,37 @@ def test_unknown_layer_is_rejected(layer, incremental):
         scheduler.legitimate(known)
 
 
+@pytest.mark.parametrize("stack", STACKS)
+def test_distance_agrees_across_cores_after_every_step(stack):
+    network = generators.random_connected(9, seed=4)
+    protocol = build_protocol(stack)
+    rng = random.Random(13)
+    cores = [
+        Scheduler(network, protocol, seed=5, incremental=incremental)
+        for incremental in (True, False)
+    ]
+    distances = []
+    for step in range(300):
+        if step == 150:
+            corrupted = corrupt_configuration(
+                cores[0].configuration, protocol, network, node_fraction=0.3, rng=rng
+            )
+            for scheduler in cores:
+                scheduler.set_configuration(corrupted)
+        distance = {scheduler.legitimacy_distance() for scheduler in cores}
+        assert len(distance) == 1, step
+        (value,) = distance
+        assert (value == 0) == cores[1].legitimate()
+        distances.append(value)
+        for scheduler in cores:
+            scheduler.step()
+    assert distances[0] > 0 and 0 in distances
+
+
 # ----------------------------------------------------------------------
-# One journal drain feeds the guard stale bits and the tracker
+# One journal drain stales guard and rule parts alike
 # ----------------------------------------------------------------------
-def test_a_write_drained_by_the_guard_refresh_still_reaches_the_tracker():
+def test_a_write_drained_by_the_guard_refresh_still_reaches_the_rules():
     scheduler = _settled_dftno()
     network, configuration = scheduler.network, scheduler.configuration
     node = next(node for node in network.nodes() if node != network.root)
@@ -199,11 +231,11 @@ def test_a_query_between_replacement_and_rescan_keeps_both_consumers_fed():
     network = scheduler.network
     predicates = _predicates(scheduler.protocol)
     scheduler.set_configuration(scheduler.configuration.copy())
-    # The tracker is rebuilt here, while the full guard rescan is pending.
+    # Every rule is walked here, while the full guard rescan is pending.
     assert _assert_agrees(scheduler, predicates)
     node = next(node for node in network.nodes() if node != network.root)
     scheduler.configuration.set(node, VAR_EDGE_LABELS, {})
-    # The rescan drains the write; the tracker must still see it.
+    # The rescan drains the write; the rules must still see it.
     assert scheduler.enabled_actions() == _fresh_scan(scheduler)
     assert not _assert_agrees(scheduler, predicates)
     assert scheduler.step() is not None
@@ -235,7 +267,7 @@ def test_a_legitimacy_query_never_walks_guards():
 
 
 # ----------------------------------------------------------------------
-# Locality: what a conjunct and a residue may read
+# Locality: what a rule part and a residue may read
 # ----------------------------------------------------------------------
 class ReadLog(Configuration):
     """A configuration that records every ``(node, variable)`` read."""
@@ -265,77 +297,93 @@ def _configurations(protocol, network):
 
 
 @pytest.mark.parametrize("stack", STACKS)
-def test_conjuncts_read_only_the_closed_neighborhood_and_declared_variables(stack):
+def test_residues_read_only_what_their_rules_declare(stack):
+    # Rule parts are held to their declarations at run time (RL004/RL008,
+    # see test_read_declarations); a residue is held here to the union of
+    # its layer's rule reads, which is what drops its cached verdict.
     network = generators.random_connected(10, extra_edge_probability=0.3, seed=5)
     protocol = build_protocol(stack)
     for configuration in _configurations(protocol, network):
-        logged = ReadLog(configuration.to_dict())
         for layer in protocol.layers():
-            declared = layer.legitimacy_reads
-            assert declared is not None, layer.name
-            for node in network.nodes():
-                for per_node in (layer.node_legitimate, layer.node_tally):
-                    logged.reads.clear()
-                    per_node(network, logged, node)
-                    allowed = network.neighbor_set(node) | {node}
-                    assert {source for source, _ in logged.reads} <= allowed, (layer.name, node)
-                    own = {name for source, name in logged.reads if source == node}
-                    neighbor = {name for source, name in logged.reads if source != node}
-                    assert own <= declared.own, (layer.name, node)
-                    assert neighbor <= declared.neighbor, (layer.name, node)
-            logged.reads.clear()
+            declared = {
+                reads
+                for node in network.nodes()
+                for rule in layer.violation_rules(network, node)
+                for _, reads in rule.guard_parts
+            }
+            assert declared and None not in declared, layer.name
+            allowed = set().union(*(reads.own | reads.neighbor for reads in declared))
+            logged = ReadLog(configuration.to_dict())
             layer.legitimacy_residue(network, logged)
-            read = {name for _, name in logged.reads}
-            assert read <= declared.own | declared.neighbor, layer.name
+            assert {name for _, name in logged.reads} <= allowed, layer.name
 
 
 # ----------------------------------------------------------------------
-# The token layer's residue from tallies
+# The token layer's rules imply the residue they replaced
 # ----------------------------------------------------------------------
-def _assert_tallies_match(tracker: LegitimacyTracker) -> int:
-    """Every tallying layer's residue from totals equals the scanned residue."""
-    compared = 0
-    network, configuration = tracker.network, tracker.configuration
-    for slot, layer in enumerate(tracker._layers):
-        if layer.residue_tally:
-            totals = tuple(tracker._totals[slot])
-            scanned = [layer.node_tally(network, configuration, node) for node in network.nodes()]
-            assert list(totals) == [sum(column) for column in zip(*scanned)], layer.name
-            assert layer.residue_from_tally(network, configuration, totals) == (
-                layer.legitimacy_residue(network, configuration)
-            ), layer.name
-            compared += 1
-    return compared
+def _token_states(network, node):
+    """Every state of ``node``'s token-layer variables."""
+    pointers = (None, *network.neighbors(node))
+    return [
+        {
+            tc.VAR_STATE: state,
+            tc.VAR_WAVE: wave,
+            tc.VAR_PARENT: parent,
+            tc.VAR_CHILD: child,
+            tc.VAR_LEVEL: level,
+        }
+        for state, wave, parent, child, level in itertools.product(
+            (tc.WAIT, tc.ACTIVE), (0, 1), pointers, pointers, range(network.n)
+        )
+    ]
 
 
-@pytest.mark.parametrize("stack", STACKS)
-def test_tallied_residue_equals_the_scanned_residue_on_every_configuration(stack):
-    network = generators.random_connected(10, extra_edge_probability=0.3, seed=5)
-    protocol = build_protocol(stack)
-    for configuration in _configurations(protocol, network):
-        tracker = LegitimacyTracker(network, protocol, configuration)
-        compared = _assert_tallies_match(tracker)
-        assert compared == (0 if stack == "stno-bfs" else 1)
+def _own_only(rule) -> bool:
+    return all(reads is not None and not reads.neighbor for _, reads in rule.guard_parts)
 
 
-@pytest.mark.parametrize("daemon", DAEMONS)
-@pytest.mark.parametrize("stack", ("dftno", "stno-dfs"))
-def test_tallies_follow_every_step_and_mutation(stack, daemon):
-    network = generators.random_connected(9, seed=4)
-    protocol = build_protocol(stack)
-    rng = random.Random(12)
-    scheduler = Scheduler(network, protocol, daemon=make_daemon(daemon), seed=5)
-    for _ in range(3):
-        for _ in range(80):
-            scheduler.legitimate()
-            _assert_tallies_match(scheduler._legitimacy)
-            if scheduler.step() is None:
-                break
-        victim = rng.randrange(network.n)
-        scheduler.replace_node(victim, protocol.random_state(network, victim, rng))
-        scheduler.configuration.set(rng.randrange(network.n), "tc_st", "active")
-        scheduler.legitimate()
-        _assert_tallies_match(scheduler._legitimacy)
+@pytest.mark.parametrize(
+    "network, configurations, legitimate",
+    [(generators.path(3), 248_832, 10_466), (generators.ring(3), 1_259_712, 35_428)],
+    ids=("path", "triangle"),
+)
+def test_token_rules_imply_at_most_one_holder_under_an_active_root(
+    network, configurations, legitimate
+):
+    """Every token-layer configuration of the 3-node path and the triangle.
+
+    A state that one of its node's rules rejects on the node's own
+    variables alone makes every configuration containing it illegitimate,
+    so those configurations are counted, not enumerated; every other one is
+    checked against the whole predicate.
+    """
+    token = DepthFirstTokenCirculation()
+    states = [_token_states(network, node) for node in network.nodes()]
+    assert len(states[0]) * len(states[1]) * len(states[2]) == configurations
+    configuration = Configuration({node: states[node][0] for node in network.nodes()})
+    survivors = []
+    for node in network.nodes():
+        view = GuardView(node, network, configuration)
+        own_rules = [rule for rule in token.violation_rules(network, node) if _own_only(rule)]
+        kept = []
+        for state in states[node]:
+            configuration.replace_node(node, state)
+            if not any(rule.guard(view) for rule in own_rules):
+                kept.append(state)
+        survivors.append(kept)
+    found = 0
+    for combination in itertools.product(*survivors):
+        for node, state in enumerate(combination):
+            configuration.replace_node(node, state)
+        if not token.legitimate(network, configuration):
+            continue
+        found += 1
+        assert len(token.token_holders(network, configuration)) <= 1, combination
+        active = {
+            node for node, state in enumerate(combination) if state[tc.VAR_STATE] == tc.ACTIVE
+        }
+        assert not active or network.root in active, combination
+    assert found == legitimate
 
 
 # ----------------------------------------------------------------------
@@ -347,18 +395,18 @@ def test_dftno_run_reports_the_legitimacy_phase_and_nodes_checked():
     perf = instrumented.perf
     assert perf["phases"][PHASE_LEGITIMACY]["count"] > 0
     assert perf["phases"][PHASE_LEGITIMACY]["seconds"] > 0.0
-    # The first query checks every node of both DFTNO layers.
+    # The first query walks every node's rules of both DFTNO layers.
     assert summary_counter(perf, "legitimacy_nodes_checked") >= 2 * 10
     plain = run(spec)
     assert plain.perf is None
     assert {key: value for key, value in instrumented.row.items() if key != "perf"} == plain.row
 
 
-def test_uninstrumented_tracker_records_nothing():
+def test_uninstrumented_legitimacy_records_nothing():
     network = generators.random_connected(8, seed=1)
     scheduler = Scheduler(network, build_protocol("dftno"), seed=2)
     scheduler.run_until_legitimate(max_steps=3_000)
-    assert isinstance(scheduler._legitimacy, LegitimacyTracker)
+    assert scheduler._violations and not any(scheduler._violations)
     assert scheduler.instrumentation.summary() == {}
 
 

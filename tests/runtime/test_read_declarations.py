@@ -1,5 +1,5 @@
 """Read-aware invalidation: the journal's changed variables, the stale-bit
-enabled set, the tracker's own-only re-check, and the RL008 runtime check.
+enabled set, the rules' own-only re-check, and the RL008 runtime check.
 
 The scheduler marks a guard stale only when a journaled change touches a
 variable its action declares reading (``Action.reads``), and re-walks a
@@ -160,7 +160,7 @@ def test_guard_calls_are_counted_alongside_processors():
 
 
 # ----------------------------------------------------------------------
-# The legitimacy tracker re-checks a node alone after an own-only change
+# A node's rules are re-walked alone after an own-only change
 # ----------------------------------------------------------------------
 def test_tracker_rechecks_only_the_node_after_an_own_only_change():
     scheduler = _settled_dftno()
@@ -171,10 +171,16 @@ def test_tracker_rechecks_only_the_node_after_an_own_only_change():
     assert not scheduler.legitimate()
     after = summary_counter(scheduler.instrumentation.summary(), "legitimacy_nodes_checked")
     assert after == checked + 1
-    # A name is read by the neighbors' conjuncts: the closed neighborhood.
+    # A name is read by the neighbors' rules: the closed neighborhood.  The
+    # query re-walks the known violator first, which still violates; the
+    # neighbors wait for a walk of the whole frontier.
     renamed = (scheduler.configuration.get(node, VAR_NAME) + 1) % network.n
     scheduler.configuration.set(node, VAR_NAME, renamed)
-    scheduler.legitimate()
+    assert not scheduler.legitimate()
+    assert summary_counter(scheduler.instrumentation.summary(), "legitimacy_nodes_checked") == (
+        after + 1
+    )
+    assert scheduler.legitimacy_distance() > 0
     final = summary_counter(scheduler.instrumentation.summary(), "legitimacy_nodes_checked")
     assert final == after + network.degree(node) + 1
 
@@ -193,21 +199,31 @@ def test_tracker_rechecks_only_the_node_after_an_own_only_change():
     ids=lambda protocol: protocol.name,
 )
 def test_shipped_declarations_hold_under_the_runtime_check(protocol):
+    # Guard parts run on tracking views at every step, rule parts at every
+    # legitimacy query.
     network = generators.random_connected(9, extra_edge_probability=0.3, seed=7)
     rng = random.Random(8)
+    layers = (protocol, *protocol.layers())
     for daemon in ("distributed", "synchronous"):
         scheduler = Scheduler(
             network, protocol, daemon=make_daemon(daemon), seed=9, check_guard_locality=True
         )
-        for _ in range(400):
-            scheduler.step()
+        seen = set()
+
+        def steps() -> None:
+            for _ in range(400):
+                scheduler.step()
+                for layer in layers:
+                    seen.add(scheduler.legitimate(layer))
+
+        steps()
         scheduler.set_configuration(
             corrupt_configuration(
                 scheduler.configuration, protocol, network, node_fraction=0.4, rng=rng
             )
         )
-        for _ in range(400):
-            scheduler.step()
+        steps()
+        assert seen == {True, False}
 
 
 def test_underdeclared_guard_raises_rl008():
@@ -223,6 +239,24 @@ def test_underdeclared_guard_raises_rl008():
     assert error.reads
     assert all(name == "ru_x" and source != error.node for source, name in error.reads)
     assert "RL008" in str(error) and "'ru_x'" in str(error)
+
+
+def test_underdeclared_rule_part_raises_rl008_on_a_legitimacy_query():
+    network = generators.ring(6)
+    protocol = ReadsUnderdeclared()
+    scheduler = Scheduler(network, protocol, seed=1, check_guard_locality=True)
+    with pytest.raises(GuardLocalityError) as excinfo:
+        scheduler.legitimate()
+    error = excinfo.value
+    assert error.rule == "RL008"
+    assert error.action == "RU-Below"
+    assert error.layer == "reads-underdeclared"
+    assert error.reads
+    assert all(name == "ru_x" and source != error.node for source, name in error.reads)
+    assert "violation rule 'RU-Below'" in str(error)
+    # Without the check the rule is walked like any other.
+    plain = Scheduler(network, protocol, seed=1, check_guard_locality=False)
+    assert plain.legitimate() == protocol.legitimate(network, plain.configuration)
 
 
 def test_undeclared_actions_read_everything():
