@@ -43,6 +43,7 @@ from repro.graphs import generators
 from repro.obs import (
     Instrumentation,
     NULL_INSTRUMENTATION,
+    PHASE_INIT,
     PHASE_LEGITIMACY,
     phase_seconds,
     summary_counter,
@@ -134,8 +135,9 @@ def _measure_instrumentation_once(n: int, seed: int) -> dict[str, object]:
     assert on["converged"] == off["converged"]
     summary = instrumentation.summary()
     step_wall = summary_counter(summary, "step_seconds")
-    # Legitimacy is checked between steps, outside the step wall.
-    step_phases = phase_seconds(summary) - phase_seconds(summary, PHASE_LEGITIMACY)
+    # Construction and the legitimacy checks between steps lie outside the
+    # step wall.
+    step_phases = phase_seconds(summary) - phase_seconds(summary, PHASE_INIT, PHASE_LEGITIMACY)
     coverage = step_phases / step_wall if step_wall else None
     disabled_cost = _disabled_path_cost(int(off["steps"]))
     off_seconds = float(off["seconds"]) or 1e-9

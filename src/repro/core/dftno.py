@@ -39,6 +39,7 @@ from repro.runtime.actions import Action, Reads, Rule, StatementFn, all_of
 from repro.runtime.composition import HookedComposition, HookingLayer
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
+from repro.runtime.protocol import PerNetwork
 from repro.runtime.variables import VariableSpec, int_variable, map_variable
 from repro.substrates import token_circulation as tc
 from repro.substrates.token_circulation import DepthFirstTokenCirculation, dfs_preorder
@@ -79,6 +80,8 @@ class DFTNO(HookingLayer):
         self._modulus = modulus
         self._specification = OrientationSpecification(modulus=modulus)
         self._rules = (self._specification.violation_rule("NO-Misoriented", self.name),)
+        self._variables = PerNetwork(self._schema, modulus)
+        self._program = (self._edge_label_action(modulus),)
 
     # ------------------------------------------------------------------
     # Parameters
@@ -101,8 +104,12 @@ class DFTNO(HookingLayer):
     # Variables
     # ------------------------------------------------------------------
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
-        top = self.modulus(network) - 1
-        return [
+        return self._variables(network)
+
+    @staticmethod
+    def _schema(network: RootedNetwork, modulus: int | None) -> tuple[VariableSpec, ...]:
+        top = (modulus if modulus is not None else network.n) - 1
+        return (
             int_variable(VAR_NAME, 0, top, initial=0, description="node label eta_p"),
             int_variable(VAR_MAX, 0, top, initial=0, description="running maximum Max_p"),
             map_variable(
@@ -112,7 +119,7 @@ class DFTNO(HookingLayer):
                 initial_value=0,
                 description="chordal edge labels pi_p[q]",
             ),
-        ]
+        )
 
     # ------------------------------------------------------------------
     # Macros (hooked onto the token layer's actions)
@@ -165,47 +172,52 @@ class DFTNO(HookingLayer):
         """The paper's ``~Forward /\\ ~Backtrack``: the processor does not hold the token."""
         return not DepthFirstTokenCirculation.holds_token(view)
 
-    def _invalid_edge_labels(self, view: ProcessorView) -> bool:
-        modulus = self.modulus(view.network)
-        labels = view.read(VAR_EDGE_LABELS)
-        labels = labels if isinstance(labels, dict) else {}
-        own_name = view.read(VAR_NAME)
-        for neighbor in view.neighbors:
-            expected = chordal_edge_label(
-                own_name, view.try_read_neighbor(neighbor, VAR_NAME, default=0), modulus
-            )
-            if labels.get(neighbor) != expected:
-                return True
-        return False
+    def _edge_label_action(self, fixed_modulus: int | None) -> Action:
+        """The edge-relabeling action every processor runs, built once.
 
-    def _relabel_edges(self, view: ProcessorView) -> None:
-        modulus = self.modulus(view.network)
-        own_name = view.read(VAR_NAME)
-        labels = {
-            neighbor: chordal_edge_label(
-                own_name, view.try_read_neighbor(neighbor, VAR_NAME, default=0), modulus
-            )
-            for neighbor in view.neighbors
-        }
-        view.write(VAR_EDGE_LABELS, labels)
+        Of plain functions over ``fixed_modulus`` (``None``: the network
+        size), not methods: the instance keeps it.  The guard gates the
+        O(degree) label scan on not holding the token, so a token move
+        re-calls the scan only where it can matter.
+        """
+
+        def invalid_edge_labels(view: ProcessorView) -> bool:
+            modulus = fixed_modulus if fixed_modulus is not None else view.network.n
+            labels = view.read(VAR_EDGE_LABELS)
+            labels = labels if isinstance(labels, dict) else {}
+            own_name = view.read(VAR_NAME)
+            for neighbor in view.neighbors:
+                expected = chordal_edge_label(
+                    own_name, view.try_read_neighbor(neighbor, VAR_NAME, default=0), modulus
+                )
+                if labels.get(neighbor) != expected:
+                    return True
+            return False
+
+        def relabel_edges(view: ProcessorView) -> None:
+            modulus = fixed_modulus if fixed_modulus is not None else view.network.n
+            own_name = view.read(VAR_NAME)
+            labels = {
+                neighbor: chordal_edge_label(
+                    own_name, view.try_read_neighbor(neighbor, VAR_NAME, default=0), modulus
+                )
+                for neighbor in view.neighbors
+            }
+            view.write(VAR_EDGE_LABELS, labels)
+
+        return Action(
+            self.ACTION_EDGE_LABEL,
+            all_of(
+                (self._token_free, tc.HOLDS_TOKEN_READS),
+                (invalid_edge_labels, _EDGE_LABEL_READS),
+            ),
+            relabel_edges,
+            layer=self.name,
+            priority=10,
+        )
 
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
-        # Built per call: an instance constant holding bound methods would
-        # make a reference cycle through the instance.  The edge guard gates
-        # the O(degree) label scan on not holding the token, so a token move
-        # re-calls the scan only where it can matter.
-        return [
-            Action(
-                self.ACTION_EDGE_LABEL,
-                all_of(
-                    (self._token_free, tc.HOLDS_TOKEN_READS),
-                    (self._invalid_edge_labels, _EDGE_LABEL_READS),
-                ),
-                self._relabel_edges,
-                layer=self.name,
-                priority=10,
-            )
-        ]
+        return self._program
 
     # ------------------------------------------------------------------
     # Legitimacy and reference values

@@ -45,7 +45,7 @@ from repro.runtime.actions import Action, Reads, Rule, all_of
 from repro.runtime.composition import LayeredProtocol
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
-from repro.runtime.protocol import Protocol
+from repro.runtime.protocol import PerNetwork, Protocol
 from repro.runtime.variables import VariableSpec, int_variable, map_variable
 from repro.substrates.spanning_tree import (
     BFSSpanningTree,
@@ -87,22 +87,8 @@ class STNO(Protocol):
         self._modulus = modulus
         self._specification = OrientationSpecification(modulus=modulus)
         self._rules = (self._specification.violation_rule("STNO-Misoriented", self.name),)
-        # What each guard part reads; the tree helpers read the parent
-        # pointer, own (``parent``) or the neighbors' (``children``).
-        parent = self._tree.parent_variable
-        self._weight_reads = Reads(
-            own=frozenset({VAR_WEIGHT}), neighbor=frozenset({VAR_WEIGHT, parent})
-        )
-        self._name_reads = Reads(
-            own=frozenset({VAR_NAME, VAR_START, parent}),
-            neighbor=frozenset({VAR_START, VAR_WEIGHT, parent}),
-        )
-        self._name_valid_reads = Reads(
-            own=frozenset({VAR_NAME, parent}), neighbor=frozenset({VAR_START})
-        )
-        self._label_reads = Reads(
-            own=frozenset({VAR_NAME, VAR_EDGE_LABELS}), neighbor=frozenset({VAR_NAME})
-        )
+        self._variables = PerNetwork(self._schema, modulus)
+        self._programs = self._build_programs(self._tree, modulus)
 
     # ------------------------------------------------------------------
     # Parameters
@@ -125,8 +111,12 @@ class STNO(Protocol):
     # Variables
     # ------------------------------------------------------------------
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
-        top = self.modulus(network) - 1
-        return [
+        return self._variables(network)
+
+    @staticmethod
+    def _schema(network: RootedNetwork, modulus: int | None) -> tuple[VariableSpec, ...]:
+        top = (modulus if modulus is not None else network.n) - 1
+        return (
             int_variable(
                 VAR_WEIGHT,
                 1,
@@ -149,123 +139,142 @@ class STNO(Protocol):
                 initial_value=0,
                 description="chordal edge labels pi_p[q]",
             ),
-        ]
-
-    # ------------------------------------------------------------------
-    # Local computations
-    # ------------------------------------------------------------------
-    def _children(self, view: ProcessorView) -> tuple[int, ...]:
-        return self._tree.children(view)
-
-    def _child_weight(self, view: ProcessorView, child: int) -> int:
-        weight = view.try_read_neighbor(child, VAR_WEIGHT, default=1)
-        if not isinstance(weight, int) or weight < 1:
-            return 1
-        return min(weight, view.network.n)
-
-    def _desired_weight(self, view: ProcessorView) -> int:
-        """``CalcWeight``: one (for itself) plus the children's weights, capped at n."""
-        total = 1 + sum(self._child_weight(view, child) for child in self._children(view))
-        return min(total, view.network.n)
-
-    def _desired_name(self, view: ProcessorView) -> int:
-        """The name the parent's ``Start`` table assigns to this processor (root: 0)."""
-        if view.is_root:
-            return 0
-        parent = self._tree.parent(view)
-        if parent is None or parent not in view.neighbor_set:
-            return view.read(VAR_NAME)  # no parent yet: keep the current name
-        table = view.try_read_neighbor(parent, VAR_START, default={})
-        table = table if isinstance(table, dict) else {}
-        assigned = table.get(view.node, 0)
-        if not isinstance(assigned, int):
-            return 0
-        return assigned % self.modulus(view.network)
-
-    def _desired_start(self, view: ProcessorView, own_name: int) -> dict[int, int]:
-        """``Distribute``: contiguous, non-overlapping intervals for the children."""
-        modulus = self.modulus(view.network)
-        given = own_name
-        table: dict[int, int] = {}
-        for child in self._children(view):
-            table[child] = (given + 1) % modulus
-            given += self._child_weight(view, child)
-        return table
-
-    def _desired_labels(self, view: ProcessorView, own_name: int) -> dict[int, int]:
-        modulus = self.modulus(view.network)
-        return {
-            neighbor: chordal_edge_label(
-                own_name, view.try_read_neighbor(neighbor, VAR_NAME, default=0), modulus
-            )
-            for neighbor in view.neighbors
-        }
-
-    def _start_consistent(self, view: ProcessorView, own_name: int) -> bool:
-        desired = self._desired_start(view, own_name)
-        stored = view.read(VAR_START)
-        stored = stored if isinstance(stored, dict) else {}
-        return all(stored.get(child) == value for child, value in desired.items())
+        )
 
     # ------------------------------------------------------------------
     # Actions
     # ------------------------------------------------------------------
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
-        # Built per call: an instance constant holding bound methods would
-        # make a reference cycle through the instance.  The edge guard is
-        # gated on the name being valid, as in the paper.
-        is_root = network.is_root(node)
-        weight_action = self.ACTION_ROOT_WEIGHT if is_root else self.ACTION_WEIGHT
-        name_action = self.ACTION_ROOT_NAME if is_root else self.ACTION_NAME
-        return [
-            Action(
-                weight_action, self._weight_wrong, self._set_weight,
-                layer=self.name, priority=0, reads=self._weight_reads,
-            ),
-            Action(
-                name_action, self._name_wrong, self._set_name,
-                layer=self.name, priority=1, reads=self._name_reads,
-            ),
-            Action(
-                self.ACTION_EDGE_LABEL,
-                all_of(
-                    (self._name_valid, self._name_valid_reads),
-                    (self._labels_wrong, self._label_reads),
-                ),
-                self._set_labels,
-                layer=self.name, priority=2,
-            ),
-        ]
+        return self._programs[network.is_root(node)]
 
-    def _weight_wrong(self, view: ProcessorView) -> bool:
-        return view.read(VAR_WEIGHT) != self._desired_weight(view)
+    def _build_programs(
+        self, tree: SpanningTreeProtocol, fixed_modulus: int | None
+    ) -> tuple[tuple[Action, ...], tuple[Action, ...]]:
+        """The non-root and the root program, built once per instance.
 
-    def _set_weight(self, view: ProcessorView) -> None:
-        view.write(VAR_WEIGHT, self._desired_weight(view))
+        Guards and statements are plain functions over ``tree`` and
+        ``fixed_modulus`` (``None``: the network size), not methods: the
+        instance keeps the programs, and a method bound to it would make a
+        reference cycle.  The two programs share them and differ only in
+        the weight and name actions' labels.  The edge guard is gated on the
+        name being valid, as in the paper.
+        """
+        parent_of, children_of = tree.parent, tree.children
+        # What each guard part reads; the tree helpers read the parent
+        # pointer, own (``parent_of``) or the neighbors' (``children_of``).
+        parent = tree.parent_variable
+        weight_reads = Reads(own=frozenset({VAR_WEIGHT}), neighbor=frozenset({VAR_WEIGHT, parent}))
+        name_reads = Reads(
+            own=frozenset({VAR_NAME, VAR_START, parent}),
+            neighbor=frozenset({VAR_START, VAR_WEIGHT, parent}),
+        )
+        name_valid_reads = Reads(own=frozenset({VAR_NAME, parent}), neighbor=frozenset({VAR_START}))
+        label_reads = Reads(
+            own=frozenset({VAR_NAME, VAR_EDGE_LABELS}), neighbor=frozenset({VAR_NAME})
+        )
 
-    def _name_wrong(self, view: ProcessorView) -> bool:
-        desired = self._desired_name(view)
-        if view.read(VAR_NAME) != desired:
-            return True
-        return not self._start_consistent(view, desired)
+        def modulus_of(view: ProcessorView) -> int:
+            return fixed_modulus if fixed_modulus is not None else view.network.n
 
-    def _set_name(self, view: ProcessorView) -> None:
-        desired = self._desired_name(view)
-        view.write(VAR_NAME, desired)
-        view.write(VAR_START, self._desired_start(view, desired))
+        def child_weight(view: ProcessorView, child: int) -> int:
+            weight = view.try_read_neighbor(child, VAR_WEIGHT, default=1)
+            if not isinstance(weight, int) or weight < 1:
+                return 1
+            return min(weight, view.network.n)
 
-    def _name_valid(self, view: ProcessorView) -> bool:
-        """The paper labels edges only once the name is valid."""
-        return view.read(VAR_NAME) == self._desired_name(view)
+        def desired_weight(view: ProcessorView) -> int:
+            """``CalcWeight``: one (for itself) plus the children's weights, capped at n."""
+            total = 1 + sum(child_weight(view, child) for child in children_of(view))
+            return min(total, view.network.n)
 
-    def _labels_wrong(self, view: ProcessorView) -> bool:
-        stored = view.read(VAR_EDGE_LABELS)
-        stored = stored if isinstance(stored, dict) else {}
-        desired = self._desired_labels(view, view.read(VAR_NAME))
-        return any(stored.get(q) != label for q, label in desired.items())
+        def desired_name(view: ProcessorView) -> int:
+            """The name the parent's ``Start`` table assigns to this processor (root: 0)."""
+            if view.is_root:
+                return 0
+            parent = parent_of(view)
+            if parent is None or parent not in view.neighbor_set:
+                return view.read(VAR_NAME)  # no parent yet: keep the current name
+            table = view.try_read_neighbor(parent, VAR_START, default={})
+            table = table if isinstance(table, dict) else {}
+            assigned = table.get(view.node, 0)
+            if not isinstance(assigned, int):
+                return 0
+            return assigned % modulus_of(view)
 
-    def _set_labels(self, view: ProcessorView) -> None:
-        view.write(VAR_EDGE_LABELS, self._desired_labels(view, view.read(VAR_NAME)))
+        def desired_start(view: ProcessorView, own_name: int) -> dict[int, int]:
+            """``Distribute``: contiguous, non-overlapping intervals for the children."""
+            modulus = modulus_of(view)
+            given = own_name
+            table: dict[int, int] = {}
+            for child in children_of(view):
+                table[child] = (given + 1) % modulus
+                given += child_weight(view, child)
+            return table
+
+        def desired_labels(view: ProcessorView, own_name: int) -> dict[int, int]:
+            modulus = modulus_of(view)
+            return {
+                neighbor: chordal_edge_label(
+                    own_name, view.try_read_neighbor(neighbor, VAR_NAME, default=0), modulus
+                )
+                for neighbor in view.neighbors
+            }
+
+        def start_consistent(view: ProcessorView, own_name: int) -> bool:
+            desired = desired_start(view, own_name)
+            stored = view.read(VAR_START)
+            stored = stored if isinstance(stored, dict) else {}
+            return all(stored.get(child) == value for child, value in desired.items())
+
+        def weight_wrong(view: ProcessorView) -> bool:
+            return view.read(VAR_WEIGHT) != desired_weight(view)
+
+        def set_weight(view: ProcessorView) -> None:
+            view.write(VAR_WEIGHT, desired_weight(view))
+
+        def name_wrong(view: ProcessorView) -> bool:
+            desired = desired_name(view)
+            if view.read(VAR_NAME) != desired:
+                return True
+            return not start_consistent(view, desired)
+
+        def set_name(view: ProcessorView) -> None:
+            desired = desired_name(view)
+            view.write(VAR_NAME, desired)
+            view.write(VAR_START, desired_start(view, desired))
+
+        def name_valid(view: ProcessorView) -> bool:
+            """The paper labels edges only once the name is valid."""
+            return view.read(VAR_NAME) == desired_name(view)
+
+        def labels_wrong(view: ProcessorView) -> bool:
+            stored = view.read(VAR_EDGE_LABELS)
+            stored = stored if isinstance(stored, dict) else {}
+            desired = desired_labels(view, view.read(VAR_NAME))
+            return any(stored.get(q) != label for q, label in desired.items())
+
+        def set_labels(view: ProcessorView) -> None:
+            view.write(VAR_EDGE_LABELS, desired_labels(view, view.read(VAR_NAME)))
+
+        layer = self.name
+        edge_label = Action(
+            self.ACTION_EDGE_LABEL,
+            all_of((name_valid, name_valid_reads), (labels_wrong, label_reads)),
+            set_labels,
+            layer=layer, priority=2,
+        )
+        non_root, root = (
+            (
+                Action(weight, weight_wrong, set_weight, layer=layer, priority=0, reads=weight_reads),
+                Action(name, name_wrong, set_name, layer=layer, priority=1, reads=name_reads),
+                edge_label,
+            )
+            for weight, name in (
+                (self.ACTION_WEIGHT, self.ACTION_NAME),
+                (self.ACTION_ROOT_WEIGHT, self.ACTION_ROOT_NAME),
+            )
+        )
+        return non_root, root
 
     # ------------------------------------------------------------------
     # Legitimacy and reference values

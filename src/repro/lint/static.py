@@ -660,39 +660,49 @@ class _Analyzer:
 
     # -- passes -------------------------------------------------------
     def collect_variables(self) -> None:
-        """Union of every ``variables()`` declaration across the file set."""
+        """Union of every variable schema declaration across the file set.
+
+        A schema is declared in a ``variables()`` body or in the function a
+        ``PerNetwork(...)`` builds per network (a layer whose ``variables``
+        returns specs built once per network).
+        """
         for index in self.indexes.values():
             resolver = self.resolvers[index.path]
             for scope, function in _walk_functions(index):
-                if function.name != "variables":
-                    continue
                 inner = _Scope(
                     index,
                     class_name=scope.class_name,
                     function_stack=scope.function_stack + (function,),
                 )
+                if function.name == "variables":
+                    self._collect_schema(function, inner, resolver)
                 for node in ast.walk(function):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    callee = node.func
-                    callee_name = (
-                        callee.id
-                        if isinstance(callee, ast.Name)
-                        else callee.attr
-                        if isinstance(callee, ast.Attribute)
-                        else None
-                    )
-                    if callee_name not in _VARIABLE_FACTORIES:
-                        continue
-                    name: str | None = None
-                    if node.args:
-                        name = resolver.resolve_string(node.args[0], inner)
-                    if name is None:
-                        for keyword in node.keywords:
-                            if keyword.arg == "name":
-                                name = resolver.resolve_string(keyword.value, inner)
-                    if name is not None:
-                        self.variable_universe.add(name)
+                    if (
+                        isinstance(node, ast.Call)
+                        and _callee_name(node) == "PerNetwork"
+                        and node.args
+                    ):
+                        resolved = resolver.resolve_callable(node.args[0], inner)
+                        if resolved is not None:
+                            schema, schema_scope = resolved
+                            self._collect_schema(schema, schema_scope, resolver)
+
+    def _collect_schema(
+        self, function: ast.FunctionDef | ast.Lambda, scope: _Scope, resolver: _Resolver
+    ) -> None:
+        """Add the variable names ``function``'s factory calls declare."""
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call) or _callee_name(node) not in _VARIABLE_FACTORIES:
+                continue
+            name: str | None = None
+            if node.args:
+                name = resolver.resolve_string(node.args[0], scope)
+            if name is None:
+                for keyword in node.keywords:
+                    if keyword.arg == "name":
+                        name = resolver.resolve_string(keyword.value, scope)
+            if name is not None:
+                self.variable_universe.add(name)
 
     def check_actions(self) -> None:
         for index in self.indexes.values():
@@ -706,10 +716,7 @@ class _Analyzer:
                 for node in ast.walk(function):
                     if not isinstance(node, ast.Call):
                         continue
-                    callee = node.func
-                    name = callee.id if isinstance(callee, ast.Name) else getattr(
-                        callee, "attr", None
-                    )
+                    name = _callee_name(node)
                     if name in ("Action", "Rule"):
                         self._check_action_call(node, inner, resolver, rule=name == "Rule")
                 if function.name == "hooks":
@@ -852,17 +859,23 @@ class _Analyzer:
         self.findings.sort(key=lambda f: (f.path, f.line, f.rule))
 
 
+def _callee_name(call: ast.Call) -> str | None:
+    """The called name: ``f`` of ``f(...)`` and of ``obj.f(...)``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
 def _conjunct_predicates(expr: ast.expr) -> list[ast.expr] | None:
     """The predicates of an ``all_of((predicate, reads), ...)`` guard, else ``None``.
 
     A part that is not a literal ``(predicate, reads)`` tuple is taken whole,
     which leaves it unresolved.
     """
-    if not isinstance(expr, ast.Call):
-        return None
-    func = expr.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if name != "all_of":
+    if not isinstance(expr, ast.Call) or _callee_name(expr) != "all_of":
         return None
     return [
         part.elts[0] if isinstance(part, ast.Tuple) and part.elts else part

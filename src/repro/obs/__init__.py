@@ -33,6 +33,7 @@ from repro.obs.instrument import (
     PHASE_ACTION_EXEC,
     PHASE_DAEMON_SELECT,
     PHASE_GUARD_EVAL,
+    PHASE_INIT,
     PHASE_LEGITIMACY,
     PHASE_OBSERVER_DISPATCH,
     SUMMARY_SCHEMA,
@@ -77,6 +78,7 @@ __all__ = [
     "PHASE_ACTION_EXEC",
     "PHASE_DAEMON_SELECT",
     "PHASE_GUARD_EVAL",
+    "PHASE_INIT",
     "PHASE_LEGITIMACY",
     "PHASE_OBSERVER_DISPATCH",
     "PROFILE_ENV",

@@ -12,7 +12,8 @@ feed it three kinds of measurements:
   summaries merge associatively;
 * **phase timers** -- wall-clock attributed to a named phase of the step loop
   (``guard_eval``, ``daemon_select``, ``action_exec``, ``observer_dispatch``)
-  or of the run around it (``legitimacy``), as ``(seconds, count)`` pairs.
+  or of the run around it (``init``, ``legitimacy``), as ``(seconds, count)``
+  pairs.
 
 **The disabled path costs (almost) nothing.**  Every scheduler holds an
 instrumentation object; when none was requested it holds the shared
@@ -45,6 +46,9 @@ PHASE_ACTION_EXEC = "action_exec"
 PHASE_OBSERVER_DISPATCH = "observer_dispatch"
 #: Legitimacy checking, booked by ``Scheduler.legitimate`` outside the step.
 PHASE_LEGITIMACY = "legitimacy"
+#: Scheduler construction (the drawn configuration, validation, the action
+#: and rule tables, the processor views), booked once per run.
+PHASE_INIT = "init"
 
 #: The summary schema version, bumped if the dictionary shape ever changes.
 SUMMARY_SCHEMA = 1
@@ -243,6 +247,7 @@ __all__ = [
     "PHASE_ACTION_EXEC",
     "PHASE_DAEMON_SELECT",
     "PHASE_GUARD_EVAL",
+    "PHASE_INIT",
     "PHASE_LEGITIMACY",
     "PHASE_OBSERVER_DISPATCH",
     "SUMMARY_SCHEMA",

@@ -23,7 +23,7 @@ from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Action, StatementFn
 from repro.runtime.configuration import Configuration
-from repro.runtime.protocol import Protocol
+from repro.runtime.protocol import PerNetwork, Protocol
 from repro.runtime.variables import VariableSpec
 
 
@@ -97,11 +97,44 @@ class HookingLayer(Protocol):
     """
 
     def hooks(self, network: RootedNetwork, node: int) -> Mapping[str, StatementFn]:
-        """Extra statements keyed by the base-layer action name they extend."""
+        """Extra statements keyed by the base-layer action name they extend.
+
+        Return statements that compare equal from call to call (plain
+        functions, or methods of the layer): nodes whose hooks are equal
+        share one composed program.
+        """
         return {}
 
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:  # pragma: no cover
         return []
+
+
+def _compose_programs(
+    network: RootedNetwork, base: Protocol, overlay: HookingLayer
+) -> list[tuple[Action, ...]]:
+    """Every node's composed program on ``network``, indexed by node.
+
+    Nodes whose base program, hooks and overlay program are equal share one
+    composed program, built once: with layers that build their programs
+    once, that is one per distinct program, whatever the network's size.
+    """
+    composed: dict[tuple, tuple[Action, ...]] = {}
+    programs: list[tuple[Action, ...]] = []
+    for node in network.nodes():
+        base_program = tuple(base.actions(network, node))
+        hooks = overlay.hooks(network, node)
+        own = tuple(overlay.actions(network, node))
+        key = (base_program, tuple(hooks.items()), own)
+        program = composed.get(key)
+        if program is None:
+            program = composed[key] = tuple(
+                action.with_extra_statement(hooks[action.name], suffix="")
+                if action.name in hooks
+                else action
+                for action in base_program
+            ) + own
+        programs.append(program)
+    return programs
 
 
 class HookedComposition(Protocol):
@@ -114,12 +147,16 @@ class HookedComposition(Protocol):
        atomic step, hook runs after the base statement and sees its writes);
     2. followed by the overlay's own stand-alone actions (e.g. DFTNO's edge
        relabeling rule).
+
+    The composed programs are built once per network, one per distinct
+    (base program, hooks, overlay program).
     """
 
     def __init__(self, base: Protocol, overlay: HookingLayer, name: str | None = None) -> None:
         self._base = base
         self._overlay = overlay
         self.name = name or f"{overlay.name}@{base.name}"
+        self._programs = PerNetwork(_compose_programs, base, overlay)
 
     @property
     def base(self) -> Protocol:
@@ -140,15 +177,7 @@ class HookedComposition(Protocol):
         )
 
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
-        hooks = dict(self._overlay.hooks(network, node))
-        composed: list[Action] = []
-        for action in self._base.actions(network, node):
-            if action.name in hooks:
-                composed.append(action.with_extra_statement(hooks[action.name], suffix=""))
-            else:
-                composed.append(action)
-        composed.extend(self._overlay.actions(network, node))
-        return composed
+        return self._programs(network)[node]
 
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
         return self._base.legitimate(network, configuration) and self._overlay.legitimate(

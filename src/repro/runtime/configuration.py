@@ -7,6 +7,35 @@ from typing import Any, Iterator, Mapping
 
 from repro.errors import ProtocolError
 
+#: Value types stored without copying: exact instances are immutable, so no
+#: holder of the value can alter it after the fact.
+_IMMUTABLE_TYPES = frozenset({int, bool, str, float, type(None)})
+
+
+def copy_value(value: Any) -> Any:
+    """A copy of ``value`` no later in-place change of the original reaches.
+
+    The runtime's one value-copy rule: an immutable scalar is shared, a plain
+    ``dict`` whose keys and values are immutable scalars (a per-neighbor map)
+    is copied with ``dict(value)``, and anything else is deep-copied.  Each
+    case is exact: the result equals the original and shares no mutable
+    object with it.
+    """
+    kind = type(value)
+    if kind in _IMMUTABLE_TYPES:
+        return value
+    if kind is dict and all(
+        type(key) in _IMMUTABLE_TYPES and type(item) in _IMMUTABLE_TYPES
+        for key, item in value.items()
+    ):
+        return dict(value)
+    return copy.deepcopy(value)
+
+
+def _copy_state(state: Mapping[str, Any]) -> dict[str, Any]:
+    """A copy of one local state, each value copied by :func:`copy_value`."""
+    return {name: copy_value(value) for name, value in state.items()}
+
 
 class Configuration:
     """The state of the whole system: one variable assignment per processor.
@@ -25,7 +54,7 @@ class Configuration:
     sound as long as all mutations go through the write methods below --
     mutating a value obtained from :meth:`get` in place bypasses it (the
     runtime never does: :class:`~repro.runtime.processor.ProcessorView`
-    deep-copies mutable values on write).
+    stores a copy of every mutable value written, by :func:`copy_value`).
     """
 
     __slots__ = ("_states", "_dirty")
@@ -52,13 +81,13 @@ class Configuration:
             ) from exc
 
     def state_of(self, node: int) -> dict[str, Any]:
-        """A copy of the full local state of ``node``."""
-        return copy.deepcopy(self._states.get(node, {}))
+        """A copy of the full local state of ``node`` (values by :func:`copy_value`)."""
+        return _copy_state(self._states.get(node, {}))
 
     def peek_state(self, node: int) -> Mapping[str, Any]:
         """The live local state of ``node`` -- **not** a copy.
 
-        For read-only hot paths that cannot afford :meth:`state_of`'s deep
+        For read-only hot paths that cannot afford :meth:`state_of`'s
         copy, such as fingerprinting states in the
         :class:`~repro.obs.health.HealthMonitor`.  Callers must never
         mutate the returned mapping or its values; the runtime itself never
@@ -167,12 +196,14 @@ class Configuration:
     # Whole-configuration operations
     # ------------------------------------------------------------------
     def copy(self) -> "Configuration":
-        """A deep copy (mutable values such as edge-label maps are duplicated)."""
-        return Configuration(copy.deepcopy(self._states))
+        """An independent copy with an empty journal (values by :func:`copy_value`)."""
+        clone = Configuration()
+        clone._states = self.to_dict()
+        return clone
 
     def to_dict(self) -> dict[int, dict[str, Any]]:
-        """A plain-dictionary snapshot (deep copied)."""
-        return copy.deepcopy(self._states)
+        """A plain-dictionary snapshot (values copied by :func:`copy_value`)."""
+        return {node: _copy_state(state) for node, state in self._states.items()}
 
     def diff(self, other: "Configuration") -> dict[int, dict[str, tuple[Any, Any]]]:
         """Per-node ``variable -> (self value, other value)`` differences."""
@@ -207,4 +238,4 @@ class Configuration:
         return "\n".join(lines)
 
 
-__all__ = ["Configuration"]
+__all__ = ["Configuration", "copy_value"]

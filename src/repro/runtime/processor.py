@@ -10,12 +10,11 @@ collected so the scheduler can apply the step atomically.
 
 from __future__ import annotations
 
-import copy
 from typing import Any
 
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
-from repro.runtime.configuration import Configuration
+from repro.runtime.configuration import _IMMUTABLE_TYPES, Configuration, copy_value
 
 
 class _ReadTrackingConfiguration:
@@ -45,11 +44,6 @@ class _ReadTrackingConfiguration:
         return getattr(self._inner, name)
 
 
-#: Value types :meth:`ProcessorView.write` stores without copying: exact
-#: instances are immutable, so the caller cannot alter them after the write.
-_IMMUTABLE_TYPES = frozenset({int, bool, str, float, type(None)})
-
-
 class ProcessorView:
     """Restricted view of a :class:`Configuration` for one processor.
 
@@ -58,9 +52,11 @@ class ProcessorView:
     configuration's live state table.  A read is then a membership test in
     the bound neighbor set plus a lookup in that table, with the same
     :class:`~repro.errors.ProtocolError` on a non-neighbor or a missing
-    variable that :meth:`Configuration.get` raises.  Statements run on a
-    fresh view per atomic step, during which the scheduler never mutates the
-    configuration; guards run on the read-only :class:`GuardView`.
+    variable that :meth:`Configuration.get` raises.  The scheduler keeps one
+    view per processor for statements, rebuilt when the configuration or
+    network object is replaced, and starts each move on it with a fresh
+    write buffer (:meth:`begin_move`); it never mutates the configuration
+    during an atomic step.  Guards run on the read-only :class:`GuardView`.
 
     :class:`TrackingProcessorView` is the debug variant that logs every read.
     """
@@ -188,17 +184,28 @@ class ProcessorView:
     def write(self, variable: str, value: Any) -> None:
         """Assign one of the processor's own variables.
 
-        Mutable values (per-neighbor maps) are copied so that later in-place
-        modification by the caller cannot retroactively alter the step;
-        exact immutable scalars are stored as they are.
+        The value is stored as :func:`~repro.runtime.configuration.copy_value`
+        copies it, so a later in-place change by the caller cannot alter the
+        step: an immutable scalar as it is, a flat map of scalars (a
+        per-neighbor map) by ``dict(value)``, anything else deep-copied.
         """
         if type(value) not in _IMMUTABLE_TYPES:
-            value = copy.deepcopy(value)
+            value = copy_value(value)
         self._writes[variable] = value
+
+    def begin_move(self) -> dict[str, Any]:
+        """Start an atomic step on this view and return its write buffer.
+
+        The buffer is fresh and live: the statement's writes land in it, and
+        the scheduler applies it as it is once every selected processor has
+        run.
+        """
+        self._writes = writes = {}
+        return writes
 
     @property
     def pending_writes(self) -> dict[str, Any]:
-        """The writes collected so far in this atomic step."""
+        """A copy of the writes collected so far in this atomic step."""
         return dict(self._writes)
 
     def __repr__(self) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
@@ -12,6 +12,34 @@ from repro.runtime.actions import Action, Rule
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import GuardView
 from repro.runtime.variables import VariableSpec
+
+
+class PerNetwork:
+    """``compute(network, *args)``, recomputed only when a different network object arrives.
+
+    Networks are immutable, so a value derived from one -- a layer's
+    variable schema, reference BFS distances, the reference DFS tree --
+    stays valid until a topology change hands the protocol a new network
+    object.  Kept on a protocol instance, ``compute`` and ``args`` must not
+    reference the instance (pass a plain function, not a bound method), or
+    the instance sits in a reference cycle only a full collection frees.
+    ``repro-lint`` reads the variable factories of a ``compute`` it can
+    resolve as part of the layer's variable schema.
+    """
+
+    __slots__ = ("_compute", "_args", "_network", "_value")
+
+    def __init__(self, compute: Callable[..., Any], *args: Any) -> None:
+        self._compute = compute
+        self._args = args
+        self._network: RootedNetwork | None = None
+        self._value: Any = None
+
+    def __call__(self, network: RootedNetwork) -> Any:
+        if network is not self._network:
+            self._value = self._compute(network, *self._args)
+            self._network = network
+        return self._value
 
 
 class Protocol(ABC):
@@ -51,11 +79,26 @@ class Protocol(ABC):
     # ------------------------------------------------------------------
     @abstractmethod
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
-        """Variable declarations of ``node``'s program."""
+        """Variable declarations of ``node``'s program.
+
+        Called for every node by validation and by every configuration
+        drawn, so build the specs once per network, not per call: a schema
+        that is the same at every node is one :class:`PerNetwork` value
+        (:class:`~repro.runtime.variables.VariableSpec` functions take the
+        node as an argument).  Callers must not mutate the returned sequence.
+        """
 
     @abstractmethod
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
-        """Guarded actions of ``node``'s program, in priority order."""
+        """Guarded actions of ``node``'s program, in priority order.
+
+        Guards read the network through the view, so a layer's programs
+        (typically one for the root, one for the others) are built once per
+        instance, not per call.  A program kept on the instance holds plain
+        functions -- nested functions or static methods that do not reference
+        the instance -- since a method bound to the instance would make a
+        reference cycle that only a full collection frees.
+        """
 
     # ------------------------------------------------------------------
     # Legitimacy
@@ -148,4 +191,4 @@ class Protocol(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-__all__ = ["Protocol"]
+__all__ = ["PerNetwork", "Protocol"]

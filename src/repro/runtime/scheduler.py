@@ -29,6 +29,7 @@ from repro.obs.instrument import (
     PHASE_ACTION_EXEC,
     PHASE_DAEMON_SELECT,
     PHASE_GUARD_EVAL,
+    PHASE_INIT,
     PHASE_LEGITIMACY,
     PHASE_OBSERVER_DISPATCH,
 )
@@ -323,7 +324,9 @@ class Scheduler:
         An :class:`~repro.obs.Instrumentation` registry the step loop feeds
         with phase timers (guard-eval, daemon-select, action-exec,
         observer-dispatch), guard-evaluation counters, and dirty/enabled-set
-        gauges.  Defaults to the shared no-op
+        gauges; the constructor's own work (drawing the configuration,
+        validation, the action and rule tables, the views) books under the
+        ``init`` phase.  Defaults to the shared no-op
         :data:`~repro.obs.NULL_INSTRUMENTATION`; the disabled path hoists its
         ``enabled`` flag once per call and skips all timing behind it.
     """
@@ -341,6 +344,10 @@ class Scheduler:
         check_guard_locality: bool | None = None,
         instrumentation: Instrumentation | None = None,
     ) -> None:
+        self._instr = instr = (
+            instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
+        )
+        started = time.perf_counter() if instr.enabled else 0.0
         self.network = network
         self.protocol = protocol
         self.daemon = daemon or DistributedDaemon()
@@ -375,8 +382,6 @@ class Scheduler:
         self._round_pending: set[int] | None = None
         self._frozen: set[int] = set()
 
-        self._instr = instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
-
         self.incremental = incremental
         if check_guard_locality is None:
             check_guard_locality = bool(os.environ.get("REPRO_DEBUG_GUARDS"))
@@ -394,12 +399,13 @@ class Scheduler:
         # walk that reaches it.  ``_frontier`` and ``_rule_frontier`` hold the
         # nodes a drained change staled a consulted guard or rule bit of.
         # All are (re)built by _invalidate_enabled, one read-only guard view
-        # per node included.
+        # and one statement view per node included.
         self._held: list[int] = []
         self._stale: list[int] = []
         self._watch: list[int] = []
         self._rule_watch: list[int] = []
         self._views: list[GuardView] = []
+        self._writers: list[ProcessorView] = []
         self._frontier: set[int] = set()
         self._rule_frontier: set[int] = set()
         # Per leaf layer: the nodes one of its rules holds at, and its
@@ -415,6 +421,8 @@ class Scheduler:
         self._enabled_order: tuple[int, ...] | None = None
         self._enabled_members: frozenset[int] | None = None
         self._invalidate_enabled()
+        if instr.enabled:
+            instr.phase_time(PHASE_INIT, time.perf_counter() - started)
 
         # The one point where an observer can still see the *initial*
         # configuration (the flight recorder captures it here).
@@ -547,7 +555,7 @@ class Scheduler:
         )
 
     def _invalidate_enabled(self) -> None:
-        """Mark every guard and rule part stale and rebuild the guard views.
+        """Mark every guard and rule part stale and rebuild the processor views.
 
         The one reset for a new or replaced configuration or network: the
         next enabled-set access rescans every guard, and the next legitimacy
@@ -556,6 +564,7 @@ class Scheduler:
         network, configuration = self.network, self.configuration
         n = network.n
         self._views = [GuardView(node, network, configuration) for node in range(n)]
+        self._writers = [ProcessorView(node, network, configuration) for node in range(n)]
         self._held = [0] * n
         self._stale = [-1] * n
         self._watch = [0] * n
@@ -954,19 +963,14 @@ class Scheduler:
         # path's stale guards.
         changed_nodes: list[int] = []
         moves: list[MoveRecord] = []
-        action_names = dict(executed)
+        apply_writes = self.configuration.apply_writes
         for node, writes in pending_writes.items():
-            changes = self.configuration.apply_writes(node, writes)
+            changes = apply_writes(node, writes)
             if changes:
                 changed_nodes.append(node)
-            moves.append(
-                MoveRecord(
-                    node=node,
-                    action=action_names[node],
-                    layer=enabled[node].layer,
-                    changes=changes,
-                )
-            )
+            action = enabled[node]
+            # Positional: the frozen dataclass's keyword call costs more per move.
+            moves.append(MoveRecord(node, action.name, action.layer, changes))
 
         record = StepRecord(
             step=self._step_index,
@@ -1017,11 +1021,12 @@ class Scheduler:
         """
         executed: list[tuple[int, str]] = []
         pending_writes: dict[int, dict[str, object]] = {}
+        writers = self._writers
         for node in selected:
             action = enabled[node]
-            view = ProcessorView(node, self.network, self.configuration)
+            view = writers[node]
+            pending_writes[node] = view.begin_move()
             action.statement(view)
-            pending_writes[node] = view.pending_writes
             executed.append((node, action.name))
         return executed, pending_writes
 

@@ -28,7 +28,7 @@ is all STNO needs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
@@ -37,7 +37,7 @@ from repro.runtime.actions import Action, Reads, Rule, all_of
 from repro.runtime.composition import HookedComposition, HookingLayer
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
-from repro.runtime.protocol import Protocol
+from repro.runtime.protocol import PerNetwork, Protocol
 from repro.runtime.variables import VariableSpec, int_variable, pointer_variable
 from repro.substrates import token_circulation as tc
 from repro.substrates.token_circulation import DepthFirstTokenCirculation, dfs_preorder
@@ -126,28 +126,6 @@ def tree_parents_from_configuration(
     return protocol.parents(network, configuration)
 
 
-class _PerNetwork:
-    """``compute(network)``, recomputed only when a different network object arrives.
-
-    Networks are immutable, so a reference value (true BFS distances, the
-    reference DFS tree) derived from one stays valid until a topology change
-    hands the protocol a new network object.
-    """
-
-    __slots__ = ("_compute", "_network", "_value")
-
-    def __init__(self, compute: Callable[[RootedNetwork], Any]) -> None:
-        self._compute = compute
-        self._network: RootedNetwork | None = None
-        self._value: Any = None
-
-    def __call__(self, network: RootedNetwork) -> Any:
-        if network is not self._network:
-            self._value = self._compute(network)
-            self._network = network
-        return self._value
-
-
 class BFSSpanningTree(SpanningTreeProtocol):
     """Breadth-first spanning tree by self-stabilizing distance relaxation."""
 
@@ -158,7 +136,8 @@ class BFSSpanningTree(SpanningTreeProtocol):
     ACTION_RELAX = "ST-Relax"
 
     def __init__(self) -> None:
-        self._truth = truth = _PerNetwork(bfs_distances)
+        self._variables = PerNetwork(self._schema)
+        truth = PerNetwork(bfs_distances)
 
         def off_tree(view: ProcessorView) -> bool:
             """The distance is not the true one, or the parent not one hop closer.
@@ -178,10 +157,31 @@ class BFSSpanningTree(SpanningTreeProtocol):
         self._rules = (
             Rule("ST-OffTree", all_of((off_tree, _BFS_ROOT_READS)), layer=self.name),
         )
+        # Guards read the network through the view: one program for the
+        # root, one for everyone else, of static methods (no cycle through
+        # the instance).
+        self._programs = (
+            (
+                Action(
+                    self.ACTION_RELAX, self._relax_guard, self._relax,
+                    layer=self.name, reads=_BFS_RELAX_READS,
+                ),
+            ),
+            (
+                Action(
+                    self.ACTION_ROOT, self._root_guard, self._root_set,
+                    layer=self.name, reads=_BFS_ROOT_READS,
+                ),
+            ),
+        )
 
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
+        return self._variables(network)
+
+    @staticmethod
+    def _schema(network: RootedNetwork) -> tuple[VariableSpec, ...]:
         max_dist = max(network.n - 1, 0)
-        return [
+        return (
             int_variable(
                 VAR_BFS_DIST,
                 0,
@@ -194,10 +194,11 @@ class BFSSpanningTree(SpanningTreeProtocol):
                 allow_none=True,
                 description="tree parent A_p (neighbor one hop closer to the root)",
             ),
-        ]
+        )
 
     # ------------------------------------------------------------------
-    def _desired(self, view: ProcessorView) -> tuple[int, int | None]:
+    @staticmethod
+    def _desired(view: ProcessorView) -> tuple[int, int | None]:
         """The (distance, parent) pair the relaxation rule prescribes."""
         max_dist = view.network.n - 1
         best_dist = None
@@ -211,34 +212,28 @@ class BFSSpanningTree(SpanningTreeProtocol):
             return 0, None
         return min(best_dist + 1, max_dist), best_parent
 
+    @staticmethod
+    def _root_guard(view: ProcessorView) -> bool:
+        return view.read(VAR_BFS_DIST) != 0 or view.read(VAR_BFS_PARENT) is not None
+
+    @staticmethod
+    def _root_set(view: ProcessorView) -> None:
+        view.write(VAR_BFS_DIST, 0)
+        view.write(VAR_BFS_PARENT, None)
+
+    @staticmethod
+    def _relax_guard(view: ProcessorView) -> bool:
+        dist, parent = BFSSpanningTree._desired(view)
+        return view.read(VAR_BFS_DIST) != dist or view.read(VAR_BFS_PARENT) != parent
+
+    @staticmethod
+    def _relax(view: ProcessorView) -> None:
+        dist, parent = BFSSpanningTree._desired(view)
+        view.write(VAR_BFS_DIST, dist)
+        view.write(VAR_BFS_PARENT, parent)
+
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
-        if network.is_root(node):
-
-            def root_guard(view: ProcessorView) -> bool:
-                return view.read(VAR_BFS_DIST) != 0 or view.read(VAR_BFS_PARENT) is not None
-
-            def root_set(view: ProcessorView) -> None:
-                view.write(VAR_BFS_DIST, 0)
-                view.write(VAR_BFS_PARENT, None)
-
-            return [
-                Action(
-                    self.ACTION_ROOT, root_guard, root_set, layer=self.name, reads=_BFS_ROOT_READS
-                )
-            ]
-
-        def relax_guard(view: ProcessorView) -> bool:
-            dist, parent = self._desired(view)
-            return view.read(VAR_BFS_DIST) != dist or view.read(VAR_BFS_PARENT) != parent
-
-        def relax(view: ProcessorView) -> None:
-            dist, parent = self._desired(view)
-            view.write(VAR_BFS_DIST, dist)
-            view.write(VAR_BFS_PARENT, parent)
-
-        return [
-            Action(self.ACTION_RELAX, relax_guard, relax, layer=self.name, reads=_BFS_RELAX_READS)
-        ]
+        return self._programs[network.is_root(node)]
 
     def violation_rules(self, network: RootedNetwork, node: int) -> Sequence[Rule]:
         """True distances everywhere and every parent one hop closer to the root."""
@@ -276,7 +271,8 @@ class _DFSTreeOverlay(HookingLayer):
     name = "dfstree-overlay"
 
     def __init__(self) -> None:
-        self._reference = reference = _PerNetwork(dfs_tree_parents)
+        self._variables = PerNetwork(self._schema)
+        reference = PerNetwork(dfs_tree_parents)
 
         def misrecorded(view: ProcessorView) -> bool:
             """The recorded parent is not the reference DFS tree's."""
@@ -287,26 +283,30 @@ class _DFSTreeOverlay(HookingLayer):
         )
 
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
-        return [
+        return self._variables(network)
+
+    @staticmethod
+    def _schema(network: RootedNetwork) -> tuple[VariableSpec, ...]:
+        return (
             pointer_variable(
                 VAR_DFS_PARENT,
                 allow_none=True,
                 description="DFS tree parent recorded at the last token visit",
-            )
-        ]
+            ),
+        )
+
+    @staticmethod
+    def _record_root(view: ProcessorView) -> None:
+        view.write(VAR_DFS_PARENT, None)
+
+    @staticmethod
+    def _record_parent(view: ProcessorView) -> None:
+        view.write(VAR_DFS_PARENT, view.read(tc.VAR_PARENT))
 
     def hooks(self, network: RootedNetwork, node: int) -> Mapping[str, object]:
         if network.is_root(node):
-
-            def record_root(view: ProcessorView) -> None:
-                view.write(VAR_DFS_PARENT, None)
-
-            return {DepthFirstTokenCirculation.ACTION_ROOT_START: record_root}
-
-        def record_parent(view: ProcessorView) -> None:
-            view.write(VAR_DFS_PARENT, view.read(tc.VAR_PARENT))
-
-        return {DepthFirstTokenCirculation.ACTION_FORWARD: record_parent}
+            return {DepthFirstTokenCirculation.ACTION_ROOT_START: self._record_root}
+        return {DepthFirstTokenCirculation.ACTION_FORWARD: self._record_parent}
 
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
         return []

@@ -58,7 +58,7 @@ from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Action, Reads, Rule, all_of
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
-from repro.runtime.protocol import Protocol
+from repro.runtime.protocol import PerNetwork, Protocol
 from repro.runtime.variables import VariableSpec, enum_variable, int_variable, pointer_variable
 
 # Traversal states.
@@ -182,13 +182,18 @@ class DepthFirstTokenCirculation(Protocol):
         # collection frees.
         self._programs = (tuple(self._non_root_actions()), tuple(self._root_actions()))
         self._rules = (self._non_root_rules(), self._root_rules())
+        self._variables = PerNetwork(self._schema)
 
     # ------------------------------------------------------------------
     # Variable declarations
     # ------------------------------------------------------------------
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
+        return self._variables(network)
+
+    @staticmethod
+    def _schema(network: RootedNetwork) -> tuple[VariableSpec, ...]:
         max_level = max(network.n - 1, 0)
-        return [
+        return (
             enum_variable(
                 VAR_STATE,
                 (WAIT, ACTIVE),
@@ -218,7 +223,7 @@ class DepthFirstTokenCirculation(Protocol):
                 initial=0,
                 description="depth on the current DFS stack (error detection)",
             ),
-        ]
+        )
 
     # ------------------------------------------------------------------
     # Local predicates

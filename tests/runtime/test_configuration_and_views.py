@@ -7,8 +7,12 @@ import pytest
 from repro.errors import ProtocolError
 from repro.graphs import generators
 from repro.runtime.actions import Action
-from repro.runtime.configuration import Configuration
+from repro.runtime.configuration import Configuration, copy_value
+from repro.runtime.daemon import SynchronousDaemon
 from repro.runtime.processor import ProcessorView, TrackingProcessorView
+from repro.runtime.protocol import Protocol
+from repro.runtime.scheduler import Scheduler
+from repro.runtime.variables import map_variable
 
 
 @pytest.fixture
@@ -52,6 +56,88 @@ def test_configuration_apply_writes_and_state_of(config):
     state = config.state_of(1)
     state["x"] = 0
     assert config.get(1, "x") == 7
+
+
+# ----------------------------------------------------------------------
+# The value-copy rule: scalars shared, flat maps by dict(), the rest deep
+# ----------------------------------------------------------------------
+def test_copy_value_shares_scalars_and_detaches_containers():
+    for scalar in (3, True, "s", 1.5, None):
+        assert copy_value(scalar) is scalar
+    flat = {1: 5, 2: "x", 3: None}
+    assert copy_value(flat) == flat and copy_value(flat) is not flat
+    nested = {1: [1, 2]}
+    copied = copy_value(nested)
+    assert copied == nested and copied[1] is not nested[1]
+    listed = [1, {2: 3}]
+    copied = copy_value(listed)
+    assert copied == listed and copied[1] is not listed[1]
+
+
+class _Labeler(Protocol):
+    """Writes ``{q: 1 for each neighbor q}`` into ``m``, then scribbles on its own map."""
+
+    name = "labeler"
+
+    def variables(self, network, node):
+        return (map_variable("m", 0, 9),)
+
+    def actions(self, network, node):
+        return (Action("Label", _labels_wrong, _label, layer=self.name),)
+
+
+def _labels_wrong(view) -> bool:
+    return view.read("m") != {q: 1 for q in view.neighbors}
+
+
+def _label(view) -> None:
+    table = {q: 1 for q in view.neighbors}
+    view.write("m", table)
+    table[view.neighbors[0]] = 7
+    table[99] = 9
+
+
+def test_a_flat_map_mutated_after_write_does_not_change_the_step():
+    network = generators.path(3)
+    scheduler = Scheduler(
+        network,
+        _Labeler(),
+        daemon=SynchronousDaemon(),
+        configuration=Configuration({node: {"m": {}} for node in network.nodes()}),
+    )
+    record = scheduler.step()
+    for node in network.nodes():
+        expected = {q: 1 for q in network.neighbors(node)}
+        assert scheduler.configuration.get(node, "m") == expected
+    assert {move.node: move.changes["m"][1] for move in record.moves} == {
+        node: {q: 1 for q in network.neighbors(node)} for node in network.nodes()
+    }
+    assert scheduler.step() is None  # silent: the scribbles never landed
+
+
+@pytest.mark.parametrize(
+    "value, mutate",
+    [
+        ({1: 5, 2: 6}, lambda value: value.update({1: 99, 3: 0})),
+        ({1: [1, 2]}, lambda value: value[1].append(3)),
+        ([1, {2: 3}], lambda value: value[1].update({2: 99})),
+    ],
+    ids=("map", "nested-map", "nested-list"),
+)
+def test_snapshots_stay_independent_of_the_source(value, mutate):
+    config = Configuration({0: {"v": value, "s": 1}})
+    original = copy_value(value)
+    snapshots = {
+        "copy": config.copy().get(0, "v"),
+        "to_dict": config.to_dict()[0]["v"],
+        "state_of": config.state_of(0)["v"],
+    }
+    # An in-place change of the source (past the journal) reaches no
+    # snapshot; sharing any mutable part would carry it over.
+    mutate(config.get(0, "v"))
+    assert config.get(0, "v") != original
+    for name, snapshot in snapshots.items():
+        assert snapshot == original, name
 
 
 def test_configuration_equality_and_diff(config):

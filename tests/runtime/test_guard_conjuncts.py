@@ -16,6 +16,7 @@ from collections import Counter
 
 import pytest
 
+from repro.api import NetworkSpec, RunSpec, run
 from repro.api.engines import build_protocol
 from repro.errors import GuardLocalityError, ProtocolError
 from repro.graphs import generators
@@ -243,14 +244,24 @@ def test_a_protocol_is_freed_without_the_cycle_collector(stack):
     # to the protocol: a reference cycle would keep every protocol a run
     # built alive until a full collection.
     network = generators.random_connected(8, seed=1)
+    spec = RunSpec(
+        protocol=stack, network=NetworkSpec(family="random_connected", size=8, seed=1), seed=2
+    )
+    run(spec)  # first-run imports and caches are not per-run garbage
+    gc.collect()
     gc.disable()
     try:
         protocol = build_protocol(stack)
         for node in network.nodes():
             protocol.actions(network, node)
+            protocol.variables(network, node)
         alive = [weakref.ref(layer) for layer in (protocol, *protocol.layers())]
         del protocol
         assert [ref() for ref in alive] == [None] * len(alive)
+        # A whole run -- protocol, scheduler, views, result -- leaves no
+        # cyclic garbage behind either.
+        run(spec)
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
