@@ -8,7 +8,9 @@ One findings vocabulary (:data:`~repro.lint.findings.RULES`) for every mode:
   deriving per-action read/write sets (:mod:`repro.lint.summary`) on the way;
 * the **read-declaration** cross-check (:mod:`repro.lint.reads`, part of the
   default run) holds each guard and violation-rule part's ``reads``, and
-  each layer's ``legitimacy_residue``, to the static read sets (``RL008``).
+  each layer's ``legitimacy_residue``, to the static read sets (``RL008``),
+  and each pointer-directed read's pointer to its own or neighbor reads
+  (``RL009``).
 
 Runtime :class:`~repro.errors.GuardLocalityError` failures route through the
 same formatter via :func:`~repro.lint.findings.finding_from_guard_error`.

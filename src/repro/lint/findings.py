@@ -20,7 +20,8 @@ from repro.errors import GuardLocalityError
 #: Rule catalog: id -> (severity, one-line description).  The static pass
 #: emits RL001..RL006; the dynamic tracker raises RL004 (as
 #: :class:`GuardLocalityError`); the read-declaration cross-check
-#: (:mod:`repro.lint.reads`) and the dynamic tracker emit RL008.
+#: (:mod:`repro.lint.reads`) and the dynamic tracker emit RL008; the
+#: cross-check also emits RL009 for a pointer-directed read's pointer.
 RULES: dict[str, tuple[str, str]] = {
     "RL001": ("error", "guard mutates state (view.write inside a guard)"),
     "RL002": ("warning", "guard performs I/O"),
@@ -29,6 +30,10 @@ RULES: dict[str, tuple[str, str]] = {
     "RL005": ("error", "non-local write (statement writes outside its own node)"),
     "RL006": ("error", "undeclared variable access (name not in the layer's schema)"),
     "RL008": ("error", "guard or legitimacy predicate reads a variable its declared reads omit"),
+    "RL009": (
+        "error",
+        "pointer-directed read whose pointer is not declared read (via: own, named_by: neighbor)",
+    ),
 }
 
 

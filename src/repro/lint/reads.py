@@ -10,7 +10,13 @@ declaration to the reads the static pass (:mod:`repro.lint.static`) finds.
 A read the pass finds in a resolved guard or rule part that the part's own
 declaration omits is an RL008 error, even when another part of the same
 guard declares it; so is a read of ``legitimacy_residue`` that no rule part
-of its layer declares.  Over-declaring is sound and allowed.
+of its layer declares.  A pointer-directed read (``via``/``named_by``)
+counts as a neighbor read: the static pass cannot tell which neighbor a
+pointer names, so it is checked here against the union of the plain and the
+pointer-directed neighbor reads, and at run time, neighbor by neighbor, by
+``check_guard_locality``.  A declaration whose ``via`` pointer is missing
+from its own reads, or whose ``named_by`` pointer is missing from its
+neighbor reads, is an RL009 error.  Over-declaring is sound and allowed.
 
 Declarations are runtime values: STNO builds its own from the tree it runs
 over.  So the pass imports each analyzed module that declares reads or
@@ -111,7 +117,7 @@ def _declarations(
             ]
             if declared and None not in declared:
                 legitimacy[(path, cls.__name__)] = frozenset().union(
-                    *(reads.own | reads.neighbor for reads in declared)
+                    *(reads.own | reads.neighbor_reads for reads in declared)
                 )
             for program in (*actions, *rules):
                 for action in program:
@@ -123,20 +129,41 @@ def _declarations(
     return guards, legitimacy
 
 
-def _finding(path: str, line: int, owner: str, function: str, message: str) -> Finding:
+def _finding(
+    path: str, line: int, owner: str, function: str, message: str, rule: str = "RL008"
+) -> Finding:
     return Finding(
-        rule="RL008",
+        rule=rule,
         path=path,
         line=line,
         message=message,
-        severity=severity_of("RL008"),
+        severity=severity_of(rule),
         layer=owner,
         function=function,
     )
 
 
+def _unread_pointers(declared: Reads) -> list[str]:
+    """The pointers of ``declared``'s pointer-directed reads it does not declare reading.
+
+    A ``via`` pointer is followed from the processor itself, so it must be
+    in ``own``; a ``named_by`` pointer is tested at every neighbor, so it
+    must be in ``neighbor``.  Without that the scheduler would not stale the
+    part when the pointer moves.
+    """
+    return [
+        f"via pointer {pointer!r} is not in its own reads"
+        for pointer, _ in declared.via
+        if pointer not in declared.own
+    ] + [
+        f"named_by pointer {pointer!r} is not in its neighbor reads"
+        for pointer, _ in declared.named_by
+        if pointer not in declared.neighbor
+    ]
+
+
 def check_reads(analyzer) -> tuple[list[Finding], int]:
-    """RL008 findings for ``analyzer``'s modules, and the declarations checked.
+    """RL008 and RL009 findings for ``analyzer``'s modules, and the declarations checked.
 
     ``analyzer`` is a finished static pass (:func:`~repro.lint.static.analyze_paths`).
     """
@@ -160,7 +187,7 @@ def check_reads(analyzer) -> tuple[list[Finding], int]:
             missing = []
             if own := part.reads_own - declared.own:
                 missing.append(f"own {sorted(own)}")
-            if neighbor := part.reads_neighbor - declared.neighbor:
+            if neighbor := part.reads_neighbor - declared.neighbor_reads:
                 missing.append(f"neighbor {sorted(neighbor)}")
             if missing:
                 action = "/".join(sorted(names))
@@ -175,6 +202,23 @@ def check_reads(analyzer) -> tuple[list[Finding], int]:
                         f"{part.line}) reads "
                         + " and ".join(missing)
                         + " that its declared reads omit",
+                    )
+                )
+    for (path, line), declared_at in sorted(guards.items()):
+        part_summary = sites.get((path, line))
+        for declared, names in declared_at.items():
+            if misses := _unread_pointers(declared):
+                action = "/".join(sorted(names))
+                summary = part_summary[1] if part_summary else None
+                findings.append(
+                    _finding(
+                        summary.module if summary else str(path),
+                        summary.line if summary else line,
+                        summary.owner if summary else "",
+                        action,
+                        f"declared reads of {action!r} (the part defined at line {line}): "
+                        + "; ".join(misses),
+                        rule="RL009",
                     )
                 )
     for summary in analyzer.legitimacy_summaries:

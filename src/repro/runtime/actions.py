@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, TYPE_CHECKING
+from typing import Callable, Iterable, Mapping, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.processor import ProcessorView
@@ -13,26 +13,94 @@ GuardFn = Callable[["ProcessorView"], bool]
 StatementFn = Callable[["ProcessorView"], None]
 
 
+#: Pointer-directed reads, normalised: ``(pointer, variables)`` pairs sorted by pointer.
+PointerReads = tuple[tuple[str, frozenset[str]], ...]
+
+
+def _pointer_reads(declared: "Mapping[str, Iterable[str]] | PointerReads") -> PointerReads:
+    """``declared`` as sorted ``(pointer, variables)`` pairs (a mapping or such pairs)."""
+    pairs = declared.items() if isinstance(declared, Mapping) else declared
+    return tuple(sorted((pointer, frozenset(names)) for pointer, names in pairs))
+
+
+def _merge(*declarations: PointerReads) -> dict[str, frozenset[str]]:
+    merged: dict[str, frozenset[str]] = {}
+    for declared in declarations:
+        for pointer, names in declared:
+            merged[pointer] = merged.get(pointer, frozenset()) | names
+    return merged
+
+
 @dataclass(frozen=True)
 class Reads:
     """The variables a guard (or a violation rule) part reads, by owner.
 
-    ``own`` are read at the processor itself, ``neighbor`` at its neighbors.
-    A change of variable ``x`` at processor ``p`` can flip a declared
-    predicate of ``p`` only when ``x`` is in ``own``, and a predicate of a
-    neighbor of ``p`` only when ``x`` is in ``neighbor`` -- which is what lets
-    the scheduler skip the guard and rule re-checks a change cannot
-    affect.  Over-declaring is sound; under-declaring is caught by
-    ``repro-lint`` and, at run time, by ``check_guard_locality`` (rule RL008).
-    Build declarations once (module or instance constants), not per node.
+    ``own`` are read at the processor itself, ``neighbor`` at any of its
+    neighbors.  A change of variable ``x`` at processor ``p`` can flip a
+    declared predicate of ``p`` only when ``x`` is in ``own``, and a
+    predicate of a neighbor of ``p`` only when ``x`` is in ``neighbor`` --
+    which is what lets the scheduler skip the guard and rule re-checks a
+    change cannot affect.
+
+    Two pointer-directed forms narrow a neighbor read to the neighbors a
+    pointer variable picks out (both given as ``{pointer: variables}``):
+
+    * ``via``: the part reads ``variables`` only at the neighbor its *own*
+      ``pointer`` names (a parent, a delegated child).  The pointer must be
+      in ``own``.  A change of ``x`` at ``p`` then stales the part only at
+      the processors whose ``pointer`` names ``p``; moving the pointer is an
+      own change, which stales the part at its holder.
+    * ``named_by``: the part reads ``variables`` only at the neighbors whose
+      ``pointer`` names the processor (a delegator), and reads ``pointer``
+      at the other neighbors only to see that it does not.  The pointer
+      must be in ``neighbor``.  A change at ``p`` then stales the part only
+      at the processors ``p``'s pointer named before and names after it:
+      at any other neighbor of ``p`` the part neither read nor reads ``p``'s
+      ``variables``, and whether ``p`` names it stays "no".
+
+    The scheduler keeps a shadow of every declared pointer with a reverse
+    index (target -> holders) to find those processors.  Over-declaring is
+    sound; under-declaring is caught by ``repro-lint`` and, at run time, by
+    ``check_guard_locality`` (rule RL008, which also holds a pointer-directed
+    read to the neighbor its pointer picks out).  Build declarations once
+    (module or instance constants), not per node.
     """
 
     own: frozenset[str] = frozenset()
     neighbor: frozenset[str] = frozenset()
+    via: PointerReads = ()
+    named_by: PointerReads = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "via", _pointer_reads(self.via))
+        object.__setattr__(self, "named_by", _pointer_reads(self.named_by))
+
+    @property
+    def neighbor_reads(self) -> frozenset[str]:
+        """Every variable the part may read at some neighbor (plain or pointer-directed)."""
+        return self.neighbor.union(*(names for _, names in self.via + self.named_by))
 
     def __or__(self, other: "Reads") -> "Reads":
-        """Both declarations' reads (a guard that calls another's predicate)."""
-        return Reads(self.own | other.own, self.neighbor | other.neighbor)
+        """Both declarations' reads (a guard that calls another's predicate).
+
+        Pointer-directed reads merge per pointer.  A ``named_by`` pointer
+        the other side reads plainly at its neighbors widens to plain
+        neighbor reads, since the union no longer only tests it.
+        """
+        named_by = _merge(self.named_by, other.named_by)
+        plain = {
+            pointer
+            for reads, others in ((self, other), (other, self))
+            for pointer in reads.neighbor
+            if pointer not in dict(reads.named_by) and pointer in dict(others.named_by)
+        }
+        widened = frozenset().union(*(named_by.pop(pointer) for pointer in plain))
+        return Reads(
+            self.own | other.own,
+            self.neighbor | other.neighbor | widened,
+            _merge(self.via, other.via),
+            named_by,
+        )
 
 
 #: One conjunct of a guard: a predicate and what it reads (``None``: anything).
@@ -212,6 +280,7 @@ __all__ = [
     "Conjunction",
     "GuardFn",
     "GuardPart",
+    "PointerReads",
     "Reads",
     "Rule",
     "StatementFn",

@@ -128,7 +128,9 @@ def _checked_parts(
         def call(_: object) -> bool:
             tracked = TrackingGuardView(node, network, configuration)
             holds = predicate(tracked)
-            _check_guard_reads(node, network, action, declared, tracked.read_variables)
+            _check_guard_reads(
+                node, network, configuration, action, declared, tracked.read_variables
+            )
             return holds
 
         return call
@@ -139,11 +141,16 @@ def _checked_parts(
 def _check_guard_reads(
     node: int,
     network: RootedNetwork,
+    configuration: Configuration,
     action: Action | Rule,
     declared: Reads | None,
     reads: frozenset[tuple[int, str]],
 ) -> None:
-    """Raise :class:`GuardLocalityError` for a read a guard or rule part may not make."""
+    """Raise :class:`GuardLocalityError` for a read a guard or rule part may not make.
+
+    A pointer-directed read (``via``/``named_by``) is allowed only at the
+    neighbor its pointer picks out in ``configuration``.
+    """
     kind = "violation rule" if isinstance(action, Rule) else "guard of action"
     allowed = set(network.neighbor_set(node))
     allowed.add(node)
@@ -162,21 +169,42 @@ def _check_guard_reads(
         )
     if declared is None:
         return
+
+    def pointed(source: int, name: str) -> bool:
+        """Whether a pointer-directed declaration covers ``name`` at ``source``."""
+        own = configuration.peek_state(node)
+        at_source = configuration.peek_state(source)
+        return any(
+            name in names and own.get(pointer) == source for pointer, names in declared.via
+        ) or any(
+            name in names and at_source.get(pointer) == node
+            for pointer, names in declared.named_by
+        )
+
     undeclared = sorted(
         (source, name)
         for source, name in reads
-        if name not in (declared.own if source == node else declared.neighbor)
+        if not (
+            name in declared.own
+            if source == node
+            else name in declared.neighbor or pointed(source, name)
+        )
     )
     if undeclared:
         listed = ", ".join(
             f"{'own' if source == node else 'neighbor'} {name!r} (processor {source})"
             for source, name in undeclared
         )
+        pointers = "".join(
+            f", {form} { {pointer: sorted(names) for pointer, names in pairs} }"
+            for form, pairs in (("via", declared.via), ("named_by", declared.named_by))
+            if pairs
+        )
         raise GuardLocalityError(
             f"undeclared guard read (RL008): {kind} {action.name!r} "
             f"(layer {action.layer!r}) on processor {node} read {listed}, which its "
             f"declared reads (own {sorted(declared.own)}, neighbor "
-            f"{sorted(declared.neighbor)}) omit",
+            f"{sorted(declared.neighbor)}{pointers}) omit",
             node=node,
             layer=action.layer,
             action=action.name,
@@ -198,6 +226,94 @@ def first_enabled_action(
     """
     index = evaluate_guards(node, network, configuration, actions, -1, 0, check_guard_locality)[0]
     return actions[index] if index < len(actions) else None
+
+
+#: Per pointer, a stale mask per table: ``((pointer, masks), ...)``.
+PointerMasks = tuple[tuple[str, tuple[int, ...]], ...]
+#: What a change of some variables at a node implies (see :func:`_stale_masks`).
+MaskEntry = tuple[
+    tuple[int, ...],
+    tuple[int, ...],
+    bool,
+    tuple[int, ...],
+    "tuple[tuple[str, ...], PointerMasks, PointerMasks] | None",
+]
+
+#: Stale masks, shared by every scheduler whose tables and residue reads are
+#: equal: ``(tables, residue reads) -> changed variables -> entry``.  Equal
+#: protocols on equal-shaped networks share tables, so a campaign computes
+#: each entry once, not once per run.  Cleared whole when it grows past
+#: :data:`_STALE_MASK_TABLES` table sets.
+_STALE_MASKS: dict[tuple, dict[tuple[str, ...] | None, MaskEntry]] = {}
+_STALE_MASK_TABLES = 64
+
+
+def _stale_masks(
+    tables: tuple[tuple[Reads | None, ...], ...],
+    residue_reads: tuple[frozenset[str] | None, ...],
+    pointers: tuple[str, ...],
+    variables: tuple[str, ...] | None,
+) -> MaskEntry:
+    """The stale masks a change of ``variables`` (``None``: anything) at a node implies.
+
+    ``(own, neighbor, reaches, voids, pointed)``: ``own[t]`` for the changed
+    node and ``neighbor[t]`` for each of its neighbors, where ``t`` is the
+    marked node's table; ``reaches`` is whether any neighbor mask is
+    nonzero; ``voids`` the leaf layers whose cached residue the change
+    drops.  ``pointed`` is ``None`` when the change touches no declared
+    pointer and no pointer-directed read; else ``(moved, via, named)``:
+    the declared ``pointers`` among ``variables``, whose shadow must
+    follow, and per pointer the masks for the holders whose pointer names
+    the changed node (``via``) and for the nodes its own pointer named and
+    names (``named_by``).  A ``named_by`` pointer stales its parts only
+    there, not at every neighbor.  A whole-state change (``None``) stales
+    every bit at the node and its neighbors, which covers every
+    pointer-directed read the closed neighborhood allows.
+    """
+
+    def masks(test: Callable[[Reads | None], bool]) -> tuple[int, ...]:
+        return tuple(
+            sum(1 << position for position, reads in enumerate(table) if test(reads))
+            for table in tables
+        )
+
+    def meets(names: frozenset[str]) -> bool:
+        return variables is None or not names.isdisjoint(variables)
+
+    def through(form: str, pointer: str) -> tuple[int, ...]:
+        """The parts whose ``form`` reads through ``pointer`` meet ``variables``."""
+        # A named_by part also tests whether the pointer names its node.
+        tested = frozenset({pointer}) if form == "named_by" else frozenset()
+
+        def test(reads: Reads | None) -> bool:
+            names = None if reads is None else dict(getattr(reads, form)).get(pointer)
+            return names is not None and meets(names | tested)
+
+        return masks(test)
+
+    own = masks(lambda reads: reads is None or meets(reads.own))
+    neighbor = masks(
+        lambda reads: reads is None
+        or meets(reads.neighbor.difference(pointer for pointer, _ in reads.named_by))
+    )
+    voids = tuple(
+        slot
+        for slot, reads in enumerate(residue_reads)
+        if reads is None or meets(reads)
+    )
+    pointed = None
+    if variables is None:
+        if pointers:
+            pointed = (pointers, (), ())
+    else:
+        moved = tuple(pointer for pointer in pointers if pointer in variables)
+        directed = tuple(
+            tuple((pointer, bits) for pointer in pointers if any(bits := through(form, pointer)))
+            for form in ("via", "named_by")
+        )
+        if moved or any(directed):
+            pointed = (moved, *directed)
+    return own, neighbor, any(neighbor), voids, pointed
 
 
 @dataclass(frozen=True)
@@ -299,7 +415,8 @@ class Scheduler:
         of variables ``V`` at ``p`` marks stale the parts of ``p``'s guards
         whose declared :class:`~repro.runtime.actions.Reads` own-set meets
         ``V`` and the parts of ``p``'s neighbors' guards whose neighbor-set
-        does (a part without a declaration counts as reading everything);
+        does -- a pointer-directed read only at the neighbors its pointer
+        picks out (a part without a declaration counts as reading everything);
         a processor is re-walked only when a bit its last walk consulted
         went stale.  Guards run on one read-only
         :class:`~repro.runtime.processor.GuardView` per processor, built at
@@ -570,8 +687,34 @@ class Scheduler:
         self._watch = [0] * n
         self._frontier = set()
         self._needs_full_rescan = True
+        self._shadow_pointers()
         self._reset_legitimacy()
         self._invalidate_enabled_view()
+
+    def _shadow_pointers(self) -> None:
+        """Rebuild the shadow of every declared pointer from the configuration.
+
+        ``_targets[pointer][node]`` is the node ``node``'s pointer named at the
+        last drain (``None``: no node), and ``_holders[pointer][target]`` the
+        nodes whose pointer names ``target``: the index that lets a change at
+        ``target`` stale a ``via`` part only where the pointer names it.
+        A pointer value names the node id it equals (``_node_ids`` maps each
+        id to itself), as the views read it; any other value names none.
+        """
+        self._targets: dict[str, list[int | None]] = {}
+        self._holders: dict[str, dict[int, set[int]]] = {}
+        if not self.incremental or not self._pointers:
+            return
+        n = self.network.n
+        self._node_ids = {node: node for node in range(n)}
+        for pointer in self._pointers:
+            targets = self._targets[pointer] = [None] * n
+            holders = self._holders[pointer] = {}
+            for node in range(n):
+                target = self._node_ids.get(self.configuration.peek_state(node).get(pointer))
+                if target is not None:
+                    targets[node] = target
+                    holders.setdefault(target, set()).add(node)
 
     def _reset_legitimacy(self) -> None:
         """Queue every node's rules for a walk and drop every cached verdict.
@@ -595,8 +738,9 @@ class Scheduler:
         A node's *table* is the reads of its guard parts, in bit order, then
         those of each leaf layer's rule parts (one *segment* per layer);
         nodes with equal tables share one.  The stale masks a change implies
-        are memoised per changed-variable tuple and table, so marking costs a
-        lookup per touched node.  A layer's residue is re-evaluated after a
+        are memoised per changed-variable tuple, shared by every scheduler
+        with equal tables (:data:`_STALE_MASKS`), so marking costs a lookup
+        per touched node.  A layer's residue is re-evaluated after a
         change to what its rule parts read; a layer without rules is checked
         whole, after any change.
         """
@@ -628,51 +772,42 @@ class Scheduler:
         for walks in walks_of.values():
             for slot, _, _, rules in walks:
                 declared[slot].update(reads for rule in rules for _, reads in rule.guard_parts)
-        self._residue_reads = [
+        residue_reads = tuple(
             None
             if not reads or None in reads
-            else frozenset().union(*(read.own | read.neighbor for read in reads))
+            else frozenset().union(*(read.own | read.neighbor_reads for read in reads))
             for reads in declared
-        ]
+        )
         self._residue_checks: list[Callable[[RootedNetwork, Configuration], bool]] = [
             leaf.legitimacy_residue if reads else leaf.legitimate
             for leaf, reads in zip(self._leaves, declared)
         ]
-        self._stale_masks: dict[
-            tuple[str, ...] | None,
-            tuple[tuple[int, ...], tuple[int, ...], bool, tuple[int, ...]],
-        ] = {}
-
-    def _masks_for(
-        self, variables: tuple[str, ...] | None
-    ) -> tuple[tuple[int, ...], tuple[int, ...], bool, tuple[int, ...]]:
-        """Stale masks a change of ``variables`` implies, per table.
-
-        ``(own, neighbor, reaches, voids)``: ``own[t]`` for the changed node
-        and ``neighbor[t]`` for each of its neighbors, where ``t`` is the
-        node's table; ``reaches`` is whether any neighbor mask is nonzero;
-        ``voids`` the leaf layers whose cached residue the change drops.
-        """
-        def mask(table: tuple[Reads | None, ...], neighbor: bool) -> int:
-            bits = 0
-            for position, reads in enumerate(table):
-                if (
-                    reads is None
-                    or variables is None
-                    or not (reads.neighbor if neighbor else reads.own).isdisjoint(variables)
-                ):
-                    bits |= 1 << position
-            return bits
-
-        own = tuple(mask(table, False) for table in self._tables)
-        neighbor = tuple(mask(table, True) for table in self._tables)
-        voids = tuple(
-            slot
-            for slot, reads in enumerate(self._residue_reads)
-            if reads is None or variables is None or not reads.isdisjoint(variables)
+        # The pointers some part reads through: the shadow (_invalidate_enabled) follows them.
+        self._pointers: tuple[str, ...] = tuple(
+            sorted(
+                {
+                    pointer
+                    for table in self._tables
+                    for reads in table
+                    if reads is not None
+                    for pointer, _ in reads.via + reads.named_by
+                }
+            )
         )
-        entry = (own, neighbor, any(neighbor), voids)
-        self._stale_masks[variables] = entry
+        key = (self._tables, residue_reads)
+        memo = _STALE_MASKS.get(key)
+        if memo is None:
+            if len(_STALE_MASKS) >= _STALE_MASK_TABLES:
+                _STALE_MASKS.clear()
+            memo = _STALE_MASKS[key] = {}
+        self._mask_memo = memo
+        self._residue_reads = residue_reads
+
+    def _masks_for(self, variables: tuple[str, ...] | None) -> MaskEntry:
+        """The stale masks of a change of ``variables`` (:func:`_stale_masks`), memoised."""
+        entry = self._mask_memo[variables] = _stale_masks(
+            self._tables, self._residue_reads, self._pointers, variables
+        )
         return entry
 
     def _reevaluate(self, node: int) -> int:
@@ -700,8 +835,12 @@ class Scheduler:
         """Mark stale the guard and rule parts the journaled changes can flip.
 
         The journal's only reader.  Every drained entry ``node -> variables``
-        sets the stale bits its declarations imply (:meth:`_masks_for`) at
-        the node and its neighbors.  A node joins the guard (rule) frontier
+        sets the stale bits its declarations imply (:func:`_stale_masks`) at
+        the node and its neighbors, and for pointer-directed reads at the
+        nodes the pointer shadow picks out: the holders whose pointer names
+        the node (``via``) and the nodes the node's own pointer named before
+        and names now (``named_by``); the entry also moves the shadow.  A
+        node joins the guard (rule) frontier
         when a newly stale bit is a guard (rule) bit its last walk
         consulted, since no other part can change which action is first or
         which rule holds.  The entry also drops the cached residues it can
@@ -715,17 +854,19 @@ class Scheduler:
         actions, table, stale, watch = self._actions, self._table, self._stale, self._watch
         rule_watch, rule_frontier = self._rule_watch, self._rule_frontier
         residues = self._residues
-        memo = self._stale_masks
+        memo = self._mask_memo
         frontier = self._frontier
         # Neighbor masks -> the changed nodes whose neighbors they mark.
         spread: dict[tuple[int, ...], list[int]] = {}
+        # (node, masks) marks of the pointer-directed reads.
+        pointed: list[tuple[int, tuple[int, ...]]] = []
         for node, variables in changes.items():
             if node not in actions:
                 continue  # a foreign node id journaled by hand-built state
             entry = memo.get(variables)
             if entry is None:
                 entry = self._masks_for(variables)
-            own, neighbor, reaches, voids = entry
+            own, neighbor, reaches, voids, directed = entry
             mask = own[table[node]]
             if mask:
                 stale[node] |= mask
@@ -738,6 +879,8 @@ class Scheduler:
             if residues:
                 for slot in voids:
                     residues.pop(slot, None)
+            if directed is not None:
+                self._follow_pointers(node, directed, pointed)
         # Marking each neighbor once per mask, not once per changed node next
         # to it, keeps dense synchronous steps linear in n.
         neighbor_set = self.network.neighbor_set
@@ -750,8 +893,50 @@ class Scheduler:
                         frontier.add(other)
                     if mask & rule_watch[other]:
                         rule_frontier.add(other)
+        for other, masks in pointed:
+            mask = masks[table[other]]
+            if mask:
+                stale[other] |= mask
+                if mask & watch[other]:
+                    frontier.add(other)
+                if mask & rule_watch[other]:
+                    rule_frontier.add(other)
         if self._instr.enabled:
             self._instr.gauge("dirty_set_size", len(changes))
+
+    def _follow_pointers(
+        self,
+        node: int,
+        directed: tuple[tuple[str, ...], PointerMasks, PointerMasks],
+        marks: list[tuple[int, tuple[int, ...]]],
+    ) -> None:
+        """Move ``node``'s pointer shadow and queue the pointer-directed marks of its change.
+
+        ``directed`` is an entry's ``(moved, via, named)`` (:func:`_stale_masks`).
+        """
+        moved, via, named = directed
+        targets, holders = self._targets, self._holders
+        previous: dict[str, int | None] = {}
+        if moved:
+            state = self.configuration.peek_state(node)
+            for pointer in moved:
+                old = targets[pointer][node]
+                new = self._node_ids.get(state.get(pointer))
+                if new != old:
+                    previous[pointer] = old
+                    targets[pointer][node] = new
+                    index = holders[pointer]
+                    if old is not None:
+                        index[old].discard(node)
+                    if new is not None:
+                        index.setdefault(new, set()).add(node)
+        for pointer, masks in named:
+            for target in (targets[pointer][node], previous.get(pointer)):
+                if target is not None:
+                    marks.append((target, masks))
+        for pointer, masks in via:
+            for holder in holders[pointer].get(node, ()):
+                marks.append((holder, masks))
 
     def _refresh_enabled(self) -> None:
         """Drain the journal, then re-walk the frontier (or rescan everything).

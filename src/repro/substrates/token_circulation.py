@@ -82,24 +82,36 @@ _LEVEL_READS = Reads(own=frozenset({VAR_LEVEL}))
 #: The own-state gate every guard but the root's normalization opens with.
 _STATE_READS = Reads(own=frozenset({VAR_STATE}))
 #: ``_valid_delegation``: the delegated child's state and parent pointer.
-_DELEGATION_READS = Reads(own=frozenset({VAR_CHILD}), neighbor=frozenset({VAR_STATE, VAR_PARENT}))
+_DELEGATION_READS = Reads(
+    own=frozenset({VAR_CHILD}), via={VAR_CHILD: frozenset({VAR_STATE, VAR_PARENT})}
+)
 #: ``_child_settled``: the delegated child visited and waiting.
 _SETTLED_READS = Reads(
-    own=frozenset({VAR_CHILD, VAR_WAVE}), neighbor=frozenset({VAR_STATE, VAR_WAVE})
+    own=frozenset({VAR_CHILD, VAR_WAVE}), via={VAR_CHILD: frozenset({VAR_STATE, VAR_WAVE})}
 )
 #: ``_unvisited_neighbors``.
 _UNVISITED_READS = Reads(own=frozenset({VAR_WAVE}), neighbor=frozenset({VAR_STATE, VAR_WAVE}))
-#: ``_forwarding_parent``.
+#: ``_forwarding_parent``: every neighbor's child pointer, and the rest only
+#: at a neighbor whose child pointer names the processor.
 _FORWARDING_READS = Reads(
-    own=frozenset({VAR_WAVE}), neighbor=frozenset({VAR_STATE, VAR_CHILD, VAR_WAVE, VAR_LEVEL})
+    own=frozenset({VAR_WAVE}),
+    neighbor=frozenset({VAR_CHILD}),
+    named_by={VAR_CHILD: frozenset({VAR_STATE, VAR_WAVE, VAR_LEVEL})},
 )
-#: ``_valid_active``: the whole stack consistency check.
-_STACKED_READS = Reads(own=_ALL - {VAR_STATE}, neighbor=_ALL)
+#: ``_valid_active``: the whole stack consistency check, at the parent and
+#: (through ``_valid_delegation``) at the delegated child.
+_STACKED_READS = Reads(
+    own=_ALL - {VAR_STATE},
+    via={
+        VAR_PARENT: frozenset({VAR_STATE, VAR_CHILD, VAR_WAVE, VAR_LEVEL}),
+        VAR_CHILD: frozenset({VAR_STATE, VAR_PARENT}),
+    },
+)
 
 #: What :meth:`DepthFirstTokenCirculation.holds_token` reads, for guards of
 #: other layers that call it.
 HOLDS_TOKEN_READS = Reads(
-    own=frozenset({VAR_STATE, VAR_CHILD}), neighbor=frozenset({VAR_STATE})
+    own=frozenset({VAR_STATE, VAR_CHILD}), via={VAR_CHILD: frozenset({VAR_STATE})}
 )
 
 
@@ -493,9 +505,10 @@ class DepthFirstTokenCirculation(Protocol):
         max_level = view.network.n - 1
         own_wave = view.read(VAR_WAVE)
         for q in view.neighbors:
+            # The child pointer first: the rest is read only where it names us.
             if (
-                view.read_neighbor(q, VAR_STATE) == ACTIVE
-                and view.read_neighbor(q, VAR_CHILD) == view.node
+                view.read_neighbor(q, VAR_CHILD) == view.node
+                and view.read_neighbor(q, VAR_STATE) == ACTIVE
                 and view.read_neighbor(q, VAR_WAVE) != own_wave
                 and view.read_neighbor(q, VAR_LEVEL) + 1 <= max_level
             ):

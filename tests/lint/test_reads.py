@@ -43,7 +43,7 @@ def test_token_guards_declare_exactly_their_static_reads() -> None:
     token = DepthFirstTokenCirculation()
     # Actions and violation rules alike.
     declared = {
-        action.name: [(reads.own, reads.neighbor) for _, reads in action.guard_parts]
+        action.name: [(reads.own, reads.neighbor_reads) for _, reads in action.guard_parts]
         for node in network.nodes()
         for action in (*token.actions(network, node), *token.violation_rules(network, node))
     }
@@ -71,3 +71,43 @@ def test_underdeclared_fixture_fires_rl008_three_times(capsys) -> None:
 
 def test_fixture_stays_clean_for_the_static_rules() -> None:
     assert analyze_paths([FIXTURES / "reads_underdeclared.py"]).findings == []
+
+
+def test_rl009_in_rule_catalog() -> None:
+    severity, description = RULES["RL009"]
+    assert severity == "error"
+    assert "pointer" in description
+
+
+def test_pointer_undeclared_fixture_fires_rl009_for_both_forms(capsys) -> None:
+    assert main([str(FIXTURES / "reads_pointer_undeclared.py"), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    by_rule = sorted((finding["rule"], finding["function"]) for finding in payload)
+    # Each declaration omits its pointer (RL009), and the part reads it (RL008).
+    assert by_rule == [
+        ("RL008", "RP-Follow"),
+        ("RL008", "RP-Named"),
+        ("RL009", "RP-Follow"),
+        ("RL009", "RP-Named"),
+    ]
+    messages = {
+        finding["function"]: finding["message"] for finding in payload if finding["rule"] == "RL009"
+    }
+    assert "via pointer 'rp_ptr' is not in its own reads" in messages["RP-Follow"]
+    assert "named_by pointer 'rp_ptr' is not in its neighbor reads" in messages["RP-Named"]
+    assert all(finding["line"] > 0 for finding in payload)
+
+
+def test_pointer_directed_reads_count_as_neighbor_reads() -> None:
+    # The token layer declares its stack check through its pointers only; the
+    # static pass sees neighbor reads, which the pointer-directed reads cover.
+    token = DepthFirstTokenCirculation()
+    network = generators.random_connected(8, seed=1)
+    (error,) = [
+        action for action in token.actions(network, 1) if action.name == token.ACTION_ERROR
+    ]
+    _, stacked = error.guard_parts[1]
+    assert stacked.neighbor == frozenset()
+    assert stacked.neighbor_reads == {"tc_st", "tc_child", "tc_wave", "tc_lvl", "tc_par"}
+    findings, _ = check_reads(analyze_paths([PACKAGE / "substrates" / "token_circulation.py"]))
+    assert findings == []

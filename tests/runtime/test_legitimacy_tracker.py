@@ -312,7 +312,7 @@ def test_residues_read_only_what_their_rules_declare(stack):
                 for _, reads in rule.guard_parts
             }
             assert declared and None not in declared, layer.name
-            allowed = set().union(*(reads.own | reads.neighbor for reads in declared))
+            allowed = set().union(*(reads.own | reads.neighbor_reads for reads in declared))
             logged = ReadLog(configuration.to_dict())
             layer.legitimacy_residue(network, logged)
             assert {name for _, name in logged.reads} <= allowed, layer.name
@@ -339,7 +339,7 @@ def _token_states(network, node):
 
 
 def _own_only(rule) -> bool:
-    return all(reads is not None and not reads.neighbor for _, reads in rule.guard_parts)
+    return all(reads is not None and not reads.neighbor_reads for _, reads in rule.guard_parts)
 
 
 @pytest.mark.parametrize(
