@@ -82,7 +82,13 @@ from repro.api.spec import DAEMONS, PROTOCOLS
 from repro.campaign.grid import DEFAULT_TASK_TYPE, TASK_ENGINES, Grid, parse_axis, parse_shard
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import open_store, resolve_store_path
-from repro.campaign.watch import _format_duration, _utc_iso, watch
+from repro.campaign.watch import (
+    _format_duration,
+    _provenance_line,
+    _task_type_table,
+    _utc_iso,
+    watch,
+)
 from repro.errors import ReproError
 
 #: Grid-defining options shared by ``run`` and ``status``; used to detect
@@ -582,44 +588,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
     store = open_store(path)
     rows = store.rows()
     print(f"store: {path} ({store.backend}, {len(rows)} rows)")
-    metadata = store.metadata()
-    if metadata:
-        created = metadata.get("created_at_iso") or metadata.get("created_at")
-        version = metadata.get("code_version")
-        provenance = ", ".join(
-            part
-            for part in (
-                f"created {created}" if created else "",
-                f"code version {version}" if version else "",
-            )
-            if part
-        )
-        if provenance:
-            print(f"metadata: {provenance}")
-    if rows:
-        counts: dict[tuple[object, object, object], list[int]] = {}
-        for row in rows:
-            key = (
-                row.get("task_type", DEFAULT_TASK_TYPE),
-                row.get("protocol"),
-                row.get("family"),
-            )
-            bucket = counts.setdefault(key, [0, 0])
-            bucket[0] += 1
-            bucket[1] += 1 if row.get("converged") else 0
-        table = [
-            {
-                "task_type": task_type,
-                "protocol": protocol,
-                "family": family,
-                "rows": total,
-                "converged": converged,
-            }
-            for (task_type, protocol, family), (total, converged) in sorted(
-                counts.items(), key=str
-            )
-        ]
-        print(format_table(table))
+    for line in (_provenance_line(store.metadata()), _task_type_table(rows)):
+        if line:
+            print(line)
 
     if args.shard and not _grid_requested(args):
         raise ValueError(

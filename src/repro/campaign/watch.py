@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.analysis.reporting import format_table
-from repro.campaign.grid import Grid
+from repro.campaign.grid import DEFAULT_TASK_TYPE, Grid
 from repro.campaign.store import open_store, resolve_store_path
 
 #: How many trailing perf rows feed the rolling phase breakdown.
@@ -89,6 +89,21 @@ def _progress_lines(store, rows: list[dict[str, object]], grid: Grid | None) -> 
     return lines
 
 
+def _provenance_line(metadata: dict[str, object]) -> str | None:
+    """The store's ``metadata: created ..., code version ...`` line, if any."""
+    created = metadata.get("created_at_iso") or metadata.get("created_at")
+    version = metadata.get("code_version")
+    provenance = ", ".join(
+        part
+        for part in (
+            f"created {created}" if created else "",
+            f"code version {version}" if version else "",
+        )
+        if part
+    )
+    return f"metadata: {provenance}" if provenance else None
+
+
 def _task_type_table(rows: list[dict[str, object]]) -> str | None:
     """Rows / converged counts per (task type, protocol, family)."""
     if not rows:
@@ -96,7 +111,7 @@ def _task_type_table(rows: list[dict[str, object]]) -> str | None:
     counts: dict[tuple[object, object, object], list[int]] = {}
     for row in rows:
         key = (
-            row.get("task_type", "stabilize"),
+            row.get("task_type", DEFAULT_TASK_TYPE),
             row.get("protocol"),
             row.get("family"),
         )
@@ -186,19 +201,9 @@ def render_dashboard(
         f"campaign watch -- {store.path} ({store.backend}, {len(rows)} rows) "
         f"at {_utc_iso(time.time())}"
     ]
-    metadata = store.metadata()
-    created = metadata.get("created_at_iso") or metadata.get("created_at")
-    version = metadata.get("code_version")
-    provenance = ", ".join(
-        part
-        for part in (
-            f"created {created}" if created else "",
-            f"code version {version}" if version else "",
-        )
-        if part
-    )
+    provenance = _provenance_line(store.metadata())
     if provenance:
-        lines.append(f"metadata: {provenance}")
+        lines.append(provenance)
     lines.extend(_progress_lines(store, rows, grid))
     task_table = _task_type_table(rows)
     if task_table:

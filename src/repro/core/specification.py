@@ -30,6 +30,12 @@ VAR_NAME = "no_eta"
 #: Shared-variable name of the per-link label map ``pi_p`` (both protocols).
 VAR_EDGE_LABELS = "no_pi"
 
+#: What :meth:`OrientationSpecification.misoriented` reads: a node's name and
+#: labels, its neighbors' names (``names_unique`` reads names only).
+_MISORIENTED_READS = Reads(
+    own=frozenset({VAR_NAME, VAR_EDGE_LABELS}), neighbor=frozenset({VAR_NAME})
+)
+
 
 def _in_range(name: object, modulus: int) -> bool:
     """SP1's range condition on one name: an integer in ``{0, ..., N-1}``."""
@@ -59,25 +65,13 @@ class OrientationSpecification:
         The ``N`` of the chordal arithmetic.  ``None`` means "the number of
         processors of the network being checked" (the thesis assumes every
         processor knows this bound).
-    name_variable / labels_variable:
-        Names of the shared variables carrying ``eta_p`` and ``pi_p``;
-        defaults match both DFTNO and STNO.
+
+    ``eta_p`` and ``pi_p`` are read from :data:`VAR_NAME` and
+    :data:`VAR_EDGE_LABELS`, the variables of both DFTNO and STNO.
     """
 
-    def __init__(
-        self,
-        modulus: int | None = None,
-        name_variable: str = VAR_NAME,
-        labels_variable: str = VAR_EDGE_LABELS,
-    ) -> None:
+    def __init__(self, modulus: int | None = None) -> None:
         self.modulus = modulus
-        self.name_variable = name_variable
-        self.labels_variable = labels_variable
-        #: What :meth:`misoriented` reads: a node's name and labels, its
-        #: neighbors' names (:meth:`names_unique` reads names only).
-        self.reads = Reads(
-            own=frozenset({name_variable, labels_variable}), neighbor=frozenset({name_variable})
-        )
 
     def effective_modulus(self, network: RootedNetwork) -> int:
         """The modulus used for ``network`` (explicit value or ``network.n``)."""
@@ -95,7 +89,7 @@ class OrientationSpecification:
         sp1 = True
         seen: dict[int, int] = {}
         for node in network.nodes():
-            name = configuration.get(node, self.name_variable)
+            name = configuration.get(node, VAR_NAME)
             names[node] = name
             if not _in_range(name, modulus):
                 sp1 = False
@@ -115,7 +109,7 @@ class OrientationSpecification:
 
         sp2 = True
         for node in network.nodes():
-            labels = configuration.get(node, self.labels_variable)
+            labels = configuration.get(node, VAR_EDGE_LABELS)
             if not isinstance(labels, dict):
                 sp2 = False
                 violations.append(f"SP2: processor {node} has no edge-label map")
@@ -148,7 +142,7 @@ class OrientationSpecification:
         """Whether SP1 alone (unique in-range names) holds."""
         modulus = self.effective_modulus(network)
         return all(
-            _in_range(configuration.get(node, self.name_variable), modulus)
+            _in_range(configuration.get(node, VAR_NAME), modulus)
             for node in network.nodes()
         ) and self.names_unique(network, configuration)
 
@@ -159,16 +153,15 @@ class OrientationSpecification:
         and its neighbors' names.
         """
         modulus = self.effective_modulus(view.network)
-        name_variable = self.name_variable
-        name = view.read(name_variable)
+        name = view.read(VAR_NAME)
         if not _in_range(name, modulus):
             return True
-        labels = view.read(self.labels_variable)
+        labels = view.read(VAR_EDGE_LABELS)
         if not isinstance(labels, dict):
             return True
         read_neighbor, label = view.read_neighbor, labels.get
         for neighbor in view.neighbors:
-            other = read_neighbor(neighbor, name_variable)
+            other = read_neighbor(neighbor, VAR_NAME)
             if not isinstance(other, int):
                 other = 0
             if label(neighbor) != chordal_edge_label(name, other, modulus):
@@ -177,14 +170,14 @@ class OrientationSpecification:
 
     def violation_rule(self, name: str, layer: str) -> Rule:
         """The orientation layers' violation rule: :meth:`misoriented`."""
-        return Rule(name, all_of((self.misoriented, self.reads)), layer=layer)
+        return Rule(name, all_of((self.misoriented, _MISORIENTED_READS)), layer=layer)
 
     def names_unique(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """SP1's global residue: no two processors carry the same in-range name."""
         modulus = self.effective_modulus(network)
         seen: set[int] = set()
         for node in network.nodes():
-            name = configuration.get(node, self.name_variable)
+            name = configuration.get(node, VAR_NAME)
             if not _in_range(name, modulus):
                 continue
             if name in seen:
@@ -198,10 +191,10 @@ class OrientationSpecification:
     def extract(self, network: RootedNetwork, configuration: Configuration) -> ChordalOrientation:
         """Read the orientation out of ``configuration`` (without validating it)."""
         modulus = self.effective_modulus(network)
-        names = {node: configuration.get(node, self.name_variable) for node in network.nodes()}
+        names = {node: configuration.get(node, VAR_NAME) for node in network.nodes()}
         labels: dict[int, dict[int, int]] = {}
         for node in network.nodes():
-            stored = configuration.get(node, self.labels_variable)
+            stored = configuration.get(node, VAR_EDGE_LABELS)
             stored = stored if isinstance(stored, dict) else {}
             labels[node] = {
                 neighbor: stored.get(neighbor) for neighbor in network.neighbors(node)

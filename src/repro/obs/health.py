@@ -7,14 +7,14 @@ structured **anomaly** when a run stops looking like that:
 
 * ``stall`` -- the enabled set is nonempty but the configuration keeps
   revisiting the same global states (a livelock / limit cycle).  Detected by
-  fingerprinting the configuration every ``check_every`` steps and counting
-  repeats inside a sliding window; before emitting, the monitor *lazily*
+  fingerprinting the configuration every :data:`DEFAULT_CHECK_EVERY` steps
+  and counting repeats inside a sliding window; before emitting, the monitor *lazily*
   re-checks the protocol's legitimacy predicate, because several of the
   paper's protocols (token circulation, Dijkstra's ring, PIF waves) cycle
   through configurations forever *by design* once legitimate -- only an
   **illegitimate** cycle is an anomaly.
-* ``round_budget`` -- the completed-round count exceeded
-  ``budget_multiple x round_budget``.  The budget defaults to a generous
+* ``round_budget`` -- the completed-round count exceeded the round
+  budget.  The budget defaults to a generous
   multiple of ``n + m`` (the protocols' bounds are O(n) / O(h) rounds, so a
   healthy run never gets near it); it is the "this should have converged by
   now" alarm the future ``repro-campaign hunt`` mode searches for.
@@ -90,42 +90,16 @@ class HealthMonitor(Observer):
         Completed-round budget; ``None`` (default) derives
         ``DEFAULT_BUDGET_FACTOR * (n + m) + DEFAULT_BUDGET_BASE`` from the
         source's network on the first step.
-    budget_multiple:
-        The budget anomaly fires when ``rounds > budget_multiple *
-        round_budget`` (a knob for hunt modes that want an early alarm).
-    check_every:
-        Fingerprint the configuration every this many steps.
-    cycle_window / cycle_repeats:
-        A ``stall`` anomaly needs ``cycle_repeats`` repeats of one
-        fingerprint within the last ``cycle_window`` checks (plus a nonempty
-        enabled set and a failing legitimacy predicate at emission time).
-    max_anomalies:
-        Hard cap on recorded anomalies per run.
+
+    The configuration is fingerprinted every :data:`DEFAULT_CHECK_EVERY`
+    steps; a ``stall`` anomaly needs :data:`DEFAULT_CYCLE_REPEATS` repeats
+    of one fingerprint within the last :data:`DEFAULT_CYCLE_WINDOW` checks
+    (plus a nonempty enabled set and a failing legitimacy predicate at
+    emission time).  At most :data:`DEFAULT_MAX_ANOMALIES` anomalies are
+    recorded per run.
     """
 
-    def __init__(
-        self,
-        round_budget: int | None = None,
-        budget_multiple: float = 1.0,
-        check_every: int = DEFAULT_CHECK_EVERY,
-        cycle_window: int = DEFAULT_CYCLE_WINDOW,
-        cycle_repeats: int = DEFAULT_CYCLE_REPEATS,
-        max_anomalies: int = DEFAULT_MAX_ANOMALIES,
-    ) -> None:
-        if check_every < 1:
-            raise ValueError("check_every must be >= 1")
-        if cycle_window < 2:
-            raise ValueError("cycle_window must be >= 2")
-        if cycle_repeats < 1:
-            raise ValueError("cycle_repeats must be >= 1")
-        if budget_multiple <= 0:
-            raise ValueError("budget_multiple must be > 0")
-        self.round_budget = round_budget
-        self.budget_multiple = budget_multiple
-        self.check_every = check_every
-        self.cycle_window = cycle_window
-        self.cycle_repeats = cycle_repeats
-        self.max_anomalies = max_anomalies
+    def __init__(self, round_budget: int | None = None) -> None:
         #: Structured anomaly records, oldest first.
         self.anomalies: list[dict[str, Any]] = []
         self.steps = 0
@@ -149,7 +123,7 @@ class HealthMonitor(Observer):
                     + DEFAULT_BUDGET_BASE
                 )
         self._check_budget(source)
-        if record.step % self.check_every == 0:
+        if record.step % DEFAULT_CHECK_EVERY == 0:
             self._check_cycle(source)
 
     def on_round(self, source: Any, round_index: int) -> None:
@@ -171,16 +145,12 @@ class HealthMonitor(Observer):
     def _check_budget(self, source: Any) -> None:
         if self._budget_fired or self._derived_budget is None:
             return
-        limit = self.budget_multiple * self._derived_budget
-        if self.rounds > limit:
+        if self.rounds > self._derived_budget:
             self._budget_fired = True
             self._emit(
                 source,
                 kind="round_budget",
-                detail=(
-                    f"completed {self.rounds} rounds, budget "
-                    f"{self._derived_budget} (x{self.budget_multiple:g})"
-                ),
+                detail=f"completed {self.rounds} rounds, budget {self._derived_budget}",
             )
 
     def _check_cycle(self, source: Any) -> None:
@@ -198,14 +168,14 @@ class HealthMonitor(Observer):
         count = self._counts.get(fingerprint, 0) + 1
         self._counts[fingerprint] = count
         self._window.append(fingerprint)
-        if len(self._window) > self.cycle_window:
+        if len(self._window) > DEFAULT_CYCLE_WINDOW:
             oldest = self._window.pop(0)
             remaining = self._counts.get(oldest, 0) - 1
             if remaining <= 0:
                 self._counts.pop(oldest, None)
             else:
                 self._counts[oldest] = remaining
-        if count + 1 <= self.cycle_repeats:  # count includes this sighting
+        if count + 1 <= DEFAULT_CYCLE_REPEATS:  # count includes this sighting
             return
         # The configuration keeps coming back.  Cycling is legal *after*
         # legitimacy (token rings circulate forever), so only an illegitimate
@@ -235,7 +205,7 @@ class HealthMonitor(Observer):
     # Emission
     # ------------------------------------------------------------------
     def _emit(self, source: Any, kind: str, detail: str) -> None:
-        if len(self.anomalies) >= self.max_anomalies:
+        if len(self.anomalies) >= DEFAULT_MAX_ANOMALIES:
             return
         record = {
             "kind": kind,

@@ -39,6 +39,9 @@ SCHEMA_VERSION = 1
 #: Default directory ``record=True`` runs write into.
 DEFAULT_LOG_DIR = "flightlogs"
 
+#: Buffered entries are flushed to disk every this many entries.
+FLUSH_EVERY = 256
+
 _TAGS = ("__tuple__", "__map__", "__set__", "__frozenset__", "__repr__")
 
 
@@ -180,7 +183,7 @@ class _JsonNames(dict):
 class FlightRecorder(Observer):
     """Observer appending the run's causal event log to ``path``.
 
-    Entries are buffered and flushed every ``flush_every`` entries (and on
+    Entries are buffered and flushed every :data:`FLUSH_EVERY` entries (and on
     :meth:`close`).  A step entry is buffered as its record and encoded in
     one pass with the rest of the buffer at flush time, which keeps the
     encoder warm instead of interleaving it with the step loop; the runtime
@@ -194,16 +197,10 @@ class FlightRecorder(Observer):
     raw scheduler runs record ``protocol.name`` instead.
     """
 
-    def __init__(
-        self,
-        path: "str | Path",
-        spec: Any = None,
-        flush_every: int = 256,
-    ) -> None:
+    def __init__(self, path: "str | Path", spec: Any = None) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._spec = spec
-        self._flush_every = max(1, int(flush_every))
         self._fh = open(self.path, "w", encoding="utf-8")
         # Serialized entries, and ``(seq, StepRecord)`` pairs still to encode.
         self._buffer: list[str | tuple[int, Any]] = []
@@ -230,7 +227,7 @@ class FlightRecorder(Observer):
         self._seq += 1
         self._buffer.append(text)
         self.entries_written += 1
-        if len(self._buffer) >= self._flush_every:
+        if len(self._buffer) >= FLUSH_EVERY:
             self.flush()
 
     def flush(self) -> None:
@@ -332,7 +329,7 @@ class FlightRecorder(Observer):
         buffer = self._buffer
         buffer.append((seq, record))
         self.entries_written += 1
-        if len(buffer) >= self._flush_every:
+        if len(buffer) >= FLUSH_EVERY:
             self.flush()
 
     def _step_core_json(self, record: Any) -> str:

@@ -31,9 +31,9 @@ byte-stable through both store backends.  Like ``perf``, telemetry never
 influences the measured execution or the row's config hash; a run without
 the observer pays nothing (it is simply not registered).
 
-The series is bounded: when it reaches ``max_samples`` it is decimated
-(every other sample dropped, stride doubled), so arbitrarily long runs keep
-a fixed-size, evenly-spaced trajectory instead of an unbounded log.
+The series is bounded: when it reaches :data:`DEFAULT_MAX_SAMPLES` it is
+decimated (every other sample dropped, stride doubled), so arbitrarily long
+runs keep a fixed-size, evenly-spaced trajectory instead of an unbounded log.
 """
 
 from __future__ import annotations
@@ -70,29 +70,18 @@ class ConvergenceTelemetryObserver(Observer):
     ----------
     stride:
         Sample the series every this many steps (step 0 is always sampled).
-        Doubles automatically whenever the series hits ``max_samples``.
-    max_samples:
-        Bound on the retained series length; reaching it decimates the series
-        (every other sample dropped) instead of growing without bound.
-    track_legitimacy:
-        Evaluate the protocol's legitimacy predicate at each sample (only at
-        the stride -- never per step).  Costs one predicate evaluation per
-        sample; switch off for very hot sweeps.
+        Doubles whenever the series reaches :data:`DEFAULT_MAX_SAMPLES`,
+        which decimates it (every other sample dropped) instead of letting
+        it grow without bound.
+
+    Each sample evaluates the protocol's legitimacy predicate once (only at
+    the stride -- never per step).
     """
 
-    def __init__(
-        self,
-        stride: int = DEFAULT_STRIDE,
-        max_samples: int = DEFAULT_MAX_SAMPLES,
-        track_legitimacy: bool = True,
-    ) -> None:
+    def __init__(self, stride: int = DEFAULT_STRIDE) -> None:
         if stride < 1:
             raise ValueError("stride must be >= 1")
-        if max_samples < 2:
-            raise ValueError("max_samples must be >= 2")
         self.stride = stride
-        self.max_samples = max_samples
-        self.track_legitimacy = track_legitimacy
         #: Retained series rows, each ordered like :data:`SAMPLE_COLUMNS`.
         self.samples: list[list[Any]] = []
         self.guard_heat: dict[str, int] = {}
@@ -140,11 +129,10 @@ class ConvergenceTelemetryObserver(Observer):
         enabled_nodes = getattr(source, "enabled_nodes", None)
         if callable(enabled_nodes):
             enabled = len(enabled_nodes())
-        legitimate = distance = None
-        if self.track_legitimacy:
-            legitimate = self._legitimacy(source)
-            if legitimate is not None and isinstance(source, Scheduler):
-                distance = source.legitimacy_distance()
+        distance = None
+        legitimate = self._legitimacy(source)
+        if legitimate is not None and isinstance(source, Scheduler):
+            distance = source.legitimacy_distance()
         self.samples.append(
             [
                 record.step,
@@ -156,7 +144,7 @@ class ConvergenceTelemetryObserver(Observer):
                 distance,
             ]
         )
-        if len(self.samples) >= self.max_samples:
+        if len(self.samples) >= DEFAULT_MAX_SAMPLES:
             # Decimate: keep every other sample, double the stride.  The
             # retained rows stay evenly spaced and the blob stays bounded.
             self.samples = self.samples[::2]

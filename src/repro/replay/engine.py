@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 from repro.api.engines import Engine, build_protocol, register_engine
 from repro.api.spec import RunResult, RunSpec, normalize_protocol
-from repro.errors import ReplayError
+from repro.errors import ReplayError, SchedulingError
 from repro.graphs import io as graph_io
 from repro.obs.recorder import decode_states, decode_value, encode_states, fingerprint
 from repro.replay.log import FlightLog, decoded_step_record
@@ -248,7 +248,11 @@ class ReplayRun:
                 details=(f"live enabled set: {sorted(enabled)}",),
             )
         self.daemon.arm(selection)
-        live = self.scheduler.step()
+        try:
+            live = self.scheduler.step()
+        except SchedulingError as error:
+            # E.g. a selection that repeats a processor: no daemon makes it.
+            return Divergence(seq=seq, step=expected.step, reason=str(error))
         if live is None:
             return Divergence(
                 seq=seq,

@@ -88,11 +88,6 @@ class FlightLog:
     def initial_frozen(self) -> tuple[int, ...]:
         return tuple(self.init.get("frozen") or ())
 
-    def final_states(self) -> "dict[int, dict[str, Any]] | None":
-        if self.final is None or "config" not in self.final:
-            return None
-        return decode_states(self.final["config"])
-
     def steps(self) -> Iterator[dict[str, Any]]:
         """The ``step`` entries in order."""
         return (entry for entry in self.entries if entry["type"] == "step")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -21,14 +20,6 @@ def _pointer_reads(declared: "Mapping[str, Iterable[str]] | PointerReads") -> Po
     """``declared`` as sorted ``(pointer, variables)`` pairs (a mapping or such pairs)."""
     pairs = declared.items() if isinstance(declared, Mapping) else declared
     return tuple(sorted((pointer, frozenset(names)) for pointer, names in pairs))
-
-
-def _merge(*declarations: PointerReads) -> dict[str, frozenset[str]]:
-    merged: dict[str, frozenset[str]] = {}
-    for declared in declarations:
-        for pointer, names in declared:
-            merged[pointer] = merged.get(pointer, frozenset()) | names
-    return merged
 
 
 @dataclass(frozen=True)
@@ -80,45 +71,9 @@ class Reads:
         """Every variable the part may read at some neighbor (plain or pointer-directed)."""
         return self.neighbor.union(*(names for _, names in self.via + self.named_by))
 
-    def __or__(self, other: "Reads") -> "Reads":
-        """Both declarations' reads (a guard that calls another's predicate).
-
-        Pointer-directed reads merge per pointer.  A ``named_by`` pointer
-        the other side reads plainly at its neighbors widens to plain
-        neighbor reads, since the union no longer only tests it.
-        """
-        named_by = _merge(self.named_by, other.named_by)
-        plain = {
-            pointer
-            for reads, others in ((self, other), (other, self))
-            for pointer in reads.neighbor
-            if pointer not in dict(reads.named_by) and pointer in dict(others.named_by)
-        }
-        widened = frozenset().union(*(named_by.pop(pointer) for pointer in plain))
-        return Reads(
-            self.own | other.own,
-            self.neighbor | other.neighbor | widened,
-            _merge(self.via, other.via),
-            named_by,
-        )
-
 
 #: One conjunct of a guard: a predicate and what it reads (``None``: anything).
 GuardPart = tuple[GuardFn, Reads | None]
-
-
-@lru_cache(maxsize=None)
-def _union(declarations: tuple[Reads | None, ...]) -> Reads | None:
-    """The union of ``declarations`` (``None`` if any part reads anything).
-
-    Memoised, so the conjunctions of every node share one union object.
-    """
-    union = Reads()
-    for reads in declarations:
-        if reads is None:
-            return None
-        union = union | reads
-    return union
 
 
 class Conjunction:
@@ -131,12 +86,11 @@ class Conjunction:
     variable that part reads may have flipped it.
     """
 
-    __slots__ = ("parts", "predicates", "reads")
+    __slots__ = ("parts", "predicates")
 
     def __init__(self, parts: tuple[GuardPart, ...]) -> None:
         self.parts = parts
         self.predicates = tuple(predicate for predicate, _ in parts)
-        self.reads = _union(tuple(reads for _, reads in parts))
 
     def __call__(self, view: "ProcessorView") -> bool:
         for predicate in self.predicates:
@@ -151,8 +105,7 @@ def all_of(*parts: GuardPart) -> Conjunction:
     Order the parts so that a cheap part that is usually false comes first:
     the scheduler stops at the first false part and, until a change to what
     that part reads, calls none of the parts behind it.  Build the parts'
-    :class:`Reads` once (module or instance constants); the union is
-    memoised, so conjunctions built per node share one.  A conjunction kept
+    :class:`Reads` once (module or instance constants).  A conjunction kept
     on a protocol instance should hold plain functions: methods bound to the
     instance make a reference cycle that only a full collection frees.
     """
@@ -189,9 +142,9 @@ class Action:
         What the guard reads (:class:`Reads`).  ``None`` -- the default --
         means "anything in the closed neighborhood", which is always sound:
         the scheduler then re-evaluates the guard after every change around
-        the processor.  A conjunction guard declares its reads per part, and
-        ``reads`` is then their union; passing ``reads=`` as well is a
-        :class:`ValueError`.
+        the processor.  A conjunction guard declares its reads per part
+        instead (:attr:`guard_parts`) and leaves ``reads`` at ``None``;
+        passing ``reads=`` as well is a :class:`ValueError`.
 
     The scheduler caches one truth value per guard *part* (a plain guard is
     a one-part conjunction), and its ``guard_calls`` counter counts part
@@ -206,16 +159,11 @@ class Action:
     reads: Reads | None = None
 
     def __post_init__(self) -> None:
-        guard = self.guard
-        if isinstance(guard, Conjunction):
-            # ``dataclasses.replace`` hands the union back in; anything else
-            # is a second, competing declaration.
-            if self.reads is not None and self.reads is not guard.reads:
-                raise ValueError(
-                    f"action {self.name!r}: an all_of guard declares its reads per "
-                    f"part; do not pass reads= as well"
-                )
-            object.__setattr__(self, "reads", guard.reads)
+        if isinstance(self.guard, Conjunction) and self.reads is not None:
+            raise ValueError(
+                f"action {self.name!r}: an all_of guard declares its reads per "
+                f"part; do not pass reads= as well"
+            )
 
     @property
     def guard_parts(self) -> tuple[GuardPart, ...]:
@@ -224,14 +172,6 @@ class Action:
         if isinstance(guard, Conjunction):
             return guard.parts
         return ((guard, self.reads),)
-
-    def enabled(self, view: "ProcessorView") -> bool:
-        """Evaluate the guard against ``view``."""
-        return bool(self.guard(view))
-
-    def execute(self, view: "ProcessorView") -> None:
-        """Run the statement against ``view`` (writes are collected by the view)."""
-        self.statement(view)
 
     def with_extra_statement(self, extra: StatementFn, suffix: str = "+hook") -> "Action":
         """A copy of this action whose statement additionally runs ``extra``.

@@ -530,13 +530,6 @@ class Scheduler:
         self._violations: list[set[int]] = []
         self._residues: dict[int, bool] = {}
         self._needs_full_rescan = True
-        # Maintained sorted/immutable view of the non-frozen enabled nodes.
-        # Steps used to re-sort the enabled-set (and daemons to copy it) every
-        # step, which is what flattened the incremental core's win near ~5x in
-        # BENCH_scheduler.json; the view is rebuilt only when enabled-set
-        # *membership* (or the frozen set) actually changes.
-        self._enabled_order: tuple[int, ...] | None = None
-        self._enabled_members: frozenset[int] | None = None
         self._invalidate_enabled()
         if instr.enabled:
             instr.phase_time(PHASE_INIT, time.perf_counter() - started)
@@ -562,10 +555,6 @@ class Scheduler:
     def instrumentation(self) -> Instrumentation:
         """The run's instrumentation registry (the shared no-op by default)."""
         return self._instr
-
-    def add_observer(self, observer: Observer) -> None:
-        """Register ``observer`` for subsequent step/round notifications."""
-        self._observers.append(observer)
 
     def _notify_step(self, record: StepRecord) -> None:
         dispatch_safely(self._observers, "on_step", self, record)
@@ -595,35 +584,28 @@ class Scheduler:
         journaled configuration changes); with ``incremental=False`` it is
         the historical full scan.
         """
-        order, lookup, _ = self._enabled_view()
+        order, lookup = self._enabled_view()
         return {node: lookup[node] for node in order}
 
-    def _enabled_view(self) -> tuple[tuple[int, ...], Mapping[int, Action], frozenset[int]]:
-        """The enabled set as ``(sorted order, node -> action, member set)``.
+    def _enabled_view(self) -> tuple[tuple[int, ...], Mapping[int, Action]]:
+        """The enabled set as ``(ascending non-frozen nodes, node -> action)``.
 
         The step loop's view of the enabled processors.  On the incremental
-        path the order tuple and member set are maintained across steps and
-        rebuilt only when membership changed, so neither the per-step sort nor
-        the daemon's selection copies scale with the enabled count; the
-        full-scan path keeps its historical rebuild-per-call behavior.
+        path the mapping is the maintained enabled-set, which also keeps
+        frozen nodes; the full-scan path rebuilds both on every call.
         """
         if self.incremental:
             self._refresh_enabled()
-            if self._enabled_order is None:
-                # The rebuild is enabled-set maintenance like the refresh
-                # itself, so it books under the same phase.
-                instr = self._instr
-                timed = instr.enabled
-                started = time.perf_counter() if timed else 0.0
-                order = tuple(
-                    sorted(node for node in self._enabled if node not in self._frozen)
-                )
-                self._enabled_order = order
-                self._enabled_members = frozenset(order)
-                if timed:
-                    instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
-            assert self._enabled_members is not None
-            return self._enabled_order, self._enabled, self._enabled_members
+            # Sorting is enabled-set upkeep like the refresh, so it books
+            # under the same phase.
+            instr = self._instr
+            timed = instr.enabled
+            started = time.perf_counter() if timed else 0.0
+            enabled, frozen = self._enabled, self._frozen
+            order = tuple(sorted(enabled.keys() - frozen if frozen else enabled))
+            if timed:
+                instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
+            return order, enabled
         instr = self._instr
         timed = instr.enabled
         started = time.perf_counter() if timed else 0.0
@@ -647,7 +629,7 @@ class Scheduler:
             instr.count("guards_evaluated", network.n - len(self._frozen))
             instr.count("guard_calls", calls)
             instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
-        return order, enabled, frozenset(order)
+        return order, enabled
 
     def enabled_nodes(self) -> tuple[int, ...]:
         """Identifiers of the processors with at least one enabled action."""
@@ -689,7 +671,6 @@ class Scheduler:
         self._needs_full_rescan = True
         self._shadow_pointers()
         self._reset_legitimacy()
-        self._invalidate_enabled_view()
 
     def _shadow_pointers(self) -> None:
         """Rebuild the shadow of every declared pointer from the configuration.
@@ -726,11 +707,6 @@ class Scheduler:
         self._rule_frontier = set(range(self.network.n))
         self._violations = [set() for _ in self._leaves]
         self._residues = {}
-
-    def _invalidate_enabled_view(self) -> None:
-        """Drop the maintained sorted view (membership or frozen set changed)."""
-        self._enabled_order = None
-        self._enabled_members = None
 
     def _index_actions(self) -> None:
         """Build the per-node action and rule tables and their read-declaration index.
@@ -824,11 +800,9 @@ class Scheduler:
             self._views[node],
         )
         if index < len(actions):
-            if node not in self._enabled:
-                self._invalidate_enabled_view()
             self._enabled[node] = actions[index]
-        elif self._enabled.pop(node, None) is not None:
-            self._invalidate_enabled_view()
+        else:
+            self._enabled.pop(node, None)
         return calls
 
     def _drain(self) -> None:
@@ -958,7 +932,6 @@ class Scheduler:
             for node in range(n):
                 calls += self._reevaluate(node)
             self._needs_full_rescan = False
-            self._invalidate_enabled_view()
             if timed:
                 instr.count("guards_evaluated", n)
                 instr.count("guard_calls", calls)
@@ -1102,7 +1075,7 @@ class Scheduler:
         timed = instr.enabled
         step_started = time.perf_counter() if timed else 0.0
 
-        order, enabled, members = self._enabled_view()
+        order, enabled = self._enabled_view()
         if not order:
             return None
 
@@ -1130,10 +1103,17 @@ class Scheduler:
         selected = self.daemon.select(order, self._step_index, self.rng)
         if not selected:
             raise SchedulingError(f"daemon {self.daemon.name!r} selected an empty set")
-        invalid = [node for node in selected if node not in members]
+        frozen = self._frozen
+        invalid = [node for node in selected if node not in enabled or node in frozen]
         if invalid:
             raise SchedulingError(
                 f"daemon {self.daemon.name!r} selected processors that are not enabled: {invalid}"
+            )
+        chosen = set(selected)
+        if len(chosen) < len(selected):
+            repeated = sorted(node for node in chosen if selected.count(node) > 1)
+            raise SchedulingError(
+                f"daemon {self.daemon.name!r} selected processors more than once: {repeated}"
             )
         if timed:
             now = time.perf_counter()
@@ -1170,7 +1150,7 @@ class Scheduler:
             instr.gauge("selected_set_size", len(selected))
 
         self._step_index += 1
-        completed_round = self._advance_round(set(selected))
+        completed_round = self._advance_round(chosen)
         if timed:
             mark = time.perf_counter()
         self._notify_step(record)
@@ -1223,7 +1203,15 @@ class Scheduler:
             return None
         self._round_pending -= executed_nodes
         if self._round_pending:
-            self._round_pending &= self._enabled_view()[2]
+            if self.incremental:
+                self._refresh_enabled()
+                enabled = self._enabled
+            else:
+                enabled = self._enabled_view()[1]
+            # The incremental enabled-set keeps frozen nodes; they count as disabled.
+            pending = self._round_pending & enabled.keys()
+            pending -= self._frozen
+            self._round_pending = pending
         if not self._round_pending:
             self._round_index += 1
             self._round_pending = None
@@ -1376,7 +1364,6 @@ class Scheduler:
                 raise SchedulingError(f"cannot freeze unknown processor {node}")
             self._frozen.add(node)
         self._round_pending = None
-        self._invalidate_enabled_view()
         self._notify_mutation("freeze", nodes=tuple(sorted(frozen)))
 
     def unfreeze(self, nodes: Iterable[int]) -> None:
@@ -1384,7 +1371,6 @@ class Scheduler:
         thawed = tuple(nodes)
         self._frozen.difference_update(thawed)
         self._round_pending = None
-        self._invalidate_enabled_view()
         self._notify_mutation("unfreeze", nodes=tuple(sorted(thawed)))
 
     def replace_node(self, node: int, values: Mapping[str, object]) -> None:

@@ -31,7 +31,7 @@ from repro.runtime.scheduler import Scheduler
 from repro.scenarios.scenario import Scenario
 
 #: The variables the orientation specification is stated over; disturbance is
-#: measured against these unless the caller watches something else.
+#: measured against these when the protocol declares them.
 ORIENTATION_VARIABLES = (VAR_NAME, VAR_EDGE_LABELS)
 
 
@@ -53,9 +53,6 @@ class ScenarioRunner:
         That is one legitimate check more than the harness asks for (it
         counts the check that opens the streak, this runner does not); it
         is kept because changing it would change every stored scenario row.
-    watch_variables:
-        Variable names disturbance is measured over (default: the orientation
-        variables ``no_eta`` / ``no_pi``); ``None`` -> every variable.
     observers:
         :class:`~repro.runtime.observers.Observer` instances.  They receive
         the scheduler's step/round notifications, ``on_event`` with each
@@ -81,7 +78,6 @@ class ScenarioRunner:
         daemon: Daemon | None = None,
         seed: int | None = None,
         phase_budget: int | None = None,
-        watch_variables: tuple[str, ...] | None = ORIENTATION_VARIABLES,
         observers: Sequence[Observer] = (),
         incremental: bool = True,
         instrumentation: Instrumentation | None = None,
@@ -93,7 +89,15 @@ class ScenarioRunner:
         self.seed = seed
         self.phase_budget = phase_budget if phase_budget is not None else step_budget(network)
         self.confirm_steps = closure_window(network)
-        self.watch_variables = watch_variables
+        #: What disturbance is measured over: the orientation variables
+        #: ``no_eta`` / ``no_pi`` when the protocol declares them, else
+        #: every variable (``None``).
+        declared = protocol.variable_names(network, network.root)
+        self.watch_variables = (
+            ORIENTATION_VARIABLES
+            if all(name in declared for name in ORIENTATION_VARIABLES)
+            else None
+        )
         # A list, not a tuple: failure isolation disables (removes) an
         # observer that raises, here exactly as inside the scheduler.
         self.observers = list(observers)

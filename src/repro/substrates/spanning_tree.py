@@ -40,7 +40,7 @@ from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import PerNetwork, Protocol
 from repro.runtime.variables import VariableSpec, int_variable, pointer_variable
 from repro.substrates import token_circulation as tc
-from repro.substrates.token_circulation import DepthFirstTokenCirculation, dfs_preorder
+from repro.substrates.token_circulation import DepthFirstTokenCirculation, dfs_tree_parents
 
 # Variable names.
 VAR_BFS_DIST = "bt_dist"
@@ -238,31 +238,6 @@ class BFSSpanningTree(SpanningTreeProtocol):
     def violation_rules(self, network: RootedNetwork, node: int) -> Sequence[Rule]:
         """True distances everywhere and every parent one hop closer to the root."""
         return self._rules
-
-
-def dfs_tree_parents(network: RootedNetwork) -> dict[int, int | None]:
-    """Reference DFS-tree parents of the deterministic port-order traversal."""
-    parents: dict[int, int | None] = {network.root: None}
-    order = dfs_preorder(network)
-    position = {node: index for index, node in enumerate(order)}
-    visited: set[int] = {network.root}
-    stack = [network.root]
-    while stack:
-        node = stack[-1]
-        next_child = None
-        for neighbor in network.neighbors(node):
-            if neighbor not in visited:
-                next_child = neighbor
-                break
-        if next_child is None:
-            stack.pop()
-        else:
-            visited.add(next_child)
-            parents[next_child] = node
-            stack.append(next_child)
-    # ``position`` is only used to assert internal consistency in debug runs.
-    assert len(position) == network.n
-    return parents
 
 
 class _DFSTreeOverlay(HookingLayer):

@@ -74,7 +74,7 @@ VAR_LEVEL = "tc_lvl"
 
 _ALL = frozenset({VAR_STATE, VAR_WAVE, VAR_PARENT, VAR_CHILD, VAR_LEVEL})
 
-# What each guard part reads (``all_of`` parts, ``Action.reads``);
+# What each guard part reads (``all_of`` parts);
 # ``repro-lint`` holds them to the parts' statically derived read sets (RL008).
 _NORMALIZE_READS = Reads(own=frozenset({VAR_PARENT, VAR_LEVEL}))
 #: ``_level_out_of_range``.
@@ -115,17 +115,14 @@ HOLDS_TOKEN_READS = Reads(
 )
 
 
-def dfs_preorder(network: RootedNetwork) -> list[int]:
-    """The deterministic DFS preorder the token follows (root first, port order).
+def dfs_tree_parents(network: RootedNetwork) -> dict[int, int | None]:
+    """DFS-tree parents of the deterministic traversal the token follows.
 
-    This is the reference order used by correctness checks and by the
-    DFTNO <-> STNO equivalence experiment: after stabilization, the token
-    visits processors exactly in this order every round, and DFTNO names the
-    ``i``-th processor of this list ``i``.
+    Each processor's parent (``None`` for the root), keyed in the order the
+    token first reaches them (:func:`dfs_preorder`; root first, port order).
     """
     root = network.root
-    visited: set[int] = {root}
-    order: list[int] = [root]
+    parents: dict[int, int | None] = {root: None}
     # Explicit stack mirroring the token's behaviour: the holder repeatedly
     # delegates to its first *currently* unvisited neighbor in port order and
     # backtracks when none remains.
@@ -134,16 +131,26 @@ def dfs_preorder(network: RootedNetwork) -> list[int]:
         node = stack[-1]
         next_child = None
         for neighbor in network.neighbors(node):
-            if neighbor not in visited:
+            if neighbor not in parents:
                 next_child = neighbor
                 break
         if next_child is None:
             stack.pop()
         else:
-            visited.add(next_child)
-            order.append(next_child)
+            parents[next_child] = node
             stack.append(next_child)
-    return order
+    return parents
+
+
+def dfs_preorder(network: RootedNetwork) -> list[int]:
+    """The deterministic DFS preorder the token follows (root first, port order).
+
+    This is the reference order used by correctness checks and by the
+    DFTNO <-> STNO equivalence experiment: after stabilization, the token
+    visits processors exactly in this order every round, and DFTNO names the
+    ``i``-th processor of this list ``i``.
+    """
+    return list(dfs_tree_parents(network))
 
 
 class DepthFirstTokenCirculation(Protocol):
@@ -596,6 +603,7 @@ __all__ = [
     "DepthFirstTokenCirculation",
     "HOLDS_TOKEN_READS",
     "dfs_preorder",
+    "dfs_tree_parents",
     "WAIT",
     "ACTIVE",
     "VAR_STATE",

@@ -184,11 +184,11 @@ def test_edge_label_action_disabled_while_holding_token(figure_network):
     config.set(0, VAR_EDGE_LABELS, labels)
     view = ProcessorView(0, figure_network, config)
     edge_action = overlay.actions(figure_network, 0)[0]
-    assert not edge_action.enabled(view)
+    assert not edge_action.guard(view)
     # Once the root no longer holds the token the repair rule fires.
     config.set(0, tc.VAR_STATE, "wait")
     view = ProcessorView(0, figure_network, config)
-    assert edge_action.enabled(view)
+    assert edge_action.guard(view)
 
 
 def test_single_processor_network():

@@ -100,21 +100,6 @@ def test_extract_handles_broken_label_maps(small_random, oriented_configuration)
     assert not extracted.is_valid(small_random)
 
 
-def test_custom_variable_names(small_ring):
-    orientation = centralized_orientation(small_ring)
-    config = Configuration(
-        {
-            node: {
-                "myname": orientation.names[node],
-                "mylabels": dict(orientation.edge_labels[node]),
-            }
-            for node in small_ring.nodes()
-        }
-    )
-    spec = OrientationSpecification(name_variable="myname", labels_variable="mylabels")
-    assert spec.holds(small_ring, config)
-
-
 def test_report_holds_property():
     from repro.core.specification import SpecificationReport
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs import generators
+from repro.obs import health
 from repro.obs import (
     HealthMonitor,
     Instrumentation,
@@ -123,7 +124,14 @@ def test_no_anomalies_in_frozen_node_scenarios(protocol_key, scenario_name):
     assert monitor.healthy, (scenario_name, monitor.anomalies)
 
 
-def test_post_convergence_cycling_is_not_a_stall():
+def _tighten(monkeypatch, check_every=1, cycle_window=16, cycle_repeats=2):
+    """Check every step over a short window, so a few steps show a cycle."""
+    monkeypatch.setattr(health, "DEFAULT_CHECK_EVERY", check_every)
+    monkeypatch.setattr(health, "DEFAULT_CYCLE_WINDOW", cycle_window)
+    monkeypatch.setattr(health, "DEFAULT_CYCLE_REPEATS", cycle_repeats)
+
+
+def test_post_convergence_cycling_is_not_a_stall(monkeypatch):
     """Token circulation keeps moving after legitimacy -- still healthy.
 
     Run far past convergence with an aggressive check stride so the monitor
@@ -132,7 +140,8 @@ def test_post_convergence_cycling_is_not_a_stall():
     """
     network = generators.family("ring", 6, seed=2)
     factory, _ = PROTOCOLS["dijkstra-ring"]
-    monitor = HealthMonitor(check_every=1, cycle_window=16, cycle_repeats=2)
+    _tighten(monkeypatch)
+    monitor = HealthMonitor()
     scheduler = Scheduler(
         network,
         factory(),
@@ -150,9 +159,10 @@ def test_post_convergence_cycling_is_not_a_stall():
 # ----------------------------------------------------------------------
 # True positives: both anomaly kinds fire on genuinely sick runs
 # ----------------------------------------------------------------------
-def test_stall_detected_on_livelocked_protocol():
+def test_stall_detected_on_livelocked_protocol(monkeypatch):
     network = generators.family("ring", 4, seed=1)
-    monitor = HealthMonitor(check_every=1, cycle_window=16, cycle_repeats=3)
+    _tighten(monkeypatch, cycle_repeats=3)
+    monitor = HealthMonitor()
     scheduler = Scheduler(
         network, Blinker(), daemon=make_daemon("central"), seed=1, observers=(monitor,)
     )
@@ -178,11 +188,12 @@ def test_round_budget_anomaly_fires_once():
     assert budget_anomalies[0]["round"] > 2
 
 
-def test_anomalies_reach_counters_and_span_stream():
+def test_anomalies_reach_counters_and_span_stream(monkeypatch):
     sink = ListSpanSink()
     instrumentation = Instrumentation(tracer=SpanTracer(sink))
     network = generators.family("ring", 4, seed=1)
-    monitor = HealthMonitor(round_budget=1, check_every=1, cycle_repeats=2)
+    _tighten(monkeypatch, cycle_window=health.DEFAULT_CYCLE_WINDOW)
+    monitor = HealthMonitor(round_budget=1)
     scheduler = Scheduler(
         network,
         Blinker(),
@@ -202,11 +213,11 @@ def test_anomalies_reach_counters_and_span_stream():
     assert "detail" in anomaly_spans[0]
 
 
-def test_max_anomalies_caps_recording():
+def test_max_anomalies_caps_recording(monkeypatch):
     network = generators.family("ring", 4, seed=1)
-    monitor = HealthMonitor(
-        check_every=1, cycle_window=8, cycle_repeats=2, max_anomalies=3
-    )
+    _tighten(monkeypatch, cycle_window=8)
+    monkeypatch.setattr(health, "DEFAULT_MAX_ANOMALIES", 3)
+    monitor = HealthMonitor()
     scheduler = Scheduler(
         network, Blinker(), daemon=make_daemon("central"), seed=1, observers=(monitor,)
     )
@@ -265,14 +276,3 @@ def test_health_summary_aggregates_rows():
     assert summary["flagged"][0]["config_hash"] == "b"
     assert summary["flagged"][0]["kinds"] == "round_budget,stall"
     assert summary["flagged"][0]["first_step"] == 10
-
-
-def test_parameter_validation():
-    with pytest.raises(ValueError):
-        HealthMonitor(check_every=0)
-    with pytest.raises(ValueError):
-        HealthMonitor(cycle_window=1)
-    with pytest.raises(ValueError):
-        HealthMonitor(cycle_repeats=0)
-    with pytest.raises(ValueError):
-        HealthMonitor(budget_multiple=0)

@@ -17,6 +17,7 @@ import pytest
 from repro.core.dftno import build_dftno
 from repro.core.stno import build_stno
 from repro.graphs import generators
+from repro.obs import recorder as recorder_module
 from repro.obs.recorder import FlightRecorder, encode_step
 from repro.runtime.daemon import make_daemon
 from repro.runtime.scheduler import MoveRecord, Scheduler, StepRecord
@@ -119,9 +120,10 @@ def test_several_moves_unsorted_variables_and_empty_changes(tmp_path):
         (lambda: build_stno(tree="dfs"), "central"),
     ],
 )
-def test_recorded_runs_write_the_generic_lines(tmp_path, protocol, daemon):
+def test_recorded_runs_write_the_generic_lines(tmp_path, monkeypatch, protocol, daemon):
     path = tmp_path / "log.jsonl"
-    recorder = FlightRecorder(path, flush_every=7)  # flushes mid-run, between other entries
+    monkeypatch.setattr(recorder_module, "FLUSH_EVERY", 7)  # flushes mid-run, between other entries
+    recorder = FlightRecorder(path)
     scheduler = Scheduler(
         generators.random_connected(9, extra_edge_probability=0.3, seed=3),
         protocol(),

@@ -9,6 +9,7 @@ import pytest
 from repro.api import NetworkSpec, RunSpec, run
 from repro.api.engines import build_protocol
 from repro.graphs import generators
+from repro.obs import telemetry
 from repro.obs import (
     ConvergenceTelemetryObserver,
     enabled_trajectory,
@@ -19,9 +20,9 @@ from repro.runtime.scheduler import Scheduler
 from repro.substrates.spanning_tree import BFSSpanningTree
 
 
-def _observed_run(n: int = 12, seed: int = 7, stride: int = 4, **kwargs):
+def _observed_run(n: int = 12, seed: int = 7, stride: int = 4):
     network = generators.random_connected(n, seed=1)
-    observer = ConvergenceTelemetryObserver(stride=stride, **kwargs)
+    observer = ConvergenceTelemetryObserver(stride=stride)
     scheduler = Scheduler(
         network,
         BFSSpanningTree(),
@@ -72,8 +73,9 @@ def test_guard_heat_and_writes_accumulate_per_move():
     assert all(isinstance(node, str) for node in snapshot["writes_per_node"])
 
 
-def test_decimation_bounds_the_series():
-    observer, _ = _observed_run(n=16, stride=1, max_samples=8)
+def test_decimation_bounds_the_series(monkeypatch):
+    monkeypatch.setattr(telemetry, "DEFAULT_MAX_SAMPLES", 8)
+    observer, _ = _observed_run(n=16, stride=1)
     assert len(observer.samples) < 8
     assert observer.stride > 1, "decimation must double the stride"
     snapshot = observer.snapshot()
@@ -89,14 +91,6 @@ def test_snapshot_round_trips_byte_stable():
     decoded = json.loads(encoded)
     assert decoded == snapshot
     assert json.dumps(decoded, sort_keys=True, separators=(",", ":")) == encoded
-
-
-def test_track_legitimacy_off_skips_the_predicate():
-    observer, _ = _observed_run(track_legitimacy=False)
-    columns = observer.snapshot()["columns"]
-    for column in ("legitimate", "distance"):
-        index = columns.index(column)
-        assert all(sample[index] is None for sample in observer.samples)
 
 
 @pytest.mark.parametrize("incremental", (True, False), ids=("scheduler", "fullscan"))
@@ -205,5 +199,3 @@ def test_events_recorded_from_scenarios():
 def test_parameter_validation():
     with pytest.raises(ValueError):
         ConvergenceTelemetryObserver(stride=0)
-    with pytest.raises(ValueError):
-        ConvergenceTelemetryObserver(max_samples=1)

@@ -107,6 +107,22 @@ def test_tampered_selection_is_reported_as_not_enabled(recorded_log):
     assert "not" in report.divergence.reason and "999" in report.divergence.reason
 
 
+def test_tampered_repeated_selection_is_a_divergence(recorded_log, capsys):
+    path, _, records = recorded_log
+    target = min(3, len(records) - 1)
+    _tamper_step(
+        path, target,
+        lambda entry: entry["core"]["executed"].append(entry["core"]["executed"][0]),
+    )
+    report = ReplayRun(path).run()
+    assert not report.verified
+    assert report.divergence.step == target
+    assert report.steps_replayed == target
+    assert "more than once" in report.divergence.reason
+    assert replay_main(["verify", str(path)]) == 1
+    assert f"divergence at step {target}" in capsys.readouterr().err
+
+
 def test_tampered_final_fingerprint_fails_the_final_check(recorded_log):
     path, _, _ = recorded_log
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -322,8 +322,8 @@ def test_action_enabled_and_execute():
     config = Configuration({0: {"v": 0}, 1: {"v": 0}})
     action = Action("bump", lambda view: view.read("v") < 3, lambda view: view.write("v", view.read("v") + 1))
     view = ProcessorView(0, network, config)
-    assert action.enabled(view)
-    action.execute(view)
+    assert action.guard(view)
+    action.statement(view)
     assert view.pending_writes == {"v": 1}
 
 
@@ -333,7 +333,7 @@ def test_action_with_extra_statement_runs_both_and_sees_writes():
     base = Action("set", lambda view: True, lambda view: view.write("v", 7))
     hooked = base.with_extra_statement(lambda view: view.write("copy", view.read("v")), suffix="")
     view = ProcessorView(0, network, config)
-    hooked.execute(view)
+    hooked.statement(view)
     assert view.pending_writes == {"v": 7, "copy": 7}
     assert hooked.name == "set"
 

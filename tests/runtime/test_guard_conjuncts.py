@@ -185,13 +185,14 @@ def test_evaluate_guards_reports_the_consulted_bits():
 # Declarations
 # ----------------------------------------------------------------------
 def test_a_part_is_checked_against_its_own_reads_not_the_union():
-    # The gate over-declares the neighbors' ``x``, so the union covers the
-    # scan's read; the scan's own declaration does not.
+    # The gate over-declares the neighbors' ``x``, so the guard as a whole
+    # declares the scan's read; the scan's own declaration does not.
     network = generators.ring(4)
     protocol = Gated(
         gate_reads=Reads(own=frozenset({"g"}), neighbor=frozenset({"x"})), scan_reads=Reads()
     )
-    assert protocol.actions(network, 0)[0].reads.neighbor == frozenset({"x"})
+    gate, scan = protocol.actions(network, 0)[0].guard_parts
+    assert gate[1].neighbor == frozenset({"x"}) and scan[1] == Reads()
     configuration = protocol.initial_configuration(network)
     configuration.set(0, "g", 1)
     scheduler = Scheduler(
@@ -211,15 +212,13 @@ def test_all_of_with_reads_raises_value_error():
         Action("Go", guard, bool, reads=GATE_READS)
 
 
-def test_action_reads_is_the_union_of_the_parts():
+def test_an_all_of_action_declares_its_reads_per_part():
     action = Action("Go", all_of((bool, GATE_READS), (bool, SCAN_READS)), bool)
-    assert action.reads == Reads(own=frozenset({"g"}), neighbor=frozenset({"x"}))
+    assert action.reads is None
     assert [reads for _, reads in action.guard_parts] == [GATE_READS, SCAN_READS]
-    # A hooked copy keeps the conjunction and its union.
+    # A hooked copy keeps the conjunction and its parts.
     hooked = action.with_extra_statement(bool)
-    assert hooked.guard is action.guard and hooked.reads is action.reads
-    # A part without a declaration reads anything, and so does the guard.
-    assert Action("Go", all_of((bool, GATE_READS), (bool, None)), bool).reads is None
+    assert hooked.guard is action.guard and hooked.guard_parts == action.guard_parts
     # A plain guard is one part declared by ``reads``.
     plain = Action("Go", bool, bool, reads=GATE_READS)
     assert plain.guard_parts == ((bool, GATE_READS),)
@@ -232,9 +231,9 @@ def test_a_conjunction_is_a_callable_guard():
     configuration.set(0, "g", 1)
     view = GuardView(0, network, configuration)
     action = protocol.actions(network, 0)[0]
-    assert not action.enabled(view)  # the scan is false
+    assert not action.guard(view)  # the scan is false
     configuration.set(1, "x", 1)
-    assert action.enabled(view)
+    assert action.guard(view)
     assert protocol.calls["scan", 0] == 2
 
 

@@ -398,23 +398,3 @@ def test_pointer_reads_normalise_and_compare_by_value():
     assert first.neighbor_reads == frozenset({"x", "y"})
     named = Reads(neighbor=frozenset({"c"}), named_by={"c": {"z"}})
     assert named.neighbor_reads == frozenset({"c", "z"})
-
-
-def test_union_merges_pointer_reads_per_pointer():
-    left = Reads(
-        own=frozenset({"p"}), neighbor=frozenset({"c"}), via={"p": {"x"}}, named_by={"c": {"z"}}
-    )
-    right = Reads(own=frozenset({"p", "q"}), via={"p": {"y"}, "q": {"x"}})
-    union = left | right
-    assert dict(union.via) == {"p": frozenset({"x", "y"}), "q": frozenset({"x"})}
-    assert dict(union.named_by) == {"c": frozenset({"z"})}
-    assert union.own == frozenset({"p", "q"})
-    assert union.neighbor == frozenset({"c"})
-
-
-def test_union_widens_a_named_by_pointer_the_other_side_reads_plainly():
-    named = Reads(neighbor=frozenset({"c"}), named_by={"c": {"z"}})
-    plain = Reads(neighbor=frozenset({"c"}))
-    for union in (named | plain, plain | named):
-        assert union.named_by == ()
-        assert union.neighbor == frozenset({"c", "z"})

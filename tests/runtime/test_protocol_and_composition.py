@@ -193,7 +193,7 @@ def test_hooked_composition_runs_hook_in_same_step(small_ring):
     view = ProcessorView(0, small_ring, config)
     action = composed.actions(small_ring, 0)[0]
     assert action.name == "Count"
-    action.execute(view)
+    action.statement(view)
     # The hook saw the freshly written counter value.
     assert view.pending_writes == {"count": 1, "mirror": 1}
 

@@ -261,7 +261,6 @@ def test_underdeclared_rule_part_raises_rl008_on_a_legitimacy_query():
 
 def test_undeclared_actions_read_everything():
     assert Action("A", bool, bool).reads is None
-    reads = Reads(own=frozenset({"a"})) | Reads(neighbor=frozenset({"b"}))
-    assert reads == Reads(own=frozenset({"a"}), neighbor=frozenset({"b"}))
+    reads = Reads(own=frozenset({"a"}), neighbor=frozenset({"b"}))
     hooked = Action("A", bool, bool, reads=reads).with_extra_statement(bool)
     assert hooked.reads is reads

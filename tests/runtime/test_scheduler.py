@@ -85,6 +85,13 @@ class RogueDaemon(Daemon):
         return [max(enabled) + 1000]
 
 
+class StutteringDaemon(Daemon):
+    name = "stutter"
+
+    def select(self, enabled, step, rng):
+        return [enabled[0], *enabled, enabled[0]]
+
+
 def test_run_terminates_when_silent(small_ring):
     scheduler = Scheduler(
         small_ring,
@@ -242,6 +249,24 @@ def test_scheduler_rejects_selection_of_disabled_processor(small_ring):
     )
     with pytest.raises(SchedulingError):
         scheduler.step()
+
+
+@pytest.mark.parametrize("incremental", (True, False), ids=("scheduler", "fullscan"))
+def test_scheduler_rejects_a_selection_that_repeats_a_processor(small_ring, incremental):
+    protocol = CountdownProtocol(start=1)
+    scheduler = Scheduler(
+        small_ring,
+        protocol,
+        daemon=StutteringDaemon(),
+        configuration=protocol.initial_configuration(small_ring),
+        incremental=incremental,
+    )
+    first = scheduler.enabled_nodes()[0]
+    with pytest.raises(SchedulingError, match=rf"more than once: \[{first}\]"):
+        scheduler.step()
+    # Nothing ran: the configuration and the counters are untouched.
+    assert scheduler.steps_executed == 0 and scheduler.metrics.moves == 0
+    assert scheduler.configuration == protocol.initial_configuration(small_ring)
 
 
 def test_step_record_contents(small_ring):

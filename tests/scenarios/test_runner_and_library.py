@@ -23,6 +23,9 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.scenarios.library import normalize_scenario
+from repro.scenarios.runner import ORIENTATION_VARIABLES
+from repro.substrates.pif import PIFWave
+from repro.substrates.spanning_tree import BFSSpanningTree
 
 
 def _network(seed: int = 11):
@@ -128,6 +131,24 @@ def test_disturbed_nodes_watches_only_requested_variables():
     assert disturbed_nodes(before, after) == (2,)
     assert disturbed_nodes(before, after, variables=("no_eta", "no_pi")) == ()
     assert disturbed_fraction(before, after, network.n) == pytest.approx(1 / network.n)
+
+
+@pytest.mark.parametrize(
+    "factory, expected",
+    (
+        (build_dftno, ORIENTATION_VARIABLES),
+        (lambda: build_stno("bfs"), ORIENTATION_VARIABLES),
+        (lambda: build_stno("dfs"), ORIENTATION_VARIABLES),
+        (BFSSpanningTree, None),
+        (PIFWave, None),
+    ),
+    ids=("dftno", "stno-bfs", "stno-dfs", "bfs-tree", "pif"),
+)
+def test_watch_variables_are_the_orientation_variables_when_declared(factory, expected):
+    # A stack declaring ``no_eta``/``no_pi`` is watched over them; a bare
+    # substrate declares neither and is watched over every variable.
+    runner = ScenarioRunner(_network(), factory(), build_scenario("single_burst"), seed=1)
+    assert runner.watch_variables == expected
 
 
 def test_aggregate_event_recoveries_groups_by_kind():

@@ -152,9 +152,9 @@ def test_scenarios_against_bare_tree_substrate_never_deadlock(
     """Library scenarios drive the bare substrate through the ScenarioRunner.
 
     Corruption, crash/rejoin and link dynamics applied directly to the
-    spanning-tree protocols (``watch_variables=None``: disturbance over every
-    substrate variable); every applied event must recover and none may
-    deadlock.
+    spanning-tree protocols (no orientation variables, so disturbance is
+    measured over every substrate variable); every applied event must recover
+    and none may deadlock.
     """
     network = generators.random_connected(7, extra_edge_probability=0.3, seed=seed)
     protocol = BFSSpanningTree() if tree == "bfs" else DFSSpanningTree()
@@ -164,7 +164,6 @@ def test_scenarios_against_bare_tree_substrate_never_deadlock(
         build_scenario(scenario_name),
         daemon=make_daemon("distributed"),
         seed=seed,
-        watch_variables=None,
     ).run()
     assert report.initial_converged
     deadlocked = [event.as_row() for event in report.events if event.deadlocked]
@@ -222,7 +221,6 @@ def test_scenarios_against_bare_pif_never_deadlock(seed, scenario_name):
         build_scenario(scenario_name),
         daemon=make_daemon("distributed"),
         seed=seed,
-        watch_variables=None,
     ).run()
     assert report.initial_converged
     deadlocked = [event.as_row() for event in report.events if event.deadlocked]

@@ -270,8 +270,8 @@ def test_root_clears_bogus_delegation_without_ending_the_wave(small_ring):
     config.set(1, tc.VAR_LEVEL, 1)
     view = ProcessorView(0, small_ring, config)
     actions = {action.name: action for action in protocol.actions(small_ring, 0)}
-    assert actions[DepthFirstTokenCirculation.ACTION_ROOT_ERROR].enabled(view)
-    actions[DepthFirstTokenCirculation.ACTION_ROOT_ERROR].execute(view)
+    assert actions[DepthFirstTokenCirculation.ACTION_ROOT_ERROR].guard(view)
+    actions[DepthFirstTokenCirculation.ACTION_ROOT_ERROR].statement(view)
     assert view.pending_writes[tc.VAR_CHILD] is None
     assert tc.VAR_STATE not in view.pending_writes  # the wave survives
 
@@ -284,8 +284,8 @@ def test_error_action_resets_orphan_active_processor(small_ring):
     config.set(2, tc.VAR_LEVEL, 1)
     view = ProcessorView(2, small_ring, config)
     actions = {action.name: action for action in protocol.actions(small_ring, 2)}
-    assert actions[DepthFirstTokenCirculation.ACTION_ERROR].enabled(view)
-    actions[DepthFirstTokenCirculation.ACTION_ERROR].execute(view)
+    assert actions[DepthFirstTokenCirculation.ACTION_ERROR].guard(view)
+    actions[DepthFirstTokenCirculation.ACTION_ERROR].statement(view)
     assert view.pending_writes[tc.VAR_STATE] == WAIT
 
 
