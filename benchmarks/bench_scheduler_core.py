@@ -1,8 +1,10 @@
 """Micro-benchmark of the scheduler core: incremental enabled-set vs full scan.
 
-The incremental core (PR 4) keeps a persistent enabled-set and re-evaluates
-guards only around the nodes a step changed; the historical core rescans all
-``n`` processors' guards every step.  This benchmark times both cores on the
+The scheduler keeps a persistent enabled-set and re-evaluates guards only
+around the nodes a step changed; the reference interpreter
+(:class:`~repro.runtime.reference.ReferenceScheduler`, the full-scan slot)
+rescans all ``n`` processors' guards every step and checks legitimacy by the
+global predicates.  This benchmark times both on the
 same BFS spanning-tree stabilization (central daemon, fixed seeds, identical
 executions -- the step counts are asserted equal) at n in {50, 200, 500} and
 writes the measurements to ``BENCH_scheduler.json`` so the performance
@@ -49,6 +51,7 @@ from repro.obs import (
     summary_counter,
 )
 from repro.runtime.daemon import CentralDaemon
+from repro.runtime.reference import ReferenceScheduler
 from repro.runtime.scheduler import Scheduler
 from repro.substrates.spanning_tree import BFSSpanningTree
 
@@ -83,14 +86,14 @@ DEFAULT_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_scheduler.jso
 def _time_stabilization(
     n: int, incremental: bool, seed: int = 7, instrumentation=None, observers=()
 ) -> dict[str, object]:
-    """Time one BFS-tree stabilization run on the requested scheduler core."""
+    """Time one BFS-tree stabilization run on the scheduler (or, with
+    ``incremental=False``, on the reference interpreter)."""
     network = generators.random_connected(n, seed=1)
-    scheduler = Scheduler(
+    scheduler = (Scheduler if incremental else ReferenceScheduler)(
         network,
         BFSSpanningTree(),
         daemon=CentralDaemon(),
         seed=seed,
-        incremental=incremental,
         instrumentation=instrumentation,
         observers=observers,
     )

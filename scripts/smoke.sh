@@ -18,7 +18,7 @@ out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
 # --- scheduler-core micro-bench (quick variant) ----------------------------
-# Times the incremental enabled-set core against the historical full scan on
+# Times the scheduler against the full-scan reference interpreter on
 # small sizes and writes the BENCH_scheduler.json artifact; the full sweep
 # (n up to 500, with the 3x acceptance threshold) runs in CI and on demand.
 # The quick bench also asserts the observability-layer thresholds

@@ -147,7 +147,7 @@ def measure_stabilization(
     parameter: int | None = None,
     after_substrate: bool = False,
     observers: Sequence[Observer] = (),
-    incremental: bool = True,
+    core: type = Scheduler,
     check_guard_locality: bool = False,
     instrumentation: Instrumentation | None = None,
 ) -> StabilizationSample:
@@ -166,9 +166,9 @@ def measure_stabilization(
     substrate is already legitimate while the orientation variables are
     arbitrary -- the phrasing of Theorems 3.2.3 and 4.2.1/4.2.3.
     ``observers`` receive every step/round notification plus
-    ``on_converged`` with the finished sample.  ``incremental=False`` forces
-    the scheduler's historical full guard scan and global legitimacy
-    predicates (the ``scheduler-fullscan`` differential-testing path).
+    ``on_converged`` with the finished sample.  ``core`` is the scheduler class
+    the run is built on (the ``scheduler-fullscan`` engine passes
+    :class:`~repro.runtime.reference.ReferenceScheduler`).
     ``check_guard_locality=True`` runs every guard on the read-tracking view
     (:class:`~repro.errors.GuardLocalityError` on violation); ``False`` leaves
     the choice to the ``REPRO_DEBUG_GUARDS`` environment variable.
@@ -180,14 +180,13 @@ def measure_stabilization(
         configuration = presettled_substrate_configuration(
             network, stack, substrate, random.Random(seed)
         )
-    scheduler = Scheduler(
+    scheduler = core(
         network,
         stack,
         daemon=daemon,
         rng=random.Random(seed),
         configuration=configuration,
         observers=observers,
-        incremental=incremental,
         check_guard_locality=check_guard_locality or None,
         instrumentation=instrumentation,
     )

@@ -257,16 +257,14 @@ class SchedulerEngine(Engine):
     ``stabilize`` campaign task type produced, which is what keeps existing
     campaign stores resumable through the new entry point.
 
-    The default engine runs the scheduler's incremental enabled-set core;
+    This engine runs :class:`~repro.runtime.scheduler.Scheduler`;
     :class:`FullScanSchedulerEngine` (``"scheduler-fullscan"``) runs the
-    historical full guard scan instead.  Both produce bit-identical step
-    records, metrics and final configurations for the same spec -- the
-    equivalence property test holds them to that.
+    same measurement on the independent reference interpreter.  Both
+    produce bit-identical step records, metrics and final configurations
+    for the same spec -- the equivalence suite holds them to that.
     """
 
     name = "scheduler"
-    #: Whether the underlying scheduler maintains the incremental enabled-set.
-    incremental = True
 
     def _scheduler_kwargs(self, spec: RunSpec) -> dict[str, object]:
         """How the measurement harness should build its scheduler.
@@ -276,11 +274,16 @@ class SchedulerEngine(Engine):
         without touching the ``REPRO_DEBUG_GUARDS`` environment.
         """
         return {
-            "incremental": self.incremental,
             "check_guard_locality": bool(
                 spec.debug and spec.debug.get("check_guard_locality")
             ),
         }
+
+    def _core(self) -> type:
+        """The scheduler class the measurement runs on."""
+        from repro.runtime.scheduler import Scheduler
+
+        return Scheduler
 
     def execute(
         self,
@@ -301,6 +304,7 @@ class SchedulerEngine(Engine):
             after_substrate=spec.stop.after_substrate,
             observers=observers,
             instrumentation=instrumentation,
+            core=self._core(),
             **self._scheduler_kwargs(spec),
         )
         return RunResult(engine=self.name, spec=spec, row=sample.as_row(), report=sample)
@@ -309,14 +313,19 @@ class SchedulerEngine(Engine):
 class FullScanSchedulerEngine(SchedulerEngine):
     """The differential-testing twin of :class:`SchedulerEngine`.
 
-    Same measurement, but every step rescans all ``n`` processors' guards the
-    way the scheduler historically did.  Registered so equivalence checks
-    (and suspicious campaign rows) can re-run any spec on the reference path
-    by swapping ``engine="scheduler"`` for ``engine="scheduler-fullscan"``.
+    Same measurement on the independent reference interpreter,
+    :class:`~repro.runtime.reference.ReferenceScheduler`.  Registered so
+    equivalence checks (and suspicious campaign rows) can re-run any spec on
+    it by swapping ``engine="scheduler"`` for ``engine="scheduler-fullscan"``.
     """
 
     name = "scheduler-fullscan"
-    incremental = False
+
+    def _core(self) -> type:
+        # Imported here, so only runs on this engine load the module.
+        from repro.runtime.reference import ReferenceScheduler
+
+        return ReferenceScheduler
 
 
 # ----------------------------------------------------------------------

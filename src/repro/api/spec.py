@@ -38,9 +38,8 @@ _PROTOCOL_ALIASES = {"stno": "stno-bfs"}
 DAEMONS = ("central", "distributed", "synchronous", "adversarial")
 
 #: Engines :func:`repro.api.run` can dispatch to.  ``scheduler-fullscan`` is
-#: the differential-testing twin of ``scheduler``: same measurement, but the
-#: scheduler rescans every guard per step instead of maintaining the
-#: incremental enabled-set.
+#: the differential-testing twin of ``scheduler``: the same measurement on
+#: the independent reference interpreter (:mod:`repro.runtime.reference`).
 #: ``scheduler-replay`` re-executes a flight-recorder log
 #: (:mod:`repro.replay`) in verified lockstep instead of running anything
 #: new; its log path travels in the hash-excluded ``debug["replay_log"]``.

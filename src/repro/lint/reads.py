@@ -1,6 +1,6 @@
 """Cross-check declared reads against the static read sets (rule RL008).
 
-The incremental scheduler skips a guard or violation-rule part after a
+The scheduler skips a guard or violation-rule part after a
 change to a variable its :class:`~repro.runtime.actions.Reads` omits (each
 ``all_of`` part has its own; a plain guard is one part declared by
 ``Action.reads``), and keeps a layer's cached residue after a change to

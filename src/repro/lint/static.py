@@ -2,8 +2,9 @@
 
 The whole reproduction rests on one structural assumption: a guard reads only
 its closed neighborhood and an action writes only its own node.  That is what
-makes the incremental enabled-set (stale-guard re-evaluation) sound.  This
-pass checks the contract at review time, before any scheduler runs:
+makes the scheduler's maintained enabled-set (stale-guard re-evaluation)
+sound.  This pass checks the contract at review time, before any scheduler
+runs:
 
 * every ``Action(name, guard, statement, ...)`` and violation
   ``Rule(name, guard, ...)`` construction (and every composition
@@ -430,6 +431,8 @@ class _FunctionChecker(ast.NodeVisitor):
         # footprint to both summaries (finding dedup is separate).
         self.visited = visited if visited is not None else set()
         self.resolver = analyzer.resolvers[scope.index.path]
+        # Local names bound to a view method (``read_neighbor = view.read_neighbor``).
+        self.view_aliases: dict[str, str] = {}
 
     def check(self, body: Iterable[ast.stmt] | ast.expr) -> None:
         if isinstance(body, ast.expr):
@@ -445,6 +448,19 @@ class _FunctionChecker(ast.NodeVisitor):
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:  # noqa: N802
         return
+
+    def visit_Assign(self, node: ast.Assign) -> None:  # noqa: N802
+        """Track local aliases of the view's methods, plain or tuple-unpacked."""
+        for target in node.targets:
+            unpacked = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+            pairs = zip(target.elts, node.value.elts) if unpacked else ((target, node.value),)
+            for name, value in pairs:
+                if isinstance(name, ast.Name):
+                    self.view_aliases.pop(name.id, None)
+                    if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
+                        if self.view_param is not None and value.value.id == self.view_param:
+                            self.view_aliases[name.id] = value.attr
+        self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:  # noqa: N802
         if (
@@ -484,15 +500,16 @@ class _FunctionChecker(ast.NodeVisitor):
             and self.view_param is not None
             and func.value.id == self.view_param
         ):
-            handled_attr = self._check_view_call(node, func)
+            handled_attr = self._check_view_call(node, func.attr)
+        elif isinstance(func, ast.Name) and func.id in self.view_aliases:
+            handled_attr = self._check_view_call(node, self.view_aliases[func.id])
         if self.kind == "guard":
             self._check_purity(node, func)
         if not handled_attr:
             self._maybe_recurse(node, func)
         self.generic_visit(node)
 
-    def _check_view_call(self, node: ast.Call, func: ast.Attribute) -> bool:
-        method = func.attr
+    def _check_view_call(self, node: ast.Call, method: str) -> bool:
         if method == "write":
             if self.kind == "guard":
                 self.analyzer.report(

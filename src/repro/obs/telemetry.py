@@ -8,7 +8,7 @@ observer stream and samples, at a configurable step stride,
 * the **enabled-set size** -- the paper's progress measure: a stabilizing run
   drains it, a diverging run does not;
 * the **changed-node count** of each sampled step -- the per-step dirty
-  frontier that feeds the incremental scheduler;
+  frontier that feeds the scheduler's enabled-set;
 * the **selected-set size** -- how much parallelism the daemon granted;
 * the **legitimacy bit** -- whether the protocol's legitimacy predicate held
   at the sample (evaluated only at the stride, never per step), plus the
@@ -123,15 +123,13 @@ class ConvergenceTelemetryObserver(Observer):
     # Sampling
     # ------------------------------------------------------------------
     def _sample(self, source: Any, record: Any) -> None:
-        from repro.runtime.scheduler import Scheduler  # the scheduler imports repro.obs
-
         enabled: int | None = None
         enabled_nodes = getattr(source, "enabled_nodes", None)
         if callable(enabled_nodes):
             enabled = len(enabled_nodes())
         distance = None
         legitimate = self._legitimacy(source)
-        if legitimate is not None and isinstance(source, Scheduler):
+        if legitimate is not None and hasattr(source, "legitimacy_distance"):
             distance = source.legitimacy_distance()
         self.samples.append(
             [

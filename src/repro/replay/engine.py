@@ -8,10 +8,10 @@ recorded selection of each step, mutations re-apply their recorded effects
 through the scheduler's seams, and the live execution is asserted in
 lockstep against the recorded step records and fingerprints.
 
-Replay always runs on the incremental
-:class:`~repro.runtime.scheduler.Scheduler`; logs recorded from the
-full-scan engine replay against it because the equivalence suite holds
-every engine to bit-identical step streams.  Logs from older versions may
+Replay always runs on :class:`~repro.runtime.scheduler.Scheduler`; logs
+recorded from the ``scheduler-fullscan`` engine (the reference interpreter)
+replay against it because the equivalence suite holds every engine to
+bit-identical step streams.  Logs from older versions may
 carry ``exchange`` entries (the sharded engine's message stamps); replay
 treats them as observational like ``event`` entries.
 
@@ -224,7 +224,13 @@ class ReplayRun:
                     self.report.divergence = divergence
                     return self.report
             elif kind == "mutation":
-                self._apply_mutation(entry)
+                try:
+                    self._apply_mutation(entry)
+                except SchedulingError as error:  # e.g. an entry naming an unknown processor
+                    reason = f"recorded {entry.get('kind')} mutation rejected: {error}"
+                    step = self.scheduler.steps_executed
+                    self.report.divergence = Divergence(entry.get("seq"), step, reason)
+                    return self.report
                 self.report.mutations_applied += 1
             # event / exchange (older sharded logs) / note / converged
             # entries are observational.

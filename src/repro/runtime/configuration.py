@@ -49,8 +49,8 @@ class Configuration:
 
     Every write path additionally journals *which variables of which
     processors changed* (:meth:`drain_dirty`).  The journal has one consumer,
-    the incremental scheduler: each drain marks stale the guard and
-    violation-rule parts that read a changed variable.  The journal is
+    the scheduler: each drain marks stale the guard and violation-rule
+    parts that read a changed variable.  The journal is
     sound as long as all mutations go through the write methods below --
     mutating a value obtained from :meth:`get` in place bypasses it (the
     runtime never does: :class:`~repro.runtime.processor.ProcessorView`

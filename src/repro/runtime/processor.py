@@ -216,11 +216,11 @@ class GuardView(ProcessorView):
     """The read-only view guards run on.
 
     A guard is a predicate: a write from it would leak into the guards
-    evaluated after it on the same view, and which guards run depends on the
-    scheduler's cached truth values, so the two scheduler cores would see
-    different states.  :meth:`write` therefore raises
+    evaluated after it on the same view, and since which guards run depends
+    on the scheduler's cached truth values, the scheduler and the reference
+    interpreter would see different states.  :meth:`write` therefore raises
     :class:`~repro.errors.ProtocolError`, and the view keeps no write buffer.
-    Since it holds no per-evaluation state, the incremental scheduler keeps
+    Since it holds no per-evaluation state, the scheduler keeps
     one per processor for the whole run and rebuilds them only when the
     configuration or network object is replaced.
     """

@@ -49,14 +49,14 @@ def evaluate_guards(
     actions: Sequence[Action],
     stale: int,
     held: int,
+    view: GuardView,
     check_guard_locality: bool = False,
-    view: GuardView | None = None,
     offset: int = 0,
 ) -> tuple[int, int, int, int, int]:
     """Find ``node``'s first enabled action, calling only its stale guard parts.
 
-    The single guard-evaluation primitive every scheduler core uses, for
-    guards and for violation rules alike: ``actions`` may be a layer's
+    The scheduler's single guard-evaluation primitive, for guards and for
+    violation rules alike: ``actions`` may be a layer's
     :class:`~repro.runtime.actions.Rule` sequence, whose first "enabled"
     entry is the first rule that holds.  The bits of ``held`` and ``stale``
     from bit ``offset`` on index the guard *parts* (conjuncts, see
@@ -79,7 +79,7 @@ def evaluate_guards(
     a false part or past the first enabled action, may stay stale until a
     walk reaches them.
 
-    Guards run on ``view`` (a fresh :class:`GuardView` when omitted).  With
+    Guards run on ``view``, the node's read-only :class:`GuardView`.  With
     ``check_guard_locality`` every called part instead runs on a fresh
     :class:`~repro.runtime.processor.TrackingGuardView` and its read log is
     checked: a read outside the closed neighborhood raises
@@ -87,8 +87,6 @@ def evaluate_guards(
     outside the part's own declared :class:`~repro.runtime.actions.Reads`
     one with rule RL008.
     """
-    if not check_guard_locality and view is None:
-        view = GuardView(node, network, configuration)
     calls = consulted = 0
     bit = 1 << offset
     index = 0
@@ -211,21 +209,6 @@ def _check_guard_reads(
             rule="RL008",
             reads=undeclared,
         )
-
-
-def first_enabled_action(
-    node: int,
-    network: RootedNetwork,
-    configuration: Configuration,
-    actions: Sequence[Action],
-    check_guard_locality: bool = False,
-) -> Action | None:
-    """The first action of ``node`` whose guard holds in ``configuration``.
-
-    A full scan through :func:`evaluate_guards` (every guard part stale).
-    """
-    index = evaluate_guards(node, network, configuration, actions, -1, 0, check_guard_locality)[0]
-    return actions[index] if index < len(actions) else None
 
 
 #: Per pointer, a stale mask per table: ``((pointer, masks), ...)``.
@@ -388,6 +371,20 @@ class RunResult:
 class Scheduler:
     """Drives a protocol on a network under a daemon.
 
+    It keeps a persistent enabled-set and one truth value per guard part
+    (:func:`evaluate_guards`).  A change of variables ``V`` at ``p`` stales
+    the parts of ``p``'s guards whose declared
+    :class:`~repro.runtime.actions.Reads` own-set meets ``V`` and the parts
+    of its neighbors' guards whose neighbor-set does (a pointer-directed read
+    only where its pointer points; an undeclared part reads everything); a
+    processor is re-walked only when a bit its last walk consulted went
+    stale.  That is sound because a guard reads only its closed
+    neighborhood and what it declares.  The layers' violation rules share
+    the tables and stale bits, so :meth:`legitimate` re-walks only the rules
+    a change can flip.  The independent
+    :class:`~repro.runtime.reference.ReferenceScheduler` (the
+    ``scheduler-fullscan`` engine) is held to identical executions.
+
     Parameters
     ----------
     network:
@@ -407,35 +404,13 @@ class Scheduler:
         every step and completed round; each step's
         :class:`StepRecord` carries its moves.  Metrics are themselves an
         observer registered before these.
-    incremental:
-        With ``True`` (the default) the scheduler maintains a persistent
-        enabled-set and re-evaluates only the guards a journaled change can
-        flip, instead of rescanning all ``n`` processors per step.  It caches
-        one truth value per guard part (:func:`evaluate_guards`).  A change
-        of variables ``V`` at ``p`` marks stale the parts of ``p``'s guards
-        whose declared :class:`~repro.runtime.actions.Reads` own-set meets
-        ``V`` and the parts of ``p``'s neighbors' guards whose neighbor-set
-        does -- a pointer-directed read only at the neighbors its pointer
-        picks out (a part without a declaration counts as reading everything);
-        a processor is re-walked only when a bit its last walk consulted
-        went stale.  Guards run on one read-only
-        :class:`~repro.runtime.processor.GuardView` per processor, built at
-        every full rescan.  This is sound because a guard may read only its
-        closed neighborhood (the view enforces it) and only what it
-        declares, so results are bit-identical to ``incremental=False``,
-        which keeps the historical full scan for differential testing (the
-        ``scheduler-fullscan`` engine).  The layers' violation rules
-        (:meth:`~repro.runtime.protocol.Protocol.violation_rules`) share
-        the same tables and stale bits, so :meth:`legitimate` re-walks only
-        the rules a change can flip; with ``incremental=False`` it evaluates
-        the global predicates.
     check_guard_locality:
         Debug mode: track every configuration read during guard evaluation
         and raise :class:`~repro.errors.GuardLocalityError` (a
         :class:`~repro.errors.ProtocolError`, carrying the layer, action and
         offending variables) if a guard or violation rule reads outside its
         closed neighborhood (rule RL004) or outside its part's declared
-        reads (RL008) -- the invariants the incremental path relies on.
+        reads (RL008) -- the invariants the stale-bit marking relies on.
         Defaults to the ``REPRO_DEBUG_GUARDS`` environment variable.
     instrumentation:
         An :class:`~repro.obs.Instrumentation` registry the step loop feeds
@@ -457,7 +432,6 @@ class Scheduler:
         seed: int | None = None,
         rng: random.Random | None = None,
         observers: Sequence[Observer] = (),
-        incremental: bool = True,
         check_guard_locality: bool | None = None,
         instrumentation: Instrumentation | None = None,
     ) -> None:
@@ -488,25 +462,23 @@ class Scheduler:
         self._leaf_ids = frozenset(map(id, self._leaves))
         self._slots: dict[Protocol, tuple[int, ...]] = {}
         self._index_actions()
-        # Metrics are an observer like any other; keeping it first in the list
-        # preserves the historical update order (counters before any external
-        # consumer sees the step).
-        self._metrics_observer = MetricsObserver()
-        self._observers: list[Observer] = [self._metrics_observer, *observers]
+        # Per-run counters, accumulated by an observer like any other; keeping
+        # it first in the list preserves the historical update order
+        # (counters before any external consumer sees the step).
+        self.metrics = ExecutionMetrics()
+        self._observers: list[Observer] = [MetricsObserver(self.metrics), *observers]
 
         self._step_index = 0
         self._round_index = 0
         self._round_pending: set[int] | None = None
         self._frozen: set[int] = set()
 
-        self.incremental = incremental
         if check_guard_locality is None:
             check_guard_locality = bool(os.environ.get("REPRO_DEBUG_GUARDS"))
         self.check_guard_locality = check_guard_locality
-        # The persistent enabled-set of the incremental path: node -> first
-        # enabled action, for every node *ignoring* frozen status (freezing
-        # does not touch guards, so keeping crashed nodes cached makes
-        # freeze/unfreeze invalidation-free; the accessors filter them).
+        # The persistent enabled-set: node -> first enabled action, frozen
+        # nodes included (freezing does not touch guards, so freeze/unfreeze
+        # need no invalidation; the accessors filter them).
         self._enabled: dict[int, Action] = {}
         # Per node, bitmasks over its guard parts and then its rule parts
         # (see evaluate_guards): which parts held when last called and which
@@ -529,7 +501,6 @@ class Scheduler:
         # residue's cached verdict (dropped by a change to what its rules read).
         self._violations: list[set[int]] = []
         self._residues: dict[int, bool] = {}
-        self._needs_full_rescan = True
         self._invalidate_enabled()
         if instr.enabled:
             instr.phase_time(PHASE_INIT, time.perf_counter() - started)
@@ -542,31 +513,13 @@ class Scheduler:
     # Observers
     # ------------------------------------------------------------------
     @property
-    def metrics(self) -> ExecutionMetrics:
-        """Per-run counters, accumulated by the built-in metrics observer."""
-        return self._metrics_observer.metrics
-
-    @property
-    def observers(self) -> tuple[Observer, ...]:
-        """Every registered observer (built-ins first)."""
-        return tuple(self._observers)
-
-    @property
     def instrumentation(self) -> Instrumentation:
         """The run's instrumentation registry (the shared no-op by default)."""
         return self._instr
 
-    def _notify_step(self, record: StepRecord) -> None:
-        dispatch_safely(self._observers, "on_step", self, record)
-
     def _notify_mutation(self, kind: str, **payload: object) -> None:
         """Tell every observer about out-of-band state surgery."""
-        mutation = {"kind": kind}
-        mutation.update(payload)
-        dispatch_safely(self._observers, "on_mutation", self, mutation)
-
-    def _notify_round(self, round_index: int) -> None:
-        dispatch_safely(self._observers, "on_round", self, round_index)
+        dispatch_safely(self._observers, "on_mutation", self, {"kind": kind, **payload})
 
     def notify_converged(self, result: object) -> None:
         """Tell every observer the run's stop condition was reached."""
@@ -579,10 +532,8 @@ class Scheduler:
         """The first enabled action of every enabled processor.
 
         Frozen (crashed) processors are treated as disabled: whatever their
-        guards evaluate to, the daemon never sees them.  On the incremental
-        path this reads the maintained enabled-set (after folding in any
-        journaled configuration changes); with ``incremental=False`` it is
-        the historical full scan.
+        guards evaluate to, the daemon never sees them.  Reads the maintained
+        enabled-set after folding in any journaled configuration changes.
         """
         order, lookup = self._enabled_view()
         return {node: lookup[node] for node in order}
@@ -590,44 +541,18 @@ class Scheduler:
     def _enabled_view(self) -> tuple[tuple[int, ...], Mapping[int, Action]]:
         """The enabled set as ``(ascending non-frozen nodes, node -> action)``.
 
-        The step loop's view of the enabled processors.  On the incremental
-        path the mapping is the maintained enabled-set, which also keeps
-        frozen nodes; the full-scan path rebuilds both on every call.
+        The step loop's view of the enabled processors.  The mapping is the
+        maintained enabled-set, which also keeps frozen nodes.
         """
-        if self.incremental:
-            self._refresh_enabled()
-            # Sorting is enabled-set upkeep like the refresh, so it books
-            # under the same phase.
-            instr = self._instr
-            timed = instr.enabled
-            started = time.perf_counter() if timed else 0.0
-            enabled, frozen = self._enabled, self._frozen
-            order = tuple(sorted(enabled.keys() - frozen if frozen else enabled))
-            if timed:
-                instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
-            return order, enabled
+        self._refresh_enabled()
+        # Sorting is enabled-set upkeep like the refresh, so it books under
+        # the same phase.
         instr = self._instr
         timed = instr.enabled
         started = time.perf_counter() if timed else 0.0
-        self._drain()
-        enabled: dict[int, Action] = {}
-        network, configuration = self.network, self.configuration
-        check = self.check_guard_locality
-        calls = 0
-        for node in network.nodes():
-            if node in self._frozen:
-                continue
-            actions = self._actions[node]
-            index, _, _, _, called = evaluate_guards(
-                node, network, configuration, actions, -1, 0, check
-            )
-            calls += called
-            if index < len(actions):
-                enabled[node] = actions[index]
-        order = tuple(enabled)  # network.nodes() iterates ascending
+        enabled, frozen = self._enabled, self._frozen
+        order = tuple(sorted(enabled.keys() - frozen if frozen else enabled))
         if timed:
-            instr.count("guards_evaluated", network.n - len(self._frozen))
-            instr.count("guard_calls", calls)
             instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
         return order, enabled
 
@@ -636,22 +561,9 @@ class Scheduler:
         return self._enabled_view()[0]
 
     def is_enabled(self, node: int) -> bool:
-        """Whether ``node`` has an enabled action in the current configuration.
-
-        Frozen (crashed) processors are never enabled, matching
-        :meth:`enabled_actions`.  Always evaluates the guards directly, so it
-        is correct on both the incremental and the full-scan path.
-        """
-        return node not in self._frozen and self._first_enabled(node) is not None
-
-    def _first_enabled(self, node: int) -> Action | None:
-        return first_enabled_action(
-            node,
-            self.network,
-            self.configuration,
-            self._actions[node],
-            check_guard_locality=self.check_guard_locality,
-        )
+        """Whether ``node`` has an enabled action; a frozen (crashed) processor never has."""
+        self._refresh_enabled()
+        return node in self._enabled and node not in self._frozen
 
     def _invalidate_enabled(self) -> None:
         """Mark every guard and rule part stale and rebuild the processor views.
@@ -667,8 +579,8 @@ class Scheduler:
         self._held = [0] * n
         self._stale = [-1] * n
         self._watch = [0] * n
-        self._frontier = set()
-        self._needs_full_rescan = True
+        self._enabled = {}
+        self._frontier = set(range(n))
         self._shadow_pointers()
         self._reset_legitimacy()
 
@@ -684,7 +596,7 @@ class Scheduler:
         """
         self._targets: dict[str, list[int | None]] = {}
         self._holders: dict[str, dict[int, set[int]]] = {}
-        if not self.incremental or not self._pointers:
+        if not self._pointers:
             return
         n = self.network.n
         self._node_ids = {node: node for node in range(n)}
@@ -779,13 +691,6 @@ class Scheduler:
         self._mask_memo = memo
         self._residue_reads = residue_reads
 
-    def _masks_for(self, variables: tuple[str, ...] | None) -> MaskEntry:
-        """The stale masks of a change of ``variables`` (:func:`_stale_masks`), memoised."""
-        entry = self._mask_memo[variables] = _stale_masks(
-            self._tables, self._residue_reads, self._pointers, variables
-        )
-        return entry
-
     def _reevaluate(self, node: int) -> int:
         """Walk ``node``'s stale guard parts and update its enabled-set entry; returns part calls."""
         actions = self._actions[node]
@@ -796,8 +701,8 @@ class Scheduler:
             actions,
             self._stale[node],
             self._held[node],
-            self.check_guard_locality,
             self._views[node],
+            self.check_guard_locality,
         )
         if index < len(actions):
             self._enabled[node] = actions[index]
@@ -819,11 +724,10 @@ class Scheduler:
         consulted, since no other part can change which action is first or
         which rule holds.  The entry also drops the cached residues it can
         change.  Calls no guard or rule, so :meth:`legitimate` can drain
-        without moving guard work out of the step.  The full-scan core
-        re-evaluates everything anyway and discards the journal.
+        without moving guard work out of the step.
         """
         changes = self.configuration.drain_dirty()
-        if not changes or not self.incremental:
+        if not changes:
             return
         actions, table, stale, watch = self._actions, self._table, self._stale, self._watch
         rule_watch, rule_frontier = self._rule_watch, self._rule_frontier
@@ -839,7 +743,9 @@ class Scheduler:
                 continue  # a foreign node id journaled by hand-built state
             entry = memo.get(variables)
             if entry is None:
-                entry = self._masks_for(variables)
+                entry = memo[variables] = _stale_masks(
+                    self._tables, self._residue_reads, self._pointers, variables
+                )
             own, neighbor, reaches, voids, directed = entry
             mask = own[table[node]]
             if mask:
@@ -913,7 +819,7 @@ class Scheduler:
                 marks.append((holder, masks))
 
     def _refresh_enabled(self) -> None:
-        """Drain the journal, then re-walk the frontier (or rescan everything).
+        """Drain the journal, then re-walk the frontier.
 
         Attributes its own wall clock to the ``guard_eval`` phase, so
         callers -- including the nested re-check round bookkeeping performs
@@ -923,21 +829,6 @@ class Scheduler:
         timed = instr.enabled
         started = time.perf_counter() if timed else 0.0
         self._drain()
-        if self._needs_full_rescan:
-            # _invalidate_enabled left every guard bit stale.
-            self._enabled = {}
-            self._frontier = set()
-            n = self.network.n
-            calls = 0
-            for node in range(n):
-                calls += self._reevaluate(node)
-            self._needs_full_rescan = False
-            if timed:
-                instr.count("guards_evaluated", n)
-                instr.count("guard_calls", calls)
-                instr.count("full_rescans")
-                instr.phase_time(PHASE_GUARD_EVAL, time.perf_counter() - started)
-            return
         frontier = self._frontier
         if frontier:
             self._frontier = set()
@@ -959,14 +850,12 @@ class Scheduler:
 
         ``layer`` is the protocol, one of its :meth:`~Protocol.layers`, or a
         composition of some of them (a substrate such as the DFS tree); any
-        other layer raises ``ValueError`` on both cores.  The answer is "no
-        violation rule of its leaf layers holds at any node, and their
-        residues hold" (:meth:`~repro.runtime.protocol.Protocol.legitimate`).
-        The incremental core drains the change journal (:meth:`_drain`, no
-        guard is walked), re-walks only the rules whose consulted parts went
-        stale and re-checks a residue only after a change to what its rules
-        read.  With ``incremental=False`` it evaluates the layer's global
-        predicate -- the reference.
+        other layer raises ``ValueError``.  The answer is "no violation rule
+        of its leaf layers holds at any node, and their residues hold"
+        (:meth:`~repro.runtime.protocol.Protocol.legitimate`).  It drains
+        the change journal (:meth:`_drain`, no guard is walked), re-walks
+        only the rules whose consulted parts went stale and re-checks a
+        residue only after a change to what its rules read.
         """
         if layer is not None and not self._leaf_ids.issuperset(map(id, layer.layers())):
             raise ValueError(f"layer {layer.name!r} is not part of the scheduled protocol")
@@ -979,10 +868,6 @@ class Scheduler:
         return holds
 
     def _legitimate(self, layer: Protocol | None) -> bool:
-        if not self.incremental:
-            self._drain()
-            checked = self.protocol if layer is None else layer
-            return checked.legitimate(self.network, self.configuration)
         if layer is None:
             slots: Sequence[int] = range(len(self._leaves))
         else:
@@ -1015,10 +900,6 @@ class Scheduler:
         and residue cache :meth:`legitimate` answers from.
         """
         self._drain()
-        if not self.incremental:
-            # The full-scan core marks no stale bits: walk every rule afresh.
-            self._stale = [-1] * self.network.n
-            self._reset_legitimacy()
         self._walk_rule_frontier()
         violating = set().union(*self._violations)
         return len(violating) + (not all(map(self._residue, range(len(self._leaves)))))
@@ -1056,7 +937,7 @@ class Scheduler:
                     walked += 1
                     index, held[node], stale[node], consulted, _ = evaluate_guards(
                         node, network, configuration, rules, stale[node], held[node],
-                        check, views[node], offset,
+                        views[node], check, offset,
                     )
                     watch[node] = watch[node] & ~bits | consulted
                     if index < len(rules):
@@ -1086,16 +967,10 @@ class Scheduler:
                 tracer.current_round = tracer.span(
                     "round", kind="round", parent=tracer.current_run, round=self._round_index
                 )
-        step_span = (
-            tracer.span(
-                "step",
-                kind="step",
-                parent=tracer.current_round or tracer.current_run,
-                step=self._step_index,
-            )
-            if tracer is not None
-            else None
-        )
+        step_span = None
+        if tracer is not None:
+            parent = tracer.current_round or tracer.current_run
+            step_span = tracer.span("step", kind="step", parent=parent, step=self._step_index)
 
         if timed:
             instr.gauge("enabled_set_size", len(order))
@@ -1124,8 +999,8 @@ class Scheduler:
 
         # Apply all writes after every selected processor has read the
         # beginning-of-step configuration (composite atomicity).  apply_writes
-        # journals the changed variables, which is what marks the incremental
-        # path's stale guards.
+        # journals the changed variables, which is what marks the stale
+        # guards.
         changed_nodes: list[int] = []
         moves: list[MoveRecord] = []
         apply_writes = self.configuration.apply_writes
@@ -1153,9 +1028,9 @@ class Scheduler:
         completed_round = self._advance_round(chosen)
         if timed:
             mark = time.perf_counter()
-        self._notify_step(record)
+        dispatch_safely(self._observers, "on_step", self, record)
         if completed_round is not None:
-            self._notify_round(completed_round)
+            dispatch_safely(self._observers, "on_round", self, completed_round)
         if timed:
             now = time.perf_counter()
             instr.phase_time(PHASE_OBSERVER_DISPATCH, now - mark)
@@ -1199,17 +1074,11 @@ class Scheduler:
         """Round bookkeeping: a round ends when every processor that was
         enabled at its start has executed or become disabled.  Returns the
         just-completed round index, or ``None``."""
-        if self._round_pending is None:
-            return None
         self._round_pending -= executed_nodes
         if self._round_pending:
-            if self.incremental:
-                self._refresh_enabled()
-                enabled = self._enabled
-            else:
-                enabled = self._enabled_view()[1]
-            # The incremental enabled-set keeps frozen nodes; they count as disabled.
-            pending = self._round_pending & enabled.keys()
+            self._refresh_enabled()
+            # The enabled-set keeps frozen nodes; they count as disabled.
+            pending = self._round_pending & self._enabled.keys()
             pending -= self._frozen
             self._round_pending = pending
         if not self._round_pending:
@@ -1329,10 +1198,10 @@ class Scheduler:
                 f"dynamic network change cannot move the root "
                 f"({self.network.root} -> {network.root})"
             )
+        reinitialized = self._known(reinitialize, "reinitialize")
         self.protocol.validate(network)
         self.network = network
         self._index_actions()
-        reinitialized = tuple(reinitialize)
         for node in reinitialized:
             self.configuration.replace_node(
                 node, self.protocol.random_state(network, node, self.rng)
@@ -1358,17 +1227,14 @@ class Scheduler:
         function of the configuration, which freezing does not touch); the
         accessors simply stop reporting them, so no invalidation is needed.
         """
-        frozen = tuple(nodes)
-        for node in frozen:
-            if not 0 <= node < self.network.n:
-                raise SchedulingError(f"cannot freeze unknown processor {node}")
-            self._frozen.add(node)
+        frozen = self._known(nodes, "freeze")
+        self._frozen.update(frozen)
         self._round_pending = None
         self._notify_mutation("freeze", nodes=tuple(sorted(frozen)))
 
     def unfreeze(self, nodes: Iterable[int]) -> None:
         """Let crashed ``nodes`` rejoin the computation."""
-        thawed = tuple(nodes)
+        thawed = self._known(nodes, "unfreeze")
         self._frozen.difference_update(thawed)
         self._round_pending = None
         self._notify_mutation("unfreeze", nodes=tuple(sorted(thawed)))
@@ -1378,14 +1244,23 @@ class Scheduler:
 
         Delegates to
         :meth:`~repro.runtime.configuration.Configuration.replace_node` -- the
-        write is journaled, so the incremental enabled-set folds it in like
-        any other change -- and notifies observers, which a
+        write is journaled, so the enabled-set folds it in like any other
+        change -- and notifies observers, which a
         direct ``scheduler.configuration.replace_node`` call would bypass.
         """
+        self._known((node,), "replace")
         self.configuration.replace_node(node, values)
         self._notify_mutation(
             "replace_node", node=node, state=self.configuration.state_of(node)
         )
+
+    def _known(self, nodes: Iterable[int], verb: str) -> tuple[int, ...]:
+        """``nodes`` as a tuple; a :class:`SchedulingError` for an id outside ``0..n-1``."""
+        nodes = tuple(nodes)
+        for node in nodes:
+            if node not in self.network.nodes():
+                raise SchedulingError(f"cannot {verb} unknown processor {node}")
+        return nodes
 
     @property
     def frozen_nodes(self) -> frozenset[int]:
@@ -1415,5 +1290,4 @@ __all__ = [
     "RunResult",
     "StepRecord",
     "evaluate_guards",
-    "first_enabled_action",
 ]

@@ -23,11 +23,11 @@ reusable across every network, protocol, daemon and seed of a campaign grid.
 Every event mutates the run exclusively through the scheduler's journaled
 mutation seams -- :meth:`~repro.runtime.scheduler.Scheduler.set_configuration`
 and :meth:`~repro.runtime.scheduler.Scheduler.set_network` invalidate the
-incremental enabled-set wholesale, while ``freeze``/``unfreeze`` and
+maintained enabled-set wholesale, while ``freeze``/``unfreeze`` and
 :meth:`~repro.runtime.scheduler.Scheduler.replace_node` writes feed its
-change journal -- so the incremental scheduler core stays bit-identical
-to the full scan under any scenario (the equivalence property test drives
-every library scenario through both paths), and every mutation reaches the
+change journal -- so the scheduler stays bit-identical to the reference
+interpreter under any scenario (the equivalence suite drives every library
+scenario through both), and every mutation reaches the
 observers' ``on_mutation`` hook, which is what makes a recorded scenario
 execution replayable.
 """

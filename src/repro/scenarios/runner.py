@@ -60,10 +60,6 @@ class ScenarioRunner:
         recovery phase ends, and ``on_converged`` with the final
         :class:`~repro.analysis.recovery.ScenarioReport` when the whole
         scenario recovered.
-    incremental:
-        Forwarded to the :class:`~repro.runtime.scheduler.Scheduler`;
-        ``False`` forces the historical full guard scan (differential
-        testing of the incremental enabled-set under scenario events).
     instrumentation:
         Forwarded to the scheduler: the whole scenario execution -- initial
         stabilization, event windows, recoveries -- accumulates into one
@@ -79,7 +75,6 @@ class ScenarioRunner:
         seed: int | None = None,
         phase_budget: int | None = None,
         observers: Sequence[Observer] = (),
-        incremental: bool = True,
         instrumentation: Instrumentation | None = None,
     ) -> None:
         self.network = network
@@ -101,7 +96,6 @@ class ScenarioRunner:
         # A list, not a tuple: failure isolation disables (removes) an
         # observer that raises, here exactly as inside the scheduler.
         self.observers = list(observers)
-        self.incremental = incremental
         self.instrumentation = instrumentation
 
     def run(self) -> ScenarioReport:
@@ -113,12 +107,13 @@ class ScenarioRunner:
             daemon=self.daemon,
             rng=random.Random(rng.randrange(1 << 30)),
             observers=self.observers,
-            incremental=self.incremental,
             instrumentation=self.instrumentation,
         )
         return self._run(scheduler, rng)
 
     def _run(self, scheduler: Scheduler, rng: random.Random) -> ScenarioReport:
+        """Stabilize ``scheduler`` (any scheduler class, such as the reference
+        interpreter), then inflict every event, drawing from ``rng``."""
         configured_daemon = scheduler.daemon.name
         initial = scheduler.run_until_legitimate(
             max_steps=scheduler.steps_executed + self.phase_budget,

@@ -1,17 +1,20 @@
-"""Equivalence of the incremental and full-scan scheduler cores.
+"""Equivalence of the scheduler and the independent reference interpreter.
 
-The incremental enabled-set is an optimization, not a semantics change: for
-any substrate, daemon, scenario and seed, the ``scheduler`` engine (dirty
-frontier re-evaluation) and the ``scheduler-fullscan`` engine (historical
-rescan of every guard per step) must produce **identical** executions -- the
-same enabled set before every step, the same :class:`StepRecord` stream, the
-same metrics, and the same final configuration.
+The scheduler's maintained enabled-set is an optimization, not a semantics
+change: for any substrate, daemon, scenario and seed, the ``scheduler``
+engine (:class:`Scheduler`, dirty-frontier re-evaluation) and the
+``scheduler-fullscan`` engine (:class:`ReferenceScheduler`, which rescans
+every guard per step and shares no step, round or run-loop code with it)
+must produce **identical** executions -- the same enabled set before every
+step, the same :class:`StepRecord` stream, the same metrics, and the same
+final configuration.
 
 These tests drive every substrate x daemon combination (with and without a
 mid-run ``set_configuration``, ``freeze``/``unfreeze``, ``replace_node`` or
 ``set_daemon``, and every library scenario, which adds ``set_network``)
-through both paths in lockstep, with guard-locality checking switched on so
-the invariant the dirty frontier relies on is asserted on every evaluation.
+through both in lockstep, with the scheduler's guard-locality checking
+switched on so the invariant the dirty frontier relies on is asserted on
+every evaluation.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.core.dftno import build_dftno
 from repro.core.stno import build_stno
 from repro.graphs import generators
 from repro.runtime.daemon import make_daemon
+from repro.runtime.reference import ReferenceScheduler
 from repro.runtime.scheduler import Scheduler, StepRecord
 from repro.scenarios.library import build_scenario, scenario_names
 from repro.scenarios.runner import ScenarioRunner
@@ -51,31 +55,30 @@ PROTOCOLS = {
 
 def _core_pair(
     protocol_key: str, daemon: str, seed: int, n: int, family: str | None = None
-) -> tuple[Scheduler, Scheduler]:
-    """The incremental (reference) and full-scan (candidate) cores on the same
-    network, protocol, daemon and seed, with guard-locality checking on.
+) -> tuple[Scheduler, ReferenceScheduler]:
+    """The scheduler and the reference interpreter on the same network,
+    protocol, daemon and seed, the scheduler with guard-locality checking on.
 
     ``family`` overrides the protocol's pinned network family.
     """
     factory, pinned_family = PROTOCOLS[protocol_key]
     family = family or pinned_family
-    reference_scheduler, candidate_scheduler = (
-        Scheduler(
+    scheduler_core, reference_core = (
+        core(
             generators.family(family, n, seed=seed),
             factory(),
             daemon=make_daemon(daemon),
             seed=seed,
-            incremental=incremental,
             check_guard_locality=True,
         )
-        for incremental in (True, False)
+        for core in (Scheduler, ReferenceScheduler)
     )
-    return reference_scheduler, candidate_scheduler
+    return scheduler_core, reference_core
 
 
 def _drive_lockstep(
-    reference_scheduler: Scheduler,
-    candidate_scheduler: Scheduler,
+    scheduler_core: Scheduler,
+    reference_core: ReferenceScheduler,
     max_steps: int,
     context: str,
 ) -> list[StepRecord]:
@@ -84,12 +87,12 @@ def _drive_lockstep(
     records: list[StepRecord] = []
     for _ in range(max_steps):
         assert (
-            reference_scheduler.enabled_nodes() == candidate_scheduler.enabled_nodes()
-        ), f"enabled sets diverged at step {reference_scheduler.steps_executed} {context}"
-        record_reference = reference_scheduler.step()
-        record_candidate = candidate_scheduler.step()
+            scheduler_core.enabled_nodes() == reference_core.enabled_nodes()
+        ), f"enabled sets diverged at step {scheduler_core.steps_executed} {context}"
+        record_reference = scheduler_core.step()
+        record_candidate = reference_core.step()
         assert record_reference == record_candidate, (
-            f"step records diverged at step {candidate_scheduler.steps_executed} {context}"
+            f"step records diverged at step {reference_core.steps_executed} {context}"
         )
         if record_reference is None:
             break
@@ -98,12 +101,12 @@ def _drive_lockstep(
 
 
 def _assert_same_outcome(
-    reference_scheduler: Scheduler, candidate_scheduler: Scheduler, context: str
+    scheduler_core: Scheduler, reference_core: ReferenceScheduler, context: str
 ) -> None:
-    assert reference_scheduler.configuration == candidate_scheduler.configuration, context
-    assert reference_scheduler.metrics == candidate_scheduler.metrics, context
+    assert scheduler_core.configuration == reference_core.configuration, context
+    assert scheduler_core.metrics == reference_core.metrics, context
     assert (
-        reference_scheduler.rounds_completed == candidate_scheduler.rounds_completed
+        scheduler_core.rounds_completed == reference_core.rounds_completed
     ), context
 
 
@@ -115,19 +118,19 @@ def _lockstep(
     max_steps: int = 150,
     family: str | None = None,
 ) -> None:
-    """Run the incremental and full-scan cores in lockstep and assert every
-    observable is identical.
+    """Run the scheduler and the reference interpreter in lockstep and assert
+    every observable is identical.
 
     ``family`` overrides the protocol's pinned network family.
     """
-    reference_scheduler, candidate_scheduler = _core_pair(
+    scheduler_core, reference_core = _core_pair(
         protocol_key, daemon, seed, n, family
     )
     family = family or PROTOCOLS[protocol_key][1]
     context = f"({protocol_key}, {family}, daemon={daemon}, seed={seed}, n={n})"
-    assert reference_scheduler.configuration == candidate_scheduler.configuration
-    _drive_lockstep(reference_scheduler, candidate_scheduler, max_steps, context)
-    _assert_same_outcome(reference_scheduler, candidate_scheduler, context)
+    assert scheduler_core.configuration == reference_core.configuration
+    _drive_lockstep(scheduler_core, reference_core, max_steps, context)
+    _assert_same_outcome(scheduler_core, reference_core, context)
 
 
 @pytest.mark.parametrize("daemon", DAEMONS)
@@ -226,37 +229,37 @@ def _mutation_context(protocol_key: str, daemon: str, mutation: str) -> str:
 def test_frozen_nodes_never_execute_on_either_core(protocol_key, daemon):
     """Crashed processors are never enabled and never move on either core,
     and both cores resume identically once they rejoin."""
-    reference_scheduler, candidate_scheduler = _core_pair(protocol_key, daemon, seed=11, n=7)
+    scheduler_core, reference_core = _core_pair(protocol_key, daemon, seed=11, n=7)
     context = _mutation_context(protocol_key, daemon, "freeze/unfreeze")
     frozen = (1, 4)
-    for scheduler in (reference_scheduler, candidate_scheduler):
+    for scheduler in (scheduler_core, reference_core):
         scheduler.freeze(frozen)
-    records = _drive_lockstep(reference_scheduler, candidate_scheduler, 60, context)
-    assert not set(reference_scheduler.enabled_nodes()) & set(frozen), context
+    records = _drive_lockstep(scheduler_core, reference_core, 60, context)
+    assert not set(scheduler_core.enabled_nodes()) & set(frozen), context
     for record in records:
         assert not {node for node, _ in record.executed} & set(frozen), context
         assert not set(record.changed_nodes) & set(frozen), context
-    for scheduler in (reference_scheduler, candidate_scheduler):
+    for scheduler in (scheduler_core, reference_core):
         scheduler.unfreeze(frozen)
-    _drive_lockstep(reference_scheduler, candidate_scheduler, 150, context)
-    _assert_same_outcome(reference_scheduler, candidate_scheduler, context)
+    _drive_lockstep(scheduler_core, reference_core, 150, context)
+    _assert_same_outcome(scheduler_core, reference_core, context)
 
 
 @pytest.mark.parametrize("daemon", DAEMONS)
 @pytest.mark.parametrize("protocol_key", sorted(PROTOCOLS))
 def test_set_configuration_mid_run_is_identical_across_cores(protocol_key, daemon):
     """A wholesale configuration replacement (a transient-fault burst)
-    invalidates the incremental enabled-set exactly as a full rescan sees it."""
-    reference_scheduler, candidate_scheduler = _core_pair(protocol_key, daemon, seed=11, n=7)
+    invalidates the maintained enabled-set exactly as a full rescan sees it."""
+    scheduler_core, reference_core = _core_pair(protocol_key, daemon, seed=11, n=7)
     context = _mutation_context(protocol_key, daemon, "set_configuration")
-    _drive_lockstep(reference_scheduler, candidate_scheduler, WARMUP_STEPS, context)
+    _drive_lockstep(scheduler_core, reference_core, WARMUP_STEPS, context)
     factory = PROTOCOLS[protocol_key][0]
-    replacement = factory().random_configuration(reference_scheduler.network, seed=99)
-    for scheduler in (reference_scheduler, candidate_scheduler):
+    replacement = factory().random_configuration(scheduler_core.network, seed=99)
+    for scheduler in (scheduler_core, reference_core):
         scheduler.set_configuration(replacement.copy())
-    assert reference_scheduler.configuration == replacement, context
-    _drive_lockstep(reference_scheduler, candidate_scheduler, 150, context)
-    _assert_same_outcome(reference_scheduler, candidate_scheduler, context)
+    assert scheduler_core.configuration == replacement, context
+    _drive_lockstep(scheduler_core, reference_core, 150, context)
+    _assert_same_outcome(scheduler_core, reference_core, context)
 
 
 @pytest.mark.parametrize("daemon", DAEMONS)
@@ -264,41 +267,41 @@ def test_set_configuration_mid_run_is_identical_across_cores(protocol_key, daemo
 def test_daemon_switch_mid_run_is_identical_across_cores(protocol_key, daemon):
     """Switching to the next daemon and back mid-run keeps both cores
     identical: the enabled-set survives every switch."""
-    reference_scheduler, candidate_scheduler = _core_pair(protocol_key, daemon, seed=11, n=7)
+    scheduler_core, reference_core = _core_pair(protocol_key, daemon, seed=11, n=7)
     other = DAEMONS[(DAEMONS.index(daemon) + 1) % len(DAEMONS)]
     context = _mutation_context(protocol_key, daemon, f"switch to {other} and back")
-    _drive_lockstep(reference_scheduler, candidate_scheduler, WARMUP_STEPS, context)
+    _drive_lockstep(scheduler_core, reference_core, WARMUP_STEPS, context)
     for kind in (other, daemon):
-        for scheduler in (reference_scheduler, candidate_scheduler):
+        for scheduler in (scheduler_core, reference_core):
             scheduler.set_daemon(make_daemon(kind))
-        _drive_lockstep(reference_scheduler, candidate_scheduler, WARMUP_STEPS, context)
-    _drive_lockstep(reference_scheduler, candidate_scheduler, 150, context)
-    _assert_same_outcome(reference_scheduler, candidate_scheduler, context)
+        _drive_lockstep(scheduler_core, reference_core, WARMUP_STEPS, context)
+    _drive_lockstep(scheduler_core, reference_core, 150, context)
+    _assert_same_outcome(scheduler_core, reference_core, context)
 
 
 @pytest.mark.parametrize("daemon", DAEMONS)
 @pytest.mark.parametrize("protocol_key", sorted(PROTOCOLS))
 def test_crash_rejoin_mid_run_is_identical_across_cores(protocol_key, daemon):
     """Crash a processor, rewrite its whole state with ``replace_node`` and
-    let it rejoin: the journaled write reaches the incremental core's dirty
+    let it rejoin: the journaled write reaches the scheduler's dirty
     frontier, so both cores agree on every later step."""
-    reference_scheduler, candidate_scheduler = _core_pair(protocol_key, daemon, seed=11, n=7)
+    scheduler_core, reference_core = _core_pair(protocol_key, daemon, seed=11, n=7)
     context = _mutation_context(protocol_key, daemon, "crash/rejoin")
-    _drive_lockstep(reference_scheduler, candidate_scheduler, WARMUP_STEPS, context)
+    _drive_lockstep(scheduler_core, reference_core, WARMUP_STEPS, context)
     crashed = 2
     factory = PROTOCOLS[protocol_key][0]
     fresh_state = factory().random_state(
-        reference_scheduler.network, crashed, random.Random(5)
+        scheduler_core.network, crashed, random.Random(5)
     )
-    for scheduler in (reference_scheduler, candidate_scheduler):
+    for scheduler in (scheduler_core, reference_core):
         scheduler.freeze((crashed,))
-    _drive_lockstep(reference_scheduler, candidate_scheduler, WARMUP_STEPS, context)
-    for scheduler in (reference_scheduler, candidate_scheduler):
+    _drive_lockstep(scheduler_core, reference_core, WARMUP_STEPS, context)
+    for scheduler in (scheduler_core, reference_core):
         scheduler.replace_node(crashed, fresh_state)
         scheduler.unfreeze((crashed,))
-    assert reference_scheduler.configuration.state_of(crashed) == fresh_state, context
-    _drive_lockstep(reference_scheduler, candidate_scheduler, 150, context)
-    _assert_same_outcome(reference_scheduler, candidate_scheduler, context)
+    assert scheduler_core.configuration.state_of(crashed) == fresh_state, context
+    _drive_lockstep(scheduler_core, reference_core, 150, context)
+    _assert_same_outcome(scheduler_core, reference_core, context)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +318,9 @@ def _record_and_replay(
 ):
     """Record a run with the flight recorder, replay it, assert fidelity.
 
-    ``core`` picks the recording engine (``"incremental"`` or
-    ``"fullscan"``); the replay always re-executes on the plain incremental
-    scheduler, substituting the recorded daemon selections.  Every replayed
+    ``core`` picks the recording core (``"incremental"``: the scheduler, or
+    ``"fullscan"``: the reference interpreter); the replay always re-executes
+    on the scheduler, substituting the recorded daemon selections.  Every replayed
     :class:`StepRecord`, the metrics and the final configuration must match
     the log exactly.
     """
@@ -327,13 +330,12 @@ def _record_and_replay(
     factory, family = PROTOCOLS[protocol_key]
     log_path = tmp_path / f"{protocol_key}-{daemon}-{core}.flight.jsonl"
     recorder = FlightRecorder(log_path)
-    scheduler = Scheduler(
+    scheduler = (Scheduler if core == "incremental" else ReferenceScheduler)(
         generators.family(family, n, seed=seed),
         factory(),
         daemon=make_daemon(daemon),
         seed=seed,
         observers=(recorder,),
-        incremental=core == "incremental",
     )
     try:
         for _ in range(max_steps):
@@ -365,12 +367,12 @@ def test_replayed_run_is_byte_identical_for_every_substrate_and_daemon(
 @pytest.mark.parametrize("core", ("fullscan",))
 @pytest.mark.parametrize("daemon", DAEMONS)
 @pytest.mark.parametrize("protocol_key", sorted(PROTOCOLS))
-def test_recording_from_any_core_replays_on_the_reference_core(
+def test_recording_on_the_reference_replays_on_the_scheduler(
     protocol_key, daemon, core, tmp_path
 ):
-    """Logs recorded by the full-scan engine replay byte-identically on the
-    incremental core (the lockstep grids above hold the engines
-    bit-identical, so a log is engine-independent)."""
+    """Logs recorded on the reference interpreter replay byte-identically on
+    the scheduler (the lockstep grids above hold the engines bit-identical,
+    so a log is engine-independent)."""
     _record_and_replay(
         protocol_key, daemon, seed=11, n=7, tmp_path=tmp_path, core=core
     )
@@ -379,25 +381,39 @@ def test_recording_from_any_core_replays_on_the_reference_core(
 @pytest.mark.parametrize("daemon", DAEMONS)
 @pytest.mark.parametrize("scenario_name", scenario_names())
 def test_scenario_executions_are_identical_across_cores(scenario_name, daemon):
-    """Every library scenario runs identically on the incremental and
-    full-scan cores.
+    """Every library scenario runs identically on the scheduler and on the
+    reference interpreter.
 
     Scenario events exercise every mid-run mutation path (corruption bursts
     via ``set_configuration``, crash/rejoin via ``freeze``/``unfreeze`` and
     ``replace_node``, multi-node crashes, link changes via ``set_network``,
     daemon switches), so identical reports here mean the dirty-set
-    bookkeeping survives all of them.
+    bookkeeping survives all of them.  The reference run goes through
+    ``ScenarioRunner._run`` with the random streams :meth:`ScenarioRunner.run`
+    derives from the seed.
     """
-    reports = {}
-    for key, incremental in (("reference", True), ("candidate", False)):
+
+    def runner() -> ScenarioRunner:
         network = generators.random_connected(8, extra_edge_probability=0.3, seed=3)
-        reports[key] = ScenarioRunner(
+        return ScenarioRunner(
             network,
             build_dftno(),
             build_scenario(scenario_name),
             daemon=make_daemon(daemon),
             seed=7,
-            incremental=incremental,
-        ).run()
-    assert reports["reference"].as_row() == reports["candidate"].as_row()
-    assert reports["reference"].events == reports["candidate"].events
+        )
+
+    reports = {"scheduler": runner().run()}
+    twin = runner()
+    rng = random.Random(twin.seed)
+    reports["reference"] = twin._run(
+        ReferenceScheduler(
+            twin.network,
+            twin.protocol,
+            daemon=twin.daemon,
+            rng=random.Random(rng.randrange(1 << 30)),
+        ),
+        rng,
+    )
+    assert reports["scheduler"].as_row() == reports["reference"].as_row()
+    assert reports["scheduler"].events == reports["reference"].events

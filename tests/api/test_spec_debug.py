@@ -32,9 +32,9 @@ def test_debug_must_be_a_mapping() -> None:
 def test_scheduler_engine_arms_the_guard_tracker() -> None:
     engine = SchedulerEngine()
     plain = engine._scheduler_kwargs(RunSpec())
-    assert plain == {"incremental": True, "check_guard_locality": False}
+    assert plain == {"check_guard_locality": False}
     armed = engine._scheduler_kwargs(RunSpec(debug={"check_guard_locality": True}))
-    assert armed == {"incremental": True, "check_guard_locality": True}
+    assert armed == {"check_guard_locality": True}
 
 
 def test_debug_run_produces_the_same_row_as_a_bare_run() -> None:

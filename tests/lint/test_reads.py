@@ -73,6 +73,26 @@ def test_fixture_stays_clean_for_the_static_rules() -> None:
     assert analyze_paths([FIXTURES / "reads_underdeclared.py"]).findings == []
 
 
+def test_a_neighbor_read_through_a_view_alias_fires_rl008(capsys) -> None:
+    fixture = FIXTURES / "reads_aliased_underdeclared.py"
+    assert main([str(fixture), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    # ``read_neighbor = view.read_neighbor`` (guard) and a tuple-unpacked
+    # alias (rule), each under a declaration without the neighbor read.
+    assert [(finding["rule"], finding["function"]) for finding in payload] == [
+        ("RL008", "RA-Copy"),
+        ("RL008", "RA-Below"),
+    ]
+    assert all("neighbor ['ra_x']" in finding["message"] for finding in payload)
+    assert analyze_paths([fixture]).findings == []
+
+
+def test_the_orientation_rule_reads_its_neighbors_through_an_alias() -> None:
+    analyzer = analyze_paths([PACKAGE / "core" / "specification.py"])
+    (rule,) = [s for s in analyzer.summaries if s.owner == "OrientationSpecification"]
+    assert rule.guard_reads_neighbor == {"no_eta"}
+
+
 def test_rl009_in_rule_catalog() -> None:
     severity, description = RULES["RL009"]
     assert severity == "error"

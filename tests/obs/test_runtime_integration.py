@@ -32,7 +32,7 @@ from repro.runtime.scheduler import Scheduler
 from repro.substrates.spanning_tree import BFSSpanningTree
 
 
-def _run_instrumented(incremental: bool):
+def _run_instrumented():
     network = generators.random_connected(10, extra_edge_probability=0.3, seed=5)
     instr = Instrumentation()
     scheduler = Scheduler(
@@ -40,7 +40,6 @@ def _run_instrumented(incremental: bool):
         BFSSpanningTree(),
         daemon=CentralDaemon(),
         seed=3,
-        incremental=incremental,
         instrumentation=instr,
     )
     result = scheduler.run_until_legitimate(max_steps=500)
@@ -48,9 +47,8 @@ def _run_instrumented(incremental: bool):
     return result, instr.summary()
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_scheduler_phases_cover_step_wall_time(incremental):
-    result, summary = _run_instrumented(incremental)
+def test_scheduler_phases_cover_step_wall_time():
+    result, summary = _run_instrumented()
     step_wall = summary_counter(summary, "step_seconds")
     assert step_wall > 0.0
     assert summary_counter(summary, "steps_timed") == result.steps
@@ -82,7 +80,6 @@ def test_instrumentation_does_not_perturb_the_execution():
             BFSSpanningTree(),
             daemon=CentralDaemon(),
             seed=3,
-            incremental=True,
             instrumentation=instrumentation,
         )
         result = scheduler.run_until_legitimate(max_steps=500)

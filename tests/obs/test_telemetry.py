@@ -16,6 +16,7 @@ from repro.obs import (
     guard_heat_table,
 )
 from repro.runtime.daemon import make_daemon
+from repro.runtime.reference import ReferenceScheduler
 from repro.runtime.scheduler import Scheduler
 from repro.substrates.spanning_tree import BFSSpanningTree
 
@@ -93,14 +94,12 @@ def test_snapshot_round_trips_byte_stable():
     assert json.dumps(decoded, sort_keys=True, separators=(",", ":")) == encoded
 
 
-@pytest.mark.parametrize("incremental", (True, False), ids=("scheduler", "fullscan"))
+@pytest.mark.parametrize("core", (Scheduler, ReferenceScheduler), ids=("scheduler", "fullscan"))
 @pytest.mark.parametrize("stack", ("dftno", "stno-bfs", "stno-dfs"))
-def test_distance_counts_violating_nodes_until_legitimacy(stack, incremental):
+def test_distance_counts_violating_nodes_until_legitimacy(stack, core):
     network = generators.random_connected(10, seed=3)
     observer = ConvergenceTelemetryObserver(stride=1)
-    scheduler = Scheduler(
-        network, build_protocol(stack), seed=5, observers=(observer,), incremental=incremental
-    )
+    scheduler = core(network, build_protocol(stack), seed=5, observers=(observer,))
     result = scheduler.run_until_legitimate(max_steps=5_000, confirm_steps=20)
     assert result.converged
     columns = observer.snapshot()["columns"]

@@ -123,6 +123,38 @@ def test_tampered_repeated_selection_is_a_divergence(recorded_log, capsys):
     assert f"divergence at step {target}" in capsys.readouterr().err
 
 
+def test_tampered_replace_node_naming_an_unknown_processor_is_a_divergence(tmp_path, capsys):
+    path = tmp_path / "crash.flight.jsonl"
+    recorder = FlightRecorder(path)
+    network = generators.random_connected(6, extra_edge_probability=0.3, seed=11)
+    protocol = build_dftno()
+    scheduler = Scheduler(
+        network, protocol, daemon=make_daemon("distributed"), seed=11, observers=(recorder,)
+    )
+    for _ in range(5):
+        scheduler.step()
+    scheduler.replace_node(2, protocol.random_state(network, 2, random.Random(5)))
+    for _ in range(5):
+        scheduler.step()
+    recorder.close()
+    assert ReplayRun(path).run().verified
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for index, raw in enumerate(lines):
+        entry = json.loads(raw)
+        if entry.get("type") == "mutation" and entry.get("kind") == "replace_node":
+            entry["node"] = 99
+            lines[index] = json.dumps(entry, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    replay = ReplayRun(path)
+    report = replay.run()
+    assert not report.verified
+    assert report.divergence.step == 5
+    assert "unknown processor 99" in report.divergence.reason
+    assert sorted(replay.scheduler.configuration.nodes()) == list(range(6))
+    assert replay_main(["verify", str(path)]) == 1
+    assert "divergence at step 5" in capsys.readouterr().err
+
+
 def test_tampered_final_fingerprint_fails_the_final_check(recorded_log):
     path, _, _ = recorded_log
     lines = path.read_text(encoding="utf-8").splitlines()

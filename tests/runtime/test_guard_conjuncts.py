@@ -25,7 +25,9 @@ from repro.runtime.actions import Action, Reads, all_of
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import GuardView, TrackingGuardView
 from repro.runtime.protocol import Protocol
-from repro.runtime.scheduler import Scheduler, evaluate_guards, first_enabled_action
+from repro.runtime import reference
+from repro.runtime.reference import ReferenceScheduler
+from repro.runtime.scheduler import Scheduler, evaluate_guards
 from repro.runtime.variables import int_variable
 
 GATE_READS = Reads(own=frozenset({"g"}))
@@ -75,14 +77,7 @@ class Gated(Protocol):
 
 
 def _fresh_scan(scheduler: Scheduler) -> dict[int, Action]:
-    enabled = {}
-    for node in scheduler.network.nodes():
-        action = first_enabled_action(
-            node, scheduler.network, scheduler.configuration, scheduler._actions[node]
-        )
-        if action is not None:
-            enabled[node] = action
-    return enabled
+    return reference.enabled(scheduler.network, scheduler.protocol, scheduler.configuration)
 
 
 def _gated_ring() -> tuple[Gated, Scheduler]:
@@ -146,7 +141,7 @@ def test_the_full_scan_engine_calls_every_reached_part():
     configuration = protocol.initial_configuration(network)
     configuration.set(0, "g", 1)
     configuration.set(1, "x", 1)
-    scheduler = Scheduler(network, protocol, configuration=configuration, incremental=False)
+    scheduler = ReferenceScheduler(network, protocol, configuration=configuration)
     assert sorted(scheduler.enabled_actions()) == [0]
     # Every gate once, and the scan only behind the one open gate.
     assert protocol.calls == Counter(
@@ -169,14 +164,15 @@ def test_evaluate_guards_reports_the_consulted_bits():
     configuration = protocol.initial_configuration(network)
     actions = protocol.actions(network, 0)
     # Gate closed: only bit 0 is consulted; the scan's bit stays stale.
+    view = GuardView(0, network, configuration)
     index, held, stale, consulted, calls = evaluate_guards(
-        0, network, configuration, actions, -1, 0
+        0, network, configuration, actions, -1, 0, view
     )
     assert (index, held, consulted, calls) == (1, 0, 0b01, 1)
     assert stale & 0b10
     configuration.set(0, "g", 1)
     index, held, stale, consulted, calls = evaluate_guards(
-        0, network, configuration, actions, stale | 0b01, held
+        0, network, configuration, actions, stale | 0b01, held, view
     )
     assert (index, held, stale & 0b11, consulted, calls) == (1, 0b01, 0, 0b11, 2)
 
@@ -293,25 +289,22 @@ class GuardMutates(Protocol):
         return True
 
 
-@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "fullscan"])
+@pytest.mark.parametrize("core", [Scheduler, ReferenceScheduler], ids=["incremental", "fullscan"])
 @pytest.mark.parametrize("check", [False, True], ids=["release", "check"])
-def test_a_guard_write_raises_on_both_engines(incremental, check):
+def test_a_guard_write_raises_on_both_engines(core, check):
     network = generators.ring(4)
     protocol = GuardMutates()
-    scheduler = Scheduler(
+    scheduler = core(
         network,
         protocol,
         configuration=protocol.initial_configuration(network),
-        incremental=incremental,
         check_guard_locality=check,
     )
     scheduler.configuration.set(0, "y", 1)
     with pytest.raises(ProtocolError, match=r"processor 0 .*'x'"):
         scheduler.enabled_actions()
     with pytest.raises(ProtocolError, match="write"):
-        first_enabled_action(
-            1, network, scheduler.configuration, protocol.actions(network, 1), check
-        )
+        reference.enabled(network, protocol, scheduler.configuration)
 
 
 @pytest.mark.parametrize("view_class", [GuardView, TrackingGuardView])

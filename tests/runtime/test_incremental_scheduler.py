@@ -1,7 +1,7 @@
-"""Unit tests for the incremental enabled-set machinery.
+"""Unit tests for the scheduler's maintained enabled-set machinery.
 
 The equivalence suite (``tests/api/test_engine_equivalence.py``) proves the
-incremental and full-scan cores produce identical executions end to end;
+scheduler and the reference interpreter produce identical executions end to end;
 these tests pin down the mechanisms that make that true: the configuration
 change journal, the dirty-frontier refresh after every mutation path, and
 the debug-mode guard read tracker.
@@ -15,6 +15,7 @@ from repro.errors import ProtocolError
 from repro.graphs import generators
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import make_daemon
+from repro.runtime import reference
 from repro.runtime.processor import ProcessorView, TrackingProcessorView
 from repro.runtime.scheduler import Scheduler
 from repro.substrates.dijkstra_ring import DijkstraTokenRing, VAR_COUNTER
@@ -77,10 +78,11 @@ def test_replace_node_journals_every_given_node_as_a_whole_state_change():
 def _assert_enabled_matches_direct_evaluation(scheduler: Scheduler) -> None:
     """The cached enabled-set must equal a fresh per-node guard evaluation."""
     cached = scheduler.enabled_nodes()
-    direct = tuple(
-        node for node in scheduler.network.nodes() if scheduler.is_enabled(node)
+    direct = reference.enabled(
+        scheduler.network, scheduler.protocol, scheduler.configuration, scheduler.frozen_nodes
     )
-    assert cached == direct
+    assert cached == tuple(direct)
+    assert all(scheduler.is_enabled(node) == (node in direct) for node in scheduler.network.nodes())
 
 
 def test_external_replace_node_feeds_the_dirty_frontier():

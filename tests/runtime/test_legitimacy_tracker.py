@@ -29,6 +29,7 @@ from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import make_daemon
 from repro.runtime.faults import corrupt_configuration
 from repro.runtime.processor import GuardView
+from repro.runtime.reference import ReferenceScheduler
 from repro.runtime.scheduler import Scheduler
 from repro.scenarios.events import LinkChange
 from repro.substrates import token_circulation as tc
@@ -141,7 +142,7 @@ def test_standalone_substrates_agree_including_the_residue_fallback(protocol, fa
 def test_fullscan_scheduler_drains_its_journal(stack):
     network = generators.random_connected(40, seed=1)
     protocol = build_protocol(stack)
-    scheduler = Scheduler(network, protocol, seed=2, incremental=False)
+    scheduler = ReferenceScheduler(network, protocol, seed=2)
     result = scheduler.run_until_legitimate(max_steps=20_000)
     assert result.converged and result.steps > 0
     assert scheduler.configuration.drain_dirty() == {}
@@ -167,15 +168,15 @@ def test_tracker_moves_to_a_replaced_configuration_object():
     assert scheduler.enabled_actions() == _fresh_scan(scheduler)
 
 
-@pytest.mark.parametrize("incremental", (True, False), ids=("scheduler", "fullscan"))
+@pytest.mark.parametrize("core", (Scheduler, ReferenceScheduler), ids=("scheduler", "fullscan"))
 @pytest.mark.parametrize(
     "layer",
     (DepthFirstTokenCirculation(), BFSSpanningTree()),
     ids=lambda layer: layer.name,
 )
-def test_unknown_layer_is_rejected(layer, incremental):
+def test_unknown_layer_is_rejected(layer, core):
     network = generators.random_connected(8, seed=1)
-    scheduler = Scheduler(network, build_protocol("dftno"), seed=2, incremental=incremental)
+    scheduler = core(network, build_protocol("dftno"), seed=2)
     with pytest.raises(ValueError, match="not part of the scheduled protocol"):
         scheduler.legitimate(layer)
     # The stack's own layers, and compositions of them, are still accepted.
@@ -188,10 +189,7 @@ def test_distance_agrees_across_cores_after_every_step(stack):
     network = generators.random_connected(9, seed=4)
     protocol = build_protocol(stack)
     rng = random.Random(13)
-    cores = [
-        Scheduler(network, protocol, seed=5, incremental=incremental)
-        for incremental in (True, False)
-    ]
+    cores = [core(network, protocol, seed=5) for core in (Scheduler, ReferenceScheduler)]
     distances = []
     for step in range(300):
         if step == 150:

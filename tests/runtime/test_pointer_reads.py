@@ -1,10 +1,12 @@
-"""Pointer-directed reads: the incremental core against the full scan, in lockstep.
+"""Pointer-directed reads: the scheduler against the reference interpreter, in lockstep.
 
 The token layer declares most of its neighbor reads through its pointers
 (``Reads(via=...)`` at the parent or the delegated child, ``Reads(named_by=...)``
 at a delegator), so the incremental scheduler stales those parts only at the
 processors its pointer shadow picks out.  These tests run it beside the
-``scheduler-fullscan`` core from one configuration and one random stream and,
+reference interpreter (:class:`~repro.runtime.reference.ReferenceScheduler`,
+the ``scheduler-fullscan`` engine) from one configuration and one random
+stream and,
 after every step and every mutation, compare the enabled set, ``legitimate()``
 for the stack and for each layer, and ``legitimacy_distance()``.  The
 mutations move pointers the way the shadow must follow: a partial write that
@@ -31,6 +33,7 @@ from repro.runtime.daemon import make_daemon
 from repro.runtime.faults import corrupt_configuration
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
+from repro.runtime.reference import ReferenceScheduler
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.variables import VariableSpec, int_variable, pointer_variable
 from repro.substrates import token_circulation as tc
@@ -41,17 +44,16 @@ POINTERS = (tc.VAR_CHILD, tc.VAR_PARENT)
 
 
 class Lockstep:
-    """An incremental scheduler and a full-scan twin fed the same mutations."""
+    """A scheduler and a reference twin fed the same mutations."""
 
     def __init__(self, stack: str, network: RootedNetwork, seed: int, daemon: str) -> None:
         self.protocol = build_protocol(stack)
         incremental = Scheduler(network, self.protocol, daemon=make_daemon(daemon), seed=seed)
-        reference = Scheduler(
+        reference = ReferenceScheduler(
             network,
             self.protocol,
             daemon=make_daemon(daemon),
             configuration=incremental.configuration,
-            incremental=False,
         )
         reference.rng.setstate(incremental.rng.getstate())
         self.cores = (incremental, reference)

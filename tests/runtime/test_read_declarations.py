@@ -24,7 +24,8 @@ from repro.runtime.actions import Action, Reads
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import make_daemon
 from repro.runtime.faults import corrupt_configuration
-from repro.runtime.scheduler import Scheduler, first_enabled_action
+from repro.runtime import reference
+from repro.runtime.scheduler import Scheduler
 from repro.scenarios.events import LinkChange
 from repro.substrates.spanning_tree import BFSSpanningTree, DFSSpanningTree
 from repro.substrates.token_circulation import DepthFirstTokenCirculation
@@ -70,16 +71,9 @@ def test_foreign_journal_ids_are_skipped():
 # Stale-bit enabled set vs a fresh full scan
 # ----------------------------------------------------------------------
 def _fresh_scan(scheduler: Scheduler) -> dict[int, Action]:
-    enabled = {}
-    for node in scheduler.network.nodes():
-        if node in scheduler.frozen_nodes:
-            continue
-        action = first_enabled_action(
-            node, scheduler.network, scheduler.configuration, scheduler._actions[node]
-        )
-        if action is not None:
-            enabled[node] = action
-    return enabled
+    return reference.enabled(
+        scheduler.network, scheduler.protocol, scheduler.configuration, scheduler.frozen_nodes
+    )
 
 
 OPERATIONS = st.lists(

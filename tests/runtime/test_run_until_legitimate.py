@@ -15,6 +15,7 @@ from repro.api.spec import DAEMONS, PROTOCOLS
 from repro.graphs import generators
 from repro.runtime.composition import LayeredProtocol
 from repro.runtime.daemon import SynchronousDaemon, make_daemon
+from repro.runtime.reference import ReferenceScheduler
 from repro.runtime.scheduler import Scheduler
 from tests.runtime.test_scheduler import CountdownProtocol, MaxPropagation
 
@@ -148,19 +149,18 @@ class OddCountdown(CountdownProtocol):
         )
 
 
-@pytest.mark.parametrize("incremental", (True, False), ids=("scheduler", "fullscan"))
-def test_a_substrate_streak_that_breaks_restarts(small_ring, incremental):
+@pytest.mark.parametrize("core", (Scheduler, ReferenceScheduler), ids=("scheduler", "fullscan"))
+def test_a_substrate_streak_that_breaks_restarts(small_ring, core):
     # Substrate legitimacy that is not closed: it holds at step 1, breaks at
     # step 2 and holds again from step 3 on, while the stack's upper layer
     # counts down only after the substrate is done (steps 5-8).
     substrate = OddCountdown(start=4, variable="s")
     protocol = LayeredProtocol([substrate, CountdownProtocol(start=4)])
-    scheduler = Scheduler(
+    scheduler = core(
         small_ring,
         protocol,
         daemon=SynchronousDaemon(),
         configuration=protocol.initial_configuration(small_ring),
-        incremental=incremental,
     )
     result = scheduler.run_until_legitimate(max_steps=100, substrate=substrate)
     assert result.converged and result.steps == 8 == result.first_legitimate_step

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import random
 from typing import Sequence
 
 import pytest
 
+from repro.api.engines import build_protocol
 from repro.errors import SchedulingError
 from repro.graphs import generators
 from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Action
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import CentralDaemon, Daemon, SynchronousDaemon
-from repro.runtime.observers import CallbackObserver
+from repro.runtime.observers import CallbackObserver, Observer
 from repro.runtime.protocol import Protocol
+from repro.runtime.reference import ReferenceScheduler
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.variables import VariableSpec, int_variable
 
@@ -251,15 +254,14 @@ def test_scheduler_rejects_selection_of_disabled_processor(small_ring):
         scheduler.step()
 
 
-@pytest.mark.parametrize("incremental", (True, False), ids=("scheduler", "fullscan"))
-def test_scheduler_rejects_a_selection_that_repeats_a_processor(small_ring, incremental):
+@pytest.mark.parametrize("core", (Scheduler, ReferenceScheduler), ids=("scheduler", "fullscan"))
+def test_scheduler_rejects_a_selection_that_repeats_a_processor(small_ring, core):
     protocol = CountdownProtocol(start=1)
-    scheduler = Scheduler(
+    scheduler = core(
         small_ring,
         protocol,
         daemon=StutteringDaemon(),
         configuration=protocol.initial_configuration(small_ring),
-        incremental=incremental,
     )
     first = scheduler.enabled_nodes()[0]
     with pytest.raises(SchedulingError, match=rf"more than once: \[{first}\]"):
@@ -267,6 +269,33 @@ def test_scheduler_rejects_a_selection_that_repeats_a_processor(small_ring, incr
     # Nothing ran: the configuration and the counters are untouched.
     assert scheduler.steps_executed == 0 and scheduler.metrics.moves == 0
     assert scheduler.configuration == protocol.initial_configuration(small_ring)
+
+
+@pytest.mark.parametrize("core", (Scheduler, ReferenceScheduler), ids=("scheduler", "fullscan"))
+@pytest.mark.parametrize("unknown", (99, 6, -1))
+def test_mutations_reject_an_unknown_processor(core, unknown):
+    network = generators.random_connected(6, seed=1)
+    protocol = build_protocol("dftno")
+    mutations = []
+
+    class Mutations(Observer):
+        def on_mutation(self, source, mutation):
+            mutations.append(mutation)
+
+    scheduler = core(network, protocol, seed=2, observers=(Mutations(),))
+    before = scheduler.configuration.copy()
+    state = protocol.random_state(network, 0, random.Random(3))
+    for mutate in (
+        lambda: scheduler.freeze((1, unknown)),
+        lambda: scheduler.unfreeze((unknown,)),
+        lambda: scheduler.replace_node(unknown, state),
+        lambda: scheduler.set_network(network, reinitialize=(0, unknown)),
+    ):
+        with pytest.raises(SchedulingError, match=f"unknown processor {unknown}"):
+            mutate()
+    assert sorted(scheduler.configuration.nodes()) == list(range(6))
+    assert scheduler.configuration == before
+    assert scheduler.frozen_nodes == frozenset() and mutations == []
 
 
 def test_step_record_contents(small_ring):
