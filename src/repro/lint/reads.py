@@ -39,7 +39,7 @@ from types import ModuleType
 
 from repro.errors import ReproError
 from repro.lint.findings import Finding, severity_of
-from repro.runtime.actions import Reads
+from repro.runtime.actions import Not, Reads
 from repro.runtime.protocol import Protocol
 
 
@@ -71,7 +71,12 @@ def _import(path: Path) -> ModuleType | None:
 
 
 def _guard_site(guard: object) -> tuple[Path, int] | None:
-    """``(file, first line)`` of a guard part's code: the key static summaries share."""
+    """``(file, first line)`` of a guard part's code: the key static summaries share.
+
+    A :class:`~repro.runtime.actions.Not` part's site is its predicate's.
+    """
+    if isinstance(guard, Not):
+        guard = guard.predicate
     function = getattr(guard, "__func__", guard)  # a bound method's function
     code = getattr(function, "__code__", None)
     if code is None:

@@ -13,7 +13,8 @@ runs:
 * guards and statements -- plus every same-module helper they call with the
   view -- are walked through the :class:`~repro.runtime.processor.ProcessorView`
   API surface; a guard written ``all_of((predicate, reads), ...)`` is walked
-  part by part, and each part's reads are kept apart for RL008;
+  part by part (a ``Not(predicate)`` part as ``predicate``), and each part's
+  reads are kept apart for RL008;
 * violations are reported as :class:`~repro.lint.findings.Finding` objects
   with rule ids ``RL001``..``RL006`` (see
   :data:`~repro.lint.findings.RULES`);
@@ -890,14 +891,27 @@ def _conjunct_predicates(expr: ast.expr) -> list[ast.expr] | None:
     """The predicates of an ``all_of((predicate, reads), ...)`` guard, else ``None``.
 
     A part that is not a literal ``(predicate, reads)`` tuple is taken whole,
-    which leaves it unresolved.
+    which leaves it unresolved.  A negated part, ``(Not(predicate), reads)``,
+    reads what ``predicate`` reads.
     """
     if not isinstance(expr, ast.Call) or _callee_name(expr) != "all_of":
         return None
     return [
-        part.elts[0] if isinstance(part, ast.Tuple) and part.elts else part
+        _negated(part.elts[0]) if isinstance(part, ast.Tuple) and part.elts else part
         for part in expr.args
     ]
+
+
+def _negated(predicate: ast.expr) -> ast.expr:
+    """The predicate a ``Not(predicate)`` part wraps; any other part as it is."""
+    if (
+        isinstance(predicate, ast.Call)
+        and _callee_name(predicate) == "Not"
+        and len(predicate.args) == 1
+        and not predicate.keywords
+    ):
+        return predicate.args[0]
+    return predicate
 
 
 def _walk_functions(index: _ModuleIndex):

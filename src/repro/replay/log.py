@@ -119,7 +119,7 @@ class FlightLog:
 def decoded_step_record(entry: dict[str, Any]):
     """A log ``step`` entry as a live :class:`~repro.runtime.scheduler.StepRecord`.
 
-    The decoded record compares equal (dataclass equality, which is what the
+    The decoded record compares equal (named-tuple equality, which is what the
     equivalence suite uses between engines) to the record the original run
     produced -- that is the round-trip guarantee the value codec exists for.
     """

@@ -99,6 +99,27 @@ class Conjunction:
         return True
 
 
+class Not:
+    """The negation of a guard predicate, for use as a guard or rule part.
+
+    ``all_of((Not(predicate), reads), ...)`` holds where ``predicate`` does
+    not.  Calling it returns ``not predicate(view)``, so it works anywhere a
+    plain guard does.  The scheduler does not call it: it gives the part the
+    cached bit of ``predicate`` under ``reads`` -- shared with every other
+    part that tests ``predicate`` under equal reads, negated or not -- and
+    reads a clear bit as "holds".  State a fact once and negate it where a
+    guard needs its opposite, rather than writing a second predicate.
+    """
+
+    __slots__ = ("predicate",)
+
+    def __init__(self, predicate: GuardFn) -> None:
+        self.predicate = predicate
+
+    def __call__(self, view: "ProcessorView") -> bool:
+        return not self.predicate(view)
+
+
 def all_of(*parts: GuardPart) -> Conjunction:
     """A guard that holds when every ``(predicate, reads)`` part holds.
 
@@ -146,9 +167,11 @@ class Action:
         instead (:attr:`guard_parts`) and leaves ``reads`` at ``None``;
         passing ``reads=`` as well is a :class:`ValueError`.
 
-    The scheduler caches one truth value per guard *part* (a plain guard is
-    a one-part conjunction), and its ``guard_calls`` counter counts part
-    calls.
+    The scheduler caches one truth value per distinct guard *part* (a plain
+    guard is a one-part conjunction): parts with the same predicate object
+    and equal :class:`Reads` share it, across actions and violation rules
+    (a :class:`Not` part shares its predicate's).  Its ``guard_calls``
+    counter counts the part calls of guard walks.
     """
 
     name: str
@@ -220,6 +243,7 @@ __all__ = [
     "Conjunction",
     "GuardFn",
     "GuardPart",
+    "Not",
     "PointerReads",
     "Reads",
     "Rule",

@@ -40,6 +40,16 @@ def _check_disjoint_variables(layers: Sequence[Protocol], network: RootedNetwork
                 seen[spec.name] = layer.name
 
 
+def _concatenate_programs(
+    network: RootedNetwork, layers: tuple[Protocol, ...]
+) -> list[tuple[Action, ...]]:
+    """Every node's program on ``network``, the layers' programs concatenated, by node."""
+    return [
+        tuple(action for layer in layers for action in layer.actions(network, node))
+        for node in network.nodes()
+    ]
+
+
 class LayeredProtocol(Protocol):
     """Fair composition of protocol layers (lowest layer first).
 
@@ -47,7 +57,7 @@ class LayeredProtocol(Protocol):
       disjoint);
     * the program of a processor is the concatenation of the layers' programs,
       lower layers first (so substrate error-correction runs before the upper
-      layer reacts to it);
+      layer reacts to it), built once per network as a tuple;
     * the composition is legitimate when every layer is legitimate.
     """
 
@@ -56,6 +66,7 @@ class LayeredProtocol(Protocol):
             raise ProtocolError("a layered protocol needs at least one layer")
         self._layers = tuple(layers)
         self.name = name or "+".join(layer.name for layer in self._layers)
+        self._programs = PerNetwork(_concatenate_programs, self._layers)
 
     def layers(self) -> tuple[Protocol, ...]:
         nested: list[Protocol] = []
@@ -70,10 +81,7 @@ class LayeredProtocol(Protocol):
         return specs
 
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
-        actions: list[Action] = []
-        for layer in self._layers:
-            actions.extend(layer.actions(network, node))
-        return actions
+        return self._programs(network)[node]
 
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
         return all(layer.legitimate(network, configuration) for layer in self._layers)

@@ -11,6 +11,9 @@ from repro.errors import ProtocolError
 #: holder of the value can alter it after the fact.
 _IMMUTABLE_TYPES = frozenset({int, bool, str, float, type(None)})
 
+#: A value no state holds: what :meth:`Configuration.apply_writes` reads for a missing slot.
+_ABSENT = object()
+
 
 def copy_value(value: Any) -> Any:
     """A copy of ``value`` no later in-place change of the original reaches.
@@ -150,22 +153,27 @@ class Configuration:
         (matching the scheduler's historical ``MoveRecord`` semantics).  The
         journal is stricter: creating a slot always marks the node dirty, so
         guards keyed on a variable's *existence* are re-evaluated.  This is
-        the scheduler's single compare-journal-apply pass per move.
+        the scheduler's single compare-journal-apply pass per move: it
+        journals the changed names, in write order, and only a write that
+        creates a slot makes it list the written names again.
         """
         state = self._states.setdefault(node, {})
         changes: dict[str, tuple[Any, Any]] = {}
-        touched: list[str] = []
+        created = False
         for name, value in values.items():
-            if name not in state:
-                touched.append(name)
+            old = state.get(name, _ABSENT)
+            if old is _ABSENT:
+                created = True
                 if value is not None:
                     changes[name] = (None, value)
-            elif state[name] != value:
-                touched.append(name)
-                changes[name] = (state[name], value)
+            elif old != value:
+                changes[name] = (old, value)
+        if created:
+            touched = tuple(name for name in values if name in changes or name not in state)
+            self._journal(node, touched)
+        elif changes:
+            self._journal(node, tuple(changes))
         state.update(values)
-        if touched:
-            self._journal(node, tuple(touched))
         return changes
 
     def replace_node(self, node: int, values: Mapping[str, Any]) -> None:

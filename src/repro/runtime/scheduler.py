@@ -18,8 +18,10 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import GuardLocalityError, SchedulingError
 from repro.graphs.network import RootedNetwork
@@ -33,7 +35,7 @@ from repro.obs.instrument import (
     PHASE_LEGITIMACY,
     PHASE_OBSERVER_DISPATCH,
 )
-from repro.runtime.actions import Action, Conjunction, Reads, Rule
+from repro.runtime.actions import Action, Not, Reads, Rule
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import Daemon, DistributedDaemon
 from repro.runtime.metrics import ExecutionMetrics
@@ -42,62 +44,46 @@ from repro.runtime.processor import GuardView, ProcessorView, TrackingGuardView
 from repro.runtime.protocol import Protocol
 
 
+#: One compiled guard or rule part: ``(predicate, bit, negated)``.  ``bit``
+#: is the part's cached bit, shared by every part of the node's program that
+#: tests the same predicate object under equal reads; ``negated`` is ``bit``
+#: for a :class:`~repro.runtime.actions.Not` part (it holds when the bit is
+#: clear) and 0 otherwise.
+Step = tuple[Callable[[GuardView], bool], int, int]
+
+
 def evaluate_guards(
-    node: int,
-    network: RootedNetwork,
-    configuration: Configuration,
-    actions: Sequence[Action],
-    stale: int,
-    held: int,
-    view: GuardView,
-    check_guard_locality: bool = False,
-    offset: int = 0,
+    walks: Sequence[tuple[Step, ...]], stale: int, held: int, view: GuardView
 ) -> tuple[int, int, int, int, int]:
-    """Find ``node``'s first enabled action, calling only its stale guard parts.
+    """Find the first entry of ``walks`` whose parts all hold, calling only stale parts.
 
     The scheduler's single guard-evaluation primitive, for guards and for
-    violation rules alike: ``actions`` may be a layer's
-    :class:`~repro.runtime.actions.Rule` sequence, whose first "enabled"
-    entry is the first rule that holds.  The bits of ``held`` and ``stale``
-    from bit ``offset`` on index the guard *parts* (conjuncts, see
-    :func:`~repro.runtime.actions.all_of`) of ``actions`` in order, a plain
-    guard being one part; the other bits pass through untouched.  Bit ``i``
-    of ``held`` records whether part ``i`` held when last called, and bit
-    ``i`` of ``stale`` that a change since then may have flipped it (or that
-    it was never called).  The walk goes
-    through the actions in priority order and through each action's parts
-    left to right; it calls a part only when its stale bit is set, stops an
-    action at its first false part, and stops at the first action whose
-    parts all hold -- so the answer equals a fresh scan, with at most as many
-    calls.  A full scan is ``stale=-1`` (every bit set).
+    violation rules alike: ``walks`` is a node's compiled program, one tuple
+    of :data:`Step` per action in priority order, or one per rule of a
+    layer's violation rules (the first "enabled" rule is the first that
+    holds).  Bit ``b`` of ``held`` records whether the predicate of bit
+    ``b`` held when last called, and bit ``b`` of ``stale`` that a change
+    since then may have flipped it (or that it was never called).  The walk
+    goes through each entry's parts left to right; it calls a part only when
+    its bit is stale, stops an entry at its first false part, and stops at
+    the first entry whose parts all hold -- so the answer equals a fresh
+    scan, with at most as many calls.  A part shared by several entries is
+    called at most once per walk.  A full scan is ``stale=-1`` (every bit
+    set).
 
     Returns ``(index, held, stale, consulted, calls)``: the first enabled
-    action's index (``len(actions)`` when none is), the updated masks, the
-    bits the walk consulted, and the number of parts called (what the
-    ``guard_calls`` counter adds up).  Only a change
-    that stales a consulted bit can change the answer; the other bits, behind
-    a false part or past the first enabled action, may stay stale until a
-    walk reaches them.
-
-    Guards run on ``view``, the node's read-only :class:`GuardView`.  With
-    ``check_guard_locality`` every called part instead runs on a fresh
-    :class:`~repro.runtime.processor.TrackingGuardView` and its read log is
-    checked: a read outside the closed neighborhood raises
-    :class:`~repro.errors.GuardLocalityError` with rule RL004, and a read
-    outside the part's own declared :class:`~repro.runtime.actions.Reads`
-    one with rule RL008.
+    entry's index (``len(walks)`` when none is), the updated masks, the bits
+    the walk consulted, and the number of predicates called.  Only a change
+    that flips a consulted bit can change the answer; the other bits, behind
+    a false part or past the first enabled entry, may stay stale until a
+    walk reaches them.  The parts run on ``view``, the node's read-only
+    :class:`GuardView` (in ``check_guard_locality`` mode each predicate is a
+    :class:`_CheckedPart`).
     """
     calls = consulted = 0
-    bit = 1 << offset
     index = 0
-    for action in actions:
-        if check_guard_locality:
-            predicates = _checked_parts(node, network, configuration, action)
-        else:
-            guard = action.guard
-            predicates = guard.predicates if type(guard) is Conjunction else (guard,)
-        end = bit << len(predicates)
-        for predicate in predicates:
+    for steps in walks:
+        for predicate, bit, negated in steps:
             consulted |= bit
             if stale & bit:
                 calls += 1
@@ -106,34 +92,40 @@ def evaluate_guards(
                     held |= bit
                 else:
                     held &= ~bit
-                    break
-            elif not held & bit:
+            if not (held ^ negated) & bit:
                 break
-            bit <<= 1
         else:
             return index, held, stale, consulted, calls
-        bit = end
         index += 1
     return index, held, stale, consulted, calls
 
 
-def _checked_parts(
-    node: int, network: RootedNetwork, configuration: Configuration, action: Action | Rule
-) -> tuple[Callable[[object], bool], ...]:
-    """``action``'s (or a rule's) guard parts, each run on a fresh tracking view and checked."""
+class _CheckedPart:
+    """A part's predicate run on a fresh tracking view, its reads then checked.
 
-    def checked(predicate: Callable, declared: Reads | None) -> Callable[[object], bool]:
-        def call(_: object) -> bool:
-            tracked = TrackingGuardView(node, network, configuration)
-            holds = predicate(tracked)
-            _check_guard_reads(
-                node, network, configuration, action, declared, tracked.read_variables
-            )
-            return holds
+    The ``check_guard_locality`` form of a compiled part: a read outside the
+    closed neighborhood raises :class:`~repro.errors.GuardLocalityError`
+    with rule RL004, and a read outside the part's declared
+    :class:`~repro.runtime.actions.Reads` one with rule RL008.  ``owner`` is
+    the first action or rule, in walk order, holding the part; errors name it.
+    """
 
-        return call
+    __slots__ = ("predicate", "declared", "owner")
 
-    return tuple(checked(predicate, declared) for predicate, declared in action.guard_parts)
+    def __init__(self, predicate: Callable, declared: Reads | None, owner: Action | Rule) -> None:
+        self.predicate = predicate
+        self.declared = declared
+        self.owner = owner
+
+    def __call__(self, view: GuardView) -> bool:
+        node, network = view.node, view.network
+        configuration = view._configuration  # the live configuration the view reads
+        tracked = TrackingGuardView(node, network, configuration)
+        holds = self.predicate(tracked)
+        _check_guard_reads(
+            node, network, configuration, self.owner, self.declared, tracked.read_variables
+        )
+        return holds
 
 
 def _check_guard_reads(
@@ -209,6 +201,61 @@ def _check_guard_reads(
             rule="RL008",
             reads=undeclared,
         )
+
+
+#: A compiled rule segment: ``(leaf slot, rule steps, bit mask)``.
+Segment = tuple[int, tuple[tuple[Step, ...], ...], int]
+
+
+def compile_program(
+    actions: Sequence[Action],
+    rules: Sequence[Sequence[Rule]] = (),
+    check_guard_locality: bool = False,
+) -> tuple[tuple[Reads | None, ...], tuple[tuple[Step, ...], ...], tuple[Segment, ...]]:
+    """Compile a node's actions and its leaf layers' rules onto its distinct parts.
+
+    The parts are the ``(predicate, reads)`` conjuncts of the guards and of
+    the rules (``rules[slot]`` are leaf ``slot``'s).  Parts with the same
+    predicate object and equal reads are one part with one bit -- a
+    :class:`~repro.runtime.actions.Not` part counts as its predicate, negated
+    -- so a fact several actions and rules test is called once per change
+    that stales it.  Bits are numbered in walk order: the actions' parts,
+    then each leaf's rules' parts.
+
+    Returns ``(parts, walks, segments)``: each bit's reads, in bit order;
+    per action its :data:`Step` tuple (what :func:`evaluate_guards` walks);
+    and per leaf with a rule part a :data:`Segment`.  With
+    ``check_guard_locality`` each distinct part runs as a
+    :class:`_CheckedPart` naming the first action or rule that holds it.
+    """
+    bits: dict[tuple[Callable, Reads | None], int] = {}
+    parts: list[Reads | None] = []
+    callables: list[Callable] = []
+
+    def compile_parts(owner: Action | Rule) -> tuple[Step, ...]:
+        steps = []
+        for predicate, reads in owner.guard_parts:
+            negated = type(predicate) is Not
+            if negated:
+                predicate = predicate.predicate
+            position = bits.setdefault((predicate, reads), len(parts))
+            if position == len(parts):
+                parts.append(reads)
+                callables.append(
+                    _CheckedPart(predicate, reads, owner) if check_guard_locality else predicate
+                )
+            bit = 1 << position
+            steps.append((callables[position], bit, bit if negated else 0))
+        return tuple(steps)
+
+    walks = tuple(map(compile_parts, actions))
+    segments = []
+    for slot, held in enumerate(rules):
+        steps = tuple(map(compile_parts, held))
+        mask = reduce(or_, (bit for rule in steps for _, bit, _ in rule), 0)
+        if mask:
+            segments.append((slot, steps, mask))
+    return tuple(parts), walks, tuple(segments)
 
 
 #: Per pointer, a stale mask per table: ``((pointer, masks), ...)``.
@@ -299,8 +346,7 @@ def _stale_masks(
     return own, neighbor, any(neighbor), voids, pointed
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     """One processor's move within a step: what executed and what it changed."""
 
     node: int
@@ -309,8 +355,7 @@ class MoveRecord:
     changes: Mapping[str, tuple[object, object]]  # variable -> (old, new)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """What happened during one computation step."""
 
     step: int
@@ -371,8 +416,8 @@ class RunResult:
 class Scheduler:
     """Drives a protocol on a network under a daemon.
 
-    It keeps a persistent enabled-set and one truth value per guard part
-    (:func:`evaluate_guards`).  A change of variables ``V`` at ``p`` stales
+    It keeps a persistent enabled-set and one truth value per distinct guard
+    part (:func:`evaluate_guards`).  A change of variables ``V`` at ``p`` stales
     the parts of ``p``'s guards whose declared
     :class:`~repro.runtime.actions.Reads` own-set meets ``V`` and the parts
     of its neighbors' guards whose neighbor-set does (a pointer-directed read
@@ -380,8 +425,9 @@ class Scheduler:
     processor is re-walked only when a bit its last walk consulted went
     stale.  That is sound because a guard reads only its closed
     neighborhood and what it declares.  The layers' violation rules share
-    the tables and stale bits, so :meth:`legitimate` re-walks only the rules
-    a change can flip.  The independent
+    the tables and bits -- a rule part that tests a guard part's predicate
+    under equal reads is the same bit -- so :meth:`legitimate` re-walks only
+    the rules a change can flip.  The independent
     :class:`~repro.runtime.reference.ReferenceScheduler` (the
     ``scheduler-fullscan`` engine) is held to identical executions.
 
@@ -461,6 +507,9 @@ class Scheduler:
         self._leaves: tuple[Protocol, ...] = tuple(dict.fromkeys(protocol.layers()))
         self._leaf_ids = frozenset(map(id, self._leaves))
         self._slots: dict[Protocol, tuple[int, ...]] = {}
+        if check_guard_locality is None:
+            check_guard_locality = bool(os.environ.get("REPRO_DEBUG_GUARDS"))
+        self.check_guard_locality = check_guard_locality
         self._index_actions()
         # Per-run counters, accumulated by an observer like any other; keeping
         # it first in the list preserves the historical update order
@@ -473,25 +522,28 @@ class Scheduler:
         self._round_pending: set[int] | None = None
         self._frozen: set[int] = set()
 
-        if check_guard_locality is None:
-            check_guard_locality = bool(os.environ.get("REPRO_DEBUG_GUARDS"))
-        self.check_guard_locality = check_guard_locality
         # The persistent enabled-set: node -> first enabled action, frozen
         # nodes included (freezing does not touch guards, so freeze/unfreeze
         # need no invalidation; the accessors filter them).
         self._enabled: dict[int, Action] = {}
-        # Per node, bitmasks over its guard parts and then its rule parts
-        # (see evaluate_guards): which parts held when last called and which
-        # a change may have flipped since.  ``_watch`` and ``_rule_watch``
-        # are the guard and rule bits the last walks consulted: only a stale
-        # bit there can change an answer; a stale bit elsewhere waits for a
-        # walk that reaches it.  ``_frontier`` and ``_rule_frontier`` hold the
-        # nodes a drained change staled a consulted guard or rule bit of.
-        # All are (re)built by _invalidate_enabled, one read-only guard view
-        # and one statement view per node included.
+        # Per node, bitmasks over its distinct guard and rule parts (see
+        # evaluate_guards): which parts held when last called and which a
+        # change may have flipped since.  ``_watch`` holds the bits the last
+        # guard walk consulted, ``_rule_consulted`` those of the last walk of
+        # each rule segment and ``_rule_watch`` their union: only a change
+        # there can change an answer; a stale bit elsewhere waits for a walk
+        # that reaches it.  ``_rule_stale`` holds the bits staled since the
+        # node's last rule walk: a guard walk may have re-called a shared
+        # part and cleared its stale bit since, and its value may have
+        # flipped.  ``_frontier`` and ``_rule_frontier`` hold the nodes a
+        # drained change staled a consulted guard or rule bit of.  All are
+        # (re)built by _invalidate_enabled, one read-only guard view and one
+        # statement view per node included.
         self._held: list[int] = []
         self._stale: list[int] = []
         self._watch: list[int] = []
+        self._rule_stale: list[int] = []
+        self._rule_consulted: list[list[int]] = []
         self._rule_watch: list[int] = []
         self._views: list[GuardView] = []
         self._writers: list[ProcessorView] = []
@@ -610,56 +662,58 @@ class Scheduler:
                     holders.setdefault(target, set()).add(node)
 
     def _reset_legitimacy(self) -> None:
-        """Queue every node's rules for a walk and drop every cached verdict.
-
-        Sound only while every rule bit is stale: the walk then calls each
-        part it consults.
-        """
-        self._rule_watch = [sum(bits for _, _, bits, _ in walks) for walks in self._rule_walks]
-        self._rule_frontier = set(range(self.network.n))
+        """Queue every node's rules for a walk and drop every cached verdict."""
+        n = self.network.n
+        self._rule_consulted = [[mask for _, _, mask in walks] for walks in self._rule_walks]
+        self._rule_watch = [reduce(or_, consulted, 0) for consulted in self._rule_consulted]
+        self._rule_stale = [-1] * n
+        self._rule_frontier = set(range(n))
         self._violations = [set() for _ in self._leaves]
         self._residues = {}
 
     def _index_actions(self) -> None:
-        """Build the per-node action and rule tables and their read-declaration index.
+        """Compile each node's actions and rules (:func:`compile_program`).
 
-        A node's *table* is the reads of its guard parts, in bit order, then
-        those of each leaf layer's rule parts (one *segment* per layer);
-        nodes with equal tables share one.  The stale masks a change implies
-        are memoised per changed-variable tuple, shared by every scheduler
-        with equal tables (:data:`_STALE_MASKS`), so marking costs a lookup
-        per touched node.  A layer's residue is re-evaluated after a
-        change to what its rule parts read; a layer without rules is checked
-        whole, after any change.
+        Nodes with the same actions and rules share the compiled program.  A
+        node's *table* is its distinct parts' reads in bit order; nodes with
+        equal tables share one.  The stale masks a change implies are
+        memoised per changed-variable tuple, shared by every scheduler with
+        equal tables (:data:`_STALE_MASKS`), so marking costs a lookup per
+        touched node.  A layer's residue is re-evaluated after
+        a change to what its rule parts read; a layer without rules is
+        checked whole, after any change.
         """
-        network = self.network
+        network, leaves, check = self.network, self._leaves, self.check_guard_locality
         self._actions = {
             node: tuple(self.protocol.actions(network, node)) for node in network.nodes()
         }
         tables: dict[tuple[Reads | None, ...], int] = {}
+        # Keyed by the ids of the actions and rules; the entry holds them, so
+        # the ids stay theirs.
+        compiled: dict[tuple, tuple] = {}
+        # Per leaf: what its rule parts read (``None``: anything).
+        declared: list[set[Reads | None]] = [set() for _ in leaves]
         self._table: list[int] = []
-        # Per node: ``(leaf slot, first bit, bit mask, rules)`` of each
-        # nonempty rule segment; equal ones are stored once.
-        walks_of: dict[tuple, tuple[tuple[int, int, int, tuple[Rule, ...]], ...]] = {}
-        self._rule_walks: list[tuple[tuple[int, int, int, tuple[Rule, ...]], ...]] = []
+        self._walks: list[tuple[tuple[Step, ...], ...]] = []
+        self._rule_walks: list[tuple[Segment, ...]] = []
         for node in network.nodes():
-            parts = [reads for action in self._actions[node] for _, reads in action.guard_parts]
-            walks = []
-            for slot, leaf in enumerate(self._leaves):
-                rules = tuple(leaf.violation_rules(network, node))
-                offset = len(parts)
-                parts.extend(reads for rule in rules for _, reads in rule.guard_parts)
-                if len(parts) > offset:
-                    walks.append((slot, offset, (1 << len(parts)) - (1 << offset), rules))
-            self._table.append(tables.setdefault(tuple(parts), len(tables)))
-            self._rule_walks.append(walks_of.setdefault(tuple(walks), tuple(walks)))
+            actions = self._actions[node]
+            rules = tuple(tuple(leaf.violation_rules(network, node)) for leaf in leaves)
+            key = (tuple(map(id, actions)), tuple(tuple(map(id, held)) for held in rules))
+            entry = compiled.get(key)
+            if entry is None:
+                parts, walks, segments = compile_program(actions, rules, check)
+                for slot, _, _ in segments:
+                    declared[slot].update(
+                        reads for rule in rules[slot] for _, reads in rule.guard_parts
+                    )
+                table = tables.setdefault(parts, len(tables))
+                entry = compiled[key] = (actions, rules, table, walks, segments)
+            _, _, table, walks, segments = entry
+            self._table.append(table)
+            self._walks.append(walks)
+            self._rule_walks.append(segments)
         self._tables: tuple[tuple[Reads | None, ...], ...] = tuple(tables)
-        # Per leaf: what its rule parts read (``None``: anything) and how
-        # its residue is checked.
-        declared: list[set[Reads | None]] = [set() for _ in self._leaves]
-        for walks in walks_of.values():
-            for slot, _, _, rules in walks:
-                declared[slot].update(reads for rule in rules for _, reads in rule.guard_parts)
         residue_reads = tuple(
             None
             if not reads or None in reads
@@ -668,7 +722,7 @@ class Scheduler:
         )
         self._residue_checks: list[Callable[[RootedNetwork, Configuration], bool]] = [
             leaf.legitimacy_residue if reads else leaf.legitimate
-            for leaf, reads in zip(self._leaves, declared)
+            for leaf, reads in zip(leaves, declared)
         ]
         # The pointers some part reads through: the shadow (_invalidate_enabled) follows them.
         self._pointers: tuple[str, ...] = tuple(
@@ -691,30 +745,12 @@ class Scheduler:
         self._mask_memo = memo
         self._residue_reads = residue_reads
 
-    def _reevaluate(self, node: int) -> int:
-        """Walk ``node``'s stale guard parts and update its enabled-set entry; returns part calls."""
-        actions = self._actions[node]
-        index, self._held[node], self._stale[node], self._watch[node], calls = evaluate_guards(
-            node,
-            self.network,
-            self.configuration,
-            actions,
-            self._stale[node],
-            self._held[node],
-            self._views[node],
-            self.check_guard_locality,
-        )
-        if index < len(actions):
-            self._enabled[node] = actions[index]
-        else:
-            self._enabled.pop(node, None)
-        return calls
-
     def _drain(self) -> None:
         """Mark stale the guard and rule parts the journaled changes can flip.
 
         The journal's only reader.  Every drained entry ``node -> variables``
-        sets the stale bits its declarations imply (:func:`_stale_masks`) at
+        sets the stale bits its declarations imply (:func:`_stale_masks`), in
+        ``_stale`` and in ``_rule_stale``, at
         the node and its neighbors, and for pointer-directed reads at the
         nodes the pointer shadow picks out: the holders whose pointer names
         the node (``via``) and the nodes the node's own pointer named before
@@ -730,7 +766,9 @@ class Scheduler:
         if not changes:
             return
         actions, table, stale, watch = self._actions, self._table, self._stale, self._watch
-        rule_watch, rule_frontier = self._rule_watch, self._rule_frontier
+        rule_stale, rule_watch, rule_frontier = (
+            self._rule_stale, self._rule_watch, self._rule_frontier
+        )
         residues = self._residues
         memo = self._mask_memo
         frontier = self._frontier
@@ -750,6 +788,7 @@ class Scheduler:
             mask = own[table[node]]
             if mask:
                 stale[node] |= mask
+                rule_stale[node] |= mask
                 if mask & watch[node]:
                     frontier.add(node)
                 if mask & rule_watch[node]:
@@ -769,6 +808,7 @@ class Scheduler:
                 mask = neighbor[table[other]]
                 if mask:
                     stale[other] |= mask
+                    rule_stale[other] |= mask
                     if mask & watch[other]:
                         frontier.add(other)
                     if mask & rule_watch[other]:
@@ -777,6 +817,7 @@ class Scheduler:
             mask = masks[table[other]]
             if mask:
                 stale[other] |= mask
+                rule_stale[other] |= mask
                 if mask & watch[other]:
                     frontier.add(other)
                 if mask & rule_watch[other]:
@@ -832,9 +873,19 @@ class Scheduler:
         frontier = self._frontier
         if frontier:
             self._frontier = set()
+            actions, walks, views = self._actions, self._walks, self._views
+            held, stale, watch, enabled = self._held, self._stale, self._watch, self._enabled
             calls = 0
             for node in frontier:
-                calls += self._reevaluate(node)
+                index, held[node], stale[node], watch[node], called = evaluate_guards(
+                    walks[node], stale[node], held[node], views[node]
+                )
+                calls += called
+                program = actions[node]
+                if index < len(program):
+                    enabled[node] = program[index]
+                else:
+                    enabled.pop(node, None)
             if timed:
                 instr.count("guards_evaluated", len(frontier))
                 instr.count("guard_calls", calls)
@@ -888,9 +939,14 @@ class Scheduler:
                 if node in violating:
                     return False
         self._walk_rule_frontier()
-        if any(violations[slot] for slot in slots):
-            return False
-        return all(self._residue(slot) for slot in slots)
+        # Loops, not any()/all() over generators: this runs twice per step.
+        for slot in slots:
+            if violations[slot]:
+                return False
+        for slot in slots:
+            if not self._residue(slot):
+                return False
+        return True
 
     def legitimacy_distance(self) -> int:
         """How far from legitimate the configuration is; 0 exactly when :meth:`legitimate`.
@@ -920,32 +976,42 @@ class Scheduler:
             self._walk_rules(frontier)
 
     def _walk_rules(self, nodes: Iterable[int]) -> None:
-        """Re-walk each rule segment of ``nodes`` whose consulted bits went stale.
+        """Re-walk each rule segment of ``nodes`` that consulted a bit staled since its last walk.
 
-        Calls only the segment's stale parts; rule part calls are not guard
-        calls and are not counted as such.
+        Calls only the segment's stale parts.  Books the segments walked
+        under ``legitimacy_nodes_checked`` and the part calls under
+        ``rule_calls``, apart from the guard walks' ``guard_calls``.
         """
-        network, configuration = self.network, self.configuration
-        check, views, rule_walks = self.check_guard_locality, self._views, self._rule_walks
-        held, stale, watch = self._held, self._stale, self._rule_watch
+        views, rule_walks = self._views, self._rule_walks
+        held, stale = self._held, self._stale
+        rule_stale, rule_consulted, rule_watch = (
+            self._rule_stale, self._rule_consulted, self._rule_watch
+        )
         violations = self._violations
-        walked = 0
+        walked = calls = 0
         for node in nodes:
-            hot = stale[node] & watch[node]
-            for slot, offset, bits, rules in rule_walks[node]:
-                if hot & bits:
+            hot = rule_stale[node]
+            if not hot & rule_watch[node]:
+                continue
+            rule_stale[node] = 0
+            consulted = rule_consulted[node]
+            watching = 0
+            for position, (slot, walks, _) in enumerate(rule_walks[node]):
+                if hot & consulted[position]:
                     walked += 1
-                    index, held[node], stale[node], consulted, _ = evaluate_guards(
-                        node, network, configuration, rules, stale[node], held[node],
-                        views[node], check, offset,
+                    index, held[node], stale[node], consulted[position], called = (
+                        evaluate_guards(walks, stale[node], held[node], views[node])
                     )
-                    watch[node] = watch[node] & ~bits | consulted
-                    if index < len(rules):
+                    calls += called
+                    if index < len(walks):
                         violations[slot].add(node)
                     else:
                         violations[slot].discard(node)
+                watching |= consulted[position]
+            rule_watch[node] = watching
         if self._instr.enabled:
             self._instr.count("legitimacy_nodes_checked", walked)
+            self._instr.count("rule_calls", calls)
 
     # ------------------------------------------------------------------
     # Stepping
@@ -995,29 +1061,33 @@ class Scheduler:
             instr.phase_time(PHASE_DAEMON_SELECT, now - mark)
             mark = now
 
-        executed, pending_writes = self._execute_selected(enabled, selected)
-
-        # Apply all writes after every selected processor has read the
-        # beginning-of-step configuration (composite atomicity).  apply_writes
-        # journals the changed variables, which is what marks the stale
-        # guards.
+        # Run each selected processor's action against the beginning-of-step
+        # configuration, collecting its writes; apply them all only then
+        # (composite atomicity).  apply_writes journals the changed
+        # variables, which is what marks the stale parts.
+        pending: list[tuple[int, Action, dict[str, object]]] = []
+        writers = self._writers
+        for node in selected:
+            action = enabled[node]
+            view = writers[node]
+            writes = view.begin_move()
+            action.statement(view)
+            pending.append((node, action, writes))
         changed_nodes: list[int] = []
         moves: list[MoveRecord] = []
         apply_writes = self.configuration.apply_writes
-        for node, writes in pending_writes.items():
+        for node, action, writes in pending:
             changes = apply_writes(node, writes)
             if changes:
                 changed_nodes.append(node)
-            action = enabled[node]
-            # Positional: the frozen dataclass's keyword call costs more per move.
             moves.append(MoveRecord(node, action.name, action.layer, changes))
 
         record = StepRecord(
-            step=self._step_index,
-            round=self._round_index,
-            executed=tuple(executed),
-            changed_nodes=tuple(changed_nodes),
-            moves=tuple(moves),
+            self._step_index,
+            self._round_index,
+            tuple([(node, action.name) for node, action, _ in pending]),
+            tuple(changed_nodes),
+            tuple(moves),
         )
         if timed:
             now = time.perf_counter()
@@ -1047,28 +1117,6 @@ class Scheduler:
                     round_span.close()
                 tracer.current_round = None
         return record
-
-    def _execute_selected(
-        self, enabled: Mapping[int, Action], selected: Sequence[int]
-    ) -> tuple[list[tuple[int, str]], dict[int, dict[str, object]]]:
-        """Run the selected processors' actions against the beginning-of-step
-        configuration and collect their writes (not yet applied).
-
-        The execution half of a computation step, kept apart from daemon
-        selection, write application and round bookkeeping.  Returns the
-        ``(node, action name)`` pairs and the per-node pending writes, both in
-        selection order.
-        """
-        executed: list[tuple[int, str]] = []
-        pending_writes: dict[int, dict[str, object]] = {}
-        writers = self._writers
-        for node in selected:
-            action = enabled[node]
-            view = writers[node]
-            pending_writes[node] = view.begin_move()
-            action.statement(view)
-            executed.append((node, action.name))
-        return executed, pending_writes
 
     def _advance_round(self, executed_nodes: set[int]) -> int | None:
         """Round bookkeeping: a round ends when every processor that was
@@ -1289,5 +1337,6 @@ __all__ = [
     "Scheduler",
     "RunResult",
     "StepRecord",
+    "compile_program",
     "evaluate_guards",
 ]

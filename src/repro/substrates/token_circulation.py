@@ -55,7 +55,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Reads, Rule, all_of
+from repro.runtime.actions import Action, Not, Reads, Rule, all_of
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import PerNetwork, Protocol
@@ -309,20 +309,8 @@ class DepthFirstTokenCirculation(Protocol):
         return DepthFirstTokenCirculation._valid_delegation(view)
 
     @staticmethod
-    def _invalid_active(view: ProcessorView) -> bool:
-        return not DepthFirstTokenCirculation._valid_active(view)
-
-    @staticmethod
     def _has_unvisited(view: ProcessorView) -> bool:
         return bool(DepthFirstTokenCirculation._unvisited_neighbors(view))
-
-    @staticmethod
-    def _none_unvisited(view: ProcessorView) -> bool:
-        return not DepthFirstTokenCirculation._unvisited_neighbors(view)
-
-    @staticmethod
-    def _invalid_delegation(view: ProcessorView) -> bool:
-        return not DepthFirstTokenCirculation._valid_delegation(view)
 
     @staticmethod
     def _has_forwarding_parent(view: ProcessorView) -> bool:
@@ -415,7 +403,7 @@ class DepthFirstTokenCirculation(Protocol):
                 self.ACTION_ROOT_ERROR,
                 all_of(
                     (self._active, _STATE_READS),
-                    (self._invalid_delegation, _DELEGATION_READS),
+                    (Not(self._valid_delegation), _DELEGATION_READS),
                 ),
                 delegation_error,
                 layer=layer, priority=1,
@@ -435,7 +423,7 @@ class DepthFirstTokenCirculation(Protocol):
                 all_of(
                     (self._active, _STATE_READS),
                     (self._child_settled, _SETTLED_READS),
-                    (self._none_unvisited, _UNVISITED_READS),
+                    (Not(self._has_unvisited), _UNVISITED_READS),
                 ),
                 self._retire,
                 layer=layer, priority=3,
@@ -453,6 +441,10 @@ class DepthFirstTokenCirculation(Protocol):
         a waiting processor re-calls only its forward guard's second part.
         Delegate and finish test the cheap ``_child_settled`` before the
         stack check: while the token is delegated below, that part is false.
+        The error guard (and the ``TC-Unstacked`` rule) negate the stack check
+        with :class:`~repro.runtime.actions.Not` and finish negates
+        ``_has_unvisited``, so each fact is one part the scheduler calls once
+        for every guard and rule that tests it.
         """
 
         def forward(view: ProcessorView) -> None:
@@ -469,7 +461,7 @@ class DepthFirstTokenCirculation(Protocol):
         return [
             Action(
                 self.ACTION_ERROR,
-                all_of((self._active, _STATE_READS), (self._invalid_active, _STACKED_READS)),
+                all_of((self._active, _STATE_READS), (Not(self._valid_active), _STACKED_READS)),
                 self._retire,
                 layer=layer, priority=0,
             ),
@@ -499,7 +491,7 @@ class DepthFirstTokenCirculation(Protocol):
                     (self._active, _STATE_READS),
                     (self._child_settled, _SETTLED_READS),
                     (self._valid_active, _STACKED_READS),
-                    (self._none_unvisited, _UNVISITED_READS),
+                    (Not(self._has_unvisited), _UNVISITED_READS),
                 ),
                 self._retire,
                 layer=layer, priority=3,
@@ -553,7 +545,7 @@ class DepthFirstTokenCirculation(Protocol):
                 "TC-RootBadDelegation",
                 all_of(
                     (self._active, _STATE_READS),
-                    (self._invalid_delegation, _DELEGATION_READS),
+                    (Not(self._valid_delegation), _DELEGATION_READS),
                 ),
                 layer=layer,
             ),
@@ -569,7 +561,7 @@ class DepthFirstTokenCirculation(Protocol):
             ),
             Rule(
                 "TC-Unstacked",
-                all_of((self._active, _STATE_READS), (self._invalid_active, _STACKED_READS)),
+                all_of((self._active, _STATE_READS), (Not(self._valid_active), _STACKED_READS)),
                 layer=layer,
             ),
         )

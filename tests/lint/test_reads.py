@@ -25,11 +25,11 @@ def test_rl008_in_rule_catalog() -> None:
 def test_shipped_declarations_cover_their_static_reads() -> None:
     findings, checked = check_reads(analyze_paths([PACKAGE]))
     assert findings == []
-    # 22 guard- and rule-part sites (token 11, DFTNO 2, STNO 4, BFS tree 3,
+    # 20 guard- and rule-part sites (token 9, DFTNO 2, STNO 4, BFS tree 3,
     # DFS overlay 1, the orientation rule both orientation layers share 1;
-    # a gate shared by several guards and rules is one site) and 2 residues
-    # (DFTNO, STNO).
-    assert checked == 24
+    # a gate shared by several guards and rules is one site, and a negated
+    # part is its predicate's) and 2 residues (DFTNO, STNO).
+    assert checked == 22
 
 
 def test_token_guards_declare_exactly_their_static_reads() -> None:
@@ -67,6 +67,35 @@ def test_underdeclared_fixture_fires_rl008_three_times(capsys) -> None:
     assert "violation rule" in conjunct["message"]
     assert "neighbor ['ru_x']" in conjunct["message"]
     assert all(finding["line"] > 0 for finding in payload)
+
+
+def test_an_underdeclared_negated_part_fires_rl008(capsys) -> None:
+    fixture = FIXTURES / "reads_negated_underdeclared.py"
+    assert main([str(fixture), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    # ``Not(_settled)`` reads what ``_settled`` reads: the neighbors' ``rn_x``.
+    assert [(finding["rule"], finding["function"]) for finding in payload] == [
+        ("RL008", "RN-Raise")
+    ]
+    assert "neighbor ['rn_x']" in payload[0]["message"]
+    assert analyze_paths([fixture]).findings == []
+
+
+def test_the_token_layers_negated_parts_resolve(tmp_path) -> None:
+    out = tmp_path / "rwsets.json"
+    assert main([str(PACKAGE / "substrates" / "token_circulation.py"), "--summary", str(out)]) == 0
+    (token,) = json.loads(out.read_text())["modules"].values()
+    negated = (
+        "TC-Error", "TC-Finish", "TC-RootError", "TC-RootFinish",
+        "TC-Unstacked", "TC-RootBadDelegation",
+    )
+    for name in negated:
+        entry = token[f"DepthFirstTokenCirculation.{name}"]
+        assert entry["guard_resolved"], name
+    # The negated stack check reads the parent's and the child's state.
+    assert token["DepthFirstTokenCirculation.TC-Unstacked"]["guard_reads_neighbor"] == [
+        "tc_child", "tc_lvl", "tc_par", "tc_st", "tc_wave"
+    ]
 
 
 def test_fixture_stays_clean_for_the_static_rules() -> None:

@@ -27,7 +27,7 @@ from repro.runtime.processor import GuardView, TrackingGuardView
 from repro.runtime.protocol import Protocol
 from repro.runtime import reference
 from repro.runtime.reference import ReferenceScheduler
-from repro.runtime.scheduler import Scheduler, evaluate_guards
+from repro.runtime.scheduler import Scheduler, compile_program, evaluate_guards
 from repro.runtime.variables import int_variable
 
 GATE_READS = Reads(own=frozenset({"g"}))
@@ -162,18 +162,16 @@ def test_evaluate_guards_reports_the_consulted_bits():
     network = generators.ring(4)
     protocol = Gated()
     configuration = protocol.initial_configuration(network)
-    actions = protocol.actions(network, 0)
+    parts, walks, segments = compile_program(protocol.actions(network, 0))
+    assert parts == (GATE_READS, SCAN_READS) and segments == ()
+    assert [(bit, negated) for _, bit, negated in walks[0]] == [(0b01, 0), (0b10, 0)]
     # Gate closed: only bit 0 is consulted; the scan's bit stays stale.
     view = GuardView(0, network, configuration)
-    index, held, stale, consulted, calls = evaluate_guards(
-        0, network, configuration, actions, -1, 0, view
-    )
+    index, held, stale, consulted, calls = evaluate_guards(walks, -1, 0, view)
     assert (index, held, consulted, calls) == (1, 0, 0b01, 1)
     assert stale & 0b10
     configuration.set(0, "g", 1)
-    index, held, stale, consulted, calls = evaluate_guards(
-        0, network, configuration, actions, stale | 0b01, held, view
-    )
+    index, held, stale, consulted, calls = evaluate_guards(walks, stale | 0b01, held, view)
     assert (index, held, stale & 0b11, consulted, calls) == (1, 0b01, 0, 0b11, 2)
 
 
