@@ -172,14 +172,6 @@ def _value_json(value: Any) -> str:
     return json.dumps(encode_value(value), sort_keys=True, separators=(",", ":"))
 
 
-class _JsonNames(dict):
-    """``name -> json.dumps(name)``, filled on first use."""
-
-    def __missing__(self, name: str) -> str:
-        encoded = self[name] = json.dumps(name)
-        return encoded
-
-
 class FlightRecorder(Observer):
     """Observer appending the run's causal event log to ``path``.
 
@@ -209,8 +201,10 @@ class FlightRecorder(Observer):
         self._started = False
         self._closed = False
         self.entries_written = 0
-        # JSON encodings of the action, layer and variable names steps repeat.
-        self._names = _JsonNames()
+        # JSON encodings of the action, layer and variable names steps repeat:
+        # a plain dict, so the step serializer's lookups take the interpreter's
+        # dict fast path; :meth:`flush` fills it when a lookup misses.
+        self._names: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Low-level writing
@@ -242,11 +236,16 @@ class FlightRecorder(Observer):
                     # :func:`fingerprint` on the parsed-back core) and is
                     # spliced verbatim into the entry line.
                     seq, record = entry
-                    core_json = core_of(record)
-                    digest = sha256(core_json.encode("utf-8")).hexdigest()[:16]
+                    try:
+                        core_json = core_of(record)
+                    except KeyError:  # a name not encoded yet
+                        core_json = self._learn_names(record)
+                    # The first 8 digest bytes in hex: ``hexdigest()[:16]``.
+                    digest = sha256(core_json.encode("utf-8")).digest()[:8].hex()
                     entry = f'{{"type":"step","core":{core_json},"fp":"{digest}","seq":{seq}}}'
                 lines.append(entry)
-            self._fh.write("\n".join(lines) + "\n")
+            lines.append("")
+            self._fh.write("\n".join(lines))
             self._buffer.clear()
             self._fh.flush()
 
@@ -337,38 +336,51 @@ class FlightRecorder(Observer):
 
         Written out for the fixed ``step`` shape (keys in sorted order, names
         from the cache, int pairs formatted inline) because it runs once per
-        step; a non-string variable name takes the generic dump.
+        step.  A name missing from the cache raises ``KeyError``;
+        :meth:`_learn_names` then encodes the record.
         """
+        step, round_, executed, changed, moves = record
         names = self._names
-        moves = []
-        for move in record.moves:
-            changes = move.changes
+        encoded = []
+        for node, action, layer, changes in moves:
             parts = []
-            for variable in sorted(changes):
-                if type(variable) is not str:
-                    return json.dumps(encode_step(record), sort_keys=True, separators=(",", ":"))
-                old, new = changes[variable]
+            for variable, (old, new) in sorted(changes.items()):
                 if type(old) is int and type(new) is int:
                     parts.append(f"{names[variable]}:[{old},{new}]")
                 else:
                     parts.append(f"{names[variable]}:[{_value_json(old)},{_value_json(new)}]")
-            moves.append(
-                f'{{"action":{names[move.action]},"changes":{{{",".join(parts)}}},'
-                f'"layer":{names[move.layer]},"node":{move.node}}}'
+            encoded.append(
+                f'{{"action":{names[action]},"changes":{{{",".join(parts)}}},'
+                f'"layer":{names[layer]},"node":{node}}}'
             )
         # One move per step is the common case (central daemon): skip the joins.
-        executed = record.executed
         if len(executed) == 1:
             node, action = executed[0]
             executed_json = f"[{node},{names[action]}]"
         else:
             executed_json = ",".join([f"[{node},{names[action]}]" for node, action in executed])
-        changed = record.changed_nodes
         changed_json = f"{changed[0]}" if len(changed) == 1 else ",".join(map(str, changed))
         return (
             f'{{"changed":[{changed_json}],"executed":[{executed_json}],'
-            f'"moves":[{",".join(moves)}],"round":{record.round},"step":{record.step}}}'
+            f'"moves":[{",".join(encoded)}],"round":{round_},"step":{step}}}'
         )
+
+    def _learn_names(self, record: Any) -> str:
+        """Cache the JSON of ``record``'s names, then serialize it.
+
+        Only string names are cached; a record naming a variable by another
+        type (sorted keys would compare them) takes the generic dump.
+        """
+        names = self._names
+        found = [action for _, action in record.executed]
+        for move in record.moves:
+            found += (move.action, move.layer, *move.changes)
+        if not all(type(name) is str for name in found):
+            return json.dumps(encode_step(record), sort_keys=True, separators=(",", ":"))
+        for name in found:
+            if name not in names:
+                names[name] = json.dumps(name)
+        return self._step_core_json(record)
 
     def on_mutation(self, source: Any, mutation: Mapping[str, Any]) -> None:
         self._source = source

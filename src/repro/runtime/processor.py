@@ -99,6 +99,11 @@ class ProcessorView:
         return self._network
 
     @property
+    def configuration(self) -> Configuration:
+        """The configuration the view reads (a tracking view: its read-logging proxy)."""
+        return self._configuration
+
+    @property
     def is_root(self) -> bool:
         """Whether this processor is the distinguished root ``r``."""
         return self._network.is_root(self._node)

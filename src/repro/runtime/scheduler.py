@@ -106,24 +106,24 @@ class _CheckedPart:
     The ``check_guard_locality`` form of a compiled part: a read outside the
     closed neighborhood raises :class:`~repro.errors.GuardLocalityError`
     with rule RL004, and a read outside the part's declared
-    :class:`~repro.runtime.actions.Reads` one with rule RL008.  ``owner`` is
-    the first action or rule, in walk order, holding the part; errors name it.
+    :class:`~repro.runtime.actions.Reads` one with rule RL008.  ``holders``
+    are the actions and rules holding the part; since one call serves them
+    all, errors name every one of them.
     """
 
-    __slots__ = ("predicate", "declared", "owner")
+    __slots__ = ("predicate", "declared", "holders")
 
-    def __init__(self, predicate: Callable, declared: Reads | None, owner: Action | Rule) -> None:
+    def __init__(self, predicate: Callable, declared: Reads | None) -> None:
         self.predicate = predicate
         self.declared = declared
-        self.owner = owner
+        self.holders: list[Action | Rule] = []
 
     def __call__(self, view: GuardView) -> bool:
-        node, network = view.node, view.network
-        configuration = view._configuration  # the live configuration the view reads
+        node, network, configuration = view.node, view.network, view.configuration
         tracked = TrackingGuardView(node, network, configuration)
         holds = self.predicate(tracked)
         _check_guard_reads(
-            node, network, configuration, self.owner, self.declared, tracked.read_variables
+            node, network, configuration, self.holders, self.declared, tracked.read_variables
         )
         return holds
 
@@ -132,28 +132,37 @@ def _check_guard_reads(
     node: int,
     network: RootedNetwork,
     configuration: Configuration,
-    action: Action | Rule,
+    holders: Sequence[Action | Rule],
     declared: Reads | None,
     reads: frozenset[tuple[int, str]],
 ) -> None:
     """Raise :class:`GuardLocalityError` for a read a guard or rule part may not make.
 
-    A pointer-directed read (``via``/``named_by``) is allowed only at the
-    neighbor its pointer picks out in ``configuration``.
+    The error names every holder of the part, joined with ``/`` in sorted
+    order (as ``repro-lint`` names a shared part's site), and their layers
+    alike.  A pointer-directed read (``via``/``named_by``) is allowed only
+    at the neighbor its pointer picks out in ``configuration``.
     """
-    kind = "violation rule" if isinstance(action, Rule) else "guard of action"
+    rules = [isinstance(holder, Rule) for holder in holders]
+    kind = (
+        "violation rule" if all(rules)
+        else "guard or violation rule" if any(rules)
+        else "guard of action"
+    )
+    name = "/".join(sorted({holder.name for holder in holders}))
+    layer = "/".join(sorted({holder.layer for holder in holders}))
     allowed = set(network.neighbor_set(node))
     allowed.add(node)
     illegal = sorted((source, name) for source, name in reads if source not in allowed)
     if illegal:
         listed = ", ".join(f"{name!r} of processor {source}" for source, name in illegal)
         raise GuardLocalityError(
-            f"guard locality violated (RL004): {kind} {action.name!r} "
-            f"(layer {action.layer!r}) on processor {node} read {listed} outside "
+            f"guard locality violated (RL004): {kind} {name!r} "
+            f"(layer {layer!r}) on processor {node} read {listed} outside "
             f"its closed neighborhood {sorted(allowed)}",
             node=node,
-            layer=action.layer,
-            action=action.name,
+            layer=layer,
+            action=name,
             rule="RL004",
             reads=illegal,
         )
@@ -191,13 +200,13 @@ def _check_guard_reads(
             if pairs
         )
         raise GuardLocalityError(
-            f"undeclared guard read (RL008): {kind} {action.name!r} "
-            f"(layer {action.layer!r}) on processor {node} read {listed}, which its "
+            f"undeclared guard read (RL008): {kind} {name!r} "
+            f"(layer {layer!r}) on processor {node} read {listed}, which its "
             f"declared reads (own {sorted(declared.own)}, neighbor "
             f"{sorted(declared.neighbor)}{pointers}) omit",
             node=node,
-            layer=action.layer,
-            action=action.name,
+            layer=layer,
+            action=name,
             rule="RL008",
             reads=undeclared,
         )
@@ -226,7 +235,7 @@ def compile_program(
     per action its :data:`Step` tuple (what :func:`evaluate_guards` walks);
     and per leaf with a rule part a :data:`Segment`.  With
     ``check_guard_locality`` each distinct part runs as a
-    :class:`_CheckedPart` naming the first action or rule that holds it.
+    :class:`_CheckedPart` naming every action and rule that holds it.
     """
     bits: dict[tuple[Callable, Reads | None], int] = {}
     parts: list[Reads | None] = []
@@ -242,8 +251,10 @@ def compile_program(
             if position == len(parts):
                 parts.append(reads)
                 callables.append(
-                    _CheckedPart(predicate, reads, owner) if check_guard_locality else predicate
+                    _CheckedPart(predicate, reads) if check_guard_locality else predicate
                 )
+            if check_guard_locality and owner not in callables[position].holders:
+                callables[position].holders.append(owner)
             bit = 1 << position
             steps.append((callables[position], bit, bit if negated else 0))
         return tuple(steps)
@@ -528,22 +539,19 @@ class Scheduler:
         self._enabled: dict[int, Action] = {}
         # Per node, bitmasks over its distinct guard and rule parts (see
         # evaluate_guards): which parts held when last called and which a
-        # change may have flipped since.  ``_watch`` holds the bits the last
-        # guard walk consulted, ``_rule_consulted`` those of the last walk of
-        # each rule segment and ``_rule_watch`` their union: only a change
-        # there can change an answer; a stale bit elsewhere waits for a walk
-        # that reaches it.  ``_rule_stale`` holds the bits staled since the
-        # node's last rule walk: a guard walk may have re-called a shared
-        # part and cleared its stale bit since, and its value may have
-        # flipped.  ``_frontier`` and ``_rule_frontier`` hold the nodes a
-        # drained change staled a consulted guard or rule bit of.  All are
-        # (re)built by _invalidate_enabled, one read-only guard view and one
-        # statement view per node included.
+        # change may have flipped since.  ``_watch`` and ``_rule_watch`` hold
+        # the bits the last guard walk and the last rule walk consulted: only
+        # a change there can change an answer; a stale bit elsewhere waits
+        # for a walk that reaches it.  ``_frontier`` and ``_rule_frontier``
+        # hold the nodes a drained change staled a consulted guard or rule
+        # bit of.  ``_rule_stale`` holds the bits staled since the node's
+        # last rule walk (what ``legitimacy_nodes_checked`` counts by).  All
+        # are (re)built by _invalidate_enabled, one read-only guard view and
+        # one statement view per node included.
         self._held: list[int] = []
         self._stale: list[int] = []
         self._watch: list[int] = []
         self._rule_stale: list[int] = []
-        self._rule_consulted: list[list[int]] = []
         self._rule_watch: list[int] = []
         self._views: list[GuardView] = []
         self._writers: list[ProcessorView] = []
@@ -664,8 +672,9 @@ class Scheduler:
     def _reset_legitimacy(self) -> None:
         """Queue every node's rules for a walk and drop every cached verdict."""
         n = self.network.n
-        self._rule_consulted = [[mask for _, _, mask in walks] for walks in self._rule_walks]
-        self._rule_watch = [reduce(or_, consulted, 0) for consulted in self._rule_consulted]
+        self._rule_watch = [
+            reduce(or_, (mask for _, _, mask in segments), 0) for segments in self._rule_walks
+        ]
         self._rule_stale = [-1] * n
         self._rule_frontier = set(range(n))
         self._violations = [set() for _ in self._leaves]
@@ -674,7 +683,7 @@ class Scheduler:
     def _index_actions(self) -> None:
         """Compile each node's actions and rules (:func:`compile_program`).
 
-        Nodes with the same actions and rules share the compiled program.  A
+        Nodes with equal actions and rules share the compiled program.  A
         node's *table* is its distinct parts' reads in bit order; nodes with
         equal tables share one.  The stale masks a change implies are
         memoised per changed-variable tuple, shared by every scheduler with
@@ -688,8 +697,7 @@ class Scheduler:
             node: tuple(self.protocol.actions(network, node)) for node in network.nodes()
         }
         tables: dict[tuple[Reads | None, ...], int] = {}
-        # Keyed by the ids of the actions and rules; the entry holds them, so
-        # the ids stay theirs.
+        # Keyed by the actions and rules themselves (equal ones compile alike).
         compiled: dict[tuple, tuple] = {}
         # Per leaf: what its rule parts read (``None``: anything).
         declared: list[set[Reads | None]] = [set() for _ in leaves]
@@ -699,8 +707,7 @@ class Scheduler:
         for node in network.nodes():
             actions = self._actions[node]
             rules = tuple(tuple(leaf.violation_rules(network, node)) for leaf in leaves)
-            key = (tuple(map(id, actions)), tuple(tuple(map(id, held)) for held in rules))
-            entry = compiled.get(key)
+            entry = compiled.get((actions, rules))
             if entry is None:
                 parts, walks, segments = compile_program(actions, rules, check)
                 for slot, _, _ in segments:
@@ -708,8 +715,8 @@ class Scheduler:
                         reads for rule in rules[slot] for _, reads in rule.guard_parts
                     )
                 table = tables.setdefault(parts, len(tables))
-                entry = compiled[key] = (actions, rules, table, walks, segments)
-            _, _, table, walks, segments = entry
+                entry = compiled[actions, rules] = (table, walks, segments)
+            table, walks, segments = entry
             self._table.append(table)
             self._walks.append(walks)
             self._rule_walks.append(segments)
@@ -976,38 +983,40 @@ class Scheduler:
             self._walk_rules(frontier)
 
     def _walk_rules(self, nodes: Iterable[int]) -> None:
-        """Re-walk each rule segment of ``nodes`` that consulted a bit staled since its last walk.
+        """Re-walk every rule segment of ``nodes``, calling only stale parts.
 
-        Calls only the segment's stale parts.  Books the segments walked
-        under ``legitimacy_nodes_checked`` and the part calls under
-        ``rule_calls``, apart from the guard walks' ``guard_calls``.
+        A node is on the rule frontier when a drained change staled a bit
+        its last rule walk consulted.  A guard walk may have re-called that
+        part since and cleared its stale bit, and its value may have
+        flipped, so the frontier (decided at drain time), not the stale
+        bits, says which nodes to re-walk.  A segment none of whose
+        consulted bits was staled since its last walk reads only the held
+        bits it read before: it calls nothing and keeps its answer.  Books
+        under ``legitimacy_nodes_checked`` the segments whose walk consulted
+        a bit staled since the node's last rule walk, and the part calls
+        under ``rule_calls``, apart from the guard walks' ``guard_calls``.
         """
         views, rule_walks = self._views, self._rule_walks
-        held, stale = self._held, self._stale
-        rule_stale, rule_consulted, rule_watch = (
-            self._rule_stale, self._rule_consulted, self._rule_watch
+        held, stale, rule_stale, rule_watch = (
+            self._held, self._stale, self._rule_stale, self._rule_watch
         )
         violations = self._violations
         walked = calls = 0
         for node in nodes:
             hot = rule_stale[node]
-            if not hot & rule_watch[node]:
-                continue
-            rule_stale[node] = 0
-            consulted = rule_consulted[node]
-            watching = 0
-            for position, (slot, walks, _) in enumerate(rule_walks[node]):
-                if hot & consulted[position]:
+            rule_stale[node] = watching = 0
+            for slot, walks, _ in rule_walks[node]:
+                index, held[node], stale[node], consulted, called = evaluate_guards(
+                    walks, stale[node], held[node], views[node]
+                )
+                calls += called
+                if hot & consulted:
                     walked += 1
-                    index, held[node], stale[node], consulted[position], called = (
-                        evaluate_guards(walks, stale[node], held[node], views[node])
-                    )
-                    calls += called
-                    if index < len(walks):
-                        violations[slot].add(node)
-                    else:
-                        violations[slot].discard(node)
-                watching |= consulted[position]
+                watching |= consulted
+                if index < len(walks):
+                    violations[slot].add(node)
+                else:
+                    violations[slot].discard(node)
             rule_watch[node] = watching
         if self._instr.enabled:
             self._instr.count("legitimacy_nodes_checked", walked)

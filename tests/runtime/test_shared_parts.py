@@ -225,10 +225,11 @@ def test_a_run_agrees_with_the_reference_on_a_shared_part():
 # ----------------------------------------------------------------------
 # Debug mode
 # ----------------------------------------------------------------------
-def test_a_shared_part_is_checked_once_and_names_its_first_holder():
+def test_a_shared_part_is_checked_once_and_names_every_holder():
     # The gate under-declares (it reads g but declares nothing).  A
     # legitimacy query walks the rule Open first, which calls the gate once;
-    # the error names Go, the first action in walk order holding the part.
+    # that one call serves Go, Idle (negated) and Open, so the error names
+    # all three, as repro-lint names a shared part's site.
     network = generators.ring(4)
     protocol = Shared(gate_reads=Reads())
     configuration = protocol.initial_configuration(network)
@@ -238,7 +239,9 @@ def test_a_shared_part_is_checked_once_and_names_its_first_holder():
     with pytest.raises(GuardLocalityError) as caught:
         scheduler.legitimate()
     assert caught.value.rule == "RL008"
-    assert caught.value.action == "Go"
+    assert caught.value.action == "Go/Idle/Open"
+    assert caught.value.layer == "shared"
+    assert "guard or violation rule 'Go/Idle/Open'" in str(caught.value)
     assert protocol.calls[("gate", caught.value.node)] == 1
 
 
