@@ -281,6 +281,7 @@ def _measure_recorder_once(n: int, seed: int) -> dict[str, object]:
         on = _time_stabilization(
             n, incremental=True, seed=seed, observers=(hooks,)
         )
+        in_run = hooks.seconds
         # Writing out the entries still buffered is per-step work too.
         started = time.perf_counter()
         recorder.flush()
@@ -294,9 +295,11 @@ def _measure_recorder_once(n: int, seed: int) -> dict[str, object]:
         entries = sum(1 for _ in stream)
     log_bytes = os.path.getsize(path)
     os.unlink(path)
-    # The recorded run minus its hook time is the unrecorded step wall, timed
-    # under the same machine load as the hooks themselves.
-    unrecorded = max(float(on["seconds"]) - hooks.seconds, 1e-9)
+    # The recorded run minus the hook time inside it is the unrecorded step
+    # wall, timed under the same machine load as the hooks themselves.  The
+    # final flush runs after that wall was taken: it counts as recorder time,
+    # but there is nothing to take it out of.
+    unrecorded = max(float(on["seconds"]) - in_run, 1e-9)
     return {
         "n": n,
         "m": off["m"],

@@ -20,24 +20,36 @@ by the sense-of-direction applications (routing, traversal).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.errors import SpecificationError
 from repro.graphs.network import RootedNetwork
 
 
-def chordal_edge_label(name_p: int, name_q: int, modulus: int) -> int:
-    """The chordal label of link ``(p, q)`` as seen from ``p``: ``(eta_p - eta_q) mod N``."""
+def positive_modulus(modulus: int) -> int:
+    """``modulus``, which must be positive (:class:`SpecificationError` otherwise)."""
     if modulus <= 0:
         raise SpecificationError("the chordal modulus N must be positive")
-    return (name_p - name_q) % modulus
+    return modulus
+
+
+def chordal_edge_label(name_p: int, name_q: int, modulus: int) -> int:
+    """The chordal label of link ``(p, q)`` as seen from ``p``: ``(eta_p - eta_q) mod N``."""
+    return (name_p - name_q) % positive_modulus(modulus)
+
+
+def chordal_labels(name_p: int, names: Sequence[object], modulus: int) -> list[int]:
+    """:func:`chordal_edge_label` of ``p``'s links to neighbors named ``names``, in order.
+
+    A neighbor name that is not an integer (a corrupted state) counts as ``0``.
+    """
+    modulus = positive_modulus(modulus)
+    return [(name_p - (name if isinstance(name, int) else 0)) % modulus for name in names]
 
 
 def inverse_label(label: int, modulus: int) -> int:
     """The label of the same link as seen from the other endpoint (``N - d mod N``)."""
-    if modulus <= 0:
-        raise SpecificationError("the chordal modulus N must be positive")
-    return (-label) % modulus
+    return (-label) % positive_modulus(modulus)
 
 
 def is_locally_oriented(labels: Mapping[int, int]) -> bool:
@@ -191,7 +203,9 @@ class ChordalOrientation:
 
 __all__ = [
     "chordal_edge_label",
+    "chordal_labels",
     "inverse_label",
     "is_locally_oriented",
+    "positive_modulus",
     "ChordalOrientation",
 ]

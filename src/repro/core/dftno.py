@@ -15,6 +15,7 @@ prescribes:
 * ``~Forward(p) /\\ ~Backtrack(p) /\\ InvalidEdgelabel(p) --> Edgelabel_p`` --
   a processor that does not hold the token repairs any incident edge label
   that disagrees with the chordal rule ``pi_p[q] = (eta_p - eta_q) mod N``.
+  ``InvalidEdgelabel`` is the specification's SP2 part, also a violation rule.
 
 Because the underlying traversal is deterministic (first unvisited neighbor in
 port order), the names converge to the DFS preorder index of each processor
@@ -28,14 +29,14 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.core.chordal import chordal_edge_label
 from repro.core.specification import (
+    SP2_READS,
     VAR_EDGE_LABELS,
     VAR_NAME,
     OrientationSpecification,
 )
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Reads, Rule, StatementFn, all_of
+from repro.runtime.actions import Action, Rule, StatementFn, all_of
 from repro.runtime.composition import HookedComposition, HookingLayer
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
@@ -46,13 +47,6 @@ from repro.substrates.token_circulation import DepthFirstTokenCirculation, dfs_p
 
 #: Shared-variable name of the running maximum ``Max_p``.
 VAR_MAX = "no_max"
-
-#: What the edge-relabeling guard's label scan reads: its own labels and
-#: name, and its neighbors' names.  Its token gate reads what ``holds_token``
-#: does.
-_EDGE_LABEL_READS = Reads(
-    own=frozenset({VAR_NAME, VAR_EDGE_LABELS}), neighbor=frozenset({VAR_NAME})
-)
 
 
 class DFTNO(HookingLayer):
@@ -79,9 +73,9 @@ class DFTNO(HookingLayer):
         self._token = token or DepthFirstTokenCirculation()
         self._modulus = modulus
         self._specification = OrientationSpecification(modulus=modulus)
-        self._rules = (self._specification.violation_rule("NO-Misoriented", self.name),)
+        self._rules = self._specification.violation_rules("NO", self.name)
         self._variables = PerNetwork(self._schema, modulus)
-        self._program = (self._edge_label_action(modulus),)
+        self._program = (self._edge_label_action(),)
 
     # ------------------------------------------------------------------
     # Parameters
@@ -172,46 +166,20 @@ class DFTNO(HookingLayer):
         """The paper's ``~Forward /\\ ~Backtrack``: the processor does not hold the token."""
         return not DepthFirstTokenCirculation.holds_token(view)
 
-    def _edge_label_action(self, fixed_modulus: int | None) -> Action:
+    def _edge_label_action(self) -> Action:
         """The edge-relabeling action every processor runs, built once.
 
-        Of plain functions over ``fixed_modulus`` (``None``: the network
-        size), not methods: the instance keeps it.  The guard gates the
-        O(degree) label scan on not holding the token, so a token move
-        re-calls the scan only where it can matter.
+        The guard gates the O(degree) label scan, the specification's SP2
+        part, on not holding the token, so a token move re-calls the scan
+        only where it can matter.
         """
-
-        def invalid_edge_labels(view: ProcessorView) -> bool:
-            modulus = fixed_modulus if fixed_modulus is not None else view.network.n
-            labels = view.read(VAR_EDGE_LABELS)
-            labels = labels if isinstance(labels, dict) else {}
-            own_name = view.read(VAR_NAME)
-            for neighbor in view.neighbors:
-                expected = chordal_edge_label(
-                    own_name, view.try_read_neighbor(neighbor, VAR_NAME, default=0), modulus
-                )
-                if labels.get(neighbor) != expected:
-                    return True
-            return False
-
-        def relabel_edges(view: ProcessorView) -> None:
-            modulus = fixed_modulus if fixed_modulus is not None else view.network.n
-            own_name = view.read(VAR_NAME)
-            labels = {
-                neighbor: chordal_edge_label(
-                    own_name, view.try_read_neighbor(neighbor, VAR_NAME, default=0), modulus
-                )
-                for neighbor in view.neighbors
-            }
-            view.write(VAR_EDGE_LABELS, labels)
-
         return Action(
             self.ACTION_EDGE_LABEL,
             all_of(
                 (self._token_free, tc.HOLDS_TOKEN_READS),
-                (invalid_edge_labels, _EDGE_LABEL_READS),
+                (self._specification.sp2_violated, SP2_READS),
             ),
-            relabel_edges,
+            self._specification.relabel,
             layer=self.name,
             priority=10,
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.chordal import ChordalOrientation, chordal_edge_label
+from repro.core.chordal import ChordalOrientation, chordal_labels, positive_modulus
 from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Reads, Rule, all_of
 from repro.runtime.configuration import Configuration
@@ -30,11 +30,11 @@ VAR_NAME = "no_eta"
 #: Shared-variable name of the per-link label map ``pi_p`` (both protocols).
 VAR_EDGE_LABELS = "no_pi"
 
-#: What :meth:`OrientationSpecification.misoriented` reads: a node's name and
-#: labels, its neighbors' names (``names_unique`` reads names only).
-_MISORIENTED_READS = Reads(
-    own=frozenset({VAR_NAME, VAR_EDGE_LABELS}), neighbor=frozenset({VAR_NAME})
-)
+#: What :meth:`OrientationSpecification.name_out_of_range` reads: the node's name.
+NAME_READS = Reads(own=frozenset({VAR_NAME}))
+#: What :meth:`OrientationSpecification.sp2_violated` reads: the node's name
+#: and labels, its neighbors' names (``names_unique`` reads names only).
+SP2_READS = Reads(own=frozenset({VAR_NAME, VAR_EDGE_LABELS}), neighbor=frozenset({VAR_NAME}))
 
 
 def _in_range(name: object, modulus: int) -> bool:
@@ -64,14 +64,14 @@ class OrientationSpecification:
     modulus:
         The ``N`` of the chordal arithmetic.  ``None`` means "the number of
         processors of the network being checked" (the thesis assumes every
-        processor knows this bound).
+        processor knows this bound).  A given ``N`` must be positive.
 
     ``eta_p`` and ``pi_p`` are read from :data:`VAR_NAME` and
     :data:`VAR_EDGE_LABELS`, the variables of both DFTNO and STNO.
     """
 
     def __init__(self, modulus: int | None = None) -> None:
-        self.modulus = modulus
+        self.modulus = None if modulus is None else positive_modulus(modulus)
 
     def effective_modulus(self, network: RootedNetwork) -> int:
         """The modulus used for ``network`` (explicit value or ``network.n``)."""
@@ -103,10 +103,6 @@ class OrientationSpecification:
             else:
                 seen[name] = node
 
-        def numeric_name(node: int) -> int:
-            value = names.get(node, 0)
-            return value if isinstance(value, int) else 0
-
         sp2 = True
         for node in network.nodes():
             labels = configuration.get(node, VAR_EDGE_LABELS)
@@ -114,10 +110,10 @@ class OrientationSpecification:
                 sp2 = False
                 violations.append(f"SP2: processor {node} has no edge-label map")
                 continue
-            for neighbor in network.neighbors(node):
-                expected = chordal_edge_label(
-                    numeric_name(node), numeric_name(neighbor), modulus
-                )
+            own = names[node] if isinstance(names[node], int) else 0
+            neighbors = network.neighbors(node)
+            expected_labels = chordal_labels(own, [names[q] for q in neighbors], modulus)
+            for neighbor, expected in zip(neighbors, expected_labels):
                 actual = labels.get(neighbor)
                 if actual != expected:
                     sp2 = False
@@ -129,14 +125,16 @@ class OrientationSpecification:
     def holds(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """Whether ``SP_NO`` holds (SP1 and SP2 simultaneously).
 
-        Evaluated as "no node is :meth:`misoriented`" plus the
-        name-uniqueness residue (:meth:`names_unique`) -- the orientation
-        layers' violation rule and residue -- without collecting
-        :meth:`check`'s violation messages.
+        Answered from the orientation layers' two violation rules,
+        :meth:`name_out_of_range` and :meth:`sp2_violated`, at every node,
+        plus the name-uniqueness residue (:meth:`names_unique`), without
+        collecting :meth:`check`'s violation messages.
         """
-        return not any(
-            self.misoriented(GuardView(node, network, configuration)) for node in network.nodes()
-        ) and self.names_unique(network, configuration)
+        for node in network.nodes():
+            view = GuardView(node, network, configuration)
+            if self.name_out_of_range(view) or self.sp2_violated(view):
+                return False
+        return self.names_unique(network, configuration)
 
     def sp1_holds(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """Whether SP1 alone (unique in-range names) holds."""
@@ -146,31 +144,44 @@ class OrientationSpecification:
             for node in network.nodes()
         ) and self.names_unique(network, configuration)
 
-    def misoriented(self, view: ProcessorView) -> bool:
-        """SP1's range condition or SP2 fails at the view's processor.
+    def name_out_of_range(self, view: ProcessorView) -> bool:
+        """SP1's range condition fails at the view's processor: its name is not in ``0..N-1``."""
+        return not _in_range(view.read(VAR_NAME), self.effective_modulus(view.network))
 
-        Reads only the closed neighborhood: the processor's name and labels
-        and its neighbors' names.
+    def sp2_violated(self, view: ProcessorView) -> bool:
+        """SP2 fails at the view's processor: a link label is not ``(eta_p - eta_q) mod N``.
+
+        The edge-relabeling guards' label part and a violation rule.  Stops
+        at the first wrong label (faster than :func:`chordal_labels` for all
+        neighbors); a label map that is not a dict fails, and a neighbor
+        name that is not an integer counts as ``0``, as in that helper.
         """
-        modulus = self.effective_modulus(view.network)
-        name = view.read(VAR_NAME)
-        if not _in_range(name, modulus):
-            return True
         labels = view.read(VAR_EDGE_LABELS)
         if not isinstance(labels, dict):
             return True
-        read_neighbor, label = view.read_neighbor, labels.get
+        modulus = self.effective_modulus(view.network)
+        own, read_neighbor, label = view.read(VAR_NAME), view.read_neighbor, labels.get
         for neighbor in view.neighbors:
             other = read_neighbor(neighbor, VAR_NAME)
             if not isinstance(other, int):
                 other = 0
-            if label(neighbor) != chordal_edge_label(name, other, modulus):
+            if label(neighbor) != (own - other) % modulus:
                 return True
         return False
 
-    def violation_rule(self, name: str, layer: str) -> Rule:
-        """The orientation layers' violation rule: :meth:`misoriented`."""
-        return Rule(name, all_of((self.misoriented, _MISORIENTED_READS)), layer=layer)
+    def relabel(self, view: ProcessorView) -> None:
+        """The orientation layers' edge-relabeling statement: establish SP2 at the view."""
+        neighbors, read_neighbor = view.neighbors, view.read_neighbor
+        names = [read_neighbor(q, VAR_NAME) for q in neighbors]
+        labels = chordal_labels(view.read(VAR_NAME), names, self.effective_modulus(view.network))
+        view.write(VAR_EDGE_LABELS, dict(zip(neighbors, labels)))
+
+    def violation_rules(self, prefix: str, layer: str) -> tuple[Rule, Rule]:
+        """``<prefix>-NameRange`` (SP1's range condition, cheap: first), ``<prefix>-Mislabeled``."""
+        return (
+            Rule(f"{prefix}-NameRange", all_of((self.name_out_of_range, NAME_READS)), layer=layer),
+            Rule(f"{prefix}-Mislabeled", all_of((self.sp2_violated, SP2_READS)), layer=layer),
+        )
 
     def names_unique(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """SP1's global residue: no two processors carry the same in-range name."""
@@ -203,7 +214,9 @@ class OrientationSpecification:
 
 
 __all__ = [
+    "NAME_READS",
     "OrientationSpecification",
+    "SP2_READS",
     "SpecificationReport",
     "VAR_NAME",
     "VAR_EDGE_LABELS",

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.chordal import chordal_edge_label
 from repro.core.specification import (
+    SP2_READS,
     VAR_EDGE_LABELS,
     VAR_NAME,
     OrientationSpecification,
@@ -86,7 +86,7 @@ class STNO(Protocol):
         self._tree = tree or BFSSpanningTree()
         self._modulus = modulus
         self._specification = OrientationSpecification(modulus=modulus)
-        self._rules = (self._specification.violation_rule("STNO-Misoriented", self.name),)
+        self._rules = self._specification.violation_rules("STNO", self.name)
         self._variables = PerNetwork(self._schema, modulus)
         self._programs = self._build_programs(self._tree, modulus)
 
@@ -157,7 +157,8 @@ class STNO(Protocol):
         instance keeps the programs, and a method bound to it would make a
         reference cycle.  The two programs share them and differ only in
         the weight and name actions' labels.  The edge guard is gated on the
-        name being valid, as in the paper.
+        name being valid, as in the paper; its label part and statement are
+        the specification's.
         """
         parent_of, children_of = tree.parent, tree.children
         # What each guard part reads; the tree helpers read the parent
@@ -169,9 +170,6 @@ class STNO(Protocol):
             neighbor=frozenset({VAR_START, VAR_WEIGHT, parent}),
         )
         name_valid_reads = Reads(own=frozenset({VAR_NAME, parent}), neighbor=frozenset({VAR_START}))
-        label_reads = Reads(
-            own=frozenset({VAR_NAME, VAR_EDGE_LABELS}), neighbor=frozenset({VAR_NAME})
-        )
 
         def modulus_of(view: ProcessorView) -> int:
             return fixed_modulus if fixed_modulus is not None else view.network.n
@@ -211,15 +209,6 @@ class STNO(Protocol):
                 given += child_weight(view, child)
             return table
 
-        def desired_labels(view: ProcessorView, own_name: int) -> dict[int, int]:
-            modulus = modulus_of(view)
-            return {
-                neighbor: chordal_edge_label(
-                    own_name, view.try_read_neighbor(neighbor, VAR_NAME, default=0), modulus
-                )
-                for neighbor in view.neighbors
-            }
-
         def start_consistent(view: ProcessorView, own_name: int) -> bool:
             desired = desired_start(view, own_name)
             stored = view.read(VAR_START)
@@ -247,20 +236,14 @@ class STNO(Protocol):
             """The paper labels edges only once the name is valid."""
             return view.read(VAR_NAME) == desired_name(view)
 
-        def labels_wrong(view: ProcessorView) -> bool:
-            stored = view.read(VAR_EDGE_LABELS)
-            stored = stored if isinstance(stored, dict) else {}
-            desired = desired_labels(view, view.read(VAR_NAME))
-            return any(stored.get(q) != label for q, label in desired.items())
-
-        def set_labels(view: ProcessorView) -> None:
-            view.write(VAR_EDGE_LABELS, desired_labels(view, view.read(VAR_NAME)))
-
         layer = self.name
         edge_label = Action(
             self.ACTION_EDGE_LABEL,
-            all_of((name_valid, name_valid_reads), (labels_wrong, label_reads)),
-            set_labels,
+            all_of(
+                (name_valid, name_valid_reads),
+                (self._specification.sp2_violated, SP2_READS),
+            ),
+            self._specification.relabel,
             layer=layer, priority=2,
         )
         non_root, root = (

@@ -24,8 +24,11 @@ defines a residue, instantiates its protocol classes that take no
 arguments, and reads the declarations off their actions and rules on a
 small probe network.  Reads the static pass cannot see are not checked
 here, such as those made by helpers on other objects like
-``self._tree.children`` or variable names held in attributes (the
-orientation rule's); ``check_guard_locality`` checks those at run time.
+``self._tree.children`` or variable names held in attributes;
+``check_guard_locality`` checks those at run time.  A part is keyed by the
+file and line of its predicate's definition, so a predicate of another
+module (the specification's SP2 part) is one site for every guard and rule
+that holds it.
 """
 
 from __future__ import annotations
@@ -182,7 +185,7 @@ def check_reads(analyzer) -> tuple[list[Finding], int]:
     sites = {}
     for summary in analyzer.summaries:
         for part in summary.guard_parts:
-            sites.setdefault((Path(summary.module).resolve(), part.line), (part, summary))
+            sites.setdefault((Path(part.path).resolve(), part.line), (part, summary))
     findings: list[Finding] = []
     checked = 0
     for site, (part, summary) in sites.items():
@@ -203,8 +206,8 @@ def check_reads(analyzer) -> tuple[list[Finding], int]:
                         summary.line,
                         summary.owner,
                         action,
-                        f"{kind} {action!r} (the part defined at line "
-                        f"{part.line}) reads "
+                        f"{kind} {action!r} (the part defined at "
+                        f"{Path(part.path).name}:{part.line}) reads "
                         + " and ".join(missing)
                         + " that its declared reads omit",
                     )
@@ -221,7 +224,7 @@ def check_reads(analyzer) -> tuple[list[Finding], int]:
                         summary.line if summary else line,
                         summary.owner if summary else "",
                         action,
-                        f"declared reads of {action!r} (the part defined at line {line}): "
+                        f"declared reads of {action!r} (the part defined at {path.name}:{line}): "
                         + "; ".join(misses),
                         rule="RL009",
                     )

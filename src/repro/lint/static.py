@@ -25,9 +25,12 @@ runs:
 The analysis is deliberately *conservative*: a guard or helper it cannot
 resolve statically (a callable stored in a variable, a cross-object call like
 ``self._tree.children(view)``, a variable name computed at run time) is
-skipped, never flagged.  False negatives are acceptable -- the dynamic
-tracker (``check_guard_locality`` / ``REPRO_DEBUG_GUARDS``) backstops
-them -- false positives on shipped protocols are not.
+skipped, never flagged.  A method of an object ``__init__`` builds,
+``self.<attr>.<method>`` after ``self.<attr> = Class(...)``, is resolved in
+``Class``'s module, which may be another ``repro`` module.  False negatives
+are acceptable -- the dynamic tracker (``check_guard_locality`` /
+``REPRO_DEBUG_GUARDS``) backstops them -- false positives on shipped
+protocols are not.
 
 Escape hatch: a line carrying ``# repro-lint: disable=RL001`` (comma-separate
 several ids, or ``disable=all``) suppresses findings anchored to that line.
@@ -40,7 +43,7 @@ import importlib.util
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.lint.findings import Finding, severity_of
 
@@ -146,51 +149,6 @@ def _index_module(path: Path) -> _ModuleIndex:
     return index
 
 
-#: Cross-module constant tables, resolved lazily from the installed source
-#: tree (``from repro.core.specification import VAR_NAME`` and friends).
-_FOREIGN_CONSTANTS: dict[str, dict[str, str]] = {}
-
-
-def _module_constants(module: str) -> dict[str, str]:
-    if module in _FOREIGN_CONSTANTS:
-        return _FOREIGN_CONSTANTS[module]
-    table: dict[str, str] = {}
-    if module.startswith("repro"):
-        try:
-            spec = importlib.util.find_spec(module)
-        except (ImportError, ValueError):
-            spec = None
-        if spec is not None and spec.origin and spec.origin.endswith(".py"):
-            try:
-                tree = ast.parse(Path(spec.origin).read_text(encoding="utf-8"))
-            except (OSError, SyntaxError):
-                tree = None
-            if tree is not None:
-                for node in tree.body:
-                    if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                        target = node.targets[0]
-                        if (
-                            isinstance(target, ast.Name)
-                            and isinstance(node.value, ast.Constant)
-                            and isinstance(node.value.value, str)
-                        ):
-                            table[target.id] = node.value.value
-                    elif isinstance(node, ast.ClassDef):
-                        # Class-level string constants, keyed "Class.ATTR" so
-                        # `ForeignClass.ACTION_X` hook keys resolve too.
-                        for item in node.body:
-                            if isinstance(item, ast.Assign) and len(item.targets) == 1:
-                                target = item.targets[0]
-                                if (
-                                    isinstance(target, ast.Name)
-                                    and isinstance(item.value, ast.Constant)
-                                    and isinstance(item.value.value, str)
-                                ):
-                                    table[f"{node.name}.{target.id}"] = item.value.value
-    _FOREIGN_CONSTANTS[module] = table
-    return table
-
-
 @dataclass
 class _Scope:
     """Where an expression lives: its module, class, and function nesting."""
@@ -201,10 +159,17 @@ class _Scope:
 
 
 class _Resolver:
-    """Conservative name resolution over one module index."""
+    """Conservative name resolution over one module index.
 
-    def __init__(self, index: _ModuleIndex) -> None:
+    ``foreign`` maps a ``repro`` module name to that module's resolver
+    (``None``: not found), for the constants and classes the module imports.
+    """
+
+    def __init__(
+        self, index: _ModuleIndex, foreign: Callable[[str], "_Resolver | None"]
+    ) -> None:
         self.index = index
+        self.foreign = foreign
 
     # -- strings ------------------------------------------------------
     def resolve_string(self, expr: ast.expr, scope: _Scope) -> str | None:
@@ -218,8 +183,7 @@ class _Resolver:
             if expr.id in self.index.constants:
                 return self.index.constants[expr.id]
             if expr.id in self.index.from_imports:
-                module, name = self.index.from_imports[expr.id]
-                return _module_constants(module).get(name)
+                return self._foreign_constant(*self.index.from_imports[expr.id])
             return None
         if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
             owner = expr.value.id
@@ -228,16 +192,20 @@ class _Resolver:
             if owner in self.index.classes:
                 return self._class_string(owner, expr.attr, scope)
             if owner in self.index.module_aliases:
-                return _module_constants(self.index.module_aliases[owner]).get(expr.attr)
+                return self._foreign_constant(self.index.module_aliases[owner], expr.attr)
             if owner in self.index.from_imports:
                 module, name = self.index.from_imports[owner]
-                table = _module_constants(module)
-                # `name` may be a class (Class.ATTR key) or a submodule.
-                return table.get(
-                    f"{name}.{expr.attr}",
-                    _module_constants(f"{module}.{name}").get(expr.attr),
-                )
+                # `name` may be a class (`ForeignClass.ACTION_X`) or a submodule.
+                resolver = self.foreign(module)
+                if resolver is not None and name in resolver.index.classes:
+                    return resolver._class_string(name, expr.attr, scope)
+                return self._foreign_constant(f"{module}.{name}", expr.attr)
         return None
+
+    def _foreign_constant(self, module: str, name: str) -> str | None:
+        """The module-level string constant ``name`` of the ``repro`` module ``module``."""
+        resolver = self.foreign(module)
+        return resolver.index.constants.get(name) if resolver is not None else None
 
     def _local_string(self, function: ast.FunctionDef, name: str) -> str | None:
         for node in ast.walk(function):
@@ -294,6 +262,22 @@ class _Resolver:
                 return self._class_method(scope.class_name, expr.attr)
             if owner in self.index.classes:
                 return self._class_method(owner, expr.attr)
+        held = ast.unparse(expr.value) if isinstance(expr, ast.Attribute) else ""
+        init = self._class_method(scope.class_name, "__init__") if scope.class_name else None
+        if held.startswith("self.") and init is not None:
+            # ``self.<held>.<method>``, where ``__init__`` sets ``self.<held> = Class(...)``
+            # and ``Class`` is this module's or imported from a ``repro`` module.
+            for node in ast.walk(init[0]):
+                if (
+                    isinstance(node, ast.Assign)
+                    and ast.unparse(node.targets[0]) == held
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                ):
+                    name = node.value.func.id
+                    module, name = self.index.from_imports.get(name, (None, name))
+                    resolver = self if module is None else self.foreign(module)
+                    return resolver._class_method(name, expr.attr) if resolver else None
         return None
 
     @classmethod
@@ -343,6 +327,7 @@ class _Resolver:
 class GuardPart:
     """The static reads of one guard part: an ``all_of`` conjunct, or a plain guard."""
 
+    path: str = ""  # the file that defines the resolved predicate
     line: int = 0  # first line of the resolved predicate's definition
     reads_own: set[str] = field(default_factory=set)
     reads_neighbor: set[str] = field(default_factory=set)
@@ -639,12 +624,36 @@ class _Analyzer:
         for path in paths:
             index = _index_module(path)
             self.indexes[index.path] = index
-            self.resolvers[index.path] = _Resolver(index)
+            self.resolvers[index.path] = _Resolver(index, self._module_resolver)
+        self._foreign: dict[str, _Resolver | None] = {}
         self.variable_universe: set[str] = set()
         self.findings: list[Finding] = []
         self.summaries: list[ActionSummary] = []
         self.legitimacy_summaries: list[LegitimacySummary] = []
         self._seen_findings: set[tuple[str, str, int, int]] = set()
+
+    def _module_resolver(self, module: str) -> _Resolver | None:
+        """The resolver of the ``repro`` module ``module`` (``None``: no source found).
+
+        An analyzed file's own; any other module is indexed on first use.
+        """
+        if module not in self._foreign:
+            self._foreign[module] = None
+            try:
+                spec = importlib.util.find_spec(module) if module.startswith("repro") else None
+            except (ImportError, ValueError):
+                return None
+            origin = Path(spec.origin).resolve() if spec and spec.origin else None
+            if origin is not None and origin.suffix == ".py":
+                analyzed = [path for path in self.indexes if Path(path).resolve() == origin]
+                try:
+                    index = self.indexes[analyzed[0]] if analyzed else _index_module(origin)
+                except (OSError, SyntaxError):
+                    return None
+                self._foreign[module] = self.resolvers.setdefault(
+                    index.path, _Resolver(index, self._module_resolver)
+                )
+        return self._foreign[module]
 
     # -- reporting ----------------------------------------------------
     def report(
@@ -771,12 +780,14 @@ class _Analyzer:
             predicates = predicates or [guard_expr]
             for predicate in predicates:
                 part = GuardPart()
-                target = self._check_callable(
+                resolved = self._check_callable(
                     predicate, scope, "guard", summary, (part.reads_own, part.reads_neighbor)
                 )
-                if target is None:
+                if resolved is None:
                     continue
+                target, target_scope = resolved
                 # Where the compiled predicate's code starts (its first decorator).
+                part.path = target_scope.index.path
                 part.line = min(
                     [target.lineno]
                     + [decorator.lineno for decorator in getattr(target, "decorator_list", ())]
@@ -826,9 +837,9 @@ class _Analyzer:
         kind: str,
         summary: ActionSummary,
         reads: tuple[set[str], set[str]],
-    ) -> ast.FunctionDef | ast.Lambda | None:
+    ) -> tuple[ast.FunctionDef | ast.Lambda, _Scope] | None:
         """Check the callable ``expr`` resolves to, collecting its reads into
-        ``reads`` (own, neighbor); returns it (``None``: unresolved)."""
+        ``reads`` (own, neighbor); returns it and its scope (``None``: unresolved)."""
         resolver = self.resolvers[scope.index.path]
         resolved = resolver.resolve_callable(expr, scope)
         if resolved is None:
@@ -837,7 +848,7 @@ class _Analyzer:
         view_param = _first_view_param(target)
         checker = _FunctionChecker(self, target_scope, kind, view_param, summary, reads)
         checker.check(target.body)
-        return target
+        return resolved
 
     def collect_legitimacy_reads(self) -> None:
         """``configuration.get``/``has`` reads of every class's ``legitimacy_residue``."""

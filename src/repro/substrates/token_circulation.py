@@ -89,7 +89,7 @@ _DELEGATION_READS = Reads(
 _SETTLED_READS = Reads(
     own=frozenset({VAR_CHILD, VAR_WAVE}), via={VAR_CHILD: frozenset({VAR_STATE, VAR_WAVE})}
 )
-#: ``_unvisited_neighbors``.
+#: ``_first_unvisited``.
 _UNVISITED_READS = Reads(own=frozenset({VAR_WAVE}), neighbor=frozenset({VAR_STATE, VAR_WAVE}))
 #: ``_forwarding_parent``: every neighbor's child pointer, and the rest only
 #: at a neighbor whose child pointer names the processor.
@@ -267,14 +267,13 @@ class DepthFirstTokenCirculation(Protocol):
         return view.read(VAR_STATE) == WAIT
 
     @staticmethod
-    def _unvisited_neighbors(view: ProcessorView) -> list[int]:
-        """Neighbors not yet visited by the wave this processor belongs to."""
-        wave = view.read(VAR_WAVE)
-        unvisited = []
+    def _first_unvisited(view: ProcessorView) -> int | None:
+        """The first neighbor (port order) not yet visited by this processor's wave."""
+        wave, read_neighbor = view.read(VAR_WAVE), view.read_neighbor
         for q in view.neighbors:
-            if view.read_neighbor(q, VAR_STATE) == WAIT and view.read_neighbor(q, VAR_WAVE) != wave:
-                unvisited.append(q)
-        return unvisited
+            if read_neighbor(q, VAR_STATE) == WAIT and read_neighbor(q, VAR_WAVE) != wave:
+                return q
+        return None
 
     @staticmethod
     def _child_settled(view: ProcessorView) -> bool:
@@ -310,7 +309,7 @@ class DepthFirstTokenCirculation(Protocol):
 
     @staticmethod
     def _has_unvisited(view: ProcessorView) -> bool:
-        return bool(DepthFirstTokenCirculation._unvisited_neighbors(view))
+        return DepthFirstTokenCirculation._first_unvisited(view) is not None
 
     @staticmethod
     def _has_forwarding_parent(view: ProcessorView) -> bool:
@@ -355,9 +354,9 @@ class DepthFirstTokenCirculation(Protocol):
     # ------------------------------------------------------------------
     @staticmethod
     def _delegate(view: ProcessorView) -> None:
-        unvisited = DepthFirstTokenCirculation._unvisited_neighbors(view)
-        if unvisited:
-            view.write(VAR_CHILD, unvisited[0])
+        child = DepthFirstTokenCirculation._first_unvisited(view)
+        if child is not None:
+            view.write(VAR_CHILD, child)
 
     @staticmethod
     def _retire(view: ProcessorView) -> None:
@@ -502,14 +501,14 @@ class DepthFirstTokenCirculation(Protocol):
     def _forwarding_parent(view: ProcessorView) -> int | None:
         """The first neighbor (port order) currently delegating the token to us."""
         max_level = view.network.n - 1
-        own_wave = view.read(VAR_WAVE)
+        node, own_wave, read_neighbor = view.node, view.read(VAR_WAVE), view.read_neighbor
         for q in view.neighbors:
             # The child pointer first: the rest is read only where it names us.
             if (
-                view.read_neighbor(q, VAR_CHILD) == view.node
-                and view.read_neighbor(q, VAR_STATE) == ACTIVE
-                and view.read_neighbor(q, VAR_WAVE) != own_wave
-                and view.read_neighbor(q, VAR_LEVEL) + 1 <= max_level
+                read_neighbor(q, VAR_CHILD) == node
+                and read_neighbor(q, VAR_STATE) == ACTIVE
+                and read_neighbor(q, VAR_WAVE) != own_wave
+                and read_neighbor(q, VAR_LEVEL) + 1 <= max_level
             ):
                 return q
         return None

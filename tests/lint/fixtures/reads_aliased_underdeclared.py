@@ -2,9 +2,8 @@
 
 The guard of ``RA-Copy`` binds ``read_neighbor = view.read_neighbor`` and
 reads every neighbor's ``ra_x`` through it; the violation rule ``RA-Below``
-binds the same method by tuple unpacking, as
-``OrientationSpecification.misoriented`` does.  Both declare only the own
-read, so the default ``repro-lint`` run must flag each as RL008 (and nothing
+binds the same method by tuple unpacking.  Both declare only the own read,
+so the default ``repro-lint`` run must flag each as RL008 (and nothing
 else).
 """
 

@@ -25,11 +25,12 @@ def test_rl008_in_rule_catalog() -> None:
 def test_shipped_declarations_cover_their_static_reads() -> None:
     findings, checked = check_reads(analyze_paths([PACKAGE]))
     assert findings == []
-    # 20 guard- and rule-part sites (token 9, DFTNO 2, STNO 4, BFS tree 3,
-    # DFS overlay 1, the orientation rule both orientation layers share 1;
+    # 19 guard- and rule-part sites (token 9, DFTNO 1, STNO 3, BFS tree 3,
+    # DFS overlay 1, and the specification's 2: the name-range rule and the
+    # SP2 part both orientation layers' edge-label guards and rules share;
     # a gate shared by several guards and rules is one site, and a negated
     # part is its predicate's) and 2 residues (DFTNO, STNO).
-    assert checked == 22
+    assert checked == 21
 
 
 def test_token_guards_declare_exactly_their_static_reads() -> None:
@@ -113,13 +114,37 @@ def test_a_neighbor_read_through_a_view_alias_fires_rl008(capsys) -> None:
         ("RL008", "RA-Below"),
     ]
     assert all("neighbor ['ra_x']" in finding["message"] for finding in payload)
+    # The message names the file that defines the part, not only its line.
+    assert all("reads_aliased_underdeclared.py:" in finding["message"] for finding in payload)
     assert analyze_paths([fixture]).findings == []
 
 
 def test_the_orientation_rule_reads_its_neighbors_through_an_alias() -> None:
     analyzer = analyze_paths([PACKAGE / "core" / "specification.py"])
-    (rule,) = [s for s in analyzer.summaries if s.owner == "OrientationSpecification"]
-    assert rule.guard_reads_neighbor == {"no_eta"}
+    range_rule, sp2_rule = [s for s in analyzer.summaries if s.owner == "OrientationSpecification"]
+    assert (range_rule.guard_reads_own, range_rule.guard_reads_neighbor) == ({"no_eta"}, set())
+    # The SP2 part reads through the tuple-unpacked alias ``read_neighbor``.
+    assert sp2_rule.guard_reads_own == {"no_eta", "no_pi"}
+    assert sp2_rule.guard_reads_neighbor == {"no_eta"}
+
+
+def test_the_edge_label_guards_resolve_the_specifications_sp2_part() -> None:
+    # ``self._specification.sp2_violated``: a method of the class ``__init__``
+    # assigns to the attribute, imported from another module; both guards
+    # and the rule share its one site in core/specification.py.
+    analyzer = analyze_paths([PACKAGE / "core" / "dftno.py", PACKAGE / "core" / "stno.py"])
+    label_parts = {
+        summary.action: summary.guard_parts[-1]
+        for summary in analyzer.summaries
+        if summary.action in ("NO-EdgeLabel", "STNO-EdgeLabel")
+    }
+    assert len(label_parts) == 2
+    for part in label_parts.values():
+        assert Path(part.path).resolve() == (PACKAGE / "core" / "specification.py").resolve()
+        assert (part.reads_own, part.reads_neighbor) == ({"no_eta", "no_pi"}, {"no_eta"})
+    assert len({part.line for part in label_parts.values()}) == 1
+    findings, _ = check_reads(analyzer)
+    assert findings == []
 
 
 def test_rl009_in_rule_catalog() -> None:
