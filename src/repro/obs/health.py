@@ -180,7 +180,7 @@ class HealthMonitor(Observer):
         # The configuration keeps coming back.  Cycling is legal *after*
         # legitimacy (token rings circulate forever), so only an illegitimate
         # cycle is an anomaly -- checked lazily, exactly once per suspicion.
-        if self._legitimate(source) is not False:
+        if source_legitimacy(source) is not False:
             self._reset_window()
             return
         self._emit(
@@ -192,10 +192,6 @@ class HealthMonitor(Observer):
             ),
         )
         self._reset_window()
-
-    @staticmethod
-    def _legitimate(source: Any) -> bool | None:
-        return source_legitimacy(source)
 
     def _reset_window(self) -> None:
         self._window.clear()

@@ -22,7 +22,6 @@ from typing import Callable, Mapping, Sequence
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Action, StatementFn
-from repro.runtime.configuration import Configuration
 from repro.runtime.protocol import PerNetwork, Protocol
 from repro.runtime.variables import VariableSpec
 
@@ -58,7 +57,8 @@ class LayeredProtocol(Protocol):
     * the program of a processor is the concatenation of the layers' programs,
       lower layers first (so substrate error-correction runs before the upper
       layer reacts to it), built once per network as a tuple;
-    * the composition is legitimate when every layer is legitimate.
+    * its legitimacy is its leaf layers' rules and residues
+      (:meth:`~repro.runtime.protocol.Protocol.legitimate`).
     """
 
     def __init__(self, layers: Sequence[Protocol], name: str | None = None) -> None:
@@ -83,9 +83,6 @@ class LayeredProtocol(Protocol):
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
         return self._programs(network)[node]
 
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        return all(layer.legitimate(network, configuration) for layer in self._layers)
-
     def validate(self, network: RootedNetwork) -> None:
         _check_disjoint_variables(self._layers, network)
         super().validate(network)
@@ -98,7 +95,7 @@ class HookingLayer(Protocol):
     """A protocol layer that can also piggy-back statements on a base layer.
 
     In addition to the usual :meth:`variables` / :meth:`actions` /
-    :meth:`legitimate` interface, a hooking layer implements :meth:`hooks`,
+    :meth:`violation_rules` interface, a hooking layer implements :meth:`hooks`,
     returning a mapping ``base action name -> statement`` for a given
     processor.  :class:`HookedComposition` splices those statements into the
     base layer's matching actions.
@@ -186,11 +183,6 @@ class HookedComposition(Protocol):
 
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
         return self._programs(network)[node]
-
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        return self._base.legitimate(network, configuration) and self._overlay.legitimate(
-            network, configuration
-        )
 
     def validate(self, network: RootedNetwork) -> None:
         _check_disjoint_variables((self._base, self._overlay), network)

@@ -223,18 +223,15 @@ class CallbackObserver(Observer):
 def source_legitimacy(source: Any) -> bool | None:
     """Whether the configuration an observer's ``source`` holds is legitimate.
 
-    A :class:`~repro.runtime.scheduler.Scheduler` answers through
-    :meth:`~repro.runtime.scheduler.Scheduler.legitimate` (its violation
-    sets); any other source with ``protocol``/``network``/``configuration``
-    attributes gets the protocol's global predicate.  ``None`` when the
-    source has no such state or the predicate raises (a partial stack
-    mid-scenario must not kill the run).
+    A source with a ``legitimate()`` method (either scheduler core) answers
+    through it; any other source with ``protocol``/``network``/``configuration``
+    attributes gets the protocol's predicate.  ``None`` when the source has
+    no such state or the predicate raises (a partial stack mid-scenario must
+    not kill the run).
     """
-    from repro.runtime.scheduler import Scheduler
-
     try:
-        if isinstance(source, Scheduler):
-            return source.legitimate()
+        if hasattr(source, "legitimate"):
+            return bool(source.legitimate())
         protocol = getattr(source, "protocol", None)
         network = getattr(source, "network", None)
         configuration = getattr(source, "configuration", None)

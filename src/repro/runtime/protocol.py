@@ -49,22 +49,19 @@ class Protocol(ABC):
     variables it owns (:meth:`variables`) and which guarded actions form its
     program (:meth:`actions`).  Self-stabilization (Definition 2.1.2) is
     stated against the protocol's *legitimacy predicate*
-    (:meth:`legitimate`), which a layer gives in one of two ways:
-
-    * **Decomposed**, by local checking: :meth:`violation_rules` lists, per
-      processor, :class:`~repro.runtime.actions.Rule` conjunctions that hold
-      where the processor is not legitimate (each part reads only the closed
-      neighborhood and declares what it reads, exactly like a guard part),
-      and :meth:`legitimacy_residue` is the global remainder the rules
-      cannot see (SP1's name uniqueness; ``True`` by default).  The layer
-      then inherits :meth:`legitimate`: no rule holds at any node and the
-      residue holds.  The scheduler caches the rule parts like guard parts
-      and re-calls only those a change can flip; the residue must read only
-      variables some rule part declares, so a change to anything else keeps
-      its cached value.
-    * **Whole**: the layer states no rules and overrides :meth:`legitimate`
-      (Dijkstra's ring, the PIF wave); the scheduler re-evaluates it after
-      any change.
+    (:meth:`legitimate`), which every layer gives by local checking:
+    :meth:`violation_rules` lists, per processor,
+    :class:`~repro.runtime.actions.Rule` conjunctions that hold where the
+    processor is not legitimate (each part reads only the closed
+    neighborhood and declares what it reads, exactly like a guard part), and
+    :meth:`legitimacy_residue` is the global remainder the rules cannot see
+    (SP1's name uniqueness, Dijkstra's single privilege; ``True`` by
+    default).  :meth:`legitimate` is defined here once, and a subclass that
+    defines it raises ``TypeError``.  The scheduler caches the rule parts
+    like guard parts and re-calls only those a change can flip.  A residue
+    must read only variables its layer's rules declare: it is re-evaluated
+    only after a change to one of them (after any change when the layer
+    states no rules).
 
     The base class derives everything the scheduler and the fault injector
     need from there: clean and arbitrary configurations and the
@@ -119,14 +116,25 @@ class Protocol(ABC):
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """Whether ``configuration`` satisfies the protocol's legitimacy predicate.
 
-        No violation rule holds at any node and the residue holds.
+        No violation rule of a leaf layer (:meth:`layers`) holds at any node
+        and every leaf's residue holds.
         """
+        leaves = tuple(dict.fromkeys(self.layers()))
         for node in network.nodes():
             view = GuardView(node, network, configuration)
-            for rule in self.violation_rules(network, node):
-                if rule.guard(view):
-                    return False
-        return self.legitimacy_residue(network, configuration)
+            for leaf in leaves:
+                for rule in leaf.violation_rules(network, node):
+                    if rule.guard(view):
+                        return False
+        return all(leaf.legitimacy_residue(network, configuration) for leaf in leaves)
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "legitimate" in cls.__dict__:
+            raise TypeError(
+                f"{cls.__name__} defines legitimate(); state legitimacy with "
+                "violation_rules() and legitimacy_residue() instead"
+            )
 
     # ------------------------------------------------------------------
     # Derived helpers

@@ -163,17 +163,15 @@ class ReferenceScheduler:
         return checked.legitimate(self.network, self.configuration)
 
     def legitimacy_distance(self) -> int:
-        """Nodes where a violation rule holds, plus 1 if a residue (or a rule-less layer) fails."""
+        """Nodes where a violation rule holds, plus 1 if a residue fails."""
         network, configuration = self.network, self.configuration
         violating, residues = set(), True
         for leaf in dict.fromkeys(self.protocol.layers()):
-            rules = {node: leaf.violation_rules(network, node) for node in network.nodes()}
-            for node, held in rules.items():
+            for node in network.nodes():
                 view = GuardView(node, network, configuration)
-                if any(rule.guard(view) for rule in held):
+                if any(rule.guard(view) for rule in leaf.violation_rules(network, node)):
                     violating.add(node)
-            check = leaf.legitimacy_residue if any(rules.values()) else leaf.legitimate
-            residues = residues and check(network, configuration)
+            residues = residues and leaf.legitimacy_residue(network, configuration)
         return len(violating) + (not residues)
 
     def run_until_legitimate(self, max_steps: int = 100_000, confirm_steps: int = 0,

@@ -689,8 +689,8 @@ class Scheduler:
         memoised per changed-variable tuple, shared by every scheduler with
         equal tables (:data:`_STALE_MASKS`), so marking costs a lookup per
         touched node.  A layer's residue is re-evaluated after
-        a change to what its rule parts read; a layer without rules is
-        checked whole, after any change.
+        a change to what its rule parts read, or after any change when the
+        layer states no rules.
         """
         network, leaves, check = self.network, self._leaves, self.check_guard_locality
         self._actions = {
@@ -727,10 +727,6 @@ class Scheduler:
             else frozenset().union(*(read.own | read.neighbor_reads for read in reads))
             for reads in declared
         )
-        self._residue_checks: list[Callable[[RootedNetwork, Configuration], bool]] = [
-            leaf.legitimacy_residue if reads else leaf.legitimate
-            for leaf, reads in zip(leaves, declared)
-        ]
         # The pointers some part reads through: the shadow (_invalidate_enabled) follows them.
         self._pointers: tuple[str, ...] = tuple(
             sorted(
@@ -970,7 +966,7 @@ class Scheduler:
     def _residue(self, slot: int) -> bool:
         holds = self._residues.get(slot)
         if holds is None:
-            holds = self._residues[slot] = self._residue_checks[slot](
+            holds = self._residues[slot] = self._leaves[slot].legitimacy_residue(
                 self.network, self.configuration
             )
         return holds

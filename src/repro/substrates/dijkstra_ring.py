@@ -20,7 +20,7 @@ from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Action
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
-from repro.runtime.protocol import Protocol
+from repro.runtime.protocol import PerNetwork, Protocol
 from repro.runtime.variables import VariableSpec, int_variable
 
 VAR_COUNTER = "dk_x"
@@ -63,26 +63,36 @@ class DijkstraTokenRing(Protocol):
 
     def __init__(self, k: int | None = None) -> None:
         self._k = k
+        # The ring order and every processor's program, built once per network.
+        self._ring = PerNetwork(self._build, k, self.name)
 
-    def _states(self, network: RootedNetwork) -> int:
-        return self._k if self._k is not None else network.n + 1
-
-    def _predecessor(self, network: RootedNetwork, node: int) -> int:
-        order = ring_order(network)
-        index = order.index(node)
-        return order[index - 1]
+    @staticmethod
+    def _states(network: RootedNetwork, k: int | None) -> int:
+        return k if k is not None else network.n + 1
 
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
-        k = self._states(network)
+        k = self._states(network, self._k)
         return [
             int_variable(VAR_COUNTER, 0, k - 1, initial=0, description="Dijkstra counter in 0..K-1")
         ]
 
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
-        k = self._states(network)
-        predecessor = self._predecessor(network, node)
+        return self._ring(network)[1][node]
 
-        if network.is_root(node):
+    @staticmethod
+    def _build(
+        network: RootedNetwork, k: int | None, layer: str
+    ) -> tuple[list[int], dict[int, tuple[Action, ...]]]:
+        states = DijkstraTokenRing._states(network, k)
+        order = ring_order(network)
+        return order, {
+            node: DijkstraTokenRing._program(network.is_root(node), order[index - 1], states, layer)
+            for index, node in enumerate(order)
+        }
+
+    @staticmethod
+    def _program(is_root: bool, predecessor: int, k: int, layer: str) -> tuple[Action, ...]:
+        if is_root:
 
             def root_guard(view: ProcessorView) -> bool:
                 return view.read(VAR_COUNTER) == view.read_neighbor(predecessor, VAR_COUNTER)
@@ -90,7 +100,7 @@ class DijkstraTokenRing(Protocol):
             def root_step(view: ProcessorView) -> None:
                 view.write(VAR_COUNTER, (view.read(VAR_COUNTER) + 1) % k)
 
-            return [Action(self.ACTION_ROOT, root_guard, root_step, layer=self.name)]
+            return (Action(DijkstraTokenRing.ACTION_ROOT, root_guard, root_step, layer=layer),)
 
         def copy_guard(view: ProcessorView) -> bool:
             return view.read(VAR_COUNTER) != view.read_neighbor(predecessor, VAR_COUNTER)
@@ -98,11 +108,11 @@ class DijkstraTokenRing(Protocol):
         def copy_step(view: ProcessorView) -> None:
             view.write(VAR_COUNTER, view.read_neighbor(predecessor, VAR_COUNTER))
 
-        return [Action(self.ACTION_COPY, copy_guard, copy_step, layer=self.name)]
+        return (Action(DijkstraTokenRing.ACTION_COPY, copy_guard, copy_step, layer=layer),)
 
     def privileged(self, network: RootedNetwork, configuration: Configuration) -> list[int]:
         """Processors currently holding a privilege (an enabled guard)."""
-        order = ring_order(network)
+        order, _ = self._ring(network)
         privileged = []
         for index, node in enumerate(order):
             predecessor = order[index - 1]
@@ -114,8 +124,12 @@ class DijkstraTokenRing(Protocol):
                 privileged.append(node)
         return privileged
 
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        """Mutual exclusion: exactly one privilege in the ring."""
+    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
+        """Mutual exclusion: exactly one privilege in the ring.
+
+        A global fact, so the layer states no rules and the scheduler
+        re-checks this residue after any change.
+        """
         return len(self.privileged(network, configuration)) == 1
 
 

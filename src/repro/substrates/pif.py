@@ -25,10 +25,9 @@ from typing import Mapping, Sequence
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
 from repro.graphs.properties import is_tree
-from repro.runtime.actions import Action
-from repro.runtime.configuration import Configuration
+from repro.runtime.actions import Action, Reads, Rule, all_of
 from repro.runtime.processor import ProcessorView
-from repro.runtime.protocol import Protocol
+from repro.runtime.protocol import PerNetwork, Protocol
 from repro.runtime.variables import VariableSpec, enum_variable
 
 CLEAN = "C"
@@ -36,6 +35,8 @@ BROADCAST = "B"
 FEEDBACK = "F"
 
 VAR_PHASE = "pif_phase"
+
+_PHASE_READS = Reads(own=frozenset({VAR_PHASE}), neighbor=frozenset({VAR_PHASE}))
 
 
 class PIFWave(Protocol):
@@ -59,31 +60,38 @@ class PIFWave(Protocol):
     ACTION_ROOT_RESET = "PIF-RootReset"
 
     def __init__(self, parents: Mapping[int, int | None] | None = None) -> None:
-        self._explicit_parents = dict(parents) if parents is not None else None
+        explicit = dict(parents) if parents is not None else None
+        # Every node's program and violation rules, built once per network.
+        self._programs = PerNetwork(self._build, explicit, self.name)
 
     # ------------------------------------------------------------------
-    def _parents(self, network: RootedNetwork) -> dict[int, int | None]:
-        if self._explicit_parents is not None:
-            return dict(self._explicit_parents)
+    @staticmethod
+    def _parents(
+        network: RootedNetwork, explicit: Mapping[int, int | None] | None
+    ) -> dict[int, int | None]:
+        if explicit is not None:
+            return dict(explicit)
         if not is_tree(network):
             raise ProtocolError(
                 "PIFWave needs a tree network or an explicit spanning-tree parent map"
             )
         parents: dict[int, int | None] = {network.root: None}
         stack = [network.root]
-        seen = {network.root}
         while stack:
             node = stack.pop()
             for neighbor in network.neighbors(node):
-                if neighbor not in seen:
-                    seen.add(neighbor)
+                if neighbor not in parents:
                     parents[neighbor] = node
                     stack.append(neighbor)
         return parents
 
-    def _children(self, network: RootedNetwork, node: int) -> tuple[int, ...]:
-        parents = self._parents(network)
-        return tuple(q for q in network.neighbors(node) if parents.get(q) == node)
+    @staticmethod
+    def _build(
+        network: RootedNetwork, explicit: Mapping[int, int | None] | None, layer: str
+    ) -> dict[int, tuple[tuple[Action, ...], tuple[Rule, ...]]]:
+        """Every node's ``(program, violation rules)`` on ``network``."""
+        parents = PIFWave._parents(network, explicit)
+        return {node: PIFWave._program(network, node, parents, layer) for node in network.nodes()}
 
     # ------------------------------------------------------------------
     def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
@@ -97,8 +105,35 @@ class PIFWave(Protocol):
         ]
 
     def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
-        parents = self._parents(network)
-        children = self._children(network, node)
+        return self._programs(network)[node][0]
+
+    def violation_rules(self, network: RootedNetwork, node: int) -> Sequence[Rule]:
+        """Wave consistency: exactly the configurations normal waves visit.
+
+        ``node`` violates it when
+
+        * it is the root and in feedback (the root resets to clean instead),
+        * it broadcasts below a *non-broadcasting* parent (broadcasts enter
+          a subtree only through its top), or
+        * it is not in feedback below a feedback parent (a processor
+          acknowledges only after its whole subtree has).
+
+        These are invariants of normal operation -- closed under every
+        action, from any daemon's scheduling -- which is what lets recovery
+        measurements demand the predicate hold over a whole closure window.
+        The scenario-driven corruption hunt caught an earlier phrasing
+        being too strict *and* too loose: it flagged the legal top-down
+        cleaning phase (feedback below clean) as illegitimate, so confirmed
+        re-stabilization could never be observed, while accepting a stale
+        broadcast sitting below a feedback processor.
+        """
+        return self._programs(network)[node][1]
+
+    @staticmethod
+    def _program(
+        network: RootedNetwork, node: int, parents: dict[int, int | None], layer: str
+    ) -> tuple[tuple[Action, ...], tuple[Rule, ...]]:
+        children = tuple(q for q in network.neighbors(node) if parents.get(q) == node)
         parent = parents.get(node)
 
         def phase(view: ProcessorView) -> str:
@@ -129,11 +164,11 @@ class PIFWave(Protocol):
             def root_error(view: ProcessorView) -> None:
                 view.write(VAR_PHASE, CLEAN)
 
-            return [
-                Action(self.ACTION_ERROR, root_error_guard, root_error, layer=self.name, priority=0),
-                Action(self.ACTION_ROOT_RESET, reset_guard, reset, layer=self.name, priority=1),
-                Action(self.ACTION_ROOT_START, start_guard, start, layer=self.name, priority=2),
-            ]
+            return (
+                Action(PIFWave.ACTION_ERROR, root_error_guard, root_error, layer=layer, priority=0),
+                Action(PIFWave.ACTION_ROOT_RESET, reset_guard, reset, layer=layer, priority=1),
+                Action(PIFWave.ACTION_ROOT_START, start_guard, start, layer=layer, priority=2),
+            ), (Rule("PIF-RootFeedback", all_of((root_error_guard, _PHASE_READS)), layer=layer),)
 
         def parent_phase(view: ProcessorView) -> str:
             return view.read_neighbor(parent, VAR_PHASE)
@@ -165,47 +200,21 @@ class PIFWave(Protocol):
         def clean_guard(view: ProcessorView) -> bool:
             return phase(view) == FEEDBACK and parent_phase(view) == CLEAN
 
-        return [
-            Action(self.ACTION_ERROR, error_guard, error, layer=self.name, priority=0),
-            Action(self.ACTION_CLEAN, clean_guard, error, layer=self.name, priority=1),
-            Action(self.ACTION_BROADCAST, broadcast_guard, broadcast, layer=self.name, priority=2),
-            Action(self.ACTION_FEEDBACK, feedback_guard, feedback, layer=self.name, priority=3),
-        ]
+        def stray_broadcast(view: ProcessorView) -> bool:
+            return phase(view) == BROADCAST and parent_phase(view) != BROADCAST
 
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        """Wave consistency: exactly the configurations normal waves visit.
+        def early_feedback(view: ProcessorView) -> bool:
+            return parent_phase(view) == FEEDBACK and phase(view) != FEEDBACK
 
-        A configuration is legitimate iff
-
-        * the root is not in feedback (it resets to clean instead),
-        * every broadcasting non-root processor has a *broadcasting* parent
-          (broadcasts enter a subtree only through its top), and
-        * every child of a feedback processor is itself in feedback (a
-          processor acknowledges only after its whole subtree has).
-
-        These are invariants of normal operation -- closed under every
-        action, from any daemon's scheduling -- which is what lets recovery
-        measurements demand the predicate hold over a whole closure window.
-        The scenario-driven corruption hunt caught the previous phrasing
-        being too strict *and* too loose: it flagged the legal top-down
-        cleaning phase (feedback below clean) as illegitimate, so confirmed
-        re-stabilization could never be observed, while accepting a stale
-        broadcast sitting below a feedback processor.
-        """
-        parents = self._parents(network)
-        for node in network.nodes():
-            own = configuration.get(node, VAR_PHASE)
-            parent = parents.get(node)
-            if parent is None:
-                if own == FEEDBACK:
-                    return False
-                continue
-            above = configuration.get(parent, VAR_PHASE)
-            if own == BROADCAST and above != BROADCAST:
-                return False
-            if above == FEEDBACK and own != FEEDBACK:
-                return False
-        return True
+        return (
+            Action(PIFWave.ACTION_ERROR, error_guard, error, layer=layer, priority=0),
+            Action(PIFWave.ACTION_CLEAN, clean_guard, error, layer=layer, priority=1),
+            Action(PIFWave.ACTION_BROADCAST, broadcast_guard, broadcast, layer=layer, priority=2),
+            Action(PIFWave.ACTION_FEEDBACK, feedback_guard, feedback, layer=layer, priority=3),
+        ), (
+            Rule("PIF-StrayBroadcast", all_of((stray_broadcast, _PHASE_READS)), layer=layer),
+            Rule("PIF-EarlyFeedback", all_of((early_feedback, _PHASE_READS)), layer=layer),
+        )
 
 
 __all__ = ["PIFWave", "CLEAN", "BROADCAST", "FEEDBACK", "VAR_PHASE"]

@@ -291,7 +291,7 @@ class _DFSTreeOverlay(HookingLayer):
         return self._rules
 
 
-class DFSSpanningTree(SpanningTreeProtocol):
+class DFSSpanningTree(HookedComposition, SpanningTreeProtocol):
     """The DFS spanning tree maintained by the token-circulation substrate.
 
     Composes :class:`~repro.substrates.token_circulation.DepthFirstTokenCirculation`
@@ -306,29 +306,12 @@ class DFSSpanningTree(SpanningTreeProtocol):
     parent_variable = VAR_DFS_PARENT
 
     def __init__(self) -> None:
-        self._token = DepthFirstTokenCirculation()
-        self._overlay = _DFSTreeOverlay()
-        self._composed = HookedComposition(self._token, self._overlay, name=self.name)
+        super().__init__(DepthFirstTokenCirculation(), _DFSTreeOverlay(), name=self.name)
 
     @property
     def token_layer(self) -> DepthFirstTokenCirculation:
         """The underlying token-circulation protocol."""
-        return self._token
-
-    def layers(self) -> tuple[Protocol, ...]:
-        return self._composed.layers()
-
-    def variables(self, network: RootedNetwork, node: int) -> Sequence[VariableSpec]:
-        return self._composed.variables(network, node)
-
-    def actions(self, network: RootedNetwork, node: int) -> Sequence[Action]:
-        return self._composed.actions(network, node)
-
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        return self._composed.legitimate(network, configuration)
-
-    def validate(self, network: RootedNetwork) -> None:
-        self._composed.validate(network)
+        return self.base
 
     def reference_parents(self, network: RootedNetwork) -> dict[int, int | None]:
         """The DFS tree the protocol converges to on ``network``."""

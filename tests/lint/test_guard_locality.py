@@ -39,7 +39,7 @@ class _SneakyProtocol(Protocol):
 
         return [Action("SN-Peek", guard, step, layer=self.name)]
 
-    def legitimate(self, network, configuration):
+    def legitimacy_residue(self, network, configuration):
         return False
 
 

@@ -65,7 +65,7 @@ class Blinker(Protocol):
             ),
         )
 
-    def legitimate(self, network, configuration):
+    def legitimacy_residue(self, network, configuration):
         return False
 
 

@@ -60,9 +60,6 @@ class Gated(Protocol):
     def actions(self, network, node):
         return self._program
 
-    def legitimate(self, network, configuration):
-        return True
-
     def _open(self, view) -> bool:
         self.calls["gate", view.node] += 1
         return view.read("g") == 1
@@ -282,9 +279,6 @@ class GuardMutates(Protocol):
             Action("A", a_guard, lambda view: None, layer=self.name),
             Action("B", b_guard, lambda view: None, layer=self.name),
         ]
-
-    def legitimate(self, network, configuration):
-        return True
 
 
 @pytest.mark.parametrize("core", [Scheduler, ReferenceScheduler], ids=["incremental", "fullscan"])

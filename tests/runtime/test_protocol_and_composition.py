@@ -40,7 +40,7 @@ class CounterProtocol(Protocol):
             )
         ]
 
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
+    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
         return all(
             configuration.get(node, self.variable) == self.target for node in network.nodes()
         )
@@ -55,9 +55,6 @@ class EmptyProtocol(Protocol):
     def actions(self, network, node):
         return []
 
-    def legitimate(self, network, configuration):
-        return True
-
 
 class DuplicateVariableProtocol(Protocol):
     name = "dup"
@@ -67,9 +64,6 @@ class DuplicateVariableProtocol(Protocol):
 
     def actions(self, network, node):
         return [Action("noop", lambda view: False, lambda view: None)]
-
-    def legitimate(self, network, configuration):
-        return True
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +165,7 @@ class MirrorOverlay(HookingLayer):
     def actions(self, network, node):
         return []
 
-    def legitimate(self, network, configuration):
+    def legitimacy_residue(self, network, configuration):
         return all(
             configuration.get(node, "mirror") == configuration.get(node, "count")
             for node in network.nodes()

@@ -66,7 +66,7 @@ class MaxPropagation(Protocol):
             )
         ]
 
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
+    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
         return len({configuration.get(node, "v") for node in network.nodes()}) == 1
 
 
@@ -88,9 +88,6 @@ class Claim(Protocol):
                 layer=self.name,
             )
         ]
-
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        return True
 
 
 @CORES

@@ -143,7 +143,7 @@ class OddCountdown(CountdownProtocol):
 
     name = "odd-countdown"
 
-    def legitimate(self, network, configuration) -> bool:
+    def legitimacy_residue(self, network, configuration) -> bool:
         return all(
             configuration.get(node, self.variable) in (0, 1, 3) for node in network.nodes()
         )

@@ -44,7 +44,7 @@ class CountdownProtocol(Protocol):
             )
         ]
 
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
+    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
         return all(configuration.get(node, self.variable) == 0 for node in network.nodes())
 
 
@@ -69,7 +69,7 @@ class MaxPropagation(Protocol):
             )
         ]
 
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
+    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
         top = max(configuration.get(node, "v") for node in network.nodes())
         return all(configuration.get(node, "v") == top for node in network.nodes())
 
@@ -380,7 +380,7 @@ class TransientLegitimacyProtocol(CountdownProtocol):
 
     name = "transient"
 
-    def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
+    def legitimacy_residue(self, network: RootedNetwork, configuration: Configuration) -> bool:
         return all(configuration.get(node, "c") == 1 for node in network.nodes())
 
 

@@ -23,6 +23,7 @@ from repro.obs import PHASE_INIT, Instrumentation
 from repro.runtime.actions import Action
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.variables import VariableSpec
+from repro.substrates import dijkstra_ring, pif
 
 STACKS = ("stno-bfs", "stno-dfs", "dftno")
 
@@ -50,6 +51,25 @@ def test_construction_builds_a_fixed_number_of_actions_and_specs(monkeypatch, st
     large = _constructions(monkeypatch, stack, 500)
     assert small["Action"] > 0 and small["VariableSpec"] > 0
     assert large == small
+
+
+@pytest.mark.parametrize(
+    "module, walk, build, network",
+    [
+        (dijkstra_ring, "ring_order", dijkstra_ring.DijkstraTokenRing, generators.ring(200)),
+        (pif, "is_tree", pif.PIFWave, generators.random_tree(200, seed=1)),
+    ],
+    ids=["dijkstra", "pif"],
+)
+def test_ring_and_tree_are_walked_once_per_network(monkeypatch, module, walk, build, network):
+    # The ring order and the PIF tree, with every node's program and rules,
+    # are built once per network, not once per node.
+    walks = []
+    original = getattr(module, walk)
+    monkeypatch.setattr(module, walk, lambda net: walks.append(net) or original(net))
+    scheduler = Scheduler(network, build(), seed=2)
+    scheduler.run_until_legitimate(max_steps=2_000)
+    assert walks == [network]
 
 
 def test_construction_is_booked_under_the_init_phase():
