@@ -171,19 +171,24 @@ class STNO(Protocol):
         )
         name_valid_reads = Reads(own=frozenset({VAR_NAME, parent}), neighbor=frozenset({VAR_START}))
 
-        def modulus_of(view: ProcessorView) -> int:
-            return fixed_modulus if fixed_modulus is not None else view.network.n
-
-        def child_weight(view: ProcessorView, child: int) -> int:
-            weight = view.try_read_neighbor(child, VAR_WEIGHT, default=1)
-            if not isinstance(weight, int) or weight < 1:
-                return 1
-            return min(weight, view.network.n)
+        def child_weights(view: ProcessorView, n: int) -> list[tuple[int, int]]:
+            """Each child ``D_p`` (port order) and its weight: 1 if not an int >= 1, capped at n."""
+            try_read_neighbor = view.try_read_neighbor
+            weighted = []
+            for child in children_of(view):
+                weight = try_read_neighbor(child, VAR_WEIGHT, 1)
+                if not isinstance(weight, int) or weight < 1:
+                    weight = 1
+                elif n < weight:
+                    weight = n
+                weighted.append((child, weight))
+            return weighted
 
         def desired_weight(view: ProcessorView) -> int:
             """``CalcWeight``: one (for itself) plus the children's weights, capped at n."""
-            total = 1 + sum(child_weight(view, child) for child in children_of(view))
-            return min(total, view.network.n)
+            n = view.network.n
+            total = 1 + sum([weight for _, weight in child_weights(view, n)])
+            return n if n < total else total
 
         def desired_name(view: ProcessorView) -> int:
             """The name the parent's ``Start`` table assigns to this processor (root: 0)."""
@@ -192,21 +197,21 @@ class STNO(Protocol):
             parent = parent_of(view)
             if parent is None or parent not in view.neighbor_set:
                 return view.read(VAR_NAME)  # no parent yet: keep the current name
-            table = view.try_read_neighbor(parent, VAR_START, default={})
-            table = table if isinstance(table, dict) else {}
-            assigned = table.get(view.node, 0)
+            table = view.try_read_neighbor(parent, VAR_START)
+            assigned = table.get(view.node, 0) if isinstance(table, dict) else 0
             if not isinstance(assigned, int):
                 return 0
-            return assigned % modulus_of(view)
+            return assigned % (fixed_modulus if fixed_modulus is not None else view.network.n)
 
         def desired_start(view: ProcessorView, own_name: int) -> dict[int, int]:
             """``Distribute``: contiguous, non-overlapping intervals for the children."""
-            modulus = modulus_of(view)
+            n = view.network.n
+            modulus = fixed_modulus if fixed_modulus is not None else n
             given = own_name
             table: dict[int, int] = {}
-            for child in children_of(view):
+            for child, weight in child_weights(view, n):
                 table[child] = (given + 1) % modulus
-                given += child_weight(view, child)
+                given += weight
             return table
 
         def start_consistent(view: ProcessorView, own_name: int) -> bool:

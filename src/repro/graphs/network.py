@@ -15,6 +15,7 @@ guard evaluation in the scheduler is cheap.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import NetworkError
@@ -122,15 +123,13 @@ class RootedNetwork:
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        """Number of processors in the network."""
-        return self._n
-
-    @property
-    def root(self) -> int:
-        """Identifier of the distinguished root processor ``r``."""
-        return self._root
+    # ``n`` and ``root`` are read-only properties whose getter is a C-level
+    # ``attrgetter``: guards read them on nearly every call, and a ``def``
+    # getter would be one Python call per read.
+    n = property(attrgetter("_n"), doc="Number of processors in the network.")
+    root = property(
+        attrgetter("_root"), doc="Identifier of the distinguished root processor ``r``."
+    )
 
     @property
     def name(self) -> str:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import ProtocolError
 
@@ -11,7 +11,7 @@ from repro.errors import ProtocolError
 #: holder of the value can alter it after the fact.
 _IMMUTABLE_TYPES = frozenset({int, bool, str, float, type(None)})
 
-#: A value no state holds: what :meth:`Configuration.apply_writes` reads for a missing slot.
+#: A value no state holds: what :meth:`Configuration.apply_step` reads for a missing slot.
 _ABSENT = object()
 
 
@@ -27,9 +27,10 @@ def copy_value(value: Any) -> Any:
     kind = type(value)
     if kind in _IMMUTABLE_TYPES:
         return value
-    if kind is dict and all(
-        type(key) in _IMMUTABLE_TYPES and type(item) in _IMMUTABLE_TYPES
-        for key, item in value.items()
+    if (
+        kind is dict
+        and _IMMUTABLE_TYPES.issuperset(map(type, value))
+        and _IMMUTABLE_TYPES.issuperset(map(type, value.values()))
     ):
         return dict(value)
     return copy.deepcopy(value)
@@ -146,35 +147,48 @@ class Configuration:
                     self._dirty[node] = known + added
 
     def apply_writes(self, node: int, values: Mapping[str, Any]) -> dict[str, tuple[Any, Any]]:
-        """Apply writes at ``node`` and return ``variable -> (old, new)`` changes.
+        """Apply one move's writes at ``node``: :meth:`apply_step` of that one move."""
+        return self.apply_step(((node, values),))[0]
+
+    def apply_step(
+        self, moves: Iterable[tuple[int, Mapping[str, Any]]]
+    ) -> list[dict[str, tuple[Any, Any]]]:
+        """Apply a step's ``(node, writes)`` moves in order; each move's ``variable -> (old, new)``.
 
         ``old`` is ``None`` for a variable the write created, and such a write
         only counts as a change when the new value differs from ``None``
         (matching the scheduler's historical ``MoveRecord`` semantics).  The
         journal is stricter: creating a slot always marks the node dirty, so
-        guards keyed on a variable's *existence* are re-evaluated.  This is
-        the scheduler's single compare-journal-apply pass per move: it
-        journals the changed names, in write order, and only a write that
+        guards keyed on a variable's *existence* are re-evaluated.  One call
+        compares, journals and applies every move of the step: each move
+        journals its changed names, in write order, and only a write that
         creates a slot makes it list the written names again.
         """
-        state = self._states.setdefault(node, {})
-        changes: dict[str, tuple[Any, Any]] = {}
-        created = False
-        for name, value in values.items():
-            old = state.get(name, _ABSENT)
-            if old is _ABSENT:
-                created = True
-                if value is not None:
-                    changes[name] = (None, value)
-            elif old != value:
-                changes[name] = (old, value)
-        if created:
-            touched = tuple(name for name in values if name in changes or name not in state)
-            self._journal(node, touched)
-        elif changes:
-            self._journal(node, tuple(changes))
-        state.update(values)
-        return changes
+        states, dirty = self._states, self._dirty
+        applied: list[dict[str, tuple[Any, Any]]] = []
+        for node, values in moves:
+            state = states.get(node)
+            if state is None:
+                state = states[node] = {}
+            changes: dict[str, tuple[Any, Any]] = {}
+            created = False
+            for name, value in values.items():
+                old = state.get(name, _ABSENT)
+                if old is _ABSENT:
+                    created = True
+                    if value is not None:
+                        changes[name] = (None, value)
+                elif old != value:
+                    changes[name] = (old, value)
+            if created:
+                touched = tuple(name for name in values if name in changes or name not in state)
+            else:
+                touched = tuple(changes)
+            if touched and dirty.setdefault(node, touched) is not touched:
+                self._journal(node, touched)
+            state.update(values)
+            applied.append(changes)
+        return applied
 
     def replace_node(self, node: int, values: Mapping[str, Any]) -> None:
         """Replace the *whole* local state of ``node``.

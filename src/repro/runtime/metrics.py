@@ -15,7 +15,7 @@ directly from the protocol's variable declarations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Iterable, Sequence
 
 from repro.graphs.network import RootedNetwork
 from repro.runtime.protocol import Protocol
@@ -34,10 +34,25 @@ class ExecutionMetrics:
 
     def record_move(self, node: int, action: str, layer: str) -> None:
         """Account for one executed action."""
-        self.moves += 1
-        self.moves_per_node[node] = self.moves_per_node.get(node, 0) + 1
-        self.moves_per_action[action] = self.moves_per_action.get(action, 0) + 1
-        self.moves_per_layer[layer] = self.moves_per_layer.get(layer, 0) + 1
+        self.record_moves(((node, action, layer, None),))
+
+    def record_moves(self, moves: Iterable[Sequence[Any]]) -> None:
+        """Account for executed actions, each a ``(node, action, layer, changes)`` move.
+
+        A step's :class:`~repro.runtime.scheduler.MoveRecord` tuple is such a
+        sequence; the counters are updated in one pass over it.
+        """
+        per_node, per_action, per_layer = (
+            self.moves_per_node, self.moves_per_action, self.moves_per_layer
+        )
+        node_count, action_count, layer_count = per_node.get, per_action.get, per_layer.get
+        counted = 0
+        for node, action, layer, _ in moves:
+            per_node[node] = node_count(node, 0) + 1
+            per_action[action] = action_count(action, 0) + 1
+            per_layer[layer] = layer_count(layer, 0) + 1
+            counted += 1
+        self.moves += counted
 
     def merge(self, other: "ExecutionMetrics") -> None:
         """Add another run's counters into this one (used by repeated trials)."""

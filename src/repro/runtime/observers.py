@@ -131,7 +131,8 @@ class Observer:
 class MetricsObserver(Observer):
     """Accumulates :class:`~repro.runtime.metrics.ExecutionMetrics` from steps.
 
-    This is what used to be the scheduler's inline ``record_move`` calls; the
+    Each step's moves are counted in one
+    :meth:`~repro.runtime.metrics.ExecutionMetrics.record_moves` pass; the
     scheduler registers one instance by default and exposes its counters as
     ``scheduler.metrics``.
     """
@@ -140,8 +141,7 @@ class MetricsObserver(Observer):
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
 
     def on_step(self, source: Any, record: "StepRecord") -> None:
-        for move in record.moves:
-            self.metrics.record_move(move.node, move.action, move.layer)
+        self.metrics.record_moves(record.moves)
         self.metrics.steps = record.step + 1
 
     def on_round(self, source: Any, round_index: int) -> None:
@@ -224,20 +224,12 @@ def source_legitimacy(source: Any) -> bool | None:
     """Whether the configuration an observer's ``source`` holds is legitimate.
 
     A source with a ``legitimate()`` method (either scheduler core) answers
-    through it; any other source with ``protocol``/``network``/``configuration``
-    attributes gets the protocol's predicate.  ``None`` when the source has
-    no such state or the predicate raises (a partial stack mid-scenario must
-    not kill the run).
+    through it.  ``None`` for any other source, or when the method raises (a
+    partial stack mid-scenario must not kill the run).
     """
     try:
-        if hasattr(source, "legitimate"):
-            return bool(source.legitimate())
-        protocol = getattr(source, "protocol", None)
-        network = getattr(source, "network", None)
-        configuration = getattr(source, "configuration", None)
-        if protocol is None or network is None or configuration is None:
-            return None
-        return bool(protocol.legitimate(network, configuration))
+        legitimate = getattr(source, "legitimate", None)
+        return None if legitimate is None else bool(legitimate())
     except Exception:
         return None
 

@@ -10,6 +10,7 @@ collected so the scheduler can apply the step atomically.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any
 
 from repro.errors import ProtocolError
@@ -64,6 +65,7 @@ class ProcessorView:
     __slots__ = (
         "_node",
         "_network",
+        "_is_root",
         "_configuration",
         "_states",
         "_neighbor_set",
@@ -79,6 +81,7 @@ class ProcessorView:
     ) -> None:
         self._node = node
         self._network = network
+        self._is_root = network.is_root(node)
         self._configuration = configuration
         self._states = configuration.state_table()
         self._neighbor_set = network.neighbor_set(node)
@@ -88,35 +91,26 @@ class ProcessorView:
     # ------------------------------------------------------------------
     # Identity / topology helpers
     # ------------------------------------------------------------------
-    @property
-    def node(self) -> int:
-        """The processor this view belongs to."""
-        return self._node
-
-    @property
-    def network(self) -> RootedNetwork:
-        """The network the processor lives in."""
-        return self._network
+    # Read-only properties whose getter is a C-level ``attrgetter``: guards
+    # and statements read them hundreds of thousands of times per run, and
+    # a ``def`` getter is one Python call per read.
+    node = property(attrgetter("_node"), doc="The processor this view belongs to.")
+    network = property(attrgetter("_network"), doc="The network the processor lives in.")
+    is_root = property(
+        attrgetter("_is_root"), doc="Whether this processor is the distinguished root ``r``."
+    )
+    neighbors = property(
+        attrgetter("_ports"), doc="The processor's neighbors ``N_p`` in port order."
+    )
+    neighbor_set = property(
+        attrgetter("_neighbor_set"),
+        doc="The processor's neighbors ``N_p`` as a set (membership tests).",
+    )
 
     @property
     def configuration(self) -> Configuration:
         """The configuration the view reads (a tracking view: its read-logging proxy)."""
         return self._configuration
-
-    @property
-    def is_root(self) -> bool:
-        """Whether this processor is the distinguished root ``r``."""
-        return self._network.is_root(self._node)
-
-    @property
-    def neighbors(self) -> tuple[int, ...]:
-        """The processor's neighbors ``N_p`` in port order."""
-        return self._ports
-
-    @property
-    def neighbor_set(self) -> frozenset[int]:
-        """The processor's neighbors ``N_p`` as a set (membership tests)."""
-        return self._neighbor_set
 
     @property
     def degree(self) -> int:
@@ -240,6 +234,7 @@ class GuardView(ProcessorView):
     ) -> None:
         self._node = node
         self._network = network
+        self._is_root = network.is_root(node)
         self._configuration = configuration
         self._states = configuration.state_table()
         self._neighbor_set = network.neighbor_set(node)

@@ -57,8 +57,7 @@ def successors(network: RootedNetwork, protocol: Protocol, configuration: Config
     if idle:
         raise SchedulingError(f"selected processors that are not enabled: {idle}")
     following = configuration.copy()
-    for node, written in _writes(network, configuration, actions, selection).items():
-        following.apply_writes(node, written)
+    following.apply_step(_writes(network, configuration, actions, selection).items())
     return following
 
 
@@ -130,9 +129,8 @@ class ReferenceScheduler:
                 raise SchedulingError(f"daemon {name!r} selected processors {problem}: {nodes}")
         writes = _writes(self.network, self.configuration, actions, selected)
         moves = tuple(
-            MoveRecord(node, actions[node].name, actions[node].layer,
-                       self.configuration.apply_writes(node, written))
-            for node, written in writes.items()
+            MoveRecord(node, actions[node].name, actions[node].layer, changes)
+            for node, changes in zip(writes, self.configuration.apply_step(writes.items()))
         )
         executed = tuple((node, actions[node].name) for node in selected)
         changed = tuple(move.node for move in moves if move.changes)

@@ -1068,32 +1068,33 @@ class Scheduler:
 
         # Run each selected processor's action against the beginning-of-step
         # configuration, collecting its writes; apply them all only then
-        # (composite atomicity).  apply_writes journals the changed
-        # variables, which is what marks the stale parts.
-        pending: list[tuple[int, Action, dict[str, object]]] = []
+        # (composite atomicity), in one apply_step call that journals the
+        # changed variables, which is what marks the stale parts.
+        actions: list[Action] = []
+        written: list[dict[str, object]] = []
         writers = self._writers
         for node in selected:
             action = enabled[node]
             view = writers[node]
-            writes = view.begin_move()
+            written.append(view.begin_move())
             action.statement(view)
-            pending.append((node, action, writes))
+            actions.append(action)
+        applied = self.configuration.apply_step(zip(selected, written))
+        # Records are built with tuple.__new__: the named tuples' own
+        # constructor is a Python-level call per move.
+        new = tuple.__new__
+        executed: list[tuple[int, str]] = []
         changed_nodes: list[int] = []
         moves: list[MoveRecord] = []
-        apply_writes = self.configuration.apply_writes
-        for node, action, writes in pending:
-            changes = apply_writes(node, writes)
+        for node, action, changes in zip(selected, actions, applied):
+            name = action.name
+            executed.append((node, name))
             if changes:
                 changed_nodes.append(node)
-            moves.append(MoveRecord(node, action.name, action.layer, changes))
-
-        record = StepRecord(
-            self._step_index,
-            self._round_index,
-            tuple([(node, action.name) for node, action, _ in pending]),
-            tuple(changed_nodes),
-            tuple(moves),
-        )
+            moves.append(new(MoveRecord, (node, name, action.layer, changes)))
+        record = new(StepRecord, (
+            self._step_index, self._round_index, tuple(executed), tuple(changed_nodes), tuple(moves)
+        ))
         if timed:
             now = time.perf_counter()
             instr.phase_time(PHASE_ACTION_EXEC, now - mark)

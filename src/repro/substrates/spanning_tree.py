@@ -73,11 +73,8 @@ class SpanningTreeProtocol(Protocol):
 
     def children(self, view: ProcessorView) -> tuple[int, ...]:
         """The processor's current tree children ``D_p`` in port order."""
-        return tuple(
-            q
-            for q in view.neighbors
-            if view.try_read_neighbor(q, self.parent_variable) == view.node
-        )
+        try_read_neighbor, parent, node = view.try_read_neighbor, self.parent_variable, view.node
+        return tuple([q for q in view.neighbors if try_read_neighbor(q, parent) == node])
 
     # -- configuration-level helpers (used by legitimacy checks/reports) -
     def parents(self, network: RootedNetwork, configuration: Configuration) -> dict[int, int | None]:
@@ -200,17 +197,16 @@ class BFSSpanningTree(SpanningTreeProtocol):
     @staticmethod
     def _desired(view: ProcessorView) -> tuple[int, int | None]:
         """The (distance, parent) pair the relaxation rule prescribes."""
-        max_dist = view.network.n - 1
-        best_dist = None
-        best_parent = None
+        read_neighbor = view.read_neighbor
+        best_dist = best_parent = None
         for q in view.neighbors:
-            dist_q = view.read_neighbor(q, VAR_BFS_DIST)
+            dist_q = read_neighbor(q, VAR_BFS_DIST)
             if best_dist is None or dist_q < best_dist:
-                best_dist = dist_q
-                best_parent = q
+                best_dist, best_parent = dist_q, q
         if best_dist is None:  # isolated root-only network
             return 0, None
-        return min(best_dist + 1, max_dist), best_parent
+        dist, max_dist = best_dist + 1, view.network.n - 1
+        return (max_dist if max_dist < dist else dist), best_parent
 
     @staticmethod
     def _root_guard(view: ProcessorView) -> bool:

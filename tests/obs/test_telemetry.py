@@ -117,6 +117,8 @@ def test_distance_counts_violating_nodes_until_legitimacy(stack, core):
 
 
 def test_distance_is_none_for_a_source_without_violation_sets():
+    # A source that holds a protocol, network and configuration but has no
+    # legitimate() gets no answer: only the scheduler cores give one.
     network = generators.random_connected(8, seed=1)
     protocol = build_protocol("dftno")
     source = type(
@@ -132,7 +134,7 @@ def test_distance_is_none_for_a_source_without_violation_sets():
     observer._sample(source, type("Record", (), {"step": 0, "round": 0})())
     columns = observer.snapshot()["columns"]
     (sample,) = observer.samples
-    assert sample[columns.index("legitimate")] in (0, 1)
+    assert sample[columns.index("legitimate")] is None
     assert sample[columns.index("distance")] is None
 
 
