@@ -297,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--lint",
         action="store_true",
-        help="pre-flight: statically lint (repro-lint) every protocol layer the "
-        "grid references and refuse to start the campaign on any finding",
+        help="pre-flight: lint (repro-lint, read probe included) every protocol "
+        "layer the grid references and refuse to start the campaign on any finding",
     )
 
     status = sub.add_parser(
@@ -452,8 +452,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     grid = _build_grid(args)
     if args.lint:
         # Pre-flight before the store is even opened: a protocol layer that
-        # fails the static verifier would burn the whole campaign's compute
-        # on runs whose locality assumptions are broken.
+        # fails repro-lint (static rules and read probe alike) would burn the
+        # whole campaign's compute on runs whose locality assumptions are broken.
         from repro.lint import format_findings, lint_paths, modules_for_protocols
 
         modules = modules_for_protocols(grid.protocols)

@@ -1,4 +1,4 @@
-"""repro-lint: static protocol verifier.
+"""repro-lint: protocol verifier.
 
 One findings vocabulary (:data:`~repro.lint.findings.RULES`) for every mode:
 
@@ -6,14 +6,17 @@ One findings vocabulary (:data:`~repro.lint.findings.RULES`) for every mode:
   guard/action source through the :class:`~repro.runtime.processor.ProcessorView`
   API and reports locality and purity violations (``RL001``-``RL006``),
   deriving per-action read/write sets (:mod:`repro.lint.summary`) on the way;
-* the **read-declaration** cross-check (:mod:`repro.lint.reads`, part of the
-  default run) holds each guard and violation-rule part's ``reads``, and
-  each layer's ``legitimacy_residue``, to the static read sets (``RL008``),
-  and each pointer-directed read's pointer to its own or neighbor reads
+* the **read-declaration** probe (:mod:`repro.lint.reads`, part of the
+  default run) calls every guard part, violation-rule part and
+  ``legitimacy_residue`` of the protocols it can build under the run-time
+  read check, which raises ``RL004`` for a read outside the closed
+  neighborhood and ``RL008`` for one outside the declared reads, and holds
+  each pointer-directed read's pointer to its own or neighbor reads
   (``RL009``).
 
-Runtime :class:`~repro.errors.GuardLocalityError` failures route through the
-same formatter via :func:`~repro.lint.findings.finding_from_guard_error`.
+:func:`~repro.lint.cli.lint_paths` returns both passes' findings.  Runtime
+:class:`~repro.errors.GuardLocalityError` failures route through the same
+formatter via :func:`~repro.lint.findings.finding_from_guard_error`.
 """
 
 from repro.lint.findings import (
@@ -24,11 +27,11 @@ from repro.lint.findings import (
     format_findings,
     severity_of,
 )
+from repro.lint.cli import lint_paths
 from repro.lint.static import (
     ActionSummary,
     analyze_paths,
     iter_source_files,
-    lint_paths,
     modules_for_protocols,
 )
 from repro.lint.summary import build_summary, write_summary

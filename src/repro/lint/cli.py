@@ -1,8 +1,9 @@
-"""``repro-lint``: static protocol verifier.
+"""``repro-lint``: protocol verifier.
 
-Static mode (default) runs the AST pass over the given files/directories,
-cross-checks the declared guard and legitimacy reads of the protocols they
-define against it (rule RL008), and prints findings (exit 1 when any are
+Runs the static AST pass (rules RL001-RL006) over the given
+files/directories, then the read-declaration probe (RL008, RL009), which
+runs every guard part, rule part and residue of the protocols they define
+under the run-time read check, and prints findings (exit 1 when any are
 found)::
 
     repro-lint src/repro                       # lint everything
@@ -18,17 +19,24 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from repro.lint.findings import findings_to_json, format_findings
+from repro.lint.findings import Finding, findings_to_json, format_findings
 from repro.lint.reads import check_reads
-from repro.lint.static import analyze_paths, modules_for_protocols
+from repro.lint.static import analyze_paths, iter_source_files, modules_for_protocols
+
+
+def lint_paths(paths: Iterable[str | Path]) -> list[Finding]:
+    """Everything ``repro-lint`` reports for ``paths`` (files or directories), sorted."""
+    files = iter_source_files(paths)
+    findings = analyze_paths(files).findings + check_reads(files)[0]
+    return sorted(findings, key=lambda f: (f.path, f.line, f.rule))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Static protocol verifier.",
+        description="Protocol verifier.",
     )
     parser.add_argument(
         "paths",
@@ -66,10 +74,7 @@ def _run_static(args: argparse.Namespace) -> int:
     if missing:
         print(f"repro-lint: no such path: {missing[0]}", file=sys.stderr)
         return 2
-    analyzer = analyze_paths(paths)
-    findings = sorted(
-        analyzer.findings + check_reads(analyzer)[0], key=lambda f: (f.path, f.line, f.rule)
-    )
+    findings = lint_paths(paths)
     if args.summary:
         from repro.lint.summary import write_summary
 

@@ -1,10 +1,10 @@
 """The findings model shared by every ``repro-lint`` mode.
 
-A :class:`Finding` is one rule violation -- static (``RL...``, from
-:mod:`repro.lint.static`), dynamic guard-locality (``RL004`` raised at run
-time as :class:`~repro.errors.GuardLocalityError`), or an
-under-declared read (``RL008``, from :mod:`repro.lint.reads` and, at run
-time, from the scheduler's debug mode).  All of
+A :class:`Finding` is one rule violation -- static (``RL001``-``RL006``,
+from :mod:`repro.lint.static`), or a read the run-time check refuses
+(``RL004`` outside the closed neighborhood, ``RL008`` outside the declared
+reads, raised as :class:`~repro.errors.GuardLocalityError` by the
+scheduler's debug mode and by the read probe, :mod:`repro.lint.reads`).  All of
 them render through the same two formatters so CI logs and the campaign
 pre-flight table read identically.
 """
@@ -18,10 +18,10 @@ from typing import Iterable, Sequence
 from repro.errors import GuardLocalityError
 
 #: Rule catalog: id -> (severity, one-line description).  The static pass
-#: emits RL001..RL006; the dynamic tracker raises RL004 (as
-#: :class:`GuardLocalityError`); the read-declaration cross-check
-#: (:mod:`repro.lint.reads`) and the dynamic tracker emit RL008; the
-#: cross-check also emits RL009 for a pointer-directed read's pointer.
+#: emits RL001..RL006; the run-time tracker raises RL004 and RL008 (as
+#: :class:`GuardLocalityError`), in the scheduler's debug mode and in the
+#: read probe (:mod:`repro.lint.reads`), which reports them as findings; the
+#: probe also emits RL009 for a pointer-directed read's pointer.
 RULES: dict[str, tuple[str, str]] = {
     "RL001": ("error", "guard mutates state (view.write inside a guard)"),
     "RL002": ("warning", "guard performs I/O"),

@@ -1,34 +1,34 @@
-"""Cross-check declared reads against the static read sets (rule RL008).
+"""The read probe: every guard part, rule part and residue under the run-time read check.
 
-The scheduler skips a guard or violation-rule part after a
-change to a variable its :class:`~repro.runtime.actions.Reads` omits (each
-``all_of`` part has its own; a plain guard is one part declared by
-``Action.reads``), and keeps a layer's cached residue after a change to
-anything its rule parts do not read.  An under-declared read therefore
-leaves a stale answer in place without any error.  This pass holds each
-declaration to the reads the static pass (:mod:`repro.lint.static`) finds.
-A read the pass finds in a resolved guard or rule part that the part's own
-declaration omits is an RL008 error, even when another part of the same
-guard declares it; so is a read of ``legitimacy_residue`` that no rule part
-of its layer declares.  A pointer-directed read (``via``/``named_by``)
-counts as a neighbor read: the static pass cannot tell which neighbor a
-pointer names, so it is checked here against the union of the plain and the
-pointer-directed neighbor reads, and at run time, neighbor by neighbor, by
-``check_guard_locality``.  A declaration whose ``via`` pointer is missing
-from its own reads, or whose ``named_by`` pointer is missing from its
-neighbor reads, is an RL009 error.  Over-declaring is sound and allowed.
+The scheduler skips a guard or violation-rule part after a change to a
+variable its :class:`~repro.runtime.actions.Reads` omits, and keeps a
+layer's cached residue after a change to anything its rule parts do not
+read, so an under-declared read leaves a stale answer in place without any
+error.  ``check_guard_locality`` raises on such a read when a part makes it
+(:class:`~repro.runtime.scheduler._CheckedPart`,
+:func:`~repro.runtime.scheduler.check_residue_reads`); the probe makes every
+part make its reads before any run does.
 
-Declarations are runtime values: STNO builds its own from the tree it runs
-over.  So the pass imports each analyzed module that declares reads or
-defines a residue, instantiates its protocol classes that take no
-arguments, and reads the declarations off their actions and rules on a
-small probe network.  Reads the static pass cannot see are not checked
-here, such as those made by helpers on other objects like
-``self._tree.children`` or variable names held in attributes;
-``check_guard_locality`` checks those at run time.  A part is keyed by the
-file and line of its predicate's definition, so a predicate of another
-module (the specification's SP2 part) is one site for every guard and rule
-that holds it.
+Declarations are runtime values (STNO builds its own from the tree it runs
+over), so the probe imports each analyzed module that defines a class and
+builds its :class:`~repro.runtime.protocol.Protocol` subclasses that take no
+arguments, plus, for ``core/dftno.py`` and ``core/stno.py``, the shipped
+stacks (DFTNO and STNO read their substrate's variables, so they run only
+inside one).  On each network of :data:`PROBE_NETWORKS` a protocol accepts,
+it compiles each node's program in ``check_guard_locality`` mode, then calls
+every distinct part at every node, and checks every leaf's residue, on
+:data:`SAMPLES` seeded random configurations.  A protocol that refuses a
+network, or cannot run its parts on its own configurations, with a
+:class:`~repro.errors.ReproError` is skipped there.
+
+Each :class:`~repro.errors.GuardLocalityError` becomes a finding (RL004 or
+RL008) anchored at the part's definition, once per part and declaration; a
+part that failed is not called again.  A declaration whose ``via`` pointer
+is missing from its own reads, or whose ``named_by`` pointer is missing from
+its neighbor reads, is an RL009 error.  Over-declaring is sound and allowed.
+The probe sees only the reads its samples make;
+``tests/lint/test_probe_coverage.py`` holds it to every read line of the
+shipped parts.
 """
 
 from __future__ import annotations
@@ -36,14 +36,48 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 from types import ModuleType
+from typing import Iterable
 
-from repro.errors import ReproError
+from repro.errors import GuardLocalityError, ReproError
+from repro.graphs import generators
+from repro.graphs.network import RootedNetwork
 from repro.lint.findings import Finding, severity_of
 from repro.runtime.actions import Not, Reads
+from repro.runtime.processor import GuardView
 from repro.runtime.protocol import Protocol
+from repro.runtime.scheduler import (
+    _CheckedPart,
+    check_residue_reads,
+    compile_program,
+    residue_reads,
+)
+
+#: The networks every protocol is probed on: a dense graph, a ring (all
+#: :class:`~repro.substrates.dijkstra_ring.DijkstraTokenRing` runs on) and a
+#: tree (all :class:`~repro.substrates.pif.PIFWave` runs on).
+PROBE_NETWORKS = (
+    generators.random_connected(8, seed=1),
+    generators.ring(6),
+    generators.random_tree(7, seed=1),
+)
+
+#: Seeded random configurations drawn per protocol and network.  Ten already
+#: run every read line of the shipped parts; twenty leave a margin.
+SAMPLES = 20
+
+#: Module -> the shipped stacks built when it is analyzed.
+_STACKS = {"repro.core.dftno": ("dftno",), "repro.core.stno": ("stno-bfs", "stno-dfs")}
+
+#: A module with no class statement defines no protocol and is not imported
+#: (a ``__main__`` module would run).
+_CLASS_RE = re.compile(r"^class ", re.MULTILINE)
+
+#: A checked part or residue: its definition site and its declared reads.
+Key = tuple[tuple[Path, int], Reads | frozenset[str] | None]
 
 
 def _import(path: Path) -> ModuleType | None:
@@ -73,80 +107,35 @@ def _import(path: Path) -> ModuleType | None:
     return module
 
 
-def _guard_site(guard: object) -> tuple[Path, int] | None:
-    """``(file, first line)`` of a guard part's code: the key static summaries share.
+def _guard_site(guard: object) -> tuple[Path, int]:
+    """``(file, first line)`` of a part's or a residue's code.
 
     A :class:`~repro.runtime.actions.Not` part's site is its predicate's.
     """
     if isinstance(guard, Not):
         guard = guard.predicate
-    function = getattr(guard, "__func__", guard)  # a bound method's function
-    code = getattr(function, "__code__", None)
-    if code is None:
-        return None
+    code = getattr(guard, "__func__", guard).__code__  # a bound method's function's
     return Path(code.co_filename).resolve(), code.co_firstlineno
 
 
-def _declarations(
-    paths: set[Path],
-) -> tuple[dict[tuple[Path, int], dict[Reads, set[str]]], dict[tuple[Path, str], frozenset[str]]]:
-    """Declared guard- and rule-part reads by site, and rule reads by ``(file, class)``.
-
-    A site maps each declaration made for it to the action or rule names
-    that made it (a predicate shared by several actions or parts may be
-    declared differently).  A class maps to every variable its rule parts
-    read, own or neighbor -- what its residue may read.
-    """
-    from repro.graphs import generators
-
-    network = generators.random_connected(8, seed=1)
-    guards: dict[tuple[Path, int], dict[Reads, set[str]]] = {}
-    legitimacy: dict[tuple[Path, str], frozenset[str]] = {}
-    for path in sorted(paths):
-        module = _import(path)
-        if module is None:
-            continue
-        for cls in vars(module).values():
-            if not (
-                isinstance(cls, type)
-                and issubclass(cls, Protocol)
-                and cls.__module__ == module.__name__
-                and not inspect.isabstract(cls)
-            ):
-                continue
-            try:
-                protocol = cls()
-                actions = [protocol.actions(network, node) for node in network.nodes()]
-                rules = [protocol.violation_rules(network, node) for node in network.nodes()]
-            except (TypeError, ValueError, ReproError):  # needs arguments or another topology
-                continue
-            declared = [
-                reads for program in rules for rule in program for _, reads in rule.guard_parts
-            ]
-            if declared and None not in declared:
-                legitimacy[(path, cls.__name__)] = frozenset().union(
-                    *(reads.own | reads.neighbor_reads for reads in declared)
-                )
-            for program in (*actions, *rules):
-                for action in program:
-                    for predicate, reads in action.guard_parts:
-                        site = _guard_site(predicate)
-                        if reads is not None and site is not None:
-                            names = guards.setdefault(site, {}).setdefault(reads, set())
-                            names.add(action.name)
-    return guards, legitimacy
+def _display(path: Path) -> str:
+    """``path`` relative to the working directory when it lies below it."""
+    try:
+        return str(path.relative_to(Path.cwd()))
+    except ValueError:
+        return str(path)
 
 
 def _finding(
-    path: str, line: int, owner: str, function: str, message: str, rule: str = "RL008"
+    site: tuple[Path, int], rule: str, message: str, layer: str, function: str
 ) -> Finding:
     return Finding(
         rule=rule,
-        path=path,
-        line=line,
+        path=_display(site[0]),
+        line=site[1],
         message=message,
         severity=severity_of(rule),
-        layer=owner,
+        layer=layer,
         function=function,
     )
 
@@ -170,82 +159,117 @@ def _unread_pointers(declared: Reads) -> list[str]:
     ]
 
 
-def check_reads(analyzer) -> tuple[list[Finding], int]:
-    """RL008 and RL009 findings for ``analyzer``'s modules, and the declarations checked.
+def _protocols(paths: Iterable[Path]) -> list[Protocol]:
+    """The protocols to probe: the no-argument classes of ``paths`` and their stacks."""
+    from repro.analysis.convergence import protocol_stack
 
-    ``analyzer`` is a finished static pass (:func:`~repro.lint.static.analyze_paths`).
-    """
-    paths = {
-        Path(summary.module).resolve() for summary in analyzer.summaries if summary.declares_reads
-    }
-    paths.update(Path(summary.module).resolve() for summary in analyzer.legitimacy_summaries)
-    guards, legitimacy = _declarations(paths)
-    # Each guard-part site once, with the first action summary that uses it
-    # (a gate shared by several actions is one site).
-    sites = {}
-    for summary in analyzer.summaries:
-        for part in summary.guard_parts:
-            sites.setdefault((Path(part.path).resolve(), part.line), (part, summary))
-    findings: list[Finding] = []
-    checked = 0
-    for site, (part, summary) in sites.items():
-        declared_at = guards.get(site, {})
-        for declared, names in sorted(declared_at.items(), key=lambda item: sorted(item[1])):
-            checked += 1
-            missing = []
-            if own := part.reads_own - declared.own:
-                missing.append(f"own {sorted(own)}")
-            if neighbor := part.reads_neighbor - declared.neighbor_reads:
-                missing.append(f"neighbor {sorted(neighbor)}")
-            if missing:
-                action = "/".join(sorted(names))
-                kind = "violation rule" if summary.rule else "guard of action"
-                findings.append(
-                    _finding(
-                        summary.module,
-                        summary.line,
-                        summary.owner,
-                        action,
-                        f"{kind} {action!r} (the part defined at "
-                        f"{Path(part.path).name}:{part.line}) reads "
-                        + " and ".join(missing)
-                        + " that its declared reads omit",
-                    )
-                )
-    for (path, line), declared_at in sorted(guards.items()):
-        part_summary = sites.get((path, line))
-        for declared, names in declared_at.items():
-            if misses := _unread_pointers(declared):
-                action = "/".join(sorted(names))
-                summary = part_summary[1] if part_summary else None
-                findings.append(
-                    _finding(
-                        summary.module if summary else str(path),
-                        summary.line if summary else line,
-                        summary.owner if summary else "",
-                        action,
-                        f"declared reads of {action!r} (the part defined at {path.name}:{line}): "
-                        + "; ".join(misses),
-                        rule="RL009",
-                    )
-                )
-    for summary in analyzer.legitimacy_summaries:
-        declared = legitimacy.get((Path(summary.module).resolve(), summary.owner))
-        if declared is None:
+    protocols: list[Protocol] = []
+    for path in sorted({Path(path).resolve() for path in paths}):
+        if not _CLASS_RE.search(path.read_text(encoding="utf-8")):
             continue
-        checked += 1
-        if missing := summary.reads - declared:
-            findings.append(
-                _finding(
-                    summary.module,
-                    summary.line,
-                    summary.owner,
-                    summary.method,
-                    f"{summary.method} reads {sorted(missing)} that none of the "
-                    "layer's violation rules declares",
-                )
+        module = _import(path)
+        if module is None:
+            continue
+        for cls in vars(module).values():
+            if not (
+                isinstance(cls, type)
+                and issubclass(cls, Protocol)
+                and cls.__module__ == module.__name__
+                and not inspect.isabstract(cls)
+            ):
+                continue
+            try:
+                protocols.append(cls())
+            except (TypeError, ValueError, ReproError):  # it needs arguments
+                continue
+        protocols.extend(protocol_stack(name)[0] for name in _STACKS.get(module.__name__, ()))
+    return protocols
+
+
+class _Probe:
+    """One probe run: its findings, and every part and residue it compiled."""
+
+    def __init__(self) -> None:
+        self.findings: list[Finding] = []
+        self.parts: dict[Key, _CheckedPart] = {}  # the first part compiled under each key
+        self.residues: set[Key] = set()
+        self.failed: set[Key] = set()
+
+    def _call(self, key: Key, check, *args) -> None:
+        """Run ``check(*args)`` unless ``key`` failed before; its error becomes a finding."""
+        if key in self.failed:
+            return
+        try:
+            check(*args)
+        except GuardLocalityError as exc:
+            self.failed.add(key)
+            self.findings.append(_finding(key[0], exc.rule, str(exc), exc.layer, exc.action))
+
+    def run(self, protocol: Protocol, network: RootedNetwork) -> None:
+        """Probe ``protocol`` on ``network``.
+
+        Raises :class:`~repro.errors.ReproError` when the protocol refuses
+        the network or cannot run its parts there.
+        """
+        leaves = tuple(dict.fromkeys(protocol.layers()))
+        compiled: dict[tuple, list] = {}
+        programs = []
+        for node in network.nodes():
+            actions = tuple(protocol.actions(network, node))
+            rules = tuple(tuple(leaf.violation_rules(network, node)) for leaf in leaves)
+            parts = compiled.get((actions, rules))
+            if parts is None:
+                _, walks, segments = compile_program(actions, rules, check_guard_locality=True)
+                steps = (*walks, *(rule for _, held, _ in segments for rule in held))
+                parts = compiled[actions, rules] = [
+                    ((_guard_site(part.predicate), part.declared), part)
+                    for part in dict.fromkeys(part for walk in steps for part, _, _ in walk)
+                ]
+                for key, part in parts:
+                    self.parts.setdefault(key, part)
+            programs.append((node, parts))
+        residues = []
+        for leaf in leaves:
+            declared = residue_reads(
+                rule for node in network.nodes() for rule in leaf.violation_rules(network, node)
             )
-    return findings, checked
+            residues.append(((_guard_site(leaf.legitimacy_residue), declared), leaf, declared))
+        self.residues.update(key for key, _, _ in residues)
+        for seed in range(SAMPLES):
+            configuration = protocol.random_configuration(network, seed=seed)
+            for node, parts in programs:
+                view = GuardView(node, network, configuration)
+                for key, part in parts:
+                    self._call(key, part, view)
+            for key, leaf, declared in residues:
+                self._call(key, check_residue_reads, leaf, network, configuration, declared)
+
+    def check_pointers(self) -> None:
+        """RL009 for each declaration whose pointer-directed reads omit their pointers."""
+        for key, part in self.parts.items():
+            if part.declared is not None and (misses := _unread_pointers(part.declared)):
+                names = "/".join(sorted({holder.name for holder in part.holders}))
+                layers = "/".join(sorted({holder.layer for holder in part.holders}))
+                message = f"declared reads of {names!r}: " + "; ".join(misses)
+                self.findings.append(_finding(key[0], "RL009", message, layers, names))
 
 
-__all__ = ["check_reads"]
+def check_reads(paths: Iterable[str | Path]) -> tuple[list[Finding], set[Key]]:
+    """RL004/RL008/RL009 findings of the probe over the modules at ``paths``, and what it checked.
+
+    ``paths`` are source files (:func:`~repro.lint.static.iter_source_files`).
+    The checked set holds each part's and residue's definition site with
+    its declared reads.
+    """
+    probe = _Probe()
+    for protocol in _protocols(Path(path) for path in paths):
+        for network in PROBE_NETWORKS:
+            try:
+                probe.run(protocol, network)
+            except ReproError:  # it refuses the network, or runs only in a stack
+                continue
+    probe.check_pointers()
+    return probe.findings, set(probe.parts) | probe.residues
+
+
+__all__ = ["PROBE_NETWORKS", "SAMPLES", "check_reads"]

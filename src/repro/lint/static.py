@@ -13,14 +13,10 @@ runs:
 * guards and statements -- plus every same-module helper they call with the
   view -- are walked through the :class:`~repro.runtime.processor.ProcessorView`
   API surface; a guard written ``all_of((predicate, reads), ...)`` is walked
-  part by part (a ``Not(predicate)`` part as ``predicate``), and each part's
-  reads are kept apart for RL008;
+  part by part (a ``Not(predicate)`` part as ``predicate``);
 * violations are reported as :class:`~repro.lint.findings.Finding` objects
   with rule ids ``RL001``..``RL006`` (see
-  :data:`~repro.lint.findings.RULES`);
-* the configuration reads of every layer's ``legitimacy_residue`` are
-  collected too, for the RL008 cross-check against what the layer's rules
-  read (:mod:`repro.lint.reads`).
+  :data:`~repro.lint.findings.RULES`).
 
 The analysis is deliberately *conservative*: a guard or helper it cannot
 resolve statically (a callable stored in a variable, a cross-object call like
@@ -28,9 +24,11 @@ resolve statically (a callable stored in a variable, a cross-object call like
 skipped, never flagged.  A method of an object ``__init__`` builds,
 ``self.<attr>.<method>`` after ``self.<attr> = Class(...)``, is resolved in
 ``Class``'s module, which may be another ``repro`` module.  False negatives
-are acceptable -- the dynamic tracker (``check_guard_locality`` /
-``REPRO_DEBUG_GUARDS``) backstops them -- false positives on shipped
-protocols are not.
+are acceptable -- the run-time tracker (``check_guard_locality`` /
+``REPRO_DEBUG_GUARDS``, which ``repro-lint`` also runs every part under:
+:mod:`repro.lint.reads`) backstops the read rules -- false positives on
+shipped protocols are not.  Whether a part's reads match its declared
+``Reads`` (RL008) is left to that run-time check alone.
 
 Escape hatch: a line carrying ``# repro-lint: disable=RL001`` (comma-separate
 several ids, or ``disable=all``) suppresses findings anchored to that line.
@@ -77,10 +75,6 @@ _RNG_METHODS = {
     "uniform",
     "gauss",
 }
-
-#: The legitimacy method whose configuration reads the static pass collects
-#: (``(self, network, configuration)``).
-_RESIDUE_METHOD = "legitimacy_residue"
 
 _DISABLE_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9,\s]+)")
 
@@ -324,46 +318,24 @@ class _Resolver:
 
 
 @dataclass
-class GuardPart:
-    """The static reads of one guard part: an ``all_of`` conjunct, or a plain guard."""
-
-    path: str = ""  # the file that defines the resolved predicate
-    line: int = 0  # first line of the resolved predicate's definition
-    reads_own: set[str] = field(default_factory=set)
-    reads_neighbor: set[str] = field(default_factory=set)
-
-
-@dataclass
 class ActionSummary:
-    """The statically-derived read/write footprint of one protocol action.
+    """The statically-derived read/write footprint of one protocol action or rule.
 
-    The machine-readable artifact the RL008 read-declaration cross-check
-    (:mod:`repro.lint.reads`, per guard part) and ``repro-lint --summary``
-    (:mod:`repro.lint.summary`, the guard's union) consume.
+    What ``repro-lint --summary`` (:mod:`repro.lint.summary`) writes out;
+    a guard's reads are the union over its resolved parts.
     """
 
     module: str
     owner: str  # enclosing class (or "<module>")
     action: str
     line: int
-    guard_parts: list[GuardPart] = field(default_factory=list)  # the resolved ones, in order
+    guard_reads_own: set[str] = field(default_factory=set)
+    guard_reads_neighbor: set[str] = field(default_factory=set)
     statement_reads_own: set[str] = field(default_factory=set)
     statement_reads_neighbor: set[str] = field(default_factory=set)
     writes: set[str] = field(default_factory=set)
     guard_resolved: bool = False  # every guard part resolved
     statement_resolved: bool = False
-    declares_reads: bool = False  # the Action(...) call passes ``reads=`` or an ``all_of``
-    rule: bool = False  # a violation Rule(...), which has no statement
-
-    @property
-    def guard_reads_own(self) -> set[str]:
-        """Own reads of the whole guard: the union over its parts."""
-        return set().union(*(part.reads_own for part in self.guard_parts))
-
-    @property
-    def guard_reads_neighbor(self) -> set[str]:
-        """Neighbor reads of the whole guard: the union over its parts."""
-        return set().union(*(part.reads_neighbor for part in self.guard_parts))
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -378,20 +350,6 @@ class ActionSummary:
             "guard_resolved": self.guard_resolved,
             "statement_resolved": self.statement_resolved,
         }
-
-
-@dataclass
-class LegitimacySummary:
-    """The statically found configuration reads of one ``legitimacy_residue``.
-
-    Reads whose variable name is not a resolvable constant are left out.
-    """
-
-    module: str
-    owner: str
-    method: str
-    line: int
-    reads: set[str] = field(default_factory=set)
 
 
 class _FunctionChecker(ast.NodeVisitor):
@@ -629,7 +587,6 @@ class _Analyzer:
         self.variable_universe: set[str] = set()
         self.findings: list[Finding] = []
         self.summaries: list[ActionSummary] = []
-        self.legitimacy_summaries: list[LegitimacySummary] = []
         self._seen_findings: set[tuple[str, str, int, int]] = set()
 
     def _module_resolver(self, module: str) -> _Resolver | None:
@@ -770,35 +727,20 @@ class _Analyzer:
             owner=scope.class_name or "<module>",
             action=action_name or f"<anonymous:{node.lineno}>",
             line=node.lineno,
-            declares_reads=any(keyword.arg == "reads" for keyword in node.keywords),
-            rule=rule,
             statement_resolved=rule,  # a rule has no statement to resolve
         )
         if guard_expr is not None:
-            predicates = _conjunct_predicates(guard_expr)
-            summary.declares_reads |= predicates is not None
-            predicates = predicates or [guard_expr]
-            for predicate in predicates:
-                part = GuardPart()
-                resolved = self._check_callable(
-                    predicate, scope, "guard", summary, (part.reads_own, part.reads_neighbor)
-                )
-                if resolved is None:
-                    continue
-                target, target_scope = resolved
-                # Where the compiled predicate's code starts (its first decorator).
-                part.path = target_scope.index.path
-                part.line = min(
-                    [target.lineno]
-                    + [decorator.lineno for decorator in getattr(target, "decorator_list", ())]
-                )
-                summary.guard_parts.append(part)
-            summary.guard_resolved = len(summary.guard_parts) == len(predicates)
+            guard_reads = (summary.guard_reads_own, summary.guard_reads_neighbor)
+            summary.guard_resolved = all(
+                [
+                    self._check_callable(predicate, scope, "guard", summary, guard_reads)
+                    for predicate in _conjunct_predicates(guard_expr) or [guard_expr]
+                ]
+            )
         if statement_expr is not None:
             statement_reads = (summary.statement_reads_own, summary.statement_reads_neighbor)
-            summary.statement_resolved = (
-                self._check_callable(statement_expr, scope, "statement", summary, statement_reads)
-                is not None
+            summary.statement_resolved = self._check_callable(
+                statement_expr, scope, "statement", summary, statement_reads
             )
         self.summaries.append(summary)
 
@@ -823,9 +765,8 @@ class _Analyzer:
                 )
                 summary.guard_resolved = True  # hooks have no guard of their own
                 statement_reads = (summary.statement_reads_own, summary.statement_reads_neighbor)
-                summary.statement_resolved = (
-                    self._check_callable(value_expr, scope, "statement", summary, statement_reads)
-                    is not None
+                summary.statement_resolved = self._check_callable(
+                    value_expr, scope, "statement", summary, statement_reads
                 )
                 if summary.statement_resolved:
                     self.summaries.append(summary)
@@ -837,54 +778,22 @@ class _Analyzer:
         kind: str,
         summary: ActionSummary,
         reads: tuple[set[str], set[str]],
-    ) -> tuple[ast.FunctionDef | ast.Lambda, _Scope] | None:
+    ) -> bool:
         """Check the callable ``expr`` resolves to, collecting its reads into
-        ``reads`` (own, neighbor); returns it and its scope (``None``: unresolved)."""
+        ``reads`` (own, neighbor); whether it resolved."""
         resolver = self.resolvers[scope.index.path]
         resolved = resolver.resolve_callable(expr, scope)
         if resolved is None:
-            return None
+            return False
         target, target_scope = resolved
         view_param = _first_view_param(target)
         checker = _FunctionChecker(self, target_scope, kind, view_param, summary, reads)
         checker.check(target.body)
-        return resolved
-
-    def collect_legitimacy_reads(self) -> None:
-        """``configuration.get``/``has`` reads of every class's ``legitimacy_residue``."""
-        for index in self.indexes.values():
-            resolver = self.resolvers[index.path]
-            for class_name, class_node in index.classes.items():
-                for method in class_node.body:
-                    if not isinstance(method, ast.FunctionDef) or method.name != _RESIDUE_METHOD:
-                        continue
-                    params = [arg.arg for arg in method.args.args]
-                    if len(params) < 3:
-                        continue
-                    configuration = params[2]
-                    scope = _Scope(index, class_name=class_name, function_stack=(method,))
-                    summary = LegitimacySummary(
-                        module=index.path, owner=class_name, method=method.name, line=method.lineno
-                    )
-                    for call in ast.walk(method):
-                        if not (
-                            isinstance(call, ast.Call)
-                            and isinstance(call.func, ast.Attribute)
-                            and call.func.attr in ("get", "has")
-                            and isinstance(call.func.value, ast.Name)
-                            and call.func.value.id == configuration
-                            and len(call.args) >= 2
-                        ):
-                            continue
-                        name = resolver.resolve_string(call.args[1], scope)
-                        if name is not None:
-                            summary.reads.add(name)
-                    self.legitimacy_summaries.append(summary)
+        return True
 
     def run(self) -> None:
         self.collect_variables()
         self.check_actions()
-        self.collect_legitimacy_reads()
         self.findings.sort(key=lambda f: (f.path, f.line, f.rule))
 
 
@@ -967,11 +876,6 @@ def analyze_paths(paths: Iterable[str | Path]) -> _Analyzer:
     return analyzer
 
 
-def lint_paths(paths: Iterable[str | Path]) -> list[Finding]:
-    """The findings of a static pass over ``paths`` (files or directories)."""
-    return analyze_paths(paths).findings
-
-
 #: Protocol name -> the source modules that define its layers.  Used by the
 #: ``repro-campaign run --lint`` pre-flight to lint exactly the substrates a
 #: grid references.  Token circulation rides along with every stack that can
@@ -1011,10 +915,7 @@ def modules_for_protocols(protocols: Iterable[str]) -> list[Path]:
 
 __all__ = [
     "ActionSummary",
-    "GuardPart",
-    "LegitimacySummary",
     "analyze_paths",
     "iter_source_files",
-    "lint_paths",
     "modules_for_protocols",
 ]

@@ -51,9 +51,9 @@ class Reads:
 
     The scheduler keeps a shadow of every declared pointer with a reverse
     index (target -> holders) to find those processors.  Over-declaring is
-    sound; under-declaring is caught by ``repro-lint`` and, at run time, by
-    ``check_guard_locality`` (rule RL008, which also holds a pointer-directed
-    read to the neighbor its pointer picks out).  Build declarations once
+    sound; under-declaring is caught by ``check_guard_locality`` (rule
+    RL008, which also holds a pointer-directed read to the neighbor its
+    pointer picks out), at run time and in ``repro-lint``'s read probe.  Build declarations once
     (module or instance constants), not per node.
     """
 

@@ -146,10 +146,6 @@ class Configuration:
                 if added:
                     self._dirty[node] = known + added
 
-    def apply_writes(self, node: int, values: Mapping[str, Any]) -> dict[str, tuple[Any, Any]]:
-        """Apply one move's writes at ``node``: :meth:`apply_step` of that one move."""
-        return self.apply_step(((node, values),))[0]
-
     def apply_step(
         self, moves: Iterable[tuple[int, Mapping[str, Any]]]
     ) -> list[dict[str, tuple[Any, Any]]]:
@@ -193,7 +189,7 @@ class Configuration:
     def replace_node(self, node: int, values: Mapping[str, Any]) -> None:
         """Replace the *whole* local state of ``node``.
 
-        Unlike :meth:`apply_writes` this drops variables absent from
+        Unlike :meth:`apply_step` this drops variables absent from
         ``values`` -- needed when a topology change alters which variables a
         processor's program declares (e.g. per-neighbor maps).
         """

@@ -32,10 +32,6 @@ class ExecutionMetrics:
     moves_per_action: dict[str, int] = field(default_factory=dict)
     moves_per_layer: dict[str, int] = field(default_factory=dict)
 
-    def record_move(self, node: int, action: str, layer: str) -> None:
-        """Account for one executed action."""
-        self.record_moves(((node, action, layer, None),))
-
     def record_moves(self, moves: Iterable[Sequence[Any]]) -> None:
         """Account for executed actions, each a ``(node, action, layer, changes)`` move.
 

@@ -40,7 +40,12 @@ from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import Daemon, DistributedDaemon
 from repro.runtime.metrics import ExecutionMetrics
 from repro.runtime.observers import MetricsObserver, Observer, dispatch_safely
-from repro.runtime.processor import GuardView, ProcessorView, TrackingGuardView
+from repro.runtime.processor import (
+    GuardView,
+    ProcessorView,
+    TrackingGuardView,
+    _ReadTrackingConfiguration,
+)
 from repro.runtime.protocol import Protocol
 
 
@@ -139,9 +144,10 @@ def _check_guard_reads(
     """Raise :class:`GuardLocalityError` for a read a guard or rule part may not make.
 
     The error names every holder of the part, joined with ``/`` in sorted
-    order (as ``repro-lint`` names a shared part's site), and their layers
-    alike.  A pointer-directed read (``via``/``named_by``) is allowed only
-    at the neighbor its pointer picks out in ``configuration``.
+    order, and their layers alike; ``repro-lint``'s read probe reports the
+    error under those names.  A pointer-directed read
+    (``via``/``named_by``) is allowed only at the neighbor its pointer
+    picks out in ``configuration``.
     """
     rules = [isinstance(holder, Rule) for holder in holders]
     kind = (
@@ -210,6 +216,49 @@ def _check_guard_reads(
             rule="RL008",
             reads=undeclared,
         )
+
+
+def residue_reads(rules: Iterable[Rule]) -> frozenset[str] | None:
+    """What a leaf's residue may read: every variable its rule parts declare.
+
+    ``None`` (anything) when the leaf states no rules or a part declares
+    nothing; the scheduler then re-checks the residue after any change.
+    """
+    declared = {reads for rule in rules for _, reads in rule.guard_parts}
+    if not declared or None in declared:
+        return None
+    return frozenset().union(*(reads.own | reads.neighbor_reads for reads in declared))
+
+
+def check_residue_reads(
+    leaf: Protocol,
+    network: RootedNetwork,
+    configuration: Configuration,
+    declared: frozenset[str] | None,
+) -> bool:
+    """``leaf``'s residue on ``configuration``; RL008 for a read outside ``declared``.
+
+    The scheduler keeps a cached residue until a change to a variable
+    :func:`residue_reads` names, so the residue may read nothing else.  The
+    residue runs on a read-tracking configuration; ``declared=None`` allows
+    anything and runs it untracked.
+    """
+    if declared is None:
+        return leaf.legitimacy_residue(network, configuration)
+    reads: set[tuple[int, str]] = set()
+    holds = leaf.legitimacy_residue(network, _ReadTrackingConfiguration(configuration, reads))
+    undeclared = sorted((node, name) for node, name in reads if name not in declared)
+    if undeclared:
+        raise GuardLocalityError(
+            f"undeclared residue read (RL008): legitimacy_residue of layer {leaf.name!r} "
+            f"read {sorted({name for _, name in undeclared})}, which none of its violation "
+            f"rules' declared reads ({sorted(declared)}) covers",
+            layer=leaf.name,
+            action="legitimacy_residue",
+            rule="RL008",
+            reads=undeclared,
+        )
+    return holds
 
 
 #: A compiled rule segment: ``(leaf slot, rule steps, bit mask)``.
@@ -467,8 +516,11 @@ class Scheduler:
         :class:`~repro.errors.ProtocolError`, carrying the layer, action and
         offending variables) if a guard or violation rule reads outside its
         closed neighborhood (rule RL004) or outside its part's declared
-        reads (RL008) -- the invariants the stale-bit marking relies on.
-        Defaults to the ``REPRO_DEBUG_GUARDS`` environment variable.
+        reads (RL008), or if a leaf's ``legitimacy_residue`` reads a
+        variable none of its rule parts declares (RL008,
+        :func:`check_residue_reads`) -- the invariants the stale-bit marking
+        and the residue cache rely on.  Defaults to the
+        ``REPRO_DEBUG_GUARDS`` environment variable.
     instrumentation:
         An :class:`~repro.obs.Instrumentation` registry the step loop feeds
         with phase timers (guard-eval, daemon-select, action-exec,
@@ -699,8 +751,8 @@ class Scheduler:
         tables: dict[tuple[Reads | None, ...], int] = {}
         # Keyed by the actions and rules themselves (equal ones compile alike).
         compiled: dict[tuple, tuple] = {}
-        # Per leaf: what its rule parts read (``None``: anything).
-        declared: list[set[Reads | None]] = [set() for _ in leaves]
+        # Per leaf: its rules at every node, for what its residue may read.
+        declared: list[list[Rule]] = [[] for _ in leaves]
         self._table: list[int] = []
         self._walks: list[tuple[tuple[Step, ...], ...]] = []
         self._rule_walks: list[tuple[Segment, ...]] = []
@@ -711,9 +763,7 @@ class Scheduler:
             if entry is None:
                 parts, walks, segments = compile_program(actions, rules, check)
                 for slot, _, _ in segments:
-                    declared[slot].update(
-                        reads for rule in rules[slot] for _, reads in rule.guard_parts
-                    )
+                    declared[slot].extend(rules[slot])
                 table = tables.setdefault(parts, len(tables))
                 entry = compiled[actions, rules] = (table, walks, segments)
             table, walks, segments = entry
@@ -721,12 +771,7 @@ class Scheduler:
             self._walks.append(walks)
             self._rule_walks.append(segments)
         self._tables: tuple[tuple[Reads | None, ...], ...] = tuple(tables)
-        residue_reads = tuple(
-            None
-            if not reads or None in reads
-            else frozenset().union(*(read.own | read.neighbor_reads for read in reads))
-            for reads in declared
-        )
+        residues = tuple(map(residue_reads, declared))
         # The pointers some part reads through: the shadow (_invalidate_enabled) follows them.
         self._pointers: tuple[str, ...] = tuple(
             sorted(
@@ -739,14 +784,14 @@ class Scheduler:
                 }
             )
         )
-        key = (self._tables, residue_reads)
+        key = (self._tables, residues)
         memo = _STALE_MASKS.get(key)
         if memo is None:
             if len(_STALE_MASKS) >= _STALE_MASK_TABLES:
                 _STALE_MASKS.clear()
             memo = _STALE_MASKS[key] = {}
         self._mask_memo = memo
-        self._residue_reads = residue_reads
+        self._residue_reads = residues
 
     def _drain(self) -> None:
         """Mark stale the guard and rule parts the journaled changes can flip.
@@ -964,10 +1009,14 @@ class Scheduler:
         return len(violating) + (not all(map(self._residue, range(len(self._leaves)))))
 
     def _residue(self, slot: int) -> bool:
+        """Leaf ``slot``'s residue, cached; its reads checked in ``check_guard_locality`` mode."""
         holds = self._residues.get(slot)
         if holds is None:
-            holds = self._residues[slot] = self._leaves[slot].legitimacy_residue(
-                self.network, self.configuration
+            holds = self._residues[slot] = check_residue_reads(
+                self._leaves[slot],
+                self.network,
+                self.configuration,
+                self._residue_reads[slot] if self.check_guard_locality else None,
             )
         return holds
 
@@ -1343,6 +1392,8 @@ __all__ = [
     "Scheduler",
     "RunResult",
     "StepRecord",
+    "check_residue_reads",
     "compile_program",
     "evaluate_guards",
+    "residue_reads",
 ]

@@ -74,8 +74,8 @@ VAR_LEVEL = "tc_lvl"
 
 _ALL = frozenset({VAR_STATE, VAR_WAVE, VAR_PARENT, VAR_CHILD, VAR_LEVEL})
 
-# What each guard part reads (``all_of`` parts);
-# ``repro-lint`` holds them to the parts' statically derived read sets (RL008).
+# What each guard part reads (``all_of`` parts); ``check_guard_locality``
+# and ``repro-lint``'s read probe hold each part's reads to them (RL008).
 _NORMALIZE_READS = Reads(own=frozenset({VAR_PARENT, VAR_LEVEL}))
 #: ``_level_out_of_range``.
 _LEVEL_READS = Reads(own=frozenset({VAR_LEVEL}))

@@ -1,16 +1,24 @@
-"""The read-declaration cross-check (rule RL008, part of the default run)."""
+"""The read-declaration probe (rules RL008 and RL009, part of the default run)."""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.errors import GuardLocalityError
 from repro.graphs import generators
-from repro.lint import RULES, analyze_paths
+from repro.lint import RULES, analyze_paths, iter_source_files, lint_paths
 from repro.lint.cli import main
-from repro.lint.reads import check_reads
+from repro.lint.reads import PROBE_NETWORKS, SAMPLES, check_reads
+from repro.runtime.actions import Reads
+from repro.runtime.processor import TrackingGuardView
+from repro.runtime.scheduler import Scheduler
 from repro.substrates.token_circulation import DepthFirstTokenCirculation
+from tests.lint.fixtures.residue_underdeclared import ResidueUnderdeclared
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PACKAGE = Path(repro.__file__).parent
@@ -22,52 +30,82 @@ def test_rl008_in_rule_catalog() -> None:
     assert "declared reads" in description
 
 
-def test_shipped_declarations_cover_their_static_reads() -> None:
-    findings, checked = check_reads(analyze_paths([PACKAGE]))
+def test_the_probe_checks_every_shipped_part_and_residue() -> None:
+    findings, checked = check_reads(iter_source_files([PACKAGE]))
     assert findings == []
-    # 19 guard- and rule-part sites (token 9, DFTNO 1, STNO 3, BFS tree 3,
-    # DFS overlay 1, and the specification's 2: the name-range rule and the
-    # SP2 part both orientation layers' edge-label guards and rules share;
-    # a gate shared by several guards and rules is one site, and a negated
-    # part is its predicate's) and 2 residues (DFTNO, STNO).
-    assert checked == 21
-
-
-def test_token_guards_declare_exactly_their_static_reads() -> None:
-    analyzer = analyze_paths([PACKAGE / "substrates" / "token_circulation.py"])
-    static = {
-        summary.action: [(part.reads_own, part.reads_neighbor) for part in summary.guard_parts]
-        for summary in analyzer.summaries
-        if summary.owner == "DepthFirstTokenCirculation"
+    declared = {site for site, reads in checked if isinstance(reads, Reads)}
+    # 19 declared guard- and rule-part sites (token 9, DFTNO 1, STNO 3, BFS
+    # tree 3 and DFS overlay 1 in spanning_tree.py, and the specification's
+    # 2: the name-range rule and the SP2 part both orientation layers'
+    # edge-label guards and rules share; a gate shared by several guards and
+    # rules is one site, and a negated part is its predicate's), and PIF's 3.
+    assert Counter(path.name for path, _ in declared) == {
+        "token_circulation.py": 9,
+        "dftno.py": 1,
+        "stno.py": 3,
+        "spanning_tree.py": 4,
+        "specification.py": 2,
+        "pif.py": 3,
     }
-    network = generators.random_connected(8, seed=1)
+    # Every part of PIF (on the tree) and of Dijkstra's ring (on the ring),
+    # declared or not.
+    sites = Counter(path.name for path, _ in {site for site, _ in checked})
+    assert sites["pif.py"] == 9
+    assert sites["dijkstra_ring.py"] == 2 + 1  # two guards and the residue
+    # STNO's declarations name the tree under it: each part is checked over both.
+    stno = Counter(site for site, reads in checked if site[0].name == "stno.py")
+    assert sorted(stno.values()) == [1, 2, 2, 2]  # the residue, then the three parts
+    # The DFTNO and STNO residues, against what their rules declare.
+    residues = {site[0].name for site, reads in checked if isinstance(reads, frozenset)}
+    assert {"dftno.py", "stno.py"} <= residues
+
+
+def test_token_parts_declare_exactly_the_reads_the_probe_observes() -> None:
     token = DepthFirstTokenCirculation()
-    # Actions and violation rules alike.
-    declared = {
-        action.name: [(reads.own, reads.neighbor_reads) for _, reads in action.guard_parts]
-        for node in network.nodes()
-        for action in (*token.actions(network, node), *token.violation_rules(network, node))
-    }
-    assert len(declared) == 9 + 4
-    assert sum(map(len, declared.values())) == 22 + 6
-    assert declared == static
+    # (action or rule, part index) -> observed own and neighbor reads, declared reads.
+    observed: dict[tuple[str, int], tuple[set[str], set[str], Reads]] = {}
+    for network in PROBE_NETWORKS:
+        for seed in range(SAMPLES):
+            configuration = token.random_configuration(network, seed=seed)
+            for node in network.nodes():
+                # Actions and violation rules alike.
+                for owner in (*token.actions(network, node), *token.violation_rules(network, node)):
+                    for index, (predicate, reads) in enumerate(owner.guard_parts):
+                        view = TrackingGuardView(node, network, configuration)
+                        predicate(view)
+                        own, neighbor, _ = observed.setdefault(
+                            (owner.name, index), (set(), set(), reads)
+                        )
+                        for source, name in view.read_variables:
+                            (own if source == node else neighbor).add(name)
+    assert len({name for name, _ in observed}) == 9 + 4
+    assert len(observed) == 22 + 6
+    for key, (own, neighbor, reads) in observed.items():
+        assert (own, neighbor) == (reads.own, reads.neighbor_reads), key
 
 
 def test_underdeclared_fixture_fires_rl008_three_times(capsys) -> None:
     assert main([str(FIXTURES / "reads_underdeclared.py"), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert [finding["rule"] for finding in payload] == ["RL008", "RL008", "RL008"]
-    guard, part, conjunct = payload
-    assert guard["function"] == "RU-Copy"
-    assert "neighbor ['ru_x']" in guard["message"]
+    findings = {finding["function"]: finding for finding in payload}
+    assert sorted(findings) == ["RU-Below", "RU-Copy", "RU-Raise"]
+    assert "neighbor 'ru_x'" in findings["RU-Copy"]["message"]
     # The first part declares the neighbor read; the second part's own
     # declaration must cover it all the same.
-    assert part["function"] == "RU-Raise"
-    assert "neighbor ['ru_x']" in part["message"]
-    assert conjunct["function"] == "RU-Below"
-    assert "violation rule" in conjunct["message"]
-    assert "neighbor ['ru_x']" in conjunct["message"]
+    assert "neighbor 'ru_x'" in findings["RU-Raise"]["message"]
+    assert "violation rule" in findings["RU-Below"]["message"]
+    assert "neighbor 'ru_x'" in findings["RU-Below"]["message"]
     assert all(finding["line"] > 0 for finding in payload)
+
+
+def test_lint_paths_reports_the_probes_findings() -> None:
+    findings = lint_paths([FIXTURES / "reads_underdeclared.py"])
+    assert sorted((finding.rule, finding.function) for finding in findings) == [
+        ("RL008", "RU-Below"),
+        ("RL008", "RU-Copy"),
+        ("RL008", "RU-Raise"),
+    ]
 
 
 def test_an_underdeclared_negated_part_fires_rl008(capsys) -> None:
@@ -78,7 +116,7 @@ def test_an_underdeclared_negated_part_fires_rl008(capsys) -> None:
     assert [(finding["rule"], finding["function"]) for finding in payload] == [
         ("RL008", "RN-Raise")
     ]
-    assert "neighbor ['rn_x']" in payload[0]["message"]
+    assert "neighbor 'rn_x'" in payload[0]["message"]
     assert analyze_paths([fixture]).findings == []
 
 
@@ -109,13 +147,13 @@ def test_a_neighbor_read_through_a_view_alias_fires_rl008(capsys) -> None:
     payload = json.loads(capsys.readouterr().out)
     # ``read_neighbor = view.read_neighbor`` (guard) and a tuple-unpacked
     # alias (rule), each under a declaration without the neighbor read.
-    assert [(finding["rule"], finding["function"]) for finding in payload] == [
-        ("RL008", "RA-Copy"),
+    assert sorted((finding["rule"], finding["function"]) for finding in payload) == [
         ("RL008", "RA-Below"),
+        ("RL008", "RA-Copy"),
     ]
-    assert all("neighbor ['ra_x']" in finding["message"] for finding in payload)
-    # The message names the file that defines the part, not only its line.
-    assert all("reads_aliased_underdeclared.py:" in finding["message"] for finding in payload)
+    assert all("neighbor 'ra_x'" in finding["message"] for finding in payload)
+    # Each finding is anchored at the file that defines the part.
+    assert all(finding["path"].endswith("reads_aliased_underdeclared.py") for finding in payload)
     assert analyze_paths([fixture]).findings == []
 
 
@@ -130,21 +168,26 @@ def test_the_orientation_rule_reads_its_neighbors_through_an_alias() -> None:
 
 def test_the_edge_label_guards_resolve_the_specifications_sp2_part() -> None:
     # ``self._specification.sp2_violated``: a method of the class ``__init__``
-    # assigns to the attribute, imported from another module; both guards
-    # and the rule share its one site in core/specification.py.
-    analyzer = analyze_paths([PACKAGE / "core" / "dftno.py", PACKAGE / "core" / "stno.py"])
-    label_parts = {
-        summary.action: summary.guard_parts[-1]
-        for summary in analyzer.summaries
+    # assigns to the attribute, imported from another module.
+    paths = [PACKAGE / "core" / "dftno.py", PACKAGE / "core" / "stno.py"]
+    label_guards = [
+        summary
+        for summary in analyze_paths(paths).summaries
         if summary.action in ("NO-EdgeLabel", "STNO-EdgeLabel")
-    }
-    assert len(label_parts) == 2
-    for part in label_parts.values():
-        assert Path(part.path).resolve() == (PACKAGE / "core" / "specification.py").resolve()
-        assert (part.reads_own, part.reads_neighbor) == ({"no_eta", "no_pi"}, {"no_eta"})
-    assert len({part.line for part in label_parts.values()}) == 1
-    findings, _ = check_reads(analyzer)
+    ]
+    assert len(label_guards) == 2
+    for summary in label_guards:
+        assert summary.guard_resolved
+        assert {"no_eta", "no_pi"} <= summary.guard_reads_own
+        assert "no_eta" in summary.guard_reads_neighbor
+    # Both guards and both layers' rules share the part's one site in
+    # core/specification.py, checked under its one declaration.
+    findings, checked = check_reads(paths)
     assert findings == []
+    specification = {
+        (site, reads) for site, reads in checked if site[0].name == "specification.py"
+    }
+    assert len(specification) == 2  # the SP2 part and the name-range rule
 
 
 def test_rl009_in_rule_catalog() -> None:
@@ -183,5 +226,47 @@ def test_pointer_directed_reads_count_as_neighbor_reads() -> None:
     _, stacked = error.guard_parts[1]
     assert stacked.neighbor == frozenset()
     assert stacked.neighbor_reads == {"tc_st", "tc_child", "tc_wave", "tc_lvl", "tc_par"}
-    findings, _ = check_reads(analyze_paths([PACKAGE / "substrates" / "token_circulation.py"]))
+    findings, _ = check_reads([PACKAGE / "substrates" / "token_circulation.py"])
     assert findings == []
+
+
+def test_a_ring_only_layer_is_probed_on_the_ring(capsys) -> None:
+    # The layer refuses the dense and the tree probe networks.
+    assert main([str(FIXTURES / "reads_ring_underdeclared.py"), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(finding["rule"], finding["function"]) for finding in payload] == [
+        ("RL008", "RR-Copy")
+    ]
+    assert "neighbor 'rr_x'" in payload[0]["message"]
+
+
+def test_a_residue_reading_past_its_rules_fires_rl008(capsys) -> None:
+    fixture = FIXTURES / "residue_underdeclared.py"
+    assert main([str(fixture), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(finding["rule"], finding["function"]) for finding in payload] == [
+        ("RL008", "legitimacy_residue")
+    ]
+    assert "['rd_mark']" in payload[0]["message"]
+    assert payload[0]["layer"] == "residue-underdeclared"
+    assert analyze_paths([fixture]).findings == []
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_the_scheduler_checks_residue_reads_in_debug_mode(check: bool) -> None:
+    network = generators.ring(5)
+    protocol = ResidueUnderdeclared()
+    scheduler = Scheduler(
+        network,
+        protocol,
+        seed=1,
+        configuration=protocol.initial_configuration(network),
+        check_guard_locality=check,
+    )
+    if not check:
+        assert scheduler.legitimate()
+        return
+    with pytest.raises(GuardLocalityError) as excinfo:
+        scheduler.legitimate()
+    assert (excinfo.value.rule, excinfo.value.action) == ("RL008", "legitimacy_residue")
+    assert {name for _, name in excinfo.value.reads} == {"rd_mark"}

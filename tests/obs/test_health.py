@@ -235,10 +235,10 @@ def test_configuration_fingerprint_tracks_state():
     config = protocol.initial_configuration(network)
     before = configuration_fingerprint(config)
     assert before == configuration_fingerprint(config)
-    config.apply_writes(0, {"bit": 1})
+    config.apply_step(((0, {"bit": 1}),))
     after = configuration_fingerprint(config)
     assert after != before
-    config.apply_writes(0, {"bit": 0})
+    config.apply_step(((0, {"bit": 0}),))
     assert configuration_fingerprint(config) == before
 
 

@@ -50,8 +50,8 @@ def test_configuration_copy_is_deep(config):
     assert config.get(1, "x") == 2
 
 
-def test_configuration_apply_writes_and_state_of(config):
-    config.apply_writes(1, {"x": 7, "y": 8})
+def test_configuration_apply_step_and_state_of(config):
+    config.apply_step(((1, {"x": 7, "y": 8}),))
     assert config.get(1, "y") == 8
     state = config.state_of(1)
     state["x"] = 0

@@ -93,11 +93,10 @@ def test_corrupt_configuration_rejects_bad_fractions(small_ring):
 # ----------------------------------------------------------------------
 def test_execution_metrics_record_and_merge():
     a = ExecutionMetrics()
-    a.record_move(1, "A", "layer1")
-    a.record_move(1, "A", "layer1")
-    a.record_move(2, "B", "layer2")
+    a.record_moves([(1, "A", "layer1", None), (1, "A", "layer1", None)])
+    a.record_moves([(2, "B", "layer2", None)])
     b = ExecutionMetrics(steps=3, rounds=1)
-    b.record_move(1, "B", "layer2")
+    b.record_moves([(1, "B", "layer2", None)])
     a.merge(b)
     assert a.moves == 4
     assert a.moves_per_node == {1: 3, 2: 1}

@@ -31,21 +31,20 @@ def test_journal_marks_only_real_changes():
     config.set(0, "x", 1)  # same value: no change
     assert config.drain_dirty() == {}
     config.set(0, "x", 5)
-    assert config.apply_writes(1, {"x": 2}) == {}  # same value: no change
+    assert config.apply_step(((1, {"x": 2}),)) == [{}]  # same value: no change
     assert config.drain_dirty() == {0: ("x",)}
     assert config.drain_dirty() == {}
 
 
-def test_apply_writes_reports_changes_and_journals_slot_creation():
+def test_apply_step_reports_changes_and_journals_slot_creation():
     config = Configuration({0: {"x": 1}})
     config.drain_dirty()
-    changes = config.apply_writes(0, {"x": 2, "y": 7})
+    (changes,) = config.apply_step(((0, {"x": 2, "y": 7}),))
     assert changes == {"x": (1, 2), "y": (None, 7)}
     assert config.drain_dirty() == {0: ("x", "y")}
     # Creating a slot holding None is invisible to MoveRecord changes
     # (historical semantics) but still journals the node for guard refresh.
-    changes = config.apply_writes(0, {"z": None})
-    assert changes == {}
+    assert config.apply_step(((0, {"z": None}),)) == [{}]
     assert config.drain_dirty() == {0: ("z",)}
 
 

@@ -40,7 +40,7 @@ STACKS = ("dftno", "stno-bfs", "stno-dfs")
 def test_journal_unions_variables_of_one_node():
     config = Configuration({0: {"x": 1, "y": 1}, 1: {"x": 1}})
     config.set(0, "x", 2)
-    config.apply_writes(0, {"y": 2, "x": 3})
+    config.apply_step(((0, {"y": 2, "x": 3}),))
     config.set(1, "x", 2)
     assert config.drain_dirty() == {0: ("x", "y"), 1: ("x",)}
     assert config.drain_dirty() == {}

@@ -6,9 +6,10 @@ constructors, and :class:`~repro.runtime.observers.MetricsObserver` counts
 its moves in one :meth:`ExecutionMetrics.record_moves` pass.  The BFS and
 STNO helpers read ``n`` once per call and cap with a conditional instead of
 ``min``.  These tests pin each cut to the form it replaced: the same
-changes and journal as per-move :meth:`Configuration.apply_writes`, the same
-record types, the same metrics as the reference interpreter and as
-per-move :meth:`ExecutionMetrics.record_move`, and the same guard values and
+changes and journal as one one-move :meth:`Configuration.apply_step` call
+per move, the same record types, the same metrics as the reference
+interpreter and as one one-move :meth:`ExecutionMetrics.record_moves` call
+per move, and the same guard values and
 writes as inline copies of the old formulas, on in-domain and out-of-domain
 states.
 """
@@ -55,7 +56,7 @@ STEP = (
 def test_one_apply_call_equals_the_moves_applied_one_by_one():
     batched, single = _configuration(), _configuration()
     applied = batched.apply_step(STEP)
-    one_by_one = [single.apply_writes(node, writes) for node, writes in STEP]
+    one_by_one = [single.apply_step(((node, writes),))[0] for node, writes in STEP]
     assert applied == one_by_one
     assert batched == single
     dirty_batched, dirty_single = batched.drain_dirty(), single.drain_dirty()
@@ -82,11 +83,11 @@ def test_apply_step_changes_and_journal():
     assert configuration.drain_dirty() == {}
 
 
-def test_apply_writes_is_the_one_move_step():
+def test_a_one_move_step_changes_and_journal():
     configuration = _configuration()
-    assert configuration.apply_writes(0, {"a": 1, "b": 2}) == {}
+    assert configuration.apply_step(((0, {"a": 1, "b": 2}),)) == [{}]
     assert configuration.drain_dirty() == {}
-    assert configuration.apply_writes(0, {"b": 3, "new": None}) == {"b": (2, 3)}
+    assert configuration.apply_step(((0, {"b": 3, "new": None}),)) == [{"b": (2, 3)}]
     assert configuration.drain_dirty() == {0: ("b", "new")}
 
 
@@ -136,7 +137,7 @@ def test_metrics_equal_the_reference_and_a_per_move_count(stack, daemon):
         if record is None:
             break
         for move in record.moves:
-            recount.record_move(move.node, move.action, move.layer)
+            recount.record_moves((move,))
     metrics, reference = (core.metrics for core in cores)
     assert metrics.moves > 0
     assert metrics == reference
