@@ -1,10 +1,10 @@
 """``repro-lint``: protocol verifier.
 
 Runs the static AST pass (rules RL001-RL006) over the given
-files/directories, then the read-declaration probe (RL008, RL009), which
-runs every guard part, rule part and residue of the protocols they define
-under the run-time read check, and prints findings (exit 1 when any are
-found)::
+files/directories, then the read-declaration probe (RL004, RL008, RL009),
+which runs every guard part, rule part and residue of the protocols they
+define under the run-time read check, and prints findings, the probe's under
+their own ``read probe`` title (exit 1 when any are found)::
 
     repro-lint src/repro                       # lint everything
     repro-lint --protocols dftno stno-bfs      # lint just those layers' modules
@@ -21,15 +21,24 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.lint.findings import Finding, findings_to_json, format_findings
+from repro.lint.findings import Finding, findings_to_json, format_sections
 from repro.lint.reads import check_reads
 from repro.lint.static import analyze_paths, iter_source_files, modules_for_protocols
 
 
 def lint_paths(paths: Iterable[str | Path]) -> list[Finding]:
     """Everything ``repro-lint`` reports for ``paths`` (files or directories), sorted."""
+    static, probe = _passes(paths)
+    return _sorted(static + probe)
+
+
+def _passes(paths: Iterable[str | Path]) -> tuple[list[Finding], list[Finding]]:
+    """The static pass's findings and the read probe's for ``paths``, each sorted."""
     files = iter_source_files(paths)
-    findings = analyze_paths(files).findings + check_reads(files)[0]
+    return _sorted(analyze_paths(files).findings), _sorted(check_reads(files)[0])
+
+
+def _sorted(findings: Iterable[Finding]) -> list[Finding]:
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule))
 
 
@@ -74,16 +83,16 @@ def _run_static(args: argparse.Namespace) -> int:
     if missing:
         print(f"repro-lint: no such path: {missing[0]}", file=sys.stderr)
         return 2
-    findings = lint_paths(paths)
+    static, probe = _passes(paths)
     if args.summary:
         from repro.lint.summary import write_summary
 
         write_summary(paths, args.summary)
     if args.format == "json":
-        print(findings_to_json(findings))
+        print(findings_to_json(_sorted(static + probe)))
     else:
-        print(format_findings(findings, title="static analysis"))
-    return 1 if findings else 0
+        print(format_sections((("static analysis", static), ("read probe", probe))))
+    return 1 if static or probe else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -79,18 +79,26 @@ def finding_from_guard_error(exc: GuardLocalityError, path: str = "<runtime>") -
 
 def format_findings(findings: Sequence[Finding], title: str | None = None) -> str:
     """Human-readable findings table (one ``path:line: RULE ...`` per line)."""
+    return format_sections(((title, findings),))
+
+
+def format_sections(sections: Iterable[tuple[str | None, Sequence[Finding]]]) -> str:
+    """A :func:`format_findings` table per section with findings, then one total line."""
+    lines = []
+    findings: list[Finding] = []
+    for title, group in sections:
+        if group and title:
+            lines.append(title)
+        for finding in group:
+            context = "/".join(part for part in (finding.layer, finding.function) if part)
+            suffix = f" [{context}]" if context else ""
+            lines.append(
+                f"{finding.location()}: {finding.rule} {finding.severity}: "
+                f"{finding.message}{suffix}"
+            )
+        findings.extend(group)
     if not findings:
         return "repro-lint: no findings"
-    lines = []
-    if title:
-        lines.append(title)
-    for finding in findings:
-        context = "/".join(part for part in (finding.layer, finding.function) if part)
-        suffix = f" [{context}]" if context else ""
-        lines.append(
-            f"{finding.location()}: {finding.rule} {finding.severity}: "
-            f"{finding.message}{suffix}"
-        )
     errors = sum(1 for finding in findings if finding.severity == "error")
     warnings = len(findings) - errors
     lines.append(f"repro-lint: {len(findings)} finding(s) ({errors} error, {warnings} warning)")
@@ -108,5 +116,6 @@ __all__ = [
     "finding_from_guard_error",
     "findings_to_json",
     "format_findings",
+    "format_sections",
     "severity_of",
 ]

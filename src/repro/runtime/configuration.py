@@ -210,6 +210,10 @@ class Configuration:
         self._dirty = {}
         return drained
 
+    def journal_empty(self) -> bool:
+        """Whether no change was journaled since the last :meth:`drain_dirty`."""
+        return not self._dirty
+
     # ------------------------------------------------------------------
     # Whole-configuration operations
     # ------------------------------------------------------------------

@@ -568,8 +568,7 @@ class Scheduler:
         # violation set and its residue.  A queried layer must be made of
         # them; the protocol keeps them alive, so the ids stay theirs.
         self._leaves: tuple[Protocol, ...] = tuple(dict.fromkeys(protocol.layers()))
-        self._leaf_ids = frozenset(map(id, self._leaves))
-        self._slots: dict[Protocol, tuple[int, ...]] = {}
+        self._slots = {None: tuple(range(len(self._leaves)))}  # layer -> its leaves' slots
         if check_guard_locality is None:
             check_guard_locality = bool(os.environ.get("REPRO_DEBUG_GUARDS"))
         self.check_guard_locality = check_guard_locality
@@ -585,34 +584,6 @@ class Scheduler:
         self._round_pending: set[int] | None = None
         self._frozen: set[int] = set()
 
-        # The persistent enabled-set: node -> first enabled action, frozen
-        # nodes included (freezing does not touch guards, so freeze/unfreeze
-        # need no invalidation; the accessors filter them).
-        self._enabled: dict[int, Action] = {}
-        # Per node, bitmasks over its distinct guard and rule parts (see
-        # evaluate_guards): which parts held when last called and which a
-        # change may have flipped since.  ``_watch`` and ``_rule_watch`` hold
-        # the bits the last guard walk and the last rule walk consulted: only
-        # a change there can change an answer; a stale bit elsewhere waits
-        # for a walk that reaches it.  ``_frontier`` and ``_rule_frontier``
-        # hold the nodes a drained change staled a consulted guard or rule
-        # bit of.  ``_rule_stale`` holds the bits staled since the node's
-        # last rule walk (what ``legitimacy_nodes_checked`` counts by).  All
-        # are (re)built by _invalidate_enabled, one read-only guard view and
-        # one statement view per node included.
-        self._held: list[int] = []
-        self._stale: list[int] = []
-        self._watch: list[int] = []
-        self._rule_stale: list[int] = []
-        self._rule_watch: list[int] = []
-        self._views: list[GuardView] = []
-        self._writers: list[ProcessorView] = []
-        self._frontier: set[int] = set()
-        self._rule_frontier: set[int] = set()
-        # Per leaf layer: the nodes one of its rules holds at, and its
-        # residue's cached verdict (dropped by a change to what its rules read).
-        self._violations: list[set[int]] = []
-        self._residues: dict[int, bool] = {}
         self._invalidate_enabled()
         if instr.enabled:
             instr.phase_time(PHASE_INIT, time.perf_counter() - started)
@@ -686,15 +657,36 @@ class Scheduler:
         """
         network, configuration = self.network, self.configuration
         n = network.n
+        # One read-only guard view and one statement view per node.
         self._views = [GuardView(node, network, configuration) for node in range(n)]
         self._writers = [ProcessorView(node, network, configuration) for node in range(n)]
+        # The persistent enabled-set: node -> first enabled action, frozen
+        # nodes included (freezing does not touch guards, so freeze/unfreeze
+        # need no invalidation; the accessors filter them).
+        self._enabled: dict[int, Action] = {}
+        # Per node, bitmasks over its distinct guard and rule parts (see
+        # evaluate_guards): which parts held when last called and which a
+        # change may have flipped since.  ``_watch`` and ``_rule_watch`` hold
+        # the bits the last guard walk and the last rule walk consulted: only
+        # a change there can change an answer; a stale bit elsewhere waits
+        # for a walk that reaches it.  ``_frontier`` and ``_rule_frontier``
+        # hold the nodes a drained change staled a consulted guard or rule
+        # bit of.  ``_rule_stale`` holds the bits staled since the node's
+        # last rule walk (what ``legitimacy_nodes_checked`` counts by).
         self._held = [0] * n
         self._stale = [-1] * n
         self._watch = [0] * n
-        self._enabled = {}
         self._frontier = set(range(n))
+        self._rule_watch = [
+            reduce(or_, (mask for _, _, mask in segments), 0) for segments in self._rule_walks
+        ]
+        self._rule_stale = [-1] * n
+        self._rule_frontier = set(range(n))
+        # Per leaf layer: the nodes one of its rules holds at, and its
+        # residue's cached verdict (dropped by a change to what its rules read).
+        self._violations: list[set[int]] = [set() for _ in self._leaves]
+        self._residues: dict[int, bool] = {}
         self._shadow_pointers()
-        self._reset_legitimacy()
 
     def _shadow_pointers(self) -> None:
         """Rebuild the shadow of every declared pointer from the configuration.
@@ -721,17 +713,6 @@ class Scheduler:
                     targets[node] = target
                     holders.setdefault(target, set()).add(node)
 
-    def _reset_legitimacy(self) -> None:
-        """Queue every node's rules for a walk and drop every cached verdict."""
-        n = self.network.n
-        self._rule_watch = [
-            reduce(or_, (mask for _, _, mask in segments), 0) for segments in self._rule_walks
-        ]
-        self._rule_stale = [-1] * n
-        self._rule_frontier = set(range(n))
-        self._violations = [set() for _ in self._leaves]
-        self._residues = {}
-
     def _index_actions(self) -> None:
         """Compile each node's actions and rules (:func:`compile_program`).
 
@@ -742,7 +723,7 @@ class Scheduler:
         equal tables (:data:`_STALE_MASKS`), so marking costs a lookup per
         touched node.  A layer's residue is re-evaluated after
         a change to what its rule parts read, or after any change when the
-        layer states no rules.
+        layer states no rules; never when it keeps Protocol's constant one.
         """
         network, leaves, check = self.network, self._leaves, self.check_guard_locality
         self._actions = {
@@ -771,7 +752,11 @@ class Scheduler:
             self._walks.append(walks)
             self._rule_walks.append(segments)
         self._tables: tuple[tuple[Reads | None, ...], ...] = tuple(tables)
-        residues = tuple(map(residue_reads, declared))
+        residues = tuple(
+            frozenset() if type(leaf).legitimacy_residue is Protocol.legitimacy_residue
+            else residue_reads(rules)
+            for leaf, rules in zip(leaves, declared)
+        )
         # The pointers some part reads through: the shadow (_invalidate_enabled) follows them.
         self._pointers: tuple[str, ...] = tuple(
             sorted(
@@ -807,12 +792,11 @@ class Scheduler:
         when a newly stale bit is a guard (rule) bit its last walk
         consulted, since no other part can change which action is first or
         which rule holds.  The entry also drops the cached residues it can
-        change.  Calls no guard or rule, so :meth:`legitimate` can drain
-        without moving guard work out of the step.
+        change.  Calls no guard or rule, so a legitimacy check can drain
+        without moving guard work out of the step.  Its callers call it only
+        when the journal holds a change, so a step is drained once.
         """
         changes = self.configuration.drain_dirty()
-        if not changes:
-            return
         actions, table, stale, watch = self._actions, self._table, self._stale, self._watch
         rule_stale, rule_watch, rule_frontier = (
             self._rule_stale, self._rule_watch, self._rule_frontier
@@ -822,8 +806,8 @@ class Scheduler:
         frontier = self._frontier
         # Neighbor masks -> the changed nodes whose neighbors they mark.
         spread: dict[tuple[int, ...], list[int]] = {}
-        # (node, masks) marks of the pointer-directed reads.
-        pointed: list[tuple[int, tuple[int, ...]]] = []
+        # (nodes, masks): mark each of the nodes with its table's mask.
+        marks: list[tuple[Iterable[int], tuple[int, ...]]] = []
         for node, variables in changes.items():
             if node not in actions:
                 continue  # a foreign node id journaled by hand-built state
@@ -847,13 +831,18 @@ class Scheduler:
                 for slot in voids:
                     residues.pop(slot, None)
             if directed is not None:
-                self._follow_pointers(node, directed, pointed)
+                self._follow_pointers(node, directed, marks)
         # Marking each neighbor once per mask, not once per changed node next
         # to it, keeps dense synchronous steps linear in n.
         neighbor_set = self.network.neighbor_set
         for neighbor, nodes in spread.items():
-            for other in set().union(*map(neighbor_set, nodes)):
-                mask = neighbor[table[other]]
+            if len(nodes) > 1:
+                marks.append((set().union(*map(neighbor_set, nodes)), neighbor))
+            else:
+                marks.append((neighbor_set(nodes[0]), neighbor))
+        for others, masks in marks:
+            for other in others:
+                mask = masks[table[other]]
                 if mask:
                     stale[other] |= mask
                     rule_stale[other] |= mask
@@ -861,15 +850,6 @@ class Scheduler:
                         frontier.add(other)
                     if mask & rule_watch[other]:
                         rule_frontier.add(other)
-        for other, masks in pointed:
-            mask = masks[table[other]]
-            if mask:
-                stale[other] |= mask
-                rule_stale[other] |= mask
-                if mask & watch[other]:
-                    frontier.add(other)
-                if mask & rule_watch[other]:
-                    rule_frontier.add(other)
         if self._instr.enabled:
             self._instr.gauge("dirty_set_size", len(changes))
 
@@ -877,7 +857,7 @@ class Scheduler:
         self,
         node: int,
         directed: tuple[tuple[str, ...], PointerMasks, PointerMasks],
-        marks: list[tuple[int, tuple[int, ...]]],
+        marks: list[tuple[Iterable[int], tuple[int, ...]]],
     ) -> None:
         """Move ``node``'s pointer shadow and queue the pointer-directed marks of its change.
 
@@ -902,13 +882,12 @@ class Scheduler:
         for pointer, masks in named:
             for target in (targets[pointer][node], previous.get(pointer)):
                 if target is not None:
-                    marks.append((target, masks))
+                    marks.append(((target,), masks))
         for pointer, masks in via:
-            for holder in holders[pointer].get(node, ()):
-                marks.append((holder, masks))
+            marks.append((tuple(holders[pointer].get(node, ())), masks))
 
     def _refresh_enabled(self) -> None:
-        """Drain the journal, then re-walk the frontier.
+        """Drain the journal if it holds a change, then re-walk the frontier.
 
         Attributes its own wall clock to the ``guard_eval`` phase, so
         callers -- including the nested re-check round bookkeeping performs
@@ -917,7 +896,8 @@ class Scheduler:
         instr = self._instr
         timed = instr.enabled
         started = time.perf_counter() if timed else 0.0
-        self._drain()
+        if not self.configuration.journal_empty():
+            self._drain()
         frontier = self._frontier
         if frontier:
             self._frontier = set()
@@ -949,50 +929,69 @@ class Scheduler:
 
         ``layer`` is the protocol, one of its :meth:`~Protocol.layers`, or a
         composition of some of them (a substrate such as the DFS tree); any
-        other layer raises ``ValueError``.  The answer is "no violation rule
-        of its leaf layers holds at any node, and their residues hold"
-        (:meth:`~repro.runtime.protocol.Protocol.legitimate`).  It drains
-        the change journal (:meth:`_drain`, no guard is walked), re-walks
-        only the rules whose consulted parts went stale and re-checks a
-        residue only after a change to what its rules read.
+        other layer raises ``ValueError``.  The legitimacy pass
+        (:meth:`_legitimacy`) over its leaves answers: no violation rule holds
+        at any node and every residue holds (as in :meth:`Protocol.legitimate`).
         """
-        if layer is not None and not self._leaf_ids.issuperset(map(id, layer.layers())):
-            raise ValueError(f"layer {layer.name!r} is not part of the scheduled protocol")
-        instr = self._instr
-        if not instr.enabled:
-            return self._legitimate(layer)
-        started = time.perf_counter()
-        holds = self._legitimate(layer)
-        instr.phase_time(PHASE_LEGITIMACY, time.perf_counter() - started)
-        return holds
+        return self._legitimacy(self._group(layer))[0]
 
-    def _legitimate(self, layer: Protocol | None) -> bool:
-        if layer is None:
-            slots: Sequence[int] = range(len(self._leaves))
-        else:
-            slots = self._slots.get(layer)
-            if slots is None:
-                slots = self._slots[layer] = tuple(map(self._leaves.index, layer.layers()))
-        self._drain()
-        # One node that still violates settles the answer: re-walk the known
-        # violators first, one at a time, and leave the rest of the frontier
-        # for a query it can change.
+    def _group(self, layer: Protocol | None) -> tuple[int, ...]:
+        """The slots of ``layer``'s leaves (all of them for ``None``), checked once per layer."""
+        slots = self._slots.get(layer)
+        if slots is None:
+            if not {id(leaf) for leaf in self._leaves}.issuperset(map(id, layer.layers())):
+                raise ValueError(f"layer {layer.name!r} is not part of the scheduled protocol")
+            slots = self._slots[layer] = tuple(map(self._leaves.index, layer.layers()))
+        return slots
+
+    def _legitimacy(self, group: tuple[int, ...], rest: tuple[int, ...] = ()) -> tuple[bool, bool]:
+        """The one legitimacy pass over leaf slots: ``(group holds, group and rest hold)``.
+
+        It drains the journal if it holds a change (walking no guard) and
+        re-walks ``group``'s known violators first: one that still violates
+        makes both verdicts False and leaves the rule frontier for a check it
+        can change.  Otherwise it walks the rule frontier once and reads both
+        verdicts off the violation sets and the residue cache.  Books one
+        ``legitimacy`` phase sample.
+        """
+        instr = self._instr
+        started = time.perf_counter() if instr.enabled else 0.0
+        if not self.configuration.journal_empty():
+            self._drain()
+        verdicts = (False, False)
+        if not self._violator_stands(group):
+            self._walk_rule_frontier()
+            holds = self._holds(group)
+            verdicts = (holds, holds and self._holds(rest))
+        if instr.enabled:
+            instr.phase_time(PHASE_LEGITIMACY, time.perf_counter() - started)
+        return verdicts
+
+    def _violator_stands(self, slots: tuple[int, ...]) -> bool:
+        """Whether a known violator of ``slots`` still violates (re-walked if on the frontier)."""
         frontier, violations = self._rule_frontier, self._violations
         for slot in slots:
             violating = violations[slot]
-            for node in list(violating):
-                if node in frontier:
-                    frontier.discard(node)
-                    self._walk_rules((node,))
-                if node in violating:
-                    return False
-        self._walk_rule_frontier()
-        # Loops, not any()/all() over generators: this runs twice per step.
+            if violating:
+                for node in list(violating):
+                    if node in frontier:
+                        frontier.discard(node)
+                        self._walk_rules((node,))
+                    if node in violating:
+                        return True
+        return False
+
+    def _holds(self, slots: tuple[int, ...]) -> bool:
+        """No rule of ``slots`` holds at a node and their residues hold, from the walked sets."""
+        violations, residues = self._violations, self._residues
         for slot in slots:
             if violations[slot]:
                 return False
         for slot in slots:
-            if not self._residue(slot):
+            holds = residues.get(slot)
+            if holds is None:
+                holds = self._residue(slot)
+            if not holds:
                 return False
         return True
 
@@ -1003,7 +1002,8 @@ class Scheduler:
         plus 1 when a layer's residue fails -- read off the violation sets
         and residue cache :meth:`legitimate` answers from.
         """
-        self._drain()
+        if not self.configuration.journal_empty():
+            self._drain()
         self._walk_rule_frontier()
         violating = set().union(*self._violations)
         return len(violating) + (not all(map(self._residue, range(len(self._leaves)))))
@@ -1034,12 +1034,13 @@ class Scheduler:
         its last rule walk consulted.  A guard walk may have re-called that
         part since and cleared its stale bit, and its value may have
         flipped, so the frontier (decided at drain time), not the stale
-        bits, says which nodes to re-walk.  A segment none of whose
-        consulted bits was staled since its last walk reads only the held
-        bits it read before: it calls nothing and keeps its answer.  Books
-        under ``legitimacy_nodes_checked`` the segments whose walk consulted
-        a bit staled since the node's last rule walk, and the part calls
-        under ``rule_calls``, apart from the guard walks' ``guard_calls``.
+        bits, says which nodes to re-walk.  A segment none of whose consulted
+        bits (those of its mask the node watches) was staled since the node's
+        last rule walk would call nothing and keep its answer: it is skipped
+        and its bits stay watched.  Books under ``legitimacy_nodes_checked``
+        the segments whose walk consulted a bit staled since the node's last
+        rule walk, and the part calls under ``rule_calls``, apart from the
+        guard walks' ``guard_calls``.
         """
         views, rule_walks = self._views, self._rule_walks
         held, stale, rule_stale, rule_watch = (
@@ -1048,9 +1049,12 @@ class Scheduler:
         violations = self._violations
         walked = calls = 0
         for node in nodes:
-            hot = rule_stale[node]
+            hot, watched = rule_stale[node], rule_watch[node]
             rule_stale[node] = watching = 0
-            for slot, walks, _ in rule_walks[node]:
+            for slot, walks, mask in rule_walks[node]:
+                if not hot & watched & mask:
+                    watching |= watched & mask
+                    continue
                 index, held[node], stale[node], consulted, called = evaluate_guards(
                     walks, stale[node], held[node], views[node]
                 )
@@ -1096,20 +1100,19 @@ class Scheduler:
             instr.gauge("enabled_set_size", len(order))
             mark = time.perf_counter()
         selected = self.daemon.select(order, self._step_index, self.rng)
-        if not selected:
-            raise SchedulingError(f"daemon {self.daemon.name!r} selected an empty set")
-        frozen = self._frozen
-        invalid = [node for node in selected if node not in enabled or node in frozen]
-        if invalid:
-            raise SchedulingError(
-                f"daemon {self.daemon.name!r} selected processors that are not enabled: {invalid}"
-            )
         chosen = set(selected)
-        if len(chosen) < len(selected):
+        frozen = self._frozen
+        if not selected or len(chosen) < len(selected) or not enabled.keys() >= chosen or (
+            frozen and not frozen.isdisjoint(chosen)
+        ):
+            invalid = [node for node in selected if node not in enabled or node in frozen]
             repeated = sorted(node for node in chosen if selected.count(node) > 1)
-            raise SchedulingError(
-                f"daemon {self.daemon.name!r} selected processors more than once: {repeated}"
+            problem = (
+                "an empty set" if not selected
+                else f"processors that are not enabled: {invalid}" if invalid
+                else f"processors more than once: {repeated}"
             )
+            raise SchedulingError(f"daemon {self.daemon.name!r} selected {problem}")
         if timed:
             now = time.perf_counter()
             instr.phase_time(PHASE_DAEMON_SELECT, now - mark)
@@ -1119,15 +1122,12 @@ class Scheduler:
         # configuration, collecting its writes; apply them all only then
         # (composite atomicity), in one apply_step call that journals the
         # changed variables, which is what marks the stale parts.
-        actions: list[Action] = []
         written: list[dict[str, object]] = []
         writers = self._writers
         for node in selected:
-            action = enabled[node]
             view = writers[node]
             written.append(view.begin_move())
-            action.statement(view)
-            actions.append(action)
+            enabled[node].statement(view)
         applied = self.configuration.apply_step(zip(selected, written))
         # Records are built with tuple.__new__: the named tuples' own
         # constructor is a Python-level call per move.
@@ -1135,7 +1135,8 @@ class Scheduler:
         executed: list[tuple[int, str]] = []
         changed_nodes: list[int] = []
         moves: list[MoveRecord] = []
-        for node, action, changes in zip(selected, actions, applied):
+        for node, changes in zip(selected, applied):
+            action = enabled[node]
             name = action.name
             executed.append((node, name))
             if changes:
@@ -1177,14 +1178,15 @@ class Scheduler:
         """Round bookkeeping: a round ends when every processor that was
         enabled at its start has executed or become disabled.  Returns the
         just-completed round index, or ``None``."""
-        self._round_pending -= executed_nodes
-        if self._round_pending:
+        pending = self._round_pending
+        pending -= executed_nodes
+        if pending:
             self._refresh_enabled()
-            # The enabled-set keeps frozen nodes; they count as disabled.
-            pending = self._round_pending & self._enabled.keys()
-            pending -= self._frozen
-            self._round_pending = pending
-        if not self._round_pending:
+            pending = self._round_pending = pending & self._enabled.keys()
+            if self._frozen:
+                # The enabled-set keeps frozen nodes; they count as disabled.
+                pending -= self._frozen
+        if not pending:
             self._round_index += 1
             self._round_pending = None
             return self._round_index
@@ -1209,23 +1211,25 @@ class Scheduler:
         run out mid-confirmation.  ``converged`` is whether the last check
         was legitimate, and ``first_legitimate_step`` / ``_round`` is where
         that final legitimate streak began.  With ``substrate`` (a layer of
-        the protocol, or a composition of some of them) its legitimacy is
-        checked first at each check, and ``substrate_step`` / ``_round``
-        report where its own final streak began.
+        the protocol, or a composition of some of them) ``substrate_step`` /
+        ``_round`` report where its own final streak began.  Each check is
+        one legitimacy pass (:meth:`_legitimacy`) that answers for the
+        substrate and for the whole protocol at once.
         """
-        first_step: int | None = None
-        first_round: int | None = None
-        substrate_step: int | None = None
-        substrate_round: int | None = None
+        leaves = self._group(None)
+        group = leaves if substrate is None else self._group(substrate)
+        rest = tuple(slot for slot in leaves if slot not in group)
+        first_step = first_round = substrate_step = substrate_round = None
         held_for = 0
         terminated = False
         while True:
+            inner, whole = self._legitimacy(group, rest)
             if substrate is not None:
-                if not self.legitimate(substrate):
+                if not inner:
                     substrate_step = substrate_round = None
                 elif substrate_step is None:
                     substrate_step, substrate_round = self._step_index, self._round_index
-            if not self.legitimate():
+            if not whole:
                 first_step = first_round = None
                 held_for = 0
             else:

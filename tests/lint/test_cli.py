@@ -25,6 +25,24 @@ def test_findings_exit_one_with_location_and_rule(capsys) -> None:
     assert "GuardMutates/GM-Reset" in out
 
 
+def test_read_probe_findings_print_under_their_own_title(capsys) -> None:
+    assert main([str(FIXTURES / "residue_underdeclared.py")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "read probe"
+    assert "static analysis" not in lines
+    assert "residue_underdeclared.py:" in lines[1] and "RL008" in lines[1]
+    assert lines[2:] == ["repro-lint: 1 finding(s) (1 error, 0 warning)"]
+
+
+def test_each_pass_prints_its_own_table_and_one_total_follows(capsys) -> None:
+    paths = [str(FIXTURES / "guard_mutates.py"), str(FIXTURES / "residue_underdeclared.py")]
+    assert main(paths) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "static analysis" and "RL001" in lines[1]
+    assert lines[2] == "read probe" and "RL008" in lines[3]
+    assert lines[4:] == ["repro-lint: 2 finding(s) (2 error, 0 warning)"]
+
+
 def test_json_format_is_machine_readable(capsys) -> None:
     assert main([str(FIXTURES / "undeclared_write.py"), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)

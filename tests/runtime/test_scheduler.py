@@ -238,7 +238,7 @@ def test_scheduler_rejects_empty_daemon_selection(small_ring):
         daemon=EmptySelectionDaemon(),
         configuration=protocol.initial_configuration(small_ring),
     )
-    with pytest.raises(SchedulingError):
+    with pytest.raises(SchedulingError, match="selected an empty set"):
         scheduler.step()
 
 
@@ -250,8 +250,29 @@ def test_scheduler_rejects_selection_of_disabled_processor(small_ring):
         daemon=RogueDaemon(),
         configuration=protocol.initial_configuration(small_ring),
     )
-    with pytest.raises(SchedulingError):
+    with pytest.raises(SchedulingError, match="not enabled"):
         scheduler.step()
+
+
+class FrozenPickingDaemon(Daemon):
+    name = "frozen-picker"
+
+    def select(self, enabled, step, rng):
+        return [*enabled, 0]
+
+
+def test_scheduler_rejects_selection_of_a_frozen_processor(small_ring):
+    protocol = CountdownProtocol(start=1)
+    scheduler = Scheduler(
+        small_ring,
+        protocol,
+        daemon=FrozenPickingDaemon(),
+        configuration=protocol.initial_configuration(small_ring),
+    )
+    scheduler.freeze([0])
+    with pytest.raises(SchedulingError, match=r"not enabled: \[0\]"):
+        scheduler.step()
+    assert scheduler.steps_executed == 0 and scheduler.metrics.moves == 0
 
 
 @pytest.mark.parametrize("core", (Scheduler, ReferenceScheduler), ids=("scheduler", "fullscan"))
