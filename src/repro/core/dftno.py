@@ -36,7 +36,7 @@ from repro.core.specification import (
     OrientationSpecification,
 )
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Rule, StatementFn, all_of
+from repro.runtime.actions import Action, Rule, StatementFn, Witness, all_of
 from repro.runtime.composition import HookedComposition, HookingLayer
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
@@ -177,7 +177,7 @@ class DFTNO(HookingLayer):
             self.ACTION_EDGE_LABEL,
             all_of(
                 (self._token_free, tc.HOLDS_TOKEN_READS),
-                (self._specification.sp2_violated, SP2_READS),
+                (Witness(self._specification.sp2_violated), SP2_READS),
             ),
             self._specification.relabel,
             layer=self.name,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.core.chordal import ChordalOrientation, chordal_labels, positive_modulus
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Reads, Rule, all_of
+from repro.runtime.actions import Reads, Rule, Witness, all_of
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import GuardView, ProcessorView
 
@@ -148,39 +148,41 @@ class OrientationSpecification:
         """SP1's range condition fails at the view's processor: its name is not in ``0..N-1``."""
         return not _in_range(view.read(VAR_NAME), self.effective_modulus(view.network))
 
-    def sp2_violated(self, view: ProcessorView) -> bool:
-        """SP2 fails at the view's processor: a link label is not ``(eta_p - eta_q) mod N``.
+    def sp2_violated(self, view: ProcessorView) -> dict[int, int] | None:
+        """Where SP2 fails at the view's processor, the labels its links must carry.
 
-        The edge-relabeling guards' label part and a violation rule.  Stops
-        at the first wrong label (faster than :func:`chordal_labels` for all
-        neighbors); a label map that is not a dict fails, and a neighbor
-        name that is not an integer counts as ``0``, as in that helper.
+        A link label is not ``(eta_p - eta_q) mod N`` there, or the label map
+        is not a dict; ``None`` where SP2 holds.  A neighbor name that is not
+        an integer counts as ``0``, as in :func:`chordal_labels`.  The
+        edge-relabeling guards' label part, a
+        :class:`~repro.runtime.actions.Witness` whose value :meth:`relabel`
+        writes, and a violation rule.
         """
-        labels = view.read(VAR_EDGE_LABELS)
-        if not isinstance(labels, dict):
-            return True
         modulus = self.effective_modulus(view.network)
-        own, read_neighbor, label = view.read(VAR_NAME), view.read_neighbor, labels.get
+        own, read_neighbor = view.read(VAR_NAME), view.read_neighbor
+        wanted = {}
         for neighbor in view.neighbors:
             other = read_neighbor(neighbor, VAR_NAME)
-            if not isinstance(other, int):
-                other = 0
-            if label(neighbor) != (own - other) % modulus:
-                return True
-        return False
+            wanted[neighbor] = (own - (other if isinstance(other, int) else 0)) % modulus
+        labels = view.read(VAR_EDGE_LABELS)
+        if labels == wanted or (
+            isinstance(labels, dict)
+            and all(labels.get(neighbor) == label for neighbor, label in wanted.items())
+        ):
+            return None
+        return wanted
 
     def relabel(self, view: ProcessorView) -> None:
         """The orientation layers' edge-relabeling statement: establish SP2 at the view."""
-        neighbors, read_neighbor = view.neighbors, view.read_neighbor
-        names = [read_neighbor(q, VAR_NAME) for q in neighbors]
-        labels = chordal_labels(view.read(VAR_NAME), names, self.effective_modulus(view.network))
-        view.write(VAR_EDGE_LABELS, dict(zip(neighbors, labels)))
+        view.write(VAR_EDGE_LABELS, view.witness(self.sp2_violated))
 
     def violation_rules(self, prefix: str, layer: str) -> tuple[Rule, Rule]:
         """``<prefix>-NameRange`` (SP1's range condition, cheap: first), ``<prefix>-Mislabeled``."""
         return (
             Rule(f"{prefix}-NameRange", all_of((self.name_out_of_range, NAME_READS)), layer=layer),
-            Rule(f"{prefix}-Mislabeled", all_of((self.sp2_violated, SP2_READS)), layer=layer),
+            Rule(
+                f"{prefix}-Mislabeled", all_of((Witness(self.sp2_violated), SP2_READS)), layer=layer
+            ),
         )
 
     def names_unique(self, network: RootedNetwork, configuration: Configuration) -> bool:

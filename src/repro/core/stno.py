@@ -41,7 +41,7 @@ from repro.core.specification import (
     OrientationSpecification,
 )
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Reads, Rule, all_of
+from repro.runtime.actions import Action, Reads, Rule, Witness, all_of
 from repro.runtime.composition import LayeredProtocol
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
@@ -156,9 +156,11 @@ class STNO(Protocol):
         ``fixed_modulus`` (``None``: the network size), not methods: the
         instance keeps the programs, and a method bound to it would make a
         reference cycle.  The two programs share them and differ only in
-        the weight and name actions' labels.  The edge guard is gated on the
-        name being valid, as in the paper; its label part and statement are
-        the specification's.
+        the weight and name actions' labels.  The weight and name guards are
+        :class:`~repro.runtime.actions.Witness` parts: their statements adopt
+        the weight, name and ``Start`` table the guard computed.  The edge
+        guard is gated on the name being valid, as in the paper; its label
+        part and statement are the specification's.
         """
         parent_of, children_of = tree.parent, tree.children
         # What each guard part reads; the tree helpers read the parent
@@ -214,28 +216,29 @@ class STNO(Protocol):
                 given += weight
             return table
 
-        def start_consistent(view: ProcessorView, own_name: int) -> bool:
-            desired = desired_start(view, own_name)
-            stored = view.read(VAR_START)
-            stored = stored if isinstance(stored, dict) else {}
-            return all(stored.get(child) == value for child, value in desired.items())
-
-        def weight_wrong(view: ProcessorView) -> bool:
-            return view.read(VAR_WEIGHT) != desired_weight(view)
+        def weight_target(view: ProcessorView) -> int | None:
+            """The weight to adopt, where it differs from the held one (the guard's witness)."""
+            weight = desired_weight(view)
+            return None if view.read(VAR_WEIGHT) == weight else weight
 
         def set_weight(view: ProcessorView) -> None:
-            view.write(VAR_WEIGHT, desired_weight(view))
+            view.write(VAR_WEIGHT, view.witness(weight_target))
 
-        def name_wrong(view: ProcessorView) -> bool:
+        def name_target(view: ProcessorView) -> tuple[int, dict[int, int]] | None:
+            """The name and ``Start`` table to adopt, where either differs (the guard's witness)."""
             desired = desired_name(view)
-            if view.read(VAR_NAME) != desired:
-                return True
-            return not start_consistent(view, desired)
+            start = desired_start(view, desired)
+            if view.read(VAR_NAME) == desired:
+                stored = view.read(VAR_START)
+                stored = stored if isinstance(stored, dict) else {}
+                if all(stored.get(child) == value for child, value in start.items()):
+                    return None
+            return desired, start
 
         def set_name(view: ProcessorView) -> None:
-            desired = desired_name(view)
+            desired, start = view.witness(name_target)
             view.write(VAR_NAME, desired)
-            view.write(VAR_START, desired_start(view, desired))
+            view.write(VAR_START, start)
 
         def name_valid(view: ProcessorView) -> bool:
             """The paper labels edges only once the name is valid."""
@@ -246,15 +249,21 @@ class STNO(Protocol):
             self.ACTION_EDGE_LABEL,
             all_of(
                 (name_valid, name_valid_reads),
-                (self._specification.sp2_violated, SP2_READS),
+                (Witness(self._specification.sp2_violated), SP2_READS),
             ),
             self._specification.relabel,
             layer=layer, priority=2,
         )
         non_root, root = (
             (
-                Action(weight, weight_wrong, set_weight, layer=layer, priority=0, reads=weight_reads),
-                Action(name, name_wrong, set_name, layer=layer, priority=1, reads=name_reads),
+                Action(
+                    weight, Witness(weight_target), set_weight,
+                    layer=layer, priority=0, reads=weight_reads,
+                ),
+                Action(
+                    name, Witness(name_target), set_name,
+                    layer=layer, priority=1, reads=name_reads,
+                ),
                 edge_label,
             )
             for weight, name in (

@@ -30,11 +30,15 @@ class GuardLocalityError(ProtocolError):
     (rule RL004) or outside its declared reads (RL008; per ``all_of`` part)
     -- the debug tracker.
 
-    Raised by a guard or rule walk (:func:`repro.runtime.scheduler.evaluate_guards`)
-    when ``check_guard_locality`` is on.  Carries enough attribution to tell
-    *which* layer and guard tripped -- the node, the layer and name of the
-    action (or rule) holding the part (of a part several hold, the first in
-    walk order), the lint rule id, and the offending ``(processor, variable)`` reads -- so
+    Raised when ``check_guard_locality`` is on: by a part call of a guard or
+    rule kernel (:func:`repro.runtime.scheduler.compile_kernels`), and by a
+    statement's :meth:`~repro.runtime.processor.ProcessorView.witness` when
+    the value a witness part's last call left differs from a fresh call
+    (RL008: the part is not a function of what it declares reading).
+    Carries enough attribution to tell *which* layer and guard tripped --
+    the node, the layer and name of the action (or rule) holding the part
+    (every holder of a shared part, joined with ``/``), the lint rule id,
+    and the offending ``(processor, variable)`` reads -- so
     the failure formats like a ``repro-lint`` finding
     (:func:`repro.lint.findings.finding_from_guard_error`) instead of an
     anonymous mid-step crash.

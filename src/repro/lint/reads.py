@@ -223,7 +223,7 @@ class _Probe:
                 steps = (*walks, *(rule for _, held, _ in segments for rule in held))
                 parts = compiled[actions, rules] = [
                     ((_guard_site(part.predicate), part.declared), part)
-                    for part in dict.fromkeys(part for walk in steps for part, _, _ in walk)
+                    for part in dict.fromkeys(part for walk in steps for part, _, _, _ in walk)
                 ]
                 for key, part in parts:
                     self.parts.setdefault(key, part)

@@ -13,7 +13,9 @@ runs:
 * guards and statements -- plus every same-module helper they call with the
   view -- are walked through the :class:`~repro.runtime.processor.ProcessorView`
   API surface; a guard written ``all_of((predicate, reads), ...)`` is walked
-  part by part (a ``Not(predicate)`` part as ``predicate``);
+  part by part (a ``Not(predicate)`` or ``Witness(predicate)`` part as
+  ``predicate``), and a statement's ``view.witness(predicate)`` as a call
+  of ``predicate`` with the view;
 * violations are reported as :class:`~repro.lint.findings.Finding` objects
   with rule ids ``RL001``..``RL006`` (see
   :data:`~repro.lint.findings.RULES`).
@@ -469,6 +471,10 @@ class _FunctionChecker(ast.NodeVisitor):
                 self.summary.writes.add(name)
                 self._check_declared(node, name, "written")
             return True
+        if method == "witness" and node.args:
+            # The kept value of a guard part: the statement reads what it reads.
+            self._maybe_recurse(node, node.args[0], passes_view=True)
+            return True
         if method in _READ_METHODS:
             name = self._variable_argument(node, _READ_METHODS[method])
             if name is not None:
@@ -530,12 +536,12 @@ class _FunctionChecker(ast.NodeVisitor):
                     self.summary,
                 )
 
-    def _maybe_recurse(self, node: ast.Call, func: ast.expr) -> None:
+    def _maybe_recurse(self, node: ast.Call, func: ast.expr, passes_view: bool = False) -> None:
         """Propagate the rule context into same-module helpers.
 
-        Only calls that *pass the view along* matter for locality; purity
-        still matters regardless, so any resolvable helper is followed (with
-        a visited-set to terminate cycles).
+        Only calls that *pass the view along* (or ``passes_view``) matter for
+        locality; purity still matters regardless, so any resolvable helper
+        is followed (with a visited-set to terminate cycles).
         """
         resolved = self.resolver.resolve_callable(func, self.scope)
         if resolved is None:
@@ -548,7 +554,7 @@ class _FunctionChecker(ast.NodeVisitor):
         view_param: str | None = None
         if isinstance(target, (ast.FunctionDef, ast.Lambda)):
             callee_view = _first_view_param(target)
-            if callee_view is not None and self._passes_view(node):
+            if callee_view is not None and (passes_view or self._passes_view(node)):
                 view_param = callee_view
         checker = _FunctionChecker(
             self.analyzer,
@@ -734,7 +740,7 @@ class _Analyzer:
             summary.guard_resolved = all(
                 [
                     self._check_callable(predicate, scope, "guard", summary, guard_reads)
-                    for predicate in _conjunct_predicates(guard_expr) or [guard_expr]
+                    for predicate in _conjunct_predicates(guard_expr) or [_unwrapped(guard_expr)]
                 ]
             )
         if statement_expr is not None:
@@ -811,26 +817,27 @@ def _conjunct_predicates(expr: ast.expr) -> list[ast.expr] | None:
     """The predicates of an ``all_of((predicate, reads), ...)`` guard, else ``None``.
 
     A part that is not a literal ``(predicate, reads)`` tuple is taken whole,
-    which leaves it unresolved.  A negated part, ``(Not(predicate), reads)``,
-    reads what ``predicate`` reads.
+    which leaves it unresolved.  A negated or witness part,
+    ``(Not(predicate), reads)`` or ``(Witness(predicate), reads)``, reads what
+    ``predicate`` reads.
     """
     if not isinstance(expr, ast.Call) or _callee_name(expr) != "all_of":
         return None
     return [
-        _negated(part.elts[0]) if isinstance(part, ast.Tuple) and part.elts else part
+        _unwrapped(part.elts[0]) if isinstance(part, ast.Tuple) and part.elts else part
         for part in expr.args
     ]
 
 
-def _negated(predicate: ast.expr) -> ast.expr:
-    """The predicate a ``Not(predicate)`` part wraps; any other part as it is."""
-    if (
+def _unwrapped(predicate: ast.expr) -> ast.expr:
+    """The predicate ``Not(...)`` and ``Witness(...)`` wrappers wrap; any other part as it is."""
+    while (
         isinstance(predicate, ast.Call)
-        and _callee_name(predicate) == "Not"
+        and _callee_name(predicate) in ("Not", "Witness")
         and len(predicate.args) == 1
         and not predicate.keywords
     ):
-        return predicate.args[0]
+        predicate = predicate.args[0]
     return predicate
 
 

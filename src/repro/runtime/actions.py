@@ -120,6 +120,32 @@ class Not:
         return not self.predicate(view)
 
 
+class Witness:
+    """A guard part that also computes what its action's statement needs.
+
+    ``Witness(function)`` holds where ``function(view) is not None`` (not
+    where the value is truthy: a witness may be node 0).  Calling it returns
+    that truth value, so it works anywhere a plain guard does, also inside
+    :class:`Not`.  The scheduler calls ``function`` itself and keeps the
+    value of its last call in the node's witness slot; since a part is
+    re-called whenever a change to what it declares reading may have
+    changed it, the kept value is exact while the part holds.  The statement
+    reads it with :meth:`~repro.runtime.processor.ProcessorView.witness`,
+    which calls ``function`` when no slot is kept (the reference
+    interpreter, a statement called directly).  The part's bit is keyed by
+    ``function``, so ``Witness(f)`` and ``Not(Witness(f))`` under equal reads
+    share one bit; the same ``function`` may not also be a plain part there.
+    """
+
+    __slots__ = ("function",)
+
+    def __init__(self, function: Callable[["ProcessorView"], object]) -> None:
+        self.function = function
+
+    def __call__(self, view: "ProcessorView") -> bool:
+        return self.function(view) is not None
+
+
 def all_of(*parts: GuardPart) -> Conjunction:
     """A guard that holds when every ``(predicate, reads)`` part holds.
 
@@ -248,5 +274,6 @@ __all__ = [
     "Reads",
     "Rule",
     "StatementFn",
+    "Witness",
     "all_of",
 ]

@@ -11,7 +11,7 @@ collected so the scheduler can apply the step atomically.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
@@ -71,6 +71,7 @@ class ProcessorView:
         "_neighbor_set",
         "_ports",
         "_writes",
+        "_witnesses",
     )
 
     def __init__(
@@ -87,6 +88,8 @@ class ProcessorView:
         self._neighbor_set = network.neighbor_set(node)
         self._ports = network.neighbors(node)
         self._writes: dict[str, Any] = {}
+        # The witness slots the scheduler shares with the node's guard view.
+        self._witnesses: dict[Callable, Any] | None = None
 
     # ------------------------------------------------------------------
     # Identity / topology helpers
@@ -202,6 +205,24 @@ class ProcessorView:
         self._writes = writes = {}
         return writes
 
+    def witness(self, part: Callable[["ProcessorView"], Any]) -> Any:
+        """The value the :class:`~repro.runtime.actions.Witness` part ``part`` returned.
+
+        A statement reads its guard's witness here instead of recomputing
+        it.  The scheduler keeps the value of the part's last call at this
+        node, exact while the part holds; without a kept value (the
+        reference interpreter, a statement called directly) ``part`` is
+        called on this view.  Call it before the statement writes: a
+        recomputed value sees the writes already made in the step.
+        """
+        witnesses = self._witnesses
+        if witnesses is not None:
+            try:
+                return witnesses[part]
+            except KeyError:
+                pass
+        return part(self)
+
     @property
     def pending_writes(self) -> dict[str, Any]:
         """A copy of the writes collected so far in this atomic step."""
@@ -221,7 +242,9 @@ class GuardView(ProcessorView):
     :class:`~repro.errors.ProtocolError`, and the view keeps no write buffer.
     Since it holds no per-evaluation state, the scheduler keeps
     one per processor for the whole run and rebuilds them only when the
-    configuration or network object is replaced.
+    configuration or network object is replaced.  Its witness slots are
+    where the scheduler's guard walks keep each witness part's last value
+    (:meth:`ProcessorView.witness`).
     """
 
     __slots__ = ()
@@ -239,6 +262,7 @@ class GuardView(ProcessorView):
         self._states = configuration.state_table()
         self._neighbor_set = network.neighbor_set(node)
         self._ports = network.neighbors(node)
+        self._witnesses = {}
 
     def read(self, variable: str) -> Any:
         """Read one of the processor's own variables."""

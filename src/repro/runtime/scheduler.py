@@ -15,6 +15,8 @@ orientation protocols are measured in.
 
 from __future__ import annotations
 
+import hashlib
+import linecache
 import os
 import random
 import time
@@ -35,7 +37,7 @@ from repro.obs.instrument import (
     PHASE_LEGITIMACY,
     PHASE_OBSERVER_DISPATCH,
 )
-from repro.runtime.actions import Action, Not, Reads, Rule
+from repro.runtime.actions import Action, Not, Reads, Rule, Witness
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import Daemon, DistributedDaemon
 from repro.runtime.metrics import ExecutionMetrics
@@ -49,60 +51,248 @@ from repro.runtime.processor import (
 from repro.runtime.protocol import Protocol
 
 
-#: One compiled guard or rule part: ``(predicate, bit, negated)``.  ``bit``
-#: is the part's cached bit, shared by every part of the node's program that
-#: tests the same predicate object under equal reads; ``negated`` is ``bit``
-#: for a :class:`~repro.runtime.actions.Not` part (it holds when the bit is
-#: clear) and 0 otherwise.
-Step = tuple[Callable[[GuardView], bool], int, int]
+#: One compiled guard or rule part: ``(predicate, bit, negated, witness)``.
+#: ``bit`` is the part's cached bit, shared by every part of the node's
+#: program that tests the same predicate object under equal reads;
+#: ``negated`` is ``bit`` for a :class:`~repro.runtime.actions.Not` part (it
+#: holds when the bit is clear) and 0 otherwise; ``witness`` is, for a
+#: :class:`~repro.runtime.actions.Witness` part, the function whose value the
+#: node's witness slot keeps (``predicate`` returns that value), else ``None``.
+Step = tuple[Callable[[GuardView], object], int, int, "Callable | None"]
+
+#: A guard kernel: ``(stale, held, view) -> (index, held, stale, consulted, calls)``.
+GuardKernel = Callable[[int, int, GuardView], tuple[int, int, int, int, int]]
+#: A rule kernel: ``(node, hot, watched, stale, held, view, violations) ->
+#: (held, stale, watching, walked, calls)``.
+RuleKernel = Callable[..., tuple[int, int, int, int, int]]
+
+#: Kernel factories by program shape (:func:`compile_kernels`), each with its
+#: ``linecache`` name and entry, shared by every scheduler, so a campaign
+#: generates each shape's code once.  Cleared whole when it grows past
+#: :data:`_KERNEL_SHAPES` shapes.
+_KERNELS: dict[tuple, tuple[str, tuple, Callable]] = {}
+_KERNEL_SHAPES = 64
+#: Source lines one decision tree may take; past them its open branches
+#: resume on a linear walk, so a kernel's size stays bounded on any program.
+_TREE_LINES = 300
 
 
-def evaluate_guards(
-    walks: Sequence[tuple[Step, ...]], stale: int, held: int, view: GuardView
-) -> tuple[int, int, int, int, int]:
-    """Find the first entry of ``walks`` whose parts all hold, calling only stale parts.
+class _KernelWriter:
+    """The Python source of one program shape's guard kernel and rule kernel.
 
-    The scheduler's single guard-evaluation primitive, for guards and for
-    violation rules alike: ``walks`` is a node's compiled program, one tuple
-    of :data:`Step` per action in priority order, or one per rule of a
-    layer's violation rules (the first "enabled" rule is the first that
-    holds).  Bit ``b`` of ``held`` records whether the predicate of bit
-    ``b`` held when last called, and bit ``b`` of ``stale`` that a change
-    since then may have flipped it (or that it was never called).  The walk
-    goes through each entry's parts left to right; it calls a part only when
-    its bit is stale, stops an entry at its first false part, and stops at
-    the first entry whose parts all hold -- so the answer equals a fresh
-    scan, with at most as many calls.  A part shared by several entries is
-    called at most once per walk.  A full scan is ``stale=-1`` (every bit
-    set).
-
-    Returns ``(index, held, stale, consulted, calls)``: the first enabled
-    entry's index (``len(walks)`` when none is), the updated masks, the bits
-    the walk consulted, and the number of predicates called.  Only a change
-    that flips a consulted bit can change the answer; the other bits, behind
-    a false part or past the first enabled entry, may stay stale until a
-    walk reaches them.  The parts run on ``view``, the node's read-only
-    :class:`GuardView` (in ``check_guard_locality`` mode each predicate is a
-    :class:`_CheckedPart`).
+    A walk goes through a list of entries -- the actions in priority order,
+    or one layer's rules -- and finds the first whose parts all hold.  Each
+    walk is written as a decision tree: a part is refreshed inline (called
+    when its stale bit is set, its held bit updated, a witness part's value
+    kept in the view's witness slot) and then branched on, and a part whose
+    truth is known on the path is not tested again; each leaf knows its
+    entry and its consulted bits as constants.  Past :data:`_TREE_LINES`, a
+    branch resumes on a linear walk from its entry instead (the ``tails``),
+    which re-reads the held bits the path knows and calls nothing more.
     """
-    calls = consulted = 0
-    index = 0
-    for steps in walks:
-        for predicate, bit, negated in steps:
-            consulted |= bit
-            if stale & bit:
-                calls += 1
-                stale ^= bit
-                if predicate(view):
-                    held |= bit
-                else:
-                    held &= ~bit
-            if not (held ^ negated) & bit:
-                break
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.tails: list[str] = []
+
+    def line(self, depth: int, text: str) -> None:
+        self.lines.append("    " * depth + text)
+
+    def refresh(self, depth: int, part: tuple[int, bool, bool]) -> None:
+        """Call ``part`` if its bit is stale: clear the stale bit, set the held bit."""
+        position, _, witness = part
+        bit = 1 << position
+        self.line(depth, f"if stale & {bit}:")
+        self.line(depth + 1, "calls += 1")
+        self.line(depth + 1, f"stale ^= {bit}")
+        if witness:
+            self.line(depth + 1, f"value = p{position}(view)")
+            self.line(depth + 1, f"view._witnesses[w{position}] = value")
+            self.line(depth + 1, f"held = held & {~bit} if value is None else held | {bit}")
         else:
-            return index, held, stale, consulted, calls
-        index += 1
-    return index, held, stale, consulted, calls
+            self.line(depth + 1, f"held = held | {bit} if p{position}(view) else held & {~bit}")
+
+    def tree(self, entries, prefix: str, depth: int, leaf, resume) -> None:
+        """Write the walk of ``entries``; ``leaf(depth, index, consulted)`` writes its end.
+
+        ``index`` is the first entry that holds (``len(entries)``: none).
+        ``resume(depth, index, consulted)`` writes a hand-over to the linear
+        walk named ``prefix`` from entry ``index``.
+        """
+        limit = len(self.lines) + _TREE_LINES
+        first = len(entries)
+
+        def walk(depth: int, index: int, at: int, known: dict[int, bool], consulted: int) -> None:
+            nonlocal first
+            while index < len(entries) and at < len(entries[index]):
+                position, negated, _ = entries[index][at]
+                consulted |= 1 << position
+                if position not in known:
+                    break
+                index, at = (index, at + 1) if known[position] != negated else (index + 1, 0)
+            else:
+                leaf(depth, index, consulted)
+                return
+            if len(self.lines) > limit:
+                first = min(first, index)
+                resume(depth, index, consulted)
+                return
+            part = entries[index][at]
+            position, negated, _ = part
+            self.refresh(depth, part)
+            self.line(depth, f"if held & {1 << position}:")
+            for truth in (True, False):
+                if not truth:
+                    self.line(depth, "else:")
+                following = (index, at + 1) if truth != negated else (index + 1, 0)
+                walk(depth + 1, *following, {**known, position: truth}, consulted)
+
+        walk(depth, 0, 0, {}, 0)
+        if first < len(entries):
+            self.linear(entries, prefix, first)
+
+    def linear(self, entries, prefix: str, first: int) -> None:
+        """Write the linear walks ``prefix{i}`` from entry ``i >= first``, each calling the next.
+
+        Flat code: an entry's false part hands over to the next entry's walk.
+        """
+        body, self.lines = self.lines, self.tails
+        for index in range(first, len(entries) + 1):
+            self.line(1, f"def {prefix}{index}(stale, held, view, calls, consulted):")
+            for part in entries[index] if index < len(entries) else ():
+                position, negated, _ = part
+                bit = 1 << position
+                self.line(2, f"consulted |= {bit}")
+                self.refresh(2, part)
+                self.line(2, f"if {'' if negated else 'not '}held & {bit}:")
+                self.line(3, f"return {prefix}{index + 1}(stale, held, view, calls, consulted)")
+            self.line(2, f"return {index}, held, stale, consulted, calls")
+        self.lines = body
+
+    def source(self, parts: int, witnesses: Sequence[int], guard_shape, rule_shape) -> str:
+        """The factory ``bind(calls, keys) -> (guard kernel, rule kernel)``."""
+        line = self.line
+        line(1, "def guards(stale, held, view):")
+        line(2, "calls = 0")
+        self.tree(
+            guard_shape, "g", 2,
+            lambda depth, index, consulted: line(
+                depth, f"return {index}, held, stale, {consulted}, calls"
+            ),
+            lambda depth, index, consulted: line(
+                depth, f"return g{index}(stale, held, view, calls, {consulted})"
+            ),
+        )
+        line(1, "def rules(node, hot, watched, stale, held, view, violations):")
+        line(2, "watching = walked = calls = 0")
+        for number, (slot, entries, mask) in enumerate(rule_shape):
+            count, prefix = len(entries), f"r{number}_"
+
+            def leaf(depth: int, index: int, consulted: int, slot=slot, count=count) -> None:
+                line(depth, f"violations[{slot}].{'add' if index < count else 'discard'}(node)")
+                line(depth, f"consulted = {consulted}")
+
+            def resume(depth: int, index: int, consulted: int, slot=slot, count=count,
+                       prefix=prefix) -> None:
+                line(depth, f"index, held, stale, consulted, calls = "
+                            f"{prefix}{index}(stale, held, view, calls, {consulted})")
+                line(depth, f"if index < {count}:")
+                line(depth + 1, f"violations[{slot}].add(node)")
+                line(depth, "else:")
+                line(depth + 1, f"violations[{slot}].discard(node)")
+
+            line(2, f"if hot & watched & {mask}:")
+            self.tree(entries, prefix, 3, leaf, resume)
+            line(3, "if hot & consulted:")
+            line(4, "walked += 1")
+            line(3, "watching |= consulted")
+            line(2, "else:")
+            line(3, f"watching |= watched & {mask}")
+        line(2, "return held, stale, watching, walked, calls")
+        head = [
+            f"# guard kernel: {len(guard_shape)} actions, {len(rule_shape)} rule segments",
+            "def bind(calls, keys):",
+        ]
+        if parts:
+            head.append("    " + "".join(f"p{position}, " for position in range(parts)) + "= calls")
+        head.extend(f"    w{position} = keys[{position}]" for position in witnesses)
+        return "\n".join([*head, *self.tails, *self.lines, "    return guards, rules", ""])
+
+
+def compile_kernels(
+    walks: Sequence[tuple[Step, ...]], segments: Sequence["Segment"]
+) -> tuple[GuardKernel, RuleKernel]:
+    """A compiled program's guard kernel and rule kernel, bound to its parts.
+
+    The guard kernel is the scheduler's one guard walk: ``guards(stale,
+    held, view)`` finds the first action of ``walks`` whose parts all hold,
+    calling only stale parts.  Bit ``b`` of ``held`` records whether the
+    predicate of bit ``b`` held when last called, and bit ``b`` of ``stale``
+    that a change since then may have flipped it (or that it was never
+    called); a full scan is ``stale=-1``.  It returns ``(index, held, stale,
+    consulted, calls)``: the first enabled action's index (``len(walks)``
+    when none is), the updated masks, the bits the walk consulted and the
+    number of parts it called.  A part shared by several actions is called
+    at most once per walk, and a part whose truth the walk already knows is
+    not tested again -- so the answer equals a fresh scan, with at most as
+    many calls.  Only a change that flips a consulted bit can change the
+    answer.
+
+    The rule kernel walks the leaf layers' rule segments the same way:
+    ``rules(node, hot, watched, stale, held, view, violations)`` re-walks a
+    segment only when a bit of its mask is both ``hot`` (staled since the
+    node's last rule walk) and ``watched`` (consulted by it), adds ``node``
+    to ``violations[slot]`` when a rule holds and discards it when none
+    does, and returns ``(held, stale, watching, walked, calls)``: the masks,
+    the bits now watched, the segments whose walk consulted a hot bit, and
+    the part calls.
+
+    Both run their parts on ``view``, the node's read-only
+    :class:`GuardView`; a witness part's value goes to its witness slot.
+    The code is generated once per program *shape* -- part positions,
+    negations and witnesses, not predicates (:data:`_KERNELS`) -- and
+    registered with :mod:`linecache` under a ``<guard kernel ...>`` name, so
+    a traceback through a kernel shows its line.
+    """
+    calls: dict[int, Callable] = {}
+    keys: dict[int, Callable | None] = {}
+    for steps in (*walks, *(rule for _, rules, _ in segments for rule in rules)):
+        for predicate, bit, _, witness in steps:
+            position = bit.bit_length() - 1
+            calls[position], keys[position] = predicate, witness
+
+    def shape(steps: tuple[Step, ...]) -> tuple[tuple[int, bool, bool], ...]:
+        return tuple(
+            (bit.bit_length() - 1, bool(negated), witness is not None)
+            for _, bit, negated, witness in steps
+        )
+
+    guard_shape = tuple(map(shape, walks))
+    rule_shape = tuple(
+        (slot, tuple(map(shape, rules)), mask) for slot, rules, mask in segments
+    )
+    key = (guard_shape, rule_shape)
+    cached = _KERNELS.get(key)
+    if cached is None:
+        if len(_KERNELS) >= _KERNEL_SHAPES:
+            for name, _, _ in _KERNELS.values():
+                linecache.cache.pop(name, None)
+            _KERNELS.clear()
+        witnesses = sorted(position for position, witness in keys.items() if witness is not None)
+        source = _KernelWriter().source(len(calls), witnesses, guard_shape, rule_shape)
+        name = f"<guard kernel {hashlib.sha1(source.encode()).hexdigest()[:12]}>"
+        namespace: dict[str, object] = {}
+        exec(compile(source, name, "exec"), namespace)
+        cached = _KERNELS[key] = (
+            name, (len(source), None, source.splitlines(True), name), namespace["bind"]
+        )
+    name, lines, factory = cached
+    # Registered again at each binding: a linecache.clearcache() drops it.
+    linecache.cache.setdefault(name, lines)
+    return factory(
+        tuple(calls[position] for position in range(len(calls))),
+        tuple(keys[position] for position in range(len(keys))),
+    )
 
 
 class _CheckedPart:
@@ -126,11 +316,39 @@ class _CheckedPart:
     def __call__(self, view: GuardView) -> bool:
         node, network, configuration = view.node, view.network, view.configuration
         tracked = TrackingGuardView(node, network, configuration)
-        holds = self.predicate(tracked)
+        value = self.predicate(tracked)
         _check_guard_reads(
             node, network, configuration, self.holders, self.declared, tracked.read_variables
         )
-        return holds
+        return value
+
+
+class _CheckedWitnessView(ProcessorView):
+    """The ``check_guard_locality`` statement view: a kept witness is recomputed.
+
+    A kept witness value is exact only if the part is a function of what it
+    declares reading (the stale bits re-call it after any change there).
+    :meth:`witness` recomputes the value on this view and raises
+    :class:`~repro.errors.GuardLocalityError` (rule RL008) when it differs
+    from the kept one.
+    """
+
+    __slots__ = ()
+
+    def witness(self, part: Callable[[ProcessorView], object]) -> object:
+        value = part(self)
+        if part in self._witnesses and self._witnesses[part] != value:
+            name = getattr(part, "__qualname__", repr(part))
+            raise GuardLocalityError(
+                f"stale witness (RL008): {name} on processor {self.node} returned "
+                f"{value!r}, but its guard walk kept {self._witnesses[part]!r} and no "
+                f"change to its declared reads came since; a witness part must be a "
+                f"function of what it declares reading",
+                node=self.node,
+                action=name,
+                rule="RL008",
+            )
+        return value
 
 
 def _check_guard_reads(
@@ -277,18 +495,21 @@ def compile_program(
     predicate object and equal reads are one part with one bit -- a
     :class:`~repro.runtime.actions.Not` part counts as its predicate, negated
     -- so a fact several actions and rules test is called once per change
-    that stales it.  Bits are numbered in walk order: the actions' parts,
-    then each leaf's rules' parts.
+    that stales it.  A :class:`~repro.runtime.actions.Witness` part counts
+    as the function it wraps; that function may not be a plain part under
+    the same reads too (``ValueError``).  Bits are numbered in walk order:
+    the actions' parts, then each leaf's rules' parts.
 
     Returns ``(parts, walks, segments)``: each bit's reads, in bit order;
-    per action its :data:`Step` tuple (what :func:`evaluate_guards` walks);
-    and per leaf with a rule part a :data:`Segment`.  With
-    ``check_guard_locality`` each distinct part runs as a
+    per action its :data:`Step` tuple; and per leaf with a rule part a
+    :data:`Segment` -- what :func:`compile_kernels` generates the walks
+    from.  With ``check_guard_locality`` each distinct part runs as a
     :class:`_CheckedPart` naming every action and rule that holds it.
     """
     bits: dict[tuple[Callable, Reads | None], int] = {}
     parts: list[Reads | None] = []
     callables: list[Callable] = []
+    witnesses: list[Callable | None] = []
 
     def compile_parts(owner: Action | Rule) -> tuple[Step, ...]:
         steps = []
@@ -296,23 +517,32 @@ def compile_program(
             negated = type(predicate) is Not
             if negated:
                 predicate = predicate.predicate
+            witness = predicate.function if type(predicate) is Witness else None
+            if witness is not None:
+                predicate = witness
             position = bits.setdefault((predicate, reads), len(parts))
             if position == len(parts):
                 parts.append(reads)
+                witnesses.append(witness)
                 callables.append(
                     _CheckedPart(predicate, reads) if check_guard_locality else predicate
+                )
+            elif (witnesses[position] is None) != (witness is None):
+                raise ValueError(
+                    f"{owner.name!r}: {getattr(predicate, '__qualname__', predicate)} is "
+                    f"a Witness part and a plain part under equal reads"
                 )
             if check_guard_locality and owner not in callables[position].holders:
                 callables[position].holders.append(owner)
             bit = 1 << position
-            steps.append((callables[position], bit, bit if negated else 0))
+            steps.append((callables[position], bit, bit if negated else 0, witness))
         return tuple(steps)
 
     walks = tuple(map(compile_parts, actions))
     segments = []
     for slot, held in enumerate(rules):
         steps = tuple(map(compile_parts, held))
-        mask = reduce(or_, (bit for rule in steps for _, bit, _ in rule), 0)
+        mask = reduce(or_, (bit for rule in steps for _, bit, _, _ in rule), 0)
         if mask:
             segments.append((slot, steps, mask))
     return tuple(parts), walks, tuple(segments)
@@ -338,6 +568,11 @@ _STALE_MASKS: dict[tuple, dict[tuple[str, ...] | None, MaskEntry]] = {}
 _STALE_MASK_TABLES = 64
 
 
+def _rule_shift(tables: tuple[tuple[Reads | None, ...], ...]) -> int:
+    """How far above its part's bit a rule-stale bit sits: the longest table's length."""
+    return max(map(len, tables), default=0)
+
+
 def _stale_masks(
     tables: tuple[tuple[Reads | None, ...], ...],
     residue_reads: tuple[frozenset[str] | None, ...],
@@ -346,6 +581,9 @@ def _stale_masks(
 ) -> MaskEntry:
     """The stale masks a change of ``variables`` (``None``: anything) at a node implies.
 
+    A mask sets each bit twice: at the part's position, the guard-stale bit,
+    and :func:`_rule_shift` positions higher, its rule-stale bit (a node's
+    stale word, see :meth:`Scheduler._invalidate_enabled`).
     ``(own, neighbor, reaches, voids, pointed)``: ``own[t]`` for the changed
     node and ``neighbor[t]`` for each of its neighbors, where ``t`` is the
     marked node's table; ``reaches`` is whether any neighbor mask is
@@ -361,11 +599,14 @@ def _stale_masks(
     pointer-directed read the closed neighborhood allows.
     """
 
+    shift = _rule_shift(tables)
+
     def masks(test: Callable[[Reads | None], bool]) -> tuple[int, ...]:
-        return tuple(
+        parts = (
             sum(1 << position for position, reads in enumerate(table) if test(reads))
             for table in tables
         )
+        return tuple(mask | mask << shift for mask in parts)
 
     def meets(names: frozenset[str]) -> bool:
         return variables is None or not names.isdisjoint(variables)
@@ -477,7 +718,8 @@ class Scheduler:
     """Drives a protocol on a network under a daemon.
 
     It keeps a persistent enabled-set and one truth value per distinct guard
-    part (:func:`evaluate_guards`).  A change of variables ``V`` at ``p`` stales
+    part, walked by each program's generated guard kernel
+    (:func:`compile_kernels`).  A change of variables ``V`` at ``p`` stales
     the parts of ``p``'s guards whose declared
     :class:`~repro.runtime.actions.Reads` own-set meets ``V`` and the parts
     of its neighbors' guards whose neighbor-set does (a pointer-directed read
@@ -657,30 +899,35 @@ class Scheduler:
         """
         network, configuration = self.network, self.configuration
         n = network.n
-        # One read-only guard view and one statement view per node.
+        # One read-only guard view and one statement view per node, sharing
+        # the node's witness slots: the kernels keep each witness part's last
+        # value there, and the statement reads it (ProcessorView.witness).
         self._views = [GuardView(node, network, configuration) for node in range(n)]
-        self._writers = [ProcessorView(node, network, configuration) for node in range(n)]
+        writer = _CheckedWitnessView if self.check_guard_locality else ProcessorView
+        self._writers = [writer(node, network, configuration) for node in range(n)]
+        for view, statement_view in zip(self._views, self._writers):
+            statement_view._witnesses = view._witnesses
         # The persistent enabled-set: node -> first enabled action, frozen
         # nodes included (freezing does not touch guards, so freeze/unfreeze
         # need no invalidation; the accessors filter them).
         self._enabled: dict[int, Action] = {}
         # Per node, bitmasks over its distinct guard and rule parts (see
-        # evaluate_guards): which parts held when last called and which a
-        # change may have flipped since.  ``_watch`` and ``_rule_watch`` hold
-        # the bits the last guard walk and the last rule walk consulted: only
-        # a change there can change an answer; a stale bit elsewhere waits
-        # for a walk that reaches it.  ``_frontier`` and ``_rule_frontier``
-        # hold the nodes a drained change staled a consulted guard or rule
-        # bit of.  ``_rule_stale`` holds the bits staled since the node's
-        # last rule walk (what ``legitimacy_nodes_checked`` counts by).
+        # compile_kernels): which parts held when last called and which a
+        # change may have flipped since.  A node's stale word holds both the
+        # parts a change may have flipped since they were last called, at
+        # the parts' bits, and, ``_shift`` bits higher, the parts staled
+        # since the node's last rule walk (what a rule walk re-walks and
+        # ``legitimacy_nodes_checked`` counts by); one word makes a mark one
+        # read-modify-write.  ``_watch`` and ``_rule_watch`` hold the bits
+        # the last guard walk and the last rule walk consulted: only a
+        # change there can change an answer; a stale bit elsewhere waits for
+        # a walk that reaches it.  ``_frontier`` and ``_rule_frontier`` hold
+        # the nodes a drained change staled a consulted guard or rule bit of.
         self._held = [0] * n
         self._stale = [-1] * n
         self._watch = [0] * n
         self._frontier = set(range(n))
-        self._rule_watch = [
-            reduce(or_, (mask for _, _, mask in segments), 0) for segments in self._rule_walks
-        ]
-        self._rule_stale = [-1] * n
+        self._rule_watch = list(self._rule_masks)
         self._rule_frontier = set(range(n))
         # Per leaf layer: the nodes one of its rules holds at, and its
         # residue's cached verdict (dropped by a change to what its rules read).
@@ -716,7 +963,8 @@ class Scheduler:
     def _index_actions(self) -> None:
         """Compile each node's actions and rules (:func:`compile_program`).
 
-        Nodes with equal actions and rules share the compiled program.  A
+        Nodes with equal actions and rules share the compiled program and
+        its kernels (:func:`compile_kernels`), bound once per program.  A
         node's *table* is its distinct parts' reads in bit order; nodes with
         equal tables share one.  The stale masks a change implies are
         memoised per changed-variable tuple, shared by every scheduler with
@@ -734,9 +982,14 @@ class Scheduler:
         compiled: dict[tuple, tuple] = {}
         # Per leaf: its rules at every node, for what its residue may read.
         declared: list[list[Rule]] = [[] for _ in leaves]
+        # Per node: its table, its actions with None for "no action enabled"
+        # (indexed by a guard kernel's answer), its kernels, and the bits
+        # of its rule segments.
         self._table: list[int] = []
-        self._walks: list[tuple[tuple[Step, ...], ...]] = []
-        self._rule_walks: list[tuple[Segment, ...]] = []
+        self._choices: list[tuple[Action | None, ...]] = []
+        self._guard_kernels: list[GuardKernel] = []
+        self._rule_kernels: list[RuleKernel] = []
+        self._rule_masks: list[int] = []
         for node in network.nodes():
             actions = self._actions[node]
             rules = tuple(tuple(leaf.violation_rules(network, node)) for leaf in leaves)
@@ -745,13 +998,20 @@ class Scheduler:
                 parts, walks, segments = compile_program(actions, rules, check)
                 for slot, _, _ in segments:
                     declared[slot].extend(rules[slot])
-                table = tables.setdefault(parts, len(tables))
-                entry = compiled[actions, rules] = (table, walks, segments)
-            table, walks, segments = entry
+                entry = compiled[actions, rules] = (
+                    tables.setdefault(parts, len(tables)),
+                    (*actions, None),
+                    *compile_kernels(walks, segments),
+                    reduce(or_, (mask for _, _, mask in segments), 0),
+                )
+            table, choices, guard_kernel, rule_kernel, rule_mask = entry
             self._table.append(table)
-            self._walks.append(walks)
-            self._rule_walks.append(segments)
+            self._choices.append(choices)
+            self._guard_kernels.append(guard_kernel)
+            self._rule_kernels.append(rule_kernel)
+            self._rule_masks.append(rule_mask)
         self._tables: tuple[tuple[Reads | None, ...], ...] = tuple(tables)
+        self._shift = _rule_shift(self._tables)
         residues = tuple(
             frozenset() if type(leaf).legitimacy_residue is Protocol.legitimacy_residue
             else residue_reads(rules)
@@ -782,9 +1042,8 @@ class Scheduler:
         """Mark stale the guard and rule parts the journaled changes can flip.
 
         The journal's only reader.  Every drained entry ``node -> variables``
-        sets the stale bits its declarations imply (:func:`_stale_masks`), in
-        ``_stale`` and in ``_rule_stale``, at
-        the node and its neighbors, and for pointer-directed reads at the
+        sets the guard- and rule-stale bits its declarations imply
+        (:func:`_stale_masks`) at the node and its neighbors, and for pointer-directed reads at the
         nodes the pointer shadow picks out: the holders whose pointer names
         the node (``via``) and the nodes the node's own pointer named before
         and names now (``named_by``); the entry also moves the shadow.  A
@@ -798,9 +1057,7 @@ class Scheduler:
         """
         changes = self.configuration.drain_dirty()
         actions, table, stale, watch = self._actions, self._table, self._stale, self._watch
-        rule_stale, rule_watch, rule_frontier = (
-            self._rule_stale, self._rule_watch, self._rule_frontier
-        )
+        rule_watch, rule_frontier, shift = self._rule_watch, self._rule_frontier, self._shift
         residues = self._residues
         memo = self._mask_memo
         frontier = self._frontier
@@ -820,7 +1077,7 @@ class Scheduler:
             mask = own[table[node]]
             if mask:
                 stale[node] |= mask
-                rule_stale[node] |= mask
+                # The watch masks hold parts' bits: the rule-stale copies miss them.
                 if mask & watch[node]:
                     frontier.add(node)
                 if mask & rule_watch[node]:
@@ -840,15 +1097,19 @@ class Scheduler:
                 marks.append((set().union(*map(neighbor_set, nodes)), neighbor))
             else:
                 marks.append((neighbor_set(nodes[0]), neighbor))
+        # Only newly stale bits need the watch tests: a watched bit that was
+        # stale already went stale after the node's last walk, which put the
+        # node on the frontier it is still on (a walk clears every stale bit
+        # it consults, and a rule walk all rule-stale bits).  Most marks of a
+        # token move set no new bit.
         for others, masks in marks:
             for other in others:
-                mask = masks[table[other]]
-                if mask:
-                    stale[other] |= mask
-                    rule_stale[other] |= mask
-                    if mask & watch[other]:
+                fresh = masks[table[other]] & ~stale[other]
+                if fresh:
+                    stale[other] |= fresh
+                    if fresh & watch[other]:
                         frontier.add(other)
-                    if mask & rule_watch[other]:
+                    if fresh >> shift & rule_watch[other]:
                         rule_frontier.add(other)
         if self._instr.enabled:
             self._instr.gauge("dirty_set_size", len(changes))
@@ -901,19 +1162,19 @@ class Scheduler:
         frontier = self._frontier
         if frontier:
             self._frontier = set()
-            actions, walks, views = self._actions, self._walks, self._views
+            kernels, choices, views = self._guard_kernels, self._choices, self._views
             held, stale, watch, enabled = self._held, self._stale, self._watch, self._enabled
             calls = 0
             for node in frontier:
-                index, held[node], stale[node], watch[node], called = evaluate_guards(
-                    walks[node], stale[node], held[node], views[node]
+                index, held[node], stale[node], watch[node], called = kernels[node](
+                    stale[node], held[node], views[node]
                 )
                 calls += called
-                program = actions[node]
-                if index < len(program):
-                    enabled[node] = program[index]
-                else:
+                action = choices[node][index]
+                if action is None:
                     enabled.pop(node, None)
+                else:
+                    enabled[node] = action
             if timed:
                 instr.count("guards_evaluated", len(frontier))
                 instr.count("guard_calls", calls)
@@ -1028,7 +1289,7 @@ class Scheduler:
             self._walk_rules(frontier)
 
     def _walk_rules(self, nodes: Iterable[int]) -> None:
-        """Re-walk every rule segment of ``nodes``, calling only stale parts.
+        """Re-walk the rule segments of ``nodes`` with their rule kernels, calling only stale parts.
 
         A node is on the rule frontier when a drained change staled a bit
         its last rule walk consulted.  A guard walk may have re-called that
@@ -1042,31 +1303,20 @@ class Scheduler:
         rule walk, and the part calls under ``rule_calls``, apart from the
         guard walks' ``guard_calls``.
         """
-        views, rule_walks = self._views, self._rule_walks
-        held, stale, rule_stale, rule_watch = (
-            self._held, self._stale, self._rule_stale, self._rule_watch
-        )
-        violations = self._violations
+        views, kernels = self._views, self._rule_kernels
+        held, stale, rule_watch = self._held, self._stale, self._rule_watch
+        violations, shift = self._violations, self._shift
+        # The walk clears the node's rule-stale bits.
+        parts = (1 << shift) - 1
         walked = calls = 0
         for node in nodes:
-            hot, watched = rule_stale[node], rule_watch[node]
-            rule_stale[node] = watching = 0
-            for slot, walks, mask in rule_walks[node]:
-                if not hot & watched & mask:
-                    watching |= watched & mask
-                    continue
-                index, held[node], stale[node], consulted, called = evaluate_guards(
-                    walks, stale[node], held[node], views[node]
-                )
-                calls += called
-                if hot & consulted:
-                    walked += 1
-                watching |= consulted
-                if index < len(walks):
-                    violations[slot].add(node)
-                else:
-                    violations[slot].discard(node)
-            rule_watch[node] = watching
+            word = stale[node]
+            held[node], word, rule_watch[node], segments, called = kernels[node](
+                node, word >> shift, rule_watch[node], word, held[node], views[node], violations
+            )
+            stale[node] = word & parts
+            walked += segments
+            calls += called
         if self._instr.enabled:
             self._instr.count("legitimacy_nodes_checked", walked)
             self._instr.count("rule_calls", calls)
@@ -1397,7 +1647,7 @@ __all__ = [
     "RunResult",
     "StepRecord",
     "check_residue_reads",
+    "compile_kernels",
     "compile_program",
-    "evaluate_guards",
     "residue_reads",
 ]

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
 from repro.graphs.properties import bfs_distances
-from repro.runtime.actions import Action, Reads, Rule, all_of
+from repro.runtime.actions import Action, Reads, Rule, Witness, all_of
 from repro.runtime.composition import HookedComposition, HookingLayer
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
@@ -160,7 +160,7 @@ class BFSSpanningTree(SpanningTreeProtocol):
         self._programs = (
             (
                 Action(
-                    self.ACTION_RELAX, self._relax_guard, self._relax,
+                    self.ACTION_RELAX, Witness(self._relax_target), self._relax,
                     layer=self.name, reads=_BFS_RELAX_READS,
                 ),
             ),
@@ -218,13 +218,19 @@ class BFSSpanningTree(SpanningTreeProtocol):
         view.write(VAR_BFS_PARENT, None)
 
     @staticmethod
-    def _relax_guard(view: ProcessorView) -> bool:
-        dist, parent = BFSSpanningTree._desired(view)
-        return view.read(VAR_BFS_DIST) != dist or view.read(VAR_BFS_PARENT) != parent
+    def _relax_target(view: ProcessorView) -> tuple[int, int | None] | None:
+        """The relaxation's (distance, parent) pair where it differs from the held one.
+
+        The relax guard's witness: ``_relax`` adopts it without rescanning.
+        """
+        desired = dist, parent = BFSSpanningTree._desired(view)
+        if view.read(VAR_BFS_DIST) != dist or view.read(VAR_BFS_PARENT) != parent:
+            return desired
+        return None
 
     @staticmethod
     def _relax(view: ProcessorView) -> None:
-        dist, parent = BFSSpanningTree._desired(view)
+        dist, parent = view.witness(BFSSpanningTree._relax_target)
         view.write(VAR_BFS_DIST, dist)
         view.write(VAR_BFS_PARENT, parent)
 

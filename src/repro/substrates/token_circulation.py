@@ -55,7 +55,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.graphs.network import RootedNetwork
-from repro.runtime.actions import Action, Not, Reads, Rule, all_of
+from repro.runtime.actions import Action, Not, Reads, Rule, Witness, all_of
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import PerNetwork, Protocol
@@ -268,7 +268,11 @@ class DepthFirstTokenCirculation(Protocol):
 
     @staticmethod
     def _first_unvisited(view: ProcessorView) -> int | None:
-        """The first neighbor (port order) not yet visited by this processor's wave."""
+        """The first neighbor (port order) not yet visited by this processor's wave.
+
+        The delegate guards' witness (a :class:`~repro.runtime.actions.Witness`
+        part); the finish guards test its negation.
+        """
         wave, read_neighbor = view.read(VAR_WAVE), view.read_neighbor
         for q in view.neighbors:
             if read_neighbor(q, VAR_STATE) == WAIT and read_neighbor(q, VAR_WAVE) != wave:
@@ -306,14 +310,6 @@ class DepthFirstTokenCirculation(Protocol):
         if level != view.read_neighbor(parent, VAR_LEVEL) + 1:
             return False
         return DepthFirstTokenCirculation._valid_delegation(view)
-
-    @staticmethod
-    def _has_unvisited(view: ProcessorView) -> bool:
-        return DepthFirstTokenCirculation._first_unvisited(view) is not None
-
-    @staticmethod
-    def _has_forwarding_parent(view: ProcessorView) -> bool:
-        return DepthFirstTokenCirculation._forwarding_parent(view) is not None
 
     @staticmethod
     def _valid_delegation(view: ProcessorView) -> bool:
@@ -354,7 +350,7 @@ class DepthFirstTokenCirculation(Protocol):
     # ------------------------------------------------------------------
     @staticmethod
     def _delegate(view: ProcessorView) -> None:
-        child = DepthFirstTokenCirculation._first_unvisited(view)
+        child = view.witness(DepthFirstTokenCirculation._first_unvisited)
         if child is not None:
             view.write(VAR_CHILD, child)
 
@@ -412,7 +408,7 @@ class DepthFirstTokenCirculation(Protocol):
                 all_of(
                     (self._active, _STATE_READS),
                     (self._child_settled, _SETTLED_READS),
-                    (self._has_unvisited, _UNVISITED_READS),
+                    (Witness(self._first_unvisited), _UNVISITED_READS),
                 ),
                 self._delegate,
                 layer=layer, priority=2,
@@ -422,7 +418,7 @@ class DepthFirstTokenCirculation(Protocol):
                 all_of(
                     (self._active, _STATE_READS),
                     (self._child_settled, _SETTLED_READS),
-                    (Not(self._has_unvisited), _UNVISITED_READS),
+                    (Not(Witness(self._first_unvisited)), _UNVISITED_READS),
                 ),
                 self._retire,
                 layer=layer, priority=3,
@@ -442,12 +438,15 @@ class DepthFirstTokenCirculation(Protocol):
         stack check: while the token is delegated below, that part is false.
         The error guard (and the ``TC-Unstacked`` rule) negate the stack check
         with :class:`~repro.runtime.actions.Not` and finish negates
-        ``_has_unvisited``, so each fact is one part the scheduler calls once
-        for every guard and rule that tests it.
+        delegate's ``_first_unvisited`` witness, so each fact is one part the
+        scheduler calls once for every guard and rule that tests it.  The
+        forward and delegate statements adopt their guard's witness (the
+        forwarding parent, the first unvisited neighbor) without rescanning
+        the neighbors.
         """
 
         def forward(view: ProcessorView) -> None:
-            parent = DepthFirstTokenCirculation._forwarding_parent(view)
+            parent = view.witness(DepthFirstTokenCirculation._forwarding_parent)
             if parent is None:  # pragma: no cover - guarded by the forward guard
                 return
             view.write(VAR_STATE, ACTIVE)
@@ -468,7 +467,7 @@ class DepthFirstTokenCirculation(Protocol):
                 self.ACTION_FORWARD,
                 all_of(
                     (self._waiting, _STATE_READS),
-                    (self._has_forwarding_parent, _FORWARDING_READS),
+                    (Witness(self._forwarding_parent), _FORWARDING_READS),
                 ),
                 forward,
                 layer=layer, priority=1,
@@ -479,7 +478,7 @@ class DepthFirstTokenCirculation(Protocol):
                     (self._active, _STATE_READS),
                     (self._child_settled, _SETTLED_READS),
                     (self._valid_active, _STACKED_READS),
-                    (self._has_unvisited, _UNVISITED_READS),
+                    (Witness(self._first_unvisited), _UNVISITED_READS),
                 ),
                 self._delegate,
                 layer=layer, priority=2,
@@ -490,7 +489,7 @@ class DepthFirstTokenCirculation(Protocol):
                     (self._active, _STATE_READS),
                     (self._child_settled, _SETTLED_READS),
                     (self._valid_active, _STACKED_READS),
-                    (Not(self._has_unvisited), _UNVISITED_READS),
+                    (Not(Witness(self._first_unvisited)), _UNVISITED_READS),
                 ),
                 self._retire,
                 layer=layer, priority=3,
@@ -499,7 +498,10 @@ class DepthFirstTokenCirculation(Protocol):
 
     @staticmethod
     def _forwarding_parent(view: ProcessorView) -> int | None:
-        """The first neighbor (port order) currently delegating the token to us."""
+        """The first neighbor (port order) currently delegating the token to us.
+
+        The forward guard's witness; it may be node 0, the root.
+        """
         max_level = view.network.n - 1
         node, own_wave, read_neighbor = view.node, view.read(VAR_WAVE), view.read_neighbor
         for q in view.neighbors:

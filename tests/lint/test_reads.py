@@ -120,6 +120,26 @@ def test_an_underdeclared_negated_part_fires_rl008(capsys) -> None:
     assert analyze_paths([fixture]).findings == []
 
 
+def test_an_underdeclared_witness_part_fires_rl008(capsys, tmp_path) -> None:
+    fixture = FIXTURES / "reads_witness_underdeclared.py"
+    assert main([str(fixture), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    # ``Witness(_higher)`` reads what ``_higher`` reads: the neighbors' ``rw_x``.
+    assert [(finding["rule"], finding["function"]) for finding in payload] == [
+        ("RL008", "RW-Follow")
+    ]
+    assert "neighbor 'rw_x'" in payload[0]["message"]
+    assert analyze_paths([fixture]).findings == []
+    # The static pass resolves the witness part, and the statement's
+    # ``view.witness(_higher)`` reads what ``_higher`` reads.
+    out = tmp_path / "rwsets.json"
+    main([str(fixture), "--summary", str(out)])
+    (module,) = json.loads(out.read_text())["modules"].values()
+    entry = module["ReadsWitnessUnderdeclared.RW-Follow"]
+    assert entry["guard_resolved"] and entry["statement_resolved"]
+    assert entry["guard_reads_neighbor"] == entry["statement_reads_neighbor"] == ["rw_x"]
+
+
 def test_the_token_layers_negated_parts_resolve(tmp_path) -> None:
     out = tmp_path / "rwsets.json"
     assert main([str(PACKAGE / "substrates" / "token_circulation.py"), "--summary", str(out)]) == 0

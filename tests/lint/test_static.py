@@ -49,14 +49,15 @@ def test_disable_comment_silences_the_line() -> None:
 
 def test_fixture_directory_totals() -> None:
     # One static finding per broken rule fixture, none from __init__ /
-    # disabled, and the read probe's on the seven read fixtures: RL008 on
+    # disabled, and the read probe's on the eight read fixtures: RL008 on
     # reads_underdeclared (3), reads_aliased_underdeclared (2),
-    # reads_negated_underdeclared (1), reads_pointer_undeclared (2, plus its
-    # 2 RL009), reads_ring_underdeclared (1) and residue_underdeclared (1).
+    # reads_negated_underdeclared (1), reads_witness_underdeclared (1),
+    # reads_pointer_undeclared (2, plus its 2 RL009), reads_ring_underdeclared
+    # (1) and residue_underdeclared (1).
     findings = lint_paths([FIXTURES])
-    assert len(findings) == len(FIXTURE_RULES) + 12
+    assert len(findings) == len(FIXTURE_RULES) + 13
     assert Counter(f.rule for f in findings) == Counter(FIXTURE_RULES.values()) + Counter(
-        {"RL008": 10, "RL009": 2}
+        {"RL008": 11, "RL009": 2}
     )
 
 

@@ -24,7 +24,7 @@ from repro.runtime import reference
 from repro.runtime.actions import Action, Not, Reads, Rule, all_of
 from repro.runtime.processor import GuardView
 from repro.runtime.protocol import Protocol
-from repro.runtime.scheduler import Scheduler, compile_program, evaluate_guards
+from repro.runtime.scheduler import Scheduler, compile_kernels, compile_program
 from repro.runtime.variables import int_variable
 from repro.substrates.dijkstra_ring import DijkstraTokenRing
 from repro.substrates.pif import PIFWave
@@ -109,13 +109,13 @@ def test_parts_share_a_bit_only_with_the_same_predicate_and_equal_reads():
     parts, walks, segments = compile_program((go, idle), (protocol.violation_rules(network, 0),))
     # gate, scan, marked: the negated gate and the rule's gate reuse bit 0.
     assert parts == (GATE_READS, SCAN_READS, Reads(own=frozenset({"x"})))
-    assert [[(bit, negated) for _, bit, negated in steps] for steps in walks] == [
+    assert [[(bit, negated) for _, bit, negated, _ in steps] for steps in walks] == [
         [(0b001, 0), (0b010, 0)],
         [(0b001, 0b001), (0b100, 0)],
     ]
     ((slot, rule_steps, mask),) = segments
     assert (slot, mask) == (0, 0b001)
-    assert [(bit, negated) for _, bit, negated in rule_steps[0]] == [(0b001, 0)]
+    assert [(bit, negated) for _, bit, negated, _ in rule_steps[0]] == [(0b001, 0)]
     # The same predicate under reads that differ is a part of its own.
     wider = Reads(own=frozenset({"g", "x"}))
     other = Action("Other", all_of((go.guard_parts[0][0], wider)), bool)
@@ -140,10 +140,11 @@ def test_the_compiled_walk_negates_a_shared_bit():
     protocol = Shared()
     configuration = protocol.initial_configuration(network)
     configuration.set(0, "x", 1)
-    _, walks, _ = compile_program(protocol.actions(network, 0))
+    _, walks, segments = compile_program(protocol.actions(network, 0))
+    guards, _ = compile_kernels(walks, segments)
     view = GuardView(0, network, configuration)
     # Gate closed: Go stops at it, Idle holds on the same bit read clear.
-    index, held, stale, consulted, calls = evaluate_guards(walks, -1, 0, view)
+    index, held, stale, consulted, calls = guards(-1, 0, view)
     assert (index, held & 0b111, consulted, calls) == (1, 0b100, 0b101, 2)
     assert protocol.calls == Counter({("gate", 0): 1})
 
@@ -293,15 +294,17 @@ def test_the_compiled_walk_matches_the_reference_on_random_configurations(name, 
             actions = tuple(protocol.actions(network, node))
             rules = tuple(tuple(leaf.violation_rules(network, node)) for leaf in leaves)
             _, walks, segments = compile_program(actions, rules, check)
+            guards, rule_kernel = compile_kernels(walks, segments)
             view = GuardView(node, network, configuration)
-            index, _, _, _, _ = evaluate_guards(walks, -1, 0, view)
+            index, _, _, _, _ = guards(-1, 0, view)
             # By name: Dijkstra's and PIF's programs are built per call.
             first = actions[index].name if index < len(actions) else None
             assert first == getattr(expected.get(node), "name", None)
-            for slot, steps, _ in segments:
-                index, _, _, _, _ = evaluate_guards(steps, -1, 0, view)
+            violations = [set() for _ in leaves]
+            rule_kernel(node, -1, -1, -1, 0, view, violations)
+            for slot, _, _ in segments:
                 holds = any(rule.guard(view) for rule in rules[slot])
-                assert (index < len(steps)) == holds
+                assert (node in violations[slot]) == holds
         # And the scheduler's maintained set, which walks with cached bits.
         scheduler = Scheduler(
             network, protocol, configuration=configuration, check_guard_locality=check

@@ -149,12 +149,12 @@ def test_a_compiled_node_holds_one_bit_for_sp2(stack, action):
         rules = tuple(tuple(leaf.violation_rules(network, node)) for leaf in leaves)
         parts, walks, segments = compile_program(actions, rules)
         (edge_label,) = [walk for a, walk in zip(actions, walks) if a.name == action]
-        guard_bits = {bit for predicate, bit, _ in edge_label if predicate == sp2}
+        guard_bits = {bit for predicate, bit, _, _ in edge_label if predicate == sp2}
         rule_bits = {
             bit
             for _, steps, _ in segments
             for rule in steps
-            for predicate, bit, _ in rule
+            for predicate, bit, _, _ in rule
             if predicate == sp2
         }
         assert len(guard_bits) == 1

@@ -270,17 +270,28 @@ def _assert_helpers_match(protocol, network, configuration, modulus):
         for action in layer.actions(network, node):
             view = ProcessorView(node, network, configuration)
             writes = view.begin_move()
+            # The weight and name guards are witness parts: their value is
+            # what the statement adopts, None where the guard is false.  A
+            # statement runs only where its guard holds.
             if action.name in (STNO.ACTION_WEIGHT, STNO.ACTION_ROOT_WEIGHT):
                 weight = _old_desired_weight(tree, guard_view)
-                assert action.guard(guard_view) == (guard_view.read(VAR_WEIGHT) != weight)
-                action.statement(view)
-                assert _typed(writes) == _typed({VAR_WEIGHT: weight})
+                wrong = guard_view.read(VAR_WEIGHT) != weight
+                assert action.guard(guard_view) == wrong
+                assert _typed(action.guard.function(guard_view)) == _typed(weight if wrong else None)
+                if wrong:
+                    action.statement(view)
+                    assert _typed(writes) == _typed({VAR_WEIGHT: weight})
             elif action.name in (STNO.ACTION_NAME, STNO.ACTION_ROOT_NAME):
                 name = _old_desired_name(tree, guard_view, wrap)
-                assert action.guard(guard_view) == _old_name_wrong(tree, guard_view, wrap)
-                action.statement(view)
                 start = _old_desired_start(tree, guard_view, name, wrap)
-                assert _typed(writes) == _typed({VAR_NAME: name, VAR_START: start})
+                wrong = _old_name_wrong(tree, guard_view, wrap)
+                assert action.guard(guard_view) == wrong
+                assert _typed(action.guard.function(guard_view)) == _typed(
+                    (name, start) if wrong else None
+                )
+                if wrong:
+                    action.statement(view)
+                    assert _typed(writes) == _typed({VAR_NAME: name, VAR_START: start})
         if isinstance(tree, BFSSpanningTree) and not network.is_root(node):
             assert _typed(BFSSpanningTree._desired(guard_view)) == _typed(_old_bfs_desired(guard_view))
 
